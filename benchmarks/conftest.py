@@ -19,13 +19,23 @@ they survive pytest's stdout capture; EXPERIMENTS.md records them.
 from __future__ import annotations
 
 import os
+import sys
 from typing import Dict, Sequence
 
 import pytest
 
-from repro.corpus import dblife_corpus, wikipedia_corpus
-from repro.core.runner import SeriesReport, run_series, verify_agreement
-from repro.extractors import make_task
+# ``repro`` is imported at module load: make the checkout's own source
+# importable so ``python3 -m pytest benchmarks/...`` needs no PYTHONPATH.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from repro.corpus import dblife_corpus, wikipedia_corpus  # noqa: E402
+from repro.core.runner import (  # noqa: E402
+    SeriesReport,
+    run_series,
+    verify_agreement,
+)
+from repro.extractors import make_task  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 

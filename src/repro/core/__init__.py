@@ -2,7 +2,7 @@
 
 from .cyclex import CyclexSystem
 from .delex import DelexSystem
-from .noreuse import NoReuseSystem, evaluate_timed, run_page_plain
+from .noreuse import NoReuseSystem, run_page_plain
 from .pipeline import DelexPipeline
 from .runner import (
     SYSTEM_NAMES,
@@ -23,7 +23,6 @@ __all__ = [
     "NoReuseSystem",
     "ShortcutSystem",
     "run_page_plain",
-    "evaluate_timed",
     "run_series",
     "run_task_series",
     "verify_agreement",

@@ -12,12 +12,18 @@ programs (Section 3), the α_prog of the section-based tasks is page
 scale — extraction regions blow up to nearly the whole page whenever
 anything changed, which is precisely why Delex wins on those tasks.
 
-Like the other systems, the page loop is routed through
-:mod:`repro.runtime`: the parent reads the previous result files
-sequentially in canonical page order, per-page match/copy/extract work
-fans out across the executor's workers, and the parent records the new
-result files in canonical order so they stay byte-identical to a
-serial run.
+:class:`ProgramRecycler` is everything whole-program recycling needs
+that is not the recycling *policy*: the per-relation result files
+(open, read-or-skip one page group per paired page so the one-pass
+scan stays aligned, emit in canonical page order so the files are
+byte-identical on every backend), the three page work items —
+``fresh`` (from scratch), ``copy`` (byte-identical page, previous
+rows verbatim) and ``pair`` (match/copy/extract against the old
+version) — and the hand-off to :func:`repro.runtime.driver.run_pages`
+(fresh pages are the only ones that may be split). A subclass decides
+which item a page becomes: :class:`CyclexSystem` uses all three;
+:class:`~repro.core.shortcut.ShortcutSystem` is the same recycler
+restricted to ``fresh`` and ``copy``.
 """
 
 from __future__ import annotations
@@ -43,37 +49,30 @@ from ..reuse.files import (
     encode_fields,
 )
 from ..reuse.regions import dedupe_extensions, derive_reuse, extraction_keep
-from ..runtime.executor import Executor, SerialExecutor
-from ..runtime.metrics import BatchMetric, build_metrics
+from ..runtime.driver import PageLookup, PageWork, run_pages
+from ..runtime.executor import Executor
 from ..runtime.scheduler import PageScheduler
-from ..runtime.shm import build_arena
-from ..runtime.split import (
-    PagePart,
-    PartPoisoned,
-    SplitConfig,
-    part_extensions,
-    plan_parts,
-)
+from ..runtime.split import SplitConfig
 from ..text.document import Page
 from ..text.regions import MatchSegment
 from ..text.span import Interval, Span
-from ..timing import COPY, EXTRACT, IO, MATCH, OPT, Timer, Timings
-from .noreuse import run_page_plain, scan_frontier
+from ..timing import COPY, IO, MATCH, OPT, Timer, Timings
+from .noreuse import assemble_plain, plain_frontier, run_page_plain
 
 _PROGRAM_ITID = 0
 
-#: Worker state: everything an item needs besides its page text —
-#: ``(plan, alpha, beta, matcher_name, kernel, arena_handle)``; the
-#: arena carries page text by reference/shared memory.
-_CyclexState = Tuple
+#: Previous final rows of one page, per relation.
+PrevRows = Dict[str, List[OutputTuple]]
 
-#: One page's work item (text comes from the arena):
-#: ``("fresh", did, url)`` re-extracts from scratch;
-#: ``("pair", did, url, q_did, q_url, prev_rows)`` recycles from the
-#: old version; ``("copy", did, url, prev_rows)`` wholesale-recycles a
-#: byte-identical page (the fingerprint fast path — no matching, no
-#: extraction).
+#: One page's work item: ``("fresh", did)``, ``("copy", did, prev_rows)``
+#: or ``("pair", did, q_did, prev_rows)``.
 _WorkItem = Tuple
+
+
+def _min_length(beta: int) -> int:
+    """A match shorter than 2β + 2 enables no copying (capped so
+    large-β programs still match short pages whole)."""
+    return max(8, min(2 * beta + 2, 32))
 
 
 def _run_region(plan: CompiledPlan, page: Page, er: Interval,
@@ -89,8 +88,7 @@ def _run_region(plan: CompiledPlan, page: Page, er: Interval,
 
 
 def _process_pair(plan: CompiledPlan, alpha: int, beta: int, matcher,
-                  page: Page, q_page: Page,
-                  prev_rows: Dict[str, List[OutputTuple]],
+                  page: Page, q_page: Page, prev_rows: PrevRows,
                   timer: Timer) -> Dict[str, list]:
     """Match/copy/extract one changed page against its old version."""
     with timer.measure(MATCH):
@@ -126,70 +124,167 @@ def _process_pair(plan: CompiledPlan, alpha: int, beta: int, matcher,
     return page_rows
 
 
-def _cyclex_work_worker(state: _CyclexState, item):
-    """Process one work item (runs in any executor).
-
-    ``item`` is either ``("batch", (work items...))`` — whole pages,
-    reconstructed from the arena — or ``("part", part, ordinals)``, a
-    split-correct sub-page slice of a large fresh page whose frontier
-    IE nodes extract here and are re-assembled by the parent.
+def _recycle_batch(state, lookup: PageLookup, items, timer: Timer):
+    """Process one batch of page work items (runs in any executor).
 
     A fresh matcher and match cache per batch is results-identical to
-    the serial single-matcher run: Cyclex never assigns RU, so the
-    cache is write-only.
+    a single-matcher run: the whole-program recyclers never assign RU,
+    so the cache is write-only.
     """
-    plan, alpha, beta, matcher_name, kernel, arena = state
-    timings = Timings()
-    timer = Timer(timings)
-    if item[0] == "part":
-        _, part, ordinals = item
-        frontier = scan_frontier(plan)
-        text = arena.text("c:" + part.did)
-        exts: Dict[int, list] = {}
-        poisoned: List[int] = []
-        for ordinal in ordinals:
-            try:
-                with timer.measure(EXTRACT):
-                    exts[ordinal] = part_extensions(frontier[ordinal],
-                                                    text, part)
-            except PartPoisoned:
-                poisoned.append(ordinal)
-        return ("part", part.did, part.index, exts, poisoned,
-                timings.parts)
-    matcher = make_matcher(
-        matcher_name, MatchCache(),
-        min_length=max(8, min(2 * beta + 2, 32)), kernel=kernel)
+    plan, alpha, beta, matcher_name, kernel = state
+    matcher = make_matcher(matcher_name, MatchCache(),
+                           min_length=_min_length(beta), kernel=kernel)
     out: List[Tuple[str, Dict[str, list]]] = []
-    for work_item in item[1]:
-        if work_item[0] == "fresh":
-            _, did, url = work_item
-            page = Page(did, url, arena.text("c:" + did))
-            out.append((did, run_page_plain(plan, page, timer)))
-        elif work_item[0] == "copy":
-            # Byte-identical page: the slow path's full-page match
-            # yields one full-page copy zone and no extraction
-            # regions, so its output per relation is exactly
-            # ``dedupe_extensions(decoded previous rows)``. Reproduce
-            # that directly without running the matcher.
-            _, did, url, prev_rows = work_item
+    for item in items:
+        kind, did = item[0], item[1]
+        if kind == "fresh":
+            page_rows = run_page_plain(plan, lookup.current(did), timer)
+        elif kind == "copy":
+            # Byte-identical page: a full-page match yields one
+            # full-page copy zone and no extraction regions, so the
+            # output per relation is exactly the decoded previous rows
+            # (deduplicated, as the pair path's merge would).
             with timer.measure(COPY):
                 page_rows = {
                     rel: dedupe_extensions(
                         [decode_fields(o.fields, did)
-                         for o in prev_rows.get(rel, [])])
+                         for o in item[2].get(rel, [])])
                     for rel in plan.program.head_relations()}
-            out.append((did, page_rows))
         else:
-            _, did, url, q_did, q_url, prev_rows = work_item
-            page = Page(did, url, arena.text("c:" + did))
-            q_page = Page(q_did, q_url, arena.text("q:" + q_did))
-            out.append((did, _process_pair(plan, alpha, beta, matcher,
-                                           page, q_page, prev_rows,
-                                           timer)))
-    return ("batch", out, timings.parts)
+            page_rows = _process_pair(
+                plan, alpha, beta, matcher, lookup.current(did),
+                lookup.previous(item[2]), item[3], timer)
+        out.append((did, page_rows))
+    return out, None
 
 
-class CyclexSystem:
+class ProgramRecycler:
+    """Recycles the program's *final* results page by page."""
+
+    name = ""
+
+    def __init__(self, plan: CompiledPlan, workdir: str,
+                 executor: Optional[Executor],
+                 scheduler: Optional[PageScheduler],
+                 split: Optional[SplitConfig]) -> None:
+        self.plan = plan
+        self.workdir = workdir
+        self.executor = executor
+        self.scheduler = scheduler if scheduler is not None else PageScheduler()
+        self.split = split if split is not None else SplitConfig()
+        os.makedirs(workdir, exist_ok=True)
+        self._prev_dir: Optional[str] = None
+        self._snapshot_serial = 0
+
+    def _result_file(self, directory: str, rel: str) -> str:
+        return os.path.join(directory, f"{self.name}_{rel}.O.reuse")
+
+    # -- the policy a subclass supplies -----------------------------------
+
+    def _batch_state(self, snapshot: Snapshot,
+                     prev_snapshot: Optional[Snapshot],
+                     timer: Timer) -> tuple:
+        """``(plan, α, β, matcher name, kernel)`` for this snapshot.
+        ``prev_snapshot`` is None when nothing can be recycled."""
+        raise NotImplementedError
+
+    def _classify(self, page: Page, q_page: Page, prev_rows: PrevRows,
+                  fp_stats: FastPathStats) -> _WorkItem:
+        """The work item of a page whose previous version ``q_page``
+        and previous rows are at hand."""
+        raise NotImplementedError
+
+    # -- snapshot processing ----------------------------------------------
+
+    def process(self, snapshot: Snapshot,
+                prev_snapshot: Optional[Snapshot] = None
+                ) -> SnapshotRunResult:
+        timings = Timings()
+        timer = Timer(timings)
+        relations = self.plan.program.head_relations()
+        out_dir = os.path.join(self.workdir,
+                               f"snap_{self._snapshot_serial:04d}")
+        os.makedirs(out_dir, exist_ok=True)
+        writers = {rel: ReuseFileWriter(self._result_file(out_dir, rel))
+                   for rel in relations}
+        readers: Dict[str, ReuseFileReader] = {}
+        if self._prev_dir is not None and prev_snapshot is not None:
+            for rel in relations:
+                path = self._result_file(self._prev_dir, rel)
+                if os.path.exists(path):
+                    readers[rel] = ReuseFileReader(path)
+        results: Dict[str, list] = {rel: [] for rel in relations}
+        pages = snapshot.canonical_pages()
+        pages_with_prev = 0
+        fp_stats = FastPathStats()
+        try:
+            with timer.measure_total():
+                state = self._batch_state(
+                    snapshot, prev_snapshot if readers else None, timer)
+                # Parent, canonical order: pair pages with their
+                # previous versions and stream the previous result
+                # files; every paired page's group is consumed whether
+                # or not it is used, which keeps the scan aligned.
+                items: Dict[str, _WorkItem] = {}
+                prev_pages: List[Page] = []
+                for page in pages:
+                    q_page = (prev_snapshot.get(page.url)
+                              if prev_snapshot is not None else None)
+                    items[page.did] = ("fresh", page.did)
+                    if q_page is None:
+                        continue
+                    pages_with_prev += 1
+                    if not readers:
+                        continue
+                    prev_rows: PrevRows = {}
+                    for rel, reader in readers.items():
+                        with timer.measure(IO):
+                            prev_rows[rel] = reader.read_page_outputs(
+                                page.did)
+                    item = self._classify(page, q_page, prev_rows, fp_stats)
+                    if item[0] == "pair":
+                        prev_pages.append(q_page)
+                    items[page.did] = item
+                work = PageWork(
+                    batch_fn=_recycle_batch, state=state,
+                    payload=lambda batch: tuple(items[p.did]
+                                                for p in batch),
+                    frontier=plain_frontier(self.plan),
+                    may_split=lambda page: items[page.did][0] == "fresh",
+                    assemble=lambda page, extensions, timer: assemble_plain(
+                        self.plan, page, extensions, timer),
+                    prev_pages=prev_pages)
+                run = run_pages(work, pages, self.executor, self.scheduler,
+                                self.split, timer)
+                for page in pages:
+                    self._emit(page, run.by_did[page.did], writers,
+                               results, timer)
+        finally:
+            for writer in writers.values():
+                writer.close()
+            for reader in readers.values():
+                reader.close()
+        timings.runtime = run.metrics
+        timings.fastpath = fp_stats
+        self._prev_dir = out_dir
+        self._snapshot_serial += 1
+        return SnapshotRunResult(results=results, timings=timings,
+                                 pages=len(pages),
+                                 pages_with_previous=pages_with_prev)
+
+    def _emit(self, page: Page, page_rows: Dict[str, list],
+              writers: Dict[str, ReuseFileWriter],
+              results: Dict[str, list], timer: Timer) -> None:
+        for rel, rows in page_rows.items():
+            writers[rel].begin_page(page.did)
+            with timer.measure(IO):
+                for row in rows:
+                    writers[rel].append_output(page.did, _PROGRAM_ITID,
+                                               encode_fields(row))
+            results[rel].extend(materialize_rows(rows, page.text))
+
+
+class CyclexSystem(ProgramRecycler):
     """Single-blackbox recycling over the whole IE program."""
 
     name = "cyclex"
@@ -202,26 +297,16 @@ class CyclexSystem:
                  fastpath: Optional[FastPathConfig] = None,
                  fixed_matcher: Optional[str] = None,
                  split: Optional[SplitConfig] = None) -> None:
-        self.plan = plan
-        self.workdir = workdir
+        super().__init__(plan, workdir, executor, scheduler, split)
         self.alpha = program_alpha
         self.beta = program_beta
         self.probe_pages = probe_pages
-        self.executor = executor if executor is not None else SerialExecutor()
-        self.scheduler = scheduler if scheduler is not None else PageScheduler()
-        self.split = split if split is not None else SplitConfig()
         self.fastpath = FastPathConfig.from_flag(fastpath)
         # Pin the per-snapshot matcher choice (skips the timing-based
         # probe, whose winner is machine-dependent) — lets parity tests
         # compare two runs byte-for-byte.
         self.fixed_matcher = fixed_matcher
-        os.makedirs(workdir, exist_ok=True)
-        self._prev_dir: Optional[str] = None
-        self._snapshot_serial = 0
         self.last_matcher: Optional[str] = None
-
-    def _result_file(self, directory: str, rel: str) -> str:
-        return os.path.join(directory, f"cyclex_{rel}.O.reuse")
 
     def _kernel(self) -> str:
         """Matcher kernel mode for this run's fastpath setting."""
@@ -263,7 +348,7 @@ class CyclexSystem:
             for name in (UD_NAME, ST_NAME):
                 matcher = make_matcher(
                     name, MatchCache(),
-                    min_length=max(8, min(2 * self.beta + 2, 32)),
+                    min_length=_min_length(self.beta),
                     kernel=self._kernel())
                 cost = 0.0
                 for page, old in pairs:
@@ -285,221 +370,40 @@ class CyclexSystem:
                     best_name, best_cost = name, cost
             return best_name
 
-    # -- snapshot processing ----------------------------------------------
+    # -- recycling policy ---------------------------------------------------
 
-    def process(self, snapshot: Snapshot,
-                prev_snapshot: Optional[Snapshot] = None
-                ) -> SnapshotRunResult:
-        timings = Timings()
-        timer = Timer(timings)
-        relations = self.plan.program.head_relations()
-        out_dir = os.path.join(self.workdir,
-                               f"snap_{self._snapshot_serial:04d}")
-        os.makedirs(out_dir, exist_ok=True)
-        writers = {rel: ReuseFileWriter(self._result_file(out_dir, rel))
-                   for rel in relations}
-        readers: Dict[str, ReuseFileReader] = {}
-        if self._prev_dir is not None and prev_snapshot is not None:
-            for rel in relations:
-                path = self._result_file(self._prev_dir, rel)
-                if os.path.exists(path):
-                    readers[rel] = ReuseFileReader(path)
-        results: Dict[str, list] = {rel: [] for rel in relations}
-        pages = snapshot.canonical_pages()
-        pages_with_prev = 0
-        fp_stats = FastPathStats()
-        wall_seconds = 0.0
-        batches: list = []
-        timed: List[Tuple[float, object]] = []
-        try:
-            with timer.measure_total():
-                matcher_name = DN_NAME
-                if prev_snapshot is not None and readers:
-                    if self.fixed_matcher is not None:
-                        matcher_name = self.fixed_matcher
-                    else:
-                        matcher_name = self._choose_matcher(
-                            snapshot, prev_snapshot, timer)
-                self.last_matcher = matcher_name
-                # The unchanged-page short circuit is only safe when
-                # the slow path is guaranteed a full-page self-match:
-                # UD always produces one, ST only on pages at least
-                # ``min_length`` long (shorter ones fall through).
-                min_length = max(8, min(2 * self.beta + 2, 32))
-                identity_ok = (self.fastpath.want("unchanged_page")
-                               and matcher_name in (UD_NAME, ST_NAME))
-                # Phase 1 (parent, canonical order): pair pages with
-                # their previous versions and stream the previous
-                # result files sequentially.
-                work: Dict[str, _WorkItem] = {}
-                q_texts: Dict[str, str] = {}
-                fresh_dids: set = set()
-                for page in pages:
-                    q_page = (prev_snapshot.get(page.url)
-                              if prev_snapshot is not None else None)
-                    if q_page is not None:
-                        pages_with_prev += 1
-                    if q_page is None or not readers \
-                            or matcher_name == DN_NAME:
-                        if q_page is not None:
-                            self._skip_groups(readers, page.did, timer)
-                        work[page.did] = ("fresh", page.did, page.url)
-                        fresh_dids.add(page.did)
-                        continue
-                    fp_stats.pages_paired += 1
-                    prev_rows: Dict[str, List[OutputTuple]] = {}
-                    for rel, reader in readers.items():
-                        with timer.measure(IO):
-                            prev_rows[rel] = reader.read_page_outputs(
-                                page.did)
-                    threshold = (min_length if matcher_name == ST_NAME
-                                 else 1)
-                    if (identity_ok and len(page.text) >= threshold
-                            and pages_identical(page, q_page)):
-                        fp_stats.pages_short_circuited += 1
-                        fp_stats.matcher_calls_avoided += 1
-                        fp_stats.tuples_recycled += sum(
-                            len(rows) for rows in prev_rows.values())
-                        work[page.did] = ("copy", page.did, page.url,
-                                          prev_rows)
-                        continue
-                    q_texts["q:" + q_page.did] = q_page.text
-                    work[page.did] = ("pair", page.did, page.url,
-                                      q_page.did, q_page.url, prev_rows)
-                # Phase 2: per-page match/copy/extract on the runtime;
-                # large fresh pages split into sub-page parts.
-                jobs = self.executor.jobs
-                frontier = scan_frontier(self.plan)
-                split_pages: Dict[str, List[PagePart]] = {}
-                if frontier and jobs > 1 and self.split.enabled:
-                    total_chars = sum(len(p.text) for p in pages)
-                    f_alpha = max(n.extractor.scope for n in frontier)
-                    f_beta = max(n.extractor.context for n in frontier)
-                    for page in pages:
-                        if page.did not in fresh_dids:
-                            continue
-                        if not self.split.should_split(
-                                len(page.text), total_chars, jobs):
-                            continue
-                        parts = plan_parts(page.did, len(page.text),
-                                           jobs, self.split, f_alpha,
-                                           f_beta)
-                        if len(parts) > 1:
-                            split_pages[page.did] = parts
-                texts = {"c:" + p.did: p.text for p in pages}
-                texts.update(q_texts)
-                arena = build_arena(texts, self.executor.name)
-                whole = [p for p in pages if p.did not in split_pages]
-                batches = self.scheduler.plan(whole, jobs)
-                payloads: List[tuple] = []
-                costs: List[float] = []
-                for batch in batches:
-                    payloads.append(("batch",
-                                     tuple(work[p.did]
-                                           for p in batch.pages)))
-                    costs.append(1 + batch.chars)
-                ordinals = tuple(range(len(frontier)))
-                for did in sorted(split_pages):
-                    for part in split_pages[did]:
-                        payloads.append(("part", part, ordinals))
-                        costs.append(float(part.hi - part.lo))
-                state: _CyclexState = (self.plan, self.alpha, self.beta,
-                                       matcher_name, self._kernel(),
-                                       arena.handle)
-                wall_start = time.perf_counter()
-                try:
-                    work_res = self.executor.run_work(
-                        _cyclex_work_worker, state, payloads, costs)
-                    wall_seconds = time.perf_counter() - wall_start
-                    rows_by_did: Dict[str, Dict[str, list]] = {}
-                    part_exts: Dict[str, Dict[int, Dict[int, list]]] = {}
-                    part_poison: Dict[str, set] = {}
-                    batch_seconds: List[float] = []
-                    extra_batches: List[BatchMetric] = []
-                    for (seconds, value), cost in zip(work_res.timed,
-                                                      costs):
-                        if value[0] == "batch":
-                            batch_seconds.append(seconds)
-                            for did, page_rows in value[1]:
-                                rows_by_did[did] = page_rows
-                            for category, secs in value[2].items():
-                                timings.add(category, secs)
-                        else:
-                            _, did, index, exts, poisoned, parts = value
-                            part_exts.setdefault(did, {})[index] = exts
-                            part_poison.setdefault(did,
-                                                   set()).update(poisoned)
-                            for category, secs in parts.items():
-                                timings.add(category, secs)
-                            extra_batches.append(BatchMetric(
-                                index=index, pages=0, chars=int(cost),
-                                seconds=seconds, kind="part"))
-                    # Assemble split fresh pages in the parent: seed
-                    # each fully-covered frontier node with its merged
-                    # part extensions, evaluate the rest of the plan.
-                    page_by_did = {p.did: p for p in pages}
-                    for did in sorted(split_pages):
-                        page = page_by_did[did]
-                        parts = split_pages[did]
-                        by_index = part_exts.get(did, {})
-                        poisoned = part_poison.get(did, set())
-                        memo: Dict[int, list] = {}
-                        for ordinal, node in enumerate(frontier):
-                            if ordinal in poisoned:
-                                continue
-                            if any(p.index not in by_index
-                                   or ordinal not in by_index[p.index]
-                                   for p in parts):
-                                continue
-                            scan_row = {node.child.var:
-                                        Span(did, 0, len(page.text))}
-                            memo[id(node)] = [
-                                {**scan_row, **ext} for p in parts
-                                for ext in by_index[p.index][ordinal]]
-                        rows_by_did[did] = run_page_plain(
-                            self.plan, page, timer, memo=memo)
-                finally:
-                    arena.close()
-                # Phase 3 (parent, canonical order): record the new
-                # result files byte-identically to a serial run.
-                for page in pages:
-                    self._emit(page, rows_by_did[page.did], writers,
-                               results, timer)
-        finally:
-            for writer in writers.values():
-                writer.close()
-            for reader in readers.values():
-                reader.close()
-        timings.runtime = build_metrics(
-            self.executor.name, self.executor.jobs, wall_seconds,
-            batches, batch_seconds,
-            extra_batches=extra_batches, steals=work_res.steals,
-            split_pages=len(split_pages),
-            split_parts=sum(len(v) for v in split_pages.values()),
-            shared_text=arena.shared, slot_busy=work_res.slot_busy)
-        timings.fastpath = fp_stats
-        self._prev_dir = out_dir
-        self._snapshot_serial += 1
-        return SnapshotRunResult(results=results, timings=timings,
-                                 pages=len(pages),
-                                 pages_with_previous=pages_with_prev)
+    def _batch_state(self, snapshot: Snapshot,
+                     prev_snapshot: Optional[Snapshot],
+                     timer: Timer) -> tuple:
+        matcher_name = DN_NAME
+        if prev_snapshot is not None:
+            matcher_name = self.fixed_matcher or self._choose_matcher(
+                snapshot, prev_snapshot, timer)
+        self.last_matcher = matcher_name
+        return (self.plan, self.alpha, self.beta, matcher_name,
+                self._kernel())
 
-    def _skip_groups(self, readers: Dict[str, ReuseFileReader],
-                     did: str, timer: Timer) -> None:
-        for reader in readers.values():
-            with timer.measure(IO):
-                reader.read_page_outputs(did)
-
-    def _emit(self, page: Page, page_rows: Dict[str, list],
-              writers: Dict[str, ReuseFileWriter],
-              results: Dict[str, list], timer: Timer) -> None:
-        for rel, rows in page_rows.items():
-            writers[rel].begin_page(page.did)
-            with timer.measure(IO):
-                for row in rows:
-                    writers[rel].append_output(page.did, _PROGRAM_ITID,
-                                               encode_fields(row))
-            results[rel].extend(materialize_rows(rows, page.text))
+    def _classify(self, page: Page, q_page: Page, prev_rows: PrevRows,
+                  fp_stats: FastPathStats) -> _WorkItem:
+        matcher_name = self.last_matcher
+        if matcher_name == DN_NAME:
+            return ("fresh", page.did)
+        fp_stats.pages_paired += 1
+        # The unchanged-page short circuit is only safe when the pair
+        # path is guaranteed a full-page self-match: UD always produces
+        # one, ST only on pages at least ``min_length`` long (shorter
+        # ones fall through).
+        threshold = _min_length(self.beta) if matcher_name == ST_NAME else 1
+        if (self.fastpath.want("unchanged_page")
+                and matcher_name in (UD_NAME, ST_NAME)
+                and len(page.text) >= threshold
+                and pages_identical(page, q_page)):
+            fp_stats.pages_short_circuited += 1
+            fp_stats.matcher_calls_avoided += 1
+            fp_stats.tuples_recycled += sum(
+                len(rows) for rows in prev_rows.values())
+            return ("copy", page.did, prev_rows)
+        return ("pair", page.did, q_page.did, prev_rows)
 
 
 def _shift_row(row: dict, delta: int) -> dict:

@@ -2,115 +2,69 @@
 
 This is what the paper calls the common solution today — apply IE to
 every snapshot in isolation. It pays full extraction cost every time
-and writes no capture files.
+and writes no capture files: in the paper's terms, the Delex plan in
+which every unit is assigned DN and nothing is captured.
 
-Pages are processed in canonical order (sorted by page id) and the
-page loop is routed through :mod:`repro.runtime`: from-scratch
-extraction is embarrassingly parallel, so an executor with ``jobs>1``
-fans work items out to workers and merges their results back by page
-id. Work items are either whole-page batches or — for pages large
-enough to dominate the run — split-correct sub-page parts (see
-:mod:`repro.runtime.split`); page text travels to process workers
-through a shared-memory arena instead of pickled payloads.
+The page loop is :func:`repro.runtime.driver.run_pages`. This module
+supplies only what is specific to from-scratch extraction: the batch
+function (:func:`run_page_plain` per page), the frontier (every IE
+node reading the raw page scan — all of them may be split, no page
+recycles anything), and the assembly of a split page (the precomputed
+frontier rows seed the plan memo). The Shortcut and Cyclex baselines
+reuse the last two for their fresh pages.
 
-The scratch-work machinery here (:func:`run_scratch`) is shared with
-the Shortcut and Cyclex baselines, whose changed/fresh pages are
-exactly this from-scratch workload.
+:func:`run_page_plain` is also the independent from-scratch reference
+that ``repro check`` and the per-page attribution compare against; it
+shares nothing with the reuse engine but the plan walker.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..corpus.snapshot import Snapshot
 from ..plan.compile import CompiledPlan
 from ..plan.operators import (
     IENode,
-    JoinNode,
-    Node,
-    ProjectNode,
     ScanNode,
-    SelectNode,
     TupleRow,
-    UnionNode,
-    dedupe_rows,
-    hash_join,
+    plain_ie_step,
+    plan_walker,
 )
 from ..reuse.engine import SnapshotRunResult, materialize_rows
-from ..runtime.executor import Executor, SerialExecutor
-from ..runtime.metrics import BatchMetric, RuntimeMetrics, build_metrics
-from ..runtime.scheduler import PageBatch, PageScheduler
-from ..runtime.shm import build_arena
-from ..runtime.split import (
-    PagePart,
-    PartPoisoned,
-    SplitConfig,
-    part_extensions,
-    plan_parts,
+from ..runtime.driver import (
+    Extensions,
+    FrontierEntry,
+    PageLookup,
+    PageWork,
+    run_pages,
 )
+from ..runtime.executor import Executor
+from ..runtime.scheduler import PageScheduler
+from ..runtime.split import SplitConfig
 from ..text.document import Page
 from ..text.span import Span
 from ..timing import EXTRACT, Timer, Timings
-from ..xlog.registry import EvalContext
-
-
-def evaluate_timed(node: Node, page: Page, timer: Timer,
-                   memo: Dict[int, List[TupleRow]]) -> List[TupleRow]:
-    """Plain evaluation attributing blackbox time to EXTRACT."""
-    key = id(node)
-    if key in memo:
-        return memo[key]
-    if isinstance(node, ScanNode):
-        rows: List[TupleRow] = [{node.var: Span(page.did, 0,
-                                                len(page.text))}]
-    elif isinstance(node, IENode):
-        rows = []
-        for row in evaluate_timed(node.child, page, timer, memo):
-            region = row[node.in_var]
-            text = page.text[region.start:region.end]
-            with timer.measure(EXTRACT):
-                extractions = node.extractor.extract(text)
-            for extraction in extractions:
-                rows.append({**row,
-                             **node.extension_fields(extraction, region)})
-    elif isinstance(node, SelectNode):
-        ctx = EvalContext(page.text, page.did)
-        rows = [r for r in evaluate_timed(node.child, page, timer, memo)
-                if node.passes(r, ctx)]
-    elif isinstance(node, ProjectNode):
-        rows = dedupe_rows([node.apply(r) for r in
-                            evaluate_timed(node.child, page, timer,
-                                           memo)])
-    elif isinstance(node, JoinNode):
-        rows = hash_join(evaluate_timed(node.left, page, timer, memo),
-                         evaluate_timed(node.right, page, timer, memo),
-                         node.on)
-    elif isinstance(node, UnionNode):
-        rows = dedupe_rows([row for child in node.children
-                            for row in evaluate_timed(child, page, timer,
-                                                      memo)])
-    else:
-        raise TypeError(f"unknown node type {type(node).__name__}")
-    memo[key] = rows
-    return rows
 
 
 def run_page_plain(plan: CompiledPlan, page: Page, timer: Timer,
                    memo: Optional[Dict[int, List[TupleRow]]] = None
                    ) -> Dict[str, List[TupleRow]]:
-    """Evaluate the whole plan over one page from scratch.
+    """Evaluate the whole plan over one page from scratch, attributing
+    blackbox time to EXTRACT.
 
     ``memo``, when given, seeds node results — the split assembly uses
     it to inject precomputed frontier extractions.
     """
-    memo = {} if memo is None else memo
-    return {rel: evaluate_timed(plan.roots[rel], page, timer, memo)
+    def extract(extractor, text):
+        with timer.measure(EXTRACT):
+            return extractor.extract(text)
+
+    evaluate = plan_walker(page.text, page.did,
+                           {} if memo is None else memo,
+                           plain_ie_step(page.text, extract))
+    return {rel: evaluate(plan.roots[rel])
             for rel in plan.program.head_relations()}
-
-
-# -- shared scratch-work runtime ----------------------------------------
 
 
 def scan_frontier(plan: CompiledPlan) -> List[IENode]:
@@ -118,181 +72,49 @@ def scan_frontier(plan: CompiledPlan) -> List[IENode]:
 
     Only these are split-safe: any operator between scan and IE could
     change the input region, and a producing IE below would make the
-    chunk geometry depend on upstream output. Ordinals into this list
-    identify nodes across the pickle boundary (object ids do not
-    survive it, structural order does).
+    chunk geometry depend on upstream output.
     """
     return [n for n in plan.all_nodes()
             if isinstance(n, IENode) and isinstance(n.child, ScanNode)]
 
 
-def _scratch_work_worker(state, item):
-    """Process one scratch work item (runs in any executor).
-
-    ``state`` is ``(plan, arena_handle, materialize)``. Items:
-
-    * ``("pages", ((did, url), ...))`` — whole pages, from scratch.
-      Returns per-page relation rows (materialized when asked, so the
-      parent does no per-row work for unsplit pages).
-    * ``("part", part, ordinals)`` — one sub-page part; runs each
-      frontier IE node (by :func:`scan_frontier` ordinal) over the
-      part's widened chunk and returns the owned extension dicts.
-    """
-    plan, arena, materialize = state
-    timings = Timings()
-    timer = Timer(timings)
-    if item[0] == "part":
-        _, part, ordinals = item
-        frontier = scan_frontier(plan)
-        text = arena.text(part.did)
-        exts: Dict[int, List[Dict[str, object]]] = {}
-        poisoned: List[int] = []
-        for ordinal in ordinals:
-            node = frontier[ordinal]
-            try:
-                with timer.measure(EXTRACT):
-                    exts[ordinal] = part_extensions(node, text, part)
-            except PartPoisoned:
-                poisoned.append(ordinal)
-        return ("part", part.did, part.index, exts, poisoned,
-                timings.parts)
-    _, metas = item
-    out: List[Tuple[str, Dict[str, list]]] = []
-    for did, url in metas:
-        page = Page(did, url, arena.text(did))
-        page_rows = run_page_plain(plan, page, timer)
-        if materialize:
-            page_rows = {rel: materialize_rows(rows, page.text)
-                         for rel, rows in page_rows.items()}
-        out.append((did, page_rows))
-    return ("pages", out, timings.parts)
+def plain_frontier(plan: CompiledPlan) -> List[FrontierEntry]:
+    """The driver frontier of a plan run without IE units, keyed by
+    :func:`scan_frontier` ordinal."""
+    return [(ordinal, node, node.extractor.scope, node.extractor.context)
+            for ordinal, node in enumerate(scan_frontier(plan))]
 
 
-@dataclass
-class ScratchOutcome:
-    """Result of one :func:`run_scratch` call.
-
-    ``rows_by_did`` maps page id to per-relation rows — materialized
-    tuples when ``materialize`` was set, raw :class:`TupleRow` dicts
-    otherwise (split-assembled pages follow the same convention).
-    ``metrics`` is ready to attach as ``timings.runtime`` (or merge
-    into an existing one via :func:`build_metrics`'s ``merge_with``).
-    """
-
-    rows_by_did: Dict[str, Dict[str, list]] = field(default_factory=dict)
-    metrics: Optional[RuntimeMetrics] = None
-
-
-def run_scratch(plan: CompiledPlan, pages: Sequence[Page],
-                executor: Executor, scheduler: PageScheduler,
-                split: SplitConfig, timer: Timer,
-                materialize: bool) -> ScratchOutcome:
-    """Run from-scratch extraction over ``pages`` on the runtime.
-
-    Whole pages are LPT-batched; pages large enough to dominate the
-    run are cut into split-correct parts whose frontier extractions
-    run in parallel and are re-assembled here (chained/relational
-    work for split pages runs in the parent, seeded through the plan
-    memo). Worker timing parts are merged into ``timer``.
-    """
-    jobs = executor.jobs
+def assemble_plain(plan: CompiledPlan, page: Page, extensions: Extensions,
+                   timer: Timer) -> Dict[str, List[TupleRow]]:
+    """Finish a split page from scratch: precomputed frontier nodes
+    are seeded into the plan memo; chained IE nodes, relational
+    operators and any frontier node left out extract here."""
     frontier = scan_frontier(plan)
-    total_chars = sum(len(p.text) for p in pages)
-    split_pages: Dict[str, List[PagePart]] = {}
-    if frontier and jobs > 1 and split.enabled:
-        max_alpha = max(n.extractor.scope for n in frontier)
-        max_beta = max(n.extractor.context for n in frontier)
-        for page in pages:
-            if not split.should_split(len(page.text), total_chars, jobs):
-                continue
-            parts = plan_parts(page.did, len(page.text), jobs, split,
-                               max_alpha, max_beta)
-            if len(parts) > 1:
-                split_pages[page.did] = parts
-    ordinals = tuple(range(len(frontier)))
-    arena = build_arena({p.did: p.text for p in pages}, executor.name)
-    whole = [p for p in pages if p.did not in split_pages]
-    batches = scheduler.plan(whole, jobs)
-    payloads: List[tuple] = []
-    costs: List[float] = []
-    for batch in batches:
-        payloads.append(("pages",
-                         tuple((p.did, p.url) for p in batch.pages)))
-        costs.append(1 + batch.chars)
-    if split_pages:
-        max_alpha = max(n.extractor.scope for n in frontier)
-        max_beta = max(n.extractor.context for n in frontier)
-        for did in sorted(split_pages):
-            for part in split_pages[did]:
-                payloads.append(("part", part, ordinals))
-                costs.append((part.hi - part.lo)
-                             + max_alpha + 2 * max_beta)
-    outcome = ScratchOutcome()
-    wall_start = time.perf_counter()
-    try:
-        work = executor.run_work(_scratch_work_worker,
-                                 (plan, arena.handle, materialize),
-                                 payloads, costs)
-        wall_seconds = time.perf_counter() - wall_start
-        part_exts: Dict[str, Dict[int, Dict[int, list]]] = {}
-        part_poison: Dict[str, set] = {}
-        batch_seconds: List[float] = []
-        extra: List[BatchMetric] = []
-        for (seconds, value), cost in zip(work.timed, costs):
-            if value[0] == "pages":
-                batch_seconds.append(seconds)
-                for did, rel_rows in value[1]:
-                    outcome.rows_by_did[did] = rel_rows
-                for category, secs in value[2].items():
-                    timer.timings.add(category, secs)
-            else:
-                _, did, index, exts, poisoned, parts = value
-                part_exts.setdefault(did, {})[index] = exts
-                part_poison.setdefault(did, set()).update(poisoned)
-                for category, secs in parts.items():
-                    timer.timings.add(category, secs)
-                extra.append(BatchMetric(index=index, pages=0,
-                                         chars=int(cost),
-                                         seconds=seconds, kind="part"))
-        # Assemble split pages: seed each fully-covered frontier node's
-        # memo entry with the concatenated part extensions (part order
-        # = serial extraction order), then evaluate the plan — chained
-        # IE nodes and relational operators run here, and a poisoned
-        # node simply extracts whole-page.
-        page_by_did = {p.did: p for p in pages}
-        for did in sorted(split_pages):
-            page = page_by_did[did]
-            parts = split_pages[did]
-            by_index = part_exts.get(did, {})
-            poisoned = part_poison.get(did, set())
-            memo: Dict[int, List[TupleRow]] = {}
-            scan_row_cache: Dict[int, TupleRow] = {}
-            for ordinal, node in enumerate(frontier):
-                if ordinal in poisoned:
-                    continue
-                if any(p.index not in by_index
-                       or ordinal not in by_index[p.index]
-                       for p in parts):
-                    continue
-                scan_row = {node.child.var: Span(did, 0,
-                                                 len(page.text))}
-                memo[id(node)] = [
-                    {**scan_row, **ext} for p in parts
-                    for ext in by_index[p.index][ordinal]]
-            page_rows = run_page_plain(plan, page, timer, memo=memo)
-            if materialize:
-                page_rows = {rel: materialize_rows(rows, page.text)
-                             for rel, rows in page_rows.items()}
-            outcome.rows_by_did[did] = page_rows
-    finally:
-        arena.close()
-    outcome.metrics = build_metrics(
-        executor.name, jobs, wall_seconds, batches, batch_seconds,
-        extra_batches=extra, steals=work.steals,
-        split_pages=len(split_pages),
-        split_parts=sum(len(v) for v in split_pages.values()),
-        shared_text=arena.shared, slot_busy=work.slot_busy)
-    return outcome
+    memo: Dict[int, List[TupleRow]] = {}
+    for ordinal, exts in extensions.items():
+        node = frontier[ordinal]
+        scan_row = {node.child.var: Span(page.did, 0, len(page.text))}
+        memo[id(node)] = [{**scan_row, **ext} for ext in exts]
+    return run_page_plain(plan, page, timer, memo=memo)
+
+
+def _materialized(page_rows: Dict[str, List[TupleRow]],
+                  page: Page) -> Dict[str, List[Tuple]]:
+    return {rel: materialize_rows(rows, page.text)
+            for rel, rows in page_rows.items()}
+
+
+def _scratch_batch(plan: CompiledPlan, lookup: PageLookup,
+                   dids: Sequence[str], timer: Timer):
+    """Whole pages from scratch; rows are materialized here so the
+    parent does no per-row work for unsplit pages."""
+    out = []
+    for did in dids:
+        page = lookup.current(did)
+        out.append((did, _materialized(run_page_plain(plan, page, timer),
+                                       page)))
+    return out, None
 
 
 class NoReuseSystem:
@@ -305,26 +127,35 @@ class NoReuseSystem:
                  scheduler: Optional[PageScheduler] = None,
                  split: Optional[SplitConfig] = None) -> None:
         self.plan = plan
-        self.executor = executor if executor is not None else SerialExecutor()
+        self.executor = executor
         self.scheduler = scheduler if scheduler is not None else PageScheduler()
         self.split = split if split is not None else SplitConfig()
 
     def process(self, snapshot: Snapshot,
                 prev_snapshot: Optional[Snapshot] = None
                 ) -> SnapshotRunResult:
-        del prev_snapshot  # from-scratch by definition
         timings = Timings()
         timer = Timer(timings)
         results: Dict[str, list] = {
             rel: [] for rel in self.plan.program.head_relations()}
         pages = snapshot.canonical_pages()
+        work = PageWork(
+            batch_fn=_scratch_batch, state=self.plan,
+            payload=lambda batch: tuple(p.did for p in batch),
+            frontier=plain_frontier(self.plan),
+            assemble=lambda page, extensions, timer: _materialized(
+                assemble_plain(self.plan, page, extensions, timer), page))
         with timer.measure_total():
-            outcome = run_scratch(self.plan, pages, self.executor,
-                                  self.scheduler, self.split, timer,
-                                  materialize=True)
+            run = run_pages(work, pages, self.executor, self.scheduler,
+                            self.split, timer)
             for page in pages:
-                for rel, rows in outcome.rows_by_did[page.did].items():
+                for rel, rows in run.by_did[page.did].items():
                     results[rel].extend(rows)
-        timings.runtime = outcome.metrics
+        timings.runtime = run.metrics
+        # From scratch by definition: the previous snapshot only counts.
+        with_previous = sum(1 for p in pages
+                            if prev_snapshot is not None
+                            and prev_snapshot.get(p.url) is not None)
         return SnapshotRunResult(results=results, timings=timings,
-                                 pages=len(pages))
+                                 pages=len(pages),
+                                 pages_with_previous=with_previous)

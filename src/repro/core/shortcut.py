@@ -7,37 +7,31 @@ reuse-at-page-level strawman of Section 3 — great when the corpus
 barely changes (DBLife), nearly useless when most pages receive edits
 (Wikipedia).
 
-The run is structured in three phases so the changed pages — the only
-ones that need extraction — can fan out across the runtime's workers:
-
-1. *Classify & copy* (parent, canonical page order): hash pages, read
-   previous results sequentially, decode copies for identical pages.
-2. *Extract* (runtime): changed pages are batched by the scheduler and
-   evaluated from scratch on the executor's workers.
-3. *Merge & record* (parent, canonical page order): results are merged
-   back and the per-relation result files are written in the same page
-   order regardless of backend, so the files stay byte-identical to a
-   serial run.
+In the paper's terms it is the whole-program recycler with the
+matching step removed, and that is how it is written:
+:class:`~repro.core.cyclex.ProgramRecycler` restricted to its ``copy``
+(identical page) and ``fresh`` (anything else) work items. The result
+files, the one-pass scan over the previous ones, the runtime hand-off
+and the canonical-order emission are the recycler's.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 from ..corpus.snapshot import Snapshot
+from ..fastpath.stats import FastPathStats
+from ..matchers.base import DN_NAME
 from ..plan.compile import CompiledPlan
-from ..reuse.engine import SnapshotRunResult, materialize_rows
-from ..reuse.files import ReuseFileReader, ReuseFileWriter, encode_fields
-from ..runtime.executor import Executor, SerialExecutor
+from ..runtime.executor import Executor
 from ..runtime.scheduler import PageScheduler
 from ..runtime.split import SplitConfig
-from ..text.span import Span
-from ..timing import COPY, IO, Timer, Timings
-from .noreuse import run_scratch
+from ..text.document import Page
+from ..timing import Timer
+from .cyclex import PrevRows, ProgramRecycler, _WorkItem
 
 
-class ShortcutSystem:
+class ShortcutSystem(ProgramRecycler):
     """Copies final results for unchanged pages, re-extracts the rest."""
 
     name = "shortcut"
@@ -46,117 +40,15 @@ class ShortcutSystem:
                  executor: Optional[Executor] = None,
                  scheduler: Optional[PageScheduler] = None,
                  split: Optional[SplitConfig] = None) -> None:
-        self.plan = plan
-        self.workdir = workdir
-        self.executor = executor if executor is not None else SerialExecutor()
-        self.scheduler = scheduler if scheduler is not None else PageScheduler()
-        self.split = split if split is not None else SplitConfig()
-        os.makedirs(workdir, exist_ok=True)
-        self._prev_dir: Optional[str] = None
-        self._prev_digests: Dict[str, str] = {}
-        self._snapshot_serial = 0
+        super().__init__(plan, workdir, executor, scheduler, split)
 
-    def _result_file(self, directory: str, rel: str) -> str:
-        return os.path.join(directory, f"shortcut_{rel}.O.reuse")
+    def _batch_state(self, snapshot: Snapshot,
+                     prev_snapshot: Optional[Snapshot],
+                     timer: Timer) -> tuple:
+        return (self.plan, 0, 0, DN_NAME, "off")  # no page is ever matched
 
-    def process(self, snapshot: Snapshot,
-                prev_snapshot: Optional[Snapshot] = None
-                ) -> SnapshotRunResult:
-        timings = Timings()
-        timer = Timer(timings)
-        relations = self.plan.program.head_relations()
-        out_dir = os.path.join(self.workdir,
-                               f"snap_{self._snapshot_serial:04d}")
-        os.makedirs(out_dir, exist_ok=True)
-        writers = {rel: ReuseFileWriter(self._result_file(out_dir, rel))
-                   for rel in relations}
-        readers: Dict[str, ReuseFileReader] = {}
-        if self._prev_dir is not None and prev_snapshot is not None:
-            for rel in relations:
-                path = self._result_file(self._prev_dir, rel)
-                if os.path.exists(path):
-                    readers[rel] = ReuseFileReader(path)
-        results: Dict[str, list] = {rel: [] for rel in relations}
-        digests: Dict[str, str] = {}
-        pages = snapshot.canonical_pages()
-        outcome = None
-        try:
-            with timer.measure_total():
-                # Phase 1: classify pages; copy results for identical
-                # ones from the previous result files (sequential scan).
-                fresh_pages: List = []
-                page_rows_by_did: Dict[str, Dict[str, List[dict]]] = {}
-                for page in pages:
-                    digests[page.url] = page.digest
-                    identical = (
-                        prev_snapshot is not None
-                        and self._prev_digests.get(page.url) == page.digest
-                        and readers)
-                    if identical:
-                        copied: Dict[str, List[dict]] = {}
-                        for rel in relations:
-                            with timer.measure(IO):
-                                outs = readers[rel].read_page_outputs(
-                                    page.did)
-                            with timer.measure(COPY):
-                                copied[rel] = [
-                                    _decode_row(o.fields, page.did)
-                                    for o in outs]
-                        page_rows_by_did[page.did] = copied
-                    else:
-                        # Keep readers in sync: skip this page's groups.
-                        for rel, reader in readers.items():
-                            if prev_snapshot is not None and \
-                                    prev_snapshot.get(page.url) is not None:
-                                with timer.measure(IO):
-                                    reader.read_page_outputs(page.did)
-                        fresh_pages.append(page)
-                # Phase 2: changed pages fan out across the runtime
-                # (LPT batches + sub-page splits + shared-memory text).
-                outcome = run_scratch(self.plan, fresh_pages,
-                                      self.executor, self.scheduler,
-                                      self.split, timer,
-                                      materialize=False)
-                page_rows_by_did.update(outcome.rows_by_did)
-                # Phase 3: record results in canonical page order so the
-                # result files are byte-identical to a serial run.
-                for page in pages:
-                    page_rows = page_rows_by_did[page.did]
-                    for rel in relations:
-                        writers[rel].begin_page(page.did)
-                        rows = page_rows[rel]
-                        self._record(writers[rel], page.did, rows, timer)
-                        results[rel].extend(
-                            materialize_rows(rows, page.text))
-        finally:
-            for writer in writers.values():
-                writer.close()
-            for reader in readers.values():
-                reader.close()
-        timings.runtime = outcome.metrics if outcome is not None else None
-        self._prev_digests = digests
-        self._prev_dir = out_dir
-        self._snapshot_serial += 1
-        identical_pages = sum(
-            1 for page in snapshot
-            if prev_snapshot is not None
-            and prev_snapshot.get(page.url) is not None
-            and prev_snapshot.get(page.url).digest == page.digest)
-        return SnapshotRunResult(results=results, timings=timings,
-                                 pages=len(snapshot),
-                                 pages_with_previous=identical_pages)
-
-    @staticmethod
-    def _record(writer: ReuseFileWriter, did: str, rows: List[dict],
-                timer: Timer) -> None:
-        with timer.measure(IO):
-            for row in rows:
-                writer.append_output(did, 0, encode_fields(row))
-
-
-def _decode_row(fields: Tuple[Tuple[str, str, object, object], ...],
-                did: str) -> dict:
-    row: dict = {}
-    for name, kind, a, b in fields:
-        row[name] = Span(did, a, b) if kind == "s" else a
-    return row
+    def _classify(self, page: Page, q_page: Page, prev_rows: PrevRows,
+                  fp_stats: FastPathStats) -> _WorkItem:
+        if page.digest == q_page.digest:
+            return ("copy", page.did, prev_rows)
+        return ("fresh", page.did)

@@ -29,24 +29,13 @@ from ..corpus.stats import snapshot_delta
 from ..matchers.base import RU_NAME, ST_NAME, UD_NAME, MatchCache
 from ..matchers.registry import make_matcher
 from ..plan.compile import CompiledPlan
-from ..plan.operators import (
-    IENode,
-    JoinNode,
-    Node,
-    ProjectNode,
-    ScanNode,
-    SelectNode,
-    TupleRow,
-    UnionNode,
-    dedupe_rows,
-    hash_join,
-)
+from ..plan.operators import Node, TupleRow, plan_walker
 from ..plan.units import IEUnit
 from ..reuse.files import BLOCK_SIZE, InputTuple
 from ..reuse.regions import derive_reuse
 from ..text.document import Page
 from ..text.regions import MatchSegment
-from ..text.span import Interval, Span
+from ..text.span import Interval
 from ..xlog.registry import EvalContext
 from .params import CostWeights, Statistics, UnitEstimates
 
@@ -94,7 +83,6 @@ def profile_page(plan: CompiledPlan, units: Sequence[IEUnit],
     """Plain-execute one page, recording per-unit inputs and timings."""
     profiles = {u.uid: UnitProfile() for u in units}
     unit_of_top = {id(u.top): u for u in units}
-    memo: Dict[int, List[TupleRow]] = {}
     ctx = EvalContext(page.text, page.did)
 
     def run_unit(unit: IEUnit, rows: List[TupleRow]) -> List[TupleRow]:
@@ -120,32 +108,13 @@ def profile_page(plan: CompiledPlan, units: Sequence[IEUnit],
                     out.append({**row, **post})
         return out
 
-    def evaluate(node: Node) -> List[TupleRow]:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        unit = unit_of_top.get(key)
-        if unit is not None:
-            rows = run_unit(unit, evaluate(unit.ie_node.child))
-        elif isinstance(node, ScanNode):
-            rows = [{node.var: Span(page.did, 0, len(page.text))}]
-        elif isinstance(node, SelectNode):
-            rows = [r for r in evaluate(node.child) if node.passes(r, ctx)]
-        elif isinstance(node, ProjectNode):
-            rows = dedupe_rows([node.apply(r) for r in evaluate(node.child)])
-        elif isinstance(node, JoinNode):
-            rows = hash_join(evaluate(node.left), evaluate(node.right),
-                             node.on)
-        elif isinstance(node, UnionNode):
-            rows = dedupe_rows([row for child in node.children
-                                for row in evaluate(child)])
-        elif isinstance(node, IENode):
-            raise AssertionError("IENode outside unit")
-        else:
-            raise TypeError(type(node).__name__)
-        memo[key] = rows
-        return rows
+    def step(node: Node, evaluate) -> Optional[List[TupleRow]]:
+        unit = unit_of_top.get(id(node))
+        if unit is None:
+            return None
+        return run_unit(unit, evaluate(unit.ie_node.child))
 
+    evaluate = plan_walker(page.text, page.did, {}, step)
     for rel in plan.program.head_relations():
         evaluate(plan.roots[rel])
     return profiles

@@ -6,9 +6,10 @@ time. Tuples are dicts mapping variable names to values — spans
 Common subtrees are shared across rules (the compiler does CSE), so
 evaluation memoizes node outputs per page.
 
-The reuse engine replaces the evaluation of IE-unit tops with its own
-capture/reuse logic; everything else runs through
-:func:`evaluate_plain` semantics.
+There is one walker (:func:`plan_walker`); callers differ only in the
+step they plug in where the plan meets an IE blackbox — plain
+extraction (:func:`evaluate_plain`), the reuse engine's capture/reuse
+logic at IE-unit tops, or the optimizer's profiling.
 """
 
 from __future__ import annotations
@@ -260,9 +261,88 @@ def dedupe_rows(rows: List[TupleRow]) -> List[TupleRow]:
     return [by_key[key] for key in sorted(by_key, key=repr)]
 
 
-# -- plain evaluation --------------------------------------------------------
+# -- evaluation ---------------------------------------------------------------
 
-UnitHandler = Callable[[Node, List[TupleRow]], List[TupleRow]]
+Evaluate = Callable[[Node], List[TupleRow]]
+#: A walker hook: ``step(node, evaluate)`` returns the node's rows, or
+#: None to leave the node to the relational dispatch.
+Step = Callable[[Node, Evaluate], Optional[List[TupleRow]]]
+
+
+def plan_walker(page_text: str, did: str,
+                memo: Dict[int, List[TupleRow]], step: Step) -> Evaluate:
+    """The one relational plan walker: σ/π/⋈/∪/scan over one page.
+
+    Returns ``evaluate(node)``, memoizing node outputs in ``memo`` by
+    ``id(node)`` (common subplans are shared; pass a fresh dict per
+    page, or one seeded with precomputed node outputs). What happens
+    where the plan meets an IE blackbox is the caller's ``step``: it
+    sees every node first and either returns its rows (an IE node run
+    plainly, an IE-unit top run with reuse or profiling) or None.
+    """
+    ctx = EvalContext(page_text, did)
+
+    def evaluate(node: Node) -> List[TupleRow]:
+        key = id(node)
+        if key in memo:
+            return memo[key]
+        rows = step(node, evaluate)
+        if rows is None:
+            if isinstance(node, ScanNode):
+                rows = [{node.var: Span(did, 0, len(page_text))}]
+            elif isinstance(node, SelectNode):
+                rows = [r for r in evaluate(node.child)
+                        if node.passes(r, ctx)]
+            elif isinstance(node, ProjectNode):
+                rows = dedupe_rows([node.apply(r)
+                                    for r in evaluate(node.child)])
+            elif isinstance(node, JoinNode):
+                rows = hash_join(evaluate(node.left), evaluate(node.right),
+                                 node.on)
+            elif isinstance(node, UnionNode):
+                rows = dedupe_rows([row for child in node.children
+                                    for row in evaluate(child)])
+            elif isinstance(node, IENode):
+                raise AssertionError(
+                    f"IENode {node.extractor.name} left to the relational "
+                    "dispatch — the walker's step must run every IE node "
+                    "(unit identification is broken)")
+            else:
+                raise TypeError(f"unknown node type {type(node).__name__}")
+        memo[key] = rows
+        return rows
+
+    return evaluate
+
+
+def _extract(extractor: Extractor, text: str) -> Sequence[Extraction]:
+    return extractor.extract(text)
+
+
+def plain_ie_step(page_text: str,
+                  extract: Callable[[Extractor, str],
+                                    Sequence[Extraction]] = _extract) -> Step:
+    """The from-scratch step: run each IE node's blackbox on every
+    input region. ``extract`` makes the blackbox call (callers that
+    account extraction time wrap it)."""
+
+    def step(node: Node, evaluate: Evaluate) -> Optional[List[TupleRow]]:
+        if not isinstance(node, IENode):
+            return None
+        rows: List[TupleRow] = []
+        for row in evaluate(node.child):
+            region = row[node.in_var]
+            if not isinstance(region, Span):
+                raise TypeError(
+                    f"{node.extractor.name}: input {node.in_var!r} is not "
+                    "a span")
+            text = page_text[region.start:region.end]
+            for extraction in extract(node.extractor, text):
+                rows.append({**row, **node.extension_fields(extraction,
+                                                            region)})
+        return rows
+
+    return step
 
 
 def evaluate_plain(node: Node, page_text: str, did: str,
@@ -272,40 +352,4 @@ def evaluate_plain(node: Node, page_text: str, did: str,
     ``memo`` caches node outputs by ``id(node)`` for DAG sharing; pass a
     fresh dict per page.
     """
-    key = id(node)
-    if key in memo:
-        return memo[key]
-    ctx = EvalContext(page_text, did)
-    if isinstance(node, ScanNode):
-        rows: List[TupleRow] = [{node.var: Span(did, 0, len(page_text))}]
-    elif isinstance(node, IENode):
-        rows = []
-        child_rows = evaluate_plain(node.child, page_text, did, memo)
-        for row in child_rows:
-            region = row[node.in_var]
-            if not isinstance(region, Span):
-                raise TypeError(
-                    f"{node.extractor.name}: input {node.in_var!r} is not "
-                    "a span")
-            text = page_text[region.start:region.end]
-            for extraction in node.extractor.extract(text):
-                rows.append({**row, **node.extension_fields(extraction,
-                                                            region)})
-    elif isinstance(node, SelectNode):
-        child_rows = evaluate_plain(node.child, page_text, did, memo)
-        rows = [r for r in child_rows if node.passes(r, ctx)]
-    elif isinstance(node, ProjectNode):
-        child_rows = evaluate_plain(node.child, page_text, did, memo)
-        rows = dedupe_rows([node.apply(r) for r in child_rows])
-    elif isinstance(node, JoinNode):
-        left_rows = evaluate_plain(node.left, page_text, did, memo)
-        right_rows = evaluate_plain(node.right, page_text, did, memo)
-        rows = hash_join(left_rows, right_rows, node.on)
-    elif isinstance(node, UnionNode):
-        rows = dedupe_rows([row for child in node.children
-                            for row in evaluate_plain(child, page_text,
-                                                      did, memo)])
-    else:
-        raise TypeError(f"unknown node type {type(node).__name__}")
-    memo[key] = rows
-    return rows
+    return plan_walker(page_text, did, memo, plain_ie_step(page_text))(node)

@@ -18,13 +18,17 @@ input region it:
 Every other operator (joins, non-absorbed σ/π) runs as plain
 relational evaluation.
 
-Execution is routed through :mod:`repro.runtime`: the per-page work
-lives in the picklable :class:`PageEvaluator`, and
-:class:`ReuseEngine` drives it either serially (streaming the reuse
-files) or across an executor's workers (pages batched by the
-:class:`~repro.runtime.scheduler.PageScheduler`, per-worker capture
-buffers merged back byte-identically by
-:func:`~repro.runtime.capture.replay_captures`).
+The page loop is :func:`repro.runtime.driver.run_pages`; this module
+supplies what is specific to unit-level reuse. The per-page work lives
+in the picklable :class:`PageEvaluator` and there is one per-page body
+(:func:`_evaluate_page`) whether a page runs in a worker's batch or is
+assembled from split parts in the parent. The previous snapshot's
+capture sits behind one :class:`PrevCaptureSource`. With one worker
+slot the engine streams: the previous capture is read page by page as
+the batch advances and records go straight to the new reuse files;
+with more, the parent reads the capture up front, workers record into
+buffers, and :func:`~repro.runtime.capture.replay_captures` merges
+them back byte-identically.
 """
 
 from __future__ import annotations
@@ -49,36 +53,17 @@ from ..matchers.ws import WS_NAME
 from ..obs import profile as _oprof
 from ..obs import trace as _otrace
 from ..plan.compile import CompiledPlan
-from ..plan.operators import (
-    IENode,
-    JoinNode,
-    Node,
-    ProjectNode,
-    ScanNode,
-    SelectNode,
-    TupleRow,
-    UnionNode,
-    dedupe_rows,
-    hash_join,
-)
+from ..plan.operators import Node, ScanNode, TupleRow, plan_walker
 from ..plan.units import IEUnit, units_by_top
 from ..runtime.capture import (
     BufferedCaptureSink,
     DirectCaptureSink,
-    PageCapture,
     replay_captures,
 )
+from ..runtime.driver import Extensions, PageLookup, PageWork, run_pages
 from ..runtime.executor import Executor
-from ..runtime.metrics import BatchMetric, build_metrics
 from ..runtime.scheduler import PageScheduler
-from ..runtime.shm import build_arena
-from ..runtime.split import (
-    PagePart,
-    PartPoisoned,
-    SplitConfig,
-    part_extensions,
-    plan_parts,
-)
+from ..runtime.split import SplitConfig
 from ..text.document import Page
 from ..text.regions import MatchSegment
 from ..text.span import Span
@@ -98,8 +83,10 @@ from .regions import dedupe_extensions, derive_reuse, extraction_keep
 from .scope import PageMatchScope, SameUrlScope
 
 #: Per-unit previous capture handed to the evaluator for one page:
-#: ``uid -> (recorded inputs, outputs grouped by input tid)``.
-PrevCapture = Dict[str, Tuple[List[InputTuple], Dict[int, List[OutputTuple]]]]
+#: ``uid -> (recorded inputs, recorded outputs)``, as read from the
+#: unit's reuse files (outputs are grouped by input tid where they are
+#: used, which in a parallel run is in the workers).
+PrevCapture = Dict[str, Tuple[List[InputTuple], List[OutputTuple]]]
 
 
 @dataclass(frozen=True)
@@ -262,12 +249,16 @@ class PageEvaluator:
                  stats: Dict[str, UnitRunStats], timer: Timer,
                  cache: Optional[MatchCache] = None,
                  fp_stats: Optional[FastPathStats] = None,
-                 precomputed: Optional[
-                     Dict[str, List[Dict[str, object]]]] = None
+                 precomputed: Optional[Extensions] = None
                  ) -> Dict[str, List[TupleRow]]:
+        """Evaluate the plan over one page, reusing ``prev_capture``.
+
+        ``precomputed`` maps frontier-unit uids to the raw extension
+        dicts split parts already extracted from this page; those
+        units skip their blackbox call (see :meth:`_run_unit`).
+        """
         cache = cache if cache is not None else MatchCache()
         fp_stats = fp_stats if fp_stats is not None else FastPathStats()
-        node_memo: Dict[int, List[TupleRow]] = {}
 
         # Per-page-pair fast-path context. The match memo and automaton
         # cache live exactly as long as one (page, q_page) pair — the
@@ -298,53 +289,22 @@ class PageEvaluator:
                     # really be a byte-identical pair.
                     _inv.check_identity_pair(page, q_page)
 
-        def evaluate(node: Node) -> List[TupleRow]:
-            key = id(node)
-            if key in node_memo:
-                return node_memo[key]
-            unit = self._unit_of_top.get(key)
-            if unit is not None and precomputed is not None \
-                    and unit.uid in precomputed:
-                child_rows = evaluate(unit.ie_node.child)
-                rows = self._apply_precomputed(
-                    unit, child_rows, page, precomputed[unit.uid],
-                    sink, stats[unit.uid], timer)
-            elif unit is not None:
-                child_rows = evaluate(unit.ie_node.child)
-                prev_inputs, prev_outputs = prev_capture.get(
-                    unit.uid, ([], {}))
-                rows = self._run_unit(unit, child_rows, page, q_page,
-                                      prev_inputs, prev_outputs, sink,
-                                      cache, stats[unit.uid], timer,
-                                      match_memo=match_memo,
-                                      automatons=automatons,
-                                      tokens=tokens, kernel=kernel,
-                                      page_identical=page_identical,
-                                      fp_stats=fp_stats)
-            elif isinstance(node, ScanNode):
-                rows = [{node.var: Span(page.did, 0, len(page.text))}]
-            elif isinstance(node, SelectNode):
-                ctx = EvalContext(page.text, page.did)
-                rows = [r for r in evaluate(node.child)
-                        if node.passes(r, ctx)]
-            elif isinstance(node, ProjectNode):
-                rows = dedupe_rows(
-                    [node.apply(r) for r in evaluate(node.child)])
-            elif isinstance(node, JoinNode):
-                rows = hash_join(evaluate(node.left), evaluate(node.right),
-                                 node.on)
-            elif isinstance(node, UnionNode):
-                rows = dedupe_rows([row for child in node.children
-                                    for row in evaluate(child)])
-            elif isinstance(node, IENode):
-                raise AssertionError(
-                    f"IENode {node.extractor.name} evaluated outside its "
-                    "unit — unit identification is broken")
-            else:
-                raise TypeError(f"unknown node type {type(node).__name__}")
-            node_memo[key] = rows
-            return rows
+        def step(node: Node, evaluate) -> Optional[List[TupleRow]]:
+            unit = self._unit_of_top.get(id(node))
+            if unit is None:
+                return None
+            prev_inputs, prev_outputs = prev_capture.get(
+                unit.uid, ([], []))
+            return self._run_unit(
+                unit, evaluate(unit.ie_node.child), page, q_page,
+                prev_inputs, group_outputs_by_input(prev_outputs), sink,
+                cache, stats[unit.uid],
+                timer, match_memo=match_memo, automatons=automatons,
+                tokens=tokens, kernel=kernel,
+                page_identical=page_identical, fp_stats=fp_stats,
+                precomputed=(precomputed or {}).get(unit.uid))
 
+        evaluate = plan_walker(page.text, page.did, {}, step)
         return {rel: evaluate(self.plan.roots[rel])
                 for rel in self.plan.program.head_relations()}
 
@@ -361,8 +321,19 @@ class PageEvaluator:
                   tokens: Optional[TokenCache] = None,
                   kernel: str = "auto",
                   page_identical: bool = False,
-                  fp_stats: Optional[FastPathStats] = None
+                  fp_stats: Optional[FastPathStats] = None,
+                  precomputed: Optional[List[Dict[str, object]]] = None
                   ) -> List[TupleRow]:
+        """Run one IE unit over its input rows on one page.
+
+        ``precomputed``, when given, is the unit's raw whole-page
+        extension list already extracted by split parts. The driver
+        only precomputes frontier units (one input row, the page scan)
+        on pages where they run from scratch, so the unit takes the
+        from-scratch branch below with the blackbox call replaced by
+        that list — every record, counter and row is otherwise
+        produced by the same code as an unsplit run.
+        """
         matcher_name = self.assignment.of(unit)
         ctx = EvalContext(page.text, page.did)
 
@@ -398,8 +369,8 @@ class PageEvaluator:
                                         region.end, c)
 
             copied: List[Dict[str, object]] = []
-            if (q_page is None or matcher_name == DN_NAME
-                    or not prev_inputs):
+            if (precomputed is not None or q_page is None
+                    or matcher_name == DN_NAME or not prev_inputs):
                 extraction_regions = [region.interval]
                 derivation = None
             else:
@@ -473,21 +444,29 @@ class PageEvaluator:
 
             fresh: List[Dict[str, object]] = []
             for er in extraction_regions:
-                text = page.text[er.start:er.end]
-                unit_stats.extracted_chars += len(text)
-                with timer.measure(EXTRACT):
-                    extractions = unit.extractor.extract(text)
-                er_span = Span(page.did, er.start, er.end)
-                for extraction in extractions:
-                    extent = extraction.extent()
-                    abs_extent = (None if extent is None else
-                                  (extent[0] + er.start,
-                                   extent[1] + er.start))
-                    if derivation is not None and not extraction_keep(
-                            abs_extent, er, region.interval, unit.beta):
-                        continue
-                    fields = unit.ie_node.extension_fields(extraction,
-                                                           er_span)
+                unit_stats.extracted_chars += len(er)
+                if precomputed is not None:
+                    assert len(input_rows) == 1, \
+                        f"unit {unit.uid}: precomputed extensions need " \
+                        f"the single scan row, got {len(input_rows)}"
+                    raw = precomputed
+                else:
+                    with timer.measure(EXTRACT):
+                        extractions = unit.extractor.extract(
+                            page.text[er.start:er.end])
+                    er_span = Span(page.did, er.start, er.end)
+                    raw = []
+                    for extraction in extractions:
+                        extent = extraction.extent()
+                        abs_extent = (None if extent is None else
+                                      (extent[0] + er.start,
+                                       extent[1] + er.start))
+                        if derivation is not None and not extraction_keep(
+                                abs_extent, er, region.interval, unit.beta):
+                            continue
+                        raw.append(unit.ie_node.extension_fields(
+                            extraction, er_span))
+                for fields in raw:
                     post = unit.apply_absorbed(fields, ctx)
                     if post is not None:
                         fresh.append(post)
@@ -525,49 +504,6 @@ class PageEvaluator:
         if _inv.ENABLED:
             # --check layer: every span the unit emits stays inside
             # the page it was emitted for.
-            _inv.check_rows_in_page(out_rows, page, unit=unit.uid)
-        return out_rows
-
-    def _apply_precomputed(self, unit: IEUnit,
-                           input_rows: List[TupleRow], page: Page,
-                           extensions: List[Dict[str, object]], sink,
-                           unit_stats: UnitRunStats, timer: Timer
-                           ) -> List[TupleRow]:
-        """Emit split-precomputed extensions for a frontier unit.
-
-        Mirrors :meth:`_run_unit`'s from-scratch branch byte-for-byte
-        (same sink calls, same counters) with the extraction itself
-        replaced by the merged part results — extraction time was
-        already spent in the part workers. Only valid for frontier
-        units (single scan input row) on pages the parallel driver
-        verified run from scratch.
-        """
-        assert len(input_rows) == 1, \
-            f"unit {unit.uid}: precomputed injection needs the single " \
-            f"scan row, got {len(input_rows)}"
-        row = input_rows[0]
-        region = row[unit.in_var]
-        if not isinstance(region, Span):
-            raise TypeError(f"unit {unit.uid}: input {unit.in_var!r} "
-                            "is not a span")
-        unit_stats.input_tuples += 1
-        unit_stats.input_chars += len(region)
-        with timer.measure(IO):
-            tid = sink.append_input(unit.uid, page.did, region.start,
-                                    region.end, "")
-        unit_stats.extracted_chars += len(region)
-        unit_stats.output_tuples += len(extensions)
-        with timer.measure(IO):
-            for ext in extensions:
-                sink.append_output(unit.uid, page.did, tid,
-                                   encode_fields(ext))
-        out_rows: List[TupleRow] = []
-        for ext in extensions:
-            if unit.projects_away_input:
-                out_rows.append(dict(ext))
-            else:
-                out_rows.append({**row, **ext})
-        if _inv.ENABLED:
             _inv.check_rows_in_page(out_rows, page, unit=unit.uid)
         return out_rows
 
@@ -618,32 +554,44 @@ class PageEvaluator:
         return None
 
 
-def _engine_work_worker(state, item):
-    """Process one work item in a (possibly remote) worker.
+def _evaluate_page(evaluator: PageEvaluator, page: Page,
+                   q_page: Optional[Page], prev_capture: PrevCapture,
+                   sink, stats: Dict[str, UnitRunStats], timer: Timer,
+                   fp_stats: FastPathStats,
+                   precomputed: Optional[Extensions] = None
+                   ) -> Dict[str, List[Tuple]]:
+    """The one per-page body: open the page's capture group, run the
+    plan with reuse, return materialized rows per relation."""
+    sink.begin_page(page.did)
+    if _oprof.ENABLED:
+        _p0 = time.perf_counter()
+    with (_otrace.span("page", cat="page", did=page.did,
+                       paired=q_page is not None,
+                       split=precomputed is not None)
+          if _otrace.ENABLED else _otrace.NULL):
+        page_rows = evaluator.run_page(page, q_page, prev_capture, sink,
+                                       stats, timer, cache=MatchCache(),
+                                       fp_stats=fp_stats,
+                                       precomputed=precomputed)
+    if _oprof.ENABLED:
+        _oprof.record_page(page.did, time.perf_counter() - _p0)
+    return {rel: materialize_rows(rows, page.text)
+            for rel, rows in page_rows.items()}
 
-    ``state`` is ``(evaluator, arena_handle)`` — the evaluator is
-    installed once per worker by the pool initializer and the arena
-    handle carries page text by reference (shared memory for the
-    process backend, plain references otherwise). Two item kinds:
 
-    * ``("pages", metas, prev_slices)`` — a batch of whole pages.
-      ``metas`` is ``(did, url, q_did, q_url)`` per page in canonical
-      order (texts come from the arena) and ``prev_slices`` maps
-      ``uid -> q_did -> (inputs, outputs)`` for exactly the previous
-      pages this batch recycles from. Returns materialized rows per
-      page, the buffered page captures, per-unit stats, timing parts,
-      and fast-path counters.
-    * ``("part", part, uids)`` — one sub-page split part. Runs each
-      frontier unit's extractor over the part's (α, β)-widened chunk
-      and returns the owned post-absorption extensions per unit; a
-      unit whose extractor emits a span-less extraction is reported
-      poisoned instead (the parent redoes it whole-page).
+def _engine_batch(state, lookup: PageLookup, items, timer: Timer):
+    """Process one batch of whole pages in a (possibly remote) worker.
+
+    ``state`` is ``(evaluator, sink)``. ``sink`` is the engine's direct
+    sink when the run has one worker slot (records go straight to the
+    reuse files, in canonical order) and None otherwise: the batch
+    then records into its own buffer and returns each page's capture
+    for the parent to replay. ``items`` yields ``(did, q_did,
+    prev_capture)`` per page. Returns ``(did, (rows per relation,
+    capture or None))`` per page, plus the batch's per-unit stats and
+    fast-path counters.
     """
-    evaluator, arena = state
-    kind = item[0]
-    if kind == "part":
-        return _part_work(evaluator, arena, item[1], item[2])
-    _, metas, prev_slices = item
+    evaluator, direct_sink = state
     # Process workers arrive with match_cache dropped by the pickle
     # whitelist: give each worker its own cross-snapshot cache (hits
     # accumulate across the items a worker processes; counters merge
@@ -653,67 +601,99 @@ def _engine_work_worker(state, item):
             and evaluator.fastpath.want("match_cache")
             and evaluator.fastpath.want("match_memo")):
         evaluator.match_cache = CrossSnapshotMatchCache()
-    timings = Timings()
-    timer = Timer(timings)
     uids = evaluator.uids()
-    sink = BufferedCaptureSink(uids)
+    buffered = direct_sink is None
+    sink = BufferedCaptureSink(uids) if buffered else direct_sink
     stats = {uid: UnitRunStats() for uid in uids}
     fp_stats = FastPathStats()
-    page_rel_rows: List[Tuple[str, Dict[str, List[Tuple]]]] = []
-    for did, url, q_did, q_url in metas:
-        page = Page(did, url, arena.text("c:" + did))
-        q_page = (Page(q_did, q_url, arena.text("q:" + q_did))
-                  if q_did is not None else None)
-        sink.begin_page(page.did)
-        prev_capture: PrevCapture = {}
-        if q_page is not None:
-            for uid in uids:
-                entry = prev_slices.get(uid, {}).get(q_page.did)
-                if entry is not None:
-                    prev_capture[uid] = (
-                        entry[0], group_outputs_by_input(entry[1]))
-        if _oprof.ENABLED:
-            _p0 = time.perf_counter()
-        with (_otrace.span("page", cat="page", did=page.did,
-                           paired=q_page is not None)
-              if _otrace.ENABLED else _otrace.NULL):
-            page_rows = evaluator.run_page(page, q_page, prev_capture,
-                                           sink, stats, timer,
-                                           cache=MatchCache(),
-                                           fp_stats=fp_stats)
-        if _oprof.ENABLED:
-            _oprof.record_page(page.did, time.perf_counter() - _p0)
-        page_rel_rows.append((page.did, {
-            rel: materialize_rows(rows, page.text)
-            for rel, rows in page_rows.items()}))
-    return ("pages", page_rel_rows, sink.pages, stats, timings.parts,
-            fp_stats)
+    out = []
+    for did, q_did, prev_capture in items:
+        rel_rows = _evaluate_page(
+            evaluator, lookup.current(did),
+            lookup.previous(q_did) if q_did is not None else None,
+            prev_capture, sink, stats, timer, fp_stats)
+        out.append((did, (rel_rows, sink.pages[-1] if buffered else None)))
+    return out, (stats, fp_stats)
 
 
-def _part_work(evaluator: PageEvaluator, arena, part: PagePart,
-               uids: Sequence[str]):
-    """Extract one split part for the given frontier units."""
-    text = arena.text("c:" + part.did)
-    timings = Timings()
-    timer = Timer(timings)
-    ctx = EvalContext(text, part.did)
-    exts: Dict[str, List[Dict[str, object]]] = {}
-    poisoned: List[str] = []
-    for uid in uids:
-        unit = evaluator.unit(uid)
-        try:
-            with timer.measure(EXTRACT):
-                raw = part_extensions(unit.ie_node, text, part)
-        except PartPoisoned:
-            poisoned.append(uid)
-            continue
-        kept = []
-        for fields in raw:
-            post = unit.apply_absorbed(fields, ctx)
-            if post is not None:
-                kept.append(post)
-        exts[uid] = kept
-    return ("part", part.did, part.index, exts, poisoned, timings.parts)
+class PrevCaptureSource:
+    """The previous snapshot's capture, one page at a time, per unit.
+
+    Three ways to get at a unit's I/O reuse files sit behind
+    :meth:`read`: the one-pass streaming readers of Section 5.2 (pages
+    must then be asked for in the order they were written), the
+    offset-indexed readers, and whole files loaded into memory — for
+    scopes that pair pages across URLs and for runs that read every
+    page up front anyway. A truncated or corrupt reuse file (e.g. the
+    previous run died mid-write) must never break the current run,
+    whichever way it is read: the unit is dropped and extracts from
+    scratch for the rest of the snapshot.
+    """
+
+    def __init__(self, paths: Dict[str, Tuple[str, str]],
+                 sequential: bool, indexed: bool) -> None:
+        self._paths = dict(paths)
+        self._sequential = sequential
+        self._indexed = indexed
+        self._readers: Dict[str, list] = {}
+
+    def _open(self, uid: str) -> list:
+        """Open the unit's (I, O) readers — on first use, inside
+        :meth:`read`'s guard, since building an index or loading a
+        file already parses it."""
+        # Imported here, not at module level: ``fastpath.reader_index``
+        # subclasses ``reuse.files.ReuseFileReader``, whose package
+        # imports this module (import cycle otherwise).
+        from ..fastpath.reader_index import IndexedReuseFileReader
+        readers = self._readers[uid] = []
+        for path, kind in zip(self._paths[uid], "IO"):
+            if self._sequential:
+                readers.append(ReuseFileReader(path))
+            elif self._indexed:
+                readers.append(IndexedReuseFileReader(path))
+            else:
+                readers.append(_LoadedReuseFile(path, kind))
+        return readers
+
+    def read(self, q_page: Optional[Page], timer: Timer) -> PrevCapture:
+        """``uid -> (recorded inputs, recorded outputs)`` on ``q_page``,
+        for every unit whose capture is still readable."""
+        capture: PrevCapture = {}
+        if q_page is None:
+            return capture
+        for uid in list(self._paths):
+            try:
+                with timer.measure(IO):
+                    reader_i, reader_o = (self._readers.get(uid)
+                                          or self._open(uid))
+                    capture[uid] = (
+                        reader_i.read_page_inputs(q_page.did),
+                        reader_o.read_page_outputs(q_page.did))
+            except (ValueError, KeyError):
+                del self._paths[uid]
+        return capture
+
+    def close(self, fp_stats: FastPathStats) -> None:
+        for readers in self._readers.values():
+            for reader in readers:
+                fp_stats.reader_index_seeks += getattr(reader, "seeks", 0)
+                reader.close()
+        self._readers.clear()
+
+
+class _LoadedReuseFile:
+    """A whole reuse file in memory, behind the reader interface."""
+
+    def __init__(self, path: str, kind: str) -> None:
+        self._groups = load_reuse_file(path, kind)
+
+    def read_page_inputs(self, did: str) -> list:
+        return self._groups.get(did, [])
+
+    read_page_outputs = read_page_inputs
+
+    def close(self) -> None:
+        pass
 
 
 class ReuseEngine:
@@ -792,9 +772,7 @@ class ReuseEngine:
             # page in this exact order, so strict did monotonicity here
             # is the on-disk page-group monotonicity invariant.
             _inv.check_page_order([p.did for p in pages])
-        have_prev = prev_dir is not None and prev_snapshot is not None
-        parallel = (self.executor is not None and self.executor.jobs > 1
-                    and len(pages) > 1)
+        jobs = self.executor.jobs if self.executor is not None else 1
         fp_stats = FastPathStats()
         self.scope.begin_snapshot(prev_snapshot)
         # Root trace span: one per snapshot run (never sampled away),
@@ -802,23 +780,27 @@ class ReuseEngine:
         # alone explains why this snapshot was fast or slow.
         _snap = (_otrace.span("snapshot", cat="snapshot",
                               index=snapshot.index, pages=len(pages),
-                              parallel=parallel)
+                              parallel=jobs > 1)
                  if _otrace.ENABLED else _otrace.NULL)
+        # Streaming and indexed readers serve page-at-a-time access; a
+        # run with more than one slot reads the whole capture up front
+        # (see _run_pages), for which loading whole files is cheapest.
+        source = PrevCaptureSource(
+            self._capture_paths(prev_dir)
+            if prev_dir is not None and prev_snapshot is not None else {},
+            sequential=jobs <= 1 and self.scope.sequential_safe,
+            indexed=jobs <= 1 and self.fastpath.want("reader_index"))
         try:
             with _snap, timer.measure_total():
-                if parallel:
-                    pages_with_prev = self._run_parallel(
-                        pages, have_prev, prev_dir, writers, stats,
-                        results, timer, fp_stats, page_rows_out)
-                else:
-                    pages_with_prev = self._run_serial(
-                        pages, have_prev, prev_dir, writers, stats,
-                        results, timer, fp_stats, page_rows_out)
+                pages_with_prev = self._run_pages(
+                    pages, jobs, source, writers, stats, results, timer,
+                    fp_stats, page_rows_out)
                 _snap.set("pages_with_prev", pages_with_prev)
                 _snap.set("short_circuited",
                           fp_stats.pages_short_circuited)
                 _snap.set("memo_hits", fp_stats.memo_hits)
         finally:
+            source.close(fp_stats)
             for wi, wo in writers.values():
                 wi.close()
                 wo.close()
@@ -849,357 +831,96 @@ class ReuseEngine:
                 out[u.uid] = (i_path, o_path)
         return out
 
-    # -- serial driver ----------------------------------------------------
+    # -- the page loop ------------------------------------------------------
 
-    def _run_serial(self, pages: Sequence[Page], have_prev: bool,
-                    prev_dir: Optional[str],
-                    writers: Dict[str, Tuple[ReuseFileWriter,
-                                             ReuseFileWriter]],
-                    stats: Dict[str, UnitRunStats],
-                    results: Dict[str, List[Tuple]], timer: Timer,
-                    fp_stats: FastPathStats,
-                    page_rows_out: Optional[
-                        Dict[str, Dict[str, List[Tuple]]]] = None) -> int:
-        # Imported here, not at module level: ``fastpath.reader_index``
-        # subclasses ``reuse.files.ReuseFileReader``, whose package in
-        # turn imports this engine module (import cycle otherwise).
-        from ..fastpath.reader_index import IndexedReuseFileReader
-
-        readers: Dict[str, Tuple[ReuseFileReader, ReuseFileReader]] = {}
-        memory: Optional[Dict[str, Tuple[Dict[str, List[InputTuple]],
-                                         Dict[str, List[OutputTuple]]]]] = None
-        if have_prev:
-            assert prev_dir is not None
-            paths = self._capture_paths(prev_dir)
-            if self.scope.sequential_safe:
-                for uid, (i_path, o_path) in paths.items():
-                    readers[uid] = (ReuseFileReader(i_path),
-                                    ReuseFileReader(o_path))
-            elif self.fastpath.want("reader_index"):
-                # Cross-URL pairing breaks the sequential access
-                # pattern; an offset index over each reuse file gives
-                # O(1) out-of-order group seeks without materializing
-                # whole files in memory.
-                with timer.measure(IO):
-                    for uid, (i_path, o_path) in paths.items():
-                        readers[uid] = (IndexedReuseFileReader(i_path),
-                                        IndexedReuseFileReader(o_path))
-            else:
-                # Cross-URL pairing breaks the sequential access
-                # pattern; trade memory for random access.
-                with timer.measure(IO):
-                    memory = {uid: (load_reuse_file(i_path, "I"),
-                                    load_reuse_file(o_path, "O"))
-                              for uid, (i_path, o_path) in paths.items()}
-        sink = DirectCaptureSink(writers)
-        pages_with_prev = 0
-        try:
-            for page in pages:
-                q_page = self.scope.pair_for(page)
-                if q_page is not None:
-                    pages_with_prev += 1
-                sink.begin_page(page.did)
-                if _oprof.ENABLED:
-                    _p0 = time.perf_counter()
-                with (_otrace.span("page", cat="page", did=page.did,
-                                   paired=q_page is not None)
-                      if _otrace.ENABLED else _otrace.NULL):
-                    prev_capture = self._read_prev_capture(
-                        q_page, readers, memory, timer)
-                    page_rows = self.evaluator.run_page(
-                        page, q_page, prev_capture, sink, stats, timer,
-                        cache=MatchCache(), fp_stats=fp_stats)
-                if _oprof.ENABLED:
-                    _oprof.record_page(page.did,
-                                       time.perf_counter() - _p0)
-                materialized = {rel: materialize_rows(rows, page.text)
-                                for rel, rows in page_rows.items()}
-                if page_rows_out is not None:
-                    page_rows_out[page.did] = materialized
-                for rel, rows in materialized.items():
-                    results[rel].extend(rows)
-        finally:
-            for ri, ro in readers.values():
-                if isinstance(ri, IndexedReuseFileReader):
-                    fp_stats.reader_index_seeks += ri.seeks + ro.seeks
-                ri.close()
-                ro.close()
-        return pages_with_prev
-
-    def _read_prev_capture(
-            self, q_page: Optional[Page],
-            readers: Dict[str, Tuple[ReuseFileReader, ReuseFileReader]],
-            memory: Optional[Dict[str, Tuple[Dict[str, List[InputTuple]],
-                                             Dict[str, List[OutputTuple]]]]],
-            timer: Timer) -> PrevCapture:
-        """Previous capture for one page, per unit.
-
-        Sequential mode streams the unit's reuse files forward (every
-        unit's files advance on every paired page, which is what keeps
-        the one-pass scan aligned); memory mode indexes the preloaded
-        capture. A truncated or corrupt reuse file (e.g. the previous
-        run died mid-write) must never break the current run: drop
-        reuse for that unit and extract from scratch for the rest of
-        the snapshot.
-        """
-        capture: PrevCapture = {}
-        if q_page is None:
-            return capture
-        if memory is not None:
-            for uid, (mem_i, mem_o) in memory.items():
-                capture[uid] = (
-                    mem_i.get(q_page.did, []),
-                    group_outputs_by_input(mem_o.get(q_page.did, [])))
-            return capture
-        for uid in list(readers):
-            reader_pair = readers[uid]
-            try:
-                with timer.measure(IO):
-                    prev_inputs = reader_pair[0].read_page_inputs(
-                        q_page.did)
-                    prev_outputs = group_outputs_by_input(
-                        reader_pair[1].read_page_outputs(q_page.did))
-                capture[uid] = (prev_inputs, prev_outputs)
-            except (ValueError, KeyError):
-                dropped = readers.pop(uid, None)
-                if dropped is not None:
-                    dropped[0].close()
-                    dropped[1].close()
-        return capture
-
-    # -- parallel driver --------------------------------------------------
-
-    def _run_parallel(self, pages: Sequence[Page], have_prev: bool,
-                      prev_dir: Optional[str],
-                      writers: Dict[str, Tuple[ReuseFileWriter,
-                                               ReuseFileWriter]],
-                      stats: Dict[str, UnitRunStats],
-                      results: Dict[str, List[Tuple]],
-                      timer: Timer, fp_stats: FastPathStats,
-                      page_rows_out: Optional[
-                          Dict[str, Dict[str, List[Tuple]]]] = None
-                      ) -> int:
-        assert self.executor is not None
-        jobs = self.executor.jobs
+    def _run_pages(self, pages: Sequence[Page], jobs: int,
+                   source: PrevCaptureSource,
+                   writers: Dict[str, Tuple[ReuseFileWriter,
+                                            ReuseFileWriter]],
+                   stats: Dict[str, UnitRunStats],
+                   results: Dict[str, List[Tuple]], timer: Timer,
+                   fp_stats: FastPathStats,
+                   page_rows_out: Optional[
+                       Dict[str, Dict[str, List[Tuple]]]]) -> int:
+        evaluator = self.evaluator
         # Pair pages in canonical order in the parent so stateful
-        # scopes (fingerprint claims) behave exactly as in a serial run.
-        pairs = [(page, self.scope.pair_for(page)) for page in pages]
-        pages_with_prev = sum(1 for _, q in pairs if q is not None)
-        memory: Dict[str, Tuple[Dict[str, List[InputTuple]],
-                                Dict[str, List[OutputTuple]]]] = {}
-        if have_prev:
-            assert prev_dir is not None
+        # scopes (fingerprint claims) behave the same on every backend.
+        pair_of = {page.did: self.scope.pair_for(page) for page in pages}
+
+        # One worker slot streams: its single batch runs inline, in
+        # canonical order, so the previous capture can be read page by
+        # page as the batch advances (the payload stays a generator)
+        # and records go straight to the reuse files. More slots need
+        # picklable payloads and an order-free merge: the capture is
+        # read up front and workers record into buffers that are
+        # replayed below. The choice is
+        # what ``jobs`` already says, and trades memory for parallelism.
+        streaming = jobs <= 1
+        if streaming:
+            def prev_capture_of(did: str) -> PrevCapture:
+                return source.read(pair_of[did], timer)
+        else:
+            prev_capture_of = {page.did: source.read(pair_of[page.did],
+                                                     timer)
+                               for page in pages}.__getitem__
+
+        def payload(batch: Sequence[Page]):
+            items = ((p.did,
+                      pair_of[p.did].did if pair_of[p.did] else None,
+                      prev_capture_of(p.did)) for p in batch)
+            return items if streaming else tuple(items)
+
+        frontier = [u for u in self.units
+                    if isinstance(u.ie_node.child, ScanNode)]
+
+        def may_split(page: Page) -> bool:
+            """Part workers extract blindly, so a page is split only
+            when every frontier unit runs from scratch on it — the
+            condition :meth:`PageEvaluator._run_unit` uses to skip the
+            reuse machinery."""
+            if pair_of[page.did] is None:
+                return True
+            prev_capture = prev_capture_of(page.did)
+            return not any(
+                self.assignment.of(u) != DN_NAME
+                and prev_capture.get(u.uid, ([], []))[0]
+                for u in frontier)
+
+        def assemble(page: Page, extensions: Extensions, timer: Timer):
+            """Re-run a split page here with its frontier extractions
+            precomputed: chained units, relational operators and the
+            capture calls run exactly as in an unsplit run."""
+            sink = BufferedCaptureSink(evaluator.uids())
+            rel_rows = _evaluate_page(
+                evaluator, page, pair_of[page.did],
+                prev_capture_of(page.did), sink, stats, timer, fp_stats,
+                precomputed=extensions)
+            return rel_rows, sink.pages[0]
+
+        work = PageWork(
+            batch_fn=_engine_batch,
+            state=(evaluator,
+                   DirectCaptureSink(writers) if streaming else None),
+            payload=payload,
+            frontier=[(u.uid, u.ie_node, u.alpha, u.beta)
+                      for u in frontier],
+            may_split=may_split, assemble=assemble,
+            prev_pages=[q for q in pair_of.values() if q is not None])
+        run = run_pages(work, pages, self.executor, self.scheduler,
+                        self.split, timer)
+        for batch_stats, batch_fp in run.extras:
+            for uid, unit_stats in batch_stats.items():
+                stats[uid].merge(unit_stats)
+            fp_stats.merge(batch_fp)
+        for page in pages:
+            rel_rows = run.by_did[page.did][0]
+            if page_rows_out is not None:
+                page_rows_out[page.did] = rel_rows
+            for rel, rows in rel_rows.items():
+                results[rel].extend(rows)
+        if not streaming:
             with timer.measure(IO):
-                memory = {uid: (load_reuse_file(i_path, "I"),
-                                load_reuse_file(o_path, "O"))
-                          for uid, (i_path, o_path)
-                          in self._capture_paths(prev_dir).items()}
-
-        # -- split planning: which pages become sub-page parts --------
-        split_parts = self._plan_splits(pairs, memory, jobs)
-        frontier_uids = tuple(u.uid for u in self.evaluator
-                              .frontier_units())
-
-        # -- arena: page text travels once, not per payload -----------
-        texts: Dict[str, str] = {}
-        for page, q in pairs:
-            texts["c:" + page.did] = page.text
-            if q is not None:
-                texts["q:" + q.did] = q.text
-        arena = build_arena(texts, self.executor.name)
-
-        whole_pages = [p for p in pages if p.did not in split_parts]
-        batches = self.scheduler.plan(whole_pages, jobs)
-        by_did = {page.did: q for page, q in pairs}
-        payloads: List[tuple] = []
-        costs: List[float] = []
-        for batch in batches:
-            metas = tuple(
-                (page.did, page.url,
-                 by_did[page.did].did
-                 if by_did[page.did] is not None else None,
-                 by_did[page.did].url
-                 if by_did[page.did] is not None else None)
-                for page in batch.pages)
-            q_dids = {q.did for page in batch.pages
-                      for q in (by_did[page.did],) if q is not None}
-            slices = {
-                uid: {did: (mem_i.get(did, []), mem_o.get(did, []))
-                      for did in q_dids
-                      if did in mem_i or did in mem_o}
-                for uid, (mem_i, mem_o) in memory.items()}
-            payloads.append(("pages", metas, slices))
-            costs.append(1 + batch.chars)
-        max_alpha = max((u.alpha for u in self.evaluator
-                         .frontier_units()), default=0)
-        max_beta = max((u.beta for u in self.evaluator
-                        .frontier_units()), default=0)
-        for did in sorted(split_parts):
-            for part in split_parts[did]:
-                payloads.append(("part", part, frontier_uids))
-                costs.append((part.hi - part.lo)
-                             + max_alpha + 2 * max_beta)
-
-        wall_start = time.perf_counter()
-        try:
-            work = self.executor.run_work(_engine_work_worker,
-                                          (self.evaluator, arena.handle),
-                                          payloads, costs)
-            wall_seconds = time.perf_counter() - wall_start
-
-            # -- merge: key everything by page id (LPT batches are not
-            # contiguous, so batch-order concatenation is not canonical)
-            rel_rows_by_did: Dict[str, Dict[str, List[Tuple]]] = {}
-            capture_by_did: Dict[str, PageCapture] = {}
-            part_exts: Dict[str, Dict[int, Dict[str, list]]] = {}
-            part_poison: Dict[str, set] = {}
-            batch_seconds: List[float] = []
-            extra_batches: List[BatchMetric] = []
-            for (seconds, value), cost in zip(work.timed, costs):
-                if value[0] == "pages":
-                    (_, page_rel_rows, page_caps, worker_stats, parts,
-                     worker_fp) = value
-                    batch_seconds.append(seconds)
-                    for did, rel_rows in page_rel_rows:
-                        rel_rows_by_did[did] = rel_rows
-                    for cap in page_caps:
-                        capture_by_did[cap.did] = cap
-                    for uid, ws in worker_stats.items():
-                        stats[uid].merge(ws)
-                    for category, secs in parts.items():
-                        timer.timings.add(category, secs)
-                    fp_stats.merge(worker_fp)
-                else:
-                    _, did, index, exts, poisoned, parts = value
-                    part_exts.setdefault(did, {})[index] = exts
-                    part_poison.setdefault(did, set()).update(poisoned)
-                    for category, secs in parts.items():
-                        timer.timings.add(category, secs)
-                    extra_batches.append(BatchMetric(
-                        index=index, pages=0, chars=int(cost),
-                        seconds=seconds, kind="part"))
-
-            # -- assembly: re-run split pages in the parent with the
-            # frontier extractions precomputed; chained units and
-            # captures run here, in canonical order.
-            pair_by_did = {page.did: (page, q) for page, q in pairs}
-            self._assemble_split_pages(
-                split_parts, part_exts, part_poison, frontier_uids,
-                pair_by_did, memory, rel_rows_by_did, capture_by_did,
-                stats, timer, fp_stats)
-
-            for page in pages:
-                rel_rows = rel_rows_by_did[page.did]
-                if page_rows_out is not None:
-                    page_rows_out[page.did] = rel_rows
-                for rel, rows in rel_rows.items():
-                    results[rel].extend(rows)
-            with timer.measure(IO):
-                replay_captures(
-                    [capture_by_did[p.did] for p in pages], writers)
-        finally:
-            arena.close()
-        timer.timings.runtime = build_metrics(
-            self.executor.name, jobs,
-            wall_seconds=wall_seconds, batches=batches,
-            batch_seconds=batch_seconds,
-            merge_with=timer.timings.runtime,
-            extra_batches=extra_batches, steals=work.steals,
-            split_pages=len(split_parts),
-            split_parts=sum(len(v) for v in split_parts.values()),
-            shared_text=arena.shared, slot_busy=work.slot_busy)
-        return pages_with_prev
-
-    def _plan_splits(self, pairs, memory, jobs
-                     ) -> Dict[str, List[PagePart]]:
-        """Pages large enough to split, with their owned parts.
-
-        A page is eligible only when every frontier unit runs from
-        scratch on it — the same condition :meth:`PageEvaluator
-        ._run_unit` uses to skip the reuse machinery — because part
-        workers extract blindly; a unit that would recycle must see
-        the whole page.
-        """
-        frontier = self.evaluator.frontier_units()
-        if not self.split.enabled or not frontier or jobs <= 1:
-            return {}
-        total_chars = sum(len(p.text) for p, _ in pairs)
-        max_alpha = max(u.alpha for u in frontier)
-        max_beta = max(u.beta for u in frontier)
-        out: Dict[str, List[PagePart]] = {}
-        for page, q in pairs:
-            if not self.split.should_split(len(page.text), total_chars,
-                                           jobs):
-                continue
-            if not self._frontier_from_scratch(q, memory, frontier):
-                continue
-            parts = plan_parts(page.did, len(page.text), jobs,
-                               self.split, max_alpha, max_beta)
-            if len(parts) > 1:
-                out[page.did] = parts
-        return out
-
-    def _frontier_from_scratch(self, q_page: Optional[Page], memory,
-                               frontier: List[IEUnit]) -> bool:
-        if q_page is None:
-            return True
-        for unit in frontier:
-            if self.assignment.of(unit) == DN_NAME:
-                continue
-            mem = memory.get(unit.uid)
-            if mem is not None and mem[0].get(q_page.did):
-                return False
-        return True
-
-    def _assemble_split_pages(self, split_parts, part_exts,
-                              part_poison, frontier_uids, pair_by_did,
-                              memory, rel_rows_by_did, capture_by_did,
-                              stats, timer, fp_stats) -> None:
-        """Finish split pages in the parent, canonical order.
-
-        Concatenating each unit's part extensions in part order equals
-        the serial whole-page extraction sequence (ownership is a
-        stable partition of it); the page then re-runs through
-        :meth:`PageEvaluator.run_page` with those units precomputed,
-        which replays the capture calls and evaluates chained units
-        and relational operators exactly as a serial run would. A
-        poisoned or incomplete unit is simply left out of
-        ``precomputed`` and extracts whole-page here — always correct,
-        just not parallel.
-        """
-        uids = self.evaluator.uids()
-        for did in sorted(split_parts):
-            parts = split_parts[did]
-            by_index = part_exts.get(did, {})
-            poisoned = part_poison.get(did, set())
-            merged: Dict[str, List[Dict[str, object]]] = {}
-            for uid in frontier_uids:
-                if uid in poisoned:
-                    continue
-                if any(p.index not in by_index
-                       or uid not in by_index[p.index]
-                       for p in parts):
-                    continue
-                merged[uid] = [ext for p in parts
-                               for ext in by_index[p.index][uid]]
-            page, q_page = pair_by_did[did]
-            prev_capture: PrevCapture = {}
-            if q_page is not None:
-                for uid, (mem_i, mem_o) in memory.items():
-                    prev_capture[uid] = (
-                        mem_i.get(q_page.did, []),
-                        group_outputs_by_input(
-                            mem_o.get(q_page.did, [])))
-            sink = BufferedCaptureSink(uids)
-            sink.begin_page(page.did)
-            with (_otrace.span("page", cat="page", did=page.did,
-                               paired=q_page is not None, split=True)
-                  if _otrace.ENABLED else _otrace.NULL):
-                page_rows = self.evaluator.run_page(
-                    page, q_page, prev_capture, sink, stats, timer,
-                    cache=MatchCache(), fp_stats=fp_stats,
-                    precomputed=merged)
-            rel_rows_by_did[did] = {
-                rel: materialize_rows(rows, page.text)
-                for rel, rows in page_rows.items()}
-            capture_by_did[did] = sink.pages[0]
+                replay_captures([run.by_did[p.did][1] for p in pages],
+                                writers)
+        timer.timings.runtime = run.metrics
+        return sum(1 for q in pair_of.values() if q is not None)

@@ -3,13 +3,19 @@
 Every system processes a snapshot as a sequence of independent
 per-page decisions (match / copy / extract); that is exactly the
 *split-correctness* property that makes page-level IE embarrassingly
-parallel. This package factors the "walk the pages" loop out of the
-four systems into a shared, pluggable runtime:
+parallel. This package is the "walk the pages" loop of all four
+systems:
 
+* :mod:`~repro.runtime.driver` — :func:`run_pages`, the one work-item
+  driver every system calls: split planning, page transport, batch
+  and part payloads with one cost formula, the part worker,
+  merge-by-page-id with the poisoned/incomplete-part fallback,
+  split-page assembly and the run's metrics. The modules below are
+  its parts;
 * :mod:`~repro.runtime.executor` — the :class:`Executor` interface
-  with serial, thread-pool, and process-pool backends, a work-stealing
-  :meth:`~Executor.run_work` loop, and an auto-chooser keyed on
-  blackbox cost *and* the machine's CPU count;
+  with serial, thread-pool, and process-pool backends behind one
+  work-stealing :meth:`~Executor.run_work` entry point, and an
+  auto-chooser keyed on blackbox cost *and* the machine's CPU count;
 * :mod:`~repro.runtime.scheduler` — :class:`PageScheduler`, which
   packs pages into size-balanced batches largest-first (LPT), so the
   heaviest page can never strand alone at the schedule's tail;
@@ -56,8 +62,9 @@ from .executor import (
     choose_backend,
     make_executor,
 )
+from .driver import PageLookup, PageRun, PageWork, run_pages
 from .metrics import BatchMetric, RuntimeMetrics, build_metrics
-from .scheduler import PageBatch, PageScheduler, merge_batch_lists, pack_lpt
+from .scheduler import PageBatch, PageScheduler, pack_lpt
 from .shm import (
     InlineArenaHandle,
     LocalArenaHandle,
@@ -85,8 +92,11 @@ __all__ = [
     "LocalArenaHandle",
     "PageBatch",
     "PageCapture",
+    "PageLookup",
     "PagePart",
+    "PageRun",
     "PageScheduler",
+    "PageWork",
     "PartPoisoned",
     "ProcessPoolExecutor",
     "ReplayStats",
@@ -101,10 +111,10 @@ __all__ = [
     "build_metrics",
     "choose_backend",
     "make_executor",
-    "merge_batch_lists",
     "pack_lpt",
     "part_extensions",
     "plan_parts",
     "replay_captures",
+    "run_pages",
     "shm_available",
 ]

@@ -1,9 +1,9 @@
-"""Executor backends: where page batches actually run.
+"""Executor backends: where work items actually run.
 
-An :class:`Executor` maps a module-level worker function over a list
-of batch payloads and returns the results *in submission order* —
-order preservation is what lets callers merge per-batch outputs back
-into canonical page order with a plain concatenation.
+An :class:`Executor` runs a module-level worker function over a list
+of work items (:meth:`Executor.run_work`, its one entry point) and
+returns the results *in submission order*, whatever order the items
+completed in.
 
 Three backends:
 
@@ -80,11 +80,12 @@ def _timed_call(fn: Callable[[Any, Any], Any], state: Any,
 class WorkResult:
     """What :meth:`Executor.run_work` hands back.
 
-    ``timed`` pairs are in *submission order* regardless of the order
-    items actually completed in — callers merge exactly as they would
-    a ``map_batches`` result. ``steals`` counts items an idle worker
-    slot took from another slot's queue; ``slot_busy`` is the per-slot
-    worker-side busy seconds (one entry per slot actually used).
+    ``timed`` holds one ``(seconds, value)`` pair per item, in
+    *submission order* regardless of the order items actually
+    completed in; ``seconds`` is the worker-side wall time of that one
+    call. ``steals`` counts items an idle worker slot took from
+    another slot's queue; ``slot_busy`` is the per-slot worker-side
+    busy seconds (one entry per slot actually used).
     """
 
     timed: List[Tuple[float, Any]]
@@ -93,7 +94,7 @@ class WorkResult:
 
 
 class Executor(ABC):
-    """Maps a worker function over batch payloads, order-preserving."""
+    """Runs a worker function over work items, order-preserving."""
 
     #: Backend identifier ("serial", "thread", "process").
     name: str = "serial"
@@ -101,27 +102,15 @@ class Executor(ABC):
     jobs: int = 1
 
     @abstractmethod
-    def map_batches(self, fn: Callable[[Any, Any], Any], state: Any,
-                    items: Sequence[Any]) -> List[Tuple[float, Any]]:
-        """Apply ``fn(state, item)`` to every item.
-
-        Returns ``(seconds, value)`` pairs in submission order;
-        ``seconds`` is the worker-side wall time of that one call.
-        """
-
     def run_work(self, fn: Callable[[Any, Any], Any], state: Any,
                  items: Sequence[Any],
                  costs: Optional[Sequence[float]] = None) -> WorkResult:
-        """Run items with cost-aware placement and work stealing.
+        """Apply ``fn(state, item)`` to every item.
 
         ``costs`` are monotone per-item cost estimates (characters);
-        pooled backends use them for largest-first initial placement.
-        The base implementation just wraps :meth:`map_batches` — the
-        serial backend has nothing to steal.
+        pooled backends use them for largest-first initial placement
+        and work stealing.
         """
-        timed = self.map_batches(fn, state, items)
-        return WorkResult(timed=timed,
-                          slot_busy=[sum(s for s, _ in timed)])
 
     def describe(self) -> str:
         return f"{self.name}(jobs={self.jobs})"
@@ -193,9 +182,12 @@ class SerialExecutor(Executor):
     name = "serial"
     jobs = 1
 
-    def map_batches(self, fn: Callable[[Any, Any], Any], state: Any,
-                    items: Sequence[Any]) -> List[Tuple[float, Any]]:
-        return [_timed_call(fn, state, item) for item in items]
+    def run_work(self, fn: Callable[[Any, Any], Any], state: Any,
+                 items: Sequence[Any],
+                 costs: Optional[Sequence[float]] = None) -> WorkResult:
+        timed = [_timed_call(fn, state, item) for item in items]
+        return WorkResult(timed=timed,
+                          slot_busy=[sum(s for s, _ in timed)])
 
 
 class ThreadPoolExecutor(Executor):
@@ -207,16 +199,6 @@ class ThreadPoolExecutor(Executor):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-
-    def map_batches(self, fn: Callable[[Any, Any], Any], state: Any,
-                    items: Sequence[Any]) -> List[Tuple[float, Any]]:
-        if not items:
-            return []
-        workers = min(self.jobs, len(items))
-        with _futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_timed_call, fn, state, item)
-                       for item in items]
-            return [f.result() for f in futures]
 
     def run_work(self, fn: Callable[[Any, Any], Any], state: Any,
                  items: Sequence[Any],
@@ -251,18 +233,6 @@ class ProcessPoolExecutor(Executor):
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
         self.start_method = start_method
-
-    def map_batches(self, fn: Callable[[Any, Any], Any], state: Any,
-                    items: Sequence[Any]) -> List[Tuple[float, Any]]:
-        if not items:
-            return []
-        workers = min(self.jobs, len(items))
-        ctx = multiprocessing.get_context(self.start_method)
-        with _futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=ctx,
-                initializer=_install_worker,
-                initargs=(fn, state)) as pool:
-            return list(pool.map(_run_installed, items))
 
     def run_work(self, fn: Callable[[Any, Any], Any], state: Any,
                  items: Sequence[Any],

@@ -10,7 +10,7 @@ decompositions get runtime telemetry through the same object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..obs.util import safe_rate
 from .scheduler import PageBatch
@@ -120,7 +120,6 @@ class RuntimeMetrics:
 def build_metrics(backend: str, jobs: int, wall_seconds: float,
                   batches: Sequence[PageBatch],
                   batch_seconds: Sequence[float],
-                  merge_with: Optional[RuntimeMetrics] = None,
                   extra_batches: Sequence[BatchMetric] = (),
                   steals: int = 0, split_pages: int = 0,
                   split_parts: int = 0, shared_text: bool = False,
@@ -128,10 +127,7 @@ def build_metrics(backend: str, jobs: int, wall_seconds: float,
     """Assemble metrics from scheduler batches and measured times.
 
     ``extra_batches`` carries non-PageBatch work items (sub-page
-    parts). ``merge_with`` folds in a prior phase's metrics: batch
-    records and wall time concatenate/add, counters add, and slot busy
-    vectors add elementwise when the slot counts match (same pool
-    shape) or concatenate otherwise.
+    parts).
     """
     if len(batches) != len(batch_seconds):
         raise ValueError("one measured time per batch required")
@@ -139,21 +135,9 @@ def build_metrics(backend: str, jobs: int, wall_seconds: float,
                            seconds=s)
                for b, s in zip(batches, batch_seconds)]
     records.extend(extra_batches)
-    busy = list(slot_busy)
-    if merge_with is not None:
-        records = list(merge_with.batches) + records
-        wall_seconds += merge_with.wall_seconds
-        steals += merge_with.steals
-        split_pages += merge_with.split_pages
-        split_parts += merge_with.split_parts
-        shared_text = shared_text or merge_with.shared_text
-        if merge_with.slot_busy:
-            if len(merge_with.slot_busy) == len(busy):
-                busy = [a + b for a, b in zip(merge_with.slot_busy, busy)]
-            else:
-                busy = list(merge_with.slot_busy) + busy
     return RuntimeMetrics(backend=backend, jobs=jobs,
                           wall_seconds=wall_seconds, batches=records,
                           steals=steals, split_pages=split_pages,
                           split_parts=split_parts,
-                          shared_text=shared_text, slot_busy=busy)
+                          shared_text=shared_text,
+                          slot_busy=list(slot_busy))

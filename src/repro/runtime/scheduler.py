@@ -12,8 +12,8 @@ the balanced choice.
 
 The price of LPT is that batches are no longer contiguous slices of
 the canonical order, so per-batch outputs can no longer be merged by
-plain concatenation — the systems merge by canonical page id instead
-(see :mod:`repro.runtime.capture`). Pages *within* one batch stay in
+plain concatenation — the driver merges by canonical page id instead
+(see :mod:`repro.runtime.driver`). Pages *within* one batch stay in
 canonical order, so per-batch processing and capture buffers remain
 deterministic.
 
@@ -27,11 +27,9 @@ work-stealing executor has spare items to steal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple, TypeVar
+from typing import Iterator, List, Sequence, Tuple
 
 from ..text.document import Page
-
-T = TypeVar("T")
 
 #: Default batches per worker: enough slack to smooth page-length skew
 #: without drowning the run in per-batch overhead.
@@ -109,16 +107,3 @@ class PageScheduler:
                    for k, group in enumerate(packed)]
         assert sum(len(b) for b in batches) == len(pages)
         return batches
-
-
-def merge_batch_lists(per_batch: Sequence[List[T]]) -> List[T]:
-    """Concatenate per-batch lists in batch order.
-
-    With LPT batches this is no longer the canonical page order —
-    callers that need canonical order must key by page id (all four
-    systems now do); this helper remains for order-insensitive merges.
-    """
-    merged: List[T] = []
-    for chunk in per_batch:
-        merged.extend(chunk)
-    return merged

@@ -19,6 +19,8 @@ from repro.extractors.rules import LineExtractor, RegexExtractor, SectionExtract
 from repro.matchers.base import MATCHER_NAMES
 from repro.plan import compile_program, find_units
 from repro.reuse.engine import PlanAssignment, ReuseEngine
+from repro.reuse.scope import FingerprintScope
+from repro.runtime import ThreadPoolExecutor
 from repro.text.document import Page
 from repro.xlog.parser import parse_program
 from repro.xlog.registry import Registry
@@ -232,9 +234,18 @@ class TestAssignmentHelpers:
 
 
 class TestCorruptCapture:
-    def test_corrupt_reuse_file_degrades_to_from_scratch(self, tmp_path):
+    @pytest.mark.parametrize("engine_kwargs", [
+        {},
+        {"executor": ThreadPoolExecutor(2)},
+        {"scope": FingerprintScope()},
+        {"scope": FingerprintScope(), "fastpath": "off"},
+    ], ids=["serial", "thread2", "cross-url-indexed", "cross-url-memory"])
+    def test_corrupt_reuse_file_degrades_to_from_scratch(
+            self, tmp_path, engine_kwargs):
         """A truncated capture (previous run died mid-write) must not
-        break the next run — it just loses reuse for that unit."""
+        break the next run — it just loses reuse for that unit, however
+        the previous capture is read (streamed, indexed, loaded whole)
+        and on whichever backend."""
         import glob
 
         rng = random.Random(11)
@@ -242,7 +253,7 @@ class TestCorruptCapture:
         s0 = Snapshot(0, [Page.from_url(u, t) for u, t in pages.items()])
         s1 = Snapshot(1, list(s0.pages))
         plan, units, assignment = build_engine(["UD", "RU", "RU"])
-        engine = ReuseEngine(plan, units, assignment)
+        engine = ReuseEngine(plan, units, assignment, **engine_kwargs)
         d0, d1 = str(tmp_path / "0"), str(tmp_path / "1")
         engine.run_snapshot(s0, None, None, d0)
         # Corrupt every O file: garbage line at the front.

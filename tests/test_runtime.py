@@ -26,7 +26,9 @@ from repro.core.runner import (
     verify_serial_parallel,
 )
 from repro.extractors import make_task
+from repro.extractors.base import Extraction, Extractor
 from repro.plan.compile import compile_program
+from repro.plan.operators import IENode, ScanNode
 from repro.reuse.files import ReuseFileWriter, encode_fields
 from repro.runtime import (
     AUTO_PROCESS_WORK_FACTOR,
@@ -34,6 +36,7 @@ from repro.runtime import (
     DirectCaptureSink,
     PageBatch,
     PageScheduler,
+    PageWork,
     ProcessPoolExecutor,
     RuntimeMetrics,
     SerialExecutor,
@@ -43,14 +46,15 @@ from repro.runtime import (
     build_metrics,
     choose_backend,
     make_executor,
-    merge_batch_lists,
     pack_lpt,
     part_extensions,
     plan_parts,
     replay_captures,
+    run_pages,
 )
 from repro.text.document import Page
 from repro.text.span import Span
+from repro.timing import Timer, Timings
 
 
 def _pages(sizes):
@@ -133,9 +137,6 @@ class TestPageScheduler:
         with pytest.raises(ValueError):
             PageScheduler().plan(_pages([1]), 0)
 
-    def test_merge_batch_lists(self):
-        assert merge_batch_lists([[1, 2], [], [3]]) == [1, 2, 3]
-
 
 # ---------------------------------------------------------------------------
 # Executor backends
@@ -151,8 +152,8 @@ class TestExecutors:
         ThreadPoolExecutor(jobs=3),
         ProcessPoolExecutor(jobs=3),
     ], ids=["serial", "thread", "process"])
-    def test_map_batches_order_and_values(self, executor):
-        timed = executor.map_batches(_square_worker, 2, list(range(10)))
+    def test_run_work_order_and_values(self, executor):
+        timed = executor.run_work(_square_worker, 2, list(range(10))).timed
         assert [v for _, v in timed] == [2 * i * i for i in range(10)]
         assert all(s >= 0.0 for s, _ in timed)
 
@@ -162,7 +163,7 @@ class TestExecutors:
         ProcessPoolExecutor(jobs=2),
     ], ids=["serial", "thread", "process"])
     def test_empty_items(self, executor):
-        assert executor.map_batches(_square_worker, 1, []) == []
+        assert executor.run_work(_square_worker, 1, []).timed == []
 
     def test_describe(self):
         assert SerialExecutor().describe() == "serial(jobs=1)"
@@ -551,6 +552,112 @@ class TestSplitExtraction:
         merged = [ext for part in parts
                   for ext in part_extensions(node, text, part)]
         assert merged == serial
+
+
+# ---------------------------------------------------------------------------
+# The work-item driver, driven directly: a PageWork over bare frontier
+# nodes whose page value is every node's whole-page extension list.
+
+
+class _LineCount(Extractor):
+    """Emits one span-less extraction: no extent, so no part owns it."""
+
+    def __init__(self):
+        super().__init__("lineCount", ["n"], scope=1, context=0)
+        self.scalars = ("n",)
+
+    def _extract(self, text):
+        yield Extraction.of(n=text.count("\n"))
+
+
+def _node_extensions(frontier, page, precomputed):
+    span = Span(page.did, 0, len(page.text))
+    return {key: precomputed[key] if key in precomputed else
+            [node.extension_fields(e, span)
+             for e in node.extractor.extract(page.text)]
+            for key, node, _, _ in frontier}
+
+
+def _extensions_batch(frontier, lookup, dids, timer):
+    return [(did, _node_extensions(frontier, lookup.current(did), {}))
+            for did in dids], None
+
+
+def _drive(frontier, pages, executor):
+    """Run the driver; returns (values by did, precomputed keys by did)."""
+    precomputed = {}
+
+    def assemble(page, extensions, timer):
+        precomputed[page.did] = set(extensions)
+        return _node_extensions(frontier, page, extensions)
+
+    work = PageWork(batch_fn=_extensions_batch, state=frontier,
+                    payload=lambda batch: tuple(p.did for p in batch),
+                    frontier=frontier, assemble=assemble)
+    run = run_pages(work, pages, executor, PageScheduler(),
+                    TestForcedSplitParity.FORCE, Timer(Timings()))
+    assert run.metrics.split_pages == len(precomputed)
+    return run.by_did, precomputed
+
+
+class _LosesOnePartResult(ThreadPoolExecutor):
+    """Drops one frontier key from the first part result it sees."""
+
+    def __init__(self, jobs, key):
+        super().__init__(jobs)
+        self.key = key
+
+    def run_work(self, fn, state, items, costs=None):
+        done = super().run_work(fn, state, items, costs)
+        part_value = next(value for _, value in done.timed
+                          if value[0] == "part")
+        del part_value[2][self.key]
+        return done
+
+
+class TestDriverSplitAssembly:
+    def _inputs(self):
+        talk = _talk_frontier()
+        count = IENode(ScanNode("d"), _LineCount(), "d", ["n"])
+        pages = [Page.from_url(f"http://site/{i}", "\n".join(lines))
+                 for i, lines in enumerate((_line_pool()[:90],
+                                            _line_pool()[90:95]))]
+        return talk, count, pages
+
+    @staticmethod
+    def _entry(key, node):
+        return (key, node, node.extractor.scope, node.extractor.context)
+
+    @pytest.mark.parametrize("executor", [
+        ThreadPoolExecutor(jobs=3), ProcessPoolExecutor(jobs=3),
+    ], ids=["thread", "process"])
+    def test_merged_parts_equal_the_serial_run(self, executor):
+        talk, _, pages = self._inputs()
+        frontier = [self._entry("talk", talk)]
+        serial, none_split = _drive(frontier, pages, None)
+        split, precomputed = _drive(frontier, pages, executor)
+        assert none_split == {}  # one slot never splits
+        assert precomputed == {pages[0].did: {"talk"}}
+        assert split == serial and serial[pages[0].did]["talk"]
+
+    def test_poisoned_unit_alone_falls_back_to_whole_page(self):
+        talk, count, pages = self._inputs()
+        frontier = [self._entry("talk", talk), self._entry("count", count)]
+        serial, _ = _drive(frontier, pages, None)
+        split, precomputed = _drive(frontier, pages,
+                                    ThreadPoolExecutor(jobs=2))
+        assert precomputed == {pages[0].did: {"talk"}}
+        assert split == serial
+
+    def test_missing_part_result_falls_back_for_that_unit_only(self):
+        talk, _, pages = self._inputs()
+        other = IENode(ScanNode("d"), talk.extractor, "d", talk.out_args)
+        frontier = [self._entry("kept", talk), self._entry("lost", other)]
+        serial, _ = _drive(frontier, pages, None)
+        split, precomputed = _drive(frontier, pages,
+                                    _LosesOnePartResult(2, "lost"))
+        assert precomputed == {pages[0].did: {"kept"}}
+        assert split == serial
 
 
 class TestForcedSplitParity:
