@@ -15,6 +15,7 @@ import pytest
 from conftest import save_table
 
 from repro.corpus import wikipedia_corpus
+from repro.fastpath import pages_identical
 from repro.matchers import MatchCache, make_matcher
 from repro.text.regions import select_p_disjoint
 
@@ -24,7 +25,7 @@ def collect_pairs(n_pages=40, seed=77):
     pairs = []
     for page in snaps[1]:
         old = snaps[0].get(page.url)
-        if old is not None and not page.identical_to(old):
+        if old is not None and not pages_identical(page, old):
             pairs.append((page, old))
     return pairs
 

@@ -1,10 +1,9 @@
 """Snapshot-delta fast-path benchmark (extension).
 
 Low-churn corpora are the fast paths' home turf: with ~95% of pages
-unchanged between snapshots, fingerprint short circuits skip the
-matcher on most page pairs and the content-keyed match memo, the
-cross-snapshot match cache, and the automaton cache absorb most of
-the rest. This benchmark runs Delex with a pinned matcher assignment
+unchanged between snapshots, identity short circuits skip the matcher
+on most page pairs and the content-keyed match store and the
+automaton cache absorb most of the rest. This benchmark runs Delex with a pinned matcher assignment
 over a low-churn DBLife series twice — fast paths on and off — and
 compares the *matcher* wall time (the ``match`` category of the
 Figure 11 decomposition) plus the fast-path hit counters. Each series
@@ -13,9 +12,8 @@ kept, the standard defence against scheduler noise at millisecond
 scale. It emits a machine-readable ``BENCH_fastpath.json`` at the
 repo root and asserts the headline claims: per-matcher match-time
 speedup floors (``MIN_MATCH_SPEEDUP``) and a combined hit rate of the
-content-keyed layers (memo + cross-snapshot cache + equal-region
-short circuit) of at least ``MIN_COMBINED_HIT_RATE`` — at identical
-results.
+content-keyed layers (match store + equal-region short circuit) of at
+least ``MIN_COMBINED_HIT_RATE`` — at identical results.
 
 Intentionally free of the pytest-benchmark fixture so it runs under a
 plain ``pytest``/``hypothesis`` install (the CI smoke job).
@@ -44,11 +42,11 @@ P_UNCHANGED = 0.95       # low churn: ~95% of pages identical (DBLife-like)
 WORK_SCALE = float(os.environ.get("REPRO_BENCH_FASTPATH_WORK", "0.2"))
 REPS = int(os.environ.get("REPRO_BENCH_FASTPATH_REPS", "3"))
 #: On-vs-off matcher wall-time floor per matcher. ST rides the
-#: k-gram kernel plus all three cache layers; UD's pure-Python diff
-#: is already near-linear on low-churn pages, so its floor is lower.
+#: k-gram kernel plus the store and automaton cache; UD's pure-Python
+#: diff is already near-linear on low-churn pages, so its floor is lower.
 MIN_MATCH_SPEEDUP = {ST_NAME: 10.0, UD_NAME: 4.0}
-#: Content-keyed layers (memo + cross-snapshot cache + equal-region
-#: short circuit) must absorb at least this share of match_many work.
+#: Content-keyed layers (match store + equal-region short circuit)
+#: must absorb at least this share of match_many work.
 MIN_COMBINED_HIT_RATE = 0.30
 
 
@@ -70,7 +68,7 @@ def _run(task, snapshots, assignment, fastpath, workdir):
                 match_seconds += result.timings.get("match")
                 total_seconds += result.timings.total
                 if result.timings.fastpath is not None:
-                    fp_rows.append(result.timings.fastpath.as_dict())
+                    fp_rows.append(result.timings.fastpath.to_dict())
             outputs.append(canonical_results(result))
             prev = snapshot
     finally:
@@ -88,7 +86,7 @@ def _run(task, snapshots, assignment, fastpath, workdir):
         counters.get("pages_short_circuited", 0) / paired if paired else 0.0)
     counters["memo_hit_rate"] = (
         counters.get("memo_hits", 0) / memo_calls if memo_calls else 0.0)
-    hits = (counters.get("memo_hits", 0) + counters.get("cache_hits", 0)
+    hits = (counters.get("memo_hits", 0)
             + counters.get("region_short_circuits", 0))
     lookups = hits + counters.get("memo_misses", 0)
     counters["combined_hit_rate"] = hits / lookups if lookups else 0.0

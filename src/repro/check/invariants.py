@@ -24,8 +24,8 @@ correctness argument):
   strictly increasing did order (the precondition for one-pass
   sequential scans and for the parallel runtime's deterministic batch
   merge); :func:`check_reuse_file_monotonic` re-checks it on disk.
-* **memo-hit retag soundness** — segments replayed from the cross-unit
-  match memo still witness literal text equality inside both regions.
+* **memo-hit retag soundness** — segments replayed from the match
+  store still witness literal text equality inside both regions.
 * **identity-pair soundness** — a fingerprint-equal page pair taking
   the unchanged-page short circuit really is byte-identical (guards
   against fingerprint collisions).

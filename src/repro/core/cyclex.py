@@ -33,7 +33,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..corpus.snapshot import Snapshot
-from ..fastpath.config import FastPathConfig
+from ..fastpath.config import FastPathFlag, fastpath_enabled
 from ..fastpath.fingerprint import pages_identical
 from ..fastpath.stats import FastPathStats
 from ..matchers.base import DN_NAME, ST_NAME, UD_NAME, MatchCache
@@ -294,14 +294,14 @@ class CyclexSystem(ProgramRecycler):
                  probe_pages: int = 6,
                  executor: Optional[Executor] = None,
                  scheduler: Optional[PageScheduler] = None,
-                 fastpath: Optional[FastPathConfig] = None,
+                 fastpath: FastPathFlag = None,
                  fixed_matcher: Optional[str] = None,
                  split: Optional[SplitConfig] = None) -> None:
         super().__init__(plan, workdir, executor, scheduler, split)
         self.alpha = program_alpha
         self.beta = program_beta
         self.probe_pages = probe_pages
-        self.fastpath = FastPathConfig.from_flag(fastpath)
+        self.fastpath = fastpath_enabled(fastpath)
         # Pin the per-snapshot matcher choice (skips the timing-based
         # probe, whose winner is machine-dependent) — lets parity tests
         # compare two runs byte-for-byte.
@@ -310,7 +310,7 @@ class CyclexSystem(ProgramRecycler):
 
     def _kernel(self) -> str:
         """Matcher kernel mode for this run's fastpath setting."""
-        return "auto" if self.fastpath.want("kernels") else "off"
+        return "auto" if self.fastpath else "off"
 
     # -- matcher selection (the Cyclex optimizer, probe-based) ------------
 
@@ -394,8 +394,7 @@ class CyclexSystem(ProgramRecycler):
         # one, ST only on pages at least ``min_length`` long (shorter
         # ones fall through).
         threshold = _min_length(self.beta) if matcher_name == ST_NAME else 1
-        if (self.fastpath.want("unchanged_page")
-                and matcher_name in (UD_NAME, ST_NAME)
+        if (self.fastpath and matcher_name in (UD_NAME, ST_NAME)
                 and len(page.text) >= threshold
                 and pages_identical(page, q_page)):
             fp_stats.pages_short_circuited += 1

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..corpus.snapshot import Snapshot
 from ..extractors.library import IETask
-from ..fastpath.config import FastPathConfig
+from ..fastpath.config import FastPathFlag, fastpath_enabled
 from ..fastpath.matchcache import CrossSnapshotMatchCache
 from ..obs import registry as _oreg
 from ..optimizer.params import Statistics
@@ -49,7 +49,7 @@ class DelexSystem:
                  scope: Optional["PageMatchScope"] = None,
                  executor: Optional[Executor] = None,
                  scheduler: Optional[PageScheduler] = None,
-                 fastpath: Optional[FastPathConfig] = None,
+                 fastpath: FastPathFlag = None,
                  split: Optional[SplitConfig] = None,
                  collect_page_rows: bool = False) -> None:
         self.task = task
@@ -57,7 +57,7 @@ class DelexSystem:
         self.executor = executor
         self.scheduler = scheduler
         self.split = split
-        self.fastpath = FastPathConfig.from_flag(fastpath)
+        self.fastpath = fastpath_enabled(fastpath)
         os.makedirs(workdir, exist_ok=True)
         self.plan: CompiledPlan = compile_program(task.program,
                                                   task.registry)
@@ -91,13 +91,11 @@ class DelexSystem:
         #: at zero extra extraction cost by the engine.
         self.collect_page_rows = collect_page_rows
         self.last_page_rows: Optional[Dict[str, Dict[str, list]]] = None
-        #: Cross-snapshot match cache: owned here (not by the engine,
-        #: which is rebuilt per ``process`` call) so content-keyed
-        #: match results survive across the whole snapshot series.
-        self.match_cache: Optional[CrossSnapshotMatchCache] = None
-        if (self.fastpath.want("match_cache")
-                and self.fastpath.want("match_memo")):
-            self.match_cache = CrossSnapshotMatchCache()
+        #: The match store: owned here (not by the engine, which is
+        #: rebuilt per ``process`` call) so content-keyed match results
+        #: survive across the whole snapshot series.
+        self.match_cache: Optional[CrossSnapshotMatchCache] = (
+            CrossSnapshotMatchCache() if self.fastpath else None)
 
     def _out_dir(self) -> str:
         return os.path.join(self.workdir,

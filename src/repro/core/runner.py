@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..corpus.snapshot import Snapshot
 from ..extractors.library import IETask, make_task
-from ..fastpath.config import FastPathConfig
+from ..fastpath.config import FastPathFlag
 from ..obs import registry as _oreg
 from ..plan.compile import compile_program
 from ..reuse.engine import PlanAssignment, SnapshotRunResult
@@ -62,17 +62,16 @@ def resolve_executor(task: IETask, executor: Optional[Executor] = None,
 def make_system(name: str, task: IETask, workdir: str,
                 executor: Optional[Executor] = None, jobs: int = 1,
                 backend: str = "auto",
-                fastpath: Optional[FastPathConfig] = None,
+                fastpath: FastPathFlag = None,
                 adapt: object = None, **kwargs):
     """Instantiate one of the four systems for a task.
 
     ``executor`` (or ``jobs``/``backend``) selects the execution
     runtime the system's page loop runs on; the default is serial.
-    ``fastpath`` configures the snapshot-delta fast paths of the
-    reusing systems (cyclex/delex); it accepts a
-    :class:`~repro.fastpath.config.FastPathConfig` or the CLI strings
-    ``"on"``/``"off"`` and defaults to on. The non-reusing baselines
-    ignore it (they never pair pages).
+    ``fastpath`` switches the snapshot-delta fast paths of the matching
+    systems (cyclex/delex) on or off; it accepts a bool or the CLI
+    strings ``"on"``/``"off"`` and defaults to on. No-reuse and
+    Shortcut ignore it (they never match pages).
 
     ``adapt`` enables the drift-aware controller for delex: an
     :class:`~repro.adapt.replan.AdaptConfig` or one of the CLI strings
@@ -186,7 +185,7 @@ def run_series(task: IETask, snapshots: Sequence[Snapshot],
                system_kwargs: Optional[Dict[str, dict]] = None,
                executor: Optional[Executor] = None,
                jobs: int = 1, backend: str = "auto",
-               fastpath: Optional[FastPathConfig] = None,
+               fastpath: FastPathFlag = None,
                adapt: object = None,
                ) -> Dict[str, SeriesReport]:
     """Run the requested systems over consecutive snapshots.
@@ -310,10 +309,10 @@ def verify_fastpath(task: IETask, snapshots: Sequence[Snapshot],
     """
     fast = run_series(task, snapshots, systems=systems, jobs=jobs,
                       backend=backend, system_kwargs=system_kwargs,
-                      fastpath=FastPathConfig.on())
+                      fastpath=True)
     slow = run_series(task, snapshots, systems=systems, jobs=jobs,
                       backend=backend, system_kwargs=system_kwargs,
-                      fastpath=FastPathConfig.off())
+                      fastpath=False)
     problems: List[str] = []
     for name in systems:
         for f_snap, s_snap in zip(fast[name].snapshots,

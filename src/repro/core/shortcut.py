@@ -1,11 +1,13 @@
 """The Shortcut baseline: reuse IE results on byte-identical pages.
 
-Shortcut hashes each page; when the page at a URL is identical to its
-previous version, the previous final results are copied over, otherwise
-the program runs from scratch on the page. This is the
-reuse-at-page-level strawman of Section 3 — great when the corpus
-barely changes (DBLife), nearly useless when most pages receive edits
-(Wikipedia).
+Shortcut compares each page with its previous version
+(:func:`~repro.fastpath.fingerprint.pages_identical`: content
+fingerprints, confirmed by the text); when the page at a URL is
+identical to its previous version, the previous final results are
+copied over, otherwise the program runs from scratch on the page.
+This is the reuse-at-page-level strawman of Section 3 — great when the
+corpus barely changes (DBLife), nearly useless when most pages receive
+edits (Wikipedia).
 
 In the paper's terms it is the whole-program recycler with the
 matching step removed, and that is how it is written:
@@ -20,6 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..corpus.snapshot import Snapshot
+from ..fastpath.fingerprint import pages_identical
 from ..fastpath.stats import FastPathStats
 from ..matchers.base import DN_NAME
 from ..plan.compile import CompiledPlan
@@ -49,6 +52,6 @@ class ShortcutSystem(ProgramRecycler):
 
     def _classify(self, page: Page, q_page: Page, prev_rows: PrevRows,
                   fp_stats: FastPathStats) -> _WorkItem:
-        if page.digest == q_page.digest:
+        if pages_identical(page, q_page):
             return ("copy", page.did, prev_rows)
         return ("fresh", page.did)

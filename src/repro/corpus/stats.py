@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from ..fastpath.fingerprint import pages_identical
 from .snapshot import Snapshot
 
 
@@ -49,7 +50,7 @@ def snapshot_delta(prev: Snapshot, nxt: Snapshot) -> SnapshotDelta:
         if old is None:
             continue
         shared += 1
-        if page.identical_to(old):
+        if pages_identical(page, old):
             identical += 1
     return SnapshotDelta(prev.index, nxt.index, len(prev), len(nxt),
                          shared, identical)

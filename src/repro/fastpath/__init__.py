@@ -4,58 +4,51 @@ Delex's per-snapshot cost is dominated by region matching and blackbox
 re-extraction, yet slowly-evolving corpora are mostly *unchanged*
 pages: the opportunity that differential view-maintenance work
 formalizes. This package adds behaviour-preserving shortcuts threaded
-through corpus, matchers, reuse engine, runtime, and timing:
+through corpus, matchers, reuse engine, runtime, and timing, all
+behind one switch (:func:`.config.fastpath_enabled`):
 
-* **Page fingerprints** (:mod:`.fingerprint`) — blake2 content hashes
-  persisted in snapshot metadata. Fingerprint-equal page pairs
-  short-circuit to a whole-page identity match: all units' recorded
-  tuples are recycled wholesale, with no matcher run and no region
-  derivation.
-* **Content-keyed match memo** (:class:`.memo.MatchMemo`) — keyed by
-  (matcher config, p-region fingerprint, q-region fingerprint), so
-  every IE unit matching the same region *content* pays the diff
-  exactly once, wherever the regions sit. Distinct from the RU
-  :class:`~repro.matchers.base.MatchCache`, which stores *found
-  segments* for recycling by a different matcher; the memo stores the
-  full match result for a content-equal repeat of the same call.
-* **Cross-snapshot match cache**
-  (:class:`.matchcache.CrossSnapshotMatchCache`) — a bounded LRU over
-  the same content keys that outlives the page pair, carried across
-  the snapshot series by the reuse engine and ``repro.serve`` views,
-  so snapshot k+1 replays snapshot k's match results beyond what RU
-  captures.
+* **Page identity** (:mod:`.fingerprint`) — :func:`pages_identical`
+  is the one page-identity test: a blake2 content fingerprint
+  (persisted in snapshot metadata) as a filter, then a text
+  comparison. Identical page pairs short-circuit to a whole-page
+  identity match: all units' recorded tuples are recycled wholesale,
+  with no matcher run and no region derivation.
+* **One match store** (:class:`.memo.MatchMemo` over
+  :class:`.matchcache.CrossSnapshotMatchCache`) — matcher results
+  keyed by (matcher config, p-region fingerprint, q-region
+  fingerprint), so every IE unit matching the same region *content*
+  pays the diff exactly once, on any page and in any later snapshot.
+  Content-equal regions are answered in O(1) without a store entry.
+  Distinct from the RU :class:`~repro.matchers.base.MatchCache`, which
+  stores *found segments* for recycling by a different matcher; the
+  store holds the full match result for a content-equal repeat of the
+  same call.
 * **Suffix-automaton cache** (:class:`.memo.AutomatonCache`) — the ST
   matcher's automaton per q-region content is built once per page pair
   and reused across input rows and units.
-* **Indexed reuse-file reader**
-  (:class:`.reader_index.IndexedReuseFileReader`) — an in-memory
-  page-offset index enabling O(1) group seeks when the page-matching
-  scope pairs pages out of order, replacing whole-file
-  materialization.
+* **Vectorized matcher kernels** (:mod:`repro.text.tokens`) — used
+  above the optimizer's size thresholds when numpy is importable.
 
-Every fast path is behaviour-preserving: with ``--fastpath on`` the
-engine produces byte-identical reuse files and identical extraction
-results to ``--fastpath off`` (the same bar as the runtime's
-serial/parallel parity). Hit/miss counters are reported through
-:class:`.stats.FastPathStats` on
+With the switch off the engine takes none of them; it produces
+byte-identical reuse files and identical extraction results either way
+(the same bar as the runtime's serial/parallel parity). Hit/miss
+counters are reported through :class:`.stats.FastPathStats` on
 :class:`~repro.timing.Timings.fastpath`.
 """
 
-from .config import FastPathConfig
+from .config import fastpath_enabled
 from .fingerprint import content_fingerprint, pages_identical
 from .matchcache import CrossSnapshotMatchCache
 from .memo import AutomatonCache, MatchMemo, RegionFingerprints
-from .reader_index import IndexedReuseFileReader
 from .stats import FastPathStats
 
 __all__ = [
     "AutomatonCache",
     "CrossSnapshotMatchCache",
-    "FastPathConfig",
     "FastPathStats",
-    "IndexedReuseFileReader",
     "MatchMemo",
     "RegionFingerprints",
     "content_fingerprint",
+    "fastpath_enabled",
     "pages_identical",
 ]

@@ -1,104 +1,30 @@
-"""Fast-path feature flags.
+"""The fast-path switch.
 
-One frozen config object selects which snapshot-delta fast paths a run
-uses. ``FastPathConfig.on()`` (the default everywhere) enables all of
-them; ``FastPathConfig.off()`` reproduces the pre-fast-path engine
-exactly. Individual features can be toggled for ablations; all of them
-are behaviour-preserving, so any combination yields byte-identical
-reuse files and results.
+One bool selects whether a run takes every snapshot-delta fast path
+(on, the default everywhere) or none of them (off: the reference
+engine that ``verify_fastpath``, ``repro check`` and the parity tests
+compare against). Every fast path is behaviour-preserving, so both
+settings yield byte-identical reuse files and results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Union
+
+#: What callers may pass for the switch.
+FastPathFlag = Union[None, str, bool]
 
 
-@dataclass(frozen=True)
-class FastPathConfig:
-    """Which snapshot-delta fast paths are active.
-
-    Attributes:
-        enabled: master switch; False behaves as if every feature
-            flag were off.
-        unchanged_page: fingerprint-equal page pairs short-circuit to
-            a whole-page identity match (wholesale tuple recycling).
-        match_memo: memoize matcher calls content-keyed on
-            (matcher config, p-region fingerprint, q-region
-            fingerprint) within a page pair, so chained units pay each
-            diff once and equal-content regions share results.
-        match_cache: carry memoized match results across page pairs
-            and snapshots in a bounded LRU
-            (:class:`~repro.fastpath.matchcache.CrossSnapshotMatchCache`);
-            requires ``match_memo`` (the memo is the lookup path).
-        automaton_cache: reuse ST's suffix automaton per (page pair,
-            q-region content) across rows and units.
-        kernels: let matchers use the vectorized numpy kernels above
-            the optimizer's size thresholds (pure-Python fallback is
-            parity-pinned; this flag plus a missing numpy both mean
-            "pure Python everywhere").
-        reader_index: serve out-of-order page-matching scopes from an
-            offset-indexed reuse-file reader instead of materializing
-            whole files in memory.
-    """
-
-    enabled: bool = True
-    unchanged_page: bool = True
-    match_memo: bool = True
-    match_cache: bool = True
-    automaton_cache: bool = True
-    kernels: bool = True
-    reader_index: bool = True
-
-    @classmethod
-    def on(cls) -> "FastPathConfig":
-        return cls(enabled=True)
-
-    @classmethod
-    def off(cls) -> "FastPathConfig":
-        return cls(enabled=False, unchanged_page=False, match_memo=False,
-                   match_cache=False, automaton_cache=False, kernels=False,
-                   reader_index=False)
-
-    @classmethod
-    def from_flag(cls, value: Union[None, str, bool, "FastPathConfig"]
-                  ) -> "FastPathConfig":
-        """Parse a CLI-style flag: "on"/"off", bool, None (= on)."""
-        if isinstance(value, FastPathConfig):
-            return value
-        if value is None:
-            return cls.on()
-        if isinstance(value, bool):
-            return cls.on() if value else cls.off()
-        text = str(value).strip().lower()
-        if text in ("on", "true", "1", "yes"):
-            return cls.on()
-        if text in ("off", "false", "0", "no"):
-            return cls.off()
-        raise ValueError(f"invalid fastpath flag {value!r}; use on/off")
-
-    def want(self, feature: str) -> bool:
-        """Is a feature flag active (respecting the master switch)?"""
-        return self.enabled and bool(getattr(self, feature))
-
-    def without(self, feature: str) -> "FastPathConfig":
-        """Copy with one feature disabled (ablation helper)."""
-        return replace(self, **{feature: False})
-
-    def describe(self) -> str:
-        if not self.enabled:
-            return "fastpath=off"
-        active = [name for name in ("unchanged_page", "match_memo",
-                                    "match_cache", "automaton_cache",
-                                    "kernels", "reader_index")
-                  if getattr(self, name)]
-        return "fastpath=on(" + ",".join(active) + ")"
-
-
-def resolve_fastpath(value: Union[None, str, bool, FastPathConfig],
-                     default: Optional[FastPathConfig] = None
-                     ) -> FastPathConfig:
-    """``from_flag`` with an overridable default for ``None``."""
-    if value is None and default is not None:
-        return default
-    return FastPathConfig.from_flag(value)
+def fastpath_enabled(value: FastPathFlag) -> bool:
+    """Parse the switch from its CLI-style spellings: None (= on), a
+    bool, or "on"/"off" (also true/false, 1/0, yes/no)."""
+    if value is None:
+        return True
+    if isinstance(value, bool):
+        return value
+    text = str(value).strip().lower()
+    if text in ("on", "true", "1", "yes"):
+        return True
+    if text in ("off", "false", "0", "no"):
+        return False
+    raise ValueError(f"invalid fastpath flag {value!r}; use on/off")

@@ -1,12 +1,13 @@
-"""Page content fingerprints and the unchanged-page test.
+"""Page content fingerprints and the one page-identity test.
 
 The fingerprint is a blake2b-128 over the page's UTF-8 text (see
 :func:`repro.text.document.content_fingerprint`), persisted in
 snapshot page headers (``"fp"``) so a later crawl's loader gets it for
-free. Fingerprint equality is a *filter*: the identity fast path only
-fires after an exact text comparison confirms the pages are
-byte-identical, so a (vanishingly unlikely) hash collision can never
-change results — it only costs one string compare.
+free. Fingerprint equality is a *filter*: :func:`pages_identical`
+confirms it with an exact text comparison, so a (vanishingly unlikely)
+hash collision or a stale ``fp`` field can never change results — it
+only costs one string compare. Every system that asks "is this page
+unchanged?" asks it here.
 """
 
 from __future__ import annotations

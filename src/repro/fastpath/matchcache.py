@@ -1,23 +1,24 @@
-"""Persistent, content-keyed cache of matcher results.
+"""The one content-keyed store of matcher results.
 
-:class:`~repro.fastpath.memo.MatchMemo` deduplicates matcher calls
-*within* one page pair; this cache is the layer above it — it outlives
-the page pair and is carried across the whole snapshot series by the
-reuse engine (and by ``repro.serve`` views across ``apply()`` calls).
-Keys are ``(matcher config, fp(p_text[p_region]), fp(q_text[q_region]))``
-— pure content, no offsets — so snapshot k+1 replays snapshot k's
-match triples whenever the same region content recurs, regardless of
-where it moved. Values are *relative* segment triples
-``(dp, dq, length)``; the memo rebases them onto the current region
-offsets and retags itids on replay.
+Every memoized matcher call (:class:`~repro.fastpath.memo.MatchMemo`)
+looks its answer up here, whether the same region content was matched
+by a sibling unit on the same page pair, on another page, or on an
+earlier snapshot: the store is carried across the whole snapshot series
+by :class:`~repro.core.delex.DelexSystem` (and by ``repro.serve`` views
+across ``apply()`` calls). Keys are ``(matcher config,
+fp(p_text[p_region]), fp(q_text[q_region]))`` — pure content, no
+offsets. Values are *relative* segment triples ``(dp, dq, length)``;
+the memo rebases them onto the current region offsets and retags itids
+on replay.
 
-The cache is an LRU bounded by both entry count and an estimate of
-retained bytes, with eviction stats exposed via :meth:`counters` (the
-``repro_matchcache_*`` metric families). A lock makes it safe under
-the runtime's thread backend, where all workers share one cache;
-process workers get a private per-worker cache instead (the engine's
-pickle whitelist drops the cache) whose *hit/miss* traffic still merges
-into the run's :class:`~repro.fastpath.stats.FastPathStats`.
+The store is an LRU bounded by both entry count and an estimate of
+retained bytes. Hits and misses are counted once, by the caller, in
+:class:`~repro.fastpath.stats.FastPathStats`; the store reports only
+what only it knows — occupancy and evictions — via :meth:`counters`
+(the ``repro_matchcache_*`` metric families). A lock makes it safe
+under the runtime's thread backend, where all workers share one store;
+process workers get a private per-worker store instead (the engine's
+pickle whitelist drops it).
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from typing import Dict, Optional, Tuple
 #: Key: (matcher config key, p-region fingerprint, q-region fingerprint).
 CacheKey = Tuple[tuple, bytes, bytes]
 
-#: Value: ((dp, dq, length), ...) region-relative segments, plus the
-#: seconds the original matcher call took (for seconds-saved accounting).
-CacheValue = Tuple[Tuple[Tuple[int, int, int], ...], float]
+#: Value: ((dp, dq, length), ...) region-relative segments.
+CacheValue = Tuple[Tuple[int, int, int], ...]
 
 #: Rough per-entry overhead: key tuples + fingerprints + dict slot.
 _ENTRY_BASE_BYTES = 200
@@ -39,15 +39,15 @@ _ENTRY_BASE_BYTES = 200
 _SEGMENT_BYTES = 120
 
 
-def _entry_bytes(segments: Tuple[Tuple[int, int, int], ...]) -> int:
+def _entry_bytes(segments: CacheValue) -> int:
     return _ENTRY_BASE_BYTES + _SEGMENT_BYTES * len(segments)
 
 
 class CrossSnapshotMatchCache:
     """Bounded LRU of content-keyed match results.
 
-    Thread-safe; shared across page pairs and snapshots. All counters
-    are lifetime totals since construction.
+    Thread-safe; shared across page pairs and snapshots. ``evictions``
+    is a lifetime total since construction.
     """
 
     def __init__(self, max_entries: int = 65536,
@@ -62,25 +62,19 @@ class CrossSnapshotMatchCache:
             OrderedDict()
         self._lock = threading.Lock()
         self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.inserts = 0
         self.evictions = 0
 
     def get(self, key: CacheKey) -> Optional[CacheValue]:
-        """The cached (segments, cost) for ``key``, refreshing its LRU
+        """The cached segments for ``key``, refreshing its LRU
         position, or None."""
         with self._lock:
             hit = self._data.get(key)
             if hit is None:
-                self.misses += 1
                 return None
             self._data.move_to_end(key)
-            self.hits += 1
             return hit[0]
 
-    def put(self, key: CacheKey, segments: Tuple[Tuple[int, int, int], ...],
-            cost_seconds: float) -> int:
+    def put(self, key: CacheKey, segments: CacheValue) -> int:
         """Insert (or refresh) an entry; returns how many entries were
         evicted to make room."""
         nbytes = _entry_bytes(segments)
@@ -89,9 +83,8 @@ class CrossSnapshotMatchCache:
             old = self._data.pop(key, None)
             if old is not None:
                 self._bytes -= old[1]
-            self._data[key] = ((segments, cost_seconds), nbytes)
+            self._data[key] = (segments, nbytes)
             self._bytes += nbytes
-            self.inserts += 1
             while self._data and (len(self._data) > self.max_entries
                                   or self._bytes > self.max_bytes):
                 _, (_, freed) = self._data.popitem(last=False)
@@ -113,22 +106,17 @@ class CrossSnapshotMatchCache:
             self._bytes = 0
 
     def counters(self) -> Dict[str, int]:
-        """Lifetime counters + current occupancy, for /metrics and
-        bench reports."""
+        """Occupancy and lifetime evictions, for /metrics and reports."""
         with self._lock:
             return {
                 "entries": len(self._data),
                 "bytes": self._bytes,
                 "max_entries": self.max_entries,
                 "max_bytes": self.max_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "inserts": self.inserts,
                 "evictions": self.evictions,
             }
 
     def describe(self) -> str:
         c = self.counters()
         return (f"matchcache entries={c['entries']} bytes={c['bytes']} "
-                f"hits={c['hits']} misses={c['misses']} "
-                f"inserts={c['inserts']} evictions={c['evictions']}")
+                f"evictions={c['evictions']}")

@@ -1,18 +1,18 @@
 """Content-keyed match memoization and suffix-automaton reuse.
 
-:class:`MatchMemo` memoizes whole matcher calls. Its key is
-(matcher config key, fingerprint of ``p_text[p_region]``, fingerprint
-of ``q_text[q_region]``) — pure *content*, no offsets — so a hit is
-valid wherever the same region text recurs: chained units re-matching
-their producers' regions, different pages sharing boilerplate, and
-(through an optional shared :class:`~repro.fastpath.matchcache.
-CrossSnapshotMatchCache`) later snapshots re-matching regions that
-merely moved. Stored segments are region-relative triples; replay
-rebases them onto the caller's region offsets and tags the caller's
-itid, so a hit is byte-for-byte what the matcher would have produced.
-Only the stateless matchers (ST, UD, WS) are memoized: RU's result
-depends on the mutable :class:`~repro.matchers.base.MatchCache` and DN
-never matches, so both always delegate.
+:class:`MatchMemo` memoizes whole matcher calls in one
+:class:`~repro.fastpath.matchcache.CrossSnapshotMatchCache`. Its key
+is (matcher config key, fingerprint of ``p_text[p_region]``,
+fingerprint of ``q_text[q_region]``) — pure *content*, no offsets — so
+a hit is valid wherever the same region text recurs: chained units
+re-matching their producers' regions, different pages sharing
+boilerplate, and later snapshots re-matching regions that merely
+moved. Stored segments are region-relative triples; replay rebases
+them onto the caller's region offsets and tags the caller's itid, so a
+hit is byte-for-byte what the matcher would have produced. Only the
+stateless matchers (ST, UD, WS) are memoized: RU's result depends on
+the mutable :class:`~repro.matchers.base.MatchCache` and DN never
+matches, so both always delegate.
 
 Two extra layers ride on the content keys:
 
@@ -29,16 +29,16 @@ Two extra layers ride on the content keys:
   bounds-keyed version paid (``automata_bytes_copied`` grows only on
   builds — its staying flat across hits is the proof).
 
-The memo and automaton cache live for one page pair; fingerprints are
-memoized per (text identity, bounds) so each unique region is hashed
-once. With ``--check`` enabled, every replayed result is re-verified
-to witness text equality inside the *current* regions, which also
-makes a (cryptographically negligible) blake2b collision detectable.
+The memo and automaton cache live for one page pair (the store they
+look results up in outlives both); fingerprints are memoized per (text
+identity, bounds) so each unique region is hashed once. With
+``--check`` enabled, every replayed result is re-verified to witness
+text equality inside the *current* regions, which also makes a
+(cryptographically negligible) blake2b collision detectable.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 from ..check import invariants as _inv
@@ -54,15 +54,6 @@ from .stats import FastPathStats
 #: Matchers whose ``match`` is a pure function of (texts, regions,
 #: config) — safe to memoize and to share across snapshots.
 MEMOIZABLE = ("ST", "UD", "WS")
-
-
-def matcher_config_key(matcher: Matcher) -> Tuple:
-    """Hashable identity of a matcher's behaviour-relevant config.
-
-    Delegates to :meth:`repro.matchers.base.Matcher.config_key`; kept
-    as a function for callers that hold only a matcher instance.
-    """
-    return matcher.config_key()
 
 
 class RegionFingerprints:
@@ -100,24 +91,22 @@ def _rebase(rel_segments: Tuple[Tuple[int, int, int], ...],
 
 
 class MatchMemo:
-    """Per-page-pair, content-keyed memo of matcher calls.
+    """Per-page-pair front end to the content-keyed match store.
 
-    ``shared``, when given, is a :class:`CrossSnapshotMatchCache`
-    consulted on local misses and populated on matcher runs — the
-    layer that carries results across page pairs and snapshots. Its
-    hit/miss traffic lands in ``stats.cache_hits`` /
-    ``stats.cache_misses`` (every shared miss also counts as a
-    ``memo_miss``, since the matcher then runs).
+    ``shared`` is the :class:`CrossSnapshotMatchCache` every lookup goes
+    to — the one the owning system carries across page pairs and
+    snapshots; a memo built without one gets a private store. The memo
+    itself keeps no results, only the page pair's region fingerprints.
+    Each lookup counts once in ``stats``: a ``memo_hit`` when the store
+    answers, a ``memo_miss`` when the matcher has to run.
     """
 
     def __init__(self, stats: Optional[FastPathStats] = None,
                  shared: Optional[CrossSnapshotMatchCache] = None) -> None:
-        # key -> (region-relative segment triples, matcher seconds).
-        self._memo: Dict[Tuple, Tuple[Tuple[Tuple[int, int, int], ...],
-                                      float]] = {}
         self._p_fps: Optional[RegionFingerprints] = None
         self._q_fps: Optional[RegionFingerprints] = None
-        self.shared = shared
+        self.shared = (shared if shared is not None
+                       else CrossSnapshotMatchCache())
         self.stats = stats if stats is not None else FastPathStats()
         # config_key() walks CONFIG_ATTRS with getattr; matchers are
         # immutable after construction, so one computation per matcher
@@ -126,18 +115,10 @@ class MatchMemo:
         self._last_matcher: Optional[Matcher] = None
         self._last_config: Tuple = ()
 
-    def __len__(self) -> int:
-        return len(self._memo)
-
     def _p_fingerprint(self, p_text: str, region: Interval) -> str:
         if self._p_fps is None or self._p_fps.text is not p_text:
             self._p_fps = RegionFingerprints(p_text)
         return self._p_fps.get(region.start, region.end)
-
-    def _q_fingerprint(self, q_text: str, region: Interval) -> str:
-        if self._q_fps is None or self._q_fps.text is not q_text:
-            self._q_fps = RegionFingerprints(q_text)
-        return self._q_fps.get(region.start, region.end)
 
     @staticmethod
     def _equal_region_segments(matcher: Matcher, length: int
@@ -186,8 +167,7 @@ class MatchMemo:
             self._q_fps = q_fps
         q_fingerprint = q_fps.get
         stats = self.stats
-        memo = self._memo
-        shared = self.shared
+        store = self.shared
         out: List[MatchSegment] = []
         for itid, q_region in candidates.items():
             q_fp = q_fingerprint(q_region.start, q_region.end)
@@ -204,44 +184,28 @@ class MatchMemo:
                     out.extend(segments)
                     continue
             key = (config, p_fp, q_fp)
-            entry = memo.get(key)
-            replayed = True
-            if entry is None and shared is not None:
-                entry = shared.get(key)
-                if entry is not None:
-                    stats.cache_hits += 1
-                    memo[key] = entry  # adopt for siblings
-            elif entry is not None:
+            rel = store.get(key)
+            replayed = rel is not None
+            if replayed:
                 stats.memo_hits += 1
                 if _otrace.ENABLED:  # annotate the enclosing page span
                     _otrace.annotate("memo_hits")
-            if entry is None:
-                replayed = False
-                if shared is not None:
-                    stats.cache_misses += 1
-                start = time.perf_counter()
+            else:
                 found = matcher.match(p_text, p_region, q_text, q_region)
-                cost = time.perf_counter() - start
                 rel = tuple((seg.p_start - p_start,
                              seg.q_start - q_region.start, seg.length)
                             for seg in found)
-                entry = (rel, cost)
-                memo[key] = entry
-                if shared is not None:
-                    stats.cache_evictions += shared.put(key, rel, cost)
+                stats.cache_evictions += store.put(key, rel)
                 stats.memo_misses += 1
                 if _otrace.ENABLED:
                     _otrace.annotate("memo_misses")
-            segments = _rebase(entry[0], p_start, q_region.start, itid)
-            if replayed:
-                stats.memo_seconds_saved += entry[1]
-                if _inv.ENABLED:
-                    # Replay soundness: rebased segments must still
-                    # witness text equality inside *this* call's
-                    # regions (--check layer; also flags fingerprint
-                    # collisions).
-                    _inv.check_memo_replay(segments, p_text, q_text,
-                                           p_region, q_region)
+            segments = _rebase(rel, p_start, q_region.start, itid)
+            if replayed and _inv.ENABLED:
+                # Replay soundness: rebased segments must still witness
+                # text equality inside *this* call's regions (--check
+                # layer; also flags fingerprint collisions).
+                _inv.check_memo_replay(segments, p_text, q_text,
+                                       p_region, q_region)
             out.extend(segments)
         return out
 

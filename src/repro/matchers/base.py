@@ -34,8 +34,8 @@ class Matcher(ABC):
     name: str = "?"
 
     #: Constructor attributes that change what :meth:`match` returns.
-    #: Every such attribute MUST be listed here: the memo and the
-    #: cross-snapshot match cache key results by :meth:`config_key`, so
+    #: Every such attribute MUST be listed here: the match store keys
+    #: results by :meth:`config_key`, so
     #: an unlisted attribute would let two differently-configured
     #: matchers share cached results. ``tests/test_matchcore.py`` fails
     #: if an instance grows an attribute in neither tuple.
@@ -50,8 +50,8 @@ class Matcher(ABC):
         """A hashable key identifying this matcher's result behaviour.
 
         Two matcher instances with equal keys must return identical
-        segments for identical inputs — that is the contract the memo
-        and cross-snapshot cache rely on.
+        segments for identical inputs — that is the contract the match
+        store relies on.
         """
         return (self.name,) + tuple(
             getattr(self, attr) for attr in self.CONFIG_ATTRS)

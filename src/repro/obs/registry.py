@@ -425,33 +425,30 @@ def publish_fastpath(system: str, stats) -> None:
         labels=("system", "kind"))
     for kind in ("pages_paired", "pages_short_circuited",
                  "tuples_recycled", "matcher_calls_avoided", "memo_hits",
-                 "memo_misses", "region_short_circuits", "cache_hits",
-                 "cache_misses", "cache_evictions", "automata_built",
-                 "automata_reused", "automata_bytes_copied",
-                 "reader_index_seeks"):
+                 "memo_misses", "region_short_circuits", "cache_evictions",
+                 "automata_built", "automata_reused",
+                 "automata_bytes_copied"):
         fp.labels(system=system, kind=kind).inc(
             float(getattr(stats, kind, 0) or 0))
-    REGISTRY.inc("repro_fastpath_memo_seconds_saved_total",
-                 max(0.0, getattr(stats, "memo_seconds_saved", 0.0)),
-                 help="matcher seconds avoided via the match memo",
-                 system=system)
     REGISTRY.set("repro_fastpath_memo_hit_rate", stats.memo_hit_rate,
-                 help="memo hits / (hits + misses) of the latest run",
+                 help="match-store hits / lookups of the latest run",
                  system=system)
     REGISTRY.set("repro_fastpath_combined_hit_rate",
                  getattr(stats, "combined_hit_rate", 0.0),
-                 help="(memo + cross-snapshot cache + equal-region) hits"
-                      " over all matcher-level lookups, latest run",
+                 help="(match-store + equal-region) hits over all "
+                      "matcher-level lookups, latest run",
                  system=system)
 
 
 def publish_matchcache(owner: str, cache) -> None:
-    """Fold a ``CrossSnapshotMatchCache``'s counters in.
+    """Fold the match store's occupancy and evictions in.
 
-    ``owner`` labels who carries the cache across snapshots (a system
-    name, or ``view:<name>`` for serve views). Lifetime totals are
-    exported as gauges set from the cache's own monotone counters, so
-    re-publishing after every snapshot/apply is idempotent.
+    ``owner`` labels who carries the store across snapshots (a system
+    name, or ``view:<name>`` for serve views). The eviction total is
+    exported as a gauge set from the store's own monotone counter, so
+    re-publishing after every snapshot/apply is idempotent. Hits and
+    misses are not the store's to report: they land in each run's
+    ``FastPathStats``.
     """
     counters = cache.counters()
     labels = {"owner": owner}
@@ -459,7 +456,5 @@ def publish_matchcache(owner: str, cache) -> None:
                  help="entries currently held", **labels)
     REGISTRY.set("repro_matchcache_bytes", counters["bytes"],
                  help="estimated bytes currently retained", **labels)
-    for kind in ("hits", "misses", "inserts", "evictions"):
-        REGISTRY.set(f"repro_matchcache_{kind}_total", counters[kind],
-                     help=f"lifetime {kind} of the cross-snapshot match "
-                          "cache", **labels)
+    REGISTRY.set("repro_matchcache_evictions_total", counters["evictions"],
+                 help="lifetime evictions of the match store", **labels)

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..check import invariants as _inv
 from ..corpus.snapshot import Snapshot
-from ..fastpath.config import FastPathConfig
+from ..fastpath.config import FastPathFlag, fastpath_enabled
 from ..fastpath.fingerprint import pages_identical
 from ..fastpath.matchcache import CrossSnapshotMatchCache
 from ..fastpath.memo import AutomatonCache, MatchMemo
@@ -189,14 +189,14 @@ class PageEvaluator:
 
     def __init__(self, plan: CompiledPlan, units: List[IEUnit],
                  assignment: PlanAssignment,
-                 fastpath: Optional[FastPathConfig] = None) -> None:
+                 fastpath: FastPathFlag = None) -> None:
         self.plan = plan
         self.units = units
         self.assignment = assignment
-        self.fastpath = FastPathConfig.from_flag(fastpath)
-        # Cross-snapshot match cache, attached by the owning engine (or
-        # per worker); deliberately not pickled — process workers get a
-        # fresh per-worker cache, thread workers share the engine's.
+        self.fastpath = fastpath_enabled(fastpath)
+        # The match store, attached by the owning engine (or per
+        # worker); deliberately not pickled — process workers get a
+        # fresh per-worker store, thread workers share the engine's.
         self.match_cache: Optional[CrossSnapshotMatchCache] = None
         self._unit_of_top = units_by_top(units)
         self._unit_by_uid = {u.uid: u for u in units}
@@ -260,29 +260,26 @@ class PageEvaluator:
         cache = cache if cache is not None else MatchCache()
         fp_stats = fp_stats if fp_stats is not None else FastPathStats()
 
-        # Per-page-pair fast-path context. The match memo and automaton
-        # cache live exactly as long as one (page, q_page) pair — the
-        # same lifetime as the MatchCache — so keys never need a page
-        # component and stale entries cannot leak across pages.
-        fast = self.fastpath
+        # Per-page-pair fast-path context. The memo's fingerprints and
+        # the automaton cache live exactly as long as one (page,
+        # q_page) pair — the same lifetime as the MatchCache — so keys
+        # never need a page component; the match store they consult is
+        # content-keyed and outlives the pair.
         match_memo: Optional[MatchMemo] = None
         automatons: Optional[AutomatonCache] = None
         tokens: Optional[TokenCache] = None
-        kernel = "auto" if fast.want("kernels") else "off"
+        kernel = "auto" if self.fastpath else "off"
         page_identical = False
         if q_page is not None:
             fp_stats.pages_paired += 1
-            if fast.want("match_memo"):
-                shared = (self.match_cache
-                          if fast.want("match_cache") else None)
-                match_memo = MatchMemo(fp_stats, shared=shared)
-            if fast.want("automaton_cache"):
+            if self.fastpath:
+                match_memo = MatchMemo(fp_stats, self.match_cache)
                 automatons = AutomatonCache(fp_stats)
-            if fast.want("kernels") and _tokens_mod.numpy_enabled():
-                tokens = TokenCache()
-            if (fast.want("unchanged_page") and self._identity_safe
-                    and prev_capture and pages_identical(page, q_page)):
-                page_identical = True
+                if _tokens_mod.numpy_enabled():
+                    tokens = TokenCache()
+                page_identical = (self._identity_safe and bool(prev_capture)
+                                  and pages_identical(page, q_page))
+            if page_identical:
                 fp_stats.pages_short_circuited += 1
                 if _inv.ENABLED:
                     # --check layer: a fingerprint short circuit must
@@ -593,13 +590,11 @@ def _engine_batch(state, lookup: PageLookup, items, timer: Timer):
     """
     evaluator, direct_sink = state
     # Process workers arrive with match_cache dropped by the pickle
-    # whitelist: give each worker its own cross-snapshot cache (hits
-    # accumulate across the items a worker processes; counters merge
-    # through fp_stats). Thread workers share the engine's evaluator,
-    # whose cache is already attached and thread-safe.
-    if (getattr(evaluator, "match_cache", None) is None
-            and evaluator.fastpath.want("match_cache")
-            and evaluator.fastpath.want("match_memo")):
+    # whitelist: give each worker its own match store (hits accumulate
+    # across the items a worker processes; counters merge through
+    # fp_stats). Thread workers share the engine's evaluator, whose
+    # store is already attached and thread-safe.
+    if evaluator.fastpath and evaluator.match_cache is None:
         evaluator.match_cache = CrossSnapshotMatchCache()
     uids = evaluator.uids()
     buffered = direct_sink is None
@@ -619,40 +614,29 @@ def _engine_batch(state, lookup: PageLookup, items, timer: Timer):
 class PrevCaptureSource:
     """The previous snapshot's capture, one page at a time, per unit.
 
-    Three ways to get at a unit's I/O reuse files sit behind
+    Two ways to get at a unit's I/O reuse files sit behind
     :meth:`read`: the one-pass streaming readers of Section 5.2 (pages
-    must then be asked for in the order they were written), the
-    offset-indexed readers, and whole files loaded into memory — for
-    scopes that pair pages across URLs and for runs that read every
-    page up front anyway. A truncated or corrupt reuse file (e.g. the
-    previous run died mid-write) must never break the current run,
-    whichever way it is read: the unit is dropped and extracts from
-    scratch for the rest of the snapshot.
+    must then be asked for in the order they were written), and whole
+    files loaded into memory — for scopes that pair pages across URLs
+    and for runs that read every page up front anyway. A truncated or
+    corrupt reuse file (e.g. the previous run died mid-write) must
+    never break the current run, whichever way it is read: the unit is
+    dropped and extracts from scratch for the rest of the snapshot.
     """
 
     def __init__(self, paths: Dict[str, Tuple[str, str]],
-                 sequential: bool, indexed: bool) -> None:
+                 sequential: bool) -> None:
         self._paths = dict(paths)
         self._sequential = sequential
-        self._indexed = indexed
         self._readers: Dict[str, list] = {}
 
     def _open(self, uid: str) -> list:
         """Open the unit's (I, O) readers — on first use, inside
-        :meth:`read`'s guard, since building an index or loading a
-        file already parses it."""
-        # Imported here, not at module level: ``fastpath.reader_index``
-        # subclasses ``reuse.files.ReuseFileReader``, whose package
-        # imports this module (import cycle otherwise).
-        from ..fastpath.reader_index import IndexedReuseFileReader
-        readers = self._readers[uid] = []
-        for path, kind in zip(self._paths[uid], "IO"):
-            if self._sequential:
-                readers.append(ReuseFileReader(path))
-            elif self._indexed:
-                readers.append(IndexedReuseFileReader(path))
-            else:
-                readers.append(_LoadedReuseFile(path, kind))
+        :meth:`read`'s guard, since loading a file already parses it."""
+        readers = self._readers[uid] = [
+            ReuseFileReader(path) if self._sequential
+            else _LoadedReuseFile(path, kind)
+            for path, kind in zip(self._paths[uid], "IO")]
         return readers
 
     def read(self, q_page: Optional[Page], timer: Timer) -> PrevCapture:
@@ -673,10 +657,9 @@ class PrevCaptureSource:
                 del self._paths[uid]
         return capture
 
-    def close(self, fp_stats: FastPathStats) -> None:
+    def close(self) -> None:
         for readers in self._readers.values():
             for reader in readers:
-                fp_stats.reader_index_seeks += getattr(reader, "seeks", 0)
                 reader.close()
         self._readers.clear()
 
@@ -704,7 +687,7 @@ class ReuseEngine:
                  scope: Optional[PageMatchScope] = None,
                  executor: Optional[Executor] = None,
                  scheduler: Optional[PageScheduler] = None,
-                 fastpath: Optional[FastPathConfig] = None,
+                 fastpath: FastPathFlag = None,
                  match_cache: Optional[CrossSnapshotMatchCache] = None,
                  split: Optional[SplitConfig] = None
                  ) -> None:
@@ -715,14 +698,12 @@ class ReuseEngine:
         self.executor = executor
         self.scheduler = scheduler if scheduler is not None else PageScheduler()
         self.split = split if split is not None else SplitConfig()
-        self.fastpath = FastPathConfig.from_flag(fastpath)
-        # The cross-snapshot match cache outlives this engine: callers
-        # that rebuild an engine per snapshot (DelexSystem, serve
-        # views) pass their own so content-keyed match results carry
-        # across the whole series.
+        self.fastpath = fastpath_enabled(fastpath)
+        # The match store outlives this engine: callers that rebuild an
+        # engine per snapshot (DelexSystem, serve views) pass their own
+        # so content-keyed match results carry across the whole series.
         self.match_cache = match_cache
-        if (self.match_cache is None and self.fastpath.want("match_cache")
-                and self.fastpath.want("match_memo")):
+        if self.match_cache is None and self.fastpath:
             self.match_cache = CrossSnapshotMatchCache()
         self.evaluator = PageEvaluator(plan, units, assignment,
                                        fastpath=self.fastpath)
@@ -782,14 +763,14 @@ class ReuseEngine:
                               index=snapshot.index, pages=len(pages),
                               parallel=jobs > 1)
                  if _otrace.ENABLED else _otrace.NULL)
-        # Streaming and indexed readers serve page-at-a-time access; a
-        # run with more than one slot reads the whole capture up front
-        # (see _run_pages), for which loading whole files is cheapest.
+        # Streaming readers serve page-at-a-time access in written
+        # order; scopes that pair pages across URLs, and runs with more
+        # than one slot (which read the whole capture up front, see
+        # _run_pages), load whole files instead.
         source = PrevCaptureSource(
             self._capture_paths(prev_dir)
             if prev_dir is not None and prev_snapshot is not None else {},
-            sequential=jobs <= 1 and self.scope.sequential_safe,
-            indexed=jobs <= 1 and self.fastpath.want("reader_index"))
+            sequential=jobs <= 1 and self.scope.sequential_safe)
         try:
             with _snap, timer.measure_total():
                 pages_with_prev = self._run_pages(
@@ -800,7 +781,7 @@ class ReuseEngine:
                           fp_stats.pages_short_circuited)
                 _snap.set("memo_hits", fp_stats.memo_hits)
         finally:
-            source.close(fp_stats)
+            source.close()
             for wi, wo in writers.values():
                 wi.close()
                 wo.close()

@@ -191,9 +191,7 @@ class ReuseFileReader:
 
     Reads in binary mode: ``bytes_read`` counts actual UTF-8 bytes
     (a text-mode ``len(line)`` counts *characters*, which undercounts
-    multi-byte pages and skews the block-based I/O cost model), and
-    byte offsets stay meaningful for the fast path's offset-indexed
-    subclass (:class:`repro.fastpath.reader_index.IndexedReuseFileReader`).
+    multi-byte pages and skews the block-based I/O cost model).
     """
 
     def __init__(self, path: str) -> None:
@@ -201,7 +199,6 @@ class ReuseFileReader:
         self._file: Optional[IO[bytes]] = open(path, "rb")
         self._pushback: Optional[Dict[str, Any]] = None
         self.bytes_read = 0
-        self._exhausted = False
 
     def _next_record(self) -> Optional[Dict[str, Any]]:
         if self._pushback is not None:
@@ -212,7 +209,6 @@ class ReuseFileReader:
             return None
         line = self._file.readline()
         if not line:
-            self._exhausted = True
             return None
         self.bytes_read += len(line)
         return json.loads(line)

@@ -82,8 +82,8 @@ class PageLookup:
 
     Same-address-space backends hold the parent's page objects. The
     process backend rebuilds each page once per worker from the text
-    arena, carrying the parent's digest and fingerprint so no worker
-    re-hashes page text.
+    arena, carrying the parent's fingerprint so no worker re-hashes
+    page text.
     """
 
     def __init__(self, pages: Dict[str, Page], handle) -> None:
@@ -92,15 +92,15 @@ class PageLookup:
             self._pages, self._stubs = pages, {}
         else:
             self._pages = {}
-            self._stubs = {key: (p.did, p.url, p.digest, p.fp)
+            self._stubs = {key: (p.did, p.url, p.fp)
                            for key, p in pages.items()}
 
     def _get(self, key: str) -> Page:
         page = self._pages.get(key)
         if page is None:
-            did, url, digest, fp = self._stubs[key]
+            did, url, fp = self._stubs[key]
             page = self._pages[key] = Page(
-                did, url, self._handle.text(key), digest, fp)
+                did, url, self._handle.text(key), fp=fp)
         return page
 
     def current(self, did: str) -> Page:

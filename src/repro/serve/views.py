@@ -62,6 +62,7 @@ from ..delta.maintain import DeltaApplyResult, DeltaMaintainer
 from ..obs import registry as _oreg
 from ..corpus.snapshot import Snapshot
 from ..extractors.library import IETask, make_task
+from ..fastpath.fingerprint import pages_identical
 from ..plan.compile import compile_program
 from ..reuse.attribution import PageRows, extract_page_rows
 from ..text.document import Page
@@ -281,8 +282,7 @@ class MaterializedView:
             old = prev_pages.pop(page.did, None)
             if old is None:
                 new.append(page.did)
-            elif (old.fingerprint == page.fingerprint
-                  and old.text == page.text):
+            elif pages_identical(page, old):
                 unchanged.append(page.did)
             else:
                 changed.append(page.did)
@@ -386,8 +386,8 @@ class MaterializedView:
             "repro_view_generation", float(record.gen_id),
             help="current generation id per view", view=name)
         _oreg.publish_timings(f"view:{name}", timings)
-        # The view's persistent system carries the cross-snapshot match
-        # cache across applies; export its occupancy/traffic per view.
+        # The view's persistent system carries the match store across
+        # applies; export its occupancy and evictions per view.
         match_cache = getattr(self._system, "match_cache", None)
         if match_cache is not None:
             _oreg.publish_matchcache(f"view:{name}", match_cache)

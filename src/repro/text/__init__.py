@@ -1,6 +1,6 @@
 """Text substrate: intervals, spans, pages, matched regions."""
 
-from .document import Page, content_digest
+from .document import Page
 from .regions import MatchSegment, select_p_disjoint
 from .span import (
     Interval,
@@ -16,7 +16,6 @@ __all__ = [
     "Span",
     "Page",
     "MatchSegment",
-    "content_digest",
     "merge_intervals",
     "complement_intervals",
     "intersect_interval_sets",

@@ -13,21 +13,15 @@ from dataclasses import dataclass, field
 from .span import Interval, Span
 
 
-def content_digest(text: str) -> str:
-    """Stable content hash used by the Shortcut baseline to detect
-    byte-identical pages across snapshots."""
-    return hashlib.sha1(text.encode("utf-8")).hexdigest()
-
-
 def content_fingerprint(text: str) -> str:
-    """Fast-path page fingerprint: blake2b-128 over the UTF-8 text.
+    """Page content fingerprint: blake2b-128 over the UTF-8 text.
 
     Persisted in snapshot page headers (``"fp"``) so fingerprint-equal
     page pairs can short-circuit to a whole-page identity match
-    without re-hashing (see :mod:`repro.fastpath`). blake2b with a
-    16-byte digest is both faster than sha1 and collision-resistant
-    enough that equality plus one text comparison is a safe identity
-    witness.
+    without re-hashing (see :mod:`repro.fastpath`). Fingerprint
+    equality is only ever a filter: every identity test confirms it
+    with a text comparison
+    (:func:`repro.fastpath.fingerprint.pages_identical`).
     """
     return hashlib.blake2b(text.encode("utf-8"),
                            digest_size=16).hexdigest()
@@ -47,12 +41,7 @@ class Page:
     did: str
     url: str
     text: str
-    digest: str = field(default="", compare=False)
     fp: str = field(default="", compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.digest:
-            object.__setattr__(self, "digest", content_digest(self.text))
 
     @property
     def fingerprint(self) -> str:
@@ -83,7 +72,3 @@ class Page:
 
     def region_text(self, interval: Interval) -> str:
         return self.text[interval.start:interval.end]
-
-    def identical_to(self, other: "Page") -> bool:
-        """Byte-identical content (digest plus equality double-check)."""
-        return self.digest == other.digest and self.text == other.text

@@ -41,7 +41,7 @@ class Timings:
 
     ``fastpath`` optionally carries the snapshot-delta fast-path
     counters (:class:`~repro.fastpath.stats.FastPathStats`): pages
-    short-circuited, memo hits, automata reused, matcher seconds
+    short-circuited, match-store hits, automata reused, matcher calls
     avoided. Attached by the engines when fast paths are active.
     """
 
@@ -87,15 +87,6 @@ class Timings:
             return 0.0
         attributed = sum(self.parts.values())
         return max(0.0, attributed - self.total)
-
-    def merged(self, other: "Timings") -> "Timings":
-        merged = Timings(parts=dict(self.parts),
-                         total=self.total + other.total,
-                         runtime=self.runtime or other.runtime,
-                         fastpath=self.fastpath or other.fastpath)
-        for category, seconds in other.parts.items():
-            merged.add(category, seconds)
-        return merged
 
     def as_row(self) -> Dict[str, float]:
         """Figure 11-style decomposition row."""

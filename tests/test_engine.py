@@ -244,8 +244,8 @@ class TestCorruptCapture:
             self, tmp_path, engine_kwargs):
         """A truncated capture (previous run died mid-write) must not
         break the next run — it just loses reuse for that unit, however
-        the previous capture is read (streamed, indexed, loaded whole)
-        and on whichever backend."""
+        the previous capture is read (streamed or loaded whole, with
+        the fast paths on or off) and on whichever backend."""
         import glob
 
         rng = random.Random(11)

@@ -58,10 +58,10 @@ class TestGenerators:
 
 class TestEvolvingCorpus:
     def test_deterministic(self):
-        a = [s.get(u).digest
+        a = [s.get(u).fingerprint
              for s in dblife_corpus(n_pages=10, seed=5).snapshots(3)
              for u in s.urls()]
-        b = [s.get(u).digest
+        b = [s.get(u).fingerprint
              for s in dblife_corpus(n_pages=10, seed=5).snapshots(3)
              for u in s.urls()]
         assert a == b
@@ -69,7 +69,8 @@ class TestEvolvingCorpus:
     def test_seed_changes_output(self):
         a = list(dblife_corpus(n_pages=10, seed=1).snapshots(2))
         b = list(dblife_corpus(n_pages=10, seed=2).snapshots(2))
-        assert [p.digest for p in a[0]] != [p.digest for p in b[0]]
+        assert ([p.fingerprint for p in a[0]]
+                != [p.fingerprint for p in b[0]])
 
     def test_snapshot_indexes_increment(self):
         snaps = list(wikipedia_corpus(n_pages=5, seed=0).snapshots(4))
@@ -143,7 +144,8 @@ class TestRenameChurn:
         # Every URL changed...
         assert not set(s0.urls()) & set(s1.urls())
         # ...but the content set is identical.
-        assert sorted(p.digest for p in s0) == sorted(p.digest for p in s1)
+        assert (sorted(p.fingerprint for p in s0)
+                == sorted(p.fingerprint for p in s1))
 
     def test_partial_rename_rate(self):
         from repro.corpus.evolve import ChangeModel, EvolvingCorpus

@@ -3,9 +3,9 @@
 The headline property is behaviour preservation: with the fast paths
 on, every system produces byte-identical reuse files and identical
 extraction results to the fast paths off. The tests here check the
-individual mechanisms (fingerprints, match memo, automaton cache,
-indexed reader) and then the end-to-end parity over evolved
-multi-snapshot series for all four systems.
+individual mechanisms (the switch, page identity, the match store,
+automaton cache, reuse-file readers) and then the end-to-end parity
+over evolved multi-snapshot series for all four systems.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus import dblife_corpus
-from repro.corpus.snapshot import read_snapshot, write_snapshot
+from repro.corpus.snapshot import Snapshot, read_snapshot, write_snapshot
 from repro.core.runner import (
     SYSTEM_NAMES,
     canonical_results,
@@ -28,11 +28,11 @@ from repro.core.runner import (
 from repro.extractors import make_task
 from repro.fastpath import (
     AutomatonCache,
-    FastPathConfig,
+    CrossSnapshotMatchCache,
     FastPathStats,
-    IndexedReuseFileReader,
     MatchMemo,
     content_fingerprint,
+    fastpath_enabled,
     pages_identical,
 )
 from repro.matchers import STMatcher, UDMatcher, WinnowingMatcher
@@ -40,7 +40,7 @@ from repro.matchers.base import RU_NAME, ST_NAME, UD_NAME
 from repro.matchers.ud import myers_lcs_pairs
 from repro.matchers.ws import WS_NAME
 from repro.plan import compile_program, find_units
-from repro.reuse.engine import PlanAssignment
+from repro.reuse.engine import PlanAssignment, _LoadedReuseFile
 from repro.reuse.files import ReuseFileReader, ReuseFileWriter
 from repro.text.document import Page
 from repro.text.span import Interval
@@ -51,36 +51,20 @@ from repro.text.span import Interval
 
 class TestFastPathConfig:
     def test_default_is_on(self):
-        cfg = FastPathConfig.from_flag(None)
-        assert cfg.enabled
-        for feature in ("unchanged_page", "match_memo",
-                        "automaton_cache", "reader_index"):
-            assert cfg.want(feature)
+        assert fastpath_enabled(None) is True
 
     @pytest.mark.parametrize("flag", ["off", "false", "0", "no", False])
     def test_off_flags(self, flag):
-        cfg = FastPathConfig.from_flag(flag)
-        assert not cfg.enabled
-        assert not cfg.want("unchanged_page")
+        assert fastpath_enabled(flag) is False
 
     @pytest.mark.parametrize("flag", ["on", "true", "1", "yes", True])
     def test_on_flags(self, flag):
-        assert FastPathConfig.from_flag(flag).enabled
+        assert fastpath_enabled(flag) is True
 
     def test_passthrough_and_invalid(self):
-        cfg = FastPathConfig.on()
-        assert FastPathConfig.from_flag(cfg) is cfg
+        assert fastpath_enabled(fastpath_enabled("ON")) is True
         with pytest.raises(ValueError):
-            FastPathConfig.from_flag("sometimes")
-
-    def test_without_disables_one_feature(self):
-        cfg = FastPathConfig.on().without("match_memo")
-        assert cfg.enabled and not cfg.want("match_memo")
-        assert cfg.want("unchanged_page")
-
-    def test_master_switch_beats_features(self):
-        cfg = FastPathConfig(enabled=False)
-        assert not cfg.want("match_memo")
+            fastpath_enabled("sometimes")
 
 
 # -- fingerprints ----------------------------------------------------------
@@ -121,6 +105,54 @@ class TestFingerprint:
         for page in restored.canonical_pages():
             assert page.fp != ""
             assert page.fp == content_fingerprint(page.text)
+
+
+#: What each matching system needs for its identity path to be
+#: reachable at all (Delex: no RU unit; Cyclex: a UD/ST matcher).
+_IDENTITY_PATH_KWARGS = {
+    "shortcut": lambda units: {},
+    "cyclex": lambda units: {"fixed_matcher": UD_NAME},
+    "delex": lambda units: {
+        "fixed_assignment": PlanAssignment.uniform(units, UD_NAME)},
+}
+
+
+#: Changed texts for a page whose ``fp`` still claims its old content:
+#: another page's text, and a same-length rewrite (which also passes
+#: Delex's exact-interval guard, so only the text comparison stops it).
+_FORGERIES = {
+    "other_page": lambda old, donor: donor.text,
+    "same_length": lambda old, donor: old.text[::-1],
+}
+
+
+class TestForgedFingerprint:
+    @pytest.mark.parametrize("forgery", sorted(_FORGERIES))
+    @pytest.mark.parametrize("system", sorted(_IDENTITY_PATH_KWARGS))
+    def test_stale_fp_never_recycles_a_changed_page(self, system, forgery,
+                                                    tmp_path):
+        """A page whose persisted ``fp`` claims it is unchanged while its
+        text changed must be re-extracted by every system: the
+        fingerprint only filters, the text decides."""
+        task = make_task("talk", work_scale=0)
+        s0, s1 = list(dblife_corpus(n_pages=6, seed=3).snapshots(2))
+        victim, donor = s1.pages[0], s1.pages[1]
+        old = s0.get(victim.url)
+        text = _FORGERIES[forgery](old, donor)
+        assert old is not None and old.text != text
+        forged = Page(victim.did, victim.url, text=text,
+                      fp=old.fingerprint)
+        s1 = Snapshot(1, [forged if p.did == victim.did else p
+                          for p in s1.pages])
+        units = find_units(compile_program(task.program, task.registry))
+        results = []
+        for instance in (
+                make_system("noreuse", task, str(tmp_path / "noreuse")),
+                make_system(system, task, str(tmp_path / system),
+                            **_IDENTITY_PATH_KWARGS[system](units))):
+            instance.process(s0, None)
+            results.append(canonical_results(instance.process(s1, s0)))
+        assert results[1] == results[0]
 
 
 # -- match memo ------------------------------------------------------------
@@ -179,6 +211,33 @@ class TestMatchMemo:
             P_TEXT, region, Q_TEXT, candidates)
         assert memo.stats.memo_misses == 2
 
+    def test_second_memo_answers_from_the_shared_store(self):
+        # A later page pair (or snapshot) gets a fresh memo over the
+        # same store: every candidate is answered from the store, the
+        # matcher never runs, and each counts one memo hit.
+        class CountingUD(UDMatcher):
+            calls = 0
+
+            def match(self, *args, **kwargs):
+                CountingUD.calls += 1
+                return super().match(*args, **kwargs)
+
+        matcher = CountingUD()
+        region = Interval(0, len(P_TEXT))
+        candidates = {7: Interval(0, len(Q_TEXT)), 3: Interval(17, 45)}
+        store = CrossSnapshotMatchCache()
+        first = MatchMemo(shared=store).match_many(
+            matcher, P_TEXT, region, Q_TEXT, candidates)
+        assert CountingUD.calls == len(candidates)
+        assert len(store) == len(candidates)
+        second = MatchMemo(shared=store)
+        again = second.match_many(matcher, P_TEXT, region, Q_TEXT,
+                                  candidates)
+        assert again == first
+        assert CountingUD.calls == len(candidates)
+        assert second.stats.memo_hits == len(candidates)
+        assert second.stats.memo_misses == 0
+
 
 class TestAutomatonCache:
     def test_reuse_same_region(self):
@@ -219,7 +278,7 @@ class TestAutomatonCache:
         assert stats.automata_reused == 1
 
 
-# -- reuse-file byte accounting and the indexed reader ---------------------
+# -- reuse-file byte accounting and the whole-file loader ------------------
 
 
 def _write_reuse_file(path: str, groups):
@@ -278,8 +337,11 @@ class TestReaderBytes:
         reader.close()
 
 
-class TestIndexedReader:
-    def test_any_order_seeks_match_sequential(self, tmp_path):
+class TestWholeFileLoader:
+    """The reader behind scopes that pair pages across URLs: any page
+    group, in any order, from a file loaded once."""
+
+    def test_any_order_reads_match_sequential(self, tmp_path):
         path = os.path.join(tmp_path, "u.I.reuse")
         groups = [(f"page-{i:02d}", [(i, i + 10), (i + 20, i + 30)])
                   for i in range(6)]
@@ -289,100 +351,50 @@ class TestIndexedReader:
         for did, _ in groups:
             expected[did] = [(t.s, t.e) for t in seq.read_page_inputs(did)]
         seq.close()
-        indexed = IndexedReuseFileReader(path)
-        assert len(indexed) == len(groups)
+        loaded = _LoadedReuseFile(path, "I")
         order = [g[0] for g in groups]
         shuffled = order[::-1] + order[:2]  # backwards, then re-reads
         for did in shuffled:
-            got = [(t.s, t.e) for t in indexed.read_page_inputs(did)]
+            got = [(t.s, t.e) for t in loaded.read_page_inputs(did)]
             assert got == expected[did], did
-        assert indexed.seeks == len(shuffled)
-        assert indexed.bytes_read >= os.path.getsize(path)
-        indexed.close()
 
     def test_missing_page_returns_empty(self, tmp_path):
         path = os.path.join(tmp_path, "u.I.reuse")
         _write_reuse_file(path, [("present", [(0, 4)])])
-        indexed = IndexedReuseFileReader(path)
-        assert indexed.read_page_inputs("absent") == []
-        assert indexed.read_page_inputs("present") != []
-        indexed.close()
+        loaded = _LoadedReuseFile(path, "I")
+        assert loaded.read_page_inputs("absent") == []
+        assert loaded.read_page_inputs("present") != []
 
     def test_multibyte_page_ids(self, tmp_path):
         path = os.path.join(tmp_path, "u.I.reuse")
         groups = [("π-page", [(0, 3)]), ("ascii", [(1, 5)]),
                   ("日本語", [(2, 9)])]
         _write_reuse_file(path, groups)
-        indexed = IndexedReuseFileReader(path)
+        loaded = _LoadedReuseFile(path, "I")
         for did, tuples in reversed(groups):
             assert [(t.s, t.e)
-                    for t in indexed.read_page_inputs(did)] == tuples
-        indexed.close()
+                    for t in loaded.read_page_inputs(did)] == tuples
 
-
-class TestIndexedReaderEdgeCases:
     def test_empty_reuse_file(self, tmp_path):
-        # A unit that saw no pages writes an empty file; the index
-        # scan must handle it (0 groups, 0 bytes) and every seek miss.
+        # A unit that saw no pages writes an empty file; every read
+        # misses.
         path = os.path.join(tmp_path, "u.I.reuse")
         _write_reuse_file(path, [])
-        indexed = IndexedReuseFileReader(path)
-        assert len(indexed) == 0
-        assert indexed.bytes_read == 0
-        assert not indexed.seek_page("anything")
-        assert indexed.read_page_inputs("anything") == []
-        assert indexed.seeks == 0
-        indexed.close()
+        assert _LoadedReuseFile(path, "I").read_page_inputs("any") == []
 
     def test_single_page_group(self, tmp_path):
-        path = os.path.join(tmp_path, "u.I.reuse")
-        _write_reuse_file(path, [("only", [(0, 4), (6, 9)])])
-        indexed = IndexedReuseFileReader(path)
-        assert len(indexed) == 1
-        # Re-read the same group repeatedly: each seek rewinds to the
-        # group start, so the result never depends on reader position.
+        # Re-reading the same group never depends on earlier reads.
+        path = os.path.join(tmp_path, "u.O.reuse")
+        writer = ReuseFileWriter(path)
+        writer.begin_page("only")
+        writer.append_output("only", 0, (("x", "s", 0, 4),))
+        writer.append_output("only", 0, (("x", "s", 6, 9),))
+        writer.close()
+        loaded = _LoadedReuseFile(path, "O")
         for _ in range(3):
-            assert [(t.s, t.e) for t in indexed.read_page_inputs("only")] \
-                == [(0, 4), (6, 9)]
-        assert indexed.seeks == 3
-        indexed.close()
-
-    def test_missing_did_seek_leaves_position_intact(self, tmp_path):
-        # A failed seek must not disturb the current read position:
-        # the engine probes optional pages mid-scan.
-        path = os.path.join(tmp_path, "u.I.reuse")
-        _write_reuse_file(path, [("a", [(0, 1)]), ("b", [(2, 3)])])
-        indexed = IndexedReuseFileReader(path)
-        assert indexed.seek_page("a")
-        assert not indexed.seek_page("nope")  # miss: no seek performed
-        # Position still at group "a": its records are next.
-        records = indexed.read_group("a")
-        assert [(r["s"], r["e"]) for r in records] == [(0, 1)]
-        assert indexed.seeks == 1
-        indexed.close()
-
-    def test_interleaved_sequential_then_indexed_reads(self, tmp_path):
-        # The indexed reader subclasses the sequential one; after an
-        # indexed seek the cursor continues *sequentially* into the
-        # following groups, and a later indexed seek can jump back.
-        path = os.path.join(tmp_path, "u.I.reuse")
-        groups = [("a", [(0, 1)]), ("b", [(2, 3)]), ("c", [(4, 5)])]
-        _write_reuse_file(path, groups)
-        indexed = IndexedReuseFileReader(path)
-        # Indexed jump into the middle ...
-        assert indexed.seek_page("b")
-        assert [(r["s"], r["e"])
-                for r in indexed.read_group("b")] == [(2, 3)]
-        # ... then plain sequential continuation into group "c"
-        # (pushback of the marker + sequential read path).
-        assert super(IndexedReuseFileReader, indexed).seek_page("c")
-        assert [(r["s"], r["e"])
-                for r in indexed.read_group("c")] == [(4, 5)]
-        # ... then an indexed jump *backwards* to "a".
-        assert indexed.seek_page("a")
-        assert [(t.s, t.e)
-                for t in indexed.read_page_inputs("a")] == [(0, 1)]
-        indexed.close()
+            assert [(o.itid, o.fields)
+                    for o in loaded.read_page_outputs("only")] \
+                == [(0, (("x", "s", 0, 4),)), (0, (("x", "s", 6, 9),))]
 
 
 # -- capped UD stays well-formed (satellite: _prefix_suffix_pairs) ---------
@@ -561,19 +573,20 @@ class TestFastPathParity:
 
 class TestStatsPlumbing:
     def test_merge_accumulates(self):
-        a = FastPathStats(pages_paired=2, memo_hits=3,
-                          memo_seconds_saved=0.5)
+        a = FastPathStats(pages_paired=2, memo_hits=3, cache_evictions=1)
         b = FastPathStats(pages_paired=1, memo_hits=1, automata_built=4)
         a.merge(b)
         assert a.pages_paired == 3
         assert a.memo_hits == 4
         assert a.automata_built == 4
-        assert a.memo_seconds_saved == 0.5
+        assert a.cache_evictions == 1
 
     def test_as_dict_and_describe(self):
         stats = FastPathStats(pages_paired=4, pages_short_circuited=2,
-                              memo_hits=1, memo_misses=1)
-        row = stats.as_dict()
+                              memo_hits=1, memo_misses=1,
+                              region_short_circuits=2)
+        row = stats.to_dict()
         assert row["memo_hit_rate"] == 0.5
+        assert row["combined_hit_rate"] == 0.75
         assert stats.unchanged_fraction == 0.5
         assert "short-circuited 2/4" in stats.describe()

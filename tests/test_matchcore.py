@@ -10,8 +10,8 @@ Three contracts from the content-keyed caching design:
   matchers share cached results.
 
 * **Cross-snapshot cache** — :class:`CrossSnapshotMatchCache` is a
-  plain bounded LRU: recency order, entry and byte caps, lifetime
-  counters, and safety under concurrent use.
+  plain bounded LRU: recency order, entry and byte caps, occupancy and
+  eviction counters, and safety under concurrent use.
 
 * **Kernel parity** — every vectorized kernel (ST k-gram, UD interned
   Myers band sweep, WS winnowing, and their shared helpers) is pinned
@@ -118,19 +118,23 @@ class TestCrossSnapshotMatchCache:
     def test_roundtrip_and_counters(self):
         cache = CrossSnapshotMatchCache()
         assert cache.get(self.KEY_A) is None
-        cache.put(self.KEY_A, ((0, 0, 5),), 0.25)
-        assert cache.get(self.KEY_A) == (((0, 0, 5),), 0.25)
+        cache.put(self.KEY_A, ((0, 0, 5),))
+        assert cache.get(self.KEY_A) == ((0, 0, 5),)
         c = cache.counters()
-        assert (c["hits"], c["misses"], c["inserts"]) == (1, 1, 1)
+        # Hits and misses are the caller's to count (FastPathStats);
+        # the store reports occupancy and evictions only.
+        assert set(c) == {"entries", "bytes", "max_entries", "max_bytes",
+                          "evictions"}
         assert c["entries"] == len(cache) == 1
-        assert "hits=1" in cache.describe()
+        assert c["evictions"] == 0
+        assert "entries=1" in cache.describe()
 
     def test_lru_refresh_on_get(self):
         cache = CrossSnapshotMatchCache(max_entries=2)
-        cache.put(self.KEY_A, (), 0.0)
-        cache.put(self.KEY_B, (), 0.0)
+        cache.put(self.KEY_A, ())
+        cache.put(self.KEY_B, ())
         cache.get(self.KEY_A)  # A is now most recent
-        evicted = cache.put(self.KEY_C, (), 0.0)
+        evicted = cache.put(self.KEY_C, ())
         assert evicted == 1
         assert cache.get(self.KEY_B) is None  # B was the LRU entry
         assert cache.get(self.KEY_A) is not None
@@ -141,24 +145,24 @@ class TestCrossSnapshotMatchCache:
         one_entry = _entry_bytes(((0, 0, 1),))
         cache = CrossSnapshotMatchCache(max_entries=100,
                                         max_bytes=2 * one_entry)
-        cache.put(self.KEY_A, ((0, 0, 1),), 0.0)
-        cache.put(self.KEY_B, ((0, 0, 1),), 0.0)
+        cache.put(self.KEY_A, ((0, 0, 1),))
+        cache.put(self.KEY_B, ((0, 0, 1),))
         assert len(cache) == 2 and cache.bytes == 2 * one_entry
-        cache.put(self.KEY_C, ((0, 0, 1),), 0.0)
+        cache.put(self.KEY_C, ((0, 0, 1),))
         assert len(cache) == 2 and cache.bytes == 2 * one_entry
         assert cache.get(self.KEY_A) is None
 
     def test_refresh_same_key_does_not_double_count_bytes(self):
         cache = CrossSnapshotMatchCache()
-        cache.put(self.KEY_A, ((0, 0, 1), (2, 2, 3)), 0.0)
+        cache.put(self.KEY_A, ((0, 0, 1), (2, 2, 3)))
         before = cache.bytes
-        cache.put(self.KEY_A, ((0, 0, 1), (2, 2, 3)), 0.0)
+        cache.put(self.KEY_A, ((0, 0, 1), (2, 2, 3)))
         assert cache.bytes == before
         assert len(cache) == 1
 
     def test_clear(self):
         cache = CrossSnapshotMatchCache()
-        cache.put(self.KEY_A, ((0, 0, 5),), 0.1)
+        cache.put(self.KEY_A, ((0, 0, 5),))
         cache.clear()
         assert len(cache) == 0 and cache.bytes == 0
         assert cache.get(self.KEY_A) is None
@@ -179,7 +183,7 @@ class TestCrossSnapshotMatchCache:
                 for i in range(400):
                     key = (("ST", 12), b"p%d" % rng.randrange(32), b"q")
                     if rng.random() < 0.5:
-                        cache.put(key, ((0, 0, i),), 0.0)
+                        cache.put(key, ((0, 0, i),))
                     else:
                         cache.get(key)
             except Exception as exc:  # pragma: no cover - failure path
@@ -200,7 +204,7 @@ class TestCrossSnapshotMatchCache:
         assert c["bytes"] == c["entries"] * _entry_bytes(((0, 0, 1),))
 
 
-# -- memo + shared cache: byte-identity under replay -----------------------
+# -- memo + match store: byte-identity under replay ------------------------
 
 
 def _direct_match_many(matcher, p_text, p_region, q_text, candidates):
@@ -228,14 +232,14 @@ def _evolved_pair(draw):
 def test_memo_and_cache_replay_byte_identical(pair, matcher_kind,
                                               max_entries, shift):
     """Routing match_many through the memo + a (possibly tiny, i.e.
-    constantly evicting) shared cache returns exactly the segments the
+    constantly evicting) match store returns exactly the segments the
     bare matcher returns — including when the same content replays at
     shifted offsets, where rebasing must retag positions and itids."""
     q_text, p_text = pair
     matcher = (STMatcher(min_length=4) if matcher_kind == "ST"
                else UDMatcher())
-    shared = CrossSnapshotMatchCache(max_entries=max_entries)
-    memo = MatchMemo(shared=shared)
+    store = CrossSnapshotMatchCache(max_entries=max_entries)
+    memo = MatchMemo(shared=store)
     p_region = Interval(0, len(p_text))
     candidates = {7: Interval(0, len(q_text))}
     expect = _direct_match_many(matcher, p_text, p_region, q_text,
@@ -243,14 +247,14 @@ def test_memo_and_cache_replay_byte_identical(pair, matcher_kind,
     got = memo.match_many(matcher, p_text, p_region, q_text, candidates)
     assert got == expect
     # Same content at shifted offsets, replayed through a *fresh* memo
-    # over the same shared cache (the cross-snapshot path), different
+    # over the same store (the cross-snapshot path), different
     # itid: results must equal a bare matcher run on the shifted texts.
     pad = "\t" * shift
     p2, q2 = pad + p_text, pad + q_text
     p2_region = Interval(shift, len(p2))
     candidates2 = {13: Interval(shift, len(q2))}
     expect2 = _direct_match_many(matcher, p2, p2_region, q2, candidates2)
-    memo2 = MatchMemo(shared=shared)
+    memo2 = MatchMemo(shared=store)
     got2 = memo2.match_many(matcher, p2, p2_region, q2, candidates2)
     assert got2 == expect2
 

@@ -12,7 +12,8 @@ from repro.corpus.snapshot import (
     write_snapshot,
 )
 from repro.corpus.store import CorpusStore
-from repro.text.document import Page, content_digest
+from repro.fastpath import pages_identical
+from repro.text.document import Page, content_fingerprint
 
 
 def make_snapshot(index, texts):
@@ -21,15 +22,15 @@ def make_snapshot(index, texts):
 
 class TestPage:
     def test_digest_stable(self):
-        assert content_digest("abc") == content_digest("abc")
-        assert content_digest("abc") != content_digest("abd")
+        assert content_fingerprint("abc") == content_fingerprint("abc")
+        assert content_fingerprint("abc") != content_fingerprint("abd")
 
     def test_identical_to(self):
         a = Page.from_url("u", "hello")
         b = Page.from_url("u", "hello")
         c = Page.from_url("u", "bye")
-        assert a.identical_to(b)
-        assert not a.identical_to(c)
+        assert pages_identical(a, b)
+        assert not pages_identical(a, c)
 
     def test_whole_and_region(self):
         page = Page.from_url("u", "hello world")

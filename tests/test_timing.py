@@ -2,7 +2,7 @@
 
 import time
 
-from repro.timing import COPY, EXTRACT, MATCH, Timer, Timings
+from repro.timing import EXTRACT, MATCH, Timer, Timings
 
 
 class TestTimings:
@@ -27,19 +27,6 @@ class TestTimings:
         row = Timings(total=1.0).as_row()
         assert set(row) == {"match", "extraction", "copy", "opt", "io",
                             "others", "total"}
-
-    def test_merged(self):
-        a = Timings(total=1.0)
-        a.add(MATCH, 0.2)
-        b = Timings(total=2.0)
-        b.add(MATCH, 0.3)
-        b.add(COPY, 0.1)
-        merged = a.merged(b)
-        assert merged.total == 3.0
-        assert merged.get(MATCH) == 0.5
-        assert merged.get(COPY) == 0.1
-        # Inputs untouched.
-        assert a.get(MATCH) == 0.2
 
 
 class TestTimer:
