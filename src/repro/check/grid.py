@@ -3,8 +3,8 @@
 One :class:`CheckConfig` per point of the equivalence surface the
 oracle must cover: (system, matcher policy, fastpath, backend). The
 ``small`` grid is the CI smoke set (serial + threads); the ``full``
-grid adds the process backend, the ST policy, the mixed ST/UD/RU
-assignment, and the live optimizer (``auto``).
+grid adds the process backend, the ST policy, and the live optimizer
+(``auto``); both sweep the mixed ST/UD→RU assignment.
 
 Matcher policies pin the plan-space point a reusing system runs so a
 sweep is deterministic and its capture files comparable:
@@ -12,8 +12,11 @@ sweep is deterministic and its capture files comparable:
 * ``-``      — system has no matcher choice (noreuse, shortcut);
 * ``UD``/``ST``/``WS`` — uniform fixed assignment (delex) or fixed
   program-level matcher (cyclex; WS not offered there);
-* ``mixed``  — per-unit cycle over (ST, UD, RU) in uid order, the
-  chained-unit recycling path;
+* ``mixed``  — the chained-unit recycling path: frontier units (input
+  is the page scan) cycle over (ST, UD) in uid order and every other
+  unit gets RU, so each RU unit replays segments an ST/UD producer
+  recorded on the same page pair (the plan shape the optimizer picks
+  on DBLife-like corpora);
 * ``auto``   — delex's cost-based optimizer chooses per snapshot.
   Timing-based statistics make the chosen assignment machine-
   dependent, so ``auto`` configs are checked for tuple equality but
@@ -30,6 +33,7 @@ from ..extractors.library import IETask
 from ..matchers.base import RU_NAME, ST_NAME, UD_NAME
 from ..matchers.ws import WS_NAME
 from ..plan.compile import compile_program
+from ..plan.operators import ScanNode
 from ..plan.units import find_units
 from ..reuse.engine import PlanAssignment
 
@@ -130,10 +134,13 @@ def make_assignment(task: IETask, policy: str) -> PlanAssignment:
     if policy in (UD_NAME, ST_NAME, WS_NAME):
         return PlanAssignment.uniform(units, policy)
     if policy == "mixed":
-        cycle = (ST_NAME, UD_NAME, RU_NAME)
-        ordered = sorted(units, key=lambda u: u.uid)
-        return PlanAssignment({u.uid: cycle[i % len(cycle)]
-                               for i, u in enumerate(ordered)})
+        cycle = (ST_NAME, UD_NAME)
+        frontier = sorted(u.uid for u in units
+                          if isinstance(u.ie_node.child, ScanNode))
+        matchers = {u.uid: RU_NAME for u in units}
+        matchers.update((uid, cycle[i % len(cycle)])
+                        for i, uid in enumerate(frontier))
+        return PlanAssignment(matchers)
     raise ValueError(f"unknown matcher policy {policy!r}")
 
 

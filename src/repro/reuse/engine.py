@@ -185,6 +185,12 @@ class PageEvaluator:
     plan, its IE units, and the matcher assignment — and nothing tied
     to the driving process (no file handles, no scope, no executor),
     which is what makes it safe to pickle into process-pool workers.
+
+    On a byte-identical page pair each unit decides for itself whether
+    it may take the identity short circuit (see
+    :meth:`_identity_candidate`); under every plan, including ones with
+    RU units, the short circuit leaves the same outputs, counters and
+    page-pair :class:`MatchCache` contents as the slow path.
     """
 
     def __init__(self, plan: CompiledPlan, units: List[IEUnit],
@@ -200,20 +206,6 @@ class PageEvaluator:
         self.match_cache: Optional[CrossSnapshotMatchCache] = None
         self._unit_of_top = units_by_top(units)
         self._unit_by_uid = {u.uid: u for u in units}
-        self._identity_safe = self._compute_identity_safe()
-
-    def _compute_identity_safe(self) -> bool:
-        """Can the unchanged-page identity path fire on this plan?
-
-        RU units replay the segments ST/UD units recorded in the page
-        pair's :class:`MatchCache`; the identity path skips those
-        matcher runs, so the cache an RU unit would see differs from
-        the slow path's. With any RU unit assigned, the identity path
-        is disabled for the whole plan (the memo and automaton cache
-        stay active — they reproduce the matchers' exact output, so
-        the cache contents are unchanged).
-        """
-        return RU_NAME not in self.assignment.matchers.values()
 
     # ``units_by_top`` keys on ``id(node)``; raw object ids are stale
     # after a pickle round-trip, so rebuild the map on unpickle (node
@@ -227,7 +219,6 @@ class PageEvaluator:
         self.match_cache = None
         self._unit_of_top = units_by_top(self.units)  # type: ignore[arg-type]
         self._unit_by_uid = {u.uid: u for u in self.units}
-        self._identity_safe = self._compute_identity_safe()
 
     def uids(self) -> List[str]:
         return [u.uid for u in self.units]
@@ -277,7 +268,7 @@ class PageEvaluator:
                 automatons = AutomatonCache(fp_stats)
                 if _tokens_mod.numpy_enabled():
                     tokens = TokenCache()
-                page_identical = (self._identity_safe and bool(prev_capture)
+                page_identical = (bool(prev_capture)
                                   and pages_identical(page, q_page))
             if page_identical:
                 fp_stats.pages_short_circuited += 1
@@ -351,6 +342,8 @@ class PageEvaluator:
         matcher = make_matcher(matcher_name, cache, min_length=min_length,
                                automatons=automatons, tokens=tokens,
                                kernel=kernel)
+        # Distinct paths the input rows took, for the unit trace event.
+        paths: Optional[List[str]] = [] if _otrace.ENABLED else None
 
         out_rows: List[TupleRow] = []
         for row in input_rows:
@@ -368,6 +361,7 @@ class PageEvaluator:
             copied: List[Dict[str, object]] = []
             if (precomputed is not None or q_page is None
                     or matcher_name == DN_NAME or not prev_inputs):
+                path = "scratch"
                 extraction_regions = [region.interval]
                 derivation = None
             else:
@@ -375,7 +369,7 @@ class PageEvaluator:
                 if page_identical:
                     identity = self._identity_candidate(
                         matcher, matcher_name, min_length, region,
-                        prev_inputs, c)
+                        prev_inputs, c, cache)
                 if identity is not None:
                     # Unchanged-page short circuit: the slow path on a
                     # byte-identical page pair reduces to copying every
@@ -387,10 +381,18 @@ class PageEvaluator:
                     # Counter mirror only — no timer block for a bare
                     # increment; its ~0s would cost more to attribute
                     # than it measures.
+                    path = "identity"
                     n_cand = sum(1 for pi in prev_inputs if pi.c == c)
                     unit_stats.matcher_calls += n_cand
                     if fp_stats is not None:
                         fp_stats.matcher_calls_avoided += n_cand
+                    if matcher_name != RU_NAME:
+                        # The one segment the matcher returns for the
+                        # region against itself, left for RU units
+                        # exactly as the slow path would record it.
+                        cache.record([MatchSegment(
+                            region.start, region.start, len(region),
+                            identity.tid)])
                     with timer.measure(COPY):
                         copied = [decode_fields(out.fields, page.did)
                                   for out in prev_outputs.get(
@@ -402,6 +404,7 @@ class PageEvaluator:
                     if fp_stats is not None:
                         fp_stats.tuples_recycled += len(copied)
                 else:
+                    path = "match"
                     candidates = {pi.tid: pi for pi in prev_inputs
                                   if pi.c == c}
                     if _oprof.ENABLED:
@@ -438,6 +441,8 @@ class PageEvaluator:
                     extraction_regions = derivation.extraction_regions
                     unit_stats.copied_tuples += len(copied)
                     unit_stats.copy_zone_chars += derivation.covered_chars()
+            if paths is not None and path not in paths:
+                paths.append(path)
 
             fresh: List[Dict[str, object]] = []
             for er in extraction_regions:
@@ -495,6 +500,7 @@ class PageEvaluator:
             if _otrace.ENABLED:
                 _otrace.event("unit", cat="unit", start=_w0, dur=_wall,
                               uid=unit.uid, matcher=matcher_name,
+                              path="+".join(paths or ()),
                               rows_in=len(input_rows),
                               rows_out=len(out_rows),
                               copied=unit_stats.copied_tuples - _copied0)
@@ -504,11 +510,10 @@ class PageEvaluator:
             _inv.check_rows_in_page(out_rows, page, unit=unit.uid)
         return out_rows
 
-    @staticmethod
-    def _identity_candidate(matcher, matcher_name: str, min_length: int,
-                            region: Span,
-                            prev_inputs: List[InputTuple],
-                            c: str) -> Optional[InputTuple]:
+    def _identity_candidate(self, matcher, matcher_name: str,
+                            min_length: int, region: Span,
+                            prev_inputs: List[InputTuple], c: str,
+                            cache: MatchCache) -> Optional[InputTuple]:
         """The previous input tuple whose recorded outputs the identity
         path may recycle wholesale — or None if the slow path must run.
 
@@ -517,10 +522,13 @@ class PageEvaluator:
         every condition below holds; each guard closes a case where the
         slow path would produce different bytes:
 
-        * the matcher must emit a *full-region* self-match — UD always
+        * the matcher must yield a *full-region* self-match — UD always
           does; ST only when ``len(region) >= min_length``; WS only
-          when ``len(region) >= k``. Below the threshold the slow path
-          re-extracts, so fall back (it is cheap there anyway).
+          when ``len(region) >= k`` (below the threshold the slow path
+          re-extracts, so fall back; it is cheap there anyway); RU
+          when the page pair's ``cache`` holds a shift-0 segment
+          covering the region, which RU trims to exactly the region
+          against the exact candidate.
         * an exact-interval candidate with the same ``c`` must exist —
           otherwise there is nothing to recycle verbatim.
         * no *earlier* same-``c`` candidate may be at least as long as
@@ -529,11 +537,24 @@ class PageEvaluator:
           tie-break, copying from a different q interval. Later
           candidates cannot win the tie-break (stable sort, equal key)
           and shorter ones cannot reach length |R|.
+        * in a plan with RU units, a producer (UD or ST) must leave
+          the ``cache`` the slow path would have left. The caller
+          records ``[MatchSegment(R.start, R.start, |R|)]`` tagged
+          with the candidate; that is exactly what the matcher returns
+          when the exact candidate is the only same-``c`` one. WS never
+          qualifies there: on an identical region it also reports
+          internal repeats as shifted segments.
         """
         length = region.end - region.start
         if length <= 0:
             return None
-        if matcher_name == ST_NAME:
+        if matcher_name == RU_NAME:
+            if not any(seg.p_start == seg.q_start
+                       and seg.p_start <= region.start
+                       and seg.p_start + seg.length >= region.end
+                       for seg in cache.segments):
+                return None
+        elif matcher_name == ST_NAME:
             if length < min_length:
                 return None
         elif matcher_name == WS_NAME:
@@ -541,9 +562,12 @@ class PageEvaluator:
                 return None
         elif matcher_name != UD_NAME:
             return None
-        for pi in prev_inputs:
-            if pi.c != c:
-                continue
+        same_c = [pi for pi in prev_inputs if pi.c == c]
+        if (matcher_name != RU_NAME
+                and RU_NAME in self.assignment.matchers.values()
+                and (matcher_name == WS_NAME or len(same_c) != 1)):
+            return None
+        for pi in same_c:
             if pi.s == region.start and pi.e == region.end:
                 return pi
             if pi.e - pi.s >= length:

@@ -194,6 +194,18 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_assignment(play_task, "bogus")
 
+    @pytest.mark.parametrize("task_name,frontier", [
+        ("chair", "extractServiceSec"), ("play", "extractFilmSec")])
+    def test_mixed_policy_chains_producer_into_ru(self, task_name,
+                                                  frontier):
+        # The page-scan unit produces (ST/UD) and every chained unit
+        # recycles with RU, so the sweep exercises the RU path on a
+        # filled MatchCache instead of RU degenerating to DN.
+        task = make_task(task_name, work_scale=0)
+        matchers = make_assignment(task, "mixed").matchers
+        assert matchers.pop(frontier) == "ST"
+        assert matchers and set(matchers.values()) == {"RU"}
+
     def test_reference_config_is_fromscratch_serial(self):
         ref = reference_config()
         assert (ref.system, ref.backend, ref.jobs) == ("noreuse",

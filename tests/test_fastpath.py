@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.corpus import dblife_corpus
+from repro.corpus import dblife_corpus, wikipedia_corpus
 from repro.corpus.snapshot import Snapshot, read_snapshot, write_snapshot
 from repro.core.runner import (
     SYSTEM_NAMES,
@@ -36,14 +36,25 @@ from repro.fastpath import (
     pages_identical,
 )
 from repro.matchers import STMatcher, UDMatcher, WinnowingMatcher
-from repro.matchers.base import RU_NAME, ST_NAME, UD_NAME
+from repro.matchers.base import DN_NAME, RU_NAME, ST_NAME, UD_NAME, \
+    MatchCache
 from repro.matchers.ud import myers_lcs_pairs
 from repro.matchers.ws import WS_NAME
 from repro.plan import compile_program, find_units
-from repro.reuse.engine import PlanAssignment, _LoadedReuseFile
+from repro.plan.operators import ScanNode
+from repro.reuse.engine import (
+    PageEvaluator,
+    PlanAssignment,
+    PrevCaptureSource,
+    ReuseEngine,
+    UnitRunStats,
+    _LoadedReuseFile,
+)
 from repro.reuse.files import ReuseFileReader, ReuseFileWriter
+from repro.runtime.capture import BufferedCaptureSink
 from repro.text.document import Page
 from repro.text.span import Interval
+from repro.timing import Timer, Timings
 
 
 # -- configuration ---------------------------------------------------------
@@ -453,6 +464,38 @@ def parity_snaps():
                               p_unchanged=0.6).snapshots(3))
 
 
+@pytest.fixture(scope="module")
+def play_snaps():
+    return list(wikipedia_corpus(n_pages=12, seed=11,
+                                 p_unchanged=0.6).snapshots(3))
+
+
+#: Plans whose RU units recycle what the producers below them matched:
+#: ``id -> (task, frontier matcher, per-uid overrides)``; every other
+#: unit gets RU. The ``play`` plan puts a UD producer between the ST
+#: frontier and the RU units; ``chair-UD-RU-ST`` ends in an ST producer
+#: with several candidates per page (sentences); ``chair-DN-RU`` leaves
+#: the RU units an empty MatchCache.
+RU_PLANS = {
+    "chair-UD-RU": ("chair", UD_NAME, {}),
+    "chair-ST-RU": ("chair", ST_NAME, {}),
+    "chair-WS-RU": ("chair", WS_NAME, {}),
+    "chair-UD-RU-ST": ("chair", UD_NAME, {"extractChairFact": ST_NAME}),
+    "chair-DN-RU": ("chair", DN_NAME, {}),
+    "play-ST-UD-RU": ("play", ST_NAME, {"extractPlaySent": UD_NAME}),
+}
+
+
+def _ru_plan(task, front, overrides, rest=RU_NAME):
+    """Frontier units (input is the page scan) get ``front``, the rest
+    ``rest``, then ``overrides`` apply."""
+    units = find_units(compile_program(task.program, task.registry))
+    matchers = {u.uid: (front if isinstance(u.ie_node.child, ScanNode)
+                        else rest) for u in units}
+    matchers.update(overrides)
+    return PlanAssignment(matchers)
+
+
 class TestFastPathParity:
     def test_all_systems_results_identical(self, chair_task, parity_snaps):
         assert verify_fastpath(chair_task, parity_snaps,
@@ -485,29 +528,86 @@ class TestFastPathParity:
         for rel_path in trees["on"]:
             assert trees["on"][rel_path] == trees["off"][rel_path], rel_path
 
-    def test_delex_mixed_ru_assignment_parity(self, chair_task,
-                                              parity_snaps, tmp_path):
-        # An RU unit disables the identity path plan-wide (it replays
-        # the match cache the skipped matchers would have filled);
-        # results must still agree with fastpath off.
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("plan_id", sorted(RU_PLANS))
+    def test_delex_mixed_ru_assignment_parity(self, parity_snaps,
+                                              play_snaps, tmp_path,
+                                              plan_id, backend):
+        # On identical pages the identity path must leave the page
+        # pair's MatchCache exactly as the slow path would, so RU
+        # consumers see the same segments either way: results, capture
+        # files and the optimizer's per-unit statistics all agree.
+        task_name, front, overrides = RU_PLANS[plan_id]
+        task = make_task(task_name, work_scale=0)
+        snaps = parity_snaps if task_name == "chair" else play_snaps
+        assignment = _ru_plan(task, front, overrides)
+        runs = {}
+        for flag in ("on", "off"):
+            workdir = os.path.join(tmp_path, flag)
+            system = make_system(
+                "delex", task, workdir, fastpath=flag,
+                fixed_assignment=assignment, capture_history=10,
+                jobs=1 if backend == "serial" else 2, backend=backend)
+            prev = None
+            results, unit_stats, short_circuited = [], [], 0
+            for snap in snaps:
+                result = system.process(snap, prev)
+                results.append(canonical_results(result))
+                unit_stats.append(result.unit_stats)
+                if result.timings.fastpath is not None:
+                    short_circuited += \
+                        result.timings.fastpath.pages_short_circuited
+                prev = snap
+            runs[flag] = (results, unit_stats, _capture_tree(workdir),
+                          short_circuited)
+        on, off = runs["on"], runs["off"]
+        assert on[0] == off[0]
+        assert on[1] == off[1]
+        assert on[2].keys() == off[2].keys()
+        for rel_path in on[2]:
+            assert on[2][rel_path] == off[2][rel_path], rel_path
+        if plan_id in ("chair-UD-RU", "chair-ST-RU"):
+            assert on[3] > 0
+
+    @pytest.mark.parametrize("plan_id", sorted(
+        p for p in RU_PLANS if RU_PLANS[p][0] == "chair"))
+    def test_identity_path_leaves_the_slow_path_match_cache(
+            self, chair_task, parity_snaps, tmp_path, plan_id):
+        # The invariant RU relies on, checked directly rather than
+        # through its effect on outputs: after every page, the page
+        # pair's MatchCache holds the same segments whether the
+        # identity path ran or the matchers did.
+        _, front, overrides = RU_PLANS[plan_id]
         plan = compile_program(chair_task.program, chair_task.registry)
         units = find_units(plan)
-        matchers = {u.uid: (ST_NAME if i == 0 else RU_NAME)
-                    for i, u in enumerate(units)}
-        assignment = PlanAssignment(matchers)
-        results = {}
-        for flag in ("on", "off"):
-            system = make_system("delex", chair_task,
-                                 os.path.join(tmp_path, flag),
-                                 fastpath=flag,
-                                 fixed_assignment=assignment)
-            prev = None
-            series = []
-            for snap in parity_snaps:
-                series.append(canonical_results(system.process(snap, prev)))
-                prev = snap
-            results[flag] = series
-        assert results["on"] == results["off"]
+        prev, cur = parity_snaps[0], parity_snaps[1]
+        boot = ReuseEngine(plan, units, PlanAssignment.all_dn(units),
+                           fastpath=False)
+        boot.run_snapshot(prev, None, None, str(tmp_path))
+        timer = Timer(Timings())
+        runs = {}
+        for flag in (True, False):
+            evaluator = PageEvaluator(plan, units,
+                                      _ru_plan(chair_task, front, overrides),
+                                      fastpath=flag)
+            source = PrevCaptureSource(boot._capture_paths(str(tmp_path)),
+                                       sequential=False)
+            sink = BufferedCaptureSink(evaluator.uids())
+            stats = {uid: UnitRunStats() for uid in evaluator.uids()}
+            fp_stats = FastPathStats()
+            caches = []
+            for page in cur.canonical_pages():
+                q_page = prev.get(page.url)
+                cache = MatchCache()
+                sink.begin_page(page.did)
+                evaluator.run_page(page, q_page, source.read(q_page, timer),
+                                   sink, stats, timer, cache=cache,
+                                   fp_stats=fp_stats)
+                caches.append(list(cache.segments))
+            source.close()
+            runs[flag] = (caches, fp_stats.pages_short_circuited)
+        assert runs[True][0] == runs[False][0]
+        assert runs[True][1] > 0
 
     @pytest.mark.parametrize("matcher", [ST_NAME, UD_NAME])
     def test_cyclex_result_files_byte_identical(self, chair_task,
@@ -529,15 +629,16 @@ class TestFastPathParity:
         assert results["on"] == results["off"]
         assert trees["on"] == trees["off"]
 
-    def test_identical_snapshots_short_circuit_everything(self, chair_task):
+    @pytest.mark.parametrize("front,rest", [(ST_NAME, ST_NAME),
+                                            (UD_NAME, RU_NAME)])
+    def test_identical_snapshots_short_circuit_everything(self, chair_task,
+                                                          front, rest):
         from repro.corpus.evolve import ChangeModel, EvolvingCorpus
         from repro.corpus.generators import DBLifeGenerator
         frozen = ChangeModel(p_unchanged=1.0, p_removed=0.0, p_added=0.0)
         snaps = list(EvolvingCorpus(DBLifeGenerator(), 8, frozen,
                                     seed=2).snapshots(2))
-        plan = compile_program(chair_task.program, chair_task.registry)
-        units = find_units(plan)
-        assignment = PlanAssignment.uniform(units, ST_NAME)
+        assignment = _ru_plan(chair_task, front, {}, rest=rest)
         reports = run_series(
             chair_task, snaps, systems=("noreuse", "delex"),
             system_kwargs={"delex": {"fixed_assignment": assignment}},

@@ -17,6 +17,11 @@ Three contracts from the content-keyed caching design:
   Myers band sweep, WS winnowing, and their shared helpers) is pinned
   byte-identical to its pure-Python fallback, including the rare hash
   collision repair path and the numpy-disabled whole-system run.
+
+* **Self-match** — UD and ST return exactly one full-region segment
+  for a region matched against itself (the segment the engine's
+  identity path records for RU units); WS does not, and a pinned
+  counterexample says why.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from repro.matchers.ws import WinnowingMatcher, winnow_fingerprints, \
 from repro.plan import compile_program, find_units
 from repro.reuse.engine import PlanAssignment
 from repro.text import tokens as _tokens
+from repro.text.regions import MatchSegment
 from repro.text.span import Interval
 
 np = _tokens.get_numpy()
@@ -418,6 +424,61 @@ class TestWSKernelParity:
             pr, qr = Interval(0, len(p)), Interval(0, len(q))
             assert (WinnowingMatcher(kernel="force").match(p, pr, q, qr)
                     == WinnowingMatcher(kernel="off").match(p, pr, q, qr))
+
+
+# -- self-match: the identity short circuit's precondition -----------------
+
+
+def _self_matchers(min_length, kernel):
+    tokens = _tokens.TokenCache() if np is not None else None
+    return (UDMatcher(kernel=kernel),
+            STMatcher(min_length=min_length, tokens=tokens, kernel=kernel))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.text("ab \n#", min_size=1, max_size=160), data=st.data(),
+       min_length=st.integers(min_value=1, max_value=16),
+       kernel=st.sampled_from(["off", "force"]))
+def test_self_match_is_one_full_region_segment(text, data, min_length,
+                                               kernel):
+    """UD (any non-empty region) and ST (regions of at least
+    ``min_length``) matched against the very same region return exactly
+    the one full-region segment — the segment the engine's identity
+    path records for RU units instead of running the matcher."""
+    start = data.draw(st.integers(min_value=0, max_value=len(text) - 1))
+    end = data.draw(st.integers(min_value=start + 1, max_value=len(text)))
+    region = Interval(start, end)
+    full = [MatchSegment(start, start, end - start)]
+    ud, st_matcher = _self_matchers(min_length, kernel)
+    assert ud.match(text, region, text, region) == full
+    assert (ud.match_many(text, region, text, {7: region})
+            == [MatchSegment(start, start, end - start, 7)])
+    if end - start >= min_length:
+        assert st_matcher.match(text, region, text, region) == full
+
+
+@pytest.mark.parametrize("kernel", ["off", "force"])
+def test_self_match_long_regions(kernel):
+    """The same precondition on inputs the property rarely draws: a
+    run of one character (ST's anchor-pair cap falls back to the
+    automaton) and hundreds of lines (UD's vectorized run detection)."""
+    for text in ("a" * 3000, "\n".join(f"line {i % 7}" for i in range(400))):
+        region = Interval(0, len(text))
+        for matcher in _self_matchers(12, kernel):
+            assert (matcher.match(text, region, text, region)
+                    == [MatchSegment(0, 0, len(text))])
+
+
+@pytest.mark.parametrize("kernel", ["off", "force"])
+def test_ws_self_match_reports_internal_repeats(kernel):
+    """Why WS producers keep the slow path in plans with RU units: on
+    an identical region WS also pairs repeated k-grams, so what it
+    records is not the single full-region segment."""
+    text = "abcdefghijklmnop" * 3
+    region = Interval(0, len(text))
+    assert (WinnowingMatcher(kernel=kernel).match(text, region, text, region)
+            == [MatchSegment(0, 0, 48), MatchSegment(0, 16, 32),
+                MatchSegment(16, 0, 32)])
 
 
 # -- whole-system byte-identity with numpy masked off ----------------------

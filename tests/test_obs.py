@@ -505,6 +505,50 @@ def test_instrumented_trace_carries_hierarchy():
     assert all("pages" in r.args for r in snap_spans)
 
 
+@pytest.mark.parametrize("front,producer_path", [("UD", "identity"),
+                                                  ("WS", "match")])
+def test_unit_events_say_which_path_ran(tmp_path, front, producer_path):
+    """On an unchanged snapshot each unit event names the path its
+    rows took: a UD producer short-circuits and so do the RU units
+    above it; a WS producer has to match (its self-match is not the
+    one segment RU would need recorded), yet the RU units still find
+    a covering segment and short-circuit."""
+    from repro.core.runner import make_system
+    from repro.corpus.evolve import ChangeModel, EvolvingCorpus
+    from repro.corpus.generators import DBLifeGenerator
+    from repro.extractors import make_task
+    from repro.plan import compile_program, find_units
+    from repro.reuse.engine import PlanAssignment
+
+    frozen = ChangeModel(p_unchanged=1.0, p_removed=0.0, p_added=0.0)
+    snaps = list(EvolvingCorpus(DBLifeGenerator(), 6, frozen,
+                                seed=2).snapshots(2))
+    task = make_task("chair", work_scale=0)
+    units = find_units(compile_program(task.program, task.registry))
+    assignment = PlanAssignment(
+        {u.uid: (front if u.uid == "extractServiceSec" else "RU")
+         for u in units})
+    system = make_system("delex", task, str(tmp_path),
+                         fixed_assignment=assignment)
+    system.process(snaps[0])
+    tracer = otrace.install()
+    try:
+        system.process(snaps[1], snaps[0])
+    finally:
+        obs.disable_all()
+    paths = {}
+    for r in tracer.records:
+        if r.cat == "unit" and r.args["rows_in"]:
+            paths.setdefault(r.args["uid"], set()).update(
+                r.args["path"].split("+"))
+    assert paths["extractServiceSec"] == {producer_path}
+    assert paths["extractChairSent"] == {"identity"}
+    # A sentence row after a longer sentence keeps the slow path (the
+    # tie-break guard), so fact units may report "identity+match".
+    assert "identity" in paths["extractChairFact"]
+    assert "scratch" not in set().union(*paths.values())
+
+
 def test_profiler_sees_units_and_matchers():
     from repro.core.runner import run_series
     from repro.corpus import dblife_corpus
