@@ -6,10 +6,14 @@ oracle must cover: (system, matcher policy, fastpath, backend). The
 grid adds the process backend, the ST policy, and the live optimizer
 (``auto``); both sweep the mixed ST/UD→RU assignment.
 
-Matcher policies pin the plan-space point a reusing system runs so a
-sweep is deterministic and its capture files comparable:
+Every reusing system is the reuse engine over some plan — Shortcut
+and Cyclex over the one-unit program plan — so each has the fastpath
+on/off axis and a capture tree. Matcher policies pin the plan-space
+point a reusing system runs so a sweep is deterministic and its
+capture files comparable:
 
-* ``-``      — system has no matcher choice (noreuse, shortcut);
+* ``-``      — system has no matcher choice (noreuse; shortcut, whose
+  program unit always matches with EQ);
 * ``UD``/``ST``/``WS`` — uniform fixed assignment (delex) or fixed
   program-level matcher (cyclex; WS not offered there);
 * ``mixed``  — the chained-unit recycling path: frontier units (input
@@ -85,7 +89,7 @@ class CheckConfig:
         assignment. View-driven configs are excluded: their workdir
         layout is the serving tier's, not a capture tree."""
         return (self.view == "-"
-                and self.system in ("cyclex", "delex")
+                and self.system in ("shortcut", "cyclex", "delex")
                 and self.policy != "auto")
 
     def capture_group(self) -> Tuple[str, str]:
@@ -169,8 +173,8 @@ def build_grid(name: str = "full", jobs: int = 2) -> List[CheckConfig]:
 
     Every capture group (system, policy) contains its serial +
     fastpath-off baseline so byte-level capture comparison always has
-    an anchor. The non-reusing baselines never consult the fast paths,
-    so their fastpath dimension is collapsed to "on".
+    an anchor. No-reuse never consults the fast paths, so its fastpath
+    dimension is collapsed to "on".
     """
     if name not in GRID_NAMES:
         raise ValueError(f"unknown grid {name!r}; choose from {GRID_NAMES}")
@@ -187,7 +191,7 @@ def build_grid(name: str = "full", jobs: int = 2) -> List[CheckConfig]:
         view_modes = ("delta", "noreuse", "delex")
     grid: List[CheckConfig] = []
     grid += _expand("noreuse", ("-",), ("on",), backends, jobs)
-    grid += _expand("shortcut", ("-",), ("on",), backends, jobs)
+    grid += _expand("shortcut", ("-",), fastpaths, backends, jobs)
     grid += _expand("cyclex", cyclex_policies, fastpaths, backends, jobs)
     grid += _expand("delex", delex_policies, fastpaths, backends, jobs)
     grid += [CheckConfig(system=mode, view=mode) for mode in view_modes]

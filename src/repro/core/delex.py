@@ -11,6 +11,10 @@ Given an IE task (xlog program + registry + declarations), Delex:
    previous snapshot's capture files and writing capture for the next.
 
 The first snapshot is a bootstrap: plain execution plus capture.
+
+The Cyclex and Shortcut baselines are this system over a one-unit
+plan (:mod:`repro.core.cyclex`): they override only :meth:`_compile`
+and :meth:`_choose_assignment`.
 """
 
 from __future__ import annotations
@@ -59,9 +63,7 @@ class DelexSystem:
         self.split = split
         self.fastpath = fastpath_enabled(fastpath)
         os.makedirs(workdir, exist_ok=True)
-        self.plan: CompiledPlan = compile_program(task.program,
-                                                  task.registry)
-        self.units: List[IEUnit] = find_units(self.plan)
+        self.plan, self.units = self._compile(task)
         self.chains: List[IEChain] = partition_chains(self.units)
         self.sample_size = sample_size
         self.k_snapshots = k_snapshots
@@ -96,6 +98,11 @@ class DelexSystem:
         #: survive across the whole snapshot series.
         self.match_cache: Optional[CrossSnapshotMatchCache] = (
             CrossSnapshotMatchCache() if self.fastpath else None)
+
+    def _compile(self, task: IETask) -> Tuple[CompiledPlan, List[IEUnit]]:
+        """The plan the engine runs and its IE units."""
+        plan = compile_program(task.program, task.registry)
+        return plan, find_units(plan)
 
     def _out_dir(self) -> str:
         return os.path.join(self.workdir,

@@ -10,12 +10,13 @@ supplies only what is specific to from-scratch extraction: the batch
 function (:func:`run_page_plain` per page), the frontier (every IE
 node reading the raw page scan — all of them may be split, no page
 recycles anything), and the assembly of a split page (the precomputed
-frontier rows seed the plan memo). The Shortcut and Cyclex baselines
-reuse the last two for their fresh pages.
+frontier rows seed the plan memo).
 
 :func:`run_page_plain` is also the independent from-scratch reference
 that ``repro check`` and the per-page attribution compare against; it
-shares nothing with the reuse engine but the plan walker.
+shares nothing with the reuse engine but the plan walker. Cyclex's
+program unit (:class:`~repro.core.cyclex.ProgramExtractor`) is this
+function wrapped as one IE blackbox.
 """
 
 from __future__ import annotations

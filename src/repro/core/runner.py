@@ -68,10 +68,10 @@ def make_system(name: str, task: IETask, workdir: str,
 
     ``executor`` (or ``jobs``/``backend``) selects the execution
     runtime the system's page loop runs on; the default is serial.
-    ``fastpath`` switches the snapshot-delta fast paths of the matching
-    systems (cyclex/delex) on or off; it accepts a bool or the CLI
-    strings ``"on"``/``"off"`` and defaults to on. No-reuse and
-    Shortcut ignore it (they never match pages).
+    ``fastpath`` switches the snapshot-delta fast paths of the reusing
+    systems (shortcut/cyclex/delex) on or off; it accepts a bool or the
+    CLI strings ``"on"``/``"off"`` and defaults to on. No-reuse ignores
+    it (it never pairs pages).
 
     ``adapt`` enables the drift-aware controller for delex: an
     :class:`~repro.adapt.replan.AdaptConfig` or one of the CLI strings
@@ -83,13 +83,11 @@ def make_system(name: str, task: IETask, workdir: str,
     executor = resolve_executor(task, executor, jobs, backend)
     if name == "noreuse":
         return NoReuseSystem(plan, executor=executor, **kwargs)
-    if name == "shortcut":
-        return ShortcutSystem(plan, os.path.join(workdir, "shortcut"),
-                              executor=executor, **kwargs)
-    if name == "cyclex":
-        return CyclexSystem(plan, os.path.join(workdir, "cyclex"),
-                            task.program_alpha, task.program_beta,
-                            executor=executor, fastpath=fastpath, **kwargs)
+    if name in ("shortcut", "cyclex"):
+        cls = ShortcutSystem if name == "shortcut" else CyclexSystem
+        return cls(plan, os.path.join(workdir, name), task.program_alpha,
+                   task.program_beta, executor=executor, fastpath=fastpath,
+                   **kwargs)
     if name == "delex":
         from ..adapt.replan import AdaptConfig, AdaptiveDelexSystem
         config = AdaptConfig.from_flag(adapt)

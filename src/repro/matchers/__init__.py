@@ -1,4 +1,5 @@
-"""Matcher portfolio: DN, UD (Myers diff), ST (suffix automaton), RU."""
+"""Matcher portfolio: DN, UD (Myers diff), ST (suffix automaton), RU,
+plus WS (winnowing) and EQ (page identity) outside the plan space."""
 
 from .base import (
     DN_NAME,
@@ -9,7 +10,7 @@ from .base import (
     MatchCache,
     Matcher,
 )
-from .dn import DNMatcher
+from .dn import EQ_NAME, DNMatcher, EQMatcher
 from .registry import make_matcher
 from .ru import RUMatcher
 from .st import STMatcher, SuffixAutomaton, probe_peaks
@@ -20,6 +21,7 @@ __all__ = [
     "Matcher",
     "MatchCache",
     "DNMatcher",
+    "EQMatcher",
     "UDMatcher",
     "STMatcher",
     "RUMatcher",
@@ -29,6 +31,7 @@ __all__ = [
     "WinnowingMatcher",
     "winnow_fingerprints",
     "WS_NAME",
+    "EQ_NAME",
     "make_matcher",
     "MATCHER_NAMES",
     "DN_NAME",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .base import DN_NAME, MATCHER_NAMES, RU_NAME, ST_NAME, UD_NAME, MatchCache, Matcher
-from .dn import DNMatcher
+from .dn import EQ_NAME, DNMatcher, EQMatcher
 from .ru import RUMatcher
 from .st import STMatcher
 from .ud import UDMatcher
@@ -42,5 +42,7 @@ def make_matcher(name: str, cache: Optional[MatchCache] = None,
         return RUMatcher(cache)
     if name == WS_NAME:
         return WinnowingMatcher(kernel=kernel)
+    if name == EQ_NAME:
+        return EQMatcher()
     raise ValueError(f"unknown matcher {name!r}; choose from "
-                     f"{MATCHER_NAMES + (WS_NAME,)}")
+                     f"{MATCHER_NAMES + (WS_NAME, EQ_NAME)}")

@@ -31,6 +31,7 @@ from ..matchers.registry import make_matcher
 from ..plan.compile import CompiledPlan
 from ..plan.operators import Node, TupleRow, plan_walker
 from ..plan.units import IEUnit
+from ..reuse.engine import min_match_length
 from ..reuse.files import BLOCK_SIZE, InputTuple
 from ..reuse.regions import derive_reuse
 from ..text.document import Page
@@ -301,8 +302,7 @@ def collect_statistics(plan: CompiledPlan, units: Sequence[IEUnit],
                         for i, r in enumerate(q_regions)}
             for name in (ST_NAME, UD_NAME):
                 matcher = make_matcher(
-                    name, MatchCache(),
-                    min_length=max(8, min(2 * u.beta + 2, 32)))
+                    name, MatchCache(), min_length=min_match_length(u.beta))
                 agg = sums[(u.uid, name)]
                 for region in p_regions:
                     segments: List[MatchSegment] = []

@@ -48,6 +48,7 @@ from ..fastpath.stats import FastPathStats
 from ..text import tokens as _tokens_mod
 from ..text.tokens import TokenCache
 from ..matchers.base import DN_NAME, RU_NAME, ST_NAME, UD_NAME, MatchCache
+from ..matchers.dn import EQ_NAME
 from ..matchers.registry import make_matcher
 from ..matchers.ws import WS_NAME
 from ..obs import profile as _oprof
@@ -172,6 +173,16 @@ def materialize_rows(rows: List[TupleRow], page_text: str) -> List[Tuple]:
                 items.append((var, value))
         out.append(tuple(items))
     return out
+
+
+def min_match_length(beta: int) -> int:
+    """ST's shortest reported segment for a unit with context β.
+
+    A match shorter than 2β + 2 enables no copying, so ST skips such
+    segments — but large-β units (CRFs) still benefit from full-region
+    matches of short regions, hence the cap.
+    """
+    return max(8, min(2 * beta + 2, 32))
 
 
 def _safe_filename(uid: str) -> str:
@@ -335,10 +346,7 @@ class PageEvaluator:
             _c0 = time.process_time()
             _copied0 = unit_stats.copied_tuples
 
-        # A match shorter than 2β + 2 enables no copying, so ST skips
-        # such segments — but large-β units (CRFs) still benefit from
-        # full-region matches of short regions, hence the cap.
-        min_length = max(8, min(2 * unit.beta + 2, 32))
+        min_length = min_match_length(unit.beta)
         matcher = make_matcher(matcher_name, cache, min_length=min_length,
                                automatons=automatons, tokens=tokens,
                                kernel=kernel)
@@ -522,8 +530,8 @@ class PageEvaluator:
         every condition below holds; each guard closes a case where the
         slow path would produce different bytes:
 
-        * the matcher must yield a *full-region* self-match — UD always
-          does; ST only when ``len(region) >= min_length``; WS only
+        * the matcher must yield a *full-region* self-match — UD and EQ
+          always do; ST only when ``len(region) >= min_length``; WS only
           when ``len(region) >= k`` (below the threshold the slow path
           re-extracts, so fall back; it is cheap there anyway); RU
           when the page pair's ``cache`` holds a shift-0 segment
@@ -560,7 +568,7 @@ class PageEvaluator:
         elif matcher_name == WS_NAME:
             if length < getattr(matcher, "k", 12):
                 return None
-        elif matcher_name != UD_NAME:
+        elif matcher_name not in (UD_NAME, EQ_NAME):
             return None
         same_c = [pi for pi in prev_inputs if pi.c == c]
         if (matcher_name != RU_NAME

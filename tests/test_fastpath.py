@@ -38,6 +38,7 @@ from repro.fastpath import (
 from repro.matchers import STMatcher, UDMatcher, WinnowingMatcher
 from repro.matchers.base import DN_NAME, RU_NAME, ST_NAME, UD_NAME, \
     MatchCache
+from repro.matchers.dn import EQ_NAME
 from repro.matchers.ud import myers_lcs_pairs
 from repro.matchers.ws import WS_NAME
 from repro.plan import compile_program, find_units
@@ -609,7 +610,7 @@ class TestFastPathParity:
         assert runs[True][0] == runs[False][0]
         assert runs[True][1] > 0
 
-    @pytest.mark.parametrize("matcher", [ST_NAME, UD_NAME])
+    @pytest.mark.parametrize("matcher", [ST_NAME, UD_NAME, EQ_NAME])
     def test_cyclex_result_files_byte_identical(self, chair_task,
                                                 parity_snaps, tmp_path,
                                                 matcher):

@@ -42,7 +42,7 @@ from repro.fastpath.memo import MatchMemo
 from repro.matchers import base as base_mod
 from repro.matchers import ud as ud_mod
 from repro.matchers.base import MatchCache, ST_NAME
-from repro.matchers.dn import DNMatcher
+from repro.matchers.dn import DNMatcher, EQMatcher
 from repro.matchers.ru import RUMatcher
 from repro.matchers.st import STMatcher, st_kernel
 from repro.matchers.ud import (
@@ -67,6 +67,7 @@ needs_numpy = pytest.mark.skipif(np is None, reason="numpy not installed")
 def _all_matchers():
     return [
         DNMatcher(),
+        EQMatcher(),
         UDMatcher(max_d=3, kernel="force"),
         STMatcher(min_length=9, automatons=object(),
                   tokens=_tokens.TokenCache(), kernel="off"),
@@ -479,6 +480,27 @@ def test_ws_self_match_reports_internal_repeats(kernel):
     assert (WinnowingMatcher(kernel=kernel).match(text, region, text, region)
             == [MatchSegment(0, 0, 48), MatchSegment(0, 16, 32),
                 MatchSegment(16, 0, 32)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(p_text=st.text("ab \n", max_size=40),
+       q_text=st.text("ab \n", max_size=40), data=st.data())
+def test_eq_matches_only_equal_regions(p_text, q_text, data):
+    """EQ (Shortcut's matcher) returns the one full-region segment
+    when the two region texts are equal and nothing otherwise."""
+    def region(text):
+        start = data.draw(st.integers(min_value=0, max_value=len(text)))
+        end = data.draw(st.integers(min_value=start, max_value=len(text)))
+        return Interval(start, end)
+
+    p_region, q_region = region(p_text), region(q_text)
+    if data.draw(st.booleans()):
+        q_text, q_region = p_text, p_region
+    equal = (p_text[p_region.start:p_region.end]
+             == q_text[q_region.start:q_region.end])
+    got = EQMatcher().match(p_text, p_region, q_text, q_region)
+    assert got == ([MatchSegment(p_region.start, q_region.start,
+                                 len(p_region))] if equal else [])
 
 
 # -- whole-system byte-identity with numpy masked off ----------------------

@@ -5,6 +5,9 @@ import os
 import pytest
 
 from repro.corpus import dblife_corpus, wikipedia_corpus
+from repro.corpus.evolve import ChangeModel, EvolvingCorpus
+from repro.corpus.generators import DBLifeGenerator
+from repro.corpus.snapshot import snapshot_from_texts
 from repro.core.cyclex import CyclexSystem
 from repro.core.delex import DelexSystem
 from repro.core.noreuse import NoReuseSystem
@@ -58,7 +61,8 @@ class TestShortcut:
         corpus = EvolvingCorpus(DBLifeGenerator(), 10, frozen, seed=5)
         snaps = list(corpus.snapshots(2))
         plan = compile_program(chair_fast.program, chair_fast.registry)
-        system = ShortcutSystem(plan, str(tmp_path))
+        system = ShortcutSystem(plan, str(tmp_path), chair_fast.program_alpha,
+                                chair_fast.program_beta)
         r0 = system.process(snaps[0])
         r1 = system.process(snaps[1], snaps[0])
         assert canonical_results(r0) == canonical_results(r1)
@@ -67,7 +71,8 @@ class TestShortcut:
     def test_changed_pages_reextracted_correctly(self, chair_fast,
                                                  dblife_snaps, tmp_path):
         plan = compile_program(chair_fast.program, chair_fast.registry)
-        system = ShortcutSystem(plan, str(tmp_path))
+        system = ShortcutSystem(plan, str(tmp_path), chair_fast.program_alpha,
+                                chair_fast.program_beta)
         prev = None
         for snap in dblife_snaps:
             result = system.process(snap, prev)
@@ -98,7 +103,8 @@ class TestCyclex:
                               task.program_beta)
         system.process(snaps[0])
         result = system.process(snaps[1], snaps[0])
-        assert system.last_matcher in MATCHER_NAMES
+        assert set(system.describe_plan()) == {"program"}
+        assert system.describe_plan()["program"] in MATCHER_NAMES
         expected = NoReuseSystem(plan).process(snaps[1])
         assert canonical_results(result) == canonical_results(expected)
 
@@ -200,3 +206,83 @@ def test_all_four_systems_agree(task_name, tmp_path):
     snaps = list(corpus.snapshots(3))
     reports = run_series(task, snaps, workdir=str(tmp_path))
     assert verify_agreement(reports) == []
+
+
+# -- Shortcut and Cyclex as one-unit Delex plans ----------------------------
+
+
+def _series(system, snaps):
+    out, prev = [], None
+    for snap in snaps:
+        out.append(system.process(snap, prev))
+        prev = snap
+    return out
+
+
+#: The two baselines with a deterministic matcher.
+_BASELINES = {"shortcut": {}, "cyclex": {"fixed_matcher": "UD"}}
+
+
+class TestProgramUnitBaselines:
+    def test_large_edited_infobox_page_keeps_its_rows(self, tmp_path):
+        """Every infobox head exports the page-scan span ``d``, so a
+        row's extent is the whole page. An edit at the end of a page
+        wider than the declared program α used to drop every row."""
+        task = make_task("infobox", work_scale=0)
+        plan = compile_program(task.program, task.registry)
+        noreuse = NoReuseSystem(plan)
+        snap = next(iter(wikipedia_corpus(n_pages=10, seed=107)
+                         .snapshots(1)))
+        page = max(snap.canonical_pages(),
+                   key=lambda p: noreuse.process(snapshot_from_texts(
+                       0, {"u": p.text})).total_mentions())
+        filler = "Filler line of padding text.\n"
+        old = (page.text + filler * 400)[:9584]
+        last = old.rindex("\nFiller") + 1
+        new = old[:last] + "X" + old[last + 1:]
+        s0 = snapshot_from_texts(0, {"u": old})
+        s1 = snapshot_from_texts(1, {"u": new})
+        want = canonical_results(noreuse.process(s1))
+        assert sum(len(rows) for rows in want.values()) == 5
+        for matcher in ("UD", "ST"):
+            system = CyclexSystem(plan, str(tmp_path / matcher),
+                                  task.program_alpha, task.program_beta,
+                                  fixed_matcher=matcher)
+            got = _series(system, [s0, s1])[1]
+            assert canonical_results(got) == want, matcher
+
+    @pytest.mark.parametrize("name", ["shortcut", "cyclex", "delex"])
+    def test_old_capture_garbage_collected(self, name, chair_fast,
+                                           tmp_path):
+        snaps = list(dblife_corpus(n_pages=6, seed=6).snapshots(6))
+        system = make_system(name, chair_fast, str(tmp_path))
+        _series(system, snaps)
+        dirs = [d for d in os.listdir(system.workdir)
+                if d.startswith("snap_")]
+        assert len(dirs) <= system.capture_history + 1
+
+    @pytest.mark.parametrize("name", sorted(_BASELINES))
+    def test_identical_snapshot_short_circuits_every_page(self, name,
+                                                          chair_fast,
+                                                          tmp_path):
+        frozen = ChangeModel(p_unchanged=1.0, p_removed=0.0, p_added=0.0)
+        snaps = list(EvolvingCorpus(DBLifeGenerator(), 8, frozen,
+                                    seed=2).snapshots(2))
+        system = make_system(name, chair_fast, str(tmp_path),
+                             **_BASELINES[name])
+        results = _series(system, snaps)
+        fp = results[1].timings.fastpath
+        assert fp.pages_paired == len(snaps[1]) > 0
+        assert fp.pages_short_circuited == fp.pages_paired
+        assert (canonical_results(results[1])
+                == canonical_results(results[0]))
+
+    @pytest.mark.parametrize("name", sorted(_BASELINES))
+    def test_unit_stats_has_the_program_unit(self, name, chair_fast,
+                                             dblife_snaps, tmp_path):
+        system = make_system(name, chair_fast, str(tmp_path),
+                             **_BASELINES[name])
+        for snap, result in zip(dblife_snaps,
+                                _series(system, dblife_snaps)):
+            assert set(result.unit_stats) == {"program"}
+            assert result.unit_stats["program"].input_tuples == len(snap)
