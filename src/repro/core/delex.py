@@ -33,7 +33,12 @@ from ..optimizer.search import SearchResult, search_plan
 from ..optimizer.stats import collect_statistics
 from ..plan.compile import CompiledPlan, compile_program
 from ..plan.units import IEChain, IEUnit, find_units, partition_chains
-from ..reuse.engine import PlanAssignment, ReuseEngine, SnapshotRunResult
+from ..reuse.engine import (
+    PageRows,
+    PlanAssignment,
+    ReuseEngine,
+    SnapshotRunResult,
+)
 from ..reuse.scope import PageMatchScope
 from ..runtime.executor import Executor
 from ..runtime.scheduler import PageScheduler
@@ -54,8 +59,7 @@ class DelexSystem:
                  executor: Optional[Executor] = None,
                  scheduler: Optional[PageScheduler] = None,
                  fastpath: FastPathFlag = None,
-                 split: Optional[SplitConfig] = None,
-                 collect_page_rows: bool = False) -> None:
+                 split: Optional[SplitConfig] = None) -> None:
         self.task = task
         self.workdir = workdir
         self.executor = executor
@@ -86,13 +90,13 @@ class DelexSystem:
         self.f_mode = "flat"
         self._last_result: Optional[SnapshotRunResult] = None
         self._extract_rates: Dict[str, float] = {}
-        #: When ``collect_page_rows`` is set, every ``process`` call
-        #: additionally leaves the run's materialized rows split by
-        #: producing page in ``last_page_rows`` (``did -> relation ->
-        #: rows``) — the serving layer's delta-apply input, collected
-        #: at zero extra extraction cost by the engine.
-        self.collect_page_rows = collect_page_rows
-        self.last_page_rows: Optional[Dict[str, Dict[str, list]]] = None
+        #: The last run's materialized rows split by producing page
+        #: (``did -> relation -> rows``), collected by the engine at no
+        #: extra extraction cost. They belong to the capture in
+        #: ``_prev_dir``: the next run recycles identical pages from
+        #: both, and the serving layer applies them as a delta. The
+        #: lists are shared between runs and never mutated.
+        self.last_page_rows: Optional[Dict[str, PageRows]] = None
         #: The match store: owned here (not by the engine, which is
         #: rebuilt per ``process`` call) so content-keyed match results
         #: survive across the whole snapshot series.
@@ -126,6 +130,9 @@ class DelexSystem:
         self._prev_dir = prev_dir
         self._snapshot_serial = serial
         self._last_result = None
+        # The rows of the run before the restart are gone: the first
+        # snapshot after it takes the per-unit path everywhere.
+        self.last_page_rows = None
 
     def process(self, snapshot: Snapshot,
                 prev_snapshot: Optional[Snapshot] = None
@@ -151,14 +158,13 @@ class DelexSystem:
                              match_cache=self.match_cache,
                              split=self.split)
         out_dir = self._out_dir()
-        page_rows_out: Optional[Dict[str, Dict[str, list]]] = (
-            {} if self.collect_page_rows else None)
+        page_rows: Dict[str, PageRows] = {}
         result = engine.run_snapshot(
             snapshot,
             self._history[-1] if self._history else None,
             self._prev_dir, out_dir, timings=timings,
-            page_rows_out=page_rows_out)
-        self.last_page_rows = page_rows_out
+            page_rows_out=page_rows, prev_page_rows=self.last_page_rows)
+        self.last_page_rows = page_rows
         self._last_result = result
         if self.match_cache is not None and _oreg.ENABLED:
             _oreg.publish_matchcache(self.name, self.match_cache)

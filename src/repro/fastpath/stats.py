@@ -23,6 +23,9 @@ class FastPathStats:
     pages_paired: int = 0
     #: fingerprint-equal pages that took the whole-page identity path.
     pages_short_circuited: int = 0
+    #: short-circuited pages recycled whole: capture groups copied byte
+    #: for byte and the previous run's rows returned, no plan walk.
+    pages_recycled: int = 0
     #: output tuples recycled wholesale on the identity path.
     tuples_recycled: int = 0
     #: matcher invocations skipped by the identity path.
@@ -60,6 +63,7 @@ class FastPathStats:
         """Accumulate a worker's counters into this one."""
         self.pages_paired += other.pages_paired
         self.pages_short_circuited += other.pages_short_circuited
+        self.pages_recycled += other.pages_recycled
         self.tuples_recycled += other.tuples_recycled
         self.matcher_calls_avoided += other.matcher_calls_avoided
         self.memo_hits += other.memo_hits
@@ -94,6 +98,7 @@ class FastPathStats:
         return {
             "pages_paired": self.pages_paired,
             "pages_short_circuited": self.pages_short_circuited,
+            "pages_recycled": self.pages_recycled,
             "tuples_recycled": self.tuples_recycled,
             "matcher_calls_avoided": self.matcher_calls_avoided,
             "memo_hits": self.memo_hits,
@@ -109,7 +114,8 @@ class FastPathStats:
 
     def describe(self) -> str:
         return (f"short-circuited {self.pages_short_circuited}/"
-                f"{self.pages_paired} pages, recycled "
+                f"{self.pages_paired} pages ({self.pages_recycled} "
+                f"recycled whole), recycled "
                 f"{self.tuples_recycled} tuples, avoided "
                 f"{self.matcher_calls_avoided} matcher calls; match store "
                 f"{self.memo_hits}h/{self.memo_misses}m "

@@ -430,6 +430,10 @@ def publish_fastpath(system: str, stats) -> None:
                  "automata_bytes_copied"):
         fp.labels(system=system, kind=kind).inc(
             float(getattr(stats, kind, 0) or 0))
+    REGISTRY.inc("repro_fastpath_pages_recycled_total",
+                 float(getattr(stats, "pages_recycled", 0) or 0),
+                 help="identical pages recycled whole: capture groups "
+                      "copied, previous rows reused", system=system)
     REGISTRY.set("repro_fastpath_memo_hit_rate", stats.memo_hit_rate,
                  help="match-store hits / lookups of the latest run",
                  system=system)

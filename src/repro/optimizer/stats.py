@@ -154,26 +154,29 @@ def _sample_pairs(snapshot: Snapshot, prev: Snapshot,
     return [shared[int(i * step)] for i in range(sample_size)]
 
 
-def load_recorded_regions(capture_dir: str, units: Sequence[IEUnit]
+def load_recorded_regions(capture_dir: str, units: Sequence[IEUnit],
+                          dids: Optional[Sequence[str]] = None
                           ) -> Dict[str, Dict[str, List[Interval]]]:
     """Read each unit's recorded input regions from its I reuse file.
 
     This gives the previous snapshot's per-unit regions *for free* (a
     cheap sequential scan) instead of re-running extraction on sampled
-    previous pages.
+    previous pages. With ``dids`` only those pages' groups are parsed;
+    the rest of each file is only scanned for page headers.
     """
     import os
 
     from ..reuse.engine import ReuseEngine
-    from ..reuse.files import iter_all_pages
+    from ..reuse.files import iter_page_lines, parse_inputs
 
     out: Dict[str, Dict[str, List[Interval]]] = {}
     for unit in units:
         path = ReuseEngine._file(capture_dir, unit.uid, "I")
         per_page: Dict[str, List[Interval]] = {}
         if os.path.exists(path):
-            for did, records in iter_all_pages(path):
-                per_page[did] = [Interval(r["s"], r["e"]) for r in records]
+            for did, lines in iter_page_lines(path, dids):
+                per_page[did] = [t.interval
+                                 for t in parse_inputs(did, lines)]
         out[unit.uid] = per_page
     return out
 
@@ -220,8 +223,9 @@ def collect_statistics(plan: CompiledPlan, units: Sequence[IEUnit],
                           units=estimates, weights=weights,
                           sample_pages=0, snapshots_used=len(deltas))
 
-    recorded_q = (load_recorded_regions(prev_capture_dir, units)
-                  if prev_capture_dir else None)
+    recorded_q = (load_recorded_regions(
+        prev_capture_dir, units, [q_page.did for _, q_page in pairs])
+        if prev_capture_dir else None)
 
     # 1. Profile plain execution of the sampled current pages with the
     #    blackbox work disabled (structure only, nearly free); previous

@@ -39,9 +39,10 @@ byte-identical reuse/capture files compared to a serial run. All
 merges are keyed by canonical page id (LPT batches interleave the
 page order), split parts concatenate in part order (ownership by
 extent start is a stable partition of the serial sequence), and the
-capture replay reassigns tuple ids exactly as a serial writer would,
-so the next snapshot's recycling is oblivious to how the previous
-run was parallelized.
+capture replay writes the buffered records, whose page-local tuple
+ids are the ones a serial writer assigns, in canonical page order, so
+the next snapshot's recycling is oblivious to how the previous run
+was parallelized.
 """
 
 from .capture import (

@@ -12,8 +12,8 @@ many-views deployment of the ROADMAP north star).
 Three maintenance modes, selected per view:
 
 * ``system="delex"`` (default) — the snapshot runs through a
-  :class:`~repro.core.delex.DelexSystem` with per-page row collection
-  on: the engine recycles against the view's reuse files exactly as in
+  :class:`~repro.core.delex.DelexSystem`, which always collects
+  per-page rows: the engine recycles against the view's reuse files exactly as in
   batch mode, and its ``last_page_rows`` *is* the per-page attribution
   of the recycled run (no second extraction pass). The store delta
   replaces only the pages whose fingerprints changed.
@@ -209,8 +209,7 @@ class MaterializedView:
             self._system = make_system(
                 "delex", self.task, os.path.join(workdir, "delex"),
                 jobs=config.jobs, backend=config.backend,
-                fastpath=config.fastpath, collect_page_rows=True,
-                adapt=config.adapt)
+                fastpath=config.fastpath, adapt=config.adapt)
             # Adaptive metrics are labelled per view, matching the
             # "view:{name}" convention of publish_timings.
             if hasattr(self._system, "metrics_label"):

@@ -113,8 +113,7 @@ class TestAgainstRecycledRun:
     def test_engine_page_rows_match_from_scratch(self, task, plan,
                                                  snapshots):
         with tempfile.TemporaryDirectory() as workdir:
-            system = make_system("delex", task, workdir,
-                                 collect_page_rows=True)
+            system = make_system("delex", task, workdir)
             prev = None
             for snapshot in snapshots:
                 result = system.process(snapshot, prev)
@@ -141,8 +140,7 @@ class TestAgainstRecycledRun:
         for jobs, backend in ((1, "serial"), (2, "thread")):
             with tempfile.TemporaryDirectory() as workdir:
                 system = make_system("delex", task, workdir, jobs=jobs,
-                                     backend=backend,
-                                     collect_page_rows=True)
+                                     backend=backend)
                 prev = None
                 for snapshot in snapshots:
                     system.process(snapshot, prev)

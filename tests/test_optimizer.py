@@ -220,6 +220,40 @@ class TestStatisticsCollection:
             assert 0.0 <= est.g.get("ST", 1.0) <= 1.0
             assert 0.0 <= est.g_ru.get("ST", 1.0) <= 1.0
 
+    def test_sampled_group_read_equals_whole_file_read(self, tmp_path,
+                                                       monkeypatch):
+        # The collector parses only the sampled pages' I groups; the
+        # statistics must be exactly those of a whole-file read.
+        from repro.optimizer import stats as stats_mod
+
+        task = make_task("play", work_scale=0)
+        plan = compile_program(task.program, task.registry)
+        units = find_units(plan)
+        snaps = list(wikipedia_corpus(n_pages=12, seed=5).snapshots(3))
+        engine = ReuseEngine(plan, units, PlanAssignment.all_dn(units))
+        cap = str(tmp_path / "cap")
+        engine.run_snapshot(snaps[1], None, None, cap)
+
+        whole = stats_mod.load_recorded_regions(cap, units)
+        sampled = [p.did for p in snaps[1].canonical_pages()[1::3]]
+        part = stats_mod.load_recorded_regions(cap, units, sampled)
+        assert len(whole[units[0].uid]) == len(snaps[1])
+        assert part == {uid: {did: regions[did] for did in sampled
+                              if did in regions}
+                        for uid, regions in whole.items()}
+
+        def collect():
+            return collect_statistics(
+                plan, units, snaps[2], snaps[:2], sample_size=4,
+                k_snapshots=2, prev_capture_dir=cap,
+                known_extract_rates={u.uid: 1e-6 for u in units})
+
+        filtered = collect()
+        monkeypatch.setattr(
+            stats_mod, "load_recorded_regions",
+            lambda d, us, dids=None: whole)
+        assert collect().units == filtered.units
+
     def test_requires_history(self):
         task = make_task("play", work_scale=0)
         plan = compile_program(task.program, task.registry)
