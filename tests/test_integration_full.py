@@ -15,7 +15,13 @@ from repro.corpus.snapshot import Snapshot
 from repro.extractors import ALL_TASKS, make_task
 from repro.plan import compile_program, find_units
 from repro.reuse import FingerprintScope, PlanAssignment, ReuseEngine
-from repro.reuse.files import ReuseFileReader, ReuseFileWriter, encode_fields
+from repro.reuse.files import (
+    ReuseFileReader,
+    ReuseFileWriter,
+    encode_fields,
+    parse_inputs,
+    parse_outputs,
+)
 from repro.text.document import Page
 from repro.text.span import Span
 
@@ -101,11 +107,11 @@ def test_reuse_file_roundtrip_property(tmp_path_factory, pages):
 
     ri, ro = ReuseFileReader(i_path), ReuseFileReader(o_path)
     for did, regions, outs in expected:
-        got_inputs = ri.read_page_inputs(did)
+        got_inputs = parse_inputs(did, ri.page_lines(did))
         assert len(got_inputs) == len(regions)
         for (s, e), tup in zip(regions, got_inputs):
             assert (tup.s, tup.e) == (min(s, e), max(s, e))
-        got_outputs = ro.read_page_outputs(did)
+        got_outputs = parse_outputs(ro.page_lines(did))
         assert len(got_outputs) == len(outs)
         for fields, out in zip(outs, got_outputs):
             decoded = {name: a for name, kind, a, b in out.fields}
