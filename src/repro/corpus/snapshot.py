@@ -65,25 +65,6 @@ class Snapshot:
         """
         return sorted(self.pages, key=lambda p: p.did)
 
-    def ordered_like(self, previous: "Snapshot") -> "Snapshot":
-        """Reorder so pages shared with ``previous`` come first, in
-        ``previous``'s order; brand-new pages follow.
-
-        This is the processing order that lets the reuse engine scan
-        each reuse file sequentially exactly once.
-        """
-        fresh: List[Page] = []
-        seen = set()
-        for old in previous.pages:
-            page = self.get(old.url)
-            if page is not None:
-                fresh.append(page)
-                seen.add(page.url)
-        for page in self.pages:
-            if page.url not in seen:
-                fresh.append(page)
-        return Snapshot(self.index, fresh)
-
 
 def write_snapshot(snapshot: Snapshot, path: str) -> None:
     """Persist a snapshot as one sequential file of page records.

@@ -25,13 +25,15 @@ in the picklable :class:`PageEvaluator` and there is one per-page body
 assembled from split parts in the parent, and one page recycle
 (:func:`_recycle_page`) that re-emits an identical page whole from the
 previous capture and rows. The previous snapshot's capture sits behind
-one :class:`PrevCaptureSource`. With one worker slot the engine
-streams: the previous capture is read page by page as the batch
-advances, pages are recycled in that pass and records go straight to
-the new reuse files; with more, the parent reads the capture up front
-and recycles what it can, workers record the rest into buffers, and
-:func:`~repro.runtime.capture.replay_captures` merges them back
-byte-identically.
+one :class:`PrevCaptureSource`. Either way a page's new capture is its
+:data:`~repro.reuse.files.PageGroups`: recorded by a
+:class:`~repro.reuse.files.PageRecorder` or, for a recycled page, the
+previous groups' bytes. With one worker slot the engine streams: the
+previous capture is read page by page as the batch advances, pages
+are recycled in that pass and each page's groups are written as soon
+as the page is done; with more, the parent reads the capture up front
+and recycles what it can, workers return the rest's group bytes, and
+the parent copies them into the reuse files in canonical order.
 """
 
 from __future__ import annotations
@@ -59,12 +61,6 @@ from ..obs import trace as _otrace
 from ..plan.compile import CompiledPlan
 from ..plan.operators import Node, ScanNode, TupleRow, plan_walker
 from ..plan.units import IEUnit, units_by_top
-from ..runtime.capture import (
-    BufferedCaptureSink,
-    DirectCaptureSink,
-    PageCapture,
-    replay_captures,
-)
 from ..runtime.driver import Extensions, PageLookup, PageWork, run_pages
 from ..runtime.executor import Executor
 from ..runtime.scheduler import PageScheduler
@@ -77,6 +73,8 @@ from ..timing import COPY, EXTRACT, IO, MATCH, Timer, Timings
 from .files import (
     InputTuple,
     OutputTuple,
+    PageGroups,
+    PageRecorder,
     ReuseFileReader,
     ReuseFileWriter,
     UnitGroups,
@@ -96,8 +94,14 @@ PrevCapture = Dict[str, UnitGroups]
 #: Materialized rows per relation of one page (``materialize_rows``).
 PageRows = Dict[str, List[Tuple]]
 
+#: What running (or recycling) one page yields: its rows and its capture.
+PageResult = Tuple[PageRows, PageGroups]
+
 #: What a unit without a readable capture on a page sees.
 _NO_CAPTURE = UnitGroups("", [], [])
+
+#: Every unit's (I, O) reuse-file writer for the snapshot being run.
+Writers = Dict[str, Tuple[ReuseFileWriter, ReuseFileWriter]]
 
 
 @dataclass(frozen=True)
@@ -259,13 +263,14 @@ class PageEvaluator:
     # -- per-page evaluation ----------------------------------------------
 
     def run_page(self, page: Page, q_page: Optional[Page],
-                 prev_capture: PrevCapture, sink,
+                 prev_capture: PrevCapture, recorder: PageRecorder,
                  stats: Dict[str, UnitRunStats], timer: Timer,
                  cache: Optional[MatchCache] = None,
                  fp_stats: Optional[FastPathStats] = None,
                  precomputed: Optional[Extensions] = None
                  ) -> Dict[str, List[TupleRow]]:
-        """Evaluate the plan over one page, reusing ``prev_capture``.
+        """Evaluate the plan over one page, reusing ``prev_capture`` and
+        recording the page's new capture into ``recorder``.
 
         ``precomputed`` maps frontier-unit uids to the raw extension
         dicts split parts already extracted from this page; those
@@ -306,7 +311,7 @@ class PageEvaluator:
                 return None
             return self._run_unit(
                 unit, evaluate(unit.ie_node.child), page, q_page,
-                prev_capture.get(unit.uid, _NO_CAPTURE), sink,
+                prev_capture.get(unit.uid, _NO_CAPTURE), recorder,
                 cache, stats[unit.uid],
                 timer, match_memo=match_memo, automatons=automatons,
                 tokens=tokens, kernel=kernel,
@@ -321,8 +326,8 @@ class PageEvaluator:
 
     def _run_unit(self, unit: IEUnit, input_rows: List[TupleRow],
                   page: Page, q_page: Optional[Page],
-                  prev: UnitGroups,
-                  sink, cache: MatchCache, unit_stats: UnitRunStats,
+                  prev: UnitGroups, recorder: PageRecorder,
+                  cache: MatchCache, unit_stats: UnitRunStats,
                   timer: Timer,
                   match_memo: Optional[MatchMemo] = None,
                   automatons: Optional[AutomatonCache] = None,
@@ -386,8 +391,7 @@ class PageEvaluator:
             unit_stats.input_chars += len(region)
             c = ""
             with timer.measure(IO):
-                tid = sink.append_input(unit.uid, page.did, region.start,
-                                        region.end, c)
+                tid = recorder.input(unit.uid, region.start, region.end, c)
 
             copied: List[Dict[str, object]] = []
             if (precomputed is not None or q_page is None
@@ -516,8 +520,7 @@ class PageEvaluator:
             unit_stats.output_tuples += len(extensions)
             with timer.measure(IO):
                 for ext in extensions:
-                    sink.append_output(unit.uid, page.did, tid,
-                                       encode_fields(ext))
+                    recorder.output(unit.uid, tid, encode_fields(ext))
             for ext in extensions:
                 if unit.projects_away_input:
                     out_rows.append(dict(ext))
@@ -660,12 +663,13 @@ class PageEvaluator:
         return True
 
     def recycle_page(self, page: Page, q_page: Page,
-                     prev_capture: PrevCapture, sink,
+                     prev_capture: PrevCapture,
                      stats: Dict[str, UnitRunStats],
-                     fp_stats: FastPathStats) -> None:
-        """Re-emit a page :meth:`page_recyclable` accepted: copy every
-        unit's previous page groups into ``sink`` verbatim and add the
-        counters the identity path would have added row by row.
+                     fp_stats: FastPathStats) -> PageGroups:
+        """Re-emit a page :meth:`page_recyclable` accepted: add the
+        counters the identity path would have added row by row and
+        return every unit's previous page groups, verbatim, as the
+        page's capture.
 
         The rows come from the previous run, not from the O groups, so
         those are copied unparsed; a framed line in them that is not a
@@ -676,6 +680,7 @@ class PageEvaluator:
         fp_stats.pages_recycled += 1
         if _inv.ENABLED:
             _inv.check_identity_pair(page, q_page)
+        capture: PageGroups = {}
         for unit in self.units:
             groups = prev_capture[unit.uid]
             rows = len(groups.inputs)
@@ -692,74 +697,84 @@ class PageEvaluator:
             unit_stats.output_tuples += outputs
             fp_stats.matcher_calls_avoided += rows * rows
             fp_stats.tuples_recycled += outputs
-            sink.append_groups(unit.uid, page.did, *groups.raw())
+            capture[unit.uid] = groups.raw()
+        return capture
 
 
 def _evaluate_page(evaluator: PageEvaluator, page: Page,
                    q_page: Optional[Page], prev_capture: PrevCapture,
-                   sink, stats: Dict[str, UnitRunStats], timer: Timer,
+                   stats: Dict[str, UnitRunStats], timer: Timer,
                    fp_stats: FastPathStats,
                    precomputed: Optional[Extensions] = None
-                   ) -> PageRows:
-    """The one per-page body: open the page's capture group, run the
-    plan with reuse, return materialized rows per relation."""
-    sink.begin_page(page.did)
+                   ) -> PageResult:
+    """The one per-page body: run the plan with reuse, return the
+    materialized rows per relation and the page's recorded capture."""
+    recorder = PageRecorder()
     if _oprof.ENABLED:
         _p0 = time.perf_counter()
     with (_otrace.span("page", cat="page", did=page.did,
                        paired=q_page is not None,
                        split=precomputed is not None, recycled=False)
           if _otrace.ENABLED else _otrace.NULL):
-        page_rows = evaluator.run_page(page, q_page, prev_capture, sink,
-                                       stats, timer, cache=MatchCache(),
+        page_rows = evaluator.run_page(page, q_page, prev_capture,
+                                       recorder, stats, timer,
+                                       cache=MatchCache(),
                                        fp_stats=fp_stats,
                                        precomputed=precomputed)
     if _oprof.ENABLED:
         _oprof.record_page(page.did, time.perf_counter() - _p0)
-    return {rel: materialize_rows(rows, page.text)
-            for rel, rows in page_rows.items()}
+    return ({rel: materialize_rows(rows, page.text)
+             for rel, rows in page_rows.items()}, recorder.groups())
 
 
 def _recycle_page(evaluator: PageEvaluator, page: Page,
                   q_page: Optional[Page], prev_capture: PrevCapture,
-                  prev_rows: Optional[PageRows], sink,
+                  prev_rows: Optional[PageRows],
                   stats: Dict[str, UnitRunStats], timer: Timer,
-                  fp_stats: FastPathStats) -> Optional[PageRows]:
+                  fp_stats: FastPathStats) -> Optional[PageResult]:
     """The one page recycle, for the serial page body and the parallel
     parent alike: if ``q_page``'s rows from the previous run are known
-    and :meth:`PageEvaluator.page_recyclable` holds, open the page's
-    capture group, splice the previous groups into it and return those
-    rows (shared, never mutated); otherwise touch nothing and return
-    None. Booked as capture I/O, which is all a recycle does."""
+    and :meth:`PageEvaluator.page_recyclable` holds, return those rows
+    (shared, never mutated) and the previous groups as the page's
+    capture; otherwise touch nothing and return None. Booked as
+    capture I/O, which is all a recycle does."""
     if prev_rows is None:
         return None
     with timer.measure(IO):
         if not evaluator.page_recyclable(page, q_page, prev_capture):
             return None
-        sink.begin_page(page.did)
         with (_otrace.span("page", cat="page", did=page.did, paired=True,
                            split=False, recycled=True)
               if _otrace.ENABLED else _otrace.NULL):
-            evaluator.recycle_page(page, q_page, prev_capture, sink,
-                                   stats, fp_stats)
-    return prev_rows
+            capture = evaluator.recycle_page(page, q_page, prev_capture,
+                                             stats, fp_stats)
+    return prev_rows, capture
+
+
+def _write_page(writers: Writers, did: str, capture: PageGroups) -> None:
+    """Append one page's groups to every unit's I and O file; a unit
+    that recorded nothing on the page gets two empty groups."""
+    for uid, (writer_i, writer_o) in writers.items():
+        i_data, o_data = capture.get(uid, (b"", b""))
+        writer_i.write_page(did, i_data)
+        writer_o.write_page(did, o_data)
 
 
 def _engine_batch(state, lookup: PageLookup, items, timer: Timer):
     """Process one batch of whole pages in a (possibly remote) worker.
 
-    ``state`` is ``(evaluator, sink)``. ``sink`` is the engine's direct
-    sink when the run has one worker slot (records go straight to the
-    reuse files, in canonical order) and None otherwise: the batch
-    then records into its own buffer and returns each page's capture
-    for the parent to replay. ``items`` yields ``(did, q_did,
-    prev_capture, prev_rows)`` per page; ``prev_rows`` (the previous
-    run's rows of ``q_did``) is given only where the page may still be
-    recycled here, i.e. in a serial run. Returns ``(did, (rows per
-    relation, capture or None))`` per page, plus the batch's per-unit
-    stats and fast-path counters.
+    ``state`` is ``(evaluator, writers)``. ``writers`` are the run's
+    reuse-file writers when it has one worker slot: the batch holds
+    every page in canonical order and writes each page's groups as
+    soon as the page is done. With more slots they are None and each
+    page's groups go back to the parent. ``items`` yields ``(did,
+    q_did, prev_capture, prev_rows)`` per page; ``prev_rows`` (the
+    previous run's rows of ``q_did``) is given only where the page may
+    still be recycled here, i.e. in a serial run. Returns ``(did,
+    (rows per relation, groups or None))`` per page, plus the batch's
+    per-unit stats and fast-path counters.
     """
-    evaluator, direct_sink = state
+    evaluator, writers = state
     # Process workers arrive with match_cache dropped by the pickle
     # whitelist: give each worker its own match store (hits accumulate
     # across the items a worker processes; counters merge through
@@ -767,22 +782,22 @@ def _engine_batch(state, lookup: PageLookup, items, timer: Timer):
     # store is already attached and thread-safe.
     if evaluator.fastpath and evaluator.match_cache is None:
         evaluator.match_cache = CrossSnapshotMatchCache()
-    uids = evaluator.uids()
-    buffered = direct_sink is None
-    sink = BufferedCaptureSink(uids) if buffered else direct_sink
-    stats = {uid: UnitRunStats() for uid in uids}
+    stats = {uid: UnitRunStats() for uid in evaluator.uids()}
     fp_stats = FastPathStats()
     out = []
     for did, q_did, prev_capture, prev_rows in items:
         page = lookup.current(did)
         q_page = lookup.previous(q_did) if q_did is not None else None
-        rel_rows = _recycle_page(evaluator, page, q_page, prev_capture,
-                                 prev_rows, sink, stats, timer, fp_stats)
-        if rel_rows is None:
-            rel_rows = _evaluate_page(evaluator, page, q_page,
-                                      prev_capture, sink, stats, timer,
-                                      fp_stats)
-        out.append((did, (rel_rows, sink.pages[-1] if buffered else None)))
+        rel_rows, capture = (
+            _recycle_page(evaluator, page, q_page, prev_capture, prev_rows,
+                          stats, timer, fp_stats)
+            or _evaluate_page(evaluator, page, q_page, prev_capture, stats,
+                              timer, fp_stats))
+        if writers is not None:
+            with timer.measure(IO):
+                _write_page(writers, did, capture)
+            capture = None
+        out.append((did, (rel_rows, capture)))
     return out, (stats, fp_stats)
 
 
@@ -997,8 +1012,7 @@ class ReuseEngine:
 
     def _run_pages(self, pages: Sequence[Page], jobs: int,
                    source: PrevCaptureSource,
-                   writers: Dict[str, Tuple[ReuseFileWriter,
-                                            ReuseFileWriter]],
+                   writers: Writers,
                    stats: Dict[str, UnitRunStats],
                    results: Dict[str, List[Tuple]], timer: Timer,
                    fp_stats: FastPathStats,
@@ -1016,15 +1030,16 @@ class ReuseEngine:
         # One worker slot streams: its single batch runs inline, in
         # canonical order, so the previous capture can be read page by
         # page as the batch advances (the payload stays a generator),
-        # pages are recycled in that same pass and records go straight
-        # to the reuse files. More slots need picklable payloads and an
-        # order-free merge: the capture is read up front, the parent
-        # recycles what it can before batching (recycled pages never
-        # reach a worker), and workers record into buffers that are
-        # replayed below. The choice is what ``jobs`` already says, and
-        # trades memory for parallelism.
+        # pages are recycled in that same pass and each page's groups
+        # are written as soon as it is done. More slots need picklable
+        # payloads and an order-free merge: the capture is read up
+        # front, the parent recycles what it can before batching
+        # (recycled pages never reach a worker), workers return each
+        # page's group bytes and the parent writes them below, in
+        # canonical order. The choice is what ``jobs`` already says,
+        # and trades memory for parallelism.
         streaming = jobs <= 1
-        recycled: Dict[str, Tuple[PageRows, PageCapture]] = {}
+        recycled: Dict[str, PageResult] = {}
         to_run = pages
         if streaming:
             def prev_capture_of(did: str) -> PrevCapture:
@@ -1033,14 +1048,13 @@ class ReuseEngine:
             prev_capture_of = {page.did: source.read(pair_of[page.did],
                                                      timer)
                                for page in pages}.__getitem__
-            recycle_sink = BufferedCaptureSink(evaluator.uids())
             for page in pages:
-                rows = _recycle_page(
+                done = _recycle_page(
                     evaluator, page, pair_of[page.did],
                     prev_capture_of(page.did), prev_rows_of(page.did),
-                    recycle_sink, stats, timer, fp_stats)
-                if rows is not None:
-                    recycled[page.did] = (rows, recycle_sink.pages[-1])
+                    stats, timer, fp_stats)
+                if done is not None:
+                    recycled[page.did] = done
             to_run = [p for p in pages if p.did not in recycled]
 
         def payload(batch: Sequence[Page]):
@@ -1066,21 +1080,19 @@ class ReuseEngine:
                 and prev_capture.get(u.uid, _NO_CAPTURE).inputs
                 for u in frontier)
 
-        def assemble(page: Page, extensions: Extensions, timer: Timer):
+        def assemble(page: Page, extensions: Extensions,
+                     timer: Timer) -> PageResult:
             """Re-run a split page here with its frontier extractions
             precomputed: chained units, relational operators and the
-            capture calls run exactly as in an unsplit run."""
-            sink = BufferedCaptureSink(evaluator.uids())
-            rel_rows = _evaluate_page(
+            capture records run exactly as in an unsplit run."""
+            return _evaluate_page(
                 evaluator, page, pair_of[page.did],
-                prev_capture_of(page.did), sink, stats, timer, fp_stats,
+                prev_capture_of(page.did), stats, timer, fp_stats,
                 precomputed=extensions)
-            return rel_rows, sink.pages[0]
 
         work = PageWork(
             batch_fn=_engine_batch,
-            state=(evaluator,
-                   DirectCaptureSink(writers) if streaming else None),
+            state=(evaluator, writers if streaming else None),
             payload=payload,
             frontier=[(u.uid, u.ie_node, u.alpha, u.beta)
                       for u in frontier],
@@ -1102,7 +1114,7 @@ class ReuseEngine:
                 results[rel].extend(rows)
         if not streaming:
             with timer.measure(IO):
-                replay_captures([by_did[p.did][1] for p in pages],
-                                writers)
+                for page in pages:
+                    _write_page(writers, page.did, by_did[page.did][1])
         timer.timings.runtime = run.metrics
         return sum(1 for q in pair_of.values() if q is not None)

@@ -14,13 +14,14 @@ Record format: each page group starts with a page-header record
 the block-buffer layer is where the I/O behavior the paper models
 lives.
 
-Tuple ids are page-local: the writer restarts its counter at every
-page header, and a tid is only ever referenced inside its own group
-(an O record's ``"i"``, a match segment's ``q_itid``). A group's bytes
-therefore depend only on its page's records, not on where the group
-sits in the file, which is what lets the engine copy the group of an
-unchanged page into the next capture verbatim
-(:meth:`ReuseFileWriter.append_group`).
+Tuple ids are page-local: they count from 0 in every group, and a tid
+is only ever referenced inside its own group (an O record's ``"i"``, a
+match segment's ``q_itid``). A group's bytes therefore depend only on
+its page's records, not on where the group sits in the file, so one
+page's capture is just its :data:`PageGroups` — each unit's I and O
+group bytes. A :class:`PageRecorder` encodes them record by record;
+an unchanged page takes them verbatim from the previous capture; and
+:meth:`ReuseFileWriter.write_page` appends them after the header.
 
 Readers find page headers by their byte prefix and JSON-parse only
 the headers and the records a caller uses: a :class:`UnitGroups`
@@ -42,6 +43,11 @@ BLOCK_SIZE = 4096
 #: Byte prefix of a page-header line and of a tuple-record line.
 PAGE_PREFIX = b'{"@page":'
 RECORD_PREFIX = b'{"t"'
+
+#: One page's capture: ``uid -> (I group bytes, O group bytes)``, the
+#: record lines of the unit's two page groups without their headers. A
+#: unit missing from the dict recorded nothing on the page.
+PageGroups = Dict[str, Tuple[bytes, bytes]]
 
 
 @dataclass(frozen=True)
@@ -114,15 +120,6 @@ class BlockWriter:
         self.bytes_written = 0
         self.flushes = 0
 
-    def append(self, record: Dict[str, Any]) -> None:
-        if self._file is None:
-            raise ValueError(f"writer for {self.path} is closed")
-        self.append_line(json.dumps(record, separators=(",", ":")))
-
-    def append_line(self, line: str) -> None:
-        """Append one pre-serialized JSON line (hot path)."""
-        self.append_bytes(line.encode("utf-8") + b"\n")
-
     def append_bytes(self, data: bytes) -> None:
         """Append already-encoded, newline-terminated lines."""
         if self._file is None:
@@ -157,14 +154,12 @@ class BlockWriter:
 
 
 class ReuseFileWriter:
-    """Writes one unit's I or O reuse file, grouped by page."""
+    """Writes one unit's I or O reuse file, one page group at a time."""
 
     PAGE_MARKER = "@page"
 
     def __init__(self, path: str) -> None:
         self._writer = BlockWriter(path)
-        self._next_tid = 0
-        self._current_page: Optional[str] = None
 
     @property
     def path(self) -> str:
@@ -174,42 +169,57 @@ class ReuseFileWriter:
     def blocks(self) -> int:
         return self._writer.blocks
 
-    def begin_page(self, did: str) -> None:
-        self._writer.append_bytes(page_marker(did))
-        self._current_page = did
-        self._next_tid = 0
-
-    def append_group(self, did: str, data: bytes) -> None:
-        """Write the current page's whole group from the raw record
-        bytes of a previous capture's group, byte for byte."""
-        self._require_page(did)
-        self._writer.append_bytes(data)
-
-    def append_input(self, did: str, s: int, e: int, c: str = "") -> int:
-        self._require_page(did)
-        tid = self._next_tid
-        self._next_tid += 1
-        self._writer.append_line(
-            f'{{"t":{tid},"s":{s},"e":{e},"c":{json.dumps(c)}}}')
-        return tid
-
-    def append_output(self, did: str, itid: int,
-                      fields: Tuple[Tuple[str, str, Any, Any], ...]) -> int:
-        self._require_page(did)
-        tid = self._next_tid
-        self._next_tid += 1
-        self._writer.append_line(
-            f'{{"t":{tid},"i":{itid},"f":{json.dumps(list(fields))}}}')
-        return tid
-
-    def _require_page(self, did: str) -> None:
-        if self._current_page != did:
-            raise ValueError(
-                f"page group {did!r} not started (current: "
-                f"{self._current_page!r})")
+    def write_page(self, did: str, data: bytes) -> None:
+        """Append ``did``'s page group: its header, then ``data``, the
+        group's record lines (one side of a :data:`PageGroups` entry)."""
+        self._writer.append_bytes(page_marker(did) + data)
 
     def close(self) -> None:
         self._writer.close()
+
+
+class PageRecorder:
+    """Records one page's capture as :data:`PageGroups`.
+
+    Every record is encoded exactly as its group holds it. Tids count
+    from 0 per unit and file: inputs in the I group, outputs in the O
+    group. A unit that records nothing allocates nothing.
+    """
+
+    __slots__ = ("_units",)
+
+    def __init__(self) -> None:
+        #: uid -> [I group bytes, O group bytes, next I tid, next O tid]
+        self._units: Dict[str, list] = {}
+
+    def _unit(self, uid: str) -> list:
+        unit = self._units.get(uid)
+        if unit is None:
+            unit = self._units[uid] = [bytearray(), bytearray(), 0, 0]
+        return unit
+
+    def input(self, uid: str, s: int, e: int, c: str = "") -> int:
+        """Record an input region; returns the tid outputs refer to."""
+        unit = self._unit(uid)
+        tid = unit[2]
+        unit[2] = tid + 1
+        unit[0] += (f'{{"t":{tid},"s":{s},"e":{e},'
+                    f'"c":{json.dumps(c)}}}\n').encode()
+        return tid
+
+    def output(self, uid: str, itid: int,
+               fields: Tuple[Tuple[str, str, Any, Any], ...]) -> None:
+        """Record an output tuple of the input with tid ``itid``."""
+        unit = self._unit(uid)
+        tid = unit[3]
+        unit[3] = tid + 1
+        unit[1] += (f'{{"t":{tid},"i":{itid},'
+                    f'"f":{json.dumps(list(fields))}}}\n').encode()
+
+    def groups(self) -> PageGroups:
+        """The recorded groups' bytes."""
+        return {uid: (bytes(unit[0]), bytes(unit[1]))
+                for uid, unit in self._units.items()}
 
 
 class ReuseFileReader:

@@ -26,9 +26,6 @@ systems:
 * :mod:`~repro.runtime.shm` — the shared-memory text arena: process
   workers attach one :mod:`multiprocessing.shared_memory` segment and
   work items carry page ids, not pickled text;
-* :mod:`~repro.runtime.capture` — per-worker capture buffers and the
-  deterministic replay that merges them into the snapshot's reuse
-  files **byte-identically** to a serial run;
 * :mod:`~repro.runtime.metrics` — per-item wall time, worker
   utilization, steal/split counts, and pages/sec accounting surfaced
   through :mod:`repro.timing`.
@@ -38,20 +35,14 @@ system must produce (1) identical canonical results and (2)
 byte-identical reuse/capture files compared to a serial run. All
 merges are keyed by canonical page id (LPT batches interleave the
 page order), split parts concatenate in part order (ownership by
-extent start is a stable partition of the serial sequence), and the
-capture replay writes the buffered records, whose page-local tuple
-ids are the ones a serial writer assigns, in canonical page order, so
-the next snapshot's recycling is oblivious to how the previous run
-was parallelized.
+extent start is a stable partition of the serial sequence), and each
+page's value comes back under its page id. For the reuse engine that
+value carries the page's capture as group bytes, which depend only on
+the page; the engine writes them in canonical page order, so the next
+snapshot's recycling is oblivious to how the previous run was
+parallelized. Nothing here knows the reuse-file format.
 """
 
-from .capture import (
-    BufferedCaptureSink,
-    DirectCaptureSink,
-    PageCapture,
-    ReplayStats,
-    replay_captures,
-)
 from .executor import (
     AUTO_PROCESS_WORK_FACTOR,
     BACKEND_NAMES,
@@ -67,8 +58,7 @@ from .driver import PageLookup, PageRun, PageWork, run_pages
 from .metrics import BatchMetric, RuntimeMetrics, build_metrics
 from .scheduler import PageBatch, PageScheduler, pack_lpt
 from .shm import (
-    InlineArenaHandle,
-    LocalArenaHandle,
+    DictArenaHandle,
     SharedArenaHandle,
     TextArena,
     build_arena,
@@ -86,13 +76,9 @@ __all__ = [
     "AUTO_PROCESS_WORK_FACTOR",
     "BACKEND_NAMES",
     "BatchMetric",
-    "BufferedCaptureSink",
-    "DirectCaptureSink",
+    "DictArenaHandle",
     "Executor",
-    "InlineArenaHandle",
-    "LocalArenaHandle",
     "PageBatch",
-    "PageCapture",
     "PageLookup",
     "PagePart",
     "PageRun",
@@ -100,7 +86,6 @@ __all__ = [
     "PageWork",
     "PartPoisoned",
     "ProcessPoolExecutor",
-    "ReplayStats",
     "RuntimeMetrics",
     "SerialExecutor",
     "SharedArenaHandle",
@@ -115,7 +100,6 @@ __all__ = [
     "pack_lpt",
     "part_extensions",
     "plan_parts",
-    "replay_captures",
     "run_pages",
     "shm_available",
 ]

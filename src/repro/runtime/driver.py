@@ -33,7 +33,8 @@ pages may be split, and how to finish a page whose frontier
 extensions were precomputed. Serial execution is this same driver
 with one worker slot: one batch holding every page in canonical
 order, run inline — which is what lets a system hand it a lazy
-payload and a direct sink and so keep a streaming, one-pass scan.
+payload and write each page's output as the batch produces it, and
+so keep a streaming, one-pass scan.
 """
 
 from __future__ import annotations

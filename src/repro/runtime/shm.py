@@ -9,16 +9,19 @@ carry only ``(byte offset, byte length)`` table entries and workers
 decode each page lazily (and cache the decoded ``str``, since Python
 extraction code needs ``str`` offsets, not bytes).
 
-Three handle flavors behind one ``text(did)`` interface:
+Two handle classes, three flavors (``kind``), behind one
+``text(did)`` interface:
 
-* :class:`LocalArenaHandle` — serial/thread backends share the parent
-  address space; the handle is a plain dict of references.
-* :class:`SharedArenaHandle` — process backend with shared memory
-  available; pickles as ``(segment name, offset table)`` only.
-* :class:`InlineArenaHandle` — fallback when shared memory is missing
-  (or creation failed): texts are pickled once per worker via the
-  pool initializer, which is still once-per-worker instead of
-  once-per-batch.
+* :class:`DictArenaHandle` of kind ``"local"`` — serial/thread
+  backends share the parent address space; the handle is a plain dict
+  of references.
+* :class:`SharedArenaHandle` (``"shared"``) — process backend with
+  shared memory available; pickles as ``(segment name, offset table)``
+  only.
+* :class:`DictArenaHandle` of kind ``"inline"`` — fallback when shared
+  memory is missing (or creation failed): texts are pickled once per
+  worker via the pool initializer, which is still once-per-worker
+  instead of once-per-batch.
 
 The parent owns the segment lifetime: :meth:`TextArena.close` unlinks
 it after the run. Worker processes attach lazily on first ``text()``
@@ -49,25 +52,14 @@ def shm_available() -> bool:
     return _SHM_AVAILABLE
 
 
-class LocalArenaHandle:
-    """Same-address-space handle: plain references, zero copies."""
+class DictArenaHandle:
+    """A handle over a plain dict of texts: references shared in the
+    parent's address space (``"local"``), or the fallback process
+    handle whose texts are pickled once per worker (``"inline"``)."""
 
-    kind = "local"
-
-    def __init__(self, texts: Dict[str, str]) -> None:
+    def __init__(self, texts: Dict[str, str], kind: str) -> None:
         self._texts = texts
-
-    def text(self, did: str) -> str:
-        return self._texts[did]
-
-
-class InlineArenaHandle:
-    """Fallback process handle: texts pickled once per worker."""
-
-    kind = "inline"
-
-    def __init__(self, texts: Dict[str, str]) -> None:
-        self._texts = texts
+        self.kind = kind
 
     def text(self, did: str) -> str:
         return self._texts[did]
@@ -155,9 +147,9 @@ def build_arena(texts: Dict[str, str], backend_name: str) -> TextArena:
     inline once-per-worker fallback.
     """
     if backend_name != "process":
-        return TextArena(LocalArenaHandle(texts))
+        return TextArena(DictArenaHandle(texts, "local"))
     if not shm_available():
-        return TextArena(InlineArenaHandle(texts))
+        return TextArena(DictArenaHandle(texts, "inline"))
     from multiprocessing import shared_memory
     encoded = {did: text.encode("utf-8") for did, text in texts.items()}
     total = sum(len(b) for b in encoded.values())
@@ -165,7 +157,7 @@ def build_arena(texts: Dict[str, str], backend_name: str) -> TextArena:
         seg = shared_memory.SharedMemory(create=True,
                                          size=max(1, total))
     except Exception:
-        return TextArena(InlineArenaHandle(texts))
+        return TextArena(DictArenaHandle(texts, "inline"))
     table: Dict[str, Tuple[int, int]] = {}
     off = 0
     for did, data in encoded.items():

@@ -52,12 +52,12 @@ from repro.reuse.engine import (
     _LoadedReuseFile,
 )
 from repro.reuse.files import (
+    PageRecorder,
     ReuseFileReader,
     ReuseFileWriter,
     parse_inputs,
     parse_outputs,
 )
-from repro.runtime.capture import BufferedCaptureSink
 from repro.text.document import Page
 from repro.text.span import Interval
 from repro.timing import Timer, Timings
@@ -301,9 +301,11 @@ class TestAutomatonCache:
 def _write_reuse_file(path: str, groups):
     writer = ReuseFileWriter(path)
     for did, tuples in groups:
-        writer.begin_page(did)
+        recorder = PageRecorder()
         for s, e in tuples:
-            writer.append_input(did, s, e)
+            recorder.input("u", s, e)
+        i_data, _ = recorder.groups().get("u", (b"", b""))
+        writer.write_page(did, i_data)
     writer.close()
 
 
@@ -403,10 +405,11 @@ class TestWholeFileLoader:
     def test_single_page_group(self, tmp_path):
         # Re-reading the same group never depends on earlier reads.
         path = os.path.join(tmp_path, "u.O.reuse")
+        recorder = PageRecorder()
+        recorder.output("u", 0, (("x", "s", 0, 4),))
+        recorder.output("u", 0, (("x", "s", 6, 9),))
         writer = ReuseFileWriter(path)
-        writer.begin_page("only")
-        writer.append_output("only", 0, (("x", "s", 0, 4),))
-        writer.append_output("only", 0, (("x", "s", 6, 9),))
+        writer.write_page("only", recorder.groups()["u"][1])
         writer.close()
         loaded = _LoadedReuseFile(path)
         for _ in range(3):
@@ -599,16 +602,14 @@ class TestFastPathParity:
                                       fastpath=flag)
             source = PrevCaptureSource(boot._capture_paths(str(tmp_path)),
                                        sequential=False)
-            sink = BufferedCaptureSink(evaluator.uids())
             stats = {uid: UnitRunStats() for uid in evaluator.uids()}
             fp_stats = FastPathStats()
             caches = []
             for page in cur.canonical_pages():
                 q_page = prev.get(page.url)
                 cache = MatchCache()
-                sink.begin_page(page.did)
                 evaluator.run_page(page, q_page, source.read(q_page, timer),
-                                   sink, stats, timer, cache=cache,
+                                   PageRecorder(), stats, timer, cache=cache,
                                    fp_stats=fp_stats)
                 caches.append(list(cache.segments))
             source.close()

@@ -16,6 +16,7 @@ from repro.extractors import ALL_TASKS, make_task
 from repro.plan import compile_program, find_units
 from repro.reuse import FingerprintScope, PlanAssignment, ReuseEngine
 from repro.reuse.files import (
+    PageRecorder,
     ReuseFileReader,
     ReuseFileWriter,
     encode_fields,
@@ -92,15 +93,17 @@ def test_reuse_file_roundtrip_property(tmp_path_factory, pages):
     expected = []
     for idx, (regions, outs) in enumerate(pages):
         did = f"page{idx}"
-        wi.begin_page(did)
-        wo.begin_page(did)
+        recorder = PageRecorder()
         tids = []
         for s, e in regions:
             lo, hi = min(s, e), max(s, e)
-            tids.append(wi.append_input(did, lo, hi))
+            tids.append(recorder.input("u", lo, hi))
         for fields in outs:
-            wo.append_output(did, tids[0] if tids else 0,
-                             encode_fields(fields))
+            recorder.output("u", tids[0] if tids else 0,
+                            encode_fields(fields))
+        i_data, o_data = recorder.groups().get("u", (b"", b""))
+        wi.write_page(did, i_data)
+        wo.write_page(did, o_data)
         expected.append((did, regions, outs))
     wi.close()
     wo.close()

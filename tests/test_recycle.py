@@ -35,8 +35,7 @@ from repro.reuse.engine import (
     ReuseEngine,
     UnitRunStats,
 )
-from repro.reuse.files import InputTuple, iter_page_lines
-from repro.runtime.capture import BufferedCaptureSink
+from repro.reuse.files import InputTuple, PageRecorder, iter_page_lines
 from repro.text.regions import MatchSegment
 from repro.text.span import Span
 from repro.timing import Timer, Timings
@@ -373,11 +372,9 @@ class TestExactRUGuard:
         evaluator = PageEvaluator(plan, units,
                                   _plan(units, UD_NAME, RU_NAME))
         assert evaluator.page_recyclable(page, q_page, prev_capture)
-        sink = BufferedCaptureSink(evaluator.uids())
-        sink.begin_page(page.did)
         tracer = otrace.install()
         try:
-            evaluator.run_page(page, q_page, prev_capture, sink,
+            evaluator.run_page(page, q_page, prev_capture, PageRecorder(),
                                {u.uid: UnitRunStats() for u in units},
                                timer, cache=MatchCache(),
                                fp_stats=FastPathStats())

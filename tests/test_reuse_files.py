@@ -10,8 +10,10 @@ from repro.reuse.files import (
     BlockWriter,
     InputTuple,
     OutputTuple,
+    PageRecorder,
     ReuseFileReader,
     ReuseFileWriter,
+    UnitGroups,
     decode_fields,
     encode_fields,
     group_outputs_by_input,
@@ -19,6 +21,7 @@ from repro.reuse.files import (
     parse_inputs,
     parse_outputs,
 )
+from repro.reuse.engine import _write_page
 from repro.text.span import Span
 
 
@@ -26,7 +29,7 @@ class TestBlockWriter:
     def test_buffers_until_block(self, tmp_path):
         path = str(tmp_path / "w.dat")
         writer = BlockWriter(path)
-        writer.append({"x": 1})
+        writer.append_bytes(b'{"x":1}\n')
         assert os.path.getsize(path) == 0  # still buffered
         writer.close()
         assert os.path.getsize(path) > 0
@@ -34,15 +37,15 @@ class TestBlockWriter:
     def test_flushes_on_full_block(self, tmp_path):
         path = str(tmp_path / "w.dat")
         writer = BlockWriter(path)
-        payload = {"x": "y" * 100}
+        line = b"y" * 100 + b"\n"
         for _ in range(BLOCK_SIZE // 50):
-            writer.append(payload)
+            writer.append_bytes(line)
         assert writer.flushes >= 1
         writer.close()
 
     def test_blocks_accounting(self, tmp_path):
         writer = BlockWriter(str(tmp_path / "w.dat"))
-        writer.append({"x": "a" * (BLOCK_SIZE + 10)})
+        writer.append_bytes(b"a" * (BLOCK_SIZE + 10))
         assert writer.blocks == 2
         writer.close()
 
@@ -50,12 +53,12 @@ class TestBlockWriter:
         writer = BlockWriter(str(tmp_path / "w.dat"))
         writer.close()
         with pytest.raises(ValueError):
-            writer.append({"x": 1})
+            writer.append_bytes(b'{"x":1}\n')
 
     def test_context_manager(self, tmp_path):
         path = str(tmp_path / "w.dat")
         with BlockWriter(path) as writer:
-            writer.append({"k": 1})
+            writer.append_bytes(b'{"k":1}\n')
         assert json.loads(open(path).read()) == {"k": 1}
 
 
@@ -73,15 +76,23 @@ class TestFieldCodec:
         assert [f[0] for f in encoded] == ["a", "z"]
 
 
-def write_two_pages(path):
+def write_inputs(path, pages):
+    """Write an I file holding ``pages``: ``(did, [(s, e, c), ...])``;
+    returns the tids the recorder assigned, in order."""
     writer = ReuseFileWriter(path)
-    writer.begin_page("page1")
-    t0 = writer.append_input("page1", 0, 100)
-    t1 = writer.append_input("page1", 100, 200)
-    writer.begin_page("page2")
-    t2 = writer.append_input("page2", 0, 50)
+    tids = []
+    for did, regions in pages:
+        recorder = PageRecorder()
+        tids += [recorder.input("u", s, e, c) for s, e, c in regions]
+        i_data, _ = recorder.groups().get("u", (b"", b""))
+        writer.write_page(did, i_data)
     writer.close()
-    return t0, t1, t2
+    return tids
+
+
+def write_two_pages(path):
+    return write_inputs(path, [("page1", [(0, 100, ""), (100, 200, "")]),
+                               ("page2", [(0, 50, "")])])
 
 
 class TestReuseFileRoundtrip:
@@ -128,10 +139,11 @@ class TestReuseFileRoundtrip:
 
     def test_outputs_roundtrip(self, tmp_path):
         path = str(tmp_path / "u.O.reuse")
-        writer = ReuseFileWriter(path)
-        writer.begin_page("p")
+        recorder = PageRecorder()
         fields = encode_fields({"v": Span("p", 5, 9), "n": 3})
-        writer.append_output("p", itid=7, fields=fields)
+        recorder.output("u", itid=7, fields=fields)
+        writer = ReuseFileWriter(path)
+        writer.write_page("p", recorder.groups()["u"][1])
         writer.close()
         reader = ReuseFileReader(path)
         outs = parse_outputs(reader.page_lines("p"))
@@ -142,21 +154,20 @@ class TestReuseFileRoundtrip:
 
     def test_empty_page_group(self, tmp_path):
         path = str(tmp_path / "u.I.reuse")
-        writer = ReuseFileWriter(path)
-        writer.begin_page("a")
-        writer.begin_page("b")
-        writer.append_input("b", 0, 10)
-        writer.close()
+        write_inputs(path, [("a", []), ("b", [(0, 10, "")])])
         reader = ReuseFileReader(path)
         assert parse_inputs("a", reader.page_lines("a")) == []
         assert len(parse_inputs("b", reader.page_lines("b"))) == 1
         reader.close()
 
     def test_write_requires_page_group(self, tmp_path):
-        writer = ReuseFileWriter(str(tmp_path / "u.I.reuse"))
-        with pytest.raises(ValueError):
-            writer.append_input("nowhere", 0, 5)
-        writer.close()
+        # The writer's one call opens the group it writes: no record
+        # can land outside a page group.
+        path = str(tmp_path / "u.I.reuse")
+        write_inputs(path, [("nowhere", [(0, 5, "")])])
+        with open(path, "rb") as f:
+            assert f.read() == (b'{"@page":"nowhere"}\n'
+                                b'{"t":0,"s":0,"e":5,"c":""}\n')
 
     def test_iter_all_pages(self, tmp_path):
         path = str(tmp_path / "u.I.reuse")
@@ -167,10 +178,7 @@ class TestReuseFileRoundtrip:
 
     def test_unicode_in_c_field(self, tmp_path):
         path = str(tmp_path / "u.I.reuse")
-        writer = ReuseFileWriter(path)
-        writer.begin_page("p")
-        writer.append_input("p", 0, 5, c='prefix "quoted" — ünïcode')
-        writer.close()
+        write_inputs(path, [("p", [(0, 5, 'prefix "quoted" — ünïcode')])])
         reader = ReuseFileReader(path)
         got = parse_inputs("p", reader.page_lines("p"))
         assert got[0].c == 'prefix "quoted" — ünïcode'
@@ -187,3 +195,100 @@ class TestGrouping:
     def test_input_tuple_interval(self):
         t = InputTuple(0, "d", 3, 9)
         assert t.interval.start == 3 and t.interval.end == 9
+
+
+#: A capture in the on-disk format as it stood before record encoding
+#: moved into :class:`PageRecorder`: two pages x two units, one empty
+#: group (u2 on "plain"), a non-ASCII page id, span and scalar fields
+#: and ``c`` / scalar values with quotes. Captures written earlier stay
+#: readable, and their groups recyclable, only while these bytes hold.
+GOLDEN_DID = "página-α"
+GOLDEN = {
+    "u1.I.reuse": (
+        b'{"@page":"p\\u00e1gina-\\u03b1"}\n'
+        b'{"t":0,"s":0,"e":12,"c":""}\n'
+        b'{"t":1,"s":12,"e":40,"c":"say \\"hi\\""}\n'
+        b'{"@page":"plain"}\n'
+        b'{"t":0,"s":3,"e":9,"c":""}\n'
+    ),
+    "u1.O.reuse": (
+        b'{"@page":"p\\u00e1gina-\\u03b1"}\n'
+        b'{"t":0,"i":0,"f":[["name", "s", 2, 7], ["year", "v", 1999, null]]}\n'
+        b'{"t":1,"i":1,"f":[["name", "s", 14, 20], ["year", "v", 2001, null]]}\n'
+        b'{"t":2,"i":1,"f":[["name", "s", 22, 30], ["year", "v", null, null]]}\n'
+        b'{"@page":"plain"}\n'
+    ),
+    "u2.I.reuse": (
+        b'{"@page":"p\\u00e1gina-\\u03b1"}\n'
+        b'{"t":0,"s":0,"e":40,"c":""}\n'
+        b'{"@page":"plain"}\n'
+    ),
+    "u2.O.reuse": (
+        b'{"@page":"p\\u00e1gina-\\u03b1"}\n'
+        b'{"t":0,"i":0,"f":[["title", "v", "Dr. \\"Who\\"", null]]}\n'
+        b'{"@page":"plain"}\n'
+    ),
+}
+
+
+class TestGoldenBytes:
+    SCRIPT = [
+        (GOLDEN_DID, {
+            "u1": [(0, 12, "", [{"name": Span(GOLDEN_DID, 2, 7),
+                                 "year": 1999}]),
+                   (12, 40, 'say "hi"',
+                    [{"name": Span(GOLDEN_DID, 14, 20), "year": 2001},
+                     {"name": Span(GOLDEN_DID, 22, 30), "year": None}])],
+            "u2": [(0, 40, "", [{"title": 'Dr. "Who"'}])]}),
+        ("plain", {"u1": [(3, 9, "", [])], "u2": []}),
+    ]
+
+    def _write(self, directory, capture_of):
+        writers = {uid: (ReuseFileWriter(str(directory / f"{uid}.I.reuse")),
+                         ReuseFileWriter(str(directory / f"{uid}.O.reuse")))
+                   for uid in ("u1", "u2")}
+        for did, _ in self.SCRIPT:
+            _write_page(writers, did, capture_of(did))
+        for writer_i, writer_o in writers.values():
+            writer_i.close()
+            writer_o.close()
+        return {name: (directory / name).read_bytes()
+                for name in sorted(os.listdir(directory))}
+
+    def test_recorded_capture_matches_golden(self, tmp_path):
+        captures = {}
+        for did, per_unit in self.SCRIPT:
+            recorder = PageRecorder()
+            for uid, rows in per_unit.items():
+                for s, e, c, outs in rows:
+                    tid = recorder.input(uid, s, e, c)
+                    for fields in outs:
+                        recorder.output(uid, tid, encode_fields(fields))
+            captures[did] = recorder.groups()
+        assert "u2" not in captures["plain"]  # the empty group
+        assert self._write(tmp_path, captures.__getitem__) == GOLDEN
+
+    def test_golden_groups_read_and_recycle_verbatim(self, tmp_path):
+        # What a run after an upgrade does with a capture written
+        # before it: read each group, then splice it into a new file.
+        for name, data in GOLDEN.items():
+            (tmp_path / name).write_bytes(data)
+        readers = {uid: (ReuseFileReader(str(tmp_path / f"{uid}.I.reuse")),
+                         ReuseFileReader(str(tmp_path / f"{uid}.O.reuse")))
+                   for uid in ("u1", "u2")}
+        groups = {did: {uid: UnitGroups(did, ri.page_lines(did),
+                                        ro.page_lines(did))
+                        for uid, (ri, ro) in readers.items()}
+                  for did, _ in self.SCRIPT}
+        for ri, ro in readers.values():
+            ri.close()
+            ro.close()
+        page = groups[GOLDEN_DID]
+        assert page["u1"].inputs[1].c == 'say "hi"'
+        assert page["u2"].outputs()[0][0].fields == (
+            ("title", "v", 'Dr. "Who"', None),)
+        assert groups["plain"]["u2"].raw() == (b"", b"")
+        out = tmp_path / "recycled"
+        out.mkdir()
+        assert self._write(out, lambda did: {
+            uid: unit.raw() for uid, unit in groups[did].items()}) == GOLDEN

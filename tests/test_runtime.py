@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 import time
 
 import pytest
@@ -29,11 +30,10 @@ from repro.extractors import make_task
 from repro.extractors.base import Extraction, Extractor
 from repro.plan.compile import compile_program
 from repro.plan.operators import IENode, ScanNode
-from repro.reuse.files import ReuseFileWriter, encode_fields
+from repro.reuse.engine import _write_page
+from repro.reuse.files import PageRecorder, ReuseFileWriter, encode_fields
 from repro.runtime import (
     AUTO_PROCESS_WORK_FACTOR,
-    BufferedCaptureSink,
-    DirectCaptureSink,
     PageBatch,
     PageScheduler,
     PageWork,
@@ -49,7 +49,6 @@ from repro.runtime import (
     pack_lpt,
     part_extensions,
     plan_parts,
-    replay_captures,
     run_pages,
 )
 from repro.text.document import Page
@@ -283,15 +282,13 @@ class TestTextArena:
     def test_local_arena_for_threads(self):
         arena = build_arena(dict(self.TEXTS), "thread")
         try:
-            assert not arena.shared
+            assert not arena.shared and arena.handle.kind == "local"
             for key, text in self.TEXTS.items():
                 assert arena.handle.text(key) == text
         finally:
             arena.close()
 
     def test_shared_arena_roundtrips_through_pickle(self):
-        import pickle
-
         from repro.runtime import shm_available
 
         if not shm_available():
@@ -316,18 +313,21 @@ class TestTextArena:
 
 
 # ---------------------------------------------------------------------------
-# Capture buffers and the byte-identical merge
+# Page captures and the byte-identical merge
 
 
-def _emit(sink, uid_rows):
-    """Drive a sink through a fixed page/record sequence."""
-    for did, per_unit in uid_rows:
-        sink.begin_page(did)
+def _record(script):
+    """Record a fixed page/record sequence, one recorder per page."""
+    captures = {}
+    for did, per_unit in script:
+        recorder = PageRecorder()
         for uid, inputs in per_unit.items():
             for (s, e, c, outs) in inputs:
-                tid = sink.append_input(uid, did, s, e, c)
+                tid = recorder.input(uid, s, e, c)
                 for fields in outs:
-                    sink.append_output(uid, did, tid, fields)
+                    recorder.output(uid, tid, fields)
+        captures[did] = recorder.groups()
+    return captures
 
 
 def _capture_script():
@@ -348,13 +348,16 @@ def _write_files(directory, mode):
                for uid in ("u1", "u2")}
     script = _capture_script()
     if mode == "direct":
-        _emit(DirectCaptureSink(writers), script)
+        # Serial: each page's groups are written as soon as it is done.
+        for did, groups in _record(script).items():
+            _write_page(writers, did, groups)
     else:
-        # Two "workers", pages split mid-sequence, merged by replay.
-        first, second = (BufferedCaptureSink(["u1", "u2"]) for _ in "ab")
-        _emit(first, script[:2])
-        _emit(second, script[2:])
-        replay_captures(first.pages + second.pages, writers)
+        # Two "workers" record pages out of order; their group bytes
+        # cross a pickle and the parent writes them in canonical order.
+        returned = {**pickle.loads(pickle.dumps(_record(script[2:]))),
+                    **pickle.loads(pickle.dumps(_record(script[:2])))}
+        for did in sorted(returned):
+            _write_page(writers, did, returned[did])
     for wi, wo in writers.values():
         wi.close()
         wo.close()
@@ -369,47 +372,24 @@ class TestCaptureMerge:
         assert direct == merged
         assert any(direct.values())  # files actually contain records
 
-    def test_buffered_requires_open_page(self):
-        sink = BufferedCaptureSink(["u1"])
-        with pytest.raises(ValueError):
-            sink.append_input("u1", "d01", 0, 1)
-        sink.begin_page("d01")
-        with pytest.raises(ValueError):
-            sink.append_input("u1", "d99", 0, 1)
-
     def test_local_tids_are_per_page(self):
-        sink = BufferedCaptureSink(["u1"])
-        sink.begin_page("d01")
-        assert sink.append_input("u1", "d01", 0, 1) == 0
-        assert sink.append_input("u1", "d01", 1, 2) == 1
-        sink.begin_page("d02")
-        assert sink.append_input("u1", "d02", 0, 1) == 0
+        first, second = PageRecorder(), PageRecorder()
+        assert first.input("u1", 0, 1) == 0
+        assert first.input("u1", 1, 2) == 1
+        assert first.input("u2", 1, 2) == 0  # and per unit
+        assert second.input("u1", 0, 1) == 0
+        first.output("u1", 1, ())
+        first.output("u1", 1, ())
+        assert first.groups()["u1"][1] == (b'{"t":0,"i":1,"f":[]}\n'
+                                           b'{"t":1,"i":1,"f":[]}\n')
 
     def test_empty_pages_allocate_no_buffers(self):
-        # Regression: begin_page used to allocate one list per uid per
-        # page; on mostly-recycled snapshots those empty lists (and
-        # copying them through replay) dominated merge cost.
-        sink = BufferedCaptureSink(["u1", "u2", "u3"])
-        for i in range(5):
-            sink.begin_page(f"d{i:02d}")
-        assert all(p.inputs == {} and p.outputs == {} for p in sink.pages)
-
-    def test_replay_reports_skipped_empty_groups(self, tmp_path):
-        writers = {
-            uid: (ReuseFileWriter(str(tmp_path / f"{uid}.I")),
-                  ReuseFileWriter(str(tmp_path / f"{uid}.O")))
-            for uid in ("u1", "u2")}
-        sink = BufferedCaptureSink(["u1", "u2"])
-        _emit(sink, _capture_script())
-        stats = replay_captures(sink.pages, writers)
-        for wi, wo in writers.values():
-            wi.close()
-            wo.close()
-        assert stats.pages == 3
-        # d02/u1 and d03/u2 recorded nothing: their record loops are
-        # skipped but the @page headers still land in the files.
-        assert stats.skipped == 2
-        assert stats.records > 0
+        # A unit that records nothing on a page allocates nothing; its
+        # two groups are written empty (see the golden-bytes test).
+        assert PageRecorder().groups() == {}
+        recorder = PageRecorder()
+        recorder.input("u2", 0, 1)
+        assert list(recorder.groups()) == ["u2"]
 
 
 # ---------------------------------------------------------------------------
@@ -776,3 +756,44 @@ def test_page_batch_helpers():
     assert len(batch) == 2
     assert list(batch) == pages
     assert batch.chars == 7
+
+
+# ---------------------------------------------------------------------------
+# Layering
+
+
+def _imported_modules(path, package):
+    """Absolute names of every module ``path`` (in ``package``) imports."""
+    import ast
+
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package.split(".")
+            if node.level:
+                base = base[:len(base) - node.level + 1]
+                module = ".".join(base + ([node.module] if node.module
+                                          else []))
+            else:
+                module = node.module
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_runtime_never_imports_reuse():
+    # The runtime walks pages for every system; the reuse-file format
+    # stays in repro.reuse.
+    import repro.runtime
+
+    directory = os.path.dirname(repro.runtime.__file__)
+    names = sorted(n for n in os.listdir(directory) if n.endswith(".py"))
+    assert "driver.py" in names
+    for name in names:
+        for module in _imported_modules(os.path.join(directory, name),
+                                        "repro.runtime"):
+            assert not (module == "repro.reuse"
+                        or module.startswith("repro.reuse.")), \
+                f"runtime/{name} imports {module}"

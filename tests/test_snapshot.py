@@ -61,17 +61,6 @@ class TestSnapshot:
         snap = make_snapshot(0, {"u1": "aaaa", "u2": "bb"})
         assert snap.total_bytes() == 6
 
-    def test_ordered_like_shared_pages_first(self):
-        prev = Snapshot(0, [Page.from_url(u, "x") for u in "cab"])
-        cur = snapshot_from_texts(1, {u: "y" for u in "abcd"})
-        ordered = cur.ordered_like(prev)
-        assert ordered.urls() == ["c", "a", "b", "d"]
-
-    def test_ordered_like_handles_removed(self):
-        prev = Snapshot(0, [Page.from_url(u, "x") for u in "abc"])
-        cur = snapshot_from_texts(1, {"a": "y", "c": "y"})
-        assert cur.ordered_like(prev).urls() == ["a", "c"]
-
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
