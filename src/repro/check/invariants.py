@@ -29,6 +29,8 @@ correctness argument):
 * **identity-pair soundness** — a fingerprint-equal page pair taking
   the unchanged-page short circuit really is byte-identical (guards
   against fingerprint collisions).
+* **recycle-verdict memo soundness** — a whole-page recycle verdict
+  taken from the memo equals the one the page's groups give now.
 
 This module must only depend on :mod:`repro.text` — the reuse and
 fastpath layers import it, so anything heavier would be a cycle.
@@ -288,3 +290,13 @@ def check_identity_pair(page: Any, q_page: Any) -> None:
             f"pages {page.did!r} / {q_page.did!r} took the unchanged-"
             "page fast path but their texts differ (fingerprint "
             "collision?)")
+
+
+def check_recycle_verdict(memoised: Any, fresh: Any) -> None:
+    """A memoised whole-page recycle verdict must be the fresh one."""
+    _count()
+    if memoised != fresh:
+        raise InvariantViolation(
+            "recycle-verdict-memo",
+            f"memoised recycle verdict {memoised!r} differs from the "
+            f"page's fresh verdict {fresh!r}")

@@ -36,6 +36,7 @@ from ..plan.units import IEChain, IEUnit, find_units, partition_chains
 from ..reuse.engine import (
     PageRows,
     PlanAssignment,
+    RecycleMemo,
     ReuseEngine,
     SnapshotRunResult,
 )
@@ -97,6 +98,10 @@ class DelexSystem:
         #: both, and the serving layer applies them as a delta. The
         #: lists are shared between runs and never mutated.
         self.last_page_rows: Optional[Dict[str, PageRows]] = None
+        #: Whole-page recycle verdicts by plan and recorded I groups,
+        #: run state like ``last_page_rows``: the engine keeps what each
+        #: run used, so it holds at most one snapshot's pages.
+        self.recycle_memo = RecycleMemo()
         #: The match store: owned here (not by the engine, which is
         #: rebuilt per ``process`` call) so content-keyed match results
         #: survive across the whole snapshot series.
@@ -133,6 +138,7 @@ class DelexSystem:
         # The rows of the run before the restart are gone: the first
         # snapshot after it takes the per-unit path everywhere.
         self.last_page_rows = None
+        self.recycle_memo = RecycleMemo()
 
     def process(self, snapshot: Snapshot,
                 prev_snapshot: Optional[Snapshot] = None
@@ -163,7 +169,8 @@ class DelexSystem:
             snapshot,
             self._history[-1] if self._history else None,
             self._prev_dir, out_dir, timings=timings,
-            page_rows_out=page_rows, prev_page_rows=self.last_page_rows)
+            page_rows_out=page_rows, prev_page_rows=self.last_page_rows,
+            recycle_memo=self.recycle_memo)
         self.last_page_rows = page_rows
         self._last_result = result
         if self.match_cache is not None and _oreg.ENABLED:

@@ -20,6 +20,7 @@ exactly those knobs.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -31,8 +32,8 @@ from ..matchers.registry import make_matcher
 from ..plan.compile import CompiledPlan
 from ..plan.operators import Node, TupleRow, plan_walker
 from ..plan.units import IEUnit
-from ..reuse.engine import min_match_length
-from ..reuse.files import BLOCK_SIZE, InputTuple
+from ..reuse.engine import ReuseEngine, min_match_length
+from ..reuse.files import BLOCK_SIZE, InputTuple, ReuseFileReader, parse_inputs
 from ..reuse.regions import derive_reuse
 from ..text.document import Page
 from ..text.regions import MatchSegment
@@ -156,27 +157,29 @@ def _sample_pairs(snapshot: Snapshot, prev: Snapshot,
 
 def load_recorded_regions(capture_dir: str, units: Sequence[IEUnit],
                           dids: Optional[Sequence[str]] = None
-                          ) -> Dict[str, Dict[str, List[Interval]]]:
+                          ) -> Dict[str, Optional[Dict[str, List[Interval]]]]:
     """Read each unit's recorded input regions from its I reuse file.
 
-    This gives the previous snapshot's per-unit regions *for free* (a
-    cheap sequential scan) instead of re-running extraction on sampled
-    previous pages. With ``dids`` only those pages' groups are parsed;
-    the rest of each file is only scanned for page headers.
+    This gives the previous snapshot's per-unit regions *for free* (one
+    read of the file) instead of re-running extraction on sampled
+    previous pages. With ``dids`` only those pages' groups are parsed.
+    A unit whose file is unreadable — a torn header or group, or a
+    record that does not parse — maps to None.
     """
-    import os
-
-    from ..reuse.engine import ReuseEngine
-    from ..reuse.files import iter_page_lines, parse_inputs
-
-    out: Dict[str, Dict[str, List[Interval]]] = {}
+    wanted = None if dids is None else set(dids)
+    out: Dict[str, Optional[Dict[str, List[Interval]]]] = {}
     for unit in units:
         path = ReuseEngine._file(capture_dir, unit.uid, "I")
-        per_page: Dict[str, List[Interval]] = {}
+        per_page: Optional[Dict[str, List[Interval]]] = {}
         if os.path.exists(path):
-            for did, lines in iter_page_lines(path, dids):
-                per_page[did] = [t.interval
-                                 for t in parse_inputs(did, lines)]
+            try:
+                reader = ReuseFileReader(path)
+                for did in reader.dids():
+                    if wanted is None or did in wanted:
+                        per_page[did] = [t.interval for t in parse_inputs(
+                            did, reader.read_group(did))]
+            except ValueError:
+                per_page = None
         out[unit.uid] = per_page
     return out
 
@@ -225,29 +228,28 @@ def collect_statistics(plan: CompiledPlan, units: Sequence[IEUnit],
 
     recorded_q = (load_recorded_regions(
         prev_capture_dir, units, [q_page.did for _, q_page in pairs])
-        if prev_capture_dir else None)
+        if prev_capture_dir else {})
 
     # 1. Profile plain execution of the sampled current pages with the
     #    blackbox work disabled (structure only, nearly free); previous
-    #    pages are profiled only when no capture is available.
+    #    pages are profiled only for units without a readable capture.
     from ..extractors.base import profiling_mode
 
     p_profiles: Dict[str, List[UnitProfile]] = {u.uid: [] for u in units}
     q_regions_by_page: Dict[str, List[List[Interval]]] = {
         u.uid: [] for u in units}
+    profile_q = any(recorded_q.get(u.uid) is None for u in units)
     with profiling_mode():
         for p_page, q_page in pairs:
             prof_p = profile_page(plan, units, p_page)
-            if recorded_q is not None:
-                for u in units:
-                    p_profiles[u.uid].append(prof_p[u.uid])
-                    q_regions_by_page[u.uid].append(
-                        recorded_q[u.uid].get(q_page.did, []))
-            else:
-                prof_q = profile_page(plan, units, q_page)
-                for u in units:
-                    p_profiles[u.uid].append(prof_p[u.uid])
-                    q_regions_by_page[u.uid].append(prof_q[u.uid].regions)
+            prof_q = (profile_page(plan, units, q_page) if profile_q
+                      else None)
+            for u in units:
+                p_profiles[u.uid].append(prof_p[u.uid])
+                recorded = recorded_q.get(u.uid)
+                q_regions_by_page[u.uid].append(
+                    prof_q[u.uid].regions if recorded is None
+                    else recorded.get(q_page.did, []))
 
     n_pages = len(pairs)
     for u in units:

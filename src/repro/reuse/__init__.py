@@ -1,4 +1,4 @@
-"""Capture & reuse: reuse files, safety derivation, streaming engine."""
+"""Capture & reuse: reuse files, safety derivation, the reuse engine."""
 
 from .engine import (
     PlanAssignment,

@@ -2,7 +2,7 @@
 
 Processes a corpus snapshot one page at a time, in canonical page
 order (sorted by page id), so each unit's reuse files are written in a
-stable order and scanned sequentially exactly once. Per IE unit and
+stable order; each is read exactly once, whole. Per IE unit and
 input region it:
 
 1. records the input tuple to ``I_U^{n+1}``;
@@ -25,15 +25,18 @@ in the picklable :class:`PageEvaluator` and there is one per-page body
 assembled from split parts in the parent, and one page recycle
 (:func:`_recycle_page`) that re-emits an identical page whole from the
 previous capture and rows. The previous snapshot's capture sits behind
-one :class:`PrevCaptureSource`. Either way a page's new capture is its
-:data:`~repro.reuse.files.PageGroups`: recorded by a
+one :class:`PrevCaptureSource`, which reads each reuse file whole, once,
+and hands out any page's groups as bytes. Either way a page's new
+capture is its :data:`~repro.reuse.files.PageGroups`: recorded by a
 :class:`~repro.reuse.files.PageRecorder` or, for a recycled page, the
-previous groups' bytes. With one worker slot the engine streams: the
-previous capture is read page by page as the batch advances, pages
-are recycled in that pass and each page's groups are written as soon
-as the page is done; with more, the parent reads the capture up front
-and recycles what it can, workers return the rest's group bytes, and
-the parent copies them into the reuse files in canonical order.
+previous groups' bytes. Whether a page may be recycled depends only on
+the plan and the page's recorded I groups once the pair is identical,
+so a :class:`RecycleMemo` the caller keeps across snapshots answers it
+for pages whose groups it has seen. With one worker slot the engine
+streams: pages are recycled as the batch advances and each page's
+groups are written as soon as the page is done; with more, the parent
+recycles what it can up front, workers return the rest's group bytes,
+and the parent copies them into the reuse files in canonical order.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..check import invariants as _inv
 from ..corpus.snapshot import Snapshot
@@ -80,7 +83,7 @@ from .files import (
     UnitGroups,
     decode_fields,
     encode_fields,
-    iter_page_lines,
+    page_marker,
 )
 from .regions import dedupe_extensions, derive_reuse, extraction_keep
 from .scope import PageMatchScope, SameUrlScope
@@ -98,7 +101,11 @@ PageRows = Dict[str, List[Tuple]]
 PageResult = Tuple[PageRows, PageGroups]
 
 #: What a unit without a readable capture on a page sees.
-_NO_CAPTURE = UnitGroups("", [], [])
+_NO_CAPTURE = UnitGroups("", b"", b"")
+
+#: Each unit's recorded (input rows, input chars) on a recyclable page,
+#: in unit order: what :meth:`PageEvaluator.recycle_page` books.
+UnitSizes = Tuple[Tuple[int, int], ...]
 
 #: Every unit's (I, O) reuse-file writer for the snapshot being run.
 Writers = Dict[str, Tuple[ReuseFileWriter, ReuseFileWriter]]
@@ -173,6 +180,48 @@ class SnapshotRunResult:
         return sum(len(rows) for rows in self.results.values())
 
 
+#: A recycle verdict's key: the plan (``(uid, matcher)`` per unit, in
+#: unit order) and each unit's recorded I-group bytes on the page.
+RecycleKey = Tuple[Tuple[Tuple[str, str], ...], Tuple[bytes, ...]]
+
+
+class RecycleMemo:
+    """Whole-page recycle verdicts by content, kept across snapshots.
+
+    Once a page pair is identical and keeps its URL (checked on every
+    page), :meth:`PageEvaluator.page_recyclable` is a function of the
+    plan and the units' recorded I groups alone, so its answer — the
+    units' :data:`UnitSizes`, or None — is keyed by exactly those. It
+    holds only the entries the last run looked up or added: at most
+    one snapshot's pages. Recycles run in one thread (the serial batch
+    or the parallel parent), so the memo is never shared or pickled.
+    """
+
+    __slots__ = ("_last", "_this")
+
+    def __init__(self) -> None:
+        self._last: Dict[RecycleKey, Optional[UnitSizes]] = {}
+        self._this: Dict[RecycleKey, Optional[UnitSizes]] = {}
+
+    def lookup(self, key: RecycleKey,
+               compute: Callable[[], Optional[UnitSizes]]
+               ) -> Optional[UnitSizes]:
+        """The verdict stored under ``key``, else ``compute()``'s."""
+        if key in self._this:
+            return self._this[key]
+        verdict = (self._last.pop(key) if key in self._last
+                   else compute())
+        self._this[key] = verdict
+        return verdict
+
+    def end_run(self) -> None:
+        """Keep what this run used; forget the rest."""
+        self._last, self._this = self._this, {}
+
+    def __len__(self) -> int:
+        return len(self._last) + len(self._this)
+
+
 def materialize_rows(rows: List[TupleRow], page_text: str) -> List[Tuple]:
     """Convert tuples into hashable, system-independent form."""
     out: List[Tuple] = []
@@ -233,6 +282,8 @@ class PageEvaluator:
         self.match_cache: Optional[CrossSnapshotMatchCache] = None
         self._unit_of_top = units_by_top(units)
         self._unit_by_uid = {u.uid: u for u in units}
+        #: The plan half of every :data:`RecycleKey` this evaluator makes.
+        self._plan_key = tuple((u.uid, assignment.of(u)) for u in units)
 
     # ``units_by_top`` keys on ``id(node)``; raw object ids are stale
     # after a pickle round-trip, so rebuild the map on unpickle (node
@@ -246,6 +297,8 @@ class PageEvaluator:
         self.match_cache = None
         self._unit_of_top = units_by_top(self.units)  # type: ignore[arg-type]
         self._unit_by_uid = {u.uid: u for u in self.units}
+        self._plan_key = tuple((u.uid, self.assignment.of(u))
+                               for u in self.units)
 
     def uids(self) -> List[str]:
         return [u.uid for u in self.units]
@@ -348,18 +401,20 @@ class PageEvaluator:
         produced by the same code as an unsplit run.
         """
         matcher_name = self.assignment.of(unit)
-        prev_inputs = prev.inputs
+        prev_inputs: List[InputTuple] = []
         recorded_outputs: Dict[int, List[OutputTuple]] = {}
-        if (input_rows and prev_inputs and precomputed is None
-                and q_page is not None and matcher_name != DN_NAME):
-            # Every row reuses (the from-scratch test below is the same
-            # for all of them), so parse the recorded outputs once. A
-            # framed line that is not a record leaves this page's
+        if (input_rows and precomputed is None and q_page is not None
+                and matcher_name != DN_NAME):
+            # Every row may reuse (the from-scratch test below is the
+            # same for all of them), so parse the recorded groups once.
+            # A framed line that is not a record leaves this page's
             # capture unusable: the unit runs from scratch here, as it
             # would on a torn file.
             try:
                 with timer.measure(IO):
-                    recorded_outputs = prev.outputs()
+                    prev_inputs = prev.inputs
+                    if prev_inputs:
+                        recorded_outputs = prev.outputs()
             except ValueError:
                 prev_inputs = []
         ctx = EvalContext(page.text, page.did)
@@ -619,11 +674,47 @@ class PageEvaluator:
     # -- whole-page recycle ---------------------------------------------------
 
     def page_recyclable(self, page: Page, q_page: Optional[Page],
-                        prev_capture: PrevCapture) -> bool:
+                        prev_capture: PrevCapture,
+                        memo: Optional[RecycleMemo] = None
+                        ) -> Optional[UnitSizes]:
         """Whether :meth:`run_page` would provably re-emit the previous
         run's page: the pair is byte-identical and every unit would take
         the identity path on every row, with that row's own recorded
-        outputs.
+        outputs. Returns each unit's :data:`UnitSizes` if so, else None.
+
+        Only a page paired with its own URL qualifies. The previous rows
+        belong to ``q_page``; a renamed page (a scope that pairs across
+        URLs) takes the per-unit path, which re-tags every copied span
+        with the new page id.
+
+        Past those checks the answer depends only on the plan and the
+        units' recorded I groups (see :meth:`_recycle_verdict`), so
+        ``memo`` answers it for groups it has seen.
+        """
+        if (not self.fastpath or q_page is None or not prev_capture
+                or page.did != q_page.did
+                or any(self.assignment.of(u) == DN_NAME
+                       or u.uid not in prev_capture for u in self.units)
+                or not pages_identical(page, q_page)):
+            return None
+        groups = [prev_capture[u.uid] for u in self.units]
+        if memo is None:
+            return self._recycle_verdict(groups)
+        key = (self._plan_key, tuple(g.i_data for g in groups))
+        sizes = memo.lookup(key, lambda: self._recycle_verdict(groups))
+        if _inv.ENABLED:
+            # --check layer: a memoised verdict is the one the page's
+            # groups give now.
+            _inv.check_recycle_verdict(sizes,
+                                       self._recycle_verdict(groups))
+        return sizes
+
+    def _recycle_verdict(self, groups: List[UnitGroups]
+                         ) -> Optional[UnitSizes]:
+        """The recycle verdict on an identical page from the units'
+        recorded groups (in unit order): each unit's recorded (rows,
+        chars) if every unit takes the identity path on every row, None
+        if one does not or its I records do not parse.
 
         On such a page each unit's input rows are exactly its recorded
         inputs (its producers re-emit their recorded outputs), so the
@@ -632,44 +723,40 @@ class PageEvaluator:
         walker's evaluation order, with a scratch :class:`MatchCache`
         that receives the segment the identity path records for non-RU
         producers — so RU units see what they would see in the run.
-
-        Only a page paired with its own URL qualifies. The previous rows
-        belong to ``q_page``; a renamed page (a scope that pairs across
-        URLs) takes the per-unit path, which re-tags every copied span
-        with the new page id.
         """
-        if (not self.fastpath or q_page is None or not prev_capture
-                or page.did != q_page.did
-                or any(self.assignment.of(u) == DN_NAME
-                       or u.uid not in prev_capture for u in self.units)
-                or not pages_identical(page, q_page)):
-            return False
         cache = MatchCache()
-        for unit in self.units:
+        sizes = []
+        for unit, unit_groups in zip(self.units, groups):
             name = self.assignment.of(unit)
             min_length = min_match_length(unit.beta)
             matcher = make_matcher(name, cache, min_length=min_length)
-            prev_inputs = prev_capture[unit.uid].inputs
-            for pi in prev_inputs:
+            try:
+                prev_inputs = unit_groups.inputs
+                regions = [Span(unit_groups.did, pi.s, pi.e)
+                           for pi in prev_inputs]
+            except ValueError:
+                return None
+            for pi, region in zip(prev_inputs, regions):
                 # ``c`` is "" for every row the engine records.
                 if self._identity_candidate(
-                        matcher, name, min_length,
-                        Span(page.did, pi.s, pi.e), prev_inputs, "",
+                        matcher, name, min_length, region, prev_inputs, "",
                         cache) is not pi:
-                    return False
+                    return None
                 if name != RU_NAME:
                     cache.record([MatchSegment(pi.s, pi.s, pi.e - pi.s,
                                                pi.tid)])
-        return True
+            sizes.append((len(prev_inputs),
+                          sum(pi.e - pi.s for pi in prev_inputs)))
+        return tuple(sizes)
 
     def recycle_page(self, page: Page, q_page: Page,
-                     prev_capture: PrevCapture,
+                     prev_capture: PrevCapture, sizes: UnitSizes,
                      stats: Dict[str, UnitRunStats],
                      fp_stats: FastPathStats) -> PageGroups:
-        """Re-emit a page :meth:`page_recyclable` accepted: add the
-        counters the identity path would have added row by row and
-        return every unit's previous page groups, verbatim, as the
-        page's capture.
+        """Re-emit a page :meth:`page_recyclable` accepted with
+        ``sizes``: add the counters the identity path would have added
+        row by row and return every unit's previous page groups,
+        verbatim, as the page's capture.
 
         The rows come from the previous run, not from the O groups, so
         those are copied unparsed; a framed line in them that is not a
@@ -681,11 +768,9 @@ class PageEvaluator:
         if _inv.ENABLED:
             _inv.check_identity_pair(page, q_page)
         capture: PageGroups = {}
-        for unit in self.units:
+        for unit, (rows, chars) in zip(self.units, sizes):
             groups = prev_capture[unit.uid]
-            rows = len(groups.inputs)
-            chars = sum(pi.e - pi.s for pi in groups.inputs)
-            outputs = len(groups.o_lines)
+            outputs = groups.output_count()
             unit_stats = stats[unit.uid]
             unit_stats.input_tuples += rows
             unit_stats.input_chars += chars
@@ -697,7 +782,7 @@ class PageEvaluator:
             unit_stats.output_tuples += outputs
             fp_stats.matcher_calls_avoided += rows * rows
             fp_stats.tuples_recycled += outputs
-            capture[unit.uid] = groups.raw()
+            capture[unit.uid] = (groups.i_data, groups.o_data)
         return capture
 
 
@@ -731,7 +816,8 @@ def _recycle_page(evaluator: PageEvaluator, page: Page,
                   q_page: Optional[Page], prev_capture: PrevCapture,
                   prev_rows: Optional[PageRows],
                   stats: Dict[str, UnitRunStats], timer: Timer,
-                  fp_stats: FastPathStats) -> Optional[PageResult]:
+                  fp_stats: FastPathStats,
+                  memo: Optional[RecycleMemo]) -> Optional[PageResult]:
     """The one page recycle, for the serial page body and the parallel
     parent alike: if ``q_page``'s rows from the previous run are known
     and :meth:`PageEvaluator.page_recyclable` holds, return those rows
@@ -741,40 +827,42 @@ def _recycle_page(evaluator: PageEvaluator, page: Page,
     if prev_rows is None:
         return None
     with timer.measure(IO):
-        if not evaluator.page_recyclable(page, q_page, prev_capture):
+        sizes = evaluator.page_recyclable(page, q_page, prev_capture, memo)
+        if sizes is None:
             return None
         with (_otrace.span("page", cat="page", did=page.did, paired=True,
                            split=False, recycled=True)
               if _otrace.ENABLED else _otrace.NULL):
             capture = evaluator.recycle_page(page, q_page, prev_capture,
-                                             stats, fp_stats)
+                                             sizes, stats, fp_stats)
     return prev_rows, capture
 
 
 def _write_page(writers: Writers, did: str, capture: PageGroups) -> None:
     """Append one page's groups to every unit's I and O file; a unit
     that recorded nothing on the page gets two empty groups."""
+    header = page_marker(did)
     for uid, (writer_i, writer_o) in writers.items():
         i_data, o_data = capture.get(uid, (b"", b""))
-        writer_i.write_page(did, i_data)
-        writer_o.write_page(did, o_data)
+        writer_i.write_page(header, i_data)
+        writer_o.write_page(header, o_data)
 
 
 def _engine_batch(state, lookup: PageLookup, items, timer: Timer):
     """Process one batch of whole pages in a (possibly remote) worker.
 
-    ``state`` is ``(evaluator, writers)``. ``writers`` are the run's
-    reuse-file writers when it has one worker slot: the batch holds
-    every page in canonical order and writes each page's groups as
-    soon as the page is done. With more slots they are None and each
-    page's groups go back to the parent. ``items`` yields ``(did,
-    q_did, prev_capture, prev_rows)`` per page; ``prev_rows`` (the
-    previous run's rows of ``q_did``) is given only where the page may
-    still be recycled here, i.e. in a serial run. Returns ``(did,
-    (rows per relation, groups or None))`` per page, plus the batch's
-    per-unit stats and fast-path counters.
+    ``state`` is ``(evaluator, writers, memo)``. ``writers`` and the
+    :class:`RecycleMemo` are the run's when it has one worker slot: the
+    batch holds every page in canonical order, recycles what it can and
+    writes each page's groups as soon as the page is done. With more
+    slots both are None and each page's groups go back to the parent.
+    ``items`` yields ``(did, q_did, prev_capture, prev_rows)`` per page;
+    ``prev_rows`` (the previous run's rows of ``q_did``) is given only
+    where the page may still be recycled here, i.e. in a serial run.
+    Returns ``(did, (rows per relation, groups or None))`` per page,
+    plus the batch's per-unit stats and fast-path counters.
     """
-    evaluator, writers = state
+    evaluator, writers, memo = state
     # Process workers arrive with match_cache dropped by the pickle
     # whitelist: give each worker its own match store (hits accumulate
     # across the items a worker processes; counters merge through
@@ -790,7 +878,7 @@ def _engine_batch(state, lookup: PageLookup, items, timer: Timer):
         q_page = lookup.previous(q_did) if q_did is not None else None
         rel_rows, capture = (
             _recycle_page(evaluator, page, q_page, prev_capture, prev_rows,
-                          stats, timer, fp_stats)
+                          stats, timer, fp_stats, memo)
             or _evaluate_page(evaluator, page, q_page, prev_capture, stats,
                               timer, fp_stats))
         if writers is not None:
@@ -804,48 +892,40 @@ def _engine_batch(state, lookup: PageLookup, items, timer: Timer):
 class PrevCaptureSource:
     """The previous snapshot's capture, one page at a time, per unit.
 
-    Two ways to get at a unit's I/O reuse files sit behind
-    :meth:`read`: the one-pass streaming readers of Section 5.2 (pages
-    must then be asked for in the order they were written), and whole
-    files loaded into memory — for scopes that pair pages across URLs
-    and for runs that read every page up front anyway. A truncated or
-    corrupt reuse file (e.g. the previous run died mid-write) must
-    never break the current run, whichever way it is read: the unit is
-    dropped and extracts from scratch for the rest of the snapshot.
+    Each unit's I and O reuse files are read whole, once, on first use
+    (Section 5.2's single scan); any page's groups can then be asked
+    for in any order, which is what scopes that pair pages across URLs
+    need. A truncated or corrupt reuse file (e.g. the previous run died
+    mid-write) must never break the current run: a unit whose file has
+    a torn header, or whose group on a page is not whole record lines,
+    is dropped and extracts from scratch for the rest of the snapshot.
     """
 
-    def __init__(self, paths: Dict[str, Tuple[str, str]],
-                 sequential: bool) -> None:
+    def __init__(self, paths: Dict[str, Tuple[str, str]]) -> None:
         self._paths = dict(paths)
-        self._sequential = sequential
-        self._readers: Dict[str, list] = {}
-
-    def _open(self, uid: str) -> list:
-        """Open the unit's (I, O) readers — on first use, inside
-        :meth:`read`'s guard, since loading a file already scans it."""
-        readers = self._readers[uid] = [
-            ReuseFileReader(path) if self._sequential
-            else _LoadedReuseFile(path)
-            for path in self._paths[uid]]
-        return readers
+        self._readers: Dict[str, Tuple[ReuseFileReader,
+                                       ReuseFileReader]] = {}
 
     def read(self, q_page: Optional[Page], timer: Timer) -> PrevCapture:
         """``uid -> recorded I and O groups`` on ``q_page``, for every
-        unit whose capture is still readable. A group with a line that
-        is not a whole record counts as torn."""
+        unit whose capture is still readable."""
         capture: PrevCapture = {}
         if q_page is None:
             return capture
-        for uid in list(self._paths):
-            try:
-                with timer.measure(IO):
-                    reader_i, reader_o = (self._readers.get(uid)
-                                          or self._open(uid))
+        did = q_page.did
+        with timer.measure(IO):
+            for uid in list(self._paths):
+                try:
+                    readers = self._readers.get(uid)
+                    if readers is None:
+                        i_path, o_path = self._paths[uid]
+                        readers = self._readers[uid] = (
+                            ReuseFileReader(i_path), ReuseFileReader(o_path))
                     capture[uid] = UnitGroups(
-                        q_page.did, reader_i.page_lines(q_page.did),
-                        reader_o.page_lines(q_page.did))
-            except (ValueError, KeyError):
-                del self._paths[uid]
+                        did, readers[0].read_group(did),
+                        readers[1].read_group(did))
+                except ValueError:
+                    del self._paths[uid]
         return capture
 
     def close(self) -> None:
@@ -853,19 +933,6 @@ class PrevCaptureSource:
             for reader in readers:
                 reader.close()
         self._readers.clear()
-
-
-class _LoadedReuseFile:
-    """A whole reuse file in memory, behind the reader interface."""
-
-    def __init__(self, path: str) -> None:
-        self._groups = dict(iter_page_lines(path))
-
-    def page_lines(self, did: str) -> List[bytes]:
-        return self._groups.get(did, [])
-
-    def close(self) -> None:
-        pass
 
 
 class ReuseEngine:
@@ -894,12 +961,12 @@ class ReuseEngine:
         self.match_cache = match_cache
         if self.match_cache is None and self.fastpath:
             self.match_cache = CrossSnapshotMatchCache()
-        self.evaluator = PageEvaluator(plan, units, assignment,
-                                       fastpath=self.fastpath)
-        self.evaluator.match_cache = self.match_cache
         missing = [u.uid for u in units if u.uid not in assignment.matchers]
         if missing:
             raise ValueError(f"assignment missing units {missing}")
+        self.evaluator = PageEvaluator(plan, units, assignment,
+                                       fastpath=self.fastpath)
+        self.evaluator.match_cache = self.match_cache
         for uid, name in assignment.matchers.items():
             # Fail fast on unknown matcher names instead of mid-run.
             make_matcher(name, MatchCache())
@@ -911,7 +978,8 @@ class ReuseEngine:
                      prev_dir: Optional[str], out_dir: str,
                      timings: Optional[Timings] = None,
                      page_rows_out: Optional[Dict[str, PageRows]] = None,
-                     prev_page_rows: Optional[Dict[str, PageRows]] = None
+                     prev_page_rows: Optional[Dict[str, PageRows]] = None,
+                     recycle_memo: Optional[RecycleMemo] = None
                      ) -> SnapshotRunResult:
         """Run the plan over ``snapshot``, reusing ``prev_dir`` capture.
 
@@ -929,7 +997,9 @@ class ReuseEngine:
         wrote ``prev_dir``. With it, a page whose every unit would take
         the identity path is recycled whole: its capture groups are
         copied byte for byte and its previous rows are returned (see
-        :func:`_recycle_page`).
+        :func:`_recycle_page`). ``recycle_memo``, kept by the caller
+        across its runs like the rows, answers that test for pages
+        whose recorded groups it has seen.
         """
         timings = timings if timings is not None else Timings()
         timer = Timer(timings)
@@ -958,19 +1028,15 @@ class ReuseEngine:
                               index=snapshot.index, pages=len(pages),
                               parallel=jobs > 1)
                  if _otrace.ENABLED else _otrace.NULL)
-        # Streaming readers serve page-at-a-time access in written
-        # order; scopes that pair pages across URLs, and runs with more
-        # than one slot (which read the whole capture up front, see
-        # _run_pages), load whole files instead.
         source = PrevCaptureSource(
             self._capture_paths(prev_dir)
-            if prev_dir is not None and prev_snapshot is not None else {},
-            sequential=jobs <= 1 and self.scope.sequential_safe)
+            if prev_dir is not None and prev_snapshot is not None else {})
         try:
             with _snap, timer.measure_total():
                 pages_with_prev = self._run_pages(
                     pages, jobs, source, writers, stats, results, timer,
-                    fp_stats, page_rows_out, prev_page_rows or {})
+                    fp_stats, page_rows_out, prev_page_rows or {},
+                    recycle_memo)
                 _snap.set("pages_with_prev", pages_with_prev)
                 _snap.set("short_circuited",
                           fp_stats.pages_short_circuited)
@@ -978,6 +1044,8 @@ class ReuseEngine:
                 _snap.set("memo_hits", fp_stats.memo_hits)
         finally:
             source.close()
+            if recycle_memo is not None:
+                recycle_memo.end_run()
             for wi, wo in writers.values():
                 wi.close()
                 wo.close()
@@ -1017,7 +1085,8 @@ class ReuseEngine:
                    results: Dict[str, List[Tuple]], timer: Timer,
                    fp_stats: FastPathStats,
                    page_rows_out: Optional[Dict[str, PageRows]],
-                   prev_page_rows: Dict[str, PageRows]) -> int:
+                   prev_page_rows: Dict[str, PageRows],
+                   memo: Optional[RecycleMemo]) -> int:
         evaluator = self.evaluator
         # Pair pages in canonical order in the parent so stateful
         # scopes (fingerprint claims) behave the same on every backend.
@@ -1028,11 +1097,11 @@ class ReuseEngine:
             return None if q_page is None else prev_page_rows.get(q_page.did)
 
         # One worker slot streams: its single batch runs inline, in
-        # canonical order, so the previous capture can be read page by
-        # page as the batch advances (the payload stays a generator),
-        # pages are recycled in that same pass and each page's groups
-        # are written as soon as it is done. More slots need picklable
-        # payloads and an order-free merge: the capture is read up
+        # canonical order, so each page's previous groups are taken as
+        # the batch advances (the payload stays a generator), pages are
+        # recycled in that same pass and each page's groups are written
+        # as soon as it is done. More slots need picklable payloads and
+        # an order-free merge: every page's previous groups are taken up
         # front, the parent recycles what it can before batching
         # (recycled pages never reach a worker), workers return each
         # page's group bytes and the parent writes them below, in
@@ -1052,7 +1121,7 @@ class ReuseEngine:
                 done = _recycle_page(
                     evaluator, page, pair_of[page.did],
                     prev_capture_of(page.did), prev_rows_of(page.did),
-                    stats, timer, fp_stats)
+                    stats, timer, fp_stats, memo)
                 if done is not None:
                     recycled[page.did] = done
             to_run = [p for p in pages if p.did not in recycled]
@@ -1071,13 +1140,14 @@ class ReuseEngine:
             """Part workers extract blindly, so a page is split only
             when every frontier unit runs from scratch on it — the
             condition :meth:`PageEvaluator._run_unit` uses to skip the
-            reuse machinery."""
+            reuse machinery (a framed I group is empty exactly when it
+            holds no inputs)."""
             if pair_of[page.did] is None:
                 return True
             prev_capture = prev_capture_of(page.did)
             return not any(
                 self.assignment.of(u) != DN_NAME
-                and prev_capture.get(u.uid, _NO_CAPTURE).inputs
+                and prev_capture.get(u.uid, _NO_CAPTURE).i_data
                 for u in frontier)
 
         def assemble(page: Page, extensions: Extensions,
@@ -1092,7 +1162,8 @@ class ReuseEngine:
 
         work = PageWork(
             batch_fn=_engine_batch,
-            state=(evaluator, writers if streaming else None),
+            state=((evaluator, writers, memo) if streaming
+                   else (evaluator, None, None)),
             payload=payload,
             frontier=[(u.uid, u.ie_node, u.alpha, u.beta)
                       for u in frontier],

@@ -1,12 +1,12 @@
-"""Sequential, block-buffered reuse files (Section 4).
+"""Block-buffered reuse files, each read whole in one pass (Section 4).
 
 While a tree executes on snapshot ``n``, every IE unit U appends its
 input tuples to ``I_U^n`` and its output tuples to ``O_U^n``. Appends
 go through a one-block memory buffer per file; a block is flushed when
-full, so the I/O overhead is exactly the file size in blocks. Files
-are later read strictly sequentially, one page group at a time, in the
-same page order they were written — that is what lets the reuse engine
-scan every file exactly once per snapshot (Section 5.2).
+full, so the I/O overhead is exactly the file size in blocks. A file
+is later read once, with one ``read()``, and indexed by page header;
+that is what lets the reuse engine scan every file exactly once per
+snapshot (Section 5.2), whatever order the pages are then asked for in.
 
 Record format: each page group starts with a page-header record
 ``{"@page":<did>}``, followed by that page's tuple records
@@ -23,18 +23,19 @@ group bytes. A :class:`PageRecorder` encodes them record by record;
 an unchanged page takes them verbatim from the previous capture; and
 :meth:`ReuseFileWriter.write_page` appends them after the header.
 
-Readers find page headers by their byte prefix and JSON-parse only
-the headers and the records a caller uses: a :class:`UnitGroups`
-parses its I records at once and keeps its O records as raw lines
-until a unit copies from them.
+A group stays bytes until a caller needs its records: the reader
+decodes only page headers, and a :class:`UnitGroups` checks its
+groups' framing with byte operations and parses its I records on
+first use and its O records only when a unit copies from them.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
-from typing import Any, Dict, IO, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, IO, Iterator, List, Optional, Tuple
 
 from ..text.span import Interval
 
@@ -43,6 +44,8 @@ BLOCK_SIZE = 4096
 #: Byte prefix of a page-header line and of a tuple-record line.
 PAGE_PREFIX = b'{"@page":'
 RECORD_PREFIX = b'{"t"'
+#: What precedes every record line but its group's first.
+_NEXT_RECORD = b"\n" + RECORD_PREFIX
 
 #: One page's capture: ``uid -> (I group bytes, O group bytes)``, the
 #: record lines of the unit's two page groups without their headers. A
@@ -169,10 +172,11 @@ class ReuseFileWriter:
     def blocks(self) -> int:
         return self._writer.blocks
 
-    def write_page(self, did: str, data: bytes) -> None:
-        """Append ``did``'s page group: its header, then ``data``, the
-        group's record lines (one side of a :data:`PageGroups` entry)."""
-        self._writer.append_bytes(page_marker(did) + data)
+    def write_page(self, header: bytes, data: bytes) -> None:
+        """Append one page group: ``header``, the page's
+        :func:`page_marker`, then ``data``, the group's record lines
+        (one side of a :data:`PageGroups` entry)."""
+        self._writer.append_bytes(header + data)
 
     def close(self) -> None:
         self._writer.close()
@@ -222,131 +226,135 @@ class PageRecorder:
                 for uid, unit in self._units.items()}
 
 
-class ReuseFileReader:
-    """Strictly sequential page-group reader of a reuse file.
+def page_marker(did: str) -> bytes:
+    """The page-header line the writer emits for ``did``."""
+    return PAGE_PREFIX + json.dumps(did).encode() + b"}\n"
 
-    Reads in binary mode: ``bytes_read`` counts actual UTF-8 bytes
-    (a text-mode ``len(line)`` counts *characters*, which undercounts
-    multi-byte pages and skews the block-based I/O cost model).
-    Lines stay raw bytes; only page headers are parsed while seeking.
+
+def _parse_header(line: bytes) -> str:
+    """The did a page-header line (without its newline) opens, through
+    ``json.loads``; ValueError if it is not a page header."""
+    try:
+        did = json.loads(line)[ReuseFileWriter.PAGE_MARKER]
+    except (KeyError, TypeError):
+        did = None
+    if not isinstance(did, str):
+        raise ValueError(f"malformed page header {line[:40]!r}")
+    return did
+
+
+#: A page-header line. A did of printable ASCII other than a quote or
+#: a backslash, which JSON encodes as itself, is captured from the
+#: writer's bytes; any other header is decoded by :func:`_parse_header`.
+#: The last group is the line's newline, empty if the header is torn.
+_HEADER = re.compile(rb'^\{"@page":(?:"([ !#-\[\]-~]*)"\}$|.*)(\n?)', re.M)
+
+
+def _index_groups(data: bytes) -> Iterator[Tuple[str, int, int]]:
+    """``(did, start, end)`` of every page group in a reuse file's
+    bytes, in file order: ``data[start:end]`` are the group's record
+    lines. ValueError if the bytes do not open with a page header or a
+    header line is torn or malformed."""
+    if data and not data.startswith(PAGE_PREFIX):
+        raise ValueError("reuse file does not open with a page header")
+    did: Optional[str] = None
+    start = 0
+    for match in _HEADER.finditer(data):
+        if did is not None:
+            yield did, start, match.start()
+        plain, newline = match.groups()
+        if not newline:
+            raise ValueError(f"torn page header {match.group()[:40]!r}")
+        did = (plain.decode() if plain is not None
+               else _parse_header(match.group()[:-1]))
+        start = match.end()
+    if did is not None:
+        yield did, start, len(data)
+
+
+class ReuseFileReader:
+    """A reuse file read whole, one ``read()``, serving any page group
+    in any order.
+
+    ``bytes_read`` counts the file's actual bytes (the block-based I/O
+    cost model needs bytes, not characters). The headers are decoded
+    when the file is read, so a torn or foreign header raises
+    ValueError here; groups stay raw bytes.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._file: Optional[IO[bytes]] = open(path, "rb")
-        self._pushback: Optional[bytes] = None
-        self.bytes_read = 0
+        with open(path, "rb") as f:
+            self._data = f.read()
+        self.bytes_read = len(self._data)
+        #: did -> (start, end) of the page group's record bytes.
+        self._groups = {did: (start, end)
+                        for did, start, end in _index_groups(self._data)}
 
-    def _next_record(self) -> Optional[bytes]:
-        if self._pushback is not None:
-            line = self._pushback
-            self._pushback = None
-            return line
-        if self._file is None:
-            return None
-        line = self._file.readline()
-        if not line:
-            return None
-        self.bytes_read += len(line)
-        return line
+    def dids(self) -> List[str]:
+        """The pages the file holds a group for, in file order."""
+        return list(self._groups)
 
-    def seek_page(self, did: str) -> bool:
-        """Advance to the page group for ``did``; False if absent.
-
-        Only forward seeks work (groups are read in written order);
-        intervening groups — pages that left the corpus — are skipped.
-        """
-        target = page_marker(did)
-        while True:
-            line = self._next_record()
-            if line is None:
-                return False
-            # The writer's exact header bytes first; any other header
-            # is parsed.
-            if line == target or _page_of(line) == did:
-                return True
-            # Skip a foreign page group's tuples (or marker).
-
-    def read_group(self, did: str) -> List[bytes]:
-        """Read the raw record lines of the current page group."""
-        lines: List[bytes] = []
-        while True:
-            line = self._next_record()
-            if line is None:
-                return lines
-            if line.startswith(PAGE_PREFIX):
-                self._pushback = line
-                return lines
-            lines.append(line)
-
-    def page_lines(self, did: str) -> List[bytes]:
-        """The raw record lines of ``did``'s group; [] if absent."""
-        return self.read_group(did) if self.seek_page(did) else []
+    def read_group(self, did: str) -> bytes:
+        """The record bytes of ``did``'s page group; b"" if absent."""
+        bounds = self._groups.get(did)
+        if bounds is None:
+            return b""
+        return self._data[bounds[0]:bounds[1]]
 
     def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+        """Drop the file's bytes."""
+        self._data = b""
+        self._groups = {}
 
     @property
     def blocks_read(self) -> int:
         return (self.bytes_read + BLOCK_SIZE - 1) // BLOCK_SIZE
 
 
-def page_marker(did: str) -> bytes:
-    """The page-header line the writer emits for ``did``."""
-    return PAGE_PREFIX + json.dumps(did).encode() + b"}\n"
+def check_framed(data: bytes) -> bytes:
+    """``data`` unchanged if it is whole record lines — each ``{"t"``
+    through its newline — else ValueError (a torn or corrupt file).
+    Groups that may be copied out unparsed must pass this."""
+    if data and not (data.startswith(RECORD_PREFIX) and data.endswith(b"\n")
+                     and data.count(b"\n")
+                     == data.count(_NEXT_RECORD) + 1):
+        raise ValueError(f"torn record line in {data[:40]!r}")
+    return data
 
 
-def _page_of(line: bytes) -> Optional[str]:
-    """The did a page-header line opens; None for any other line."""
-    if not line.startswith(PAGE_PREFIX):
-        return None
-    return json.loads(line)[ReuseFileWriter.PAGE_MARKER]
-
-
-def _records(lines: List[bytes]) -> List[Dict[str, Any]]:
-    """Parse a group's record lines (one ``json.loads`` call)."""
-    if not lines:
+def _records(data: bytes) -> List[Dict[str, Any]]:
+    """Parse a group's record lines (one ``json.loads`` call);
+    ValueError if the group is not framed or a line is not one record."""
+    if not check_framed(data):
         return []
-    records = json.loads(b"[" + b",".join(lines) + b"]")
-    if len(records) != len(lines):
+    records = json.loads(b"[" + data[:-1].replace(b"\n", b",") + b"]")
+    if len(records) != data.count(b"\n"):
         raise ValueError("malformed record line in a page group")
     return records
 
 
-def parse_inputs(did: str, lines: List[bytes]) -> List[InputTuple]:
-    """The input tuples of one I group's record lines; ValueError if a
-    record is malformed."""
+def parse_inputs(did: str, data: bytes) -> List[InputTuple]:
+    """The input tuples of one I group's bytes; ValueError if a record
+    is malformed."""
     try:
         return [InputTuple(tid=r["t"], did=did, s=r["s"], e=r["e"],
                            c=r.get("c", ""))
-                for r in _records(lines)]
+                for r in _records(data)]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed input record: {exc!r}") from exc
 
 
-def parse_outputs(lines: List[bytes]) -> List[OutputTuple]:
-    """The output tuples of one O group's record lines; ValueError if a
-    record is malformed (including a field that is not
-    ``[name, kind, a, b]``)."""
+def parse_outputs(data: bytes) -> List[OutputTuple]:
+    """The output tuples of one O group's bytes; ValueError if a record
+    is malformed (including a field that is not ``[name, kind, a, b]``)."""
     try:
         return [OutputTuple(tid=r["t"], itid=r["i"],
                             fields=tuple((name, kind, a, b)
                                          for name, kind, a, b in r["f"]))
-                for r in _records(lines)]
+                for r in _records(data)]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed output record: {exc!r}") from exc
-
-
-def check_framed(lines: List[bytes]) -> List[bytes]:
-    """``lines`` unchanged if each is a whole record line — ``{"t"``
-    through its newline — else ValueError (a torn or corrupt file).
-    Groups that may be copied out unparsed must pass this."""
-    for line in lines:
-        if not (line.startswith(RECORD_PREFIX) and line.endswith(b"\n")):
-            raise ValueError(f"torn record line {line[:40]!r}")
-    return lines
 
 
 def group_outputs_by_input(outputs: List[OutputTuple]
@@ -358,61 +366,50 @@ def group_outputs_by_input(outputs: List[OutputTuple]
 
 
 class UnitGroups:
-    """One unit's recorded I and O page groups for one page.
+    """One unit's recorded I and O page groups for one page, as bytes.
 
-    The inputs are parsed on construction, since every identity guard
-    reads them. The outputs stay raw lines until a unit that copies
-    from them calls :meth:`outputs`, and a page recycle copies both
-    groups out byte for byte (:meth:`raw`), so both must be framed
-    record lines. A framed line that is still not a record surfaces as
-    a ValueError from :meth:`outputs`, and the caller runs the unit
-    from scratch on the page instead.
+    Both groups must be framed record lines (:func:`check_framed`),
+    since a page recycle copies them out byte for byte. The inputs are
+    parsed on the first :attr:`inputs` read and the outputs whenever
+    :meth:`outputs` is called; a framed line that is still not a record
+    surfaces there as a ValueError, and the caller runs the unit from
+    scratch on the page instead.
     """
 
-    __slots__ = ("inputs", "i_lines", "o_lines")
+    __slots__ = ("did", "i_data", "o_data", "_inputs")
 
-    def __init__(self, did: str, i_lines: List[bytes],
-                 o_lines: List[bytes]) -> None:
-        self.i_lines = check_framed(i_lines)
-        self.o_lines = check_framed(o_lines)
-        self.inputs = parse_inputs(did, i_lines)
+    def __init__(self, did: str, i_data: bytes, o_data: bytes) -> None:
+        self.did = did
+        self.i_data = check_framed(i_data)
+        self.o_data = check_framed(o_data)
+        self._inputs: Optional[List[InputTuple]] = None
+
+    @property
+    def inputs(self) -> List[InputTuple]:
+        """The recorded input tuples, parsed once."""
+        if self._inputs is None:
+            self._inputs = parse_inputs(self.did, self.i_data)
+        return self._inputs
 
     def outputs(self) -> Dict[int, List[OutputTuple]]:
         """Recorded outputs grouped by input tid."""
-        return group_outputs_by_input(parse_outputs(self.o_lines))
+        return group_outputs_by_input(parse_outputs(self.o_data))
 
-    def raw(self) -> Tuple[bytes, bytes]:
-        """The I and O groups' record bytes, as read."""
-        return b"".join(self.i_lines), b"".join(self.o_lines)
+    def output_count(self) -> int:
+        """How many output records the O group holds."""
+        return self.o_data.count(b"\n")
 
 
-def iter_page_lines(path: str, dids: Optional[Iterable[str]] = None
-                    ) -> Iterator[Tuple[str, List[bytes]]]:
-    """Stream ``(did, raw record lines)`` per page group of a file.
-
-    With ``dids``, only those groups are collected, found by the exact
-    header bytes the writer emits; nothing else in the file is parsed.
-    """
-    wanted = (None if dids is None
-              else {page_marker(did): did for did in dids})
+def iter_groups(path: str) -> Iterator[Tuple[str, bytes]]:
+    """``(did, record bytes)`` of every page group of a file, in file
+    order (a duplicated page shows twice)."""
     with open(path, "rb") as f:
-        did: Optional[str] = None
-        lines: List[bytes] = []
-        keep = False
-        for line in f:
-            if line.startswith(PAGE_PREFIX):
-                if keep:
-                    yield did, lines  # type: ignore[misc]
-                did = _page_of(line) if wanted is None else wanted.get(line)
-                lines = []
-                keep = did is not None
-            elif keep:
-                lines.append(line)
-        if keep:
-            yield did, lines  # type: ignore[misc]
+        data = f.read()
+    for did, start, end in _index_groups(data):
+        yield did, data[start:end]
 
 
 def iter_all_pages(path: str) -> Iterator[Tuple[str, List[Dict[str, Any]]]]:
     """Debug/analysis helper: stream (did, records) for a whole file."""
-    for did, lines in iter_page_lines(path):
-        yield did, _records(lines)
+    for did, data in iter_groups(path):
+        yield did, _records(data)

@@ -4,20 +4,18 @@ The paper matches each page only against the page *at the same URL* in
 the previous snapshot (Section 5.1) and names broader scopes as future
 work. This module implements both:
 
-* :class:`SameUrlScope` — the paper's scheme. Pages pair by URL, which
-  is what lets reuse files be scanned strictly sequentially.
+* :class:`SameUrlScope` — the paper's scheme. Pages pair by URL.
 * :class:`FingerprintScope` — extended scope: pages without a same-URL
   previous version (new URLs, site reorganizations) are paired with
   the most *content-similar* previous page, found with a bottom-k
   shingle sketch index. Renamed pages then reuse their old IE results
   instead of being extracted from scratch.
 
-Pairing an arbitrary previous page breaks the sequential-scan
-assumption, so the engine switches to an in-memory capture source when
-a non-URL scope is configured (see
-:class:`~repro.reuse.engine.ReuseEngine`). Correctness is unaffected:
-match segments always witness literal text equality, whatever page
-they come from.
+Either way each reuse file is still read once: the engine reads it
+whole and then serves any page's groups in any order (see
+:class:`~repro.reuse.engine.PrevCaptureSource`). Correctness is
+unaffected: match segments always witness literal text equality,
+whatever page they come from.
 """
 
 from __future__ import annotations
@@ -64,10 +62,6 @@ def sketch_similarity(a: Tuple[int, ...], b: Tuple[int, ...]) -> float:
 class PageMatchScope(ABC):
     """Chooses the previous-snapshot page to recycle from."""
 
-    #: True when pairing is restricted to same-URL pages — the engine
-    #: may then stream reuse files sequentially.
-    sequential_safe: bool = True
-
     @abstractmethod
     def begin_snapshot(self, prev_snapshot: Optional[Snapshot]) -> None:
         """Called once before a snapshot is processed."""
@@ -79,8 +73,6 @@ class PageMatchScope(ABC):
 
 class SameUrlScope(PageMatchScope):
     """The paper's scheme: pair pages by URL."""
-
-    sequential_safe = True
 
     def __init__(self) -> None:
         self._prev: Optional[Snapshot] = None
@@ -103,8 +95,6 @@ class FingerprintScope(PageMatchScope):
     per snapshot (first come, first served), so two new URLs cannot
     both claim the same history.
     """
-
-    sequential_safe = False
 
     def __init__(self, min_similarity: float = 0.5) -> None:
         if not 0.0 < min_similarity <= 1.0:

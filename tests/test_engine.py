@@ -5,6 +5,7 @@ pages and arbitrary matcher assignments, the reuse engine must produce
 exactly the same extraction results as from-scratch evaluation.
 """
 
+import glob
 import os
 import random
 
@@ -239,15 +240,14 @@ class TestCorruptCapture:
         {"executor": ThreadPoolExecutor(2)},
         {"scope": FingerprintScope()},
         {"scope": FingerprintScope(), "fastpath": "off"},
-    ], ids=["serial", "thread2", "cross-url-indexed", "cross-url-memory"])
+    ], ids=["serial", "thread2", "fingerprint",
+            "fingerprint-fastpath-off"])
     def test_corrupt_reuse_file_degrades_to_from_scratch(
             self, tmp_path, engine_kwargs):
-        """A truncated capture (previous run died mid-write) must not
-        break the next run — it just loses reuse for that unit, however
-        the previous capture is read (streamed or loaded whole, with
-        the fast paths on or off) and on whichever backend."""
-        import glob
-
+        """A corrupt capture (garbage before the first page header) must
+        not break the next run — it just loses reuse for that unit,
+        whichever scope pairs the pages, with the fast paths on or off
+        and on whichever backend."""
         rng = random.Random(11)
         pages = {f"u{i}": render_page(rng) for i in range(4)}
         s0 = Snapshot(0, [Page.from_url(u, t) for u, t in pages.items()])
@@ -264,6 +264,45 @@ class TestCorruptCapture:
         r1 = engine.run_snapshot(s1, s0, d0, d1)
         expected = NoReuseSystem(plan).process(s1)
         assert canonical_results(r1) == canonical_results(expected)
+
+
+class TestCorruptCaptureReachesOptimizer:
+    """With the optimizer on, the statistics collector reads the sampled
+    pages' recorded inputs before the engine runs: a unit whose capture
+    is unreadable there is profiled instead, and the run degrades like
+    the engine's own torn-file fallback."""
+
+    @staticmethod
+    def _run(tmp_path, n_pages, damage):
+        from repro.core.runner import make_system
+        from repro.corpus import dblife_corpus
+        from repro.extractors import make_task
+
+        task = make_task("chair", work_scale=0)
+        s0, s1 = dblife_corpus(n_pages=n_pages, seed=3).snapshots(2)
+        system = make_system("delex", task, str(tmp_path))
+        system.process(s0)
+        i_files = glob.glob(os.path.join(system._prev_dir, "*.I.reuse"))
+        assert i_files
+        for path in i_files:
+            with open(path, "rb") as f:
+                data = f.read()
+            with open(path, "wb") as f:
+                f.write(damage(data))
+        result = system.process(s1, s0)
+        assert system.last_stats is not None  # the collector ran
+        return result, NoReuseSystem(system.plan).process(s1)
+
+    def test_torn_i_tail_on_a_sampled_page(self, tmp_path):
+        # Four pages: every shared page is sampled, the torn tail too.
+        got, want = self._run(tmp_path, 4, lambda data: data[:-7])
+        assert canonical_results(got) == canonical_results(want)
+
+    def test_malformed_framed_i_record_in_every_group(self, tmp_path):
+        got, want = self._run(
+            tmp_path, 30,
+            lambda data: data.replace(b"}\n", b'}\n{"t":9}\n'))
+        assert canonical_results(got) == canonical_results(want)
 
 
 def test_unknown_matcher_rejected_at_construction():

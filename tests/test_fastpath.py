@@ -49,12 +49,12 @@ from repro.reuse.engine import (
     PrevCaptureSource,
     ReuseEngine,
     UnitRunStats,
-    _LoadedReuseFile,
 )
 from repro.reuse.files import (
     PageRecorder,
     ReuseFileReader,
     ReuseFileWriter,
+    page_marker,
     parse_inputs,
     parse_outputs,
 )
@@ -295,7 +295,7 @@ class TestAutomatonCache:
         assert stats.automata_reused == 1
 
 
-# -- reuse-file byte accounting and the whole-file loader ------------------
+# -- reuse-file byte accounting and the whole-file reader ------------------
 
 
 def _write_reuse_file(path: str, groups):
@@ -305,20 +305,22 @@ def _write_reuse_file(path: str, groups):
         for s, e in tuples:
             recorder.input("u", s, e)
         i_data, _ = recorder.groups().get("u", (b"", b""))
-        writer.write_page(did, i_data)
+        writer.write_page(page_marker(did), i_data)
     writer.close()
 
 
 def _regions(reader, did: str):
     """The (s, e) of ``did``'s recorded inputs, read as the engine does."""
-    return [(t.s, t.e) for t in parse_inputs(did, reader.page_lines(did))]
+    return [(t.s, t.e) for t in parse_inputs(did, reader.read_group(did))]
 
 
 class TestReaderBytes:
     def test_bytes_read_counts_utf8_bytes(self, tmp_path):
         # Multi-byte characters force len(chars) != len(bytes); the
         # block-based I/O cost model needs actual bytes. The stock
-        # writer escapes non-ASCII, so build raw UTF-8 JSON lines.
+        # writer escapes non-ASCII, so build raw UTF-8 JSON lines; their
+        # ``{"@page": "…"}`` headers (a space, raw UTF-8) are not the
+        # writer's bytes and take the ``json.loads`` path.
         import json as _json
 
         path = os.path.join(tmp_path, "u.I.reuse")
@@ -335,10 +337,9 @@ class TestReaderBytes:
         with open(path, "wb") as f:
             f.write(("\n".join(lines) + "\n").encode("utf-8"))
         reader = ReuseFileReader(path)
+        assert reader.bytes_read == os.path.getsize(path)
         for did, tuples in groups:
             assert _regions(reader, did) == tuples
-        reader._next_record()  # drain EOF
-        assert reader.bytes_read == os.path.getsize(path)
         with open(path, encoding="utf-8") as f:
             n_chars = len(f.read())
         # The regression being guarded: text-mode counting (characters)
@@ -353,15 +354,14 @@ class TestReaderBytes:
         reader = ReuseFileReader(path)
         for did, tuples in groups:
             assert _regions(reader, did) == tuples
-        reader._next_record()
         assert reader.bytes_read == os.path.getsize(path)
         assert reader.blocks_read >= 1
         reader.close()
 
 
 class TestWholeFileLoader:
-    """The reader behind scopes that pair pages across URLs: any page
-    group, in any order, from a file loaded once."""
+    """The one reader: any page group, in any order, from a file read
+    once (what scopes that pair pages across URLs need)."""
 
     def test_any_order_reads_match_sequential(self, tmp_path):
         path = os.path.join(tmp_path, "u.I.reuse")
@@ -373,7 +373,8 @@ class TestWholeFileLoader:
         for did, _ in groups:
             expected[did] = _regions(seq, did)
         seq.close()
-        loaded = _LoadedReuseFile(path)
+        assert expected == dict(groups)
+        loaded = ReuseFileReader(path)
         order = [g[0] for g in groups]
         shuffled = order[::-1] + order[:2]  # backwards, then re-reads
         for did in shuffled:
@@ -382,7 +383,7 @@ class TestWholeFileLoader:
     def test_missing_page_returns_empty(self, tmp_path):
         path = os.path.join(tmp_path, "u.I.reuse")
         _write_reuse_file(path, [("present", [(0, 4)])])
-        loaded = _LoadedReuseFile(path)
+        loaded = ReuseFileReader(path)
         assert _regions(loaded, "absent") == []
         assert _regions(loaded, "present") != []
 
@@ -391,7 +392,7 @@ class TestWholeFileLoader:
         groups = [("π-page", [(0, 3)]), ("ascii", [(1, 5)]),
                   ("日本語", [(2, 9)])]
         _write_reuse_file(path, groups)
-        loaded = _LoadedReuseFile(path)
+        loaded = ReuseFileReader(path)
         for did, tuples in reversed(groups):
             assert _regions(loaded, did) == tuples
 
@@ -400,7 +401,7 @@ class TestWholeFileLoader:
         # misses.
         path = os.path.join(tmp_path, "u.I.reuse")
         _write_reuse_file(path, [])
-        assert _regions(_LoadedReuseFile(path), "any") == []
+        assert _regions(ReuseFileReader(path), "any") == []
 
     def test_single_page_group(self, tmp_path):
         # Re-reading the same group never depends on earlier reads.
@@ -409,12 +410,12 @@ class TestWholeFileLoader:
         recorder.output("u", 0, (("x", "s", 0, 4),))
         recorder.output("u", 0, (("x", "s", 6, 9),))
         writer = ReuseFileWriter(path)
-        writer.write_page("only", recorder.groups()["u"][1])
+        writer.write_page(page_marker("only"), recorder.groups()["u"][1])
         writer.close()
-        loaded = _LoadedReuseFile(path)
+        loaded = ReuseFileReader(path)
         for _ in range(3):
             assert [(o.itid, o.fields)
-                    for o in parse_outputs(loaded.page_lines("only"))] \
+                    for o in parse_outputs(loaded.read_group("only"))] \
                 == [(0, (("x", "s", 0, 4),)), (0, (("x", "s", 6, 9),))]
 
 
@@ -600,8 +601,7 @@ class TestFastPathParity:
             evaluator = PageEvaluator(plan, units,
                                       _ru_plan(chair_task, front, overrides),
                                       fastpath=flag)
-            source = PrevCaptureSource(boot._capture_paths(str(tmp_path)),
-                                       sequential=False)
+            source = PrevCaptureSource(boot._capture_paths(str(tmp_path)))
             stats = {uid: UnitRunStats() for uid in evaluator.uids()}
             fp_stats = FastPathStats()
             caches = []

@@ -20,6 +20,7 @@ from repro.reuse.files import (
     ReuseFileReader,
     ReuseFileWriter,
     encode_fields,
+    page_marker,
     parse_inputs,
     parse_outputs,
 )
@@ -102,19 +103,19 @@ def test_reuse_file_roundtrip_property(tmp_path_factory, pages):
             recorder.output("u", tids[0] if tids else 0,
                             encode_fields(fields))
         i_data, o_data = recorder.groups().get("u", (b"", b""))
-        wi.write_page(did, i_data)
-        wo.write_page(did, o_data)
+        wi.write_page(page_marker(did), i_data)
+        wo.write_page(page_marker(did), o_data)
         expected.append((did, regions, outs))
     wi.close()
     wo.close()
 
     ri, ro = ReuseFileReader(i_path), ReuseFileReader(o_path)
     for did, regions, outs in expected:
-        got_inputs = parse_inputs(did, ri.page_lines(did))
+        got_inputs = parse_inputs(did, ri.read_group(did))
         assert len(got_inputs) == len(regions)
         for (s, e), tup in zip(regions, got_inputs):
             assert (tup.s, tup.e) == (min(s, e), max(s, e))
-        got_outputs = parse_outputs(ro.page_lines(did))
+        got_outputs = parse_outputs(ro.read_group(did))
         assert len(got_outputs) == len(outs)
         for fields, out in zip(outs, got_outputs):
             decoded = {name: a for name, kind, a, b in out.fields}

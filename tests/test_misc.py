@@ -15,7 +15,7 @@ from repro.extractors import make_task
 from repro.optimizer.params import CostWeights, probe_io_weight
 from repro.plan import compile_program, find_units
 from repro.reuse.engine import PlanAssignment, ReuseEngine
-from repro.reuse.files import iter_page_lines, parse_inputs, parse_outputs
+from repro.reuse.files import iter_groups, parse_inputs, parse_outputs
 
 
 class TestProbes:
@@ -115,10 +115,10 @@ class TestLoadReuseFile:
         out = str(tmp_path / "cap")
         result = engine.run_snapshot(snap, None, None, out)
         uid = units[0].uid
-        i_loaded = {did: parse_inputs(did, lines) for did, lines
-                    in iter_page_lines(os.path.join(out, f"{uid}.I.reuse"))}
-        o_loaded = {did: parse_outputs(lines) for did, lines
-                    in iter_page_lines(os.path.join(out, f"{uid}.O.reuse"))}
+        i_loaded = {did: parse_inputs(did, data) for did, data
+                    in iter_groups(os.path.join(out, f"{uid}.I.reuse"))}
+        o_loaded = {did: parse_outputs(data) for did, data
+                    in iter_groups(os.path.join(out, f"{uid}.O.reuse"))}
         assert set(i_loaded) == {"u1", "u2"}
         assert sum(len(v) for v in i_loaded.values()) == \
             result.unit_stats[uid].input_tuples

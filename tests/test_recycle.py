@@ -5,10 +5,12 @@ groups copied byte for byte, its previous rows returned.
 The properties pinned here: the recycle fires on every paired page of
 an identical snapshot under RU plans and Shortcut, serial and parallel;
 results always equal No-reuse; a page group's bytes do not depend on
-where the group sits in the file; a torn line is never copied forward;
-a restart falls back to the per-unit path without changing a byte; and
-the exact RU tie-break guard lets a sentence that follows a longer one
-take the identity path.
+where the group sits in the file; a torn line or damaged header is
+never copied forward; a restart falls back to the per-unit path without
+changing a byte; the memoised recycle verdict is keyed by the plan and
+the recorded groups' bytes and holds at most one snapshot; and the
+exact RU tie-break guard lets a sentence that follows a longer one take
+the identity path.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.corpus.snapshot import snapshot_from_texts
 from repro.extractors import make_task
 from repro.fastpath import FastPathStats
 from repro.matchers.base import RU_NAME, ST_NAME, UD_NAME, MatchCache
+from repro.matchers.ws import WS_NAME
 from repro.obs import trace as otrace
 from repro.plan import compile_program, find_units
 from repro.plan.operators import ScanNode
@@ -32,10 +35,18 @@ from repro.reuse.engine import (
     PageEvaluator,
     PlanAssignment,
     PrevCaptureSource,
+    RecycleMemo,
     ReuseEngine,
     UnitRunStats,
 )
-from repro.reuse.files import InputTuple, PageRecorder, iter_page_lines
+from repro.reuse.files import (
+    PAGE_PREFIX,
+    InputTuple,
+    PageRecorder,
+    iter_all_pages,
+    iter_groups,
+    page_marker,
+)
 from repro.text.regions import MatchSegment
 from repro.text.span import Span
 from repro.timing import Timer, Timings
@@ -197,13 +208,52 @@ class TestPageGroupBytes:
         engine.run_snapshot(tail, None, None, str(tmp_path / "tail"))
         compared = 0
         for name in os.listdir(tmp_path / "full"):
-            groups_full = dict(iter_page_lines(str(tmp_path / "full" / name)))
-            groups_tail = dict(iter_page_lines(str(tmp_path / "tail" / name)))
+            groups_full = dict(iter_groups(str(tmp_path / "full" / name)))
+            groups_tail = dict(iter_groups(str(tmp_path / "tail" / name)))
             assert set(groups_tail) < set(groups_full)
-            for did, lines in groups_tail.items():
-                assert lines == groups_full[did], (name, did)
-                compared += len(lines)
+            for did, data in groups_tail.items():
+                assert data == groups_full[did], (name, did)
+                compared += data.count(b"\n")
         assert compared > 0
+
+
+def _cut_last_header(data):
+    """Cut the file a few bytes into its last page header."""
+    return data[:data.rindex(PAGE_PREFIX) + len(PAGE_PREFIX) + 3]
+
+
+def _break_last_header(data):
+    """Turn the last header's closing brace into a bracket."""
+    end = data.index(b"\n", data.rindex(PAGE_PREFIX))
+    return data[:end - 1] + b"]" + data[end:]
+
+
+#: Damaged reuse files: ``id -> (file, mutation, whether every page but
+#: the last is still recycled)``. The page-scan unit has a record on
+#: every page, so cutting its I file's last 7 bytes lands mid-record.
+DAMAGES = {
+    "tail-mid-record": ("extractServiceSec.I.reuse",
+                        lambda data: data[:-7], True),
+    "truncated-header": ("extractChairFact.O.reuse", _cut_last_header,
+                         False),
+    "broken-header-json": ("extractChairFact.O.reuse", _break_last_header,
+                           False),
+    "garbage-before-first-header": ("extractChairFact.O.reuse",
+                                    lambda data: b"garbage\n" + data,
+                                    False),
+}
+
+
+def _assert_only_records(directory):
+    """Every byte of every capture file is a writer's page header or a
+    record line that parses."""
+    for name in os.listdir(directory):
+        path = os.path.join(directory, name)
+        with open(path, "rb") as f:
+            data = f.read()
+        assert data == b"".join(page_marker(did) + group
+                                for did, group in iter_groups(path)), name
+        list(iter_all_pages(path))  # ValueError on a record that is not one
 
 
 class TestTornGroupNeverSpliced:
@@ -277,6 +327,35 @@ class TestTornGroupNeverSpliced:
         for data in _capture_tree(system._prev_dir).values():
             assert bad not in data
 
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    @pytest.mark.parametrize("jobs,backend", [(1, "serial"),
+                                              (2, "process")])
+    def test_damaged_file_is_never_spliced(self, chair, frozen_snaps,
+                                           tmp_path, damage, jobs,
+                                           backend):
+        # A torn tail only loses the unit from its torn group on; a
+        # damaged header loses the whole file, so no page is recycled.
+        task, plan, units = chair
+        system = make_system(
+            "delex", task, str(tmp_path),
+            fixed_assignment=_plan(units, UD_NAME, RU_NAME),
+            jobs=jobs, backend=backend, capture_history=10)
+        system.process(frozen_snaps[0])
+        name, mutate, recycled_all_but_last = DAMAGES[damage]
+        path = os.path.join(system._prev_dir, name)
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(path, "wb") as f:
+            f.write(mutate(data))
+
+        result = system.process(frozen_snaps[1], frozen_snaps[0])
+        assert canonical_results(result) == canonical_results(
+            NoReuseSystem(plan).process(frozen_snaps[1]))
+        fp = result.timings.fastpath
+        assert fp.pages_recycled == (fp.pages_paired - 1
+                                     if recycled_all_but_last else 0)
+        _assert_only_records(system._prev_dir)
+
 
 class TestRenamedPage:
     def test_identical_page_at_new_url_matches_noreuse(self, chair,
@@ -340,6 +419,113 @@ class TestResume:
             _capture_tree(straight._prev_dir)
 
 
+class TestRecycleMemo:
+    def test_rewritten_group_misses_the_memo(self, chair, frozen_snaps,
+                                             tmp_path, monkeypatch):
+        # Between runs, one identical page's scan-unit I group is
+        # rewritten into valid records with another ``c``: the memo
+        # must not answer for it, and the run must equal both No-reuse
+        # and a run with no rows to recycle (the per-unit path).
+        task, plan, units = chair
+        computed = []
+        fresh = PageEvaluator._recycle_verdict
+        monkeypatch.setattr(
+            PageEvaluator, "_recycle_verdict",
+            lambda self, groups: computed.append(1) or fresh(self, groups))
+        target = frozen_snaps[1].canonical_pages()[3].did
+        runs = {}
+        for keep_rows in (True, False):
+            system = make_system(
+                "delex", task, str(tmp_path / str(keep_rows)),
+                fixed_assignment=_plan(units, UD_NAME, RU_NAME))
+            _run(system, frozen_snaps[:2])
+            path = os.path.join(system._prev_dir,
+                                "extractServiceSec.I.reuse")
+            with open(path, "rb") as f:
+                data = f.read()
+            head = data.index(page_marker(target))
+            tail = data.index(PAGE_PREFIX, head + 1)
+            with open(path, "wb") as f:
+                f.write(data[:head]
+                        + data[head:tail].replace(b'"c":""', b'"c":"x"')
+                        + data[tail:])
+            if not keep_rows:
+                system.last_page_rows = None
+            computed.clear()
+            result = system.process(frozen_snaps[2], frozen_snaps[1])
+            fp = result.timings.fastpath
+            runs[keep_rows] = (canonical_results(result), result.unit_stats,
+                               _capture_tree(system._prev_dir),
+                               fp.matcher_calls_avoided, fp.pages_recycled,
+                               len(computed))
+        memo_run, per_unit = runs[True], runs[False]
+        assert memo_run[0] == canonical_results(
+            NoReuseSystem(plan).process(frozen_snaps[2]))
+        assert memo_run[:4] == per_unit[:4]
+        # Only the rewritten page was judged afresh, and it failed.
+        assert memo_run[4:] == (len(frozen_snaps[2]) - 1, 1)
+        assert per_unit[4] == 0
+
+    @pytest.mark.parametrize("first", ["UD-RU", "WS-RU"])
+    def test_verdict_is_never_used_under_another_plan(self, chair,
+                                                      frozen_snaps,
+                                                      tmp_path, first):
+        # UD->RU recycles the page; WS->RU never does (WS reports
+        # internal repeats that RU units would see). One memo, same
+        # groups: each plan gets its own verdict, in either order.
+        _task, plan, units = chair
+        boot = ReuseEngine(plan, units, PlanAssignment.all_dn(units))
+        boot.run_snapshot(frozen_snaps[0], None, None, str(tmp_path))
+        source = PrevCaptureSource(boot._capture_paths(str(tmp_path)))
+        page = frozen_snaps[1].canonical_pages()[0]
+        q_page = frozen_snaps[0].canonical_pages()[0]
+        prev_capture = source.read(q_page, Timer(Timings()))
+        source.close()
+        evaluators = {
+            "UD-RU": PageEvaluator(plan, units, _plan(units, UD_NAME,
+                                                      RU_NAME)),
+            "WS-RU": PageEvaluator(plan, units, _plan(units, WS_NAME,
+                                                      RU_NAME))}
+        fresh = {name: ev.page_recyclable(page, q_page, prev_capture)
+                 for name, ev in evaluators.items()}
+        assert fresh["UD-RU"] is not None and fresh["WS-RU"] is None
+        memo = RecycleMemo()
+        order = [first] + [n for n in evaluators if n != first]
+        for name in order + order:
+            assert evaluators[name].page_recyclable(
+                page, q_page, prev_capture, memo) == fresh[name], name
+        assert len(memo) == 2
+
+    def test_memo_holds_at_most_one_snapshot(self, chair, tmp_path):
+        task, _plan_, units = chair
+        churn = ChangeModel(p_unchanged=0.6, p_removed=0.1, p_added=0.1)
+        snaps = list(EvolvingCorpus(DBLifeGenerator(), 8, churn,
+                                    seed=4).snapshots(11))
+        system = make_system(
+            "delex", task, str(tmp_path),
+            fixed_assignment=_plan(units, UD_NAME, RU_NAME))
+        prev, held = None, []
+        for snap in snaps:
+            result = system.process(snap, prev)
+            prev = snap
+            held.append(len(system.recycle_memo))
+            assert held[-1] <= result.timings.fastpath.pages_short_circuited
+            assert held[-1] <= len(snap)
+        assert len(held) == 11 and max(held) > 0
+
+    def test_resume_starts_with_an_empty_memo(self, chair, frozen_snaps,
+                                              tmp_path):
+        task, _plan_, units = chair
+        system = make_system(
+            "delex", task, str(tmp_path),
+            fixed_assignment=_plan(units, UD_NAME, RU_NAME))
+        _run(system, frozen_snaps[:2])
+        assert len(system.recycle_memo) == len(frozen_snaps[1])
+        system.resume(frozen_snaps[:2], system._prev_dir,
+                      system._snapshot_serial)
+        assert len(system.recycle_memo) == 0
+
+
 #: A DBLife-like page whose service section has a chair sentence that
 #: follows a longer one.
 SERVICE_PAGE = (
@@ -359,8 +545,7 @@ class TestExactRUGuard:
         s1 = snapshot_from_texts(1, {"u": SERVICE_PAGE})
         boot = ReuseEngine(plan, units, PlanAssignment.all_dn(units))
         boot.run_snapshot(s0, None, None, str(tmp_path))
-        source = PrevCaptureSource(boot._capture_paths(str(tmp_path)),
-                                   sequential=False)
+        source = PrevCaptureSource(boot._capture_paths(str(tmp_path)))
         timer = Timer(Timings())
         page, q_page = s1.pages[0], s0.pages[0]
         prev_capture = source.read(q_page, timer)

@@ -1,9 +1,13 @@
-"""Reuse file writer/reader: grouping, sequential scans, accounting."""
+"""Reuse file writer/reader: grouping, whole-file reads, framing,
+accounting."""
 
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.reuse.files import (
     BLOCK_SIZE,
@@ -14,10 +18,13 @@ from repro.reuse.files import (
     ReuseFileReader,
     ReuseFileWriter,
     UnitGroups,
+    check_framed,
     decode_fields,
     encode_fields,
     group_outputs_by_input,
     iter_all_pages,
+    iter_groups,
+    page_marker,
     parse_inputs,
     parse_outputs,
 )
@@ -85,7 +92,7 @@ def write_inputs(path, pages):
         recorder = PageRecorder()
         tids += [recorder.input("u", s, e, c) for s, e, c in regions]
         i_data, _ = recorder.groups().get("u", (b"", b""))
-        writer.write_page(did, i_data)
+        writer.write_page(page_marker(did), i_data)
     writer.close()
     return tids
 
@@ -100,10 +107,10 @@ class TestReuseFileRoundtrip:
         path = str(tmp_path / "u.I.reuse")
         t0, t1, t2 = write_two_pages(path)
         reader = ReuseFileReader(path)
-        p1 = parse_inputs("page1", reader.page_lines("page1"))
+        p1 = parse_inputs("page1", reader.read_group("page1"))
         assert [t.tid for t in p1] == [t0, t1]
         assert p1[0].interval.end == 100
-        p2 = parse_inputs("page2", reader.page_lines("page2"))
+        p2 = parse_inputs("page2", reader.read_group("page2"))
         assert [t.tid for t in p2] == [t2]
         reader.close()
 
@@ -111,9 +118,9 @@ class TestReuseFileRoundtrip:
         path = str(tmp_path / "u.I.reuse")
         write_two_pages(path)
         reader = ReuseFileReader(path)
-        # page1 left the corpus: seeking page2 must skip its group.
-        # Tids are page-local, so page2's first tuple is tid 0.
-        got = parse_inputs("page2", reader.page_lines("page2"))
+        # page1 left the corpus: reading page2 alone must not see its
+        # group. Tids are page-local, so page2's first tuple is tid 0.
+        got = parse_inputs("page2", reader.read_group("page2"))
         assert [(t.tid, t.s, t.e) for t in got] == [(0, 0, 50)]
         reader.close()
 
@@ -121,9 +128,9 @@ class TestReuseFileRoundtrip:
         path = str(tmp_path / "u.I.reuse")
         write_two_pages(path)
         reader = ReuseFileReader(path)
-        assert reader.page_lines("page1")
-        assert reader.page_lines("page2")
-        assert reader.page_lines("page3") == []
+        assert reader.read_group("page1")
+        assert reader.read_group("page2")
+        assert reader.read_group("page3") == b""
         reader.close()
 
     def test_malformed_framed_records_raise_value_error(self):
@@ -133,9 +140,12 @@ class TestReuseFileRoundtrip:
                      b'{"t":0,"i":0,"f":[["x","s",1]]}\n',
                      b'{"t":0,"i":0,"f":5}\n'):
             with pytest.raises(ValueError):
-                parse_outputs([line])
+                parse_outputs(line)
         with pytest.raises(ValueError):
-            parse_inputs("p", [b'{"t":0,"s":1}\n'])
+            parse_inputs("p", b'{"t":0,"s":1}\n')
+        # Unframed bytes never reach json.loads.
+        with pytest.raises(ValueError):
+            parse_inputs("p", b'{"t":0,"s":1,"e":2,"c":""}')
 
     def test_outputs_roundtrip(self, tmp_path):
         path = str(tmp_path / "u.O.reuse")
@@ -143,10 +153,10 @@ class TestReuseFileRoundtrip:
         fields = encode_fields({"v": Span("p", 5, 9), "n": 3})
         recorder.output("u", itid=7, fields=fields)
         writer = ReuseFileWriter(path)
-        writer.write_page("p", recorder.groups()["u"][1])
+        writer.write_page(page_marker("p"), recorder.groups()["u"][1])
         writer.close()
         reader = ReuseFileReader(path)
-        outs = parse_outputs(reader.page_lines("p"))
+        outs = parse_outputs(reader.read_group("p"))
         assert len(outs) == 1
         assert outs[0].itid == 7
         assert outs[0].extent() == (5, 9)
@@ -156,8 +166,8 @@ class TestReuseFileRoundtrip:
         path = str(tmp_path / "u.I.reuse")
         write_inputs(path, [("a", []), ("b", [(0, 10, "")])])
         reader = ReuseFileReader(path)
-        assert parse_inputs("a", reader.page_lines("a")) == []
-        assert len(parse_inputs("b", reader.page_lines("b"))) == 1
+        assert parse_inputs("a", reader.read_group("a")) == []
+        assert len(parse_inputs("b", reader.read_group("b"))) == 1
         reader.close()
 
     def test_write_requires_page_group(self, tmp_path):
@@ -180,7 +190,7 @@ class TestReuseFileRoundtrip:
         path = str(tmp_path / "u.I.reuse")
         write_inputs(path, [("p", [(0, 5, 'prefix "quoted" — ünïcode')])])
         reader = ReuseFileReader(path)
-        got = parse_inputs("p", reader.page_lines("p"))
+        got = parse_inputs("p", reader.read_group("p"))
         assert got[0].c == 'prefix "quoted" — ünïcode'
         reader.close()
 
@@ -276,8 +286,8 @@ class TestGoldenBytes:
         readers = {uid: (ReuseFileReader(str(tmp_path / f"{uid}.I.reuse")),
                          ReuseFileReader(str(tmp_path / f"{uid}.O.reuse")))
                    for uid in ("u1", "u2")}
-        groups = {did: {uid: UnitGroups(did, ri.page_lines(did),
-                                        ro.page_lines(did))
+        groups = {did: {uid: UnitGroups(did, ri.read_group(did),
+                                        ro.read_group(did))
                         for uid, (ri, ro) in readers.items()}
                   for did, _ in self.SCRIPT}
         for ri, ro in readers.values():
@@ -287,8 +297,141 @@ class TestGoldenBytes:
         assert page["u1"].inputs[1].c == 'say "hi"'
         assert page["u2"].outputs()[0][0].fields == (
             ("title", "v", 'Dr. "Who"', None),)
-        assert groups["plain"]["u2"].raw() == (b"", b"")
+        assert groups["plain"]["u2"].i_data == b""
+        assert groups["plain"]["u2"].o_data == b""
         out = tmp_path / "recycled"
         out.mkdir()
         assert self._write(out, lambda did: {
-            uid: unit.raw() for uid, unit in groups[did].items()}) == GOLDEN
+            uid: (unit.i_data, unit.o_data)
+            for uid, unit in groups[did].items()}) == GOLDEN
+
+
+def write_file(path, data):
+    with open(path, "wb") as f:
+        f.write(data)
+
+
+class TestOneReader:
+    """The reader reads a file whole, decodes only headers, and refuses
+    bytes the writer cannot have written."""
+
+    def test_groups_in_any_order_from_one_read(self, tmp_path):
+        path = str(tmp_path / "u.I.reuse")
+        write_inputs(path, [(f"p{i}", [(i, i + 5, "")]) for i in range(5)])
+        reader = ReuseFileReader(path)
+        assert reader.dids() == [f"p{i}" for i in range(5)]
+        for i in (4, 0, 2, 4):
+            assert [(t.s, t.e) for t in parse_inputs(
+                f"p{i}", reader.read_group(f"p{i}"))] == [(i, i + 5)]
+        assert reader.bytes_read == os.path.getsize(path)
+
+    def test_writer_headers_skip_json(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "u.I.reuse")
+        write_inputs(path, [("a-1", [(0, 3, "")]), ("b/2 c", [])])
+        calls = []
+        real = json.loads
+        monkeypatch.setattr(json, "loads",
+                            lambda s, *a, **k: calls.append(s) or real(s))
+        assert ReuseFileReader(path).dids() == ["a-1", "b/2 c"]
+        assert calls == []
+
+    def test_other_headers_take_json_loads(self, tmp_path, monkeypatch):
+        # Raw UTF-8 and a space after the colon: not the writer's bytes
+        # for these dids, so each header is parsed.
+        path = str(tmp_path / "u.I.reuse")
+        write_file(path, '{"@page": "pägé"}\n{"t":0,"s":1,"e":2,"c":""}\n'
+                         '{"@page":"tab\\there"}\n'.encode())
+        calls = []
+        real = json.loads
+        monkeypatch.setattr(json, "loads",
+                            lambda s, *a, **k: calls.append(s) or real(s))
+        reader = ReuseFileReader(path)
+        assert reader.dids() == ["pägé", "tab\there"]
+        assert len(calls) == 2
+        assert reader.read_group("pägé") == b'{"t":0,"s":1,"e":2,"c":""}\n'
+
+    @given(dids=st.lists(st.text(max_size=12), unique=True, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_any_did_roundtrips(self, tmp_path_factory, dids):
+        path = str(tmp_path_factory.mktemp("dids") / "u.I.reuse")
+        write_inputs(path, [(did, [(0, i, "")]) for i, did in
+                            enumerate(dids)])
+        reader = ReuseFileReader(path)
+        assert reader.dids() == dids
+        for i, did in enumerate(dids):
+            assert [(t.s, t.e) for t in parse_inputs(
+                did, reader.read_group(did))] == [(0, i)]
+
+    @pytest.mark.parametrize("data", [
+        b'garbage\n{"@page":"a"}\n',               # before the first header
+        b'{"@page":"a"}\n{"t":0,"s":0,"e":1,"c":""}\n{"@page":"b',  # torn
+        b'{"@page":"a"]\n',                        # broken header JSON
+        b'{"@page":5}\n',                          # did not a string
+        b'{"@page":{"x":1}}\n',                    # not a page header
+    ], ids=["garbage-head", "torn-header", "broken-json", "int-did",
+            "no-did"])
+    def test_damaged_headers_raise(self, tmp_path, data):
+        path = str(tmp_path / "u.I.reuse")
+        write_file(path, data)
+        with pytest.raises(ValueError):
+            ReuseFileReader(path)
+
+    def test_torn_group_is_returned_raw_and_fails_framing(self, tmp_path):
+        # The reader does not look inside groups; the framing check does.
+        path = str(tmp_path / "u.I.reuse")
+        write_file(path, b'{"@page":"a"}\n{"t":0,"s":0,"e":1,"c"')
+        group = ReuseFileReader(path).read_group("a")
+        assert group == b'{"t":0,"s":0,"e":1,"c"'
+        with pytest.raises(ValueError):
+            UnitGroups("a", group, b"")
+
+    def test_empty_file_and_empty_groups(self, tmp_path):
+        path = str(tmp_path / "u.I.reuse")
+        write_file(path, b"")
+        assert ReuseFileReader(path).dids() == []
+        write_file(path, b'{"@page":"a"}\n{"@page":"b"}\n')
+        reader = ReuseFileReader(path)
+        assert reader.dids() == ["a", "b"]
+        assert reader.read_group("a") == reader.read_group("b") == b""
+
+    def test_iter_groups_keeps_file_order_and_duplicates(self, tmp_path):
+        path = str(tmp_path / "u.I.reuse")
+        write_file(path, b'{"@page":"b"}\n{"t":0,"s":0,"e":1,"c":""}\n'
+                         b'{"@page":"a"}\n{"@page":"b"}\n')
+        assert list(iter_groups(path)) == [
+            ("b", b'{"t":0,"s":0,"e":1,"c":""}\n'), ("a", b""), ("b", b"")]
+
+
+def _framed_by_lines(data):
+    """The line-by-line framing rule: every line, as ``readline``
+    splits them, starts with ``{"t"`` and ends with a newline."""
+    return all(line.startswith(b'{"t"') and line.endswith(b"\n")
+               for line in io.BytesIO(data).readlines())
+
+
+class TestFraming:
+    @given(st.lists(st.sampled_from(
+        [b'{"t"', b'{"t":0}', b"\n", b"x", b'{"', b"t", b'"', b"\r"]),
+        max_size=12))
+    @settings(max_examples=400, deadline=None)
+    def test_byte_check_accepts_what_the_line_rule_accepts(self, parts):
+        data = b"".join(parts)
+        try:
+            check_framed(data)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == _framed_by_lines(data)
+
+    def test_unit_groups_parse_inputs_once_on_first_use(self):
+        groups = UnitGroups("p", b'{"t":0,"s":2,"e":5,"c":""}\n',
+                            b'{"t":0,"i":0,"f":[]}\n{"t":1,"i":0,"f":[]}\n')
+        assert groups._inputs is None
+        assert groups.inputs == [InputTuple(0, "p", 2, 5)]
+        assert groups.inputs is groups.inputs
+        assert groups.output_count() == 2
+
+    def test_unparsable_inputs_raise_on_use_not_on_read(self):
+        groups = UnitGroups("p", b'{"t":9}\n', b"")
+        with pytest.raises(ValueError):
+            groups.inputs
