@@ -8,7 +8,7 @@ serial backend vs an auto-chosen 4-worker run (the heavy emulated
 blackboxes select the process pool) for No-reuse and Delex on a
 synthetic DBLife corpus, and emits a machine-readable
 ``BENCH_runtime.json`` at the repo root — including the runtime's own
-steal/split/shared-memory telemetry for the parallel run.
+steal/shared-memory telemetry for the parallel run.
 
 On machines with fewer than 4 CPUs there is no parallel speedup to
 have; the auto chooser detects that and falls back to the serial
@@ -79,8 +79,7 @@ def _measure(task, snapshots, system_name, jobs, workdir):
             if runtime_doc is None:
                 runtime_doc = doc
             else:
-                for key in ("steals", "split_pages", "split_parts"):
-                    runtime_doc[key] += doc[key]
+                runtime_doc["steals"] += doc["steals"]
         prev = snapshot
     backend = executor.name if executor is not None else "serial"
     row = {
@@ -92,8 +91,7 @@ def _measure(task, snapshots, system_name, jobs, workdir):
     }
     if runtime_doc is not None:
         row["runtime"] = {key: runtime_doc.get(key) for key in
-                          ("backend", "jobs", "steals", "split_pages",
-                           "split_parts", "shared_text",
+                          ("backend", "jobs", "steals", "shared_text",
                            "worker_utilization",
                            "worker_busy_fractions")}
     return row, outputs, _tree_digest(workdir)
@@ -140,15 +138,14 @@ def _render(data):
              f"{data['snapshots']} snapshots, jobs={data['jobs']}, "
              f"cpus={data['cpu_count']})",
              f"{'system':<9}{'serial p/s':>12}{'jobs4 p/s':>12}"
-             f"{'speedup':>9}{'backend':>9}{'steals':>8}{'splits':>8}"]
+             f"{'speedup':>9}{'backend':>9}{'steals':>8}"]
     for name, row in data["systems"].items():
         runtime = row["parallel"].get("runtime") or {}
         lines.append(
             f"{name:<9}{row['serial']['pages_per_second']:>12.1f}"
             f"{row['parallel']['pages_per_second']:>12.1f}"
             f"{row['speedup']:>9.2f}{row['parallel']['backend']:>9}"
-            f"{runtime.get('steals', 0):>8}"
-            f"{runtime.get('split_parts', 0):>8}")
+            f"{runtime.get('steals', 0):>8}")
     return "\n".join(lines) + "\n"
 
 

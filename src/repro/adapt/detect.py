@@ -1,7 +1,7 @@
 """Online drift detection over per-snapshot run telemetry.
 
 Every processed snapshot yields one :class:`AdaptObservation` — a small
-vector of rates and costs assembled from what the runtime already
+vector of rates and costs gathered from what the runtime already
 measures for free: the observed change rate (``pages_with_previous``),
 the fast-path short-circuit and memo hit rates
 (:class:`~repro.fastpath.stats.FastPathStats`), wall seconds per page

@@ -9,7 +9,7 @@ compiled program in one :class:`ProgramExtractor`, and
 that plan with the unit's matcher chosen per snapshot by a small cost
 probe (mirroring the Cyclex optimizer) instead of Algorithm 1.
 Matching, copying, re-extraction, capture, the identity short circuit
-and page splitting are the reuse engine's.
+and the parallel page loop are the reuse engine's.
 
 Because tight program-level α/β are hard to obtain for multi-blackbox
 programs (Section 3), the α_prog of the section-based tasks is page
@@ -36,7 +36,6 @@ from ..reuse.files import InputTuple
 from ..reuse.regions import derive_reuse
 from ..runtime.executor import Executor
 from ..runtime.scheduler import PageScheduler
-from ..runtime.split import SplitConfig
 from ..text.document import Page
 from ..text.span import Span
 from ..timing import OPT, Timer, Timings
@@ -63,8 +62,10 @@ def _field(rel: str, var: str) -> str:
 
 
 def _extent_order(extraction: Extraction) -> tuple:
-    """Extent start first — the order split parts concatenate in —
-    then a total tie-break that survives shifting every span."""
+    """Extent start first — the order every extractor emits in — then
+    a total tie-break that survives shifting every span, so the same
+    text yields its rows in one order wherever it sits on the page.
+    The order is recorded in the capture bytes, so it must not change."""
     extent = extraction.extent()
     return (-1 if extent is None else extent[0],
             [(name, v.start, v.end, "") if isinstance(v, RelSpan)
@@ -143,8 +144,7 @@ class CyclexSystem(DelexSystem):
                  executor: Optional[Executor] = None,
                  scheduler: Optional[PageScheduler] = None,
                  fastpath: FastPathFlag = None,
-                 fixed_matcher: Optional[str] = None,
-                 split: Optional[SplitConfig] = None) -> None:
+                 fixed_matcher: Optional[str] = None) -> None:
         self._program = program_plan(plan, program_alpha, program_beta)
         self.probe_pages = probe_pages
         # Pin the per-snapshot matcher choice (skips the timing-based
@@ -153,8 +153,7 @@ class CyclexSystem(DelexSystem):
         self.fixed_matcher = fixed_matcher
         # No xlog task of its own: the engine runs the program plan.
         super().__init__(None, workdir, executor=executor,
-                         scheduler=scheduler, fastpath=fastpath,
-                         split=split)
+                         scheduler=scheduler, fastpath=fastpath)
 
     def _compile(self, task: None) -> Tuple[CompiledPlan, List[IEUnit]]:
         program, unit = self._program

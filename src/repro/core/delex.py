@@ -43,7 +43,6 @@ from ..reuse.engine import (
 from ..reuse.scope import PageMatchScope
 from ..runtime.executor import Executor
 from ..runtime.scheduler import PageScheduler
-from ..runtime.split import SplitConfig
 from ..timing import OPT, Timer, Timings
 
 
@@ -59,13 +58,11 @@ class DelexSystem:
                  scope: Optional["PageMatchScope"] = None,
                  executor: Optional[Executor] = None,
                  scheduler: Optional[PageScheduler] = None,
-                 fastpath: FastPathFlag = None,
-                 split: Optional[SplitConfig] = None) -> None:
+                 fastpath: FastPathFlag = None) -> None:
         self.task = task
         self.workdir = workdir
         self.executor = executor
         self.scheduler = scheduler
-        self.split = split
         self.fastpath = fastpath_enabled(fastpath)
         os.makedirs(workdir, exist_ok=True)
         self.plan, self.units = self._compile(task)
@@ -161,8 +158,7 @@ class DelexSystem:
                              scope=self.scope, executor=self.executor,
                              scheduler=self.scheduler,
                              fastpath=self.fastpath,
-                             match_cache=self.match_cache,
-                             split=self.split)
+                             match_cache=self.match_cache)
         out_dir = self._out_dir()
         page_rows: Dict[str, PageRows] = {}
         result = engine.run_snapshot(

@@ -1,7 +1,7 @@
 """Rule-based extractor blackboxes.
 
 These are the reusable building blocks the six evaluation IE programs
-are assembled from (Section 8; Figure 8b). All of them are
+are built from (Section 8; Figure 8b). All of them are
 *position-deterministic*: whether an extraction is reported at some
 position depends only on the text within the declared context β of its
 extent, which is what lets the reuse engine copy mentions safely.

@@ -163,7 +163,7 @@ def st_kernel(pa, qa, min_length: int, np, q_index=None,
         order = np.argsort(hq, kind="stable")
         hq_sorted = hq[order]
         run_end = np.searchsorted(hq_sorted, hq_sorted, side="right")
-    # One binary search: the precomputed equal-run ends stand in for
+    # One binary search: the equal-run ends computed above stand in for
     # the usual side="right" pass.
     mq = int(hq_sorted.shape[0])
     lo = np.searchsorted(hq_sorted, hp, side="left")

@@ -400,13 +400,6 @@ def publish_runtime(system: str, metrics) -> None:
     REGISTRY.inc("repro_runtime_steals_total",
                  float(getattr(metrics, "steals", 0)),
                  help="work items stolen by idle workers", **labels)
-    REGISTRY.inc("repro_runtime_split_pages_total",
-                 float(getattr(metrics, "split_pages", 0)),
-                 help="pages split into sub-page work items", **labels)
-    REGISTRY.inc("repro_runtime_split_parts_total",
-                 float(getattr(metrics, "split_parts", 0)),
-                 help="sub-page work items produced by splitting",
-                 **labels)
     REGISTRY.set("repro_runtime_shared_text",
                  1.0 if getattr(metrics, "shared_text", False) else 0.0,
                  help="1 when page text rode in shared memory", **labels)

@@ -275,10 +275,10 @@ def plan_walker(page_text: str, did: str,
 
     Returns ``evaluate(node)``, memoizing node outputs in ``memo`` by
     ``id(node)`` (common subplans are shared; pass a fresh dict per
-    page, or one seeded with precomputed node outputs). What happens
-    where the plan meets an IE blackbox is the caller's ``step``: it
-    sees every node first and either returns its rows (an IE node run
-    plainly, an IE-unit top run with reuse or profiling) or None.
+    page). What happens where the plan meets an IE blackbox is the
+    caller's ``step``: it sees every node first and either returns its
+    rows (an IE node run plainly, an IE-unit top run with reuse or
+    profiling) or None.
     """
     ctx = EvalContext(page_text, did)
 

@@ -21,11 +21,11 @@ relational evaluation.
 The page loop is :func:`repro.runtime.driver.run_pages`; this module
 supplies what is specific to unit-level reuse. The per-page work lives
 in the picklable :class:`PageEvaluator` and there is one per-page body
-(:func:`_evaluate_page`) whether a page runs in a worker's batch or is
-assembled from split parts in the parent, and one page recycle
-(:func:`_recycle_page`) that re-emits an identical page whole from the
-previous capture and rows. The previous snapshot's capture sits behind
-one :class:`PrevCaptureSource`, which reads each reuse file whole, once,
+(:func:`_evaluate_page`), whether a page runs in a worker's batch or
+in the serial one, and one page recycle (:func:`_recycle_page`) that
+re-emits an identical page whole from the previous capture and rows.
+The previous snapshot's capture sits behind one
+:class:`PrevCaptureSource`, which reads each reuse file whole, once,
 and hands out any page's groups as bytes. Either way a page's new
 capture is its :data:`~repro.reuse.files.PageGroups`: recorded by a
 :class:`~repro.reuse.files.PageRecorder` or, for a recycled page, the
@@ -62,12 +62,11 @@ from ..matchers.ws import WS_NAME
 from ..obs import profile as _oprof
 from ..obs import trace as _otrace
 from ..plan.compile import CompiledPlan
-from ..plan.operators import Node, ScanNode, TupleRow, plan_walker
+from ..plan.operators import Node, TupleRow, plan_walker
 from ..plan.units import IEUnit, units_by_top
-from ..runtime.driver import Extensions, PageLookup, PageWork, run_pages
+from ..runtime.driver import PageLookup, PageWork, run_pages
 from ..runtime.executor import Executor
 from ..runtime.scheduler import PageScheduler
-from ..runtime.split import SplitConfig
 from ..text.document import Page
 from ..text.regions import MatchSegment
 from ..text.span import Span
@@ -306,29 +305,16 @@ class PageEvaluator:
     def unit(self, uid: str) -> IEUnit:
         return self._unit_by_uid[uid]
 
-    def frontier_units(self) -> List[IEUnit]:
-        """Units whose input is the raw page scan — the only units a
-        sub-page split may precompute (a σ between scan and IE, or a
-        producing unit below, would change the input region)."""
-        return [u for u in self.units
-                if isinstance(u.ie_node.child, ScanNode)]
-
     # -- per-page evaluation ----------------------------------------------
 
     def run_page(self, page: Page, q_page: Optional[Page],
                  prev_capture: PrevCapture, recorder: PageRecorder,
                  stats: Dict[str, UnitRunStats], timer: Timer,
                  cache: Optional[MatchCache] = None,
-                 fp_stats: Optional[FastPathStats] = None,
-                 precomputed: Optional[Extensions] = None
+                 fp_stats: Optional[FastPathStats] = None
                  ) -> Dict[str, List[TupleRow]]:
         """Evaluate the plan over one page, reusing ``prev_capture`` and
-        recording the page's new capture into ``recorder``.
-
-        ``precomputed`` maps frontier-unit uids to the raw extension
-        dicts split parts already extracted from this page; those
-        units skip their blackbox call (see :meth:`_run_unit`).
-        """
+        recording the page's new capture into ``recorder``."""
         cache = cache if cache is not None else MatchCache()
         fp_stats = fp_stats if fp_stats is not None else FastPathStats()
 
@@ -368,8 +354,7 @@ class PageEvaluator:
                 cache, stats[unit.uid],
                 timer, match_memo=match_memo, automatons=automatons,
                 tokens=tokens, kernel=kernel,
-                page_identical=page_identical, fp_stats=fp_stats,
-                precomputed=(precomputed or {}).get(unit.uid))
+                page_identical=page_identical, fp_stats=fp_stats)
 
         evaluate = plan_walker(page.text, page.did, {}, step)
         return {rel: evaluate(self.plan.roots[rel])
@@ -387,24 +372,13 @@ class PageEvaluator:
                   tokens: Optional[TokenCache] = None,
                   kernel: str = "auto",
                   page_identical: bool = False,
-                  fp_stats: Optional[FastPathStats] = None,
-                  precomputed: Optional[List[Dict[str, object]]] = None
+                  fp_stats: Optional[FastPathStats] = None
                   ) -> List[TupleRow]:
-        """Run one IE unit over its input rows on one page.
-
-        ``precomputed``, when given, is the unit's raw whole-page
-        extension list already extracted by split parts. The driver
-        only precomputes frontier units (one input row, the page scan)
-        on pages where they run from scratch, so the unit takes the
-        from-scratch branch below with the blackbox call replaced by
-        that list — every record, counter and row is otherwise
-        produced by the same code as an unsplit run.
-        """
+        """Run one IE unit over its input rows on one page."""
         matcher_name = self.assignment.of(unit)
         prev_inputs: List[InputTuple] = []
         recorded_outputs: Dict[int, List[OutputTuple]] = {}
-        if (input_rows and precomputed is None and q_page is not None
-                and matcher_name != DN_NAME):
+        if input_rows and q_page is not None and matcher_name != DN_NAME:
             # Every row may reuse (the from-scratch test below is the
             # same for all of them), so parse the recorded groups once.
             # A framed line that is not a record leaves this page's
@@ -449,8 +423,7 @@ class PageEvaluator:
                 tid = recorder.input(unit.uid, region.start, region.end, c)
 
             copied: List[Dict[str, object]] = []
-            if (precomputed is not None or q_page is None
-                    or matcher_name == DN_NAME or not prev_inputs):
+            if q_page is None or matcher_name == DN_NAME or not prev_inputs:
                 path = "scratch"
                 extraction_regions = [region.interval]
                 derivation = None
@@ -537,29 +510,21 @@ class PageEvaluator:
             fresh: List[Dict[str, object]] = []
             for er in extraction_regions:
                 unit_stats.extracted_chars += len(er)
-                if precomputed is not None:
-                    assert len(input_rows) == 1, \
-                        f"unit {unit.uid}: precomputed extensions need " \
-                        f"the single scan row, got {len(input_rows)}"
-                    raw = precomputed
-                else:
-                    with timer.measure(EXTRACT):
-                        extractions = unit.extractor.extract(
-                            page.text[er.start:er.end])
-                    er_span = Span(page.did, er.start, er.end)
-                    raw = []
-                    for extraction in extractions:
-                        extent = extraction.extent()
-                        abs_extent = (None if extent is None else
-                                      (extent[0] + er.start,
-                                       extent[1] + er.start))
-                        if derivation is not None and not extraction_keep(
-                                abs_extent, er, region.interval, unit.beta):
-                            continue
-                        raw.append(unit.ie_node.extension_fields(
-                            extraction, er_span))
-                for fields in raw:
-                    post = unit.apply_absorbed(fields, ctx)
+                with timer.measure(EXTRACT):
+                    extractions = unit.extractor.extract(
+                        page.text[er.start:er.end])
+                er_span = Span(page.did, er.start, er.end)
+                for extraction in extractions:
+                    extent = extraction.extent()
+                    abs_extent = (None if extent is None else
+                                  (extent[0] + er.start,
+                                   extent[1] + er.start))
+                    if derivation is not None and not extraction_keep(
+                            abs_extent, er, region.interval, unit.beta):
+                        continue
+                    post = unit.apply_absorbed(
+                        unit.ie_node.extension_fields(extraction, er_span),
+                        ctx)
                     if post is not None:
                         fresh.append(post)
 
@@ -789,23 +754,19 @@ class PageEvaluator:
 def _evaluate_page(evaluator: PageEvaluator, page: Page,
                    q_page: Optional[Page], prev_capture: PrevCapture,
                    stats: Dict[str, UnitRunStats], timer: Timer,
-                   fp_stats: FastPathStats,
-                   precomputed: Optional[Extensions] = None
-                   ) -> PageResult:
+                   fp_stats: FastPathStats) -> PageResult:
     """The one per-page body: run the plan with reuse, return the
     materialized rows per relation and the page's recorded capture."""
     recorder = PageRecorder()
     if _oprof.ENABLED:
         _p0 = time.perf_counter()
     with (_otrace.span("page", cat="page", did=page.did,
-                       paired=q_page is not None,
-                       split=precomputed is not None, recycled=False)
+                       paired=q_page is not None, recycled=False)
           if _otrace.ENABLED else _otrace.NULL):
         page_rows = evaluator.run_page(page, q_page, prev_capture,
                                        recorder, stats, timer,
                                        cache=MatchCache(),
-                                       fp_stats=fp_stats,
-                                       precomputed=precomputed)
+                                       fp_stats=fp_stats)
     if _oprof.ENABLED:
         _oprof.record_page(page.did, time.perf_counter() - _p0)
     return ({rel: materialize_rows(rows, page.text)
@@ -831,7 +792,7 @@ def _recycle_page(evaluator: PageEvaluator, page: Page,
         if sizes is None:
             return None
         with (_otrace.span("page", cat="page", did=page.did, paired=True,
-                           split=False, recycled=True)
+                           recycled=True)
               if _otrace.ENABLED else _otrace.NULL):
             capture = evaluator.recycle_page(page, q_page, prev_capture,
                                              sizes, stats, fp_stats)
@@ -944,8 +905,7 @@ class ReuseEngine:
                  executor: Optional[Executor] = None,
                  scheduler: Optional[PageScheduler] = None,
                  fastpath: FastPathFlag = None,
-                 match_cache: Optional[CrossSnapshotMatchCache] = None,
-                 split: Optional[SplitConfig] = None
+                 match_cache: Optional[CrossSnapshotMatchCache] = None
                  ) -> None:
         self.plan = plan
         self.units = units
@@ -953,7 +913,6 @@ class ReuseEngine:
         self.scope = scope if scope is not None else SameUrlScope()
         self.executor = executor
         self.scheduler = scheduler if scheduler is not None else PageScheduler()
-        self.split = split if split is not None else SplitConfig()
         self.fastpath = fastpath_enabled(fastpath)
         # The match store outlives this engine: callers that rebuild an
         # engine per snapshot (DelexSystem, serve views) pass their own
@@ -1134,44 +1093,14 @@ class ReuseEngine:
                      for p in batch)
             return items if streaming else tuple(items)
 
-        frontier = evaluator.frontier_units()
-
-        def may_split(page: Page) -> bool:
-            """Part workers extract blindly, so a page is split only
-            when every frontier unit runs from scratch on it — the
-            condition :meth:`PageEvaluator._run_unit` uses to skip the
-            reuse machinery (a framed I group is empty exactly when it
-            holds no inputs)."""
-            if pair_of[page.did] is None:
-                return True
-            prev_capture = prev_capture_of(page.did)
-            return not any(
-                self.assignment.of(u) != DN_NAME
-                and prev_capture.get(u.uid, _NO_CAPTURE).i_data
-                for u in frontier)
-
-        def assemble(page: Page, extensions: Extensions,
-                     timer: Timer) -> PageResult:
-            """Re-run a split page here with its frontier extractions
-            precomputed: chained units, relational operators and the
-            capture records run exactly as in an unsplit run."""
-            return _evaluate_page(
-                evaluator, page, pair_of[page.did],
-                prev_capture_of(page.did), stats, timer, fp_stats,
-                precomputed=extensions)
-
         work = PageWork(
             batch_fn=_engine_batch,
             state=((evaluator, writers, memo) if streaming
                    else (evaluator, None, None)),
             payload=payload,
-            frontier=[(u.uid, u.ie_node, u.alpha, u.beta)
-                      for u in frontier],
-            may_split=may_split, assemble=assemble,
             prev_pages=[pair_of[p.did] for p in to_run
                         if pair_of[p.did] is not None])
-        run = run_pages(work, to_run, self.executor, self.scheduler,
-                        self.split, timer)
+        run = run_pages(work, to_run, self.executor, self.scheduler, timer)
         for batch_stats, batch_fp in run.extras:
             for uid, unit_stats in batch_stats.items():
                 stats[uid].merge(unit_stats)

@@ -1,7 +1,7 @@
 """Runtime metrics: what did the parallel run actually do?
 
-Per-batch wall time, worker utilization, pages/sec, steal and split
-counts for one snapshot run. The systems attach a
+Per-batch wall time, worker utilization, pages/sec and steal counts
+for one snapshot run. The systems attach a
 :class:`RuntimeMetrics` to their :class:`~repro.timing.Timings`
 (``timings.runtime``) so callers that already consume timing
 decompositions get runtime telemetry through the same object.
@@ -18,18 +18,12 @@ from .scheduler import PageBatch
 
 @dataclass(frozen=True)
 class BatchMetric:
-    """One work item's execution record.
-
-    ``kind`` distinguishes whole-page batches (``"pages"``) from
-    sub-page split parts (``"part"``); part items report ``pages=0``
-    so page counts aren't inflated by splitting.
-    """
+    """One batch's execution record."""
 
     index: int
     pages: int
     chars: int
     seconds: float
-    kind: str = "pages"
 
 
 @dataclass
@@ -42,10 +36,6 @@ class RuntimeMetrics:
     batches: List[BatchMetric]
     #: Work items an idle worker stole from another worker's queue.
     steals: int = 0
-    #: Pages that were split into sub-page parts.
-    split_pages: int = 0
-    #: Total sub-page parts those pages produced.
-    split_parts: int = 0
     #: Whether page text traveled via a shared-memory segment.
     shared_text: bool = False
     #: Per-worker-slot busy seconds (empty when unknown).
@@ -53,8 +43,15 @@ class RuntimeMetrics:
 
     @property
     def pages(self) -> int:
-        """Pages processed — split pages count once, via their parent."""
-        return sum(b.pages for b in self.batches) + self.split_pages
+        """Pages processed."""
+        return sum(b.pages for b in self.batches)
+
+    @property
+    def split_parts(self) -> int:
+        """Always 0: a page is the unit of parallel work and is never
+        split. Kept read-only because the benchmark harness reads it
+        (``runtime.split_parts``) and its directory is frozen."""
+        return 0
 
     @property
     def busy_seconds(self) -> float:
@@ -94,21 +91,14 @@ class RuntimeMetrics:
             "pages_per_second": self.pages_per_second,
             "worker_utilization": self.worker_utilization,
             "steals": self.steals,
-            "split_pages": self.split_pages,
-            "split_parts": self.split_parts,
             "shared_text": self.shared_text,
             "worker_busy_fractions": self.worker_busy_fractions,
         }
-
-    #: Backwards-compatible alias (pre-serve callers used ``as_dict``).
-    as_dict = to_dict
 
     def describe(self) -> str:
         extra = ""
         if self.steals:
             extra += f" steals={self.steals}"
-        if self.split_pages:
-            extra += f" splits={self.split_pages}/{self.split_parts}"
         if self.shared_text:
             extra += " shm"
         return (f"{self.backend} jobs={self.jobs} "
@@ -119,25 +109,16 @@ class RuntimeMetrics:
 
 def build_metrics(backend: str, jobs: int, wall_seconds: float,
                   batches: Sequence[PageBatch],
-                  batch_seconds: Sequence[float],
-                  extra_batches: Sequence[BatchMetric] = (),
-                  steals: int = 0, split_pages: int = 0,
-                  split_parts: int = 0, shared_text: bool = False,
+                  batch_seconds: Sequence[float], steals: int = 0,
+                  shared_text: bool = False,
                   slot_busy: Sequence[float] = ()) -> RuntimeMetrics:
-    """Assemble metrics from scheduler batches and measured times.
-
-    ``extra_batches`` carries non-PageBatch work items (sub-page
-    parts).
-    """
+    """Assemble metrics from scheduler batches and measured times."""
     if len(batches) != len(batch_seconds):
         raise ValueError("one measured time per batch required")
     records = [BatchMetric(index=b.index, pages=len(b), chars=b.chars,
                            seconds=s)
                for b, s in zip(batches, batch_seconds)]
-    records.extend(extra_batches)
     return RuntimeMetrics(backend=backend, jobs=jobs,
                           wall_seconds=wall_seconds, batches=records,
-                          steals=steals, split_pages=split_pages,
-                          split_parts=split_parts,
-                          shared_text=shared_text,
+                          steals=steals, shared_text=shared_text,
                           slot_busy=list(slot_busy))

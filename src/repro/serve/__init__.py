@@ -10,7 +10,7 @@ Four layers, composed bottom-up:
 
 * :mod:`.store` — a generation-versioned tuple store. Each applied
   snapshot becomes an immutable :class:`~repro.serve.store.Generation`
-  (per-page rows + precomputed relation indexes); readers grab the
+  (per-page rows + prebuilt relation indexes); readers grab the
   current generation reference once and do every read off that frozen
   object, so a query never observes a half-applied snapshot. Writers
   apply *deltas*: only pages the snapshot changed are replaced.

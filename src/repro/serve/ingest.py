@@ -400,8 +400,10 @@ class SpoolWatcher:
     index order, pushes them with *blocking* backpressure, and moves
     each consumed file to ``<spool>/done/`` so a restart never
     re-ingests. Files newer than the last pushed index are the only
-    candidates, so out-of-order drops wait until their predecessors
-    arrive.
+    candidates: a file whose index is at or below it (dropped after a
+    later index was pushed) is never ingested and stays in the spool.
+    A candidate that fails to parse ends the sweep, so every later
+    index waits for it.
 
     The watcher only needs ``push(snapshot, block=, timeout=)`` from
     its queue, so it feeds a plain :class:`IngestQueue` or the sharded
@@ -413,8 +415,8 @@ class SpoolWatcher:
     scan. As defense in depth against producers that write the final
     name directly, every candidate file's header page count is
     validated by :func:`~repro.corpus.snapshot.read_snapshot`, so a
-    torn file parses as an error (skipped, retried next sweep) rather
-    than as a silently truncated snapshot.
+    torn file parses as an error rather than as a silently truncated
+    snapshot, and is retried next sweep.
     """
 
     def __init__(self, spool_dir: str, ingest_queue: IngestQueue,
@@ -473,8 +475,9 @@ class SpoolWatcher:
 
         In-flight ``*.tmp``/``*.part`` files don't match the snapshot
         pattern and are never candidates; a candidate that fails to
-        parse (torn write by a protocol-violating producer) is
-        deferred to the next sweep, not consumed.
+        parse (torn write by a protocol-violating producer) is not
+        consumed and ends the sweep: pushing a later index first would
+        raise ``last_index`` past it and strand it in the spool.
         """
         entries = []
         for name in os.listdir(self.spool_dir):
@@ -490,7 +493,7 @@ class SpoolWatcher:
                 snapshot = read_snapshot(path)
             except (OSError, ValueError, KeyError):
                 self.files_deferred += 1
-                continue  # partially written; retry next sweep
+                break  # partially written; it and all later wait
             while not self.queue.push(snapshot, block=True, timeout=0.5):
                 if self._stop.is_set():
                     return pushed

@@ -8,7 +8,7 @@ database way — multi-version concurrency with a single atomic swap:
 
 * every applied snapshot builds a fresh, immutable
   :class:`Generation`: the per-page row map (``did -> relation ->
-  rows``) plus a precomputed sorted relation index for pagination;
+  rows``) plus a prebuilt sorted relation index for pagination;
 * unchanged pages' row lists are *shared by reference* with the
   previous generation (applying a snapshot is O(changed pages +
   total relation size for the index), never O(corpus text));
@@ -333,7 +333,7 @@ class TupleStore:
         ``contains`` keeps tuples whose concatenated text contains the
         substring (case-insensitive); ``field_filters`` keeps tuples
         whose named field's text equals the given value exactly.
-        Filters run over the generation's precomputed sorted index, so
+        Filters run over the generation's prebuilt sorted index, so
         two queries with the same parameters against the same
         generation return identical pages.
         """

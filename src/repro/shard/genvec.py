@@ -11,7 +11,7 @@ ever produced.
 
 :class:`ShardVector` is the fix, shaped exactly like the single-store
 answer: an immutable value holding one generation per shard, all
-published by the *same* snapshot index, assembled by the router's
+published by the *same* snapshot index, put together by the router's
 barrier (:mod:`repro.shard.router`) only once every shard has applied
 that snapshot. Readers take the current vector reference once and run
 the whole query off it — the same epoch discipline as

@@ -197,6 +197,30 @@ class TestSpoolTruncation:
         assert watcher.scan_once() == 1
         assert queue.pop().snapshot.index == snapshot.index
 
+    def test_torn_file_holds_back_later_indexes(self, tmp_path):
+        """A torn snapshot 2 between whole drops of 1 and 3: the sweep
+        must stop at 2. Pushing 3 first raised ``last_index`` past 2,
+        and the completed file was then never ingested."""
+        spool = str(tmp_path / "spool")
+        queue = IngestQueue()
+        watcher = SpoolWatcher(spool, queue)
+        drop_snapshot(spool, self._snapshot(index=1))
+        path = os.path.join(spool, "snapshot_0002.dat")
+        write_snapshot(self._snapshot(index=2), path)
+        with open(path, "rb") as f:
+            full = f.read()
+        with open(path, "wb") as f:  # a direct write, half done
+            f.write(full[:len(full) // 2])
+        drop_snapshot(spool, self._snapshot(index=3))
+        assert watcher.scan_once() == 1
+        assert watcher.files_deferred == 1
+        assert watcher.last_index == 1
+        with open(path, "wb") as f:  # producer finishes the write
+            f.write(full)
+        assert watcher.scan_once() == 2
+        assert [queue.pop().snapshot.index for _ in range(3)] == [1, 2, 3]
+        assert sorted(os.listdir(spool)) == ["done"]
+
     def test_inflight_tmp_and_part_files_invisible(self, tmp_path):
         spool = str(tmp_path / "spool")
         watcher = SpoolWatcher(spool, IngestQueue())

@@ -2,8 +2,7 @@
 
 The runtime's contract is that backend and worker count are pure
 performance knobs: for any executor, every system must produce the
-same canonical results AND byte-identical reuse files as a serial run
-— including when large pages are split into sub-page work items.
+same canonical results AND byte-identical reuse files as a serial run.
 """
 
 from __future__ import annotations
@@ -11,14 +10,13 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.corpus import dblife_corpus, wikipedia_corpus
-from repro.core.noreuse import scan_frontier
 from repro.core.runner import (
     canonical_results,
     make_system,
@@ -27,11 +25,9 @@ from repro.core.runner import (
     verify_serial_parallel,
 )
 from repro.extractors import make_task
-from repro.extractors.base import Extraction, Extractor
-from repro.plan.compile import compile_program
-from repro.plan.operators import IENode, ScanNode
 from repro.reuse.engine import _write_page
 from repro.reuse.files import PageRecorder, ReuseFileWriter, encode_fields
+from repro.runtime import driver as driver_module
 from repro.runtime import (
     AUTO_PROCESS_WORK_FACTOR,
     PageBatch,
@@ -40,16 +36,14 @@ from repro.runtime import (
     ProcessPoolExecutor,
     RuntimeMetrics,
     SerialExecutor,
-    SplitConfig,
     ThreadPoolExecutor,
     build_arena,
     build_metrics,
     choose_backend,
     make_executor,
     pack_lpt,
-    part_extensions,
-    plan_parts,
     run_pages,
+    shm_available,
 )
 from repro.text.document import Page
 from repro.text.span import Span
@@ -428,251 +422,6 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Split-correct sub-page work items
-
-
-def _talk_frontier():
-    task = make_task("talk", work_scale=0)
-    plan = compile_program(task.program, task.registry)
-    return scan_frontier(plan)[0]
-
-
-_LINE_POOL = None
-
-
-def _line_pool():
-    """Lines from real dblife pages — text the talk extractor bites on."""
-    global _LINE_POOL
-    if _LINE_POOL is None:
-        snaps = list(dblife_corpus(n_pages=6, seed=13).snapshots(1))
-        lines = []
-        for page in snaps[0]:
-            lines.extend(line for line in page.text.split("\n") if line)
-        _LINE_POOL = lines[:200]
-    return _LINE_POOL
-
-
-class TestSplitPlanning:
-    @given(length=st.integers(min_value=0, max_value=200_000),
-           jobs=st.integers(min_value=1, max_value=16),
-           alpha=st.integers(min_value=0, max_value=20_000),
-           beta=st.integers(min_value=0, max_value=256))
-    @settings(max_examples=100, deadline=None)
-    def test_parts_partition_the_page(self, length, jobs, alpha, beta):
-        config = SplitConfig(min_part_chars=64)
-        parts = plan_parts("d", length, jobs, config, alpha, beta)
-        if not parts:
-            return
-        assert len(parts) >= 2
-        assert parts[0].lo == 0 and parts[-1].hi == length
-        for prev, part in zip(parts, parts[1:]):
-            assert prev.hi == part.lo  # contiguous, no gap, no overlap
-        for part in parts:
-            assert part.lo < part.hi
-            lo, hi = part.chunk(alpha, beta)
-            # The chunk sees the owned range plus full margins (or the
-            # true page boundary, which the serial run clips too).
-            assert lo == max(0, part.lo - beta)
-            assert hi == min(length, part.hi + alpha + beta)
-
-    def test_no_split_for_single_job_or_tiny_page(self):
-        config = SplitConfig()
-        assert plan_parts("d", 100_000, 1, config, 10, 1) == []
-        assert plan_parts("d", 100, 8, config, 10, 1) == []
-        assert not config.should_split(100, 1000, 4)
-        assert not SplitConfig(enabled=False).should_split(
-            10_000, 10_000, 4)
-
-
-class TestSplitExtraction:
-    @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_split_points_never_cut_extractions(self, data):
-        node = _talk_frontier()
-        pool = _line_pool()
-        picks = data.draw(st.lists(
-            st.integers(min_value=0, max_value=len(pool) - 1),
-            min_size=30, max_size=90))
-        jobs = data.draw(st.integers(min_value=2, max_value=4))
-        text = "\n".join(pool[i] for i in picks)
-        extractor = node.extractor
-        config = SplitConfig(min_part_chars=64)
-        parts = plan_parts("d", len(text), jobs, config,
-                           extractor.scope, extractor.context)
-        if not parts:
-            return
-        serial = [(e.extent(), node.extension_fields(
-                       e, Span("d", 0, len(text))))
-                  for e in extractor.extract(text)]
-        # Every serial extraction is owned by exactly one part: no
-        # split point lands inside an extraction region.
-        for extent, _ in serial:
-            assert extent is not None
-            owners = [p for p in parts if p.lo <= extent[0] < p.hi]
-            assert len(owners) == 1
-
-    @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_split_merge_is_identical_to_serial(self, data):
-        node = _talk_frontier()
-        pool = _line_pool()
-        picks = data.draw(st.lists(
-            st.integers(min_value=0, max_value=len(pool) - 1),
-            min_size=30, max_size=90))
-        jobs = data.draw(st.integers(min_value=2, max_value=4))
-        text = "\n".join(pool[i] for i in picks)
-        extractor = node.extractor
-        parts = plan_parts("d", len(text), jobs,
-                           SplitConfig(min_part_chars=64),
-                           extractor.scope, extractor.context)
-        if not parts:
-            return
-        serial = [node.extension_fields(e, Span("d", 0, len(text)))
-                  for e in extractor.extract(text)]
-        merged = [ext for part in parts
-                  for ext in part_extensions(node, text, part)]
-        assert merged == serial
-
-
-# ---------------------------------------------------------------------------
-# The work-item driver, driven directly: a PageWork over bare frontier
-# nodes whose page value is every node's whole-page extension list.
-
-
-class _LineCount(Extractor):
-    """Emits one span-less extraction: no extent, so no part owns it."""
-
-    def __init__(self):
-        super().__init__("lineCount", ["n"], scope=1, context=0)
-        self.scalars = ("n",)
-
-    def _extract(self, text):
-        yield Extraction.of(n=text.count("\n"))
-
-
-def _node_extensions(frontier, page, precomputed):
-    span = Span(page.did, 0, len(page.text))
-    return {key: precomputed[key] if key in precomputed else
-            [node.extension_fields(e, span)
-             for e in node.extractor.extract(page.text)]
-            for key, node, _, _ in frontier}
-
-
-def _extensions_batch(frontier, lookup, dids, timer):
-    return [(did, _node_extensions(frontier, lookup.current(did), {}))
-            for did in dids], None
-
-
-def _drive(frontier, pages, executor):
-    """Run the driver; returns (values by did, precomputed keys by did)."""
-    precomputed = {}
-
-    def assemble(page, extensions, timer):
-        precomputed[page.did] = set(extensions)
-        return _node_extensions(frontier, page, extensions)
-
-    work = PageWork(batch_fn=_extensions_batch, state=frontier,
-                    payload=lambda batch: tuple(p.did for p in batch),
-                    frontier=frontier, assemble=assemble)
-    run = run_pages(work, pages, executor, PageScheduler(),
-                    TestForcedSplitParity.FORCE, Timer(Timings()))
-    assert run.metrics.split_pages == len(precomputed)
-    return run.by_did, precomputed
-
-
-class _LosesOnePartResult(ThreadPoolExecutor):
-    """Drops one frontier key from the first part result it sees."""
-
-    def __init__(self, jobs, key):
-        super().__init__(jobs)
-        self.key = key
-
-    def run_work(self, fn, state, items, costs=None):
-        done = super().run_work(fn, state, items, costs)
-        part_value = next(value for _, value in done.timed
-                          if value[0] == "part")
-        del part_value[2][self.key]
-        return done
-
-
-class TestDriverSplitAssembly:
-    def _inputs(self):
-        talk = _talk_frontier()
-        count = IENode(ScanNode("d"), _LineCount(), "d", ["n"])
-        pages = [Page.from_url(f"http://site/{i}", "\n".join(lines))
-                 for i, lines in enumerate((_line_pool()[:90],
-                                            _line_pool()[90:95]))]
-        return talk, count, pages
-
-    @staticmethod
-    def _entry(key, node):
-        return (key, node, node.extractor.scope, node.extractor.context)
-
-    @pytest.mark.parametrize("executor", [
-        ThreadPoolExecutor(jobs=3), ProcessPoolExecutor(jobs=3),
-    ], ids=["thread", "process"])
-    def test_merged_parts_equal_the_serial_run(self, executor):
-        talk, _, pages = self._inputs()
-        frontier = [self._entry("talk", talk)]
-        serial, none_split = _drive(frontier, pages, None)
-        split, precomputed = _drive(frontier, pages, executor)
-        assert none_split == {}  # one slot never splits
-        assert precomputed == {pages[0].did: {"talk"}}
-        assert split == serial and serial[pages[0].did]["talk"]
-
-    def test_poisoned_unit_alone_falls_back_to_whole_page(self):
-        talk, count, pages = self._inputs()
-        frontier = [self._entry("talk", talk), self._entry("count", count)]
-        serial, _ = _drive(frontier, pages, None)
-        split, precomputed = _drive(frontier, pages,
-                                    ThreadPoolExecutor(jobs=2))
-        assert precomputed == {pages[0].did: {"talk"}}
-        assert split == serial
-
-    def test_missing_part_result_falls_back_for_that_unit_only(self):
-        talk, _, pages = self._inputs()
-        other = IENode(ScanNode("d"), talk.extractor, "d", talk.out_args)
-        frontier = [self._entry("kept", talk), self._entry("lost", other)]
-        serial, _ = _drive(frontier, pages, None)
-        split, precomputed = _drive(frontier, pages,
-                                    _LosesOnePartResult(2, "lost"))
-        assert precomputed == {pages[0].did: {"kept"}}
-        assert split == serial
-
-
-class TestForcedSplitParity:
-    """End-to-end byte parity with splitting forced on every page."""
-
-    FORCE = SplitConfig(min_part_chars=64, threshold_factor=0.0)
-
-    @pytest.mark.parametrize("system_name",
-                             ["noreuse", "shortcut", "cyclex", "delex"])
-    def test_thread_jobs2_with_forced_splits(self, system_name, tmp_path):
-        task = make_task("talk", work_scale=0)
-        snaps = list(dblife_corpus(n_pages=8, seed=3).snapshots(2))
-        serial_dir = str(tmp_path / "serial")
-        parallel_dir = str(tmp_path / "parallel")
-        serial = _run_system(system_name, task, snaps, serial_dir)
-        parallel_sys = make_system(system_name, task, parallel_dir,
-                                   executor=ThreadPoolExecutor(jobs=2),
-                                   split=self.FORCE)
-        outputs, prev = [], None
-        runtime = None
-        for snap in snaps:
-            result = parallel_sys.process(snap, prev)
-            outputs.append(canonical_results(result))
-            runtime = runtime or result.timings.runtime
-            prev = snap
-        assert serial == outputs
-        assert _tree_digests(serial_dir) == _tree_digests(parallel_dir)
-        # Splitting actually fired (bootstrap runs everything fresh).
-        assert runtime is not None
-        assert runtime.split_pages > 0
-        assert runtime.split_parts >= 2 * runtime.split_pages
-        assert runtime.pages == len(snaps[0])
-
-
-# ---------------------------------------------------------------------------
 # Serial <-> parallel parity (Theorem 1, runtime edition)
 
 
@@ -697,21 +446,33 @@ def _run_system(name, task, snaps, workdir, executor=None):
     return outputs
 
 
+def _assert_thread_jobs2_parity(system_name, task, snaps, tmp_path):
+    serial_dir = str(tmp_path / "serial")
+    parallel_dir = str(tmp_path / "parallel")
+    serial = _run_system(system_name, task, snaps, serial_dir)
+    parallel = _run_system(system_name, task, snaps, parallel_dir,
+                           executor=ThreadPoolExecutor(jobs=2))
+    assert serial == parallel
+    assert _tree_digests(serial_dir) == _tree_digests(parallel_dir)
+
+
 class TestSerialParallelParity:
     @pytest.mark.parametrize("system_name",
                              ["noreuse", "shortcut", "cyclex", "delex"])
     def test_thread_jobs2_results_and_files(self, system_name, tmp_path,
                                             dblife_snapshots):
-        task = make_task("chair", work_scale=0)
-        serial_dir = str(tmp_path / "serial")
-        parallel_dir = str(tmp_path / "parallel")
-        serial = _run_system(system_name, task, dblife_snapshots,
-                             serial_dir)
-        parallel = _run_system(system_name, task, dblife_snapshots,
-                               parallel_dir,
-                               executor=ThreadPoolExecutor(jobs=2))
-        assert serial == parallel
-        assert _tree_digests(serial_dir) == _tree_digests(parallel_dir)
+        _assert_thread_jobs2_parity(system_name,
+                                    make_task("chair", work_scale=0),
+                                    dblife_snapshots, tmp_path)
+
+    @pytest.mark.parametrize("system_name",
+                             ["noreuse", "shortcut", "cyclex", "delex"])
+    def test_talk_thread_jobs2_results_and_files(self, system_name,
+                                                 tmp_path):
+        snaps = list(dblife_corpus(n_pages=8, seed=3).snapshots(2))
+        _assert_thread_jobs2_parity(system_name,
+                                    make_task("talk", work_scale=0),
+                                    snaps, tmp_path)
 
     def test_delex_process_jobs4_property(self, tmp_path):
         """Serial and 4-process Delex agree snapshot by snapshot on a
@@ -748,6 +509,53 @@ class TestSerialParallelParity:
             outputs.append(canonical_results(b_sys.process(snap, prev)))
             prev = snap
         assert a == outputs
+
+
+# ---------------------------------------------------------------------------
+# Faults: a process worker that dies mid-batch
+
+
+def _dies_on_page(victim, lookup, dids, timer):
+    for did in dids:
+        if did == victim:
+            os._exit(3)
+    return [(did, len(lookup.current(did).text)) for did in dids], None
+
+
+@pytest.mark.skipif(not shm_available() or not hasattr(signal, "SIGALRM"),
+                    reason="no shared memory or no SIGALRM")
+def test_dead_process_worker_breaks_the_run_and_frees_the_arena(
+        monkeypatch):
+    """The current contract, pinned: a worker that dies mid-batch makes
+    ``run_pages`` raise promptly, and the parent still unlinks the
+    shared-memory text arena. Falling back to a correct answer is not
+    done yet."""
+    arenas = []
+
+    def recording_build_arena(texts, backend_name):
+        arenas.append(build_arena(texts, backend_name))
+        return arenas[-1]
+
+    monkeypatch.setattr(driver_module, "build_arena", recording_build_arena)
+    pages = _pages([40, 50, 60, 70])
+    work = PageWork(batch_fn=_dies_on_page, state=pages[2].did,
+                    payload=lambda batch: tuple(p.did for p in batch))
+
+    def hung(signum, frame):
+        raise TimeoutError("run_pages hung after a worker died")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            run_pages(work, pages, ProcessPoolExecutor(jobs=2),
+                      PageScheduler(), Timer(Timings()))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(arenas) == 1 and arenas[0].shared
+    assert not os.path.exists(
+        os.path.join("/dev/shm", arenas[0].handle.name))
 
 
 def test_page_batch_helpers():
