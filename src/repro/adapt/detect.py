@@ -3,7 +3,7 @@
 Every processed snapshot yields one :class:`AdaptObservation` — a small
 vector of rates and costs gathered from what the runtime already
 measures for free: the observed change rate (``pages_with_previous``),
-the fast-path short-circuit and memo hit rates
+the identical-page recycle and memo hit rates
 (:class:`~repro.fastpath.stats.FastPathStats`), wall seconds per page
 from the :class:`~repro.timing.Timings` decomposition, and the
 cost-model residual (observed seconds vs the search's estimated plan
@@ -39,10 +39,10 @@ class AdaptObservation:
     """Observed fraction of pages with a previous version."""
 
     unchanged_fraction: float
-    """Fast-path identity short-circuit rate (0 when the path is off)."""
+    """Fraction of paired pages recycled whole."""
 
     combined_hit_rate: float
-    """Fast-path short-circuit + memo combined hit rate."""
+    """Match-store hits + equal-region shortcuts over all lookups."""
 
     seconds_per_page: float
     match_seconds_per_page: float

@@ -26,11 +26,9 @@ correctness argument):
   merge); :func:`check_reuse_file_monotonic` re-checks it on disk.
 * **memo-hit retag soundness** — segments replayed from the match
   store still witness literal text equality inside both regions.
-* **identity-pair soundness** — a fingerprint-equal page pair taking
-  the unchanged-page short circuit really is byte-identical (guards
-  against fingerprint collisions).
-* **recycle-verdict memo soundness** — a whole-page recycle verdict
-  taken from the memo equals the one the page's groups give now.
+* **identity-pair soundness** — a fingerprint-equal page pair that is
+  recycled whole really is byte-identical (guards against fingerprint
+  collisions).
 
 This module must only depend on :mod:`repro.text` — the reuse and
 fastpath layers import it, so anything heavier would be a cycle.
@@ -282,21 +280,10 @@ def check_memo_replay(segments: Iterable[Any], p_text: str, q_text: str,
 # -- identity-pair soundness ------------------------------------------------
 
 def check_identity_pair(page: Any, q_page: Any) -> None:
-    """A fingerprint short-circuited page pair must be byte-identical."""
+    """A page pair recycled whole must be byte-identical."""
     _count()
     if page.text != q_page.text:
         raise InvariantViolation(
             "identity-pair-texts-equal",
-            f"pages {page.did!r} / {q_page.did!r} took the unchanged-"
-            "page fast path but their texts differ (fingerprint "
-            "collision?)")
-
-
-def check_recycle_verdict(memoised: Any, fresh: Any) -> None:
-    """A memoised whole-page recycle verdict must be the fresh one."""
-    _count()
-    if memoised != fresh:
-        raise InvariantViolation(
-            "recycle-verdict-memo",
-            f"memoised recycle verdict {memoised!r} differs from the "
-            f"page's fresh verdict {fresh!r}")
+            f"pages {page.did!r} / {q_page.did!r} were recycled as "
+            "identical but their texts differ (fingerprint collision?)")

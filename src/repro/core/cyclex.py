@@ -8,7 +8,7 @@ compiled program in one :class:`ProgramExtractor`, and
 :class:`CyclexSystem` is :class:`~repro.core.delex.DelexSystem` over
 that plan with the unit's matcher chosen per snapshot by a small cost
 probe (mirroring the Cyclex optimizer) instead of Algorithm 1.
-Matching, copying, re-extraction, capture, the identity short circuit
+Matching, copying, re-extraction, capture, the identical-page recycle
 and the parallel page loop are the reuse engine's.
 
 Because tight program-level α/β are hard to obtain for multi-blackbox

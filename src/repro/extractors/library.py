@@ -171,12 +171,16 @@ def blockbuster_task(work_scale: float = 1.0) -> IETask:
     sec = SectionExtractor("extractBoxOfficeSec", "sec", "Box office",
                            scope=10625, context=32,
                            work_factor=round(10 * work_scale))
+    # The extent is the movie span, but the scalar amount is read from
+    # the text after it, so β must cover that whole tail. A bounded
+    # amount keeps the tail finite (the generator's amounts are <= 480).
     fact = RegexExtractor(
         "extractGrossFact",
-        rf'(?P<movie>{_MOVIE}) grossed \$(?P<amount>\d+) million',
+        rf'(?P<movie>{_MOVIE}) grossed \$(?P<amount>\d{{1,4}}) million',
         groups={"movie": "movie"},
         scalars={"amount": IntGroupScalar("amount")},
-        scope=80, context=10, work_factor=round(3000 * work_scale))
+        scope=80, context=len(" grossed $") + 4 + len(" million"),
+        work_factor=round(3000 * work_scale))
     source = """
         blockbuster(movie) :- docs(d), extractBoxOfficeSec(d, sec),
             extractGrossFact(sec, movie, amount), atLeast(amount, 100).

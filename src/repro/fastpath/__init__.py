@@ -3,16 +3,19 @@
 Delex's per-snapshot cost is dominated by region matching and blackbox
 re-extraction, yet slowly-evolving corpora are mostly *unchanged*
 pages: the opportunity that differential view-maintenance work
-formalizes. This package adds behaviour-preserving shortcuts threaded
-through corpus, matchers, reuse engine, runtime, and timing, all
-behind one switch (:func:`.config.fastpath_enabled`):
+formalizes. This package holds the page-identity test and the
+behaviour-preserving shortcuts threaded through matchers, reuse engine,
+runtime, and timing.
 
 * **Page identity** (:mod:`.fingerprint`) — :func:`pages_identical`
   is the one page-identity test: a blake2 content fingerprint
   (persisted in snapshot metadata) as a filter, then a text
-  comparison. Identical page pairs short-circuit to a whole-page
-  identity match: all units' recorded tuples are recycled wholesale,
-  with no matcher run and no region derivation.
+  comparison. The reuse engine recycles an identical page whole
+  (:func:`repro.reuse.engine._recycle_page`): that is the reuse rule,
+  as Shortcut is in the paper, and it runs whatever the switch says.
+
+The rest sit behind one switch (:func:`.config.fastpath_enabled`):
+
 * **One match store** (:class:`.memo.MatchMemo` over
   :class:`.matchcache.CrossSnapshotMatchCache`) — matcher results
   keyed by (matcher config, p-region fingerprint, q-region

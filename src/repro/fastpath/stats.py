@@ -21,15 +21,11 @@ class FastPathStats:
 
     #: page pairs considered (q version existed).
     pages_paired: int = 0
-    #: fingerprint-equal pages that took the whole-page identity path.
-    pages_short_circuited: int = 0
-    #: short-circuited pages recycled whole: capture groups copied byte
+    #: byte-identical pages recycled whole: capture groups copied byte
     #: for byte and the previous run's rows returned, no plan walk.
     pages_recycled: int = 0
-    #: output tuples recycled wholesale on the identity path.
+    #: output tuples of the recycled pages' capture.
     tuples_recycled: int = 0
-    #: matcher invocations skipped by the identity path.
-    matcher_calls_avoided: int = 0
     #: match-store lookups answered from the store (hits) / answered by
     #: running the matcher (misses).
     memo_hits: int = 0
@@ -47,9 +43,14 @@ class FastPathStats:
     #: compares — so this staying flat across hits is the proof.
     automata_bytes_copied: int = 0
 
-    # Always 0, and kept only because the benchmark harness reads both
-    # by name: every match-store hit is counted in ``memo_hits``, and
-    # reuse files are read sequentially or loaded whole, never by seeks.
+    # Kept only because the benchmark harness reads them by name. An
+    # identical page is recycled whole or not short-circuited at all;
+    # every match-store hit is counted in ``memo_hits``; and reuse
+    # files are read sequentially or loaded whole, never by seeks.
+
+    @property
+    def pages_short_circuited(self) -> int:
+        return self.pages_recycled
 
     @property
     def cache_hits(self) -> int:
@@ -62,10 +63,8 @@ class FastPathStats:
     def merge(self, other: "FastPathStats") -> None:
         """Accumulate a worker's counters into this one."""
         self.pages_paired += other.pages_paired
-        self.pages_short_circuited += other.pages_short_circuited
         self.pages_recycled += other.pages_recycled
         self.tuples_recycled += other.tuples_recycled
-        self.matcher_calls_avoided += other.matcher_calls_avoided
         self.memo_hits += other.memo_hits
         self.memo_misses += other.memo_misses
         self.region_short_circuits += other.region_short_circuits
@@ -90,8 +89,8 @@ class FastPathStats:
 
     @property
     def unchanged_fraction(self) -> float:
-        """Short-circuited over paired pages; 0.0 with no pairs."""
-        return safe_rate(self.pages_short_circuited, self.pages_paired)
+        """Recycled over paired pages; 0.0 with no pairs."""
+        return safe_rate(self.pages_recycled, self.pages_paired)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (the shared ``to_dict`` contract)."""
@@ -100,7 +99,6 @@ class FastPathStats:
             "pages_short_circuited": self.pages_short_circuited,
             "pages_recycled": self.pages_recycled,
             "tuples_recycled": self.tuples_recycled,
-            "matcher_calls_avoided": self.matcher_calls_avoided,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
             "memo_hit_rate": self.memo_hit_rate,
@@ -113,11 +111,8 @@ class FastPathStats:
         }
 
     def describe(self) -> str:
-        return (f"short-circuited {self.pages_short_circuited}/"
-                f"{self.pages_paired} pages ({self.pages_recycled} "
-                f"recycled whole), recycled "
-                f"{self.tuples_recycled} tuples, avoided "
-                f"{self.matcher_calls_avoided} matcher calls; match store "
+        return (f"recycled {self.pages_recycled}/{self.pages_paired} "
+                f"pages whole ({self.tuples_recycled} tuples); match store "
                 f"{self.memo_hits}h/{self.memo_misses}m "
                 f"(+{self.region_short_circuits} region hits, "
                 f"combined {self.combined_hit_rate:.0%}, "

@@ -417,7 +417,7 @@ def publish_fastpath(system: str, stats) -> None:
         "snapshot-delta fast-path events by kind",
         labels=("system", "kind"))
     for kind in ("pages_paired", "pages_short_circuited",
-                 "tuples_recycled", "matcher_calls_avoided", "memo_hits",
+                 "tuples_recycled", "memo_hits",
                  "memo_misses", "region_short_circuits", "cache_evictions",
                  "automata_built", "automata_reused",
                  "automata_bytes_copied"):

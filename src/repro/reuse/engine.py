@@ -23,20 +23,17 @@ supplies what is specific to unit-level reuse. The per-page work lives
 in the picklable :class:`PageEvaluator` and there is one per-page body
 (:func:`_evaluate_page`), whether a page runs in a worker's batch or
 in the serial one, and one page recycle (:func:`_recycle_page`) that
-re-emits an identical page whole from the previous capture and rows.
-The previous snapshot's capture sits behind one
-:class:`PrevCaptureSource`, which reads each reuse file whole, once,
-and hands out any page's groups as bytes. Either way a page's new
-capture is its :data:`~repro.reuse.files.PageGroups`: recorded by a
-:class:`~repro.reuse.files.PageRecorder` or, for a recycled page, the
-previous groups' bytes. Whether a page may be recycled depends only on
-the plan and the page's recorded I groups once the pair is identical,
-so a :class:`RecycleMemo` the caller keeps across snapshots answers it
-for pages whose groups it has seen. With one worker slot the engine
-streams: pages are recycled as the batch advances and each page's
-groups are written as soon as the page is done; with more, the parent
-recycles what it can up front, workers return the rest's group bytes,
-and the parent copies them into the reuse files in canonical order.
+re-emits an identical page whole from the previous capture and rows,
+under any matcher plan. The previous snapshot's capture sits behind
+one :class:`PrevCaptureSource`, which reads each reuse file whole,
+once, and hands out any page's groups as bytes. Either way a page's
+new capture is its :data:`~repro.reuse.files.PageGroups`: recorded by
+a :class:`~repro.reuse.files.PageRecorder` or, for a recycled page,
+the previous groups' bytes. With one worker slot the engine streams:
+pages are recycled as the batch advances and each page's groups are
+written as soon as the page is done; with more, the parent recycles
+what it can up front, workers return the rest's group bytes, and the
+parent copies them into the reuse files in canonical order.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..check import invariants as _inv
 from ..corpus.snapshot import Snapshot
@@ -55,10 +52,8 @@ from ..fastpath.memo import AutomatonCache, MatchMemo
 from ..fastpath.stats import FastPathStats
 from ..text import tokens as _tokens_mod
 from ..text.tokens import TokenCache
-from ..matchers.base import DN_NAME, RU_NAME, ST_NAME, UD_NAME, MatchCache
-from ..matchers.dn import EQ_NAME
+from ..matchers.base import DN_NAME, RU_NAME, MatchCache
 from ..matchers.registry import make_matcher
-from ..matchers.ws import WS_NAME
 from ..obs import profile as _oprof
 from ..obs import trace as _otrace
 from ..plan.compile import CompiledPlan
@@ -80,7 +75,6 @@ from .files import (
     ReuseFileReader,
     ReuseFileWriter,
     UnitGroups,
-    decode_fields,
     encode_fields,
     page_marker,
 )
@@ -101,10 +95,6 @@ PageResult = Tuple[PageRows, PageGroups]
 
 #: What a unit without a readable capture on a page sees.
 _NO_CAPTURE = UnitGroups("", b"", b"")
-
-#: Each unit's recorded (input rows, input chars) on a recyclable page,
-#: in unit order: what :meth:`PageEvaluator.recycle_page` books.
-UnitSizes = Tuple[Tuple[int, int], ...]
 
 #: Every unit's (I, O) reuse-file writer for the snapshot being run.
 Writers = Dict[str, Tuple[ReuseFileWriter, ReuseFileWriter]]
@@ -179,48 +169,6 @@ class SnapshotRunResult:
         return sum(len(rows) for rows in self.results.values())
 
 
-#: A recycle verdict's key: the plan (``(uid, matcher)`` per unit, in
-#: unit order) and each unit's recorded I-group bytes on the page.
-RecycleKey = Tuple[Tuple[Tuple[str, str], ...], Tuple[bytes, ...]]
-
-
-class RecycleMemo:
-    """Whole-page recycle verdicts by content, kept across snapshots.
-
-    Once a page pair is identical and keeps its URL (checked on every
-    page), :meth:`PageEvaluator.page_recyclable` is a function of the
-    plan and the units' recorded I groups alone, so its answer — the
-    units' :data:`UnitSizes`, or None — is keyed by exactly those. It
-    holds only the entries the last run looked up or added: at most
-    one snapshot's pages. Recycles run in one thread (the serial batch
-    or the parallel parent), so the memo is never shared or pickled.
-    """
-
-    __slots__ = ("_last", "_this")
-
-    def __init__(self) -> None:
-        self._last: Dict[RecycleKey, Optional[UnitSizes]] = {}
-        self._this: Dict[RecycleKey, Optional[UnitSizes]] = {}
-
-    def lookup(self, key: RecycleKey,
-               compute: Callable[[], Optional[UnitSizes]]
-               ) -> Optional[UnitSizes]:
-        """The verdict stored under ``key``, else ``compute()``'s."""
-        if key in self._this:
-            return self._this[key]
-        verdict = (self._last.pop(key) if key in self._last
-                   else compute())
-        self._this[key] = verdict
-        return verdict
-
-    def end_run(self) -> None:
-        """Keep what this run used; forget the rest."""
-        self._last, self._this = self._this, {}
-
-    def __len__(self) -> int:
-        return len(self._last) + len(self._this)
-
-
 def materialize_rows(rows: List[TupleRow], page_text: str) -> List[Tuple]:
     """Convert tuples into hashable, system-independent form."""
     out: List[Tuple] = []
@@ -259,13 +207,9 @@ class PageEvaluator:
     to the driving process (no file handles, no scope, no executor),
     which is what makes it safe to pickle into process-pool workers.
 
-    On a byte-identical page pair each unit decides for itself whether
-    it may take the identity short circuit (see
-    :meth:`_identity_candidate`); under every plan, including ones with
-    RU units, the short circuit leaves the same outputs, counters and
-    page-pair :class:`MatchCache` contents as the slow path. When every
-    unit would take it on every row, :meth:`page_recyclable` says so
-    and :meth:`recycle_page` re-emits the page without running it.
+    :meth:`run_page` runs every unit with its assigned matcher;
+    :meth:`recycle_page` re-emits a byte-identical page without
+    running it (see :func:`_recycle_page` for when).
     """
 
     def __init__(self, plan: CompiledPlan, units: List[IEUnit],
@@ -281,8 +225,6 @@ class PageEvaluator:
         self.match_cache: Optional[CrossSnapshotMatchCache] = None
         self._unit_of_top = units_by_top(units)
         self._unit_by_uid = {u.uid: u for u in units}
-        #: The plan half of every :data:`RecycleKey` this evaluator makes.
-        self._plan_key = tuple((u.uid, assignment.of(u)) for u in units)
 
     # ``units_by_top`` keys on ``id(node)``; raw object ids are stale
     # after a pickle round-trip, so rebuild the map on unpickle (node
@@ -296,8 +238,6 @@ class PageEvaluator:
         self.match_cache = None
         self._unit_of_top = units_by_top(self.units)  # type: ignore[arg-type]
         self._unit_by_uid = {u.uid: u for u in self.units}
-        self._plan_key = tuple((u.uid, self.assignment.of(u))
-                               for u in self.units)
 
     def uids(self) -> List[str]:
         return [u.uid for u in self.units]
@@ -327,7 +267,6 @@ class PageEvaluator:
         automatons: Optional[AutomatonCache] = None
         tokens: Optional[TokenCache] = None
         kernel = "auto" if self.fastpath else "off"
-        page_identical = False
         if q_page is not None:
             fp_stats.pages_paired += 1
             if self.fastpath:
@@ -335,14 +274,6 @@ class PageEvaluator:
                 automatons = AutomatonCache(fp_stats)
                 if _tokens_mod.numpy_enabled():
                     tokens = TokenCache()
-                page_identical = (bool(prev_capture)
-                                  and pages_identical(page, q_page))
-            if page_identical:
-                fp_stats.pages_short_circuited += 1
-                if _inv.ENABLED:
-                    # --check layer: a fingerprint short circuit must
-                    # really be a byte-identical pair.
-                    _inv.check_identity_pair(page, q_page)
 
         def step(node: Node, evaluate) -> Optional[List[TupleRow]]:
             unit = self._unit_of_top.get(id(node))
@@ -353,8 +284,7 @@ class PageEvaluator:
                 prev_capture.get(unit.uid, _NO_CAPTURE), recorder,
                 cache, stats[unit.uid],
                 timer, match_memo=match_memo, automatons=automatons,
-                tokens=tokens, kernel=kernel,
-                page_identical=page_identical, fp_stats=fp_stats)
+                tokens=tokens, kernel=kernel)
 
         evaluate = plan_walker(page.text, page.did, {}, step)
         return {rel: evaluate(self.plan.roots[rel])
@@ -370,9 +300,7 @@ class PageEvaluator:
                   match_memo: Optional[MatchMemo] = None,
                   automatons: Optional[AutomatonCache] = None,
                   tokens: Optional[TokenCache] = None,
-                  kernel: str = "auto",
-                  page_identical: bool = False,
-                  fp_stats: Optional[FastPathStats] = None
+                  kernel: str = "auto"
                   ) -> List[TupleRow]:
         """Run one IE unit over its input rows on one page."""
         matcher_name = self.assignment.of(unit)
@@ -428,82 +356,43 @@ class PageEvaluator:
                 extraction_regions = [region.interval]
                 derivation = None
             else:
-                identity = None
-                if page_identical:
-                    identity = self._identity_candidate(
-                        matcher, matcher_name, min_length, region,
-                        prev_inputs, c, cache)
-                if identity is not None:
-                    # Unchanged-page short circuit: the slow path on a
-                    # byte-identical page pair reduces to copying every
-                    # recorded output of the exact-match candidate with
-                    # shift 0 (full-region copy zone, no extraction
-                    # regions, ``extensions = copied`` untouched).
-                    # Mirror the slow path's counters so the optimizer
-                    # statistics are identical either way.
-                    # Counter mirror only — no timer block for a bare
-                    # increment; its ~0s would cost more to attribute
-                    # than it measures.
-                    path = "identity"
-                    n_cand = sum(1 for pi in prev_inputs if pi.c == c)
-                    unit_stats.matcher_calls += n_cand
-                    if fp_stats is not None:
-                        fp_stats.matcher_calls_avoided += n_cand
-                    if matcher_name != RU_NAME:
-                        # The one segment the matcher returns for the
-                        # region against itself, left for RU units
-                        # exactly as the slow path would record it.
-                        cache.record([MatchSegment(
-                            region.start, region.start, len(region),
-                            identity.tid)])
-                    with timer.measure(COPY):
-                        copied = [decode_fields(out.fields, page.did)
-                                  for out in recorded_outputs.get(
-                                      identity.tid, [])]
-                    extraction_regions = []
-                    derivation = None
-                    unit_stats.copied_tuples += len(copied)
-                    unit_stats.copy_zone_chars += len(region)
-                    if fp_stats is not None:
-                        fp_stats.tuples_recycled += len(copied)
-                else:
-                    path = "match"
-                    candidates = {pi.tid: pi for pi in prev_inputs
-                                  if pi.c == c}
-                    if _oprof.ENABLED:
-                        _m0 = time.perf_counter()
-                        _mc0 = time.process_time()
-                    with timer.measure(MATCH):
-                        unit_stats.matcher_calls += len(candidates)
-                        cand_regions = {tid: pi.interval
-                                        for tid, pi in candidates.items()}
-                        if (match_memo is not None
-                                and matcher_name not in (DN_NAME, RU_NAME)):
-                            segments: List[MatchSegment] = \
-                                match_memo.match_many(
-                                    matcher, page.text, region.interval,
-                                    q_page.text, cand_regions)
-                        else:
-                            segments = matcher.match_many(
-                                page.text, region.interval, q_page.text,
-                                cand_regions)
-                        if matcher_name not in (DN_NAME, RU_NAME):
-                            # Fresh matching work (ST/UD/plug-ins like
-                            # WS) is recorded for RU units to recycle.
-                            cache.record(segments)
-                    if _oprof.ENABLED:
-                        _oprof.record_matcher(
-                            matcher_name, time.perf_counter() - _m0,
-                            time.process_time() - _mc0)
-                    with timer.measure(COPY):
-                        derivation = derive_reuse(
-                            region.interval, page.did, segments,
-                            candidates, recorded_outputs, unit.alpha,
-                            unit.beta)
-                    copied = derivation.copied
-                    extraction_regions = derivation.extraction_regions
-                    unit_stats.copied_tuples += len(copied)
-                    unit_stats.copy_zone_chars += derivation.covered_chars()
+                path = "match"
+                candidates = {pi.tid: pi for pi in prev_inputs
+                              if pi.c == c}
+                if _oprof.ENABLED:
+                    _m0 = time.perf_counter()
+                    _mc0 = time.process_time()
+                with timer.measure(MATCH):
+                    unit_stats.matcher_calls += len(candidates)
+                    cand_regions = {tid: pi.interval
+                                    for tid, pi in candidates.items()}
+                    if (match_memo is not None
+                            and matcher_name not in (DN_NAME, RU_NAME)):
+                        segments: List[MatchSegment] = \
+                            match_memo.match_many(
+                                matcher, page.text, region.interval,
+                                q_page.text, cand_regions)
+                    else:
+                        segments = matcher.match_many(
+                            page.text, region.interval, q_page.text,
+                            cand_regions)
+                    if matcher_name not in (DN_NAME, RU_NAME):
+                        # Fresh matching work (ST/UD/plug-ins like
+                        # WS) is recorded for RU units to recycle.
+                        cache.record(segments)
+                if _oprof.ENABLED:
+                    _oprof.record_matcher(
+                        matcher_name, time.perf_counter() - _m0,
+                        time.process_time() - _mc0)
+                with timer.measure(COPY):
+                    derivation = derive_reuse(
+                        region.interval, page.did, segments,
+                        candidates, recorded_outputs, unit.alpha,
+                        unit.beta)
+                copied = derivation.copied
+                extraction_regions = derivation.extraction_regions
+                unit_stats.copied_tuples += len(copied)
+                unit_stats.copy_zone_chars += derivation.covered_chars()
             if paths is not None and path not in paths:
                 paths.append(path)
 
@@ -564,189 +453,30 @@ class PageEvaluator:
             _inv.check_rows_in_page(out_rows, page, unit=unit.uid)
         return out_rows
 
-    def _identity_candidate(self, matcher, matcher_name: str,
-                            min_length: int, region: Span,
-                            prev_inputs: List[InputTuple], c: str,
-                            cache: MatchCache) -> Optional[InputTuple]:
-        """The previous input tuple whose recorded outputs the identity
-        path may recycle wholesale — or None if the slow path must run.
-
-        On a byte-identical page pair the slow path reduces to a pure
-        full-region copy (shift 0, ``extensions = copied``) only when
-        every condition below holds; each guard closes a case where the
-        slow path would produce different bytes:
-
-        * the matcher must yield a *full-region* self-match — UD and EQ
-          always do; ST only when ``len(region) >= min_length``; WS only
-          when ``len(region) >= k`` (below the threshold the slow path
-          re-extracts, so fall back; it is cheap there anyway); RU
-          when the page pair's ``cache`` holds a shift-0 segment
-          covering the region, which RU trims to exactly the region
-          against the exact candidate.
-        * an exact-interval candidate with the same ``c`` must exist —
-          otherwise there is nothing to recycle verbatim.
-        * no *earlier* same-``c`` candidate may yield a length-|R|
-          segment: it would win :func:`select_p_disjoint`'s stable
-          tie-break, copying from a different q interval. Later
-          candidates cannot win the tie-break (stable sort, equal key)
-          and shorter ones cannot reach length |R|. For UD/ST/WS/EQ any
-          earlier candidate at least |R| long blocks. RU only trims the
-          ``cache``, so such a candidate blocks only if a cached
-          segment covers R and maps it into the candidate:
-          ``seg.p_start <= R.s``, ``seg.p_end >= R.e`` and
-          ``[R.s - shift, R.e - shift)`` inside it.
-        * in a plan with RU units, a producer (UD or ST) must leave
-          the ``cache`` the slow path would have left. The caller
-          records ``[MatchSegment(R.start, R.start, |R|)]`` tagged
-          with the candidate; that is exactly what the matcher returns
-          when the exact candidate is the only same-``c`` one. WS never
-          qualifies there: on an identical region it also reports
-          internal repeats as shifted segments.
-        """
-        length = region.end - region.start
-        if length <= 0:
-            return None
-        covering: List[MatchSegment] = []
-        if matcher_name == RU_NAME:
-            covering = [seg for seg in cache.segments
-                        if seg.p_start <= region.start
-                        and seg.p_start + seg.length >= region.end]
-            if not any(seg.shift == 0 for seg in covering):
-                return None
-        elif matcher_name == ST_NAME:
-            if length < min_length:
-                return None
-        elif matcher_name == WS_NAME:
-            if length < getattr(matcher, "k", 12):
-                return None
-        elif matcher_name not in (UD_NAME, EQ_NAME):
-            return None
-        same_c = [pi for pi in prev_inputs if pi.c == c]
-        if (matcher_name != RU_NAME
-                and RU_NAME in self.assignment.matchers.values()
-                and (matcher_name == WS_NAME or len(same_c) != 1)):
-            return None
-        for pi in same_c:
-            if pi.s == region.start and pi.e == region.end:
-                return pi
-            if pi.e - pi.s >= length and (matcher_name != RU_NAME or any(
-                    pi.s <= region.start - seg.shift
-                    and region.end - seg.shift <= pi.e
-                    for seg in covering)):
-                return None
-        return None
-
     # -- whole-page recycle ---------------------------------------------------
 
-    def page_recyclable(self, page: Page, q_page: Optional[Page],
-                        prev_capture: PrevCapture,
-                        memo: Optional[RecycleMemo] = None
-                        ) -> Optional[UnitSizes]:
-        """Whether :meth:`run_page` would provably re-emit the previous
-        run's page: the pair is byte-identical and every unit would take
-        the identity path on every row, with that row's own recorded
-        outputs. Returns each unit's :data:`UnitSizes` if so, else None.
-
-        Only a page paired with its own URL qualifies. The previous rows
-        belong to ``q_page``; a renamed page (a scope that pairs across
-        URLs) takes the per-unit path, which re-tags every copied span
-        with the new page id.
-
-        Past those checks the answer depends only on the plan and the
-        units' recorded I groups (see :meth:`_recycle_verdict`), so
-        ``memo`` answers it for groups it has seen.
-        """
-        if (not self.fastpath or q_page is None or not prev_capture
-                or page.did != q_page.did
-                or any(self.assignment.of(u) == DN_NAME
-                       or u.uid not in prev_capture for u in self.units)
-                or not pages_identical(page, q_page)):
-            return None
-        groups = [prev_capture[u.uid] for u in self.units]
-        if memo is None:
-            return self._recycle_verdict(groups)
-        key = (self._plan_key, tuple(g.i_data for g in groups))
-        sizes = memo.lookup(key, lambda: self._recycle_verdict(groups))
-        if _inv.ENABLED:
-            # --check layer: a memoised verdict is the one the page's
-            # groups give now.
-            _inv.check_recycle_verdict(sizes,
-                                       self._recycle_verdict(groups))
-        return sizes
-
-    def _recycle_verdict(self, groups: List[UnitGroups]
-                         ) -> Optional[UnitSizes]:
-        """The recycle verdict on an identical page from the units'
-        recorded groups (in unit order): each unit's recorded (rows,
-        chars) if every unit takes the identity path on every row, None
-        if one does not or its I records do not parse.
-
-        On such a page each unit's input rows are exactly its recorded
-        inputs (its producers re-emit their recorded outputs), so the
-        rows are walked from the capture alone. Units go in
-        :func:`~repro.plan.units.find_units` order, which is the plan
-        walker's evaluation order, with a scratch :class:`MatchCache`
-        that receives the segment the identity path records for non-RU
-        producers — so RU units see what they would see in the run.
-        """
-        cache = MatchCache()
-        sizes = []
-        for unit, unit_groups in zip(self.units, groups):
-            name = self.assignment.of(unit)
-            min_length = min_match_length(unit.beta)
-            matcher = make_matcher(name, cache, min_length=min_length)
-            try:
-                prev_inputs = unit_groups.inputs
-                regions = [Span(unit_groups.did, pi.s, pi.e)
-                           for pi in prev_inputs]
-            except ValueError:
-                return None
-            for pi, region in zip(prev_inputs, regions):
-                # ``c`` is "" for every row the engine records.
-                if self._identity_candidate(
-                        matcher, name, min_length, region, prev_inputs, "",
-                        cache) is not pi:
-                    return None
-                if name != RU_NAME:
-                    cache.record([MatchSegment(pi.s, pi.s, pi.e - pi.s,
-                                               pi.tid)])
-            sizes.append((len(prev_inputs),
-                          sum(pi.e - pi.s for pi in prev_inputs)))
-        return tuple(sizes)
-
     def recycle_page(self, page: Page, q_page: Page,
-                     prev_capture: PrevCapture, sizes: UnitSizes,
-                     stats: Dict[str, UnitRunStats],
+                     prev_capture: PrevCapture,
                      fp_stats: FastPathStats) -> PageGroups:
-        """Re-emit a page :meth:`page_recyclable` accepted with
-        ``sizes``: add the counters the identity path would have added
-        row by row and return every unit's previous page groups,
-        verbatim, as the page's capture.
+        """Re-emit a page :func:`_recycle_page` accepted: return every
+        unit's previous page groups, verbatim, as the page's capture.
 
-        The rows come from the previous run, not from the O groups, so
-        those are copied unparsed; a framed line in them that is not a
-        record is caught when a later run parses the group (see
-        :meth:`_run_unit`)."""
+        Only the page counters and the recycled tuples are booked; the
+        units ran on nothing, so their :class:`UnitRunStats` stay as
+        they are. The rows come from the previous run, not from the O
+        groups, so those are copied unparsed; a framed line in them
+        that is not a record is caught when a later run parses the
+        group (see :meth:`_run_unit`)."""
         fp_stats.pages_paired += 1
-        fp_stats.pages_short_circuited += 1
         fp_stats.pages_recycled += 1
         if _inv.ENABLED:
+            # --check layer: a fingerprint match must really be a
+            # byte-identical pair.
             _inv.check_identity_pair(page, q_page)
         capture: PageGroups = {}
-        for unit, (rows, chars) in zip(self.units, sizes):
+        for unit in self.units:
             groups = prev_capture[unit.uid]
-            outputs = groups.output_count()
-            unit_stats = stats[unit.uid]
-            unit_stats.input_tuples += rows
-            unit_stats.input_chars += chars
-            # Every recorded input is a same-``c`` candidate of every
-            # row (each row matched itself under ``c == ""``).
-            unit_stats.matcher_calls += rows * rows
-            unit_stats.copied_tuples += outputs
-            unit_stats.copy_zone_chars += chars
-            unit_stats.output_tuples += outputs
-            fp_stats.matcher_calls_avoided += rows * rows
-            fp_stats.tuples_recycled += outputs
+            fp_stats.tuples_recycled += groups.output_count()
             capture[unit.uid] = (groups.i_data, groups.o_data)
         return capture
 
@@ -775,27 +505,33 @@ def _evaluate_page(evaluator: PageEvaluator, page: Page,
 
 def _recycle_page(evaluator: PageEvaluator, page: Page,
                   q_page: Optional[Page], prev_capture: PrevCapture,
-                  prev_rows: Optional[PageRows],
-                  stats: Dict[str, UnitRunStats], timer: Timer,
-                  fp_stats: FastPathStats,
-                  memo: Optional[RecycleMemo]) -> Optional[PageResult]:
+                  prev_rows: Optional[PageRows], timer: Timer,
+                  fp_stats: FastPathStats) -> Optional[PageResult]:
     """The one page recycle, for the serial page body and the parallel
-    parent alike: if ``q_page``'s rows from the previous run are known
-    and :meth:`PageEvaluator.page_recyclable` holds, return those rows
+    parent alike, and the one reuse rule for an unchanged page.
+
+    A page is recycled when ``q_page``'s rows from the previous run are
+    known, every unit's capture of ``q_page`` is readable and the pair
+    is byte-identical: whatever the matcher plan, the fast-path switch
+    or the URL. Extractors are deterministic in their region's text,
+    and neither materialized rows nor capture records carry a page id
+    (:func:`_write_page` writes the new page's header), so the previous
+    rows and groups are exactly what running the page would give under
+    any plan (Theorem 1; Shortcut in Section 8). Returns those rows
     (shared, never mutated) and the previous groups as the page's
-    capture; otherwise touch nothing and return None. Booked as
+    capture; otherwise touches nothing and returns None. Booked as
     capture I/O, which is all a recycle does."""
     if prev_rows is None:
         return None
     with timer.measure(IO):
-        sizes = evaluator.page_recyclable(page, q_page, prev_capture, memo)
-        if sizes is None:
+        if (any(u.uid not in prev_capture for u in evaluator.units)
+                or not pages_identical(page, q_page)):
             return None
         with (_otrace.span("page", cat="page", did=page.did, paired=True,
                            recycled=True)
               if _otrace.ENABLED else _otrace.NULL):
             capture = evaluator.recycle_page(page, q_page, prev_capture,
-                                             sizes, stats, fp_stats)
+                                             fp_stats)
     return prev_rows, capture
 
 
@@ -812,18 +548,18 @@ def _write_page(writers: Writers, did: str, capture: PageGroups) -> None:
 def _engine_batch(state, lookup: PageLookup, items, timer: Timer):
     """Process one batch of whole pages in a (possibly remote) worker.
 
-    ``state`` is ``(evaluator, writers, memo)``. ``writers`` and the
-    :class:`RecycleMemo` are the run's when it has one worker slot: the
-    batch holds every page in canonical order, recycles what it can and
-    writes each page's groups as soon as the page is done. With more
-    slots both are None and each page's groups go back to the parent.
+    ``state`` is ``(evaluator, writers)``. ``writers`` are the run's
+    when it has one worker slot: the batch holds every page in
+    canonical order, recycles what it can and writes each page's groups
+    as soon as the page is done. With more slots they are None and
+    each page's groups go back to the parent.
     ``items`` yields ``(did, q_did, prev_capture, prev_rows)`` per page;
     ``prev_rows`` (the previous run's rows of ``q_did``) is given only
     where the page may still be recycled here, i.e. in a serial run.
     Returns ``(did, (rows per relation, groups or None))`` per page,
     plus the batch's per-unit stats and fast-path counters.
     """
-    evaluator, writers, memo = state
+    evaluator, writers = state
     # Process workers arrive with match_cache dropped by the pickle
     # whitelist: give each worker its own match store (hits accumulate
     # across the items a worker processes; counters merge through
@@ -839,7 +575,7 @@ def _engine_batch(state, lookup: PageLookup, items, timer: Timer):
         q_page = lookup.previous(q_did) if q_did is not None else None
         rel_rows, capture = (
             _recycle_page(evaluator, page, q_page, prev_capture, prev_rows,
-                          stats, timer, fp_stats, memo)
+                          timer, fp_stats)
             or _evaluate_page(evaluator, page, q_page, prev_capture, stats,
                               timer, fp_stats))
         if writers is not None:
@@ -937,8 +673,7 @@ class ReuseEngine:
                      prev_dir: Optional[str], out_dir: str,
                      timings: Optional[Timings] = None,
                      page_rows_out: Optional[Dict[str, PageRows]] = None,
-                     prev_page_rows: Optional[Dict[str, PageRows]] = None,
-                     recycle_memo: Optional[RecycleMemo] = None
+                     prev_page_rows: Optional[Dict[str, PageRows]] = None
                      ) -> SnapshotRunResult:
         """Run the plan over ``snapshot``, reusing ``prev_dir`` capture.
 
@@ -953,12 +688,10 @@ class ReuseEngine:
         page order reproduces ``results`` exactly.
 
         ``prev_page_rows`` is the ``page_rows_out`` of the run that
-        wrote ``prev_dir``. With it, a page whose every unit would take
-        the identity path is recycled whole: its capture groups are
+        wrote ``prev_dir``. With it, a page byte-identical to its
+        previous version is recycled whole: its capture groups are
         copied byte for byte and its previous rows are returned (see
-        :func:`_recycle_page`). ``recycle_memo``, kept by the caller
-        across its runs like the rows, answers that test for pages
-        whose recorded groups it has seen.
+        :func:`_recycle_page`).
         """
         timings = timings if timings is not None else Timings()
         timer = Timer(timings)
@@ -994,17 +727,12 @@ class ReuseEngine:
             with _snap, timer.measure_total():
                 pages_with_prev = self._run_pages(
                     pages, jobs, source, writers, stats, results, timer,
-                    fp_stats, page_rows_out, prev_page_rows or {},
-                    recycle_memo)
+                    fp_stats, page_rows_out, prev_page_rows or {})
                 _snap.set("pages_with_prev", pages_with_prev)
-                _snap.set("short_circuited",
-                          fp_stats.pages_short_circuited)
                 _snap.set("recycled", fp_stats.pages_recycled)
                 _snap.set("memo_hits", fp_stats.memo_hits)
         finally:
             source.close()
-            if recycle_memo is not None:
-                recycle_memo.end_run()
             for wi, wo in writers.values():
                 wi.close()
                 wo.close()
@@ -1044,8 +772,7 @@ class ReuseEngine:
                    results: Dict[str, List[Tuple]], timer: Timer,
                    fp_stats: FastPathStats,
                    page_rows_out: Optional[Dict[str, PageRows]],
-                   prev_page_rows: Dict[str, PageRows],
-                   memo: Optional[RecycleMemo]) -> int:
+                   prev_page_rows: Dict[str, PageRows]) -> int:
         evaluator = self.evaluator
         # Pair pages in canonical order in the parent so stateful
         # scopes (fingerprint claims) behave the same on every backend.
@@ -1080,7 +807,7 @@ class ReuseEngine:
                 done = _recycle_page(
                     evaluator, page, pair_of[page.did],
                     prev_capture_of(page.did), prev_rows_of(page.did),
-                    stats, timer, fp_stats, memo)
+                    timer, fp_stats)
                 if done is not None:
                     recycled[page.did] = done
             to_run = [p for p in pages if p.did not in recycled]
@@ -1095,8 +822,7 @@ class ReuseEngine:
 
         work = PageWork(
             batch_fn=_engine_batch,
-            state=((evaluator, writers, memo) if streaming
-                   else (evaluator, None, None)),
+            state=(evaluator, writers if streaming else None),
             payload=payload,
             prev_pages=[pair_of[p.did] for p in to_run
                         if pair_of[p.did] is not None])

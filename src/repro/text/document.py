@@ -16,9 +16,9 @@ from .span import Interval, Span
 def content_fingerprint(text: str) -> str:
     """Page content fingerprint: blake2b-128 over the UTF-8 text.
 
-    Persisted in snapshot page headers (``"fp"``) so fingerprint-equal
-    page pairs can short-circuit to a whole-page identity match
-    without re-hashing (see :mod:`repro.fastpath`). Fingerprint
+    Persisted in snapshot page headers (``"fp"``) so identical page
+    pairs can be found and recycled whole without re-hashing (see
+    :mod:`repro.fastpath`). Fingerprint
     equality is only ever a filter: every identity test confirms it
     with a text comparison
     (:func:`repro.fastpath.fingerprint.pages_identical`).

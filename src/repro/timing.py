@@ -41,8 +41,8 @@ class Timings:
 
     ``fastpath`` optionally carries the snapshot-delta fast-path
     counters (:class:`~repro.fastpath.stats.FastPathStats`): pages
-    short-circuited, match-store hits, automata reused, matcher calls
-    avoided. Attached by the engines when fast paths are active.
+    recycled, match-store hits, automata reused. Attached by the
+    engines.
     """
 
     parts: Dict[str, float] = field(default_factory=dict)

@@ -36,20 +36,13 @@ from repro.fastpath import (
     pages_identical,
 )
 from repro.matchers import STMatcher, UDMatcher, WinnowingMatcher
-from repro.matchers.base import DN_NAME, RU_NAME, ST_NAME, UD_NAME, \
-    MatchCache
+from repro.matchers.base import DN_NAME, RU_NAME, ST_NAME, UD_NAME
 from repro.matchers.dn import EQ_NAME
 from repro.matchers.ud import myers_lcs_pairs
 from repro.matchers.ws import WS_NAME
 from repro.plan import compile_program, find_units
 from repro.plan.operators import ScanNode
-from repro.reuse.engine import (
-    PageEvaluator,
-    PlanAssignment,
-    PrevCaptureSource,
-    ReuseEngine,
-    UnitRunStats,
-)
+from repro.reuse.engine import PlanAssignment
 from repro.reuse.files import (
     PageRecorder,
     ReuseFileReader,
@@ -60,7 +53,6 @@ from repro.reuse.files import (
 )
 from repro.text.document import Page
 from repro.text.span import Interval
-from repro.timing import Timer, Timings
 
 
 # -- configuration ---------------------------------------------------------
@@ -544,10 +536,10 @@ class TestFastPathParity:
     def test_delex_mixed_ru_assignment_parity(self, parity_snaps,
                                               play_snaps, tmp_path,
                                               plan_id, backend):
-        # On identical pages the identity path must leave the page
-        # pair's MatchCache exactly as the slow path would, so RU
-        # consumers see the same segments either way: results, capture
-        # files and the optimizer's per-unit statistics all agree.
+        # Changed pages run the matchers with or without the fast
+        # paths and identical pages are recycled either way: results,
+        # capture files and the optimizer's per-unit statistics all
+        # agree.
         task_name, front, overrides = RU_PLANS[plan_id]
         task = make_task(task_name, work_scale=0)
         snaps = parity_snaps if task_name == "chair" else play_snaps
@@ -560,62 +552,22 @@ class TestFastPathParity:
                 fixed_assignment=assignment, capture_history=10,
                 jobs=1 if backend == "serial" else 2, backend=backend)
             prev = None
-            results, unit_stats, short_circuited = [], [], 0
+            results, unit_stats, recycled = [], [], 0
             for snap in snaps:
                 result = system.process(snap, prev)
                 results.append(canonical_results(result))
                 unit_stats.append(result.unit_stats)
-                if result.timings.fastpath is not None:
-                    short_circuited += \
-                        result.timings.fastpath.pages_short_circuited
+                recycled += result.timings.fastpath.pages_recycled
                 prev = snap
             runs[flag] = (results, unit_stats, _capture_tree(workdir),
-                          short_circuited)
+                          recycled)
         on, off = runs["on"], runs["off"]
         assert on[0] == off[0]
         assert on[1] == off[1]
         assert on[2].keys() == off[2].keys()
         for rel_path in on[2]:
             assert on[2][rel_path] == off[2][rel_path], rel_path
-        if plan_id in ("chair-UD-RU", "chair-ST-RU"):
-            assert on[3] > 0
-
-    @pytest.mark.parametrize("plan_id", sorted(
-        p for p in RU_PLANS if RU_PLANS[p][0] == "chair"))
-    def test_identity_path_leaves_the_slow_path_match_cache(
-            self, chair_task, parity_snaps, tmp_path, plan_id):
-        # The invariant RU relies on, checked directly rather than
-        # through its effect on outputs: after every page, the page
-        # pair's MatchCache holds the same segments whether the
-        # identity path ran or the matchers did.
-        _, front, overrides = RU_PLANS[plan_id]
-        plan = compile_program(chair_task.program, chair_task.registry)
-        units = find_units(plan)
-        prev, cur = parity_snaps[0], parity_snaps[1]
-        boot = ReuseEngine(plan, units, PlanAssignment.all_dn(units),
-                           fastpath=False)
-        boot.run_snapshot(prev, None, None, str(tmp_path))
-        timer = Timer(Timings())
-        runs = {}
-        for flag in (True, False):
-            evaluator = PageEvaluator(plan, units,
-                                      _ru_plan(chair_task, front, overrides),
-                                      fastpath=flag)
-            source = PrevCaptureSource(boot._capture_paths(str(tmp_path)))
-            stats = {uid: UnitRunStats() for uid in evaluator.uids()}
-            fp_stats = FastPathStats()
-            caches = []
-            for page in cur.canonical_pages():
-                q_page = prev.get(page.url)
-                cache = MatchCache()
-                evaluator.run_page(page, q_page, source.read(q_page, timer),
-                                   PageRecorder(), stats, timer, cache=cache,
-                                   fp_stats=fp_stats)
-                caches.append(list(cache.segments))
-            source.close()
-            runs[flag] = (caches, fp_stats.pages_short_circuited)
-        assert runs[True][0] == runs[False][0]
-        assert runs[True][1] > 0
+        assert on[3] == off[3] > 0
 
     @pytest.mark.parametrize("matcher", [ST_NAME, UD_NAME, EQ_NAME])
     def test_cyclex_result_files_byte_identical(self, chair_task,
@@ -662,12 +614,15 @@ class TestFastPathParity:
 
     def test_fastpath_off_reports_zero_counters(self, chair_task,
                                                 parity_snaps):
+        # Off turns off the match store and the automaton cache, not
+        # the recycle of identical pages, which is the reuse rule.
         reports = run_series(chair_task, parity_snaps, systems=("delex",),
                              fastpath="off")
         fp = reports["delex"].snapshots[-1].timings.fastpath
         assert fp is not None
-        assert fp.pages_short_circuited == 0
-        assert fp.memo_hits == 0 and fp.automata_reused == 0
+        assert fp.memo_hits == fp.memo_misses == 0
+        assert fp.automata_built == fp.automata_reused == 0
+        assert 0 < fp.pages_recycled < fp.pages_paired
 
     def test_parallel_fastpath_matches_serial(self, chair_task,
                                               parity_snaps):
@@ -691,11 +646,12 @@ class TestStatsPlumbing:
         assert a.cache_evictions == 1
 
     def test_as_dict_and_describe(self):
-        stats = FastPathStats(pages_paired=4, pages_short_circuited=2,
+        stats = FastPathStats(pages_paired=4, pages_recycled=2,
                               memo_hits=1, memo_misses=1,
                               region_short_circuits=2)
         row = stats.to_dict()
         assert row["memo_hit_rate"] == 0.5
         assert row["combined_hit_rate"] == 0.75
+        assert row["pages_short_circuited"] == 2
         assert stats.unchanged_fraction == 0.5
-        assert "short-circuited 2/4" in stats.describe()
+        assert "recycled 2/4 pages whole" in stats.describe()

@@ -505,14 +505,12 @@ def test_instrumented_trace_carries_hierarchy():
     assert all("pages" in r.args for r in snap_spans)
 
 
-@pytest.mark.parametrize("front,producer_path", [("UD", "identity"),
+@pytest.mark.parametrize("front,producer_path", [("UD", "match"),
                                                   ("WS", "match")])
 def test_unit_events_say_which_path_ran(tmp_path, front, producer_path):
-    """On an unchanged snapshot each unit event names the path its
-    rows took: a UD producer short-circuits and so do the RU units
-    above it; a WS producer has to match (its self-match is not the
-    one segment RU would need recorded), yet the RU units still find
-    a covering segment and short-circuit."""
+    """On an unchanged snapshot whose pages are not recycled each unit
+    event names the path its rows took: the producer matches, and so
+    do the RU units above it, against what the producer recorded."""
     from repro.core.runner import make_system
     from repro.corpus.evolve import ChangeModel, EvolvingCorpus
     from repro.corpus.generators import DBLifeGenerator
@@ -545,10 +543,8 @@ def test_unit_events_say_which_path_ran(tmp_path, front, producer_path):
             paths.setdefault(r.args["uid"], set()).update(
                 r.args["path"].split("+"))
     assert paths["extractServiceSec"] == {producer_path}
-    assert paths["extractChairSent"] == {"identity"}
-    # Under RU an earlier, longer sentence blocks only if a recorded
-    # segment maps the row into it, so every fact row short-circuits.
-    assert paths["extractChairFact"] == {"identity"}
+    assert paths["extractChairSent"] == {"match"}
+    assert paths["extractChairFact"] == {"match"}
     assert "scratch" not in set().union(*paths.values())
 
 

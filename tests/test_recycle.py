@@ -1,16 +1,16 @@
-"""Whole-page recycle: an identical page whose every IE unit would take
-the identity path is re-emitted from the previous run — its capture
-groups copied byte for byte, its previous rows returned.
+"""Whole-page recycle: a byte-identical page whose previous rows are
+known and whose every unit's capture is readable is re-emitted from the
+previous run — its capture groups copied byte for byte, its previous
+rows returned — whatever the matcher plan or the URL.
 
 The properties pinned here: the recycle fires on every paired page of
-an identical snapshot under RU plans and Shortcut, serial and parallel;
-results always equal No-reuse; a page group's bytes do not depend on
-where the group sits in the file; a torn line or damaged header is
-never copied forward; a restart falls back to the per-unit path without
-changing a byte; the memoised recycle verdict is keyed by the plan and
-the recorded groups' bytes and holds at most one snapshot; and the
-exact RU tie-break guard lets a sentence that follows a longer one take
-the identity path.
+an identical snapshot under every plan (RU, DN and all-DN) and under
+Shortcut, serial and parallel, and books nothing in the units' stats;
+results always equal No-reuse, also when the plan changes between
+snapshots; a page group's bytes do not depend on where the group sits
+in the file; a torn line or damaged header is never copied forward; a
+renamed page is recycled; and a restart, which recycles nothing, runs
+the units without changing a byte.
 """
 
 from __future__ import annotations
@@ -26,30 +26,17 @@ from repro.corpus.generators import DBLifeGenerator
 from repro.corpus.snapshot import snapshot_from_texts
 from repro.extractors import make_task
 from repro.fastpath import FastPathStats
-from repro.matchers.base import RU_NAME, ST_NAME, UD_NAME, MatchCache
-from repro.matchers.ws import WS_NAME
+from repro.matchers.base import DN_NAME, RU_NAME, ST_NAME, UD_NAME
 from repro.obs import trace as otrace
 from repro.plan import compile_program, find_units
 from repro.plan.operators import ScanNode
-from repro.reuse.engine import (
-    PageEvaluator,
-    PlanAssignment,
-    PrevCaptureSource,
-    RecycleMemo,
-    ReuseEngine,
-    UnitRunStats,
-)
+from repro.reuse.engine import PlanAssignment, ReuseEngine
 from repro.reuse.files import (
     PAGE_PREFIX,
-    InputTuple,
-    PageRecorder,
     iter_all_pages,
     iter_groups,
     page_marker,
 )
-from repro.text.regions import MatchSegment
-from repro.text.span import Span
-from repro.timing import Timer, Timings
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +101,67 @@ class TestIdenticalSnapshotRecycles:
 
     @pytest.mark.parametrize("jobs,backend", [(1, "serial"),
                                               (2, "process")])
+    @pytest.mark.parametrize("rest", [RU_NAME, DN_NAME])
+    def test_plans_with_dn_units(self, chair, frozen_snaps, tmp_path,
+                                 rest, jobs, backend):
+        # A DN unit never matches, yet the page it runs on is as
+        # identical as under any other plan: DN->RU and all-DN recycle
+        # every paired page, and the units run on nothing.
+        task, plan, units = chair
+        system = make_system(
+            "delex", task, str(tmp_path),
+            fixed_assignment=_plan(units, DN_NAME, rest),
+            jobs=jobs, backend=backend)
+        reference = NoReuseSystem(plan)
+        prev = None
+        for index, snap in enumerate(frozen_snaps):
+            result = system.process(snap, prev)
+            prev = snap
+            assert canonical_results(result) == canonical_results(
+                reference.process(snap))
+            if index == 0:
+                continue
+            fp = result.timings.fastpath
+            assert fp.pages_recycled == fp.pages_paired == len(snap)
+            assert fp.tuples_recycled > 0
+            assert all(s.input_tuples == s.output_tuples == 0
+                       for s in result.unit_stats.values())
+
+    def test_plan_flip_between_snapshots(self, chair, tmp_path):
+        # Identical pages are recycled from capture written under
+        # another plan, changed pages run under the new one: every
+        # snapshot still equals No-reuse.
+        task, plan, units = chair
+        churn = ChangeModel(p_unchanged=0.6, p_removed=0.05,
+                            p_added=0.05)
+        snaps = list(EvolvingCorpus(DBLifeGenerator(), 10, churn,
+                                    seed=3).snapshots(5))
+        plans = [_plan(units, UD_NAME, RU_NAME),
+                 PlanAssignment.all_dn(units),
+                 _plan(units, ST_NAME, RU_NAME),
+                 _plan(units, DN_NAME, UD_NAME),
+                 PlanAssignment.uniform(units, ST_NAME)]
+        system = make_system("delex", task, str(tmp_path),
+                             fixed_assignment=plans[0])
+        reference = NoReuseSystem(plan)
+        prev, recycled = None, 0
+        for snap, assignment in zip(snaps, plans):
+            system.fixed_assignment = assignment
+            result = system.process(snap, prev)
+            assert canonical_results(result) == canonical_results(
+                reference.process(snap))
+            if prev is not None:
+                identical = sum(
+                    1 for page in snap.pages
+                    if prev.get(page.url) is not None
+                    and prev.get(page.url).text == page.text)
+                assert result.timings.fastpath.pages_recycled == identical
+                recycled += identical
+            prev = snap
+        assert recycled > 0
+
+    @pytest.mark.parametrize("jobs,backend", [(1, "serial"),
+                                              (2, "process")])
     def test_shortcut(self, chair, frozen_snaps, tmp_path, jobs, backend):
         task, plan, _units = chair
         system = make_system("shortcut", task, str(tmp_path), jobs=jobs,
@@ -124,46 +172,16 @@ class TestIdenticalSnapshotRecycles:
             assert results == canonical_results(reference.process(snap))
             assert fp.pages_recycled == fp.pages_paired == len(snap)
 
-    def test_recycle_counters_equal_per_unit_path(self, chair,
-                                                  frozen_snaps, tmp_path):
-        # The per-unit identity path (rows withheld, so nothing can be
-        # recycled whole) leaves the same capture bytes and counters.
-        task, plan, units = chair
-        assignment = _plan(units, UD_NAME, RU_NAME)
-        runs = {}
-        for keep_rows in (True, False):
-            workdir = str(tmp_path / str(keep_rows))
-            engine = ReuseEngine(plan, units, assignment)
-            rows = {}
-            engine.run_snapshot(frozen_snaps[0], None, None,
-                                os.path.join(workdir, "0"),
-                                page_rows_out=rows)
-            result = engine.run_snapshot(
-                frozen_snaps[1], frozen_snaps[0],
-                os.path.join(workdir, "0"), os.path.join(workdir, "1"),
-                prev_page_rows=rows if keep_rows else None)
-            fp = result.timings.fastpath
-            runs[keep_rows] = (
-                result.results, result.unit_stats,
-                _capture_tree(os.path.join(workdir, "1")),
-                fp.pages_recycled, fp.tuples_recycled,
-                fp.matcher_calls_avoided)
-        recycled, per_unit = runs[True], runs[False]
-        assert recycled[3] == len(frozen_snaps[1]) and per_unit[3] == 0
-        assert recycled[:3] == per_unit[:3]
-        assert recycled[4:] == per_unit[4:]
-
 
 class TestObservability:
     def test_counter_merges_and_exports(self):
         from repro.obs import registry as oreg
 
-        stats = FastPathStats(pages_paired=4, pages_short_circuited=3,
-                              pages_recycled=2)
+        stats = FastPathStats(pages_paired=4, pages_recycled=2)
         stats.merge(FastPathStats(pages_recycled=1))
-        assert stats.pages_recycled == 3
+        assert stats.pages_recycled == stats.pages_short_circuited == 3
         assert stats.to_dict()["pages_recycled"] == 3
-        assert "3 recycled whole" in stats.describe()
+        assert "recycled 3/4 pages whole" in stats.describe()
         oreg.REGISTRY.reset()
         try:
             oreg.publish_fastpath("delex", stats)
@@ -362,8 +380,8 @@ class TestRenamedPage:
                                                        frozen_snaps,
                                                        tmp_path):
         # A fingerprint scope pairs the renamed page with its old URL.
-        # The rows of the old URL are not recycled for it: the page
-        # takes the per-unit identity path, which re-tags its spans.
+        # Rows and capture records carry no page id, so the old URL's
+        # rows and groups are recycled for it like any other page's.
         from repro.reuse.scope import FingerprintScope
 
         task, plan, units = chair
@@ -382,8 +400,7 @@ class TestRenamedPage:
         assert canonical_results(result) == canonical_results(
             NoReuseSystem(plan).process(s1))
         fp = result.timings.fastpath
-        assert fp.pages_paired == fp.pages_short_circuited == len(pages)
-        assert fp.pages_recycled == len(pages) - 1
+        assert fp.pages_paired == fp.pages_recycled == len(pages)
         assert moved.did not in system.last_page_rows
         assert moved.url + "-moved" in system.last_page_rows
 
@@ -410,178 +427,8 @@ class TestResume:
                       first._snapshot_serial)
         result = second.process(frozen_snaps[2], frozen_snaps[1])
         assert canonical_results(result) == expected[0]
-        # No rows survive a restart: every page took the per-unit path,
-        # and wrote the same capture a recycle would have.
+        # No rows survive a restart: every page ran its units, and
+        # wrote the same capture a recycle would have.
         assert result.timings.fastpath.pages_recycled == 0
-        assert result.timings.fastpath.pages_short_circuited == len(
-            frozen_snaps[2])
         assert _capture_tree(second._prev_dir) == \
             _capture_tree(straight._prev_dir)
-
-
-class TestRecycleMemo:
-    def test_rewritten_group_misses_the_memo(self, chair, frozen_snaps,
-                                             tmp_path, monkeypatch):
-        # Between runs, one identical page's scan-unit I group is
-        # rewritten into valid records with another ``c``: the memo
-        # must not answer for it, and the run must equal both No-reuse
-        # and a run with no rows to recycle (the per-unit path).
-        task, plan, units = chair
-        computed = []
-        fresh = PageEvaluator._recycle_verdict
-        monkeypatch.setattr(
-            PageEvaluator, "_recycle_verdict",
-            lambda self, groups: computed.append(1) or fresh(self, groups))
-        target = frozen_snaps[1].canonical_pages()[3].did
-        runs = {}
-        for keep_rows in (True, False):
-            system = make_system(
-                "delex", task, str(tmp_path / str(keep_rows)),
-                fixed_assignment=_plan(units, UD_NAME, RU_NAME))
-            _run(system, frozen_snaps[:2])
-            path = os.path.join(system._prev_dir,
-                                "extractServiceSec.I.reuse")
-            with open(path, "rb") as f:
-                data = f.read()
-            head = data.index(page_marker(target))
-            tail = data.index(PAGE_PREFIX, head + 1)
-            with open(path, "wb") as f:
-                f.write(data[:head]
-                        + data[head:tail].replace(b'"c":""', b'"c":"x"')
-                        + data[tail:])
-            if not keep_rows:
-                system.last_page_rows = None
-            computed.clear()
-            result = system.process(frozen_snaps[2], frozen_snaps[1])
-            fp = result.timings.fastpath
-            runs[keep_rows] = (canonical_results(result), result.unit_stats,
-                               _capture_tree(system._prev_dir),
-                               fp.matcher_calls_avoided, fp.pages_recycled,
-                               len(computed))
-        memo_run, per_unit = runs[True], runs[False]
-        assert memo_run[0] == canonical_results(
-            NoReuseSystem(plan).process(frozen_snaps[2]))
-        assert memo_run[:4] == per_unit[:4]
-        # Only the rewritten page was judged afresh, and it failed.
-        assert memo_run[4:] == (len(frozen_snaps[2]) - 1, 1)
-        assert per_unit[4] == 0
-
-    @pytest.mark.parametrize("first", ["UD-RU", "WS-RU"])
-    def test_verdict_is_never_used_under_another_plan(self, chair,
-                                                      frozen_snaps,
-                                                      tmp_path, first):
-        # UD->RU recycles the page; WS->RU never does (WS reports
-        # internal repeats that RU units would see). One memo, same
-        # groups: each plan gets its own verdict, in either order.
-        _task, plan, units = chair
-        boot = ReuseEngine(plan, units, PlanAssignment.all_dn(units))
-        boot.run_snapshot(frozen_snaps[0], None, None, str(tmp_path))
-        source = PrevCaptureSource(boot._capture_paths(str(tmp_path)))
-        page = frozen_snaps[1].canonical_pages()[0]
-        q_page = frozen_snaps[0].canonical_pages()[0]
-        prev_capture = source.read(q_page, Timer(Timings()))
-        source.close()
-        evaluators = {
-            "UD-RU": PageEvaluator(plan, units, _plan(units, UD_NAME,
-                                                      RU_NAME)),
-            "WS-RU": PageEvaluator(plan, units, _plan(units, WS_NAME,
-                                                      RU_NAME))}
-        fresh = {name: ev.page_recyclable(page, q_page, prev_capture)
-                 for name, ev in evaluators.items()}
-        assert fresh["UD-RU"] is not None and fresh["WS-RU"] is None
-        memo = RecycleMemo()
-        order = [first] + [n for n in evaluators if n != first]
-        for name in order + order:
-            assert evaluators[name].page_recyclable(
-                page, q_page, prev_capture, memo) == fresh[name], name
-        assert len(memo) == 2
-
-    def test_memo_holds_at_most_one_snapshot(self, chair, tmp_path):
-        task, _plan_, units = chair
-        churn = ChangeModel(p_unchanged=0.6, p_removed=0.1, p_added=0.1)
-        snaps = list(EvolvingCorpus(DBLifeGenerator(), 8, churn,
-                                    seed=4).snapshots(11))
-        system = make_system(
-            "delex", task, str(tmp_path),
-            fixed_assignment=_plan(units, UD_NAME, RU_NAME))
-        prev, held = None, []
-        for snap in snaps:
-            result = system.process(snap, prev)
-            prev = snap
-            held.append(len(system.recycle_memo))
-            assert held[-1] <= result.timings.fastpath.pages_short_circuited
-            assert held[-1] <= len(snap)
-        assert len(held) == 11 and max(held) > 0
-
-    def test_resume_starts_with_an_empty_memo(self, chair, frozen_snaps,
-                                              tmp_path):
-        task, _plan_, units = chair
-        system = make_system(
-            "delex", task, str(tmp_path),
-            fixed_assignment=_plan(units, UD_NAME, RU_NAME))
-        _run(system, frozen_snaps[:2])
-        assert len(system.recycle_memo) == len(frozen_snaps[1])
-        system.resume(frozen_snaps[:2], system._prev_dir,
-                      system._snapshot_serial)
-        assert len(system.recycle_memo) == 0
-
-
-#: A DBLife-like page whose service section has a chair sentence that
-#: follows a longer one.
-SERVICE_PAGE = (
-    "Frank Foster - Homepage Page\n"
-    "== Service ==\n"
-    "Xenia Ibrahim serves as industrial chair of CIDR 1986.\n"
-    "Bo Xu serves as general chair of ICDE 1992.\n"
-    "== News ==\n"
-    "The project was announced at a press event in the spring.\n")
-
-
-class TestExactRUGuard:
-    def test_shorter_sentence_after_longer_takes_identity(self, chair,
-                                                          tmp_path):
-        _task, plan, units = chair
-        s0 = snapshot_from_texts(0, {"u": SERVICE_PAGE})
-        s1 = snapshot_from_texts(1, {"u": SERVICE_PAGE})
-        boot = ReuseEngine(plan, units, PlanAssignment.all_dn(units))
-        boot.run_snapshot(s0, None, None, str(tmp_path))
-        source = PrevCaptureSource(boot._capture_paths(str(tmp_path)))
-        timer = Timer(Timings())
-        page, q_page = s1.pages[0], s0.pages[0]
-        prev_capture = source.read(q_page, timer)
-        source.close()
-        fact = prev_capture["extractChairFact"].inputs
-        assert len(fact) == 2 and fact[0].e - fact[0].s > fact[1].e - \
-            fact[1].s
-
-        evaluator = PageEvaluator(plan, units,
-                                  _plan(units, UD_NAME, RU_NAME))
-        assert evaluator.page_recyclable(page, q_page, prev_capture)
-        tracer = otrace.install()
-        try:
-            evaluator.run_page(page, q_page, prev_capture, PageRecorder(),
-                               {u.uid: UnitRunStats() for u in units},
-                               timer, cache=MatchCache(),
-                               fp_stats=FastPathStats())
-        finally:
-            otrace.uninstall()
-        paths = {r.args["uid"]: r.args["path"] for r in tracer.records
-                 if r.name == "unit"}
-        assert paths["extractChairFact"] == "identity"
-
-    def test_segment_into_earlier_candidate_still_blocks(self, chair):
-        # RU would trim a segment mapping R into the earlier, longer
-        # candidate to full length |R|; that candidate wins the
-        # tie-break, so the identity path must not run.
-        _task, plan, units = chair
-        evaluator = PageEvaluator(plan, units,
-                                  _plan(units, UD_NAME, RU_NAME))
-        earlier = InputTuple(0, "d", 100, 160)
-        exact = InputTuple(1, "d", 200, 240)
-        region = Span("d", 200, 240)
-        cache = MatchCache()
-        cache.record([MatchSegment(0, 0, 300, 0)])
-        args = (None, RU_NAME, 8, region, [earlier, exact], "", cache)
-        assert evaluator._identity_candidate(*args) is exact
-        cache.record([MatchSegment(200, 110, 40, 0)])
-        assert evaluator._identity_candidate(*args) is None
