@@ -531,11 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "replay); off by default — zero hot-path "
                           "cost when disabled")
     run.add_argument("--fastpath", default="on", choices=("on", "off"),
-                     help="snapshot-delta fast paths (content-keyed "
-                          "match store, automaton cache, vectorized "
-                          "kernels) for the matching systems; identical "
-                          "pages are recycled either way, and results "
-                          "are identical either way (default on)")
+                     help="snapshot-delta fast paths (identical-page "
+                          "recycle, content-keyed match store, "
+                          "automaton cache, vectorized kernels) for the "
+                          "matching systems; results are identical "
+                          "either way (default on)")
     run.add_argument("--adapt", default="off",
                      choices=("off", "shadow", "on"),
                      help="drift-aware online re-optimization for delex: "

@@ -177,10 +177,12 @@ class CyclexSystem(DelexSystem):
         """
         unit = self.units[0]
         with timer.measure_total(), timer.measure(OPT):
-            # Sample shared pages in canonical page order so the probe
-            # sees the corpus's real identical/changed mix (a
-            # changed-only sample would never credit a matcher for
-            # cheap full-page copies on identical pages).
+            # Sample shared pages in canonical page order, identical
+            # ones included. With the fast paths on, the engine recycles
+            # an identical page under any matcher, DN too, so the
+            # probe's credit to UD/ST for cheap full-page copies there
+            # overstates them against DN; with them off, those pages
+            # really run the chosen matcher.
             pairs: List[Tuple[Page, Page]] = []
             for page in snapshot.canonical_pages():
                 old = prev_snapshot.get(page.url)

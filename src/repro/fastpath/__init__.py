@@ -3,19 +3,16 @@
 Delex's per-snapshot cost is dominated by region matching and blackbox
 re-extraction, yet slowly-evolving corpora are mostly *unchanged*
 pages: the opportunity that differential view-maintenance work
-formalizes. This package holds the page-identity test and the
-behaviour-preserving shortcuts threaded through matchers, reuse engine,
-runtime, and timing.
+formalizes. This package adds behaviour-preserving shortcuts threaded
+through matchers, reuse engine, runtime, and timing, all behind one
+switch (:func:`.config.fastpath_enabled`):
 
 * **Page identity** (:mod:`.fingerprint`) — :func:`pages_identical`
   is the one page-identity test: a blake2 content fingerprint
   (persisted in snapshot metadata) as a filter, then a text
   comparison. The reuse engine recycles an identical page whole
-  (:func:`repro.reuse.engine._recycle_page`): that is the reuse rule,
-  as Shortcut is in the paper, and it runs whatever the switch says.
-
-The rest sit behind one switch (:func:`.config.fastpath_enabled`):
-
+  (:func:`repro.reuse.engine._recycle_page`), as Shortcut does in the
+  paper, under any matcher plan.
 * **One match store** (:class:`.memo.MatchMemo` over
   :class:`.matchcache.CrossSnapshotMatchCache`) — matcher results
   keyed by (matcher config, p-region fingerprint, q-region

@@ -3,12 +3,10 @@
 One bool selects whether a run takes every snapshot-delta fast path
 (on, the default everywhere) or none of them (off: the reference
 engine that ``verify_fastpath``, ``repro check`` and the parity tests
-compare against): the match store, its memo, the automaton cache and
-the vectorized kernels. Every fast path is behaviour-preserving, so
-both settings yield byte-identical reuse files and results. The
-identical-page recycle is not a fast path but the reuse rule itself,
-and runs under either setting; it re-emits the previous run's exact
-bytes, so it is the same on both sides by construction.
+compare against): the identical-page recycle, the match store, its
+memo, the automaton cache and the vectorized kernels. Every fast path
+is behaviour-preserving, so both settings yield byte-identical reuse
+files and results.
 """
 
 from __future__ import annotations

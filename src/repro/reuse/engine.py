@@ -22,14 +22,15 @@ The page loop is :func:`repro.runtime.driver.run_pages`; this module
 supplies what is specific to unit-level reuse. The per-page work lives
 in the picklable :class:`PageEvaluator` and there is one per-page body
 (:func:`_evaluate_page`), whether a page runs in a worker's batch or
-in the serial one, and one page recycle (:func:`_recycle_page`) that
-re-emits an identical page whole from the previous capture and rows,
-under any matcher plan. The previous snapshot's capture sits behind
-one :class:`PrevCaptureSource`, which reads each reuse file whole,
-once, and hands out any page's groups as bytes. Either way a page's
-new capture is its :data:`~repro.reuse.files.PageGroups`: recorded by
-a :class:`~repro.reuse.files.PageRecorder` or, for a recycled page,
-the previous groups' bytes. With one worker slot the engine streams:
+in the serial one, and one page recycle (:func:`_recycle_page`) that,
+with the fast paths on, re-emits an identical page whole from the
+previous capture and rows under any matcher plan. The previous
+snapshot's capture sits behind one :class:`PrevCaptureSource`, which
+reads each reuse file whole, once, and hands out any page's groups as
+bytes. Either way a page's new capture is its
+:data:`~repro.reuse.files.PageGroups`: recorded by a
+:class:`~repro.reuse.files.PageRecorder` or, for a recycled page, the
+previous groups' bytes. With one worker slot the engine streams:
 pages are recycled as the batch advances and each page's groups are
 written as soon as the page is done; with more, the parent recycles
 what it can up front, workers return the rest's group bytes, and the
@@ -207,9 +208,9 @@ class PageEvaluator:
     to the driving process (no file handles, no scope, no executor),
     which is what makes it safe to pickle into process-pool workers.
 
-    :meth:`run_page` runs every unit with its assigned matcher;
-    :meth:`recycle_page` re-emits a byte-identical page without
-    running it (see :func:`_recycle_page` for when).
+    :meth:`run_page` runs every unit with its assigned matcher; a
+    byte-identical page is re-emitted without running it by
+    :func:`_recycle_page`.
     """
 
     def __init__(self, plan: CompiledPlan, units: List[IEUnit],
@@ -453,34 +454,6 @@ class PageEvaluator:
             _inv.check_rows_in_page(out_rows, page, unit=unit.uid)
         return out_rows
 
-    # -- whole-page recycle ---------------------------------------------------
-
-    def recycle_page(self, page: Page, q_page: Page,
-                     prev_capture: PrevCapture,
-                     fp_stats: FastPathStats) -> PageGroups:
-        """Re-emit a page :func:`_recycle_page` accepted: return every
-        unit's previous page groups, verbatim, as the page's capture.
-
-        Only the page counters and the recycled tuples are booked; the
-        units ran on nothing, so their :class:`UnitRunStats` stay as
-        they are. The rows come from the previous run, not from the O
-        groups, so those are copied unparsed; a framed line in them
-        that is not a record is caught when a later run parses the
-        group (see :meth:`_run_unit`)."""
-        fp_stats.pages_paired += 1
-        fp_stats.pages_recycled += 1
-        if _inv.ENABLED:
-            # --check layer: a fingerprint match must really be a
-            # byte-identical pair.
-            _inv.check_identity_pair(page, q_page)
-        capture: PageGroups = {}
-        for unit in self.units:
-            groups = prev_capture[unit.uid]
-            fp_stats.tuples_recycled += groups.output_count()
-            capture[unit.uid] = (groups.i_data, groups.o_data)
-        return capture
-
-
 def _evaluate_page(evaluator: PageEvaluator, page: Page,
                    q_page: Optional[Page], prev_capture: PrevCapture,
                    stats: Dict[str, UnitRunStats], timer: Timer,
@@ -510,18 +483,28 @@ def _recycle_page(evaluator: PageEvaluator, page: Page,
     """The one page recycle, for the serial page body and the parallel
     parent alike, and the one reuse rule for an unchanged page.
 
-    A page is recycled when ``q_page``'s rows from the previous run are
-    known, every unit's capture of ``q_page`` is readable and the pair
-    is byte-identical: whatever the matcher plan, the fast-path switch
-    or the URL. Extractors are deterministic in their region's text,
-    and neither materialized rows nor capture records carry a page id
-    (:func:`_write_page` writes the new page's header), so the previous
-    rows and groups are exactly what running the page would give under
-    any plan (Theorem 1; Shortcut in Section 8). Returns those rows
-    (shared, never mutated) and the previous groups as the page's
-    capture; otherwise touches nothing and returns None. Booked as
-    capture I/O, which is all a recycle does."""
-    if prev_rows is None:
+    With the fast paths on, a page is recycled when ``q_page``'s rows
+    from the previous run are known, every unit's capture of
+    ``q_page`` is readable and the pair is byte-identical: whatever
+    the matcher plan or the URL. Extractors are deterministic in their
+    region's text, and neither materialized rows nor capture records
+    carry a page id (:func:`_write_page` writes the new page's
+    header), so the previous rows give the canonical results running
+    the page would give under any plan (Theorem 1; Shortcut in Section
+    8); under a fixed plan their row order and the capture bytes are
+    equal too. With the fast paths off every page runs, which keeps
+    that switch the reference engine the recycle is checked against.
+
+    Returns those rows (shared, never mutated) and every unit's
+    previous groups, verbatim, as the page's capture; otherwise
+    touches nothing and returns None. Only the page counters and the
+    recycled tuples are booked: the units ran on nothing, so their
+    :class:`UnitRunStats` stay as they are. The O groups are copied
+    unparsed; a framed line in them that is not a record is caught
+    when a later run parses the group (see
+    :meth:`PageEvaluator._run_unit`). Booked as capture I/O, which is
+    all a recycle does."""
+    if prev_rows is None or not evaluator.fastpath:
         return None
     with timer.measure(IO):
         if (any(u.uid not in prev_capture for u in evaluator.units)
@@ -530,8 +513,17 @@ def _recycle_page(evaluator: PageEvaluator, page: Page,
         with (_otrace.span("page", cat="page", did=page.did, paired=True,
                            recycled=True)
               if _otrace.ENABLED else _otrace.NULL):
-            capture = evaluator.recycle_page(page, q_page, prev_capture,
-                                             fp_stats)
+            fp_stats.pages_paired += 1
+            fp_stats.pages_recycled += 1
+            if _inv.ENABLED:
+                # --check layer: a fingerprint match must really be a
+                # byte-identical pair.
+                _inv.check_identity_pair(page, q_page)
+            capture: PageGroups = {}
+            for unit in evaluator.units:
+                groups = prev_capture[unit.uid]
+                fp_stats.tuples_recycled += groups.output_count()
+                capture[unit.uid] = (groups.i_data, groups.o_data)
     return prev_rows, capture
 
 
@@ -688,10 +680,10 @@ class ReuseEngine:
         page order reproduces ``results`` exactly.
 
         ``prev_page_rows`` is the ``page_rows_out`` of the run that
-        wrote ``prev_dir``. With it, a page byte-identical to its
-        previous version is recycled whole: its capture groups are
-        copied byte for byte and its previous rows are returned (see
-        :func:`_recycle_page`).
+        wrote ``prev_dir``. With it and the fast paths on, a page
+        byte-identical to its previous version is recycled whole: its
+        capture groups are copied byte for byte and its previous rows
+        are returned (see :func:`_recycle_page`).
         """
         timings = timings if timings is not None else Timings()
         timer = Timer(timings)
