@@ -41,9 +41,9 @@ N_SNAPSHOTS = int(os.environ.get("REPRO_BENCH_FASTPATH_SNAPSHOTS", "8"))
 P_UNCHANGED = 0.95       # low churn: ~95% of pages identical (DBLife-like)
 WORK_SCALE = float(os.environ.get("REPRO_BENCH_FASTPATH_WORK", "0.2"))
 REPS = int(os.environ.get("REPRO_BENCH_FASTPATH_REPS", "3"))
-#: On-vs-off matcher wall-time floor per matcher. ST rides the
-#: k-gram kernel plus the store and automaton cache; UD's pure-Python
-#: diff is already near-linear on low-churn pages, so its floor is lower.
+#: On-vs-off matcher wall-time floor per matcher. ST rides the store
+#: and the automaton cache; UD's diff is already near-linear on
+#: low-churn pages, so its floor is lower.
 MIN_MATCH_SPEEDUP = {ST_NAME: 10.0, UD_NAME: 4.0}
 #: Content-keyed layers (match store + equal-region short circuit)
 #: must absorb at least this share of match_many work.

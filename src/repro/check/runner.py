@@ -5,7 +5,8 @@ wall-clock budget sweeping fuzz cases through the differential oracle:
 
 1. seeds run in order ``seed, seed+1, ...``, each expanded over the
    (task, corpus) pairs where the reusing systems actually copy —
-   a sweep that never exercises the copy path proves nothing;
+   a sweep that never exercises the copy path proves nothing — plus
+   one more task per seed, so that consecutive seeds cover every task;
 2. the first failing case stops the campaign; if shrinking is enabled
    the series is minimized within the remaining budget;
 3. the (shrunk) failing series is written as a replayable repro
@@ -25,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
+from ..extractors import ALL_TASKS, make_task
 from .bundle import write_bundle
 from .faults import injected_fault
 from .fuzz import (
@@ -38,14 +40,28 @@ from .fuzz import (
 from .grid import GRID_NAMES, build_grid
 from .oracle import OracleReport
 
-#: (task, corpus) pairs the campaign cycles through. The first two are
-#: copy-heavy for delex under fixed assignments (the interesting
-#: regime) and together cover both corpus change models; the third is
-#: a regime-shifting series (churn burst mid-series), so every grid —
-#: including the small CI one — sweeps at least one drift config.
+#: (task, corpus) pairs every seed of the campaign sweeps. The first
+#: two are copy-heavy for delex under fixed assignments (the
+#: interesting regime) and together cover both corpus change models;
+#: the third is a regime-shifting series (churn burst mid-series), so
+#: every grid — including the small CI one — sweeps at least one drift
+#: config.
 CASE_MIX: Tuple[Tuple[str, str], ...] = (("play", "wikipedia"),
                                          ("chair", "dblife"),
                                          ("chair", "drift_churn"))
+
+#: The tasks :data:`CASE_MIX` leaves out. Each seed adds one of them,
+#: on its home corpus, so consecutive seeds put every task of
+#: :data:`~repro.extractors.ALL_TASKS` under the oracle.
+ROTATING_TASKS: Tuple[str, ...] = tuple(
+    t for t in ALL_TASKS if t not in {task for task, _ in CASE_MIX})
+
+
+def seed_cases(seed: int) -> Tuple[Tuple[str, str], ...]:
+    """The (task, corpus) pairs one seed sweeps: :data:`CASE_MIX` plus
+    the rotating task of this seed on its home corpus."""
+    task = ROTATING_TASKS[seed % len(ROTATING_TASKS)]
+    return CASE_MIX + ((task, make_task(task, work_scale=0).corpus),)
 
 
 @dataclass
@@ -110,7 +126,7 @@ def run_check(seed: int = 0, budget: float = 60.0, grid: str = "small",
     with injected_fault(fault):
         current_seed = seed
         while time.perf_counter() < deadline and summary.ok:
-            for task, corpus in CASE_MIX:
+            for task, corpus in seed_cases(current_seed):
                 spec = FuzzSpec(seed=current_seed, task=task,
                                 corpus=corpus, n_pages=n_pages,
                                 n_snapshots=n_snapshots, grid=grid)

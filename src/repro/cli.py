@@ -533,9 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fastpath", default="on", choices=("on", "off"),
                      help="snapshot-delta fast paths (identical-page "
                           "recycle, content-keyed match store, "
-                          "automaton cache, vectorized kernels) for the "
-                          "matching systems; results are identical "
-                          "either way (default on)")
+                          "automaton cache) for the matching systems; "
+                          "results are identical either way (default "
+                          "on)")
     run.add_argument("--adapt", default="off",
                      choices=("off", "shadow", "on"),
                      help="drift-aware online re-optimization for delex: "

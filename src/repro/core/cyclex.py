@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..corpus.snapshot import Snapshot
 from ..extractors.base import Extraction, Extractor, RelSpan
 from ..fastpath.config import FastPathFlag
+from ..fastpath.fingerprint import pages_identical
 from ..matchers.base import DN_NAME, ST_NAME, UD_NAME
 from ..matchers.registry import make_matcher
 from ..plan.compile import CompiledPlan
@@ -177,21 +178,21 @@ class CyclexSystem(DelexSystem):
         """
         unit = self.units[0]
         with timer.measure_total(), timer.measure(OPT):
-            # Sample shared pages in canonical page order, identical
-            # ones included. With the fast paths on, the engine recycles
-            # an identical page under any matcher, DN too, so the
-            # probe's credit to UD/ST for cheap full-page copies there
-            # overstates them against DN; with them off, those pages
-            # really run the chosen matcher.
+            # Sample shared pages in canonical page order. With the fast
+            # paths on, the engine recycles an identical page under any
+            # matcher, DN too, so only changed pages can tell the
+            # matchers apart; with them off, identical pages really run
+            # the chosen matcher and are sampled as well.
             pairs: List[Tuple[Page, Page]] = []
             for page in snapshot.canonical_pages():
                 old = prev_snapshot.get(page.url)
-                if old is not None:
+                if old is not None and not (self.fastpath
+                                            and pages_identical(page, old)):
                     pairs.append((page, old))
                 if len(pairs) >= self.probe_pages:
                     break
             if not pairs:
-                return UD_NAME  # nothing shared: matcher never runs
+                return UD_NAME  # no pair to price: no matcher runs
             # Extraction seconds per character, probed on one page.
             sample_page = pairs[0][0]
             start = time.perf_counter()
@@ -202,8 +203,7 @@ class CyclexSystem(DelexSystem):
                 len(p.text) for p, _ in pairs)
             for name in (UD_NAME, ST_NAME):
                 matcher = make_matcher(
-                    name, min_length=min_match_length(unit.beta),
-                    kernel="auto" if self.fastpath else "off")
+                    name, min_length=min_match_length(unit.beta))
                 cost = 0.0
                 for page, old in pairs:
                     t0 = time.perf_counter()

@@ -26,8 +26,6 @@ switch (:func:`.config.fastpath_enabled`):
 * **Suffix-automaton cache** (:class:`.memo.AutomatonCache`) — the ST
   matcher's automaton per q-region content is built once per page pair
   and reused across input rows and units.
-* **Vectorized matcher kernels** (:mod:`repro.text.tokens`) — used
-  above the optimizer's size thresholds when numpy is importable.
 
 With the switch off the engine takes none of them; it produces
 byte-identical reuse files and identical extraction results either way

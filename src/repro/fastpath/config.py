@@ -4,9 +4,9 @@ One bool selects whether a run takes every snapshot-delta fast path
 (on, the default everywhere) or none of them (off: the reference
 engine that ``verify_fastpath``, ``repro check`` and the parity tests
 compare against): the identical-page recycle, the match store, its
-memo, the automaton cache and the vectorized kernels. Every fast path
-is behaviour-preserving, so both settings yield byte-identical reuse
-files and results.
+memo and the automaton cache. Every fast path is
+behaviour-preserving, so both settings yield byte-identical reuse files
+and results.
 """
 
 from __future__ import annotations

@@ -235,15 +235,6 @@ class AutomatonCache:
             self._fps = RegionFingerprints(q_text)
         return self._fps.get(q_region.start, q_region.end)
 
-    def peek(self, q_text: str,
-             q_region: Interval) -> Optional[SuffixAutomaton]:
-        """The cached automaton, or None — never builds, never counts.
-
-        The ST kernel path uses this to prefer an existing automaton
-        over re-anchoring; stat accounting stays with :meth:`get`.
-        """
-        return self._cache.get(self._fingerprint(q_text, q_region))
-
     def get(self, q_text: str, q_region: Interval) -> SuffixAutomaton:
         """The suffix automaton of ``q_text[q_region]``, cached."""
         fingerprint = self._fingerprint(q_text, q_region)

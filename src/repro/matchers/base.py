@@ -41,9 +41,8 @@ class Matcher(ABC):
     #: if an instance grows an attribute in neither tuple.
     CONFIG_ATTRS: Tuple[str, ...] = ()
 
-    #: Attributes that only affect *how* results are computed (caches,
-    #: kernel toggles, interning state) — excluded from the key because
-    #: both paths are parity-pinned to identical output.
+    #: Attributes that only affect *how* results are computed (caches)
+    #: — excluded from the key because a cache never changes output.
     STATE_ATTRS: Tuple[str, ...] = ()
 
     def config_key(self) -> tuple:

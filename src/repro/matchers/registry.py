@@ -14,34 +14,27 @@ from .ws import WS_NAME, WinnowingMatcher
 
 def make_matcher(name: str, cache: Optional[MatchCache] = None,
                  min_length: int = 12, max_d: int = 0,
-                 automatons: Optional[object] = None,
-                 tokens: Optional[object] = None,
-                 kernel: str = "auto") -> Matcher:
+                 automatons: Optional[object] = None) -> Matcher:
     """Instantiate a matcher by name.
 
     RU requires the page pair's :class:`MatchCache`; the others ignore
     it. ``min_length`` tunes ST's emission threshold, ``max_d`` caps
     UD's explored edit distance (0 = unlimited). ``automatons`` is an
     optional per-page-pair suffix-automaton cache handed to ST (see
-    :class:`repro.fastpath.memo.AutomatonCache`). ``tokens`` is an
-    optional per-page-pair :class:`repro.text.tokens.TokenCache` for
-    the vectorized kernels, and ``kernel`` their mode
-    (``"auto"``/``"force"``/``"off"`` — results are identical either
-    way, see each matcher's kernel notes).
+    :class:`repro.fastpath.memo.AutomatonCache`).
     """
     if name == DN_NAME:
         return DNMatcher()
     if name == UD_NAME:
-        return UDMatcher(max_d=max_d, kernel=kernel)
+        return UDMatcher(max_d=max_d)
     if name == ST_NAME:
-        return STMatcher(min_length=min_length, automatons=automatons,
-                         tokens=tokens, kernel=kernel)
+        return STMatcher(min_length=min_length, automatons=automatons)
     if name == RU_NAME:
         if cache is None:
             raise ValueError("RU matcher needs a MatchCache")
         return RUMatcher(cache)
     if name == WS_NAME:
-        return WinnowingMatcher(kernel=kernel)
+        return WinnowingMatcher()
     if name == EQ_NAME:
         return EQMatcher()
     raise ValueError(f"unknown matcher {name!r}; choose from "

@@ -12,37 +12,9 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from ..text import tokens as _tokens
 from ..text.regions import MatchSegment
 from ..text.span import Interval
 from .base import UD_NAME, Matcher
-
-_COST_MODEL = None
-
-
-def _cost_model():
-    # Lazy: optimizer -> cost -> engine -> matchers would cycle.
-    global _COST_MODEL
-    if _COST_MODEL is None:
-        from ..optimizer.kernels import DEFAULT_KERNEL_MODEL
-        _COST_MODEL = DEFAULT_KERNEL_MODEL
-    return _COST_MODEL
-
-
-def _intern_lines(p_lines: List[str], q_lines: List[str]
-                  ) -> Tuple[List[int], List[int]]:
-    """Map both line lists through one str -> int table.
-
-    Int equality then coincides with string equality (the mapping is
-    injective), so Myers over the interned lists returns the same index
-    pairs while every ``a[x] == b[y]`` probe — the diff's hot
-    comparison — costs an int compare instead of a string compare.
-    """
-    table: dict = {}
-    setdefault = table.setdefault
-    a = [setdefault(line, len(table)) for line in p_lines]
-    b = [setdefault(line, len(table)) for line in q_lines]
-    return a, b
 
 
 def _split_lines(text: str, region: Interval) -> Tuple[List[str], List[int]]:
@@ -58,7 +30,7 @@ def _split_lines(text: str, region: Interval) -> Tuple[List[str], List[int]]:
 
 
 def myers_lcs_pairs(a: Sequence, b: Sequence,
-                    max_d: int = 0, np=None) -> List[Tuple[int, int]]:
+                    max_d: int = 0) -> List[Tuple[int, int]]:
     """Matched index pairs of an LCS of ``a`` and ``b`` (Myers O(ND)).
 
     The common prefix and suffix are stripped before the O(ND) search
@@ -74,11 +46,6 @@ def myers_lcs_pairs(a: Sequence, b: Sequence,
     the cap is hit the common prefix/suffix alone is returned —
     trading completeness for time exactly like a real diff tool under
     pressure.
-
-    ``np``, when given (with int-interned sequences — see
-    :func:`_intern_lines`), routes the mid-section search through
-    :func:`_myers_core_np`, the vectorized band sweep. The result is
-    identical either way; only large-edit-distance speed differs.
     """
     n, m = len(a), len(b)
     if n == 0 or m == 0:
@@ -93,9 +60,8 @@ def myers_lcs_pairs(a: Sequence, b: Sequence,
     pairs: List[Tuple[int, int]] = [(i, i) for i in range(pre)]
     mid_a, mid_b = a[pre:n - suf], b[pre:m - suf]
     if mid_a and mid_b:
-        core = (_myers_core_np(mid_a, mid_b, max_d, np)
-                if np is not None else _myers_core(mid_a, mid_b, max_d))
-        pairs.extend((x + pre, y + pre) for x, y in core)
+        pairs.extend((x + pre, y + pre)
+                     for x, y in _myers_core(mid_a, mid_b, max_d))
     pairs.extend((n - suf + t, m - suf + t) for t in range(suf))
     return pairs
 
@@ -152,116 +118,6 @@ def _myers_core(a: Sequence, b: Sequence,
     return pairs
 
 
-#: Edit-distance round at which :func:`_myers_core_np` leaves the
-#: serial loop for the vectorized sweep. Below it a round's O(d) cells
-#: cost less than a handful of numpy dispatches; above it the array
-#: ops win linearly.
-_MYERS_SWITCH_D = 64
-
-
-def _myers_core_np(a: Sequence, b: Sequence, max_d: int,
-                   np) -> List[Tuple[int, int]]:
-    """Vectorized twin of :func:`_myers_core` for int sequences.
-
-    Myers' band recurrence has no intra-round dependency: round ``d``
-    writes only diagonals of parity ``d`` and reads only the opposite
-    parity, written in round ``d - 1``. So once ``d`` passes
-    :data:`_MYERS_SWITCH_D` the whole round — furthest-x selection,
-    snake detection, and the finish test — runs as array ops over the
-    ``d + 1`` diagonals, with only genuinely-extending snakes scanned
-    to their first mismatch. Small-``d`` rounds (the common low-churn
-    case) stay on the serial loop, which is faster there. Both the
-    forward search and the backtrack reproduce the serial tie-breaks
-    exactly, so the returned pairs are identical to
-    :func:`_myers_core`'s on every input.
-    """
-    n, m = len(a), len(b)
-    limit = max_d if max_d > 0 else n + m
-    v = {1: 0}
-    # xs[d] = v[k] after round d: a dict for serial rounds, an array
-    # over k = -d..d (step 2) for vectorized ones.
-    xs: List[object] = []
-    found_d = -1
-    for d in range(min(_MYERS_SWITCH_D, limit) + 1):
-        for k in range(-d, d + 1, 2):
-            if k == -d or (k != d and v[k - 1] < v[k + 1]):
-                x = v[k + 1]
-            else:
-                x = v[k - 1] + 1
-            y = x - k
-            while x < n and y < m and a[x] == b[y]:
-                x += 1
-                y += 1
-            v[k] = x
-            if x >= n and y >= m:
-                found_d = d
-                break
-        xs.append(dict(v))
-        if found_d >= 0:
-            break
-    if found_d < 0 and _MYERS_SWITCH_D < limit:
-        aa = np.asarray(a, dtype=np.int64)
-        bb = np.asarray(b, dtype=np.int64)
-        off = limit + 1
-        V = np.full(2 * limit + 3, -(1 << 60), dtype=np.int64)
-        for j, xv in v.items():
-            V[off + j] = xv
-        for d in range(_MYERS_SWITCH_D + 1, limit + 1):
-            vm = V[off - d - 1:off + d:2]      # v[k-1] for k = -d..d
-            vp = V[off - d + 1:off + d + 2:2]  # v[k+1]
-            take = vm < vp
-            take[-1] = False  # k == d: always v[k-1] + 1
-            take[0] = True    # k == -d: always v[k+1]
-            x = np.where(take, vp, vm + 1)
-            y = x - np.arange(-d, d + 1, 2)
-            can = (x < n) & (y < m)
-            if can.any():
-                idx = np.nonzero(can)[0]
-                idx = idx[aa[x[idx]] == bb[y[idx]]]
-                for i in idx.tolist():
-                    xi = int(x[i])
-                    yi = xi - (2 * i - d)  # y on diagonal k = -d + 2i
-                    span = min(n - xi, m - yi)
-                    neq = aa[xi:xi + span] != bb[yi:yi + span]
-                    x[i] = xi + (int(neq.argmax()) if neq.any() else span)
-            V[off - d:off + d + 1:2] = x
-            xs.append(x)
-            if bool(((x >= n) & (x - np.arange(-d, d + 1, 2) >= m)).any()):
-                found_d = d
-                break
-    if found_d < 0:
-        return _prefix_suffix_pairs(a, b)
-    pairs: List[Tuple[int, int]] = []
-    x, y = n, m
-    for d in range(found_d, 0, -1):
-        k = x - y
-        prev = xs[d - 1]
-        if isinstance(prev, dict):
-            val = prev.__getitem__
-        else:
-            def val(j, _prev=prev, _d=d):
-                return int(_prev[(j + _d - 1) >> 1])
-        if k == -d:
-            prev_k = k + 1
-        elif k == d:
-            prev_k = k - 1
-        else:
-            prev_k = k + 1 if val(k - 1) < val(k + 1) else k - 1
-        prev_x = val(prev_k)
-        prev_y = prev_x - prev_k
-        while x > prev_x and y > prev_y:
-            x -= 1
-            y -= 1
-            pairs.append((x, y))
-        x, y = prev_x, prev_y
-    while x > 0 and y > 0:  # round 0's leading snake from (0, 0)
-        x -= 1
-        y -= 1
-        pairs.append((x, y))
-    pairs.reverse()
-    return pairs
-
-
 def _prefix_suffix_pairs(a: Sequence,
                          b: Sequence) -> List[Tuple[int, int]]:
     """Common-prefix plus common-suffix pairs (the capped-``max_d``
@@ -291,7 +147,7 @@ def _prefix_suffix_pairs(a: Sequence,
 def _pair_runs(pairs: List[Tuple[int, int]]
                ) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
     """Maximal runs of diagonally consecutive pairs, as
-    (first pair, last pair) — pure-Python path."""
+    (first pair, last pair)."""
     runs: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
     run_start = None
     prev = None
@@ -306,71 +162,24 @@ def _pair_runs(pairs: List[Tuple[int, int]]
     return runs
 
 
-def _pair_runs_np(pairs: List[Tuple[int, int]], np
-                  ) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
-    """Vectorized twin of :func:`_pair_runs` (pairs are monotone in
-    both coordinates, which both paths rely on)."""
-    arr = np.asarray(pairs, dtype=np.int64)
-    pi = arr[:, 0]
-    qi = arr[:, 1]
-    breaks = np.empty(arr.shape[0], dtype=bool)
-    breaks[0] = True
-    breaks[1:] = (pi[1:] != pi[:-1] + 1) | (qi[1:] != qi[:-1] + 1)
-    starts = np.nonzero(breaks)[0]
-    ends = np.concatenate((starts[1:] - 1, [arr.shape[0] - 1]))
-    return [((int(pi[s]), int(qi[s])), (int(pi[e]), int(qi[e])))
-            for s, e in zip(starts, ends)]
-
-
 class UDMatcher(Matcher):
-    """Line-level Myers diff converted to character match segments.
-
-    ``kernel`` gates the interned-line path: above the cost model's
-    line threshold (and when numpy is importable), both regions' lines
-    are mapped through one str -> int table so the Myers search
-    compares ints, the band sweep itself vectorizes over diagonals
-    once the edit distance passes :data:`_MYERS_SWITCH_D`
-    (:func:`_myers_core_np` — the win on heavily diverged or
-    block-moved regions), and run detection over the matched pairs is
-    vectorized. Output is identical on every path; only speed differs.
-    """
+    """Line-level Myers diff converted to character match segments."""
 
     name = UD_NAME
     CONFIG_ATTRS = ("max_d",)
-    STATE_ATTRS = ("kernel",)
 
-    def __init__(self, max_d: int = 0, kernel: str = "auto") -> None:
-        if kernel not in ("auto", "force", "off"):
-            raise ValueError(f"unknown kernel mode: {kernel!r}")
+    def __init__(self, max_d: int = 0) -> None:
         self.max_d = max_d
-        self.kernel = kernel
-
-    def _want_kernel(self, p_lines: int, q_lines: int) -> bool:
-        if self.kernel == "off":
-            return False
-        if self.kernel == "force":
-            return True
-        return _cost_model().use_ud_kernel(p_lines, q_lines)
 
     def match(self, p_text: str, p_region: Interval,
               q_text: str, q_region: Interval) -> List[MatchSegment]:
         p_lines, p_offsets = _split_lines(p_text, p_region)
         q_lines, q_offsets = _split_lines(q_text, q_region)
-        use_kernel = self._want_kernel(len(p_lines), len(q_lines))
-        np = _tokens.get_numpy() if use_kernel else None
-        if np is not None:
-            seq_p, seq_q = _intern_lines(p_lines, q_lines)
-        else:
-            seq_p, seq_q = p_lines, q_lines
-        pairs = myers_lcs_pairs(seq_p, seq_q, self.max_d, np=np)
-        if pairs and np is not None and len(pairs) >= 256:
-            runs = _pair_runs_np(pairs, np)
-        else:
-            runs = _pair_runs(pairs)
+        pairs = myers_lcs_pairs(p_lines, q_lines, self.max_d)
         segments = [
             self._run_to_segment(start, end, p_lines, p_offsets,
                                  q_lines, q_offsets)
-            for start, end in runs
+            for start, end in _pair_runs(pairs)
         ]
         return [self._extend(s, p_text, p_region, q_text, q_region)
                 for s in segments if s.length > 0]

@@ -24,23 +24,11 @@ from __future__ import annotations
 import zlib
 from typing import Dict, List, Tuple
 
-from ..text import tokens as _tokens
 from ..text.regions import MatchSegment
 from ..text.span import Interval
 from .base import Matcher
 
 WS_NAME = "WS"
-
-_COST_MODEL = None
-
-
-def _cost_model():
-    # Lazy: optimizer -> cost -> engine -> matchers would cycle.
-    global _COST_MODEL
-    if _COST_MODEL is None:
-        from ..optimizer.kernels import DEFAULT_KERNEL_MODEL
-        _COST_MODEL = DEFAULT_KERNEL_MODEL
-    return _COST_MODEL
 
 
 def winnow_fingerprints(text: str, k: int, window: int
@@ -69,80 +57,19 @@ def winnow_fingerprints(text: str, k: int, window: int
     return out
 
 
-def winnow_fingerprints_np(text: str, k: int, window: int,
-                           np) -> Dict[int, List[int]]:
-    """Vectorized twin of :func:`winnow_fingerprints`.
-
-    Identical output by construction: the CRC-32 k-gram hashes are
-    bit-exact (:func:`repro.text.tokens.crc32_kgrams`), the
-    rightmost-minimum window pick is reproduced by taking argmin over
-    each *reversed* window (argmin returns the first minimum, i.e. the
-    original window's last), and winnowing picks are non-decreasing in
-    position, so dropping consecutive duplicates equals the reference
-    loop's ``best != last_pick`` dedupe. Dict insertion order — which
-    downstream anchor enumeration depends on — follows ascending pick
-    position, same as the reference.
-    """
-    n = len(text)
-    if n < k:
-        return {}
-    encoded = text.encode("utf-8", "ignore")
-    if len(encoded) < k:
-        return {}
-    hashes = _tokens.crc32_kgrams(encoded, k, np)
-    nh = int(hashes.shape[0])
-    if nh <= window:
-        best = np.array([nh - 1 - int(hashes[::-1].argmin())])
-    else:
-        w = np.lib.stride_tricks.sliding_window_view(hashes, window)
-        best = (window - 1 - np.argmin(w[:, ::-1], axis=1)
-                + np.arange(nh - window + 1))
-    keep = np.empty(best.shape[0], dtype=bool)
-    keep[0] = True
-    keep[1:] = best[1:] != best[:-1]
-    out: Dict[int, List[int]] = {}
-    for b in best[keep].tolist():
-        out.setdefault(int(hashes[b]), []).append(b)
-    return out
-
-
 class WinnowingMatcher(Matcher):
-    """Fingerprint-anchored maximal-segment matcher.
-
-    ``kernel`` gates the vectorized winnowing path
-    (:func:`winnow_fingerprints_np`): the O(n * window) fingerprint
-    scan dominates WS's cost and vectorizes wholesale; anchor
-    extension stays pure Python (it is linear in matched text). Both
-    fingerprint paths are parity-pinned to identical dicts.
-    """
+    """Fingerprint-anchored maximal-segment matcher."""
 
     name = WS_NAME
     CONFIG_ATTRS = ("k", "window", "max_anchors")
-    STATE_ATTRS = ("kernel",)
 
     def __init__(self, k: int = 12, window: int = 8,
-                 max_anchors_per_hash: int = 4,
-                 kernel: str = "auto") -> None:
+                 max_anchors_per_hash: int = 4) -> None:
         if k < 2 or window < 1:
             raise ValueError("need k >= 2 and window >= 1")
-        if kernel not in ("auto", "force", "off"):
-            raise ValueError(f"unknown kernel mode: {kernel!r}")
         self.k = k
         self.window = window
         self.max_anchors = max_anchors_per_hash
-        self.kernel = kernel
-
-    def _fingerprints(self, body: str, np) -> Dict[int, List[int]]:
-        if np is not None:
-            return winnow_fingerprints_np(body, self.k, self.window, np)
-        return winnow_fingerprints(body, self.k, self.window)
-
-    def _want_kernel(self, n_chars: int) -> bool:
-        if self.kernel == "off" or not _tokens.numpy_enabled():
-            return False
-        if self.kernel == "force":
-            return True
-        return _cost_model().use_ws_kernel(n_chars)
 
     def match(self, p_text: str, p_region: Interval,
               q_text: str, q_region: Interval) -> List[MatchSegment]:
@@ -150,12 +77,10 @@ class WinnowingMatcher(Matcher):
         q_body = q_text[q_region.start:q_region.end]
         if not p_body or not q_body:
             return []
-        np = (_tokens.get_numpy()
-              if self._want_kernel(len(p_body) + len(q_body)) else None)
-        q_prints = self._fingerprints(q_body, np)
+        q_prints = winnow_fingerprints(q_body, self.k, self.window)
         if not q_prints:
             return []
-        p_prints = self._fingerprints(p_body, np)
+        p_prints = winnow_fingerprints(p_body, self.k, self.window)
         segments: List[MatchSegment] = []
         claimed: Dict[int, List[Tuple[int, int]]] = {}
         for h, p_positions in p_prints.items():

@@ -9,7 +9,6 @@ from .cost import (
     unit_cost,
 )
 from .enumerate import canonical_plans, count_assignments, enumerate_assignments
-from .kernels import DEFAULT_KERNEL_MODEL, KernelCostModel
 from .params import CostWeights, Statistics, UnitEstimates, probe_io_weight
 from .search import SearchResult, search_plan
 from .stats import UnitProfile, collect_statistics, profile_page
@@ -33,6 +32,4 @@ __all__ = [
     "enumerate_assignments",
     "canonical_plans",
     "count_assignments",
-    "KernelCostModel",
-    "DEFAULT_KERNEL_MODEL",
 ]

@@ -51,8 +51,6 @@ from ..fastpath.fingerprint import pages_identical
 from ..fastpath.matchcache import CrossSnapshotMatchCache
 from ..fastpath.memo import AutomatonCache, MatchMemo
 from ..fastpath.stats import FastPathStats
-from ..text import tokens as _tokens_mod
-from ..text.tokens import TokenCache
 from ..matchers.base import DN_NAME, RU_NAME, MatchCache
 from ..matchers.registry import make_matcher
 from ..obs import profile as _oprof
@@ -266,15 +264,11 @@ class PageEvaluator:
         # content-keyed and outlives the pair.
         match_memo: Optional[MatchMemo] = None
         automatons: Optional[AutomatonCache] = None
-        tokens: Optional[TokenCache] = None
-        kernel = "auto" if self.fastpath else "off"
         if q_page is not None:
             fp_stats.pages_paired += 1
             if self.fastpath:
                 match_memo = MatchMemo(fp_stats, self.match_cache)
                 automatons = AutomatonCache(fp_stats)
-                if _tokens_mod.numpy_enabled():
-                    tokens = TokenCache()
 
         def step(node: Node, evaluate) -> Optional[List[TupleRow]]:
             unit = self._unit_of_top.get(id(node))
@@ -284,8 +278,7 @@ class PageEvaluator:
                 unit, evaluate(unit.ie_node.child), page, q_page,
                 prev_capture.get(unit.uid, _NO_CAPTURE), recorder,
                 cache, stats[unit.uid],
-                timer, match_memo=match_memo, automatons=automatons,
-                tokens=tokens, kernel=kernel)
+                timer, match_memo=match_memo, automatons=automatons)
 
         evaluate = plan_walker(page.text, page.did, {}, step)
         return {rel: evaluate(self.plan.roots[rel])
@@ -299,9 +292,7 @@ class PageEvaluator:
                   cache: MatchCache, unit_stats: UnitRunStats,
                   timer: Timer,
                   match_memo: Optional[MatchMemo] = None,
-                  automatons: Optional[AutomatonCache] = None,
-                  tokens: Optional[TokenCache] = None,
-                  kernel: str = "auto"
+                  automatons: Optional[AutomatonCache] = None
                   ) -> List[TupleRow]:
         """Run one IE unit over its input rows on one page."""
         matcher_name = self.assignment.of(unit)
@@ -334,8 +325,7 @@ class PageEvaluator:
 
         min_length = min_match_length(unit.beta)
         matcher = make_matcher(matcher_name, cache, min_length=min_length,
-                               automatons=automatons, tokens=tokens,
-                               kernel=kernel)
+                               automatons=automatons)
         # Distinct paths the input rows took, for the unit trace event.
         paths: Optional[List[str]] = [] if _otrace.ENABLED else None
 

@@ -1,240 +1,12 @@
-"""Token interning for the matcher kernels.
+"""Whether the matchers use numpy: they never do.
 
-The vectorized matcher kernels (:mod:`repro.matchers.st`,
-:mod:`repro.matchers.ud`, :mod:`repro.matchers.ws`) operate on numpy
-integer arrays instead of Python strings. This module owns the two
-pieces they share:
-
-* **numpy detection** — the kernels are an optional acceleration; when
-  numpy is missing (or disabled via ``REPRO_PURE_PYTHON=1`` /
-  :func:`set_numpy_enabled`), every matcher silently uses its pure
-  Python path, which is parity-pinned byte-identical to the kernels.
-
-* **:class:`TokenCache`** — interns page text into int arrays *once
-  per page pair*. Matching one p-region against many q candidates (and
-  the same regions across sibling units) would otherwise re-encode the
-  same text per call; the cache holds the UTF-32 code-point array per
-  page text plus the per-(region, k) sorted k-gram index the ST kernel
-  probes, so repeated calls touch only array views.
-
-The CRC-32 table here exists so the WS kernel can reproduce
-``zlib.crc32`` *bit-exactly* with vectorized table lookups — the
-winnowing fingerprints must not change between the kernel and the pure
-path, or fingerprint picks (and hence WS segments) would differ.
+Every matcher has one pure-Python implementation, and nothing in the
+package imports numpy. :func:`numpy_enabled` exists for the benchmark
+harness, whose environment block (``benchmarks/harness/common.py``)
+records it in every result file.
 """
-
-from __future__ import annotations
-
-import os
-from typing import Dict, List, Optional, Tuple
-
-try:  # optional acceleration; every caller has a pure-Python fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via set_numpy_enabled
-    _np = None
-
-#: Tri-state override: None = auto-detect, True/False = forced.
-_FORCED: Optional[bool] = None
-if os.environ.get("REPRO_PURE_PYTHON", "").strip() in ("1", "true", "yes"):
-    _FORCED = False
-
-
-def set_numpy_enabled(flag: Optional[bool]) -> None:
-    """Force the kernels' numpy path on/off (``None`` = auto-detect).
-
-    Tests use this to pin kernel/fallback parity without uninstalling
-    numpy; ``REPRO_PURE_PYTHON=1`` in the environment has the same
-    effect for whole runs (e.g. a CI parity axis).
-    """
-    global _FORCED
-    _FORCED = flag
 
 
 def numpy_enabled() -> bool:
-    """Is the vectorized kernel path available and allowed?"""
-    if _FORCED is not None:
-        return _FORCED and _np is not None
-    return _np is not None
-
-
-def get_numpy():
-    """The numpy module when enabled, else None."""
-    return _np if numpy_enabled() else None
-
-
-# -- CRC-32 (zlib-compatible), table form for vectorized k-gram hashes ----
-
-def _build_crc_table() -> List[int]:
-    table = []
-    for i in range(256):
-        c = i
-        for _ in range(8):
-            c = (c >> 1) ^ (0xEDB88320 if c & 1 else 0)
-        table.append(c)
-    return table
-
-
-#: The standard reflected CRC-32 table (polynomial 0xEDB88320): the
-#: same table zlib uses, so the vectorized k-gram hashes below equal
-#: ``zlib.crc32`` on every k-gram.
-CRC32_TABLE = _build_crc_table()
-
-_CRC_TABLE_NP = None
-
-
-def crc32_kgrams(data: bytes, k: int, np) -> "object":
-    """``zlib.crc32`` of every k-gram of ``data``, vectorized.
-
-    Returns a uint32 array of length ``len(data) - k + 1``. Exactness
-    (not just distribution) matters: WS winnowing picks window minima
-    of these hashes, so one differing bit changes the fingerprint set.
-    """
-    global _CRC_TABLE_NP
-    if _CRC_TABLE_NP is None:
-        _CRC_TABLE_NP = np.array(CRC32_TABLE, dtype=np.uint32)
-    b = np.frombuffer(data, dtype=np.uint8)
-    n = len(b) - k + 1
-    c = np.full(n, 0xFFFFFFFF, dtype=np.uint32)
-    for j in range(k):
-        c = (c >> np.uint32(8)) ^ _CRC_TABLE_NP[(c ^ b[j:j + n])
-                                                & np.uint32(0xFF)]
-    return c ^ np.uint32(0xFFFFFFFF)
-
-
-#: Rolling-hash base for ST k-gram filtering (odd => invertible mod
-#: 2^64; collisions are filtered by exact char verification, so the
-#: constant affects speed only, never results).
-ST_HASH_BASE = 1099511628211
-
-
-def chars_u64(text: str, np) -> "object":
-    """The text's code points as a uint64 array (UTF-32 reinterpret)."""
-    return np.frombuffer(text.encode("utf-32-le"),
-                         dtype="<u4").astype(np.uint64)
-
-
-def kgram_hashes(arr: "object", k: int, np) -> "object":
-    """Polynomial rolling hashes of every k-gram of a uint64 array.
-
-    Computed by binary doubling — ``h(x || y) = h(x) * B^|y| + h(y)``
-    lets width-2w hashes come from two width-w passes — so a k-gram
-    hash costs O(log k) vector passes instead of k. The values are
-    bit-identical to the one-character-at-a-time recurrence
-    ``h = h * B + c`` (mod 2^64), which is what the k = 1 base case
-    is: ST's ``min_length`` can reach 32, where the linear form costs
-    real time on the hot match path.
-    """
-    n = int(arr.shape[0])
-    if n < k:
-        return arr[:0]
-    mod = 1 << 64
-    pieces = []  # (width, hashes) for each set bit of k, LSB first
-    w, hw = 1, arr
-    rem = k
-    while True:
-        if rem & 1:
-            pieces.append((w, hw))
-        rem >>= 1
-        if not rem:
-            break
-        step = np.uint64(pow(ST_HASH_BASE, w, mod))
-        hw = hw[: hw.shape[0] - w] * step + hw[w:]
-        w *= 2
-    m = n - k + 1
-    out = None
-    width = 0
-    for w, hw in reversed(pieces):  # widest chunk is leftmost
-        if out is None:
-            out = hw[:m].astype(np.uint64, copy=True)
-        else:
-            out *= np.uint64(pow(ST_HASH_BASE, w, mod))
-            out += hw[width: width + m]
-        width += w
-    return out
-
-
-class TokenCache:
-    """Per-page-pair interning of page text into kernel arrays.
-
-    Lifetime mirrors :class:`repro.fastpath.memo.AutomatonCache`: the
-    reuse engine creates one per (p, q) page pair, so entries are
-    keyed by text *identity* plus region bounds and never need
-    invalidation. Holding at most a handful of texts (p and q) keeps
-    the linear identity scan trivially cheap.
-    """
-
-    __slots__ = ("_texts",)
-
-    #: Entries kept per cache; a page pair touches two texts.
-    MAX_TEXTS = 4
-
-    def __init__(self) -> None:
-        # [(text, chars_u64 or None, {(start, end): bytes},
-        #   {(start, end, k): st_index})]
-        self._texts: List[list] = []
-
-    def _entry(self, text: str) -> list:
-        for entry in self._texts:
-            if entry[0] is text:
-                return entry
-        entry = [text, None, {}, {}]
-        self._texts.append(entry)
-        if len(self._texts) > self.MAX_TEXTS:
-            self._texts.pop(0)
-        return entry
-
-    def chars(self, text: str) -> Optional["object"]:
-        """The page's uint64 code-point array, built once per text."""
-        np = get_numpy()
-        if np is None:
-            return None
-        entry = self._entry(text)
-        if entry[1] is None:
-            entry[1] = chars_u64(text, np)
-        return entry[1]
-
-    def utf8(self, text: str, start: int, end: int) -> bytes:
-        """UTF-8 bytes of a region, built once per (text, region)."""
-        entry = self._entry(text)
-        key = (start, end)
-        data = entry[2].get(key)
-        if data is None:
-            data = text[start:end].encode("utf-8", "ignore")
-            entry[2][key] = data
-        return data
-
-    def st_index(self, text: str, start: int, end: int, k: int
-                 ) -> Optional[Tuple["object", "object", "object",
-                                     "object"]]:
-        """The ST kernel's q-side k-gram index for one region.
-
-        Returns ``(region_chars, sorted_hashes, sort_order,
-        run_end)`` — the batched per-q-region structure probed by
-        every candidate-set member, built once per (region, k) and
-        reused across input rows and sibling units within the page
-        pair. ``run_end[i]`` is the end of ``sorted_hashes``'s
-        equal-value run containing ``i``; precomputing it here lets
-        each kernel call make do with a single binary search instead
-        of a left/right pair.
-        """
-        np = get_numpy()
-        if np is None:
-            return None
-        arr = self.chars(text)
-        if arr is None or end - start < k:
-            return None
-        entry = self._entry(text)
-        key = (start, end, k)
-        index = entry[3].get(key)
-        if index is None:
-            region = arr[start:end]
-            hashes = kgram_hashes(region, k, np)
-            order = np.argsort(hashes, kind="stable")
-            hashes = hashes[order]
-            run_end = np.searchsorted(hashes, hashes, side="right")
-            index = (region, hashes, order, run_end)
-            entry[3][key] = index
-        return index
-
-    def __len__(self) -> int:
-        return len(self._texts)
+    """Always False: no matcher has a numpy path."""
+    return False

@@ -30,8 +30,8 @@ from repro.check.grid import (
     reference_config,
 )
 from repro.check.oracle import build_reference, diff_results, run_oracle
-from repro.check.runner import run_check
-from repro.extractors import make_task
+from repro.check.runner import CASE_MIX, run_check, seed_cases
+from repro.extractors import ALL_TASKS, make_task
 from repro.text.span import Interval, Span
 
 
@@ -419,6 +419,19 @@ class TestFuzzer:
 # -- campaign runner --------------------------------------------------------
 
 class TestRunCheck:
+    @pytest.mark.parametrize("first_seed", [0, 11])
+    def test_seven_consecutive_seeds_cover_every_task(self, first_seed):
+        """The rotating slot reaches every task, each on its home
+        corpus, on top of the fixed cases every seed sweeps."""
+        seen = set()
+        for seed in range(first_seed, first_seed + 7):
+            cases = seed_cases(seed)
+            assert cases[:len(CASE_MIX)] == CASE_MIX
+            task, corpus = cases[-1]
+            assert corpus == make_task(task, work_scale=0).corpus
+            seen.update(task for task, _ in cases)
+        assert seen == set(ALL_TASKS)
+
     def test_clean_campaign_passes(self):
         summary = run_check(seed=0, budget=3.0, grid="small",
                             check=True)

@@ -1,7 +1,7 @@
-"""Raw-speed matcher core: config keys, the cross-snapshot match
-cache, and kernel/fallback parity.
+"""Matcher core: config keys, the cross-snapshot match cache, memo
+replay and self-match.
 
-Three contracts from the content-keyed caching design:
+Contracts from the content-keyed caching design:
 
 * **Config keys** — every matcher attribute is classified as either
   result-relevant (``CONFIG_ATTRS``, part of :meth:`Matcher.config_key`)
@@ -13,11 +13,6 @@ Three contracts from the content-keyed caching design:
   plain bounded LRU: recency order, entry and byte caps, occupancy and
   eviction counters, and safety under concurrent use.
 
-* **Kernel parity** — every vectorized kernel (ST k-gram, UD interned
-  Myers band sweep, WS winnowing, and their shared helpers) is pinned
-  byte-identical to its pure-Python fallback, including the rare hash
-  collision repair path and the numpy-disabled whole-system run.
-
 * **Self-match** — UD and ST return exactly one full-region segment
   for a region matched against itself (the segment the engine's
   identity path records for RU units); WS does not, and a pinned
@@ -26,7 +21,10 @@ Three contracts from the content-keyed caching design:
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -34,45 +32,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.corpus import dblife_corpus
-from repro.core.runner import canonical_results, make_system
-from repro.extractors import make_task
+import repro
 from repro.fastpath.matchcache import CrossSnapshotMatchCache
 from repro.fastpath.memo import MatchMemo
-from repro.matchers import base as base_mod
-from repro.matchers import ud as ud_mod
-from repro.matchers.base import MatchCache, ST_NAME
+from repro.matchers.base import MatchCache
 from repro.matchers.dn import DNMatcher, EQMatcher
 from repro.matchers.ru import RUMatcher
-from repro.matchers.st import STMatcher, st_kernel
-from repro.matchers.ud import (
-    UDMatcher,
-    _myers_core,
-    _myers_core_np,
-    _pair_runs,
-    _pair_runs_np,
-)
-from repro.matchers.ws import WinnowingMatcher, winnow_fingerprints, \
-    winnow_fingerprints_np
-from repro.plan import compile_program, find_units
-from repro.reuse.engine import PlanAssignment
-from repro.text import tokens as _tokens
+from repro.matchers.st import STMatcher
+from repro.matchers.ud import UDMatcher
+from repro.matchers.ws import WinnowingMatcher
 from repro.text.regions import MatchSegment
 from repro.text.span import Interval
-
-np = _tokens.get_numpy()
-needs_numpy = pytest.mark.skipif(np is None, reason="numpy not installed")
 
 
 def _all_matchers():
     return [
         DNMatcher(),
         EQMatcher(),
-        UDMatcher(max_d=3, kernel="force"),
-        STMatcher(min_length=9, automatons=object(),
-                  tokens=_tokens.TokenCache(), kernel="off"),
+        UDMatcher(max_d=3),
+        STMatcher(min_length=9, automatons=object()),
         RUMatcher(MatchCache()),
-        WinnowingMatcher(k=6, window=4, kernel="auto"),
+        WinnowingMatcher(k=6, window=4),
     ]
 
 
@@ -107,14 +87,11 @@ class TestConfigKeys:
         assert len(set(keys)) == len(keys)
 
     def test_state_does_not_change_key(self):
-        """Caches and kernel toggles are parity-pinned — two instances
-        differing only in them MUST share cached results."""
-        plain = STMatcher(min_length=12, kernel="off")
-        loaded = STMatcher(min_length=12, automatons=object(),
-                           tokens=_tokens.TokenCache(), kernel="force")
+        """A cache never changes output — two instances differing only
+        in one MUST share cached results."""
+        plain = STMatcher(min_length=12)
+        loaded = STMatcher(min_length=12, automatons=object())
         assert plain.config_key() == loaded.config_key()
-        assert (UDMatcher(kernel="off").config_key()
-                == UDMatcher(kernel="force").config_key())
 
 
 class TestCrossSnapshotMatchCache:
@@ -266,182 +243,13 @@ def test_memo_and_cache_replay_byte_identical(pair, matcher_kind,
     assert got2 == expect2
 
 
-# -- kernel / fallback parity ----------------------------------------------
-
-
-@needs_numpy
-class TestKgramHashes:
-    def _reference(self, values, k):
-        """Linear rolling recurrence the O(log k) doubling must match."""
-        base = _tokens.ST_HASH_BASE
-        mod = 1 << 64
-        out = []
-        for i in range(len(values) - k + 1):
-            h = 0
-            for v in values[i:i + k]:
-                h = (h * base + v) % mod
-            out.append(h)
-        return out
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 13, 32])
-    def test_matches_linear_reference(self, k):
-        rng = random.Random(k)
-        values = [rng.randrange(1 << 20) for _ in range(50)]
-        arr = np.asarray(values, dtype=np.uint64)
-        got = _tokens.kgram_hashes(arr, k, np).tolist()
-        assert got == self._reference(values, k)
-
-    def test_short_input(self):
-        arr = np.asarray([1, 2], dtype=np.uint64)
-        assert _tokens.kgram_hashes(arr, 5, np).shape[0] == 0
-
-
-def _texts_with_overlaps(rng, n_chunks=8, vocab=("alpha", "beta", "gamma",
-                                                 "delta x", "epsilon yz")):
-    chunks = [" ".join(rng.choices(vocab, k=rng.randrange(1, 6)))
-              for _ in range(n_chunks)]
-    q = "\n".join(chunks)
-    order = list(range(n_chunks))
-    rng.shuffle(order)
-    p = "\n".join(chunks[i] + ("!" if rng.random() < 0.4 else "")
-                  for i in order)
-    return p, q
-
-
-@needs_numpy
-class TestSTKernelParity:
-    def _assert_parity(self, p, q, min_length):
-        slow = STMatcher(min_length=min_length, kernel="off")
-        fast = STMatcher(min_length=min_length,
-                         tokens=_tokens.TokenCache(), kernel="force")
-        pr, qr = Interval(0, len(p)), Interval(0, len(q))
-        assert fast.match(p, pr, q, qr) == slow.match(p, pr, q, qr)
-
-    def test_randomized(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            p, q = _texts_with_overlaps(rng)
-            self._assert_parity(p, q, rng.choice([4, 8, 12]))
-
-    def test_collision_repair_path(self, monkeypatch):
-        """With the k-gram hash degraded to 7 buckets, anchors are
-        overwhelmingly spurious — the run-length verification repair
-        must still leave byte-identical output."""
-        real = _tokens.kgram_hashes
-        monkeypatch.setattr(
-            _tokens, "kgram_hashes",
-            lambda arr, k, np_mod: real(arr, k, np_mod) % np_mod.uint64(7))
-        rng = random.Random(23)
-        for _ in range(20):
-            p, q = _texts_with_overlaps(rng, n_chunks=5)
-            self._assert_parity(p, q, 5)
-
-    def test_kernel_subregions(self):
-        text = "the quick brown fox jumps over the lazy dog" * 3
-        p = text + " tail"
-        self._assert_parity(p, text, 8)
-        slow = STMatcher(min_length=8, kernel="off")
-        fast = STMatcher(min_length=8, tokens=_tokens.TokenCache(),
-                         kernel="force")
-        pr, qr = Interval(5, len(p) - 7), Interval(3, len(text) - 2)
-        assert (fast.match(p, pr, text, qr)
-                == slow.match(p, pr, text, qr))
-
-
-@needs_numpy
-class TestUDKernelParity:
-    def test_myers_core_np_matches_serial(self):
-        rng = random.Random(5)
-        for trial in range(120):
-            n, m = rng.randrange(0, 40), rng.randrange(0, 40)
-            sigma = rng.choice([2, 4, 9])
-            a = [rng.randrange(sigma) for _ in range(n)]
-            b = [rng.randrange(sigma) for _ in range(m)]
-            # the cores assume no common prefix/suffix
-            if a and b and a[0] == b[0]:
-                b[0] = sigma
-            if a and b and a[-1] == b[-1]:
-                b[-1] = sigma + 1
-            max_d = rng.choice([0, 0, 4, 11])
-            assert (_myers_core_np(a, b, max_d, np)
-                    == _myers_core(a, b, max_d)), (a, b, max_d)
-
-    def test_myers_vector_phase_exercised(self, monkeypatch):
-        """Force the serial->vector switch down so the array sweep
-        (not just the serial prefix) is what's being verified."""
-        monkeypatch.setattr(ud_mod, "_MYERS_SWITCH_D", 1)
-        rng = random.Random(6)
-        for trial in range(60):
-            a = [rng.randrange(3) for _ in range(rng.randrange(0, 30))]
-            b = [rng.randrange(3) for _ in range(rng.randrange(0, 30))]
-            if a and b and a[0] == b[0]:
-                b[0] = 3
-            if a and b and a[-1] == b[-1]:
-                b[-1] = 4
-            assert _myers_core_np(a, b, 0, np) == _myers_core(a, b, 0)
-
-    def test_pair_runs_np(self):
-        rng = random.Random(9)
-        for _ in range(30):
-            pairs = []
-            x = y = 0
-            while len(pairs) < rng.randrange(1, 400):
-                x += rng.randrange(1, 3)
-                y += rng.randrange(1, 3)
-                run = rng.randrange(1, 5)
-                for _ in range(run):
-                    pairs.append((x, y))
-                    x += 1
-                    y += 1
-            assert _pair_runs_np(pairs, np) == _pair_runs(pairs)
-
-    def test_matcher_parity_large_region(self):
-        rng = random.Random(31)
-        lines_q = [f"line {rng.randrange(40)} body" for _ in range(300)]
-        lines_p = list(lines_q)
-        for _ in range(30):  # edits
-            lines_p[rng.randrange(len(lines_p))] = "edited"
-        rng.shuffle(lines_p[:150])  # move blocks around
-        p, q = "\n".join(lines_p), "\n".join(lines_q)
-        pr, qr = Interval(0, len(p)), Interval(0, len(q))
-        assert (UDMatcher(kernel="force").match(p, pr, q, qr)
-                == UDMatcher(kernel="off").match(p, pr, q, qr))
-
-
-@needs_numpy
-class TestWSKernelParity:
-    @pytest.mark.parametrize("k,window", [(4, 3), (12, 8), (6, 1)])
-    def test_winnow_parity(self, k, window):
-        rng = random.Random(k * 100 + window)
-        for _ in range(25):
-            text, _ = _texts_with_overlaps(rng, n_chunks=4)
-            assert (winnow_fingerprints_np(text, k, window, np)
-                    == winnow_fingerprints(text, k, window))
-
-    def test_matcher_parity(self):
-        rng = random.Random(41)
-        for _ in range(20):
-            p, q = _texts_with_overlaps(rng)
-            pr, qr = Interval(0, len(p)), Interval(0, len(q))
-            assert (WinnowingMatcher(kernel="force").match(p, pr, q, qr)
-                    == WinnowingMatcher(kernel="off").match(p, pr, q, qr))
-
-
 # -- self-match: the identity short circuit's precondition -----------------
-
-
-def _self_matchers(min_length, kernel):
-    tokens = _tokens.TokenCache() if np is not None else None
-    return (UDMatcher(kernel=kernel),
-            STMatcher(min_length=min_length, tokens=tokens, kernel=kernel))
 
 
 @settings(max_examples=150, deadline=None)
 @given(text=st.text("ab \n#", min_size=1, max_size=160), data=st.data(),
-       min_length=st.integers(min_value=1, max_value=16),
-       kernel=st.sampled_from(["off", "force"]))
-def test_self_match_is_one_full_region_segment(text, data, min_length,
-                                               kernel):
+       min_length=st.integers(min_value=1, max_value=16))
+def test_self_match_is_one_full_region_segment(text, data, min_length):
     """UD (any non-empty region) and ST (regions of at least
     ``min_length``) matched against the very same region return exactly
     the one full-region segment — the segment the engine's identity
@@ -450,7 +258,7 @@ def test_self_match_is_one_full_region_segment(text, data, min_length,
     end = data.draw(st.integers(min_value=start + 1, max_value=len(text)))
     region = Interval(start, end)
     full = [MatchSegment(start, start, end - start)]
-    ud, st_matcher = _self_matchers(min_length, kernel)
+    ud, st_matcher = UDMatcher(), STMatcher(min_length=min_length)
     assert ud.match(text, region, text, region) == full
     assert (ud.match_many(text, region, text, {7: region})
             == [MatchSegment(start, start, end - start, 7)])
@@ -458,26 +266,36 @@ def test_self_match_is_one_full_region_segment(text, data, min_length,
         assert st_matcher.match(text, region, text, region) == full
 
 
-@pytest.mark.parametrize("kernel", ["off", "force"])
-def test_self_match_long_regions(kernel):
+def _self_match(matcher, text, region, memo):
+    """``matcher`` on (region, region) of one text. ``memo="off"``
+    calls the matcher directly; ``memo="force"`` routes the call
+    through a fresh :class:`MatchMemo`, whose equal-region shortcut
+    answers ST and UD without running them and must agree."""
+    if memo == "off":
+        return matcher.match(text, region, text, region)
+    return MatchMemo().match_many(matcher, text, region, text, {-1: region})
+
+
+@pytest.mark.parametrize("memo", ["off", "force"])
+def test_self_match_long_regions(memo):
     """The same precondition on inputs the property rarely draws: a
-    run of one character (ST's anchor-pair cap falls back to the
-    automaton) and hundreds of lines (UD's vectorized run detection)."""
+    run of one character and hundreds of lines."""
     for text in ("a" * 3000, "\n".join(f"line {i % 7}" for i in range(400))):
         region = Interval(0, len(text))
-        for matcher in _self_matchers(12, kernel):
-            assert (matcher.match(text, region, text, region)
+        for matcher in (UDMatcher(), STMatcher(min_length=12)):
+            assert (_self_match(matcher, text, region, memo)
                     == [MatchSegment(0, 0, len(text))])
 
 
-@pytest.mark.parametrize("kernel", ["off", "force"])
-def test_ws_self_match_reports_internal_repeats(kernel):
+@pytest.mark.parametrize("memo", ["off", "force"])
+def test_ws_self_match_reports_internal_repeats(memo):
     """Why WS producers keep the slow path in plans with RU units: on
     an identical region WS also pairs repeated k-grams, so what it
-    records is not the single full-region segment."""
+    records is not the single full-region segment — and the memo's
+    equal-region shortcut must not claim otherwise."""
     text = "abcdefghijklmnop" * 3
     region = Interval(0, len(text))
-    assert (WinnowingMatcher(kernel=kernel).match(text, region, text, region)
+    assert (_self_match(WinnowingMatcher(), text, region, memo)
             == [MatchSegment(0, 0, 48), MatchSegment(0, 16, 32),
                 MatchSegment(16, 0, 32)])
 
@@ -503,34 +321,41 @@ def test_eq_matches_only_equal_regions(p_text, q_text, data):
                                  len(p_region))] if equal else [])
 
 
-# -- whole-system byte-identity with numpy masked off ----------------------
+# -- one implementation per matcher: nothing imports numpy -----------------
+
+_NO_NUMPY_SCRIPT = """
+import os, sys
+from repro.core.runner import make_system
+from repro.corpus import dblife_corpus
+from repro.extractors import make_task
+from repro.serve.views import MaterializedView, ViewConfig
+
+work = sys.argv[1]
+snaps = list(dblife_corpus(n_pages=6, seed=3, p_unchanged=0.5).snapshots(2))
+system = make_system("delex", make_task("chair", work_scale=0),
+                     os.path.join(work, "batch"), fastpath="on")
+prev = None
+for snap in snaps:
+    system.process(snap, prev)
+    prev = snap
+view = MaterializedView(ViewConfig(name="chair", task="chair",
+                                   work_scale=0),
+                        os.path.join(work, "view"))
+view.apply_snapshot(snaps[0])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+assert "numpy" not in sys.modules, loaded[:3]
+"""
 
 
-@needs_numpy
-@pytest.mark.parametrize("matcher", [ST_NAME, "UD"])
-def test_system_results_identical_without_numpy(tmp_path, matcher):
-    """A fast-paths-on Delex series must produce identical extraction
-    results whether the vectorized kernels run or the pure fallbacks
-    do (the no-numpy deployment axis)."""
-    task = make_task("chair", work_scale=0.2)
-    snapshots = list(dblife_corpus(n_pages=10, seed=55,
-                                   p_unchanged=0.6).snapshots(3))
-    plan = compile_program(task.program, task.registry)
-    assignment = PlanAssignment.uniform(find_units(plan), matcher)
-    series = {}
-    try:
-        for flag, enabled in (("np", True), ("pure", False)):
-            _tokens.set_numpy_enabled(enabled)
-            system = make_system("delex", task,
-                                 str(tmp_path / f"{matcher}_{flag}"),
-                                 fastpath="on",
-                                 fixed_assignment=assignment)
-            prev = None
-            outs = []
-            for snap in snapshots:
-                outs.append(canonical_results(system.process(snap, prev)))
-                prev = snap
-            series[flag] = outs
-    finally:
-        _tokens.set_numpy_enabled(None)
-    assert series["np"] == series["pure"]
+def test_batch_and_serve_never_import_numpy(tmp_path):
+    """A Delex series and a serve apply run without numpy: every
+    matcher has one pure-Python implementation. Runs in a fresh
+    interpreter, since the test runner's own plugins may load numpy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -108,6 +108,36 @@ class TestCyclex:
         expected = NoReuseSystem(plan).process(snaps[1])
         assert canonical_results(result) == canonical_results(expected)
 
+    def test_probe_prices_changed_pairs_only(self, chair_fast, tmp_path,
+                                             monkeypatch):
+        """With the fast paths on, the engine recycles an identical page
+        under any matcher, DN included, so the matcher probe samples
+        changed pairs only: a repeated snapshot leaves it nothing to
+        time, and it runs no from-scratch extraction probe."""
+        import repro.core.cyclex as cyclex_mod
+        calls = []
+        real = cyclex_mod.run_page_plain
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cyclex_mod, "run_page_plain", counting)
+        frozen = ChangeModel(p_unchanged=1.0, p_removed=0.0, p_added=0.0)
+        snaps = list(EvolvingCorpus(DBLifeGenerator(), 10, frozen,
+                                    seed=5).snapshots(2))
+        assert all(a.text == b.text
+                   for a, b in zip(snaps[0].pages, snaps[1].pages))
+        plan = compile_program(chair_fast.program, chair_fast.registry)
+        system = CyclexSystem(plan, str(tmp_path), chair_fast.program_alpha,
+                              chair_fast.program_beta, fastpath="on")
+        system.process(snaps[0])
+        del calls[:]  # the program unit itself extracts through it
+        result = system.process(snaps[1], snaps[0])
+        assert calls == []
+        expected = NoReuseSystem(plan).process(snaps[1])
+        assert canonical_results(result) == canonical_results(expected)
+
 
 class TestDelex:
     def test_plan_selected_after_bootstrap(self, tmp_path):
