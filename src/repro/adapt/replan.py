@@ -1,11 +1,13 @@
 """Mid-series re-optimization behind a hysteresis guard.
 
 :class:`AdaptiveDelexSystem` changes the optimizer's *economics*, not
-its mechanics. The base :class:`~repro.core.delex.DelexSystem` pays the
-§6.3 sampling cost on every snapshot; the adaptive system samples once,
-pins the winning :class:`~repro.reuse.engine.PlanAssignment`, and
-re-enters the optimizer only when the :class:`~repro.adapt.detect`
-layer reports a mean shift in the run telemetry. On a drift signal it
+its mechanics. The base :class:`~repro.core.delex.DelexSystem` already
+plans once and pays the §6.3 sampling cost again only when the last
+run's page counts drift (:class:`~repro.core.delex.PageMix`); the
+adaptive system also pins the winning
+:class:`~repro.reuse.engine.PlanAssignment`, but re-enters the
+optimizer when the :class:`~repro.adapt.detect` layer reports a mean
+shift in the run telemetry, and switches only behind a guard. On a drift signal it
 re-runs the statistics collector on a fresh sample (with the
 recency-weighted ``f`` estimator, so the new regime's change rate
 dominates) plus the Algorithm-1 search, then applies the new plan only
@@ -25,7 +27,8 @@ byte-comparable against the batch oracle, which is exactly what
 ``repro check`` and the adaptive benchmark assert.
 
 Modes: ``static`` plans once and never looks again (the benchmark
-baseline); ``shadow`` detects, samples and logs the would-be decision
+baseline; it differs from the base system only by the count
+trigger); ``shadow`` detects, samples and logs the would-be decision
 without ever switching; ``on`` closes the loop. ``force_replan_at``
 injects ground-truth regime boundaries for the oracle-best-per-regime
 baseline.

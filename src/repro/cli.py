@@ -539,8 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--adapt", default="off",
                      choices=("off", "shadow", "on"),
                      help="drift-aware online re-optimization for delex: "
-                          "off = re-plan every snapshot (the paper's "
-                          "behavior); shadow = plan once, detect drift "
+                          "off = plan once and re-plan when the page "
+                          "mix drifts (the paper re-plans every "
+                          "snapshot); shadow = plan once, detect drift "
                           "and log would-be replans without switching; "
                           "on = plan once and re-plan/switch on drift "
                           "behind a hysteresis guard. Results are "

@@ -4,9 +4,13 @@ Given an IE task (xlog program + registry + declarations), Delex:
 
 1. compiles the program into an execution tree and identifies its IE
    units and chains;
-2. per snapshot, estimates cost-model statistics from a small page
-   sample and the last ``k`` snapshots, then runs Algorithm 1 to assign
-   a matcher to every IE unit;
+2. on the first reuse snapshot, estimates cost-model statistics from a
+   small page sample and the last ``k`` snapshots, then runs Algorithm 1
+   to assign a matcher to every IE unit. The paper re-plans on every
+   snapshot; here the plan is kept until the last run's own page counts
+   drift from those of the run it was chosen on (see
+   :class:`PageMix`), because on a steady series the sample costs as
+   much as the extraction it prices and picks the same plan;
 3. executes the so-augmented tree with the reuse engine, recycling the
    previous snapshot's capture files and writing capture for the next.
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..corpus.snapshot import Snapshot
@@ -43,6 +48,42 @@ from ..reuse.scope import PageMatchScope
 from ..runtime.executor import Executor
 from ..runtime.scheduler import PageScheduler
 from ..timing import OPT, Timer, Timings
+
+
+#: Absolute change in either :class:`PageMix` fraction, against the run
+#: the plan was chosen on, that makes the next snapshot re-plan.
+#: On small drifting series a stationary one moves by at most ~0.16
+#: and a regime shift moves one fraction by 0.33 or more where it lands.
+REPLAN_DRIFT = 0.2
+
+
+@dataclass(frozen=True)
+class PageMix:
+    """The page population of one run, as the re-plan trigger sees it.
+
+    Both fractions are counts the engine keeps anyway, so the trigger
+    reads no clock: the share of pages with a previous version, and the
+    share recycled whole because they are identical to it.
+    """
+
+    with_previous: float
+    recycled: float
+
+    @classmethod
+    def of(cls, result: SnapshotRunResult) -> "PageMix":
+        pages = max(1, result.pages)
+        fastpath = result.timings.fastpath
+        recycled = fastpath.pages_recycled if fastpath is not None else 0
+        return cls(result.pages_with_previous / pages, recycled / pages)
+
+    def drift(self, other: "PageMix") -> float:
+        """The larger absolute change of the two fractions."""
+        return max(abs(self.with_previous - other.with_previous),
+                   abs(self.recycled - other.recycled))
+
+    def to_dict(self) -> Dict[str, float]:
+        return {"pages_with_previous_frac": round(self.with_previous, 4),
+                "pages_recycled_frac": round(self.recycled, 4)}
 
 
 class DelexSystem:
@@ -78,15 +119,25 @@ class DelexSystem:
         self.last_assignment: Optional[PlanAssignment] = None
         #: Statistics behind ``last_search`` and the snapshot index they
         #: were sampled on. On snapshots where the plan is kept without
-        #: re-sampling (fixed assignment, adaptive keep) these stay at
-        #: the values that justified the current plan.
+        #: re-sampling (no page-mix drift, fixed assignment, adaptive
+        #: keep) these stay at the values that justified the current
+        #: plan.
         self.last_stats: Optional[Statistics] = None
         self.last_stats_index: Optional[int] = None
+        #: Whether the snapshot last processed ran the collector and
+        #: search, and the page mix of the run the current plan was
+        #: chosen on (the trigger's baseline; None: plan afresh).
+        self.replanned = False
+        self.plan_mix: Optional[PageMix] = None
+        #: What the trigger read for the last snapshot: the previous
+        #: run's page mix and the baseline it was compared with.
+        self.last_trigger: Optional[Dict[str, object]] = None
         #: ``f`` estimator passed to the collector: "flat" reproduces
         #: the paper; the adaptive controller samples with "recency".
         self.f_mode = "flat"
         self._last_result: Optional[SnapshotRunResult] = None
         self._extract_rates: Dict[str, float] = {}
+        self._match_rates: Dict[str, float] = {}
         #: The last run's materialized rows split by producing page
         #: (``did -> relation -> rows``), collected by the engine at no
         #: extra extraction cost. They belong to the capture in
@@ -122,7 +173,8 @@ class DelexSystem:
         The previous run's rows are not restored, so the first snapshot
         after a restart recycles no page: every page runs its units
         with their assigned matchers against the capture in
-        ``prev_dir``, and the snapshot after it recycles again.
+        ``prev_dir``, and the snapshot after it recycles again. The
+        first reuse snapshot after a restart plans afresh.
         """
         if serial < 0:
             raise ValueError("serial must be >= 0")
@@ -133,6 +185,7 @@ class DelexSystem:
         self._snapshot_serial = serial
         self._last_result = None
         self.last_page_rows = None
+        self.plan_mix = None
 
     def process(self, snapshot: Snapshot,
                 prev_snapshot: Optional[Snapshot] = None
@@ -149,6 +202,8 @@ class DelexSystem:
                                  "processed by this DelexSystem")
         timings = Timings()
         timer = Timer(timings)
+        self.replanned = False
+        self.last_trigger = None
         assignment = self._choose_assignment(snapshot, timer)
         self.last_assignment = assignment
         engine = ReuseEngine(self.plan, self.units, assignment,
@@ -165,6 +220,8 @@ class DelexSystem:
             page_rows_out=page_rows, prev_page_rows=self.last_page_rows)
         self.last_page_rows = page_rows
         self._last_result = result
+        if self.replanned:
+            self.plan_mix = PageMix.of(result)
         if self.match_cache is not None and _oreg.ENABLED:
             _oreg.publish_matchcache(self.name, self.match_cache)
         self._gc_old_capture()
@@ -179,17 +236,30 @@ class DelexSystem:
                            timer: Timer) -> PlanAssignment:
         """Pick the matcher assignment for ``snapshot``.
 
-        Base behavior re-optimizes every reuse snapshot: sample, search,
-        adopt. :class:`~repro.adapt.replan.AdaptiveDelexSystem`
-        overrides this to plan once and re-enter the optimizer only on
-        a drift signal.
+        The first reuse snapshot samples, searches and adopts the
+        winner. Later snapshots keep that plan until the last run's
+        :class:`PageMix` differs from the one of the run the plan was
+        chosen on by more than :data:`REPLAN_DRIFT`; then this snapshot
+        samples and searches again and adopts the new winner.
+        :class:`~repro.adapt.replan.AdaptiveDelexSystem` overrides this
+        with its drift detector and hysteresis guard.
         """
         if not self._history or self._prev_dir is None:
             return self.fixed_assignment or PlanAssignment.all_dn(self.units)
         if self.fixed_assignment is not None:
             return self.fixed_assignment
-        search, _stats, _seconds = self._sample_and_search(snapshot, timer)
-        return search.assignment
+        mix = (PageMix.of(self._last_result)
+               if self._last_result is not None else None)
+        baseline = self.plan_mix
+        self.last_trigger = {
+            "mix": mix.to_dict() if mix is not None else None,
+            "baseline": baseline.to_dict() if baseline is not None else None,
+            "bound": REPLAN_DRIFT,
+        }
+        if (mix is None or baseline is None
+                or mix.drift(baseline) > REPLAN_DRIFT):
+            self._sample_and_search(snapshot, timer)
+        return self.last_search.assignment
 
     def _sample_and_search(self, snapshot: Snapshot, timer: Timer
                            ) -> Tuple[SearchResult, Statistics, float]:
@@ -209,11 +279,14 @@ class DelexSystem:
                     prev_capture_dir=self._prev_dir,
                     prev_unit_stats=prev_stats,
                     known_extract_rates=self._extract_rates,
-                    f_mode=self.f_mode)
+                    f_mode=self.f_mode,
+                    known_match_rates=self._match_rates,
+                    fastpath=self.fastpath)
                 search = search_plan(self.units, stats, self.chains)
         self.last_search = search
         self.last_stats = stats
         self.last_stats_index = snapshot.index
+        self.replanned = True
         return search, stats, time.perf_counter() - start
 
     def _gc_old_capture(self) -> None:

@@ -76,8 +76,8 @@ def make_system(name: str, task: IETask, workdir: str,
     ``adapt`` enables the drift-aware controller for delex: an
     :class:`~repro.adapt.replan.AdaptConfig` or one of the CLI strings
     ``"on"``/``"shadow"``/``"static"`` (``"off"``/``None`` keep the
-    per-snapshot re-optimizer). Only delex understands it; the other
-    systems have no plan to adapt.
+    base planner, which re-plans when the page mix drifts). Only delex
+    understands it; the other systems have no plan to adapt.
     """
     plan = compile_program(task.program, task.registry)
     executor = resolve_executor(task, executor, jobs, backend)
@@ -116,8 +116,9 @@ class SnapshotReport:
     results: Dict[str, frozenset] = field(repr=False, default_factory=dict)
     optimizer: Optional[Dict[str, object]] = field(repr=False, default=None)
     """Optimizer audit trail for plan-choosing systems (delex): the
-    chosen assignment, the sampled statistics behind it, and — when the
-    adaptive controller is active — its decision for this snapshot."""
+    chosen assignment, the sampled statistics behind it, what the
+    re-plan trigger read, and — when the adaptive controller is active —
+    its decision for this snapshot."""
 
 
 def optimizer_snapshot_doc(instance, snapshot_index: int
@@ -137,6 +138,12 @@ def optimizer_snapshot_doc(instance, snapshot_index: int
         doc["statistics"] = stats.to_dict()
         doc["sampled_at_snapshot"] = getattr(instance, "last_stats_index",
                                              None)
+    trigger = getattr(instance, "last_trigger", None)
+    if trigger is not None:
+        # Why the plan was kept or re-chosen: the previous run's page
+        # mix against the one of the run the plan was chosen on.
+        doc["replanned"] = instance.replanned
+        doc["trigger"] = dict(trigger)
     decisions = getattr(instance, "decisions", None)
     if decisions:
         last = decisions[-1]

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..corpus.snapshot import Snapshot
 from ..corpus.stats import snapshot_delta
+from ..fastpath.fingerprint import pages_identical
 from ..matchers.base import RU_NAME, ST_NAME, UD_NAME, MatchCache
 from ..matchers.registry import make_matcher
 from ..plan.compile import CompiledPlan
@@ -141,14 +142,24 @@ def _probe_extract_rate(unit: IEUnit,
     return 0.0
 
 
-def _sample_pairs(snapshot: Snapshot, prev: Snapshot,
-                  sample_size: int) -> List[Tuple[Page, Page]]:
+def _sample_pairs(snapshot: Snapshot, prev: Snapshot, sample_size: int,
+                  fastpath: bool) -> List[Tuple[Page, Page]]:
     """Deterministic spread sample of pages that have a previous
-    version (reuse statistics only make sense on those)."""
+    version (reuse statistics only make sense on those).
+
+    With the fast paths on, the engine recycles an identical page under
+    every plan, so probing one says nothing about any plan's cost: only
+    changed pairs are sampled, or every shared pair when none changed.
+    With them off, identical pages really run the plan and are sampled
+    as well.
+    """
     shared = [(p, prev.get(p.url)) for p in snapshot.canonical_pages()
               if prev.get(p.url) is not None]
     if not shared:
         return []
+    if fastpath:
+        shared = ([(p, q) for p, q in shared if not pages_identical(p, q)]
+                  or shared)
     if len(shared) <= sample_size:
         return shared
     step = len(shared) / sample_size
@@ -195,7 +206,9 @@ def collect_statistics(plan: CompiledPlan, units: Sequence[IEUnit],
                        prev_unit_stats: Optional[Dict[str, object]] = None,
                        known_extract_rates: Optional[Dict[str, float]] = None,
                        f_mode: str = "flat",
-                       f_half_life: float = 1.0) -> Statistics:
+                       f_half_life: float = 1.0,
+                       known_match_rates: Optional[Dict[str, float]] = None,
+                       fastpath: bool = True) -> Statistics:
     """Estimate all cost-model parameters for processing ``snapshot``.
 
     ``history`` is the list of past snapshots, most recent last (the
@@ -209,6 +222,13 @@ def collect_statistics(plan: CompiledPlan, units: Sequence[IEUnit],
     sizes and extract rates come from there. Both cut the statistics
     collection cost roughly in half, which matters at small corpus
     scales where sampling is proportionally expensive.
+
+    Extractor and matcher speeds are properties of the machine, not of
+    the snapshot: ``known_extract_rates`` and ``known_match_rates`` are
+    caches filled by the first calibration and read on every later
+    call, so a re-plan depends on counts and that one calibration, not
+    on the clock. ``fastpath`` says whether the engine that will run
+    the plan recycles identical pages (see :func:`_sample_pairs`).
     """
     if not history:
         raise ValueError("need at least the previous snapshot")
@@ -217,7 +237,7 @@ def collect_statistics(plan: CompiledPlan, units: Sequence[IEUnit],
     deltas = [snapshot_delta(a, b) for a, b in zip(window, window[1:])]
     f = estimate_f(deltas, mode=f_mode, half_life=f_half_life)
 
-    pairs = _sample_pairs(snapshot, prev, sample_size)
+    pairs = _sample_pairs(snapshot, prev, sample_size, fastpath)
     weights = weights if weights is not None else CostWeights()
     estimates = {u.uid: UnitEstimates() for u in units}
     if not pairs:
@@ -371,11 +391,13 @@ def collect_statistics(plan: CompiledPlan, units: Sequence[IEUnit],
             est.h_ru[name] = agg_ru["h"] / n_ru
             est.s[RU_NAME] = agg_ru["s"] / n_ru
 
-    weights.match_rate[ST_NAME] = (match_secs[ST_NAME]
-                                   / max(1.0, match_chars[ST_NAME]))
-    weights.match_rate[UD_NAME] = (match_secs[UD_NAME]
-                                   / max(1.0, match_chars[UD_NAME]))
-    weights.match_rate[RU_NAME] = ru_secs / ru_ops / 100.0
+    rates = {ST_NAME: match_secs[ST_NAME] / max(1.0, match_chars[ST_NAME]),
+             UD_NAME: match_secs[UD_NAME] / max(1.0, match_chars[UD_NAME]),
+             RU_NAME: ru_secs / ru_ops / 100.0}
+    if known_match_rates is not None:
+        for name, rate in rates.items():
+            rates[name] = known_match_rates.setdefault(name, rate)
+    weights.match_rate.update(rates)
 
     return Statistics(f=f, m=len(snapshot),
                       d_blocks=prev.total_bytes() / BLOCK_SIZE,

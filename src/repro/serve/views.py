@@ -92,7 +92,7 @@ class ViewConfig:
     work_scale: float = 1.0
     adapt: str = "off"
     """Drift-aware re-planning for ``system="delex"`` views: ``off``
-    re-optimizes every apply (the batch default), ``shadow`` plans once
+    re-plans when the page mix drifts (the batch default), ``shadow`` plans once
     and logs drift without switching, ``on`` re-plans in flight behind
     the hysteresis guard. Published rows are identical in every mode
     (Theorem 1); only maintenance cost changes."""

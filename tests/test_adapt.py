@@ -346,13 +346,19 @@ class TestWiring:
         assert {"f", "m", "weights", "units"} <= set(stats)
         assert doc["sampled_at_snapshot"] == 1
         assert doc["adapt"]["action"] == "initial_plan"
-        # Plain delex (adapt off) re-samples per snapshot and exposes
-        # the same audit trail, minus the controller decision.
+        # Plain delex (adapt off) re-samples once the page mix drifts
+        # (the burst lands on snapshot 2, so snapshot 3 re-plans) and
+        # exposes the same audit trail, minus the controller decision,
+        # plus what its re-plan trigger read.
         plain = run_series(chair_fast, drifting_snaps,
                            systems=("delex",), adapt=None)["delex"]
-        late = plain.snapshots[-1].optimizer
-        assert late["sampled_at_snapshot"] == len(drifting_snaps) - 1
+        docs = [snap.optimizer for snap in plain.snapshots[1:]]
+        assert [doc["replanned"] for doc in docs] == [True, False, True,
+                                                      False]
+        late = docs[-1]
+        assert late["sampled_at_snapshot"] == 3
         assert "adapt" not in late
+        assert set(late["trigger"]) == {"mix", "baseline", "bound"}
 
     def test_serve_view_adapt_summary(self, drifting_snaps, tmp_path):
         config = ViewConfig(name="chair", task="chair", system="delex",

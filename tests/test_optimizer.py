@@ -254,6 +254,30 @@ class TestStatisticsCollection:
             lambda d, us, dids=None: whole)
         assert collect().units == filtered.units
 
+    def test_sample_skips_identical_pairs_under_fast_paths(self):
+        """The engine recycles an identical page under every plan, so
+        the collector prices changed pairs only; without the fast paths
+        identical pages run the plan and stay in the sample."""
+        from repro.corpus import dblife_corpus
+        from repro.fastpath.fingerprint import pages_identical
+        from repro.optimizer.stats import _sample_pairs
+
+        snaps = list(dblife_corpus(n_pages=60, seed=5,
+                                   p_unchanged=0.9).snapshots(2))
+        shared = [p for p in snaps[1].pages if snaps[0].get(p.url)]
+        changed = [p for p in shared
+                   if not pages_identical(p, snaps[0].get(p.url))]
+        assert 0 < len(changed) < len(shared) / 4
+        on = _sample_pairs(snaps[1], snaps[0], 8, fastpath=True)
+        assert len(on) == min(8, len(changed))
+        assert not any(pages_identical(p, q) for p, q in on)
+        off = _sample_pairs(snaps[1], snaps[0], 8, fastpath=False)
+        assert len(off) == 8
+        assert any(pages_identical(p, q) for p, q in off)
+        # Nothing changed: every shared pair is still a sample.
+        same = _sample_pairs(snaps[0], snaps[0], 8, fastpath=True)
+        assert len(same) == 8
+
     def test_requires_history(self):
         task = make_task("play", work_scale=0)
         plan = compile_program(task.program, task.registry)

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.adapt import drift_profile
 from repro.corpus import dblife_corpus, wikipedia_corpus
 from repro.corpus.evolve import ChangeModel, EvolvingCorpus
 from repro.corpus.generators import DBLifeGenerator
@@ -181,6 +182,98 @@ class TestDelex:
         system.process(snaps[0])
         with pytest.raises(ValueError):
             system.process(snaps[2], snaps[2])
+
+    @staticmethod
+    def _plan_series(task, snaps, workdir):
+        """Run Delex over ``snaps``; per snapshot, the index the plan's
+        statistics were sampled on and whether it re-planned, checking
+        every result against from-scratch No-reuse."""
+        system = DelexSystem(task, workdir, sample_size=4)
+        reference = NoReuseSystem(system.plan)
+        sampled, replanned = [], []
+        for snap in snaps:
+            result = system.process(snap)
+            assert (canonical_results(result)
+                    == canonical_results(reference.process(snap)))
+            sampled.append(system.last_stats_index)
+            replanned.append(system.replanned)
+        return system, sampled, replanned
+
+    def test_stationary_series_plans_once(self, chair_fast, tmp_path):
+        snaps = list(drift_profile("stationary", n_pages=24,
+                                   seed=0).snapshots(10))
+        _, sampled, replanned = self._plan_series(chair_fast, snaps,
+                                                  str(tmp_path))
+        assert sampled == [None] + [1] * 9
+        assert replanned == [False, True] + [False] * 8
+
+    @pytest.mark.parametrize("profile",
+                             ["churn_burst", "redesign", "vocab_drift"])
+    def test_regime_shift_replans_on_the_next_snapshot(self, chair_fast,
+                                                       tmp_path, profile):
+        """The shift lands on snapshot 5; its run's page mix is what the
+        trigger reads when it plans snapshot 6."""
+        snaps = list(drift_profile(profile, n_pages=24, seed=0,
+                                   shift_at=5).snapshots(8))
+        _, sampled, replanned = self._plan_series(chair_fast, snaps,
+                                                  str(tmp_path))
+        assert sampled[:7] == [None, 1, 1, 1, 1, 1, 6]
+        assert replanned[:7] == [False, True, False, False, False, False,
+                                 True]
+
+    def test_first_reuse_snapshot_after_resume_plans_afresh(
+            self, chair_fast, tmp_path):
+        snaps = list(drift_profile("stationary", n_pages=24,
+                                   seed=0).snapshots(5))
+        first, sampled, _ = self._plan_series(chair_fast, snaps[:4],
+                                              str(tmp_path))
+        assert sampled[-1] == 1
+        system = DelexSystem(chair_fast, str(tmp_path), sample_size=4)
+        system.resume(snaps[2:4], first._prev_dir, first._snapshot_serial)
+        result = system.process(snaps[4])
+        assert system.replanned and system.last_stats_index == 4
+        reference = NoReuseSystem(system.plan)
+        assert (canonical_results(result)
+                == canonical_results(reference.process(snaps[4])))
+
+    def test_replans_ignore_the_clock_after_calibration(self, chair_fast,
+                                                        tmp_path,
+                                                        monkeypatch):
+        """Matcher and extractor speeds are calibrated once: a re-plan
+        prices counts with that calibration, so a clock that runs 100x
+        slower after snapshot 1 changes no later plan."""
+        from types import SimpleNamespace
+
+        from repro.optimizer import stats as stats_mod
+
+        snaps = list(drift_profile("churn_burst", n_pages=24, seed=0,
+                                   shift_at=3).snapshots(7))
+
+        def plans(slow_after: int, workdir: str):
+            # A deterministic clock: every read advances one tick, long
+            # enough that extraction is worth avoiding.
+            clock = {"now": 0.0, "tick": 1e-3}
+
+            def perf_counter() -> float:
+                clock["now"] += clock["tick"]
+                return clock["now"]
+
+            monkeypatch.setattr(stats_mod, "time",
+                                SimpleNamespace(perf_counter=perf_counter))
+            system = DelexSystem(chair_fast, workdir, sample_size=4)
+            out = []
+            for snap in snaps:
+                if snap.index > slow_after:
+                    clock["tick"] = 1e-1
+                system.process(snap)
+                out.append((system.last_stats_index,
+                            system.describe_plan()))
+            return out
+
+        steady = plans(len(snaps), str(tmp_path / "steady"))
+        slowed = plans(1, str(tmp_path / "slowed"))
+        assert {index for index, _ in steady[2:]} - {1}  # it re-planned
+        assert slowed == steady
 
 
 class TestRunner:
