@@ -20,10 +20,10 @@ correctness argument):
 * **span-in-page bounds** — every span an IE unit emits stays inside
   ``[0, len(page.text)]`` and is anchored to the page it was emitted
   for.
-* **reuse-file page-group monotonicity** — pages are recorded in
-  strictly increasing did order (the precondition for one-pass
-  sequential scans and for the parallel runtime's deterministic batch
-  merge); :func:`check_reuse_file_monotonic` re-checks it on disk.
+* **page-order monotonicity** — pages are recorded in strictly
+  increasing did order (the precondition for sequential segment
+  appends and for the parallel runtime's deterministic batch merge);
+  :func:`check_page_table_monotonic` re-checks a page table on disk.
 * **memo-hit retag soundness** — segments replayed from the match
   store still witness literal text equality inside both regions.
 * **identity-pair soundness** — a fingerprint-equal page pair that is
@@ -229,25 +229,26 @@ def check_page_order(dids: Sequence[str]) -> None:
                 "be strictly increasing by did")
 
 
-def check_reuse_file_monotonic(path: str) -> int:
-    """Re-check page-group monotonicity of a reuse file on disk.
+def check_page_table_monotonic(directory: str) -> int:
+    """Re-check page-order monotonicity of a capture's page table on
+    disk.
 
-    Returns the number of page groups seen. Used by the oracle after a
-    sweep; not a hot-path call.
+    Returns the number of pages the table lists. Used by the oracle
+    after a sweep; not a hot-path call.
     """
-    from ..reuse.files import iter_all_pages  # local: avoid cycle
+    from ..reuse.files import PageTable  # local: avoid cycle
 
     _count()
     prev: Optional[str] = None
-    groups = 0
-    for did, _records in iter_all_pages(path):
-        groups += 1
+    pages = 0
+    for did in PageTable.load(directory).dids:
+        pages += 1
         if prev is not None and did <= prev:
             raise InvariantViolation(
-                "reuse-file-monotonic",
-                f"page group {did!r} follows {prev!r} in {path}")
+                "page-table-monotonic",
+                f"page {did!r} follows {prev!r} in {directory}")
         prev = did
-    return groups
+    return pages
 
 
 # -- memo-hit retag soundness ----------------------------------------------

@@ -12,16 +12,16 @@ series and diffs:
 * **result tuples** per snapshot and relation — the first divergence
   is reported with the offending tuples and the page(s) the reference
   attributes them to;
-* **capture files** byte-for-byte within each
-  :meth:`~repro.check.grid.CheckConfig.capture_group` against the
-  group's serial + fastpath-off baseline — a reusing system's reuse
-  files are part of its observable behaviour (PR 1/PR 2 contract),
-  and a divergence is localized to the first differing page group of
-  the first differing file.
+* **capture files** (page tables and group segments) byte-for-byte
+  within each :meth:`~repro.check.grid.CheckConfig.capture_group`
+  against the group's serial + fastpath-off baseline — a reusing
+  system's capture is part of its observable behaviour, and a
+  divergence is localized through the two page tables to the first
+  page and unit whose groups (or table entries) differ.
 
 With ``check=True`` the whole sweep runs under the
-:mod:`~repro.check.invariants` layer and every baseline capture file
-is re-checked for page-group monotonicity on disk; violations become
+:mod:`~repro.check.invariants` layer and every baseline page table is
+re-checked for page-order monotonicity on disk; violations become
 discrepancies like any other.
 
 The oracle never raises on a mismatch — it returns an
@@ -47,7 +47,12 @@ from ..reuse.attribution import (
     extract_page_rows,
     tuple_attribution,
 )
-from ..reuse.files import iter_all_pages
+from ..reuse.files import (
+    TABLE_NAME,
+    ReuseFileReader,
+    parse_inputs,
+    parse_outputs,
+)
 from ..timing import Timer, Timings
 from . import invariants
 from .grid import CheckConfig
@@ -63,7 +68,7 @@ class Discrepancy:
     ``kind`` is one of:
 
     * ``results``   — a snapshot's canonical tuples differ;
-    * ``capture``   — a reuse file differs from its group baseline;
+    * ``capture``   — a capture file differs from its group baseline;
     * ``invariant`` — a runtime invariant raised during the run;
     * ``error``     — the config crashed outright.
     """
@@ -216,34 +221,61 @@ def diff_results(reference: Reference, got: Dict[str, frozenset],
 
 
 def _capture_files(config_dir: str) -> Dict[str, str]:
-    """All reuse files under a config's workdir, by relative path."""
+    """Every page table and group segment under a config's workdir, by
+    relative path."""
     out: Dict[str, str] = {}
     for dirpath, _dirnames, filenames in os.walk(config_dir):
         for name in filenames:
-            if name.endswith(".reuse"):
+            if name.endswith(".reuse") or name == TABLE_NAME:
                 path = os.path.join(dirpath, name)
                 out[os.path.relpath(path, config_dir)] = path
     return out
 
 
-def _first_divergent_page(path_a: str, path_b: str) -> str:
-    """Localize a byte-level capture diff to its first page group."""
+def _first_divergent_page(dir_a: str, dir_b: str) -> str:
+    """Localize a byte-level diff in two captures' directories to the
+    first page and unit, in table order, whose groups differ — or, if
+    every group is equal, whose table entries do."""
     try:
-        for (did_a, recs_a), (did_b, recs_b) in zip(
-                iter_all_pages(path_a), iter_all_pages(path_b)):
-            if did_a != did_b:
-                return (f"first divergent page group: baseline "
-                        f"{did_a!r} vs {did_b!r}")
-            if recs_a != recs_b:
-                for i, (ra, rb) in enumerate(zip(recs_a, recs_b)):
-                    if ra != rb:
-                        return (f"first divergent page group {did_a!r}, "
-                                f"record {i}: baseline {ra!r} vs {rb!r}")
-                return (f"first divergent page group {did_a!r}: "
-                        f"{len(recs_a)} vs {len(recs_b)} record(s)")
-    except Exception as exc:  # pragma: no cover - defensive
+        reader_a, reader_b = ReuseFileReader(dir_a), ReuseFileReader(dir_b)
+    except (OSError, ValueError) as exc:
+        return f"page tables differ (unreadable: {exc})"
+    try:
+        table_a, table_b = reader_a.table, reader_b.table
+        if table_a.dids != table_b.dids or table_a.units != table_b.units:
+            return (f"page tables list different pages or units: "
+                    f"{len(table_a.dids)} vs {len(table_b.dids)} "
+                    f"page(s)")
+        rows = list(zip(table_a.rows(), table_b.rows()))
+        for (did, row_a), (_did, row_b) in rows:
+            for uid, entry_a, entry_b in zip(table_a.units, row_a, row_b):
+                for side, parse in (("I", lambda d: parse_inputs(did, d)),
+                                    ("O", parse_outputs)):
+                    data_a = reader_a.read_group(uid, entry_a, side)
+                    data_b = reader_b.read_group(uid, entry_b, side)
+                    if data_a == data_b:
+                        continue
+                    recs_a, recs_b = parse(data_a), parse(data_b)
+                    for i, (ra, rb) in enumerate(zip(recs_a, recs_b)):
+                        if ra != rb:
+                            return (f"first divergent group: page {did!r}, "
+                                    f"unit {uid} {side}, record {i}: "
+                                    f"baseline {ra!r} vs {rb!r}")
+                    return (f"first divergent group: page {did!r}, unit "
+                            f"{uid} {side}: {len(recs_a)} vs "
+                            f"{len(recs_b)} record(s)")
+        for (did, row_a), (_did, row_b) in rows:
+            for uid, entry_a, entry_b in zip(table_a.units, row_a, row_b):
+                if entry_a != entry_b:
+                    return (f"equal groups, first divergent table entry: "
+                            f"page {did!r}, unit {uid}: baseline "
+                            f"{entry_a} vs {entry_b}")
+    except ValueError as exc:
         return f"capture files differ (unparsable: {exc})"
-    return "capture files differ in page-group count"
+    finally:
+        reader_a.close()
+        reader_b.close()
+    return "page tables differ outside their pages"
 
 
 def compare_captures(baseline: ConfigOutcome, baseline_dir: str,
@@ -273,8 +305,9 @@ def compare_captures(baseline: ConfigOutcome, baseline_dir: str,
                 snapshot_index=-1, location=rel_path,
                 detail=(f"bytes differ from baseline "
                         f"{baseline.config.config_id}: "
-                        + _first_divergent_page(files_a[rel_path],
-                                                files_b[rel_path])))
+                        + _first_divergent_page(
+                            os.path.dirname(files_a[rel_path]),
+                            os.path.dirname(files_b[rel_path]))))
     return None
 
 
@@ -454,10 +487,12 @@ def run_oracle(task: IETask, snapshots: Sequence[Snapshot],
 
 
 def _monotonic_check(outcome: ConfigOutcome, config_dir: str) -> None:
-    """On-disk page-order recheck of a baseline's capture files."""
+    """On-disk page-order recheck of a baseline's page tables."""
     for rel_path, path in sorted(_capture_files(config_dir).items()):
+        if os.path.basename(path) != TABLE_NAME:
+            continue
         try:
-            invariants.check_reuse_file_monotonic(path)
+            invariants.check_page_table_monotonic(os.path.dirname(path))
         except invariants.InvariantViolation as violation:
             outcome.discrepancies.append(Discrepancy(
                 kind="invariant",

@@ -236,7 +236,8 @@ def _dump_metrics_json(path: str, task, snapshots, systems,
     per-snapshot list of ``Timings.to_dict()`` (which nests
     ``RuntimeMetrics``/``FastPathStats`` when attached) plus mention
     counts — the same shapes the serving layer's ``/metrics`` endpoint
-    exports. ``obs_doc`` (the metrics registry dump and, when
+    exports — and, for the systems that write a capture, its byte
+    counts under ``capture`` (appended, live, kept alive). ``obs_doc`` (the metrics registry dump and, when
     profiling, the profiler dump) lands under the ``obs`` key — the
     JSON superset of the Prometheus exposition.
     """
@@ -263,6 +264,8 @@ def _dump_metrics_json(path: str, task, snapshots, systems,
                     "timings": snap.timings.to_dict(),
                     **({"optimizer": snap.optimizer}
                        if snap.optimizer is not None else {}),
+                    **({"capture": snap.capture}
+                       if snap.capture is not None else {}),
                 }
                 for snap in report.snapshots
             ],

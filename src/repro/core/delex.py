@@ -12,7 +12,10 @@ Given an IE task (xlog program + registry + declarations), Delex:
    :class:`PageMix`), because on a steady series the sample costs as
    much as the extraction it prices and picks the same plan;
 3. executes the so-augmented tree with the reuse engine, recycling the
-   previous snapshot's capture files and writing capture for the next.
+   previous snapshot's capture and writing capture for the next: a
+   page table whose entries point into append-only group segments
+   (:mod:`repro.reuse.files`), so the capture of an unchanged page is
+   the previous table entry.
 
 The first snapshot is a bootstrap: plain execution plus capture.
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..corpus.snapshot import Snapshot
 from ..extractors.library import IETask
@@ -44,6 +47,7 @@ from ..reuse.engine import (
     ReuseEngine,
     SnapshotRunResult,
 )
+from ..reuse.files import TABLE_NAME, CaptureSummary, PageTable
 from ..reuse.scope import PageMatchScope
 from ..runtime.executor import Executor
 from ..runtime.scheduler import PageScheduler
@@ -150,6 +154,9 @@ class DelexSystem:
         #: survive across the whole snapshot series.
         self.match_cache: Optional[CrossSnapshotMatchCache] = (
             CrossSnapshotMatchCache() if self.fastpath else None)
+        #: Capture directory -> the segment files its page table
+        #: references, for the retained captures the GC has seen.
+        self._capture_refs: Dict[str, Set[str]] = {}
 
     def _compile(self, task: IETask) -> Tuple[CompiledPlan, List[IEUnit]]:
         """The plan the engine runs and its IE units."""
@@ -173,7 +180,10 @@ class DelexSystem:
         The previous run's rows are not restored, so the first snapshot
         after a restart recycles no page: every page runs its units
         with their assigned matchers against the capture in
-        ``prev_dir``, and the snapshot after it recycles again. The
+        ``prev_dir``, and the snapshot after it recycles again. A
+        ``prev_dir`` without a readable page table (written by an older
+        layout, or left by a crash before its table was written) is no
+        capture: every page of that snapshot runs from scratch. The
         first reuse snapshot after a restart plans afresh.
         """
         if serial < 0:
@@ -186,6 +196,7 @@ class DelexSystem:
         self._last_result = None
         self.last_page_rows = None
         self.plan_mix = None
+        self._capture_refs = {}
 
     def process(self, snapshot: Snapshot,
                 prev_snapshot: Optional[Snapshot] = None
@@ -224,7 +235,7 @@ class DelexSystem:
             self.plan_mix = PageMix.of(result)
         if self.match_cache is not None and _oreg.ENABLED:
             _oreg.publish_matchcache(self.name, self.match_cache)
-        self._gc_old_capture()
+        self._gc_old_capture(out_dir, result.capture)
         self._prev_dir = out_dir
         self._snapshot_serial += 1
         self._history.append(snapshot)
@@ -289,14 +300,53 @@ class DelexSystem:
         self.replanned = True
         return search, stats, time.perf_counter() - start
 
-    def _gc_old_capture(self) -> None:
-        """Drop capture directories older than ``capture_history``."""
-        keep_from = self._snapshot_serial - self.capture_history
-        for serial in range(max(0, keep_from)):
-            directory = os.path.join(self.workdir, f"snap_{serial:04d}")
-            if os.path.isdir(directory):
-                for name in os.listdir(directory):
-                    os.unlink(os.path.join(directory, name))
+    def _gc_old_capture(self, out_dir: str,
+                        capture: Optional[CaptureSummary]) -> None:
+        """Keep the page tables of the last ``capture_history`` + 1
+        captures (``out_dir``'s, just written as ``capture``, and the
+        ones before it) and every segment they reference; delete every
+        other capture file, and capture directories left empty.
+
+        A segment is never deleted while a retained table references
+        it, since the next run may read it through ``out_dir``'s table.
+        The engine bounds what one table references (a full capture
+        once its segments hold twice its live bytes), so this bounds
+        the disk use.
+        """
+        workdir = os.path.normpath(self.workdir)
+        serial = self._snapshot_serial
+        retained = {os.path.join(workdir, f"snap_{s:04d}")
+                    for s in range(max(0, serial - self.capture_history),
+                                   serial + 1)}
+        out_dir = os.path.normpath(out_dir)
+        if capture is not None:
+            self._capture_refs[out_dir] = set(capture.segments)
+        self._capture_refs = {d: refs for d, refs
+                              in self._capture_refs.items() if d in retained}
+        live: Set[str] = set()
+        for directory in retained:
+            refs = self._capture_refs.get(directory)
+            if refs is None:
+                try:
+                    refs = set(PageTable.load(directory)
+                               .segment_paths(directory).values())
+                except (OSError, ValueError):
+                    refs = set()
+                self._capture_refs[directory] = refs
+            live |= refs
+        for name in os.listdir(workdir):
+            directory = os.path.join(workdir, name)
+            if not name.startswith("snap_") or not os.path.isdir(directory):
+                continue
+            kept = 0
+            for file_name in os.listdir(directory):
+                path = os.path.join(directory, file_name)
+                if (directory in retained if file_name == TABLE_NAME
+                        else path in live):
+                    kept += 1
+                else:
+                    os.unlink(path)
+            if not kept:
                 os.rmdir(directory)
 
     def describe_plan(self) -> Dict[str, str]:

@@ -119,6 +119,9 @@ class SnapshotReport:
     chosen assignment, the sampled statistics behind it, what the
     re-plan trigger read, and — when the adaptive controller is active —
     its decision for this snapshot."""
+    capture: Optional[Dict[str, int]] = field(repr=False, default=None)
+    """Byte counts of the capture the run wrote, for reusing systems
+    (:meth:`~repro.reuse.files.CaptureSummary.to_dict`)."""
 
 
 def optimizer_snapshot_doc(instance, snapshot_index: int
@@ -231,7 +234,9 @@ def run_series(task: IETask, snapshots: Sequence[Snapshot],
                     results=(canonical_results(result)
                              if keep_results else {}),
                     optimizer=optimizer_snapshot_doc(instance,
-                                                     snapshot.index)))
+                                                     snapshot.index),
+                    capture=(result.capture.to_dict()
+                             if result.capture is not None else None)))
                 prev = snapshot
             reports[system_name] = report
     finally:

@@ -2,8 +2,8 @@
 
 A snapshot is the ordered set of pages retrieved by one crawl. Order
 matters: the reuse engine processes pages of snapshot ``n+1`` in the
-same order as snapshot ``n`` so every reuse file is scanned exactly once
-(Section 5.2). Snapshots are persisted as a single sequential data file
+same order as snapshot ``n`` so changed pages' capture groups are
+appended and read sequentially (Section 5.2). Snapshots are persisted as a single sequential data file
 of length-prefixed page records, mirroring the paper's disk-resident,
 stream-processed corpus.
 """

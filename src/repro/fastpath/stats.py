@@ -21,8 +21,9 @@ class FastPathStats:
 
     #: page pairs considered (q version existed).
     pages_paired: int = 0
-    #: byte-identical pages recycled whole: capture groups copied byte
-    #: for byte and the previous run's rows returned, no plan walk.
+    #: byte-identical pages recycled whole: the page-table row copied
+    #: (groups kept by reference) and the previous run's rows returned,
+    #: no plan walk.
     pages_recycled: int = 0
     #: output tuples of the recycled pages' capture.
     tuples_recycled: int = 0

@@ -425,7 +425,7 @@ def publish_fastpath(system: str, stats) -> None:
             float(getattr(stats, kind, 0) or 0))
     REGISTRY.inc("repro_fastpath_pages_recycled_total",
                  float(getattr(stats, "pages_recycled", 0) or 0),
-                 help="identical pages recycled whole: capture groups "
+                 help="identical pages recycled whole: page-table row "
                       "copied, previous rows reused", system=system)
     REGISTRY.set("repro_fastpath_memo_hit_rate", stats.memo_hit_rate,
                  help="match-store hits / lookups of the latest run",

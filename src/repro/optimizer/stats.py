@@ -20,7 +20,6 @@ exactly those knobs.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,8 +32,8 @@ from ..matchers.registry import make_matcher
 from ..plan.compile import CompiledPlan
 from ..plan.operators import Node, TupleRow, plan_walker
 from ..plan.units import IEUnit
-from ..reuse.engine import ReuseEngine, min_match_length
-from ..reuse.files import BLOCK_SIZE, InputTuple, ReuseFileReader, parse_inputs
+from ..reuse.engine import PrevCaptureSource, min_match_length
+from ..reuse.files import BLOCK_SIZE, InputTuple
 from ..reuse.regions import derive_reuse
 from ..text.document import Page
 from ..text.regions import MatchSegment
@@ -169,29 +168,37 @@ def _sample_pairs(snapshot: Snapshot, prev: Snapshot, sample_size: int,
 def load_recorded_regions(capture_dir: str, units: Sequence[IEUnit],
                           dids: Optional[Sequence[str]] = None
                           ) -> Dict[str, Optional[Dict[str, List[Interval]]]]:
-    """Read each unit's recorded input regions from its I reuse file.
+    """Read each unit's recorded input regions on pages ``dids`` (by
+    default every page) from the capture's I groups, through its page
+    table.
 
     This gives the previous snapshot's per-unit regions *for free* (one
-    read of the file) instead of re-running extraction on sampled
-    previous pages. With ``dids`` only those pages' groups are parsed.
-    A unit whose file is unreadable — a torn header or group, or a
-    record that does not parse — maps to None.
+    ranged read per sampled page and unit) instead of re-running
+    extraction on sampled previous pages. A unit whose groups on those
+    pages cannot all be read and parsed — no readable table, a damaged
+    segment, a record that does not parse — maps to None.
     """
-    wanted = None if dids is None else set(dids)
-    out: Dict[str, Optional[Dict[str, List[Interval]]]] = {}
-    for unit in units:
-        path = ReuseEngine._file(capture_dir, unit.uid, "I")
-        per_page: Optional[Dict[str, List[Interval]]] = {}
-        if os.path.exists(path):
-            try:
-                reader = ReuseFileReader(path)
-                for did in reader.dids():
-                    if wanted is None or did in wanted:
-                        per_page[did] = [t.interval for t in parse_inputs(
-                            did, reader.read_group(did))]
-            except ValueError:
-                per_page = None
-        out[unit.uid] = per_page
+    source = PrevCaptureSource(capture_dir, [u.uid for u in units])
+    table = source.table
+    out: Dict[str, Optional[Dict[str, List[Interval]]]] = {
+        u.uid: ({} if table is not None else None) for u in units}
+    if dids is None:
+        dids = table.dids if table is not None else []
+    try:
+        for did in dids:
+            capture = source.groups(did)
+            for uid, per_page in out.items():
+                if per_page is None:
+                    continue
+                try:
+                    groups = capture.get(uid)
+                    if groups is None:
+                        raise ValueError(f"{uid} unreadable on {did!r}")
+                    per_page[did] = [t.interval for t in groups.inputs]
+                except ValueError:
+                    out[uid] = None
+    finally:
+        source.close()
     return out
 
 

@@ -1,4 +1,5 @@
-"""Capture & reuse: reuse files, safety derivation, the reuse engine."""
+"""Capture & reuse: page tables over group segments, safety derivation,
+the reuse engine."""
 
 from .engine import (
     PlanAssignment,
@@ -10,10 +11,11 @@ from .engine import (
 from .files import (
     BLOCK_SIZE,
     BlockWriter,
+    CaptureWriter,
     InputTuple,
     OutputTuple,
+    PageTable,
     ReuseFileReader,
-    ReuseFileWriter,
     decode_fields,
     encode_fields,
     group_outputs_by_input,
@@ -41,7 +43,8 @@ __all__ = [
     "UnitRunStats",
     "materialize_rows",
     "BlockWriter",
-    "ReuseFileWriter",
+    "CaptureWriter",
+    "PageTable",
     "ReuseFileReader",
     "InputTuple",
     "OutputTuple",

@@ -1,9 +1,13 @@
-"""Capture-file analysis: inspect what a run recorded.
+"""Capture analysis: inspect what a run recorded.
 
 The paper's storage/I-O accounting (end of Section 4) bounds the total
-reuse-file footprint by O(|T| · B(P_n)). These helpers measure the
-actual footprint of a capture directory so deployments can check that
-bound, find units with runaway output, and debug reuse behavior.
+reuse-file footprint by O(|T| · B(P_n)). These helpers measure a
+capture through its page table (:mod:`repro.reuse.files`): each unit's
+*logical* capture (its groups on every page plus a page header per
+group, the size the optimizer's block counts use), and the bytes of the
+segments the table keeps alive on disk, which the capture GC bounds. So
+deployments can check that bound, find units with runaway output, and
+debug reuse behavior.
 """
 
 from __future__ import annotations
@@ -13,12 +17,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..plan.units import IEUnit
-from .files import BLOCK_SIZE, iter_all_pages
+from .files import BLOCK_SIZE, PageTable, iter_unit_groups, page_marker
 
 
 @dataclass
 class UnitCaptureStats:
-    """Footprint of one unit's I/O reuse files."""
+    """Footprint of one unit's logical capture: its groups on every
+    page plus a page header per group."""
 
     uid: str
     input_tuples: int = 0
@@ -44,13 +49,18 @@ class UnitCaptureStats:
 
 @dataclass
 class CaptureReport:
-    """Footprint of a whole capture directory."""
+    """Footprint of one capture: per unit, and its segments on disk."""
 
     directory: str
     units: Dict[str, UnitCaptureStats] = field(default_factory=dict)
+    #: Bytes of the segments the page table references (retained).
+    segment_bytes: int = 0
+    #: Bytes of the segments this capture appended itself.
+    appended_bytes: int = 0
 
     @property
     def total_bytes(self) -> int:
+        """Logical capture bytes, summed over the units."""
         return sum(u.i_bytes + u.o_bytes for u in self.units.values())
 
     @property
@@ -78,55 +88,46 @@ class CaptureReport:
                          f"{u.o_blocks:>7}{u.outputs_per_input:>8.2f}")
         lines.append(f"total: {self.total_bytes} bytes "
                      f"({self.total_blocks} blocks)")
+        lines.append(f"segments: {self.segment_bytes} bytes retained, "
+                     f"{self.appended_bytes} appended by this capture")
         return "\n".join(lines)
-
-
-def _unit_files(directory: str) -> Dict[str, Dict[str, str]]:
-    """Map uid -> {"I": path, "O": path} for a capture directory."""
-    out: Dict[str, Dict[str, str]] = {}
-    for name in os.listdir(directory):
-        if not name.endswith(".reuse"):
-            continue
-        stem = name[:-len(".reuse")]
-        uid, _, kind = stem.rpartition(".")
-        if kind in ("I", "O") and uid:
-            out.setdefault(uid, {})[kind] = os.path.join(directory, name)
-    return out
 
 
 def analyze_capture(directory: str,
                     units: Optional[Sequence[IEUnit]] = None
                     ) -> CaptureReport:
-    """Scan a capture directory and report per-unit footprints.
+    """Report per-unit footprints of the capture in ``directory``.
 
-    ``units`` restricts (and labels) the report; by default every
-    ``*.I.reuse``/``*.O.reuse`` pair found is analyzed.
+    ``units`` restricts (and labels) the report; by default every unit
+    of the page table is analyzed. FileNotFoundError if there is no
+    such directory; ValueError if its table or a group is unreadable.
     """
     if not os.path.isdir(directory):
         raise FileNotFoundError(directory)
-    files = _unit_files(directory)
-    if units is not None:
-        from .engine import _safe_filename
-        wanted = {_safe_filename(u.uid) for u in units}
-        files = {uid: paths for uid, paths in files.items()
-                 if uid in wanted}
-    report = CaptureReport(directory=directory)
-    for uid, paths in sorted(files.items()):
+    table = PageTable.load(directory)
+    uids = table.units if units is None else [
+        u.uid for u in units if u.uid in table.units]
+    report = CaptureReport(directory=directory,
+                           segment_bytes=table.referenced_bytes,
+                           appended_bytes=table.appended_bytes)
+    for uid in sorted(uids):
         stats = UnitCaptureStats(uid=uid)
-        if "I" in paths:
-            stats.i_bytes = os.path.getsize(paths["I"])
-            for _, records in iter_all_pages(paths["I"]):
-                stats.pages += 1
-                stats.input_tuples += len(records)
-        if "O" in paths:
-            stats.o_bytes = os.path.getsize(paths["O"])
-            for _, records in iter_all_pages(paths["O"]):
-                stats.output_tuples += len(records)
+        for did, i_data, o_data in iter_unit_groups(directory, uid):
+            header = len(page_marker(did))
+            stats.pages += 1
+            stats.i_bytes += header + len(i_data)
+            stats.o_bytes += header + len(o_data)
+            stats.input_tuples += i_data.count(b"\n")
+            stats.output_tuples += o_data.count(b"\n")
         report.units[uid] = stats
     return report
 
 
-def mentions_per_page(o_path: str) -> List[int]:
-    """Output-tuple counts per page of one O reuse file (in page
-    order) — handy for spotting pathological pages."""
-    return [len(records) for _, records in iter_all_pages(o_path)]
+def mentions_per_page(directory: str, uid: str) -> List[int]:
+    """Output-tuple counts of unit ``uid`` per page of the capture in
+    ``directory`` (in page order), from the page table alone — handy
+    for spotting pathological pages."""
+    table = PageTable.load(directory)
+    k = table.units.index(uid)
+    return [row[k][5] if row[k] is not None else 0
+            for _did, row in table.rows()]

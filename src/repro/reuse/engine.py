@@ -1,9 +1,9 @@
 """The Delex execution engine (Sections 4, 5, 7).
 
 Processes a corpus snapshot one page at a time, in canonical page
-order (sorted by page id), so each unit's reuse files are written in a
-stable order; each is read exactly once, whole. Per IE unit and
-input region it:
+order (sorted by page id), so the groups of changed pages are appended
+to each unit's segments, and read from the previous ones, in a stable
+order. Per IE unit and input region it:
 
 1. records the input tuple to ``I_U^{n+1}``;
 2. matches the region against the unit's recorded input regions on the
@@ -24,22 +24,24 @@ in the picklable :class:`PageEvaluator` and there is one per-page body
 (:func:`_evaluate_page`), whether a page runs in a worker's batch or
 in the serial one, and one page recycle (:func:`_recycle_page`) that,
 with the fast paths on, re-emits an identical page whole from the
-previous capture and rows under any matcher plan. The previous
-snapshot's capture sits behind one :class:`PrevCaptureSource`, which
-reads each reuse file whole, once, and hands out any page's groups as
-bytes. Either way a page's new capture is its
-:data:`~repro.reuse.files.PageGroups`: recorded by a
-:class:`~repro.reuse.files.PageRecorder` or, for a recycled page, the
-previous groups' bytes. With one worker slot the engine streams:
-pages are recycled as the batch advances and each page's groups are
-written as soon as the page is done; with more, the parent recycles
-what it can up front, workers return the rest's group bytes, and the
-parent copies them into the reuse files in canonical order.
+previous rows under any matcher plan. The previous snapshot's capture
+sits behind one :class:`PrevCaptureSource`, which loads its page table
+once and hands out any page's groups as table entries whose bytes are
+read only when a unit parses them. One
+:class:`~repro.reuse.files.CaptureWriter` stores every page: a
+recycled page copies its table entries, a page that ran hands over the
+:data:`~repro.reuse.files.PageGroups` its
+:class:`~repro.reuse.files.PageRecorder` recorded, and each unit's
+groups keep the previous entry when byte-equal to it and are appended
+otherwise. With one worker slot the engine streams: pages are recycled
+as the batch advances and each page is stored as soon as it is done;
+with more, the parent recycles what it can up front, workers return
+the rest's group bytes, and the parent stores every page in canonical
+order.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -67,36 +69,38 @@ from ..text.span import Span
 from ..xlog.registry import EvalContext
 from ..timing import COPY, EXTRACT, IO, MATCH, Timer, Timings
 from .files import (
+    BLOCK_SIZE,
+    CaptureSummary,
+    CaptureWriter,
     InputTuple,
     OutputTuple,
+    PageCapture,
     PageGroups,
     PageRecorder,
+    PageTable,
     ReuseFileReader,
-    ReuseFileWriter,
     UnitGroups,
     encode_fields,
-    page_marker,
 )
 from .regions import dedupe_extensions, derive_reuse, extraction_keep
 from .scope import PageMatchScope, SameUrlScope
 
-#: Per-unit previous capture handed to the evaluator for one page:
-#: ``uid -> recorded I and O page groups``, as read from the unit's
-#: reuse files (outputs are parsed where they are used, which in a
-#: parallel run is in the workers).
-PrevCapture = Dict[str, UnitGroups]
+#: Per-unit previous capture handed to the evaluator for one page: the
+#: recorded I and O page groups of every unit whose capture is readable
+#: (bytes are read where they are used, which in a parallel run is in
+#: the parent before dispatch, and parsed where they are used).
+PrevCapture = PageCapture
 
 #: Materialized rows per relation of one page (``materialize_rows``).
 PageRows = Dict[str, List[Tuple]]
 
-#: What running (or recycling) one page yields: its rows and its capture.
-PageResult = Tuple[PageRows, PageGroups]
+#: What running (or recycling) one page yields: its rows and its
+#: recorded groups (None for a recycled page: its groups are the
+#: previous ones).
+PageResult = Tuple[PageRows, Optional[PageGroups]]
 
 #: What a unit without a readable capture on a page sees.
-_NO_CAPTURE = UnitGroups("", b"", b"")
-
-#: Every unit's (I, O) reuse-file writer for the snapshot being run.
-Writers = Dict[str, Tuple[ReuseFileWriter, ReuseFileWriter]]
+_NO_CAPTURE = UnitGroups("")
 
 
 @dataclass(frozen=True)
@@ -163,6 +167,8 @@ class SnapshotRunResult:
     unit_stats: Dict[str, UnitRunStats] = field(default_factory=dict)
     pages: int = 0
     pages_with_previous: int = 0
+    #: What the capture the run wrote holds (None: it wrote none).
+    capture: Optional[CaptureSummary] = field(default=None, repr=False)
 
     def total_mentions(self) -> int:
         return sum(len(rows) for rows in self.results.values())
@@ -192,10 +198,6 @@ def min_match_length(beta: int) -> int:
     matches of short regions, hence the cap.
     """
     return max(8, min(2 * beta + 2, 32))
-
-
-def _safe_filename(uid: str) -> str:
-    return "".join(ch if ch.isalnum() or ch in "._-" else "_" for ch in uid)
 
 
 class PageEvaluator:
@@ -468,8 +470,8 @@ def _evaluate_page(evaluator: PageEvaluator, page: Page,
 
 def _recycle_page(evaluator: PageEvaluator, page: Page,
                   q_page: Optional[Page], prev_capture: PrevCapture,
-                  prev_rows: Optional[PageRows], timer: Timer,
-                  fp_stats: FastPathStats) -> Optional[PageResult]:
+                  prev_rows: Optional[PageRows],
+                  fp_stats: FastPathStats) -> Optional[PageRows]:
     """The one page recycle, for the serial page body and the parallel
     parent alike, and the one reuse rule for an unchanged page.
 
@@ -478,70 +480,54 @@ def _recycle_page(evaluator: PageEvaluator, page: Page,
     ``q_page`` is readable and the pair is byte-identical: whatever
     the matcher plan or the URL. Extractors are deterministic in their
     region's text, and neither materialized rows nor capture records
-    carry a page id (:func:`_write_page` writes the new page's
-    header), so the previous rows give the canonical results running
-    the page would give under any plan (Theorem 1; Shortcut in Section
-    8); under a fixed plan their row order and the capture bytes are
-    equal too. With the fast paths off every page runs, which keeps
-    that switch the reference engine the recycle is checked against.
+    carry a page id, so the previous rows give the canonical results
+    running the page would give under any plan (Theorem 1; Shortcut in
+    Section 8); under a fixed plan their row order and the capture
+    bytes are equal too. With the fast paths off every page runs, which
+    keeps that switch the reference engine the recycle is checked
+    against.
 
-    Returns those rows (shared, never mutated) and every unit's
-    previous groups, verbatim, as the page's capture; otherwise
-    touches nothing and returns None. Only the page counters and the
+    Returns those rows (shared, never mutated); otherwise touches
+    nothing and returns None. The page's capture is the previous one:
+    the caller's :class:`~repro.reuse.files.CaptureWriter` copies its
+    table entries, reading nothing. Only the page counters and the
     recycled tuples are booked: the units ran on nothing, so their
-    :class:`UnitRunStats` stay as they are. The O groups are copied
-    unparsed; a framed line in them that is not a record is caught
-    when a later run parses the group (see
-    :meth:`PageEvaluator._run_unit`). Booked as capture I/O, which is
-    all a recycle does."""
-    if prev_rows is None or not evaluator.fastpath:
+    :class:`UnitRunStats` stay as they are. A group that is corrupt on
+    disk is never parsed here; it is caught when a later run parses it
+    (see :meth:`PageEvaluator._run_unit`). The caller books it as
+    capture I/O."""
+    if (prev_rows is None or not evaluator.fastpath
+            or not prev_capture.complete()
+            or not pages_identical(page, q_page)):
         return None
-    with timer.measure(IO):
-        if (any(u.uid not in prev_capture for u in evaluator.units)
-                or not pages_identical(page, q_page)):
-            return None
-        with (_otrace.span("page", cat="page", did=page.did, paired=True,
-                           recycled=True)
-              if _otrace.ENABLED else _otrace.NULL):
-            fp_stats.pages_paired += 1
-            fp_stats.pages_recycled += 1
-            if _inv.ENABLED:
-                # --check layer: a fingerprint match must really be a
-                # byte-identical pair.
-                _inv.check_identity_pair(page, q_page)
-            capture: PageGroups = {}
-            for unit in evaluator.units:
-                groups = prev_capture[unit.uid]
-                fp_stats.tuples_recycled += groups.output_count()
-                capture[unit.uid] = (groups.i_data, groups.o_data)
-    return prev_rows, capture
-
-
-def _write_page(writers: Writers, did: str, capture: PageGroups) -> None:
-    """Append one page's groups to every unit's I and O file; a unit
-    that recorded nothing on the page gets two empty groups."""
-    header = page_marker(did)
-    for uid, (writer_i, writer_o) in writers.items():
-        i_data, o_data = capture.get(uid, (b"", b""))
-        writer_i.write_page(header, i_data)
-        writer_o.write_page(header, o_data)
+    with (_otrace.span("page", cat="page", did=page.did, paired=True,
+                       recycled=True)
+          if _otrace.ENABLED else _otrace.NULL):
+        fp_stats.pages_paired += 1
+        fp_stats.pages_recycled += 1
+        fp_stats.tuples_recycled += prev_capture.output_count()
+        if _inv.ENABLED:
+            # --check layer: a fingerprint match must really be a
+            # byte-identical pair.
+            _inv.check_identity_pair(page, q_page)
+    return prev_rows
 
 
 def _engine_batch(state, lookup: PageLookup, items, timer: Timer):
     """Process one batch of whole pages in a (possibly remote) worker.
 
-    ``state`` is ``(evaluator, writers)``. ``writers`` are the run's
-    when it has one worker slot: the batch holds every page in
-    canonical order, recycles what it can and writes each page's groups
-    as soon as the page is done. With more slots they are None and
-    each page's groups go back to the parent.
+    ``state`` is ``(evaluator, writer)``. ``writer`` is the run's
+    :class:`~repro.reuse.files.CaptureWriter` when it has one worker
+    slot: the batch holds every page in canonical order, recycles what
+    it can and stores each page as soon as the page is done. With more
+    slots it is None and each page's groups go back to the parent.
     ``items`` yields ``(did, q_did, prev_capture, prev_rows)`` per page;
     ``prev_rows`` (the previous run's rows of ``q_did``) is given only
     where the page may still be recycled here, i.e. in a serial run.
     Returns ``(did, (rows per relation, groups or None))`` per page,
     plus the batch's per-unit stats and fast-path counters.
     """
-    evaluator, writers = state
+    evaluator, writer = state
     # Process workers arrive with match_cache dropped by the pickle
     # whitelist: give each worker its own match store (hits accumulate
     # across the items a worker processes; counters merge through
@@ -555,63 +541,66 @@ def _engine_batch(state, lookup: PageLookup, items, timer: Timer):
     for did, q_did, prev_capture, prev_rows in items:
         page = lookup.current(did)
         q_page = lookup.previous(q_did) if q_did is not None else None
-        rel_rows, capture = (
-            _recycle_page(evaluator, page, q_page, prev_capture, prev_rows,
-                          timer, fp_stats)
-            or _evaluate_page(evaluator, page, q_page, prev_capture, stats,
-                              timer, fp_stats))
-        if writers is not None:
-            with timer.measure(IO):
-                _write_page(writers, did, capture)
-            capture = None
-        out.append((did, (rel_rows, capture)))
+        with timer.measure(IO):
+            rel_rows = _recycle_page(evaluator, page, q_page, prev_capture,
+                                     prev_rows, fp_stats)
+            if rel_rows is not None and writer is not None:
+                writer.write_page(did, None, prev_capture)
+        groups: Optional[PageGroups] = None
+        if rel_rows is None:
+            rel_rows, groups = _evaluate_page(
+                evaluator, page, q_page, prev_capture, stats, timer,
+                fp_stats)
+            if writer is not None:
+                with timer.measure(IO):
+                    writer.write_page(did, groups, prev_capture)
+                groups = None
+        out.append((did, (rel_rows, groups)))
     return out, (stats, fp_stats)
 
 
 class PrevCaptureSource:
     """The previous snapshot's capture, one page at a time, per unit.
 
-    Each unit's I and O reuse files are read whole, once, on first use
-    (Section 5.2's single scan); any page's groups can then be asked
-    for in any order, which is what scopes that pair pages across URLs
-    need. A truncated or corrupt reuse file (e.g. the previous run died
-    mid-write) must never break the current run: a unit whose file has
-    a torn header, or whose group on a page is not whole record lines,
-    is dropped and extracts from scratch for the rest of the snapshot.
+    The page table is loaded once (its segments ``stat``-ed once), and
+    any page's capture can then be asked for in any order, which is
+    what scopes that pair pages across URLs need. Nothing is read until
+    a unit parses a group. A previous capture must never break the
+    current run: without a readable table (none written, torn, an older
+    layout) there is no previous capture, and a unit whose segment is
+    damaged is left out on the pages whose groups it holds, so it
+    extracts there from scratch.
     """
 
-    def __init__(self, paths: Dict[str, Tuple[str, str]]) -> None:
-        self._paths = dict(paths)
-        self._readers: Dict[str, Tuple[ReuseFileReader,
-                                       ReuseFileReader]] = {}
+    def __init__(self, directory: Optional[str],
+                 uids: Sequence[str]) -> None:
+        self.reader: Optional[ReuseFileReader] = None
+        if directory is not None:
+            try:
+                self.reader = ReuseFileReader(directory, uids)
+            except (OSError, ValueError):
+                pass
 
-    def read(self, q_page: Optional[Page], timer: Timer) -> PrevCapture:
-        """``uid -> recorded I and O groups`` on ``q_page``, for every
-        unit whose capture is still readable."""
-        capture: PrevCapture = {}
+    @property
+    def table(self) -> Optional[PageTable]:
+        return self.reader.table if self.reader is not None else None
+
+    def read(self, q_page: Optional[Page]) -> PrevCapture:
+        """The recorded groups on ``q_page`` of every unit whose
+        capture of it is readable."""
         if q_page is None:
-            return capture
-        did = q_page.did
-        with timer.measure(IO):
-            for uid in list(self._paths):
-                try:
-                    readers = self._readers.get(uid)
-                    if readers is None:
-                        i_path, o_path = self._paths[uid]
-                        readers = self._readers[uid] = (
-                            ReuseFileReader(i_path), ReuseFileReader(o_path))
-                    capture[uid] = UnitGroups(
-                        did, readers[0].read_group(did),
-                        readers[1].read_group(did))
-                except ValueError:
-                    del self._paths[uid]
-        return capture
+            return PageCapture("")
+        return self.groups(q_page.did)
+
+    def groups(self, did: str) -> PrevCapture:
+        """:meth:`read` for the page with id ``did``."""
+        if self.reader is None:
+            return PageCapture(did)
+        return self.reader.capture(did)
 
     def close(self) -> None:
-        for readers in self._readers.values():
-            for reader in readers:
-                reader.close()
-        self._readers.clear()
+        if self.reader is not None:
+            self.reader.close()
 
 
 class ReuseEngine:
@@ -660,7 +649,9 @@ class ReuseEngine:
         """Run the plan over ``snapshot``, reusing ``prev_dir`` capture.
 
         ``prev_snapshot``/``prev_dir`` are None for the bootstrap run.
-        Capture for the *next* snapshot is written under ``out_dir``.
+        Capture for the *next* snapshot is written under ``out_dir``; it
+        references the segments of ``prev_dir``'s capture (and of the
+        ones that table references) by paths relative to ``out_dir``.
 
         ``page_rows_out``, when given, is filled with the run's
         materialized rows split by producing page (``did -> relation
@@ -672,25 +663,19 @@ class ReuseEngine:
         ``prev_page_rows`` is the ``page_rows_out`` of the run that
         wrote ``prev_dir``. With it and the fast paths on, a page
         byte-identical to its previous version is recycled whole: its
-        capture groups are copied byte for byte and its previous rows
-        are returned (see :func:`_recycle_page`).
+        previous rows are returned and its table entries copied (see
+        :func:`_recycle_page`).
         """
         timings = timings if timings is not None else Timings()
         timer = Timer(timings)
-        os.makedirs(out_dir, exist_ok=True)
-        writers = {
-            u.uid: (ReuseFileWriter(self._file(out_dir, u.uid, "I")),
-                    ReuseFileWriter(self._file(out_dir, u.uid, "O")))
-            for u in self.units
-        }
         stats = {u.uid: UnitRunStats() for u in self.units}
         results: Dict[str, List[Tuple]] = {
             rel: [] for rel in self.plan.program.head_relations()}
         pages = snapshot.canonical_pages()
         if _inv.ENABLED:
-            # --check layer: reuse files are written one page group per
-            # page in this exact order, so strict did monotonicity here
-            # is the on-disk page-group monotonicity invariant.
+            # --check layer: the page table lists one row per page in
+            # this exact order, so strict did monotonicity here is the
+            # on-disk page-order invariant.
             _inv.check_page_order([p.did for p in pages])
         jobs = self.executor.jobs if self.executor is not None else 1
         fp_stats = FastPathStats()
@@ -702,54 +687,48 @@ class ReuseEngine:
                               index=snapshot.index, pages=len(pages),
                               parallel=jobs > 1)
                  if _otrace.ENABLED else _otrace.NULL)
-        source = PrevCaptureSource(
-            self._capture_paths(prev_dir)
-            if prev_dir is not None and prev_snapshot is not None else {})
+        uids = [u.uid for u in self.units]
+        source: Optional[PrevCaptureSource] = None
+        writer: Optional[CaptureWriter] = None
+        summary: Optional[CaptureSummary] = None
         try:
             with _snap, timer.measure_total():
+                with timer.measure(IO):
+                    source = PrevCaptureSource(
+                        prev_dir if prev_snapshot is not None else None,
+                        uids)
+                    writer = CaptureWriter(out_dir, uids, source.table,
+                                           prev_dir)
                 pages_with_prev = self._run_pages(
-                    pages, jobs, source, writers, stats, results, timer,
+                    pages, jobs, source, writer, stats, results, timer,
                     fp_stats, page_rows_out, prev_page_rows or {})
                 _snap.set("pages_with_prev", pages_with_prev)
                 _snap.set("recycled", fp_stats.pages_recycled)
                 _snap.set("memo_hits", fp_stats.memo_hits)
+                with timer.measure(IO):
+                    summary = writer.close()
         finally:
-            source.close()
-            for wi, wo in writers.values():
-                wi.close()
-                wo.close()
-        for u in self.units:
-            wi, wo = writers[u.uid]
-            stats[u.uid].i_blocks = wi.blocks
-            stats[u.uid].o_blocks = wo.blocks
+            if source is not None:
+                source.close()
+            if writer is not None and summary is None:
+                writer.abort()
+        for uid, (i_bytes, o_bytes) in writer.logical_bytes.items():
+            stats[uid].i_blocks = -(-i_bytes // BLOCK_SIZE)
+            stats[uid].o_blocks = -(-o_bytes // BLOCK_SIZE)
         if timings.fastpath is None:
             timings.fastpath = fp_stats
         else:
             timings.fastpath.merge(fp_stats)
         return SnapshotRunResult(results=results, timings=timings,
                                  unit_stats=stats, pages=len(pages),
-                                 pages_with_previous=pages_with_prev)
-
-    @staticmethod
-    def _file(directory: str, uid: str, kind: str) -> str:
-        return os.path.join(directory, f"{_safe_filename(uid)}.{kind}.reuse")
-
-    def _capture_paths(self, prev_dir: str
-                       ) -> Dict[str, Tuple[str, str]]:
-        """Units' (I, O) capture paths that exist under ``prev_dir``."""
-        out: Dict[str, Tuple[str, str]] = {}
-        for u in self.units:
-            i_path = self._file(prev_dir, u.uid, "I")
-            o_path = self._file(prev_dir, u.uid, "O")
-            if os.path.exists(i_path) and os.path.exists(o_path):
-                out[u.uid] = (i_path, o_path)
-        return out
+                                 pages_with_previous=pages_with_prev,
+                                 capture=summary)
 
     # -- the page loop ------------------------------------------------------
 
     def _run_pages(self, pages: Sequence[Page], jobs: int,
                    source: PrevCaptureSource,
-                   writers: Writers,
+                   writer: CaptureWriter,
                    stats: Dict[str, UnitRunStats],
                    results: Dict[str, List[Tuple]], timer: Timer,
                    fp_stats: FastPathStats,
@@ -767,44 +746,49 @@ class ReuseEngine:
         # One worker slot streams: its single batch runs inline, in
         # canonical order, so each page's previous groups are taken as
         # the batch advances (the payload stays a generator), pages are
-        # recycled in that same pass and each page's groups are written
-        # as soon as it is done. More slots need picklable payloads and
-        # an order-free merge: every page's previous groups are taken up
+        # recycled in that same pass and each page is stored as soon as
+        # it is done. More slots need picklable payloads and an
+        # order-free merge: every page's previous entries are taken up
         # front, the parent recycles what it can before batching
-        # (recycled pages never reach a worker), workers return each
-        # page's group bytes and the parent writes them below, in
-        # canonical order. The choice is what ``jobs`` already says,
-        # and trades memory for parallelism.
+        # (recycled pages never reach a worker), reads the groups of
+        # the pages that run, workers return each page's group bytes
+        # and the parent stores every page below, in canonical order.
+        # The choice is what ``jobs`` already says, and trades memory
+        # for parallelism.
         streaming = jobs <= 1
+        with timer.measure(IO):
+            prev_capture = {page.did: source.read(pair_of[page.did])
+                            for page in pages}
         recycled: Dict[str, PageResult] = {}
         to_run = pages
-        if streaming:
-            def prev_capture_of(did: str) -> PrevCapture:
-                return source.read(pair_of[did], timer)
-        else:
-            prev_capture_of = {page.did: source.read(pair_of[page.did],
-                                                     timer)
-                               for page in pages}.__getitem__
-            for page in pages:
-                done = _recycle_page(
-                    evaluator, page, pair_of[page.did],
-                    prev_capture_of(page.did), prev_rows_of(page.did),
-                    timer, fp_stats)
-                if done is not None:
-                    recycled[page.did] = done
+        if not streaming:
+            with timer.measure(IO):
+                for page in pages:
+                    done = _recycle_page(
+                        evaluator, page, pair_of[page.did],
+                        prev_capture[page.did], prev_rows_of(page.did),
+                        fp_stats)
+                    if done is not None:
+                        recycled[page.did] = (done, None)
             to_run = [p for p in pages if p.did not in recycled]
 
         def payload(batch: Sequence[Page]):
-            items = ((p.did,
-                      pair_of[p.did].did if pair_of[p.did] else None,
-                      prev_capture_of(p.did),
-                      prev_rows_of(p.did) if streaming else None)
-                     for p in batch)
-            return items if streaming else tuple(items)
+            if streaming:
+                return ((p.did,
+                         pair_of[p.did].did if pair_of[p.did] else None,
+                         prev_capture[p.did], prev_rows_of(p.did))
+                        for p in batch)
+            with timer.measure(IO):
+                for p in batch:
+                    prev_capture[p.did].load()
+            return tuple((p.did,
+                          pair_of[p.did].did if pair_of[p.did] else None,
+                          prev_capture[p.did], None)
+                         for p in batch)
 
         work = PageWork(
             batch_fn=_engine_batch,
-            state=(evaluator, writers if streaming else None),
+            state=(evaluator, writer if streaming else None),
             payload=payload,
             prev_pages=[pair_of[p.did] for p in to_run
                         if pair_of[p.did] is not None])
@@ -823,6 +807,7 @@ class ReuseEngine:
         if not streaming:
             with timer.measure(IO):
                 for page in pages:
-                    _write_page(writers, page.did, by_did[page.did][1])
+                    writer.write_page(page.did, by_did[page.did][1],
+                                      prev_capture[page.did])
         timer.timings.runtime = run.metrics
         return sum(1 for q in pair_of.values() if q is not None)

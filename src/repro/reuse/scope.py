@@ -11,8 +11,8 @@ work. This module implements both:
   shingle sketch index. Renamed pages then reuse their old IE results
   instead of being extracted from scratch.
 
-Either way each reuse file is still read once: the engine reads it
-whole and then serves any page's groups in any order (see
+Either way the previous capture is loaded once: its page table
+locates any page's groups, in any order (see
 :class:`~repro.reuse.engine.PrevCaptureSource`). Correctness is
 unaffected: match segments always witness literal text equality,
 whatever page they come from.

@@ -65,10 +65,35 @@ class TestAnalyzeCapture:
 class TestMentionsPerPage:
     def test_counts_in_page_order(self, capture):
         out, units, snap, _ = capture
-        o_file = [f for f in sorted(os.listdir(out))
-                  if f.startswith("extractPlayActor") and
-                  f.endswith(".O.reuse")][0]
-        counts = mentions_per_page(os.path.join(out, o_file))
+        uid = next(u.uid for u in units
+                   if u.uid.startswith("extractPlayActor"))
+        counts = mentions_per_page(out, uid)
         assert len(counts) == len(snap)
         assert counts[0] == 2  # two starred-as facts on u1
         assert counts[2] == 0  # the empty page
+
+
+class TestSegmentBytes:
+    def test_recycled_snapshot_appends_nothing(self, capture, tmp_path):
+        # A snapshot identical to the last one keeps every table entry:
+        # its logical capture is the same, it appends no segment
+        # bytes, and it keeps the first capture's segments alive.
+        _out, _units, snap, _result = capture
+        task = make_task("play", work_scale=0)
+        plan = compile_program(task.program, task.registry)
+        units = find_units(plan)
+        engine = ReuseEngine(plan, units, PlanAssignment.all_dn(units))
+        rows = {}
+        engine.run_snapshot(snap, None, None, str(tmp_path / "warm"),
+                            page_rows_out=rows)
+        again = str(tmp_path / "again")
+        engine.run_snapshot(snap, snap, str(tmp_path / "warm"), again,
+                            prev_page_rows=rows)
+        before = analyze_capture(str(tmp_path / "warm"), units)
+        after = analyze_capture(again, units)
+        assert after.total_bytes == before.total_bytes
+        assert after.appended_bytes == 0
+        assert after.segment_bytes == before.segment_bytes \
+            == before.appended_bytes > 0
+        assert sorted(os.listdir(again)) == ["pages.table"]
+        assert "0 appended" in after.render()

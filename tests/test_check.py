@@ -251,6 +251,48 @@ class TestOracle:
                                      "invariant")
 
 
+    def test_capture_mismatch_localized_to_page_and_unit(self, play_task,
+                                                         series, tmp_path):
+        # Two configs of one capture group write the same captures; a
+        # record edited in place in one segment is reported at its page
+        # table's first divergent page, unit and record.
+        from repro.check.oracle import ConfigOutcome, compare_captures
+        from repro.core.runner import make_system
+        from repro.reuse.files import PageTable
+
+        cfg = CheckConfig(system="delex", policy="UD")
+        dirs = []
+        for name in ("a", "b"):
+            system = make_system("delex", play_task, str(tmp_path / name),
+                                 **cfg.system_kwargs(play_task))
+            prev = None
+            for snap in series:
+                system.process(snap, prev)
+                prev = snap
+            dirs.append((str(tmp_path / name), system._prev_dir))
+        (base_a, _), (base_b, capture_b) = dirs
+        outcome = ConfigOutcome(config=cfg)
+        assert compare_captures(outcome, base_a, outcome, base_b) is None
+
+        table = PageTable.load(capture_b)
+        page, unit = next((k, u) for k in range(len(table.dids))
+                          for u in range(len(table.units))
+                          if (table.entry(k, u) or [0, 0, 0])[2])
+        entry = table.entry(page, unit)
+        path = table.segment_paths(capture_b)[
+            (entry[0], table.units[unit], "I")]
+        with open(path, "rb") as f:
+            data = bytearray(f.read())
+        at = data.index(b'"s":', entry[1]) + 4
+        data[at] = ord("9") if data[at] != ord("9") else ord("8")
+        with open(path, "wb") as f:
+            f.write(bytes(data))
+        disc = compare_captures(outcome, base_a, outcome, base_b)
+        assert disc is not None and disc.kind == "capture"
+        assert (f"page {table.dids[page]!r}, unit {table.units[unit]} I, "
+                f"record 0") in disc.detail
+
+
 # -- faults through the oracle ---------------------------------------------
 
 class TestFaultsAreCaught:

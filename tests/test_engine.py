@@ -129,10 +129,16 @@ class TestEngineMechanics:
         plan, units, assignment = build_engine(["DN"] * 3)
         engine = ReuseEngine(plan, units, assignment)
         out = str(tmp_path / "cap")
-        engine.run_snapshot(s0, None, None, out)
+        result = engine.run_snapshot(s0, None, None, out)
         files = sorted(os.listdir(out))
-        assert len(files) == 6  # 3 units x (I, O)
-        assert any(f.endswith(".I.reuse") for f in files)
+        # One page table, and a segment per unit and side that holds
+        # groups: 3 units x (I, O) on this corpus.
+        assert files == sorted(["pages.table"] + [
+            f"{u.uid}.{side}.reuse" for u in units for side in "IO"])
+        assert result.capture.appended_bytes == result.capture.live_bytes
+        assert result.capture.segment_bytes == sum(
+            os.path.getsize(os.path.join(out, f)) for f in files
+            if f.endswith(".reuse"))
 
     def test_copying_happens_with_st(self, tmp_path):
         s0, s1 = self.setup_snapshots()

@@ -44,11 +44,10 @@ from repro.plan import compile_program, find_units
 from repro.plan.operators import ScanNode
 from repro.reuse.engine import PlanAssignment
 from repro.reuse.files import (
+    CaptureWriter,
+    PageCapture,
     PageRecorder,
     ReuseFileReader,
-    ReuseFileWriter,
-    page_marker,
-    parse_inputs,
     parse_outputs,
 )
 from repro.text.document import Page
@@ -287,127 +286,121 @@ class TestAutomatonCache:
         assert stats.automata_reused == 1
 
 
-# -- reuse-file byte accounting and the whole-file reader ------------------
+# -- capture byte accounting and the page-table reader ------------------
 
 
-def _write_reuse_file(path: str, groups):
-    writer = ReuseFileWriter(path)
+def _write_capture(directory, groups):
+    """A capture of unit "u" whose pages hold the I groups of
+    ``groups``: ``[(did, [(s, e), ...])]``."""
+    writer = CaptureWriter(str(directory), ["u"])
     for did, tuples in groups:
         recorder = PageRecorder()
         for s, e in tuples:
             recorder.input("u", s, e)
-        i_data, _ = recorder.groups().get("u", (b"", b""))
-        writer.write_page(page_marker(did), i_data)
+        writer.write_page(did, recorder.groups(), PageCapture(did))
     writer.close()
 
 
 def _regions(reader, did: str):
     """The (s, e) of ``did``'s recorded inputs, read as the engine does."""
-    return [(t.s, t.e) for t in parse_inputs(did, reader.read_group(did))]
+    groups = reader.capture(did).get("u")
+    return [] if groups is None else [(t.s, t.e) for t in groups.inputs]
 
 
 class TestReaderBytes:
     def test_bytes_read_counts_utf8_bytes(self, tmp_path):
         # Multi-byte characters force len(chars) != len(bytes); the
         # block-based I/O cost model needs actual bytes. The stock
-        # writer escapes non-ASCII, so build raw UTF-8 JSON lines; their
-        # ``{"@page": "…"}`` headers (a space, raw UTF-8) are not the
-        # writer's bytes and take the ``json.loads`` path.
+        # recorder escapes non-ASCII, so store raw UTF-8 JSON lines.
         import json as _json
 
-        path = os.path.join(tmp_path, "u.I.reuse")
         groups = [("pägé-αβ", [(0, 5), (5, 9)]), ("ズ-page", [(2, 7)])]
-        lines = []
-        tid = 0
+        writer = CaptureWriter(str(tmp_path), ["u"])
         for did, tuples in groups:
-            lines.append(_json.dumps({"@page": did}, ensure_ascii=False))
-            for s, e in tuples:
-                lines.append(_json.dumps(
-                    {"t": tid, "s": s, "e": e, "c": "ü"},
-                    ensure_ascii=False))
-                tid += 1
-        with open(path, "wb") as f:
-            f.write(("\n".join(lines) + "\n").encode("utf-8"))
-        reader = ReuseFileReader(path)
-        assert reader.bytes_read == os.path.getsize(path)
+            data = "".join(_json.dumps({"t": tid, "s": s, "e": e, "c": "ü"},
+                                       ensure_ascii=False) + "\n"
+                           for tid, (s, e) in enumerate(tuples))
+            writer.write_page(did, {"u": (data.encode("utf-8"), b"")},
+                              PageCapture(did))
+        writer.close()
+        reader = ReuseFileReader(str(tmp_path))
         for did, tuples in groups:
             assert _regions(reader, did) == tuples
+        path = os.path.join(tmp_path, "u.I.reuse")
+        assert reader.bytes_read == os.path.getsize(path)
         with open(path, encoding="utf-8") as f:
             n_chars = len(f.read())
         # The regression being guarded: text-mode counting (characters)
-        # undercounts this file.
+        # undercounts these groups.
         assert reader.bytes_read > n_chars
         reader.close()
 
     def test_writer_byte_count_matches_file(self, tmp_path):
-        path = os.path.join(tmp_path, "u.I.reuse")
         groups = [(f"p{i}", [(0, 5), (9, 30)]) for i in range(4)]
-        _write_reuse_file(path, groups)
-        reader = ReuseFileReader(path)
+        _write_capture(tmp_path, groups)
+        reader = ReuseFileReader(str(tmp_path))
         for did, tuples in groups:
             assert _regions(reader, did) == tuples
+        path = os.path.join(tmp_path, "u.I.reuse")
         assert reader.bytes_read == os.path.getsize(path)
-        assert reader.blocks_read >= 1
+        assert reader.table.segments[(0, "u")] == (os.path.getsize(path), 0)
         reader.close()
 
 
 class TestWholeFileLoader:
-    """The one reader: any page group, in any order, from a file read
-    once (what scopes that pair pages across URLs need)."""
+    """The one reader: any page's groups, in any order, through a page
+    table loaded once (what scopes that pair pages across URLs need)."""
 
     def test_any_order_reads_match_sequential(self, tmp_path):
-        path = os.path.join(tmp_path, "u.I.reuse")
         groups = [(f"page-{i:02d}", [(i, i + 10), (i + 20, i + 30)])
                   for i in range(6)]
-        _write_reuse_file(path, groups)
+        _write_capture(tmp_path, groups)
         expected = {}
-        seq = ReuseFileReader(path)
+        seq = ReuseFileReader(str(tmp_path))
         for did, _ in groups:
             expected[did] = _regions(seq, did)
         seq.close()
         assert expected == dict(groups)
-        loaded = ReuseFileReader(path)
+        loaded = ReuseFileReader(str(tmp_path))
         order = [g[0] for g in groups]
         shuffled = order[::-1] + order[:2]  # backwards, then re-reads
         for did in shuffled:
             assert _regions(loaded, did) == expected[did], did
 
     def test_missing_page_returns_empty(self, tmp_path):
-        path = os.path.join(tmp_path, "u.I.reuse")
-        _write_reuse_file(path, [("present", [(0, 4)])])
-        loaded = ReuseFileReader(path)
+        _write_capture(tmp_path, [("present", [(0, 4)])])
+        loaded = ReuseFileReader(str(tmp_path))
         assert _regions(loaded, "absent") == []
         assert _regions(loaded, "present") != []
 
     def test_multibyte_page_ids(self, tmp_path):
-        path = os.path.join(tmp_path, "u.I.reuse")
         groups = [("π-page", [(0, 3)]), ("ascii", [(1, 5)]),
                   ("日本語", [(2, 9)])]
-        _write_reuse_file(path, groups)
-        loaded = ReuseFileReader(path)
+        _write_capture(tmp_path, groups)
+        loaded = ReuseFileReader(str(tmp_path))
         for did, tuples in reversed(groups):
             assert _regions(loaded, did) == tuples
 
     def test_empty_reuse_file(self, tmp_path):
-        # A unit that saw no pages writes an empty file; every read
-        # misses.
-        path = os.path.join(tmp_path, "u.I.reuse")
-        _write_reuse_file(path, [])
-        assert _regions(ReuseFileReader(path), "any") == []
+        # A capture of no pages is a table alone; every read misses.
+        _write_capture(tmp_path, [])
+        assert os.listdir(tmp_path) == ["pages.table"]
+        assert _regions(ReuseFileReader(str(tmp_path)), "any") == []
 
     def test_single_page_group(self, tmp_path):
         # Re-reading the same group never depends on earlier reads.
-        path = os.path.join(tmp_path, "u.O.reuse")
         recorder = PageRecorder()
+        recorder.input("u", 0, 9)
         recorder.output("u", 0, (("x", "s", 0, 4),))
         recorder.output("u", 0, (("x", "s", 6, 9),))
-        writer = ReuseFileWriter(path)
-        writer.write_page(page_marker("only"), recorder.groups()["u"][1])
+        writer = CaptureWriter(str(tmp_path), ["u"])
+        writer.write_page("only", recorder.groups(), PageCapture("only"))
         writer.close()
-        loaded = ReuseFileReader(path)
+        loaded = ReuseFileReader(str(tmp_path))
         for _ in range(3):
+            groups = loaded.capture("only").get("u")
             assert [(o.itid, o.fields)
-                    for o in parse_outputs(loaded.read_group("only"))] \
+                    for o in parse_outputs(groups.o_data)] \
                 == [(0, (("x", "s", 0, 4),)), (0, (("x", "s", 6, 9),))]
 
 

@@ -16,11 +16,11 @@ from repro.extractors import ALL_TASKS, make_task
 from repro.plan import compile_program, find_units
 from repro.reuse import FingerprintScope, PlanAssignment, ReuseEngine
 from repro.reuse.files import (
+    CaptureWriter,
+    PageCapture,
     PageRecorder,
     ReuseFileReader,
-    ReuseFileWriter,
     encode_fields,
-    page_marker,
     parse_inputs,
     parse_outputs,
 )
@@ -87,10 +87,8 @@ record_values = st.one_of(st.integers(-10**6, 10**6),
 def test_reuse_file_roundtrip_property(tmp_path_factory, pages):
     """Arbitrary page groups of inputs/outputs survive the write/read
     cycle byte-exactly and in order."""
-    base = tmp_path_factory.mktemp("rf")
-    i_path = str(base / "u.I.reuse")
-    o_path = str(base / "u.O.reuse")
-    wi, wo = ReuseFileWriter(i_path), ReuseFileWriter(o_path)
+    base = str(tmp_path_factory.mktemp("rf"))
+    writer = CaptureWriter(base, ["u"])
     expected = []
     for idx, (regions, outs) in enumerate(pages):
         did = f"page{idx}"
@@ -102,26 +100,24 @@ def test_reuse_file_roundtrip_property(tmp_path_factory, pages):
         for fields in outs:
             recorder.output("u", tids[0] if tids else 0,
                             encode_fields(fields))
-        i_data, o_data = recorder.groups().get("u", (b"", b""))
-        wi.write_page(page_marker(did), i_data)
-        wo.write_page(page_marker(did), o_data)
+        writer.write_page(did, recorder.groups(), PageCapture(did))
         expected.append((did, regions, outs))
-    wi.close()
-    wo.close()
+    writer.close()
 
-    ri, ro = ReuseFileReader(i_path), ReuseFileReader(o_path)
+    reader = ReuseFileReader(base)
+    assert reader.table.dids == [did for did, _, _ in expected]
     for did, regions, outs in expected:
-        got_inputs = parse_inputs(did, ri.read_group(did))
+        groups = reader.capture(did).get("u")
+        got_inputs = parse_inputs(did, groups.i_data)
         assert len(got_inputs) == len(regions)
         for (s, e), tup in zip(regions, got_inputs):
             assert (tup.s, tup.e) == (min(s, e), max(s, e))
-        got_outputs = parse_outputs(ro.read_group(did))
+        got_outputs = parse_outputs(groups.o_data)
         assert len(got_outputs) == len(outs)
         for fields, out in zip(outs, got_outputs):
             decoded = {name: a for name, kind, a, b in out.fields}
             assert decoded == fields
-    ri.close()
-    ro.close()
+    reader.close()
 
 
 def test_three_way_scope_composition(tmp_path):

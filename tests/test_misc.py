@@ -1,7 +1,5 @@
 """Cross-cutting coverage: probes, baselines under churn, misc APIs."""
 
-import os
-
 import pytest
 
 from repro.core.cyclex import CyclexSystem
@@ -15,7 +13,7 @@ from repro.extractors import make_task
 from repro.optimizer.params import CostWeights, probe_io_weight
 from repro.plan import compile_program, find_units
 from repro.reuse.engine import PlanAssignment, ReuseEngine
-from repro.reuse.files import iter_groups, parse_inputs, parse_outputs
+from repro.reuse.files import iter_unit_groups, parse_inputs, parse_outputs
 
 
 class TestProbes:
@@ -115,10 +113,10 @@ class TestLoadReuseFile:
         out = str(tmp_path / "cap")
         result = engine.run_snapshot(snap, None, None, out)
         uid = units[0].uid
-        i_loaded = {did: parse_inputs(did, data) for did, data
-                    in iter_groups(os.path.join(out, f"{uid}.I.reuse"))}
-        o_loaded = {did: parse_outputs(data) for did, data
-                    in iter_groups(os.path.join(out, f"{uid}.O.reuse"))}
+        i_loaded = {did: parse_inputs(did, i_data) for did, i_data, _o
+                    in iter_unit_groups(out, uid)}
+        o_loaded = {did: parse_outputs(o_data) for did, _i, o_data
+                    in iter_unit_groups(out, uid)}
         assert set(i_loaded) == {"u1", "u2"}
         assert sum(len(v) for v in i_loaded.values()) == \
             result.unit_stats[uid].input_tuples

@@ -25,8 +25,12 @@ from repro.core.runner import (
     verify_serial_parallel,
 )
 from repro.extractors import make_task
-from repro.reuse.engine import _write_page
-from repro.reuse.files import PageRecorder, ReuseFileWriter, encode_fields
+from repro.reuse.files import (
+    CaptureWriter,
+    PageCapture,
+    PageRecorder,
+    encode_fields,
+)
 from repro.runtime import driver as driver_module
 from repro.runtime import (
     AUTO_PROCESS_WORK_FACTOR,
@@ -336,25 +340,20 @@ def _capture_script():
 
 
 def _write_files(directory, mode):
-    os.makedirs(directory, exist_ok=True)
-    writers = {uid: (ReuseFileWriter(os.path.join(directory, f"{uid}.I")),
-                     ReuseFileWriter(os.path.join(directory, f"{uid}.O")))
-               for uid in ("u1", "u2")}
+    writer = CaptureWriter(directory, ["u1", "u2"])
     script = _capture_script()
     if mode == "direct":
         # Serial: each page's groups are written as soon as it is done.
         for did, groups in _record(script).items():
-            _write_page(writers, did, groups)
+            writer.write_page(did, groups, PageCapture(did))
     else:
         # Two "workers" record pages out of order; their group bytes
         # cross a pickle and the parent writes them in canonical order.
         returned = {**pickle.loads(pickle.dumps(_record(script[2:]))),
                     **pickle.loads(pickle.dumps(_record(script[:2])))}
         for did in sorted(returned):
-            _write_page(writers, did, returned[did])
-    for wi, wo in writers.values():
-        wi.close()
-        wo.close()
+            writer.write_page(did, returned[did], PageCapture(did))
+    writer.close()
     return {name: open(os.path.join(directory, name), "rb").read()
             for name in sorted(os.listdir(directory))}
 
@@ -378,8 +377,9 @@ class TestCaptureMerge:
                                            b'{"t":1,"i":1,"f":[]}\n')
 
     def test_empty_pages_allocate_no_buffers(self):
-        # A unit that records nothing on a page allocates nothing; its
-        # two groups are written empty (see the golden-bytes test).
+        # A unit that records nothing on a page allocates nothing; the
+        # page table gives it no entry there (see the golden-bytes
+        # test).
         assert PageRecorder().groups() == {}
         recorder = PageRecorder()
         recorder.input("u2", 0, 1)
