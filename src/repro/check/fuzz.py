@@ -49,7 +49,7 @@ _UNICODE_SNIPPETS = ("αβγ δèlta", "naïve café", "étude",
 _BLANKS = ("", " ", "\n\n", " \t \n ")
 
 def _drift_factory(profile: str, kind: str):
-    from ..adapt.drift import drift_profile
+    from ..corpus.drift import drift_profile
 
     def factory(n_pages: int = 6, seed: int = 0):
         # shift_at=1 puts the regime boundary inside even the shortest
@@ -61,7 +61,7 @@ def _drift_factory(profile: str, kind: str):
 
 
 #: Corpus axes the fuzzer sweeps: the two stationary paper corpora
-#: plus regime-shifting series from :mod:`repro.adapt.drift`, so the
+#: plus regime-shifting series from :mod:`repro.corpus.drift`, so the
 #: differential oracle also covers mid-series churn bursts and
 #: template redesigns.
 CORPUS_FACTORIES = {

@@ -26,9 +26,8 @@ correctness argument):
   :func:`check_page_table_monotonic` re-checks a page table on disk.
 * **memo-hit retag soundness** — segments replayed from the match
   store still witness literal text equality inside both regions.
-* **identity-pair soundness** — a fingerprint-equal page pair that is
-  recycled whole really is byte-identical (guards against fingerprint
-  collisions).
+* **identity-pair soundness** — a page pair that is recycled whole
+  really is byte-identical.
 
 This module must only depend on :mod:`repro.text` — the reuse and
 fastpath layers import it, so anything heavier would be a cycle.
@@ -287,4 +286,4 @@ def check_identity_pair(page: Any, q_page: Any) -> None:
         raise InvariantViolation(
             "identity-pair-texts-equal",
             f"pages {page.did!r} / {q_page.did!r} were recycled as "
-            "identical but their texts differ (fingerprint collision?)")
+            "identical but their texts differ")

@@ -66,7 +66,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     if args.drift is not None:
-        from .adapt.drift import drift_profile
+        from .corpus.drift import drift_profile
 
         corpus = drift_profile(args.drift, n_pages=args.pages,
                                seed=args.seed, shift_at=args.shift_at,
@@ -138,8 +138,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 reports = run_series(task, snapshots, systems=systems,
                                      workdir=workdir, jobs=args.jobs,
                                      backend=args.backend,
-                                     fastpath=args.fastpath,
-                                     adapt=getattr(args, "adapt", "off"))
+                                     fastpath=args.fastpath)
     except BaseException:
         obs.disable_all()
         raise
@@ -174,13 +173,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("\nfastpath (last snapshot):")
         for line in fastpath_lines:
             print(line)
-    if getattr(args, "adapt", "off") != "off" and "delex" in systems:
-        summary = _adapt_summary(reports["delex"])
-        print(f"\nadapt (delex): mode={args.adapt} "
-              f"detections={summary['detections']} "
-              f"replans={summary['replans']} "
-              f"switches={summary['switches']} "
-              f"sampling={summary['sampling_seconds']:.3f}s")
     if getattr(args, "metrics_json", None):
         obs_doc = {"registry": obs.REGISTRY.to_dict()}
         if profiler is not None:
@@ -204,28 +196,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if problems:
             return 1
     return 0
-
-
-def _adapt_summary(report) -> dict:
-    """Aggregate the controller's per-snapshot decisions of a series."""
-    replan_actions = ("replan_switch", "replan_keep", "shadow_replan",
-                      "forced_replan")
-    switch_actions = ("replan_switch", "forced_replan")
-    summary = {"detections": 0, "replans": 0, "switches": 0,
-               "sampling_seconds": 0.0}
-    for snap in report.snapshots:
-        decision = (snap.optimizer or {}).get("adapt")
-        if not decision:
-            continue
-        if decision.get("signal"):
-            summary["detections"] += 1
-        if decision["action"] in replan_actions:
-            summary["replans"] += 1
-        if decision["action"] in switch_actions:
-            summary["switches"] += 1
-        summary["sampling_seconds"] += decision.get("sampling_seconds",
-                                                    0.0)
-    return summary
 
 
 def _dump_metrics_json(path: str, task, snapshots, systems,
@@ -315,8 +285,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     configs = [ViewConfig(
         name=name, task=name, system=args.system,
         fastpath=args.fastpath, jobs=args.jobs,
-        backend=args.backend, work_scale=args.work_scale,
-        adapt=args.adapt)
+        backend=args.backend, work_scale=args.work_scale)
         for name in task_names]
     snapshot_store = (CorpusStore(os.path.join(workdir, "corpus"))
                       if args.persist else None)
@@ -539,16 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "automaton cache) for the matching systems; "
                           "results are identical either way (default "
                           "on)")
-    run.add_argument("--adapt", default="off",
-                     choices=("off", "shadow", "on"),
-                     help="drift-aware online re-optimization for delex: "
-                          "off = plan once and re-plan when the page "
-                          "mix drifts (the paper re-plans every "
-                          "snapshot); shadow = plan once, detect drift "
-                          "and log would-be replans without switching; "
-                          "on = plan once and re-plan/switch on drift "
-                          "behind a hysteresis guard. Results are "
-                          "identical in all modes (Theorem 1)")
     run.add_argument("--metrics-json", default=None, metavar="PATH",
                      help="after the run, dump per-system per-snapshot "
                           "timings, runtime telemetry, fast-path "
@@ -657,13 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the relational plan")
     serve.add_argument("--fastpath", default="on",
                        choices=("on", "off"))
-    serve.add_argument("--adapt", default="off",
-                       choices=("off", "shadow", "on"),
-                       help="drift-aware in-flight re-planning for "
-                            "delex views: shadow detects and logs, on "
-                            "re-plans behind the hysteresis guard; "
-                            "published rows are identical in every "
-                            "mode (default off)")
     serve.add_argument("--jobs", type=int, default=1)
     serve.add_argument("--backend", default="auto",
                        choices=("auto", "serial", "thread", "process"))

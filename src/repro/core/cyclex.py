@@ -6,8 +6,8 @@ paper's terms that is a Delex plan whose only IE unit is the whole
 program, and that is how it is written: :func:`program_plan` wraps the
 compiled program in one :class:`ProgramExtractor`, and
 :class:`CyclexSystem` is :class:`~repro.core.delex.DelexSystem` over
-that plan with the unit's matcher chosen per snapshot by a small cost
-probe (mirroring the Cyclex optimizer) instead of Algorithm 1.
+that plan. Its one unit's matcher is planned like any Delex plan, by
+the §6.3 statistics and Algorithm 1, re-run when the page mix drifts.
 Matching, copying, re-extraction, capture, the identical-page recycle
 and the parallel page loop are the reuse engine's.
 
@@ -20,26 +20,20 @@ anything changed, which is precisely why Delex wins on those tasks.
 from __future__ import annotations
 
 import sys
-import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..corpus.snapshot import Snapshot
 from ..extractors.base import Extraction, Extractor, RelSpan
 from ..fastpath.config import FastPathFlag
-from ..fastpath.fingerprint import pages_identical
-from ..matchers.base import DN_NAME, ST_NAME, UD_NAME
-from ..matchers.registry import make_matcher
 from ..plan.compile import CompiledPlan
 from ..plan.operators import IENode, ProjectNode, ScanNode, SelectNode
 from ..plan.units import IEUnit, find_units
-from ..reuse.engine import PlanAssignment, min_match_length
-from ..reuse.files import InputTuple
-from ..reuse.regions import derive_reuse
+from ..reuse.engine import PlanAssignment
 from ..runtime.executor import Executor
 from ..runtime.scheduler import PageScheduler
 from ..text.document import Page
 from ..text.span import Span
-from ..timing import OPT, Timer, Timings
+from ..timing import Timer, Timings
 from ..xlog.ast import Var
 from ..xlog.registry import EvalContext, PFunctionEntry
 from .delex import DelexSystem
@@ -135,22 +129,19 @@ def program_plan(plan: CompiledPlan, alpha: int, beta: int
 
 class CyclexSystem(DelexSystem):
     """Delex over the one-unit program plan, with the unit's matcher
-    chosen by the Cyclex probe (or pinned by ``fixed_matcher``)."""
+    chosen by the Delex optimizer (or pinned by ``fixed_matcher``)."""
 
     name = "cyclex"
 
     def __init__(self, plan: CompiledPlan, workdir: str,
                  program_alpha: int, program_beta: int,
-                 probe_pages: int = 6,
                  executor: Optional[Executor] = None,
                  scheduler: Optional[PageScheduler] = None,
                  fastpath: FastPathFlag = None,
                  fixed_matcher: Optional[str] = None) -> None:
         self._program = program_plan(plan, program_alpha, program_beta)
-        self.probe_pages = probe_pages
-        # Pin the per-snapshot matcher choice (skips the timing-based
-        # probe, whose winner is machine-dependent) — lets parity tests
-        # compare two runs byte-for-byte.
+        # Pin the matcher of every reuse snapshot (Shortcut's EQ, and
+        # the per-matcher cases of the check grid and parity tests).
         self.fixed_matcher = fixed_matcher
         # No xlog task of its own: the engine runs the program plan.
         super().__init__(None, workdir, executor=executor,
@@ -162,61 +153,7 @@ class CyclexSystem(DelexSystem):
 
     def _choose_assignment(self, snapshot: Snapshot,
                            timer: Timer) -> PlanAssignment:
-        matcher = DN_NAME  # bootstrap: nothing to recycle
-        if self._history and self._prev_dir is not None:
-            matcher = self.fixed_matcher or self._choose_matcher(
-                snapshot, self._history[-1], timer)
-        return PlanAssignment({self.units[0].uid: matcher})
-
-    def _choose_matcher(self, snapshot: Snapshot,
-                        prev_snapshot: Snapshot, timer: Timer) -> str:
-        """Pick DN/UD/ST by probing a few page pairs.
-
-        Estimated per-page cost = match time + extraction time scaled
-        by the fraction of the page left uncovered by copy zones.
-        Extraction rate is estimated from one from-scratch page run.
-        """
-        unit = self.units[0]
-        with timer.measure_total(), timer.measure(OPT):
-            # Sample shared pages in canonical page order. With the fast
-            # paths on, the engine recycles an identical page under any
-            # matcher, DN too, so only changed pages can tell the
-            # matchers apart; with them off, identical pages really run
-            # the chosen matcher and are sampled as well.
-            pairs: List[Tuple[Page, Page]] = []
-            for page in snapshot.canonical_pages():
-                old = prev_snapshot.get(page.url)
-                if old is not None and not (self.fastpath
-                                            and pages_identical(page, old)):
-                    pairs.append((page, old))
-                if len(pairs) >= self.probe_pages:
-                    break
-            if not pairs:
-                return UD_NAME  # no pair to price: no matcher runs
-            # Extraction seconds per character, probed on one page.
-            sample_page = pairs[0][0]
-            start = time.perf_counter()
-            run_page_plain(self.plan, sample_page, Timer(Timings()))
-            extract_rate = ((time.perf_counter() - start)
-                            / max(1, len(sample_page.text)))
-            best_name, best_cost = DN_NAME, extract_rate * sum(
-                len(p.text) for p, _ in pairs)
-            for name in (UD_NAME, ST_NAME):
-                matcher = make_matcher(
-                    name, min_length=min_match_length(unit.beta))
-                cost = 0.0
-                for page, old in pairs:
-                    t0 = time.perf_counter()
-                    segments = matcher.match_many(page.text, page.whole,
-                                                  old.text, {0: old.whole})
-                    cost += time.perf_counter() - t0
-                    derivation = derive_reuse(
-                        page.whole, page.did, segments,
-                        {0: InputTuple(0, old.did, 0, len(old.text))},
-                        {}, unit.alpha, unit.beta)
-                    uncovered = sum(
-                        len(er) for er in derivation.extraction_regions)
-                    cost += extract_rate * uncovered
-                if cost < best_cost:
-                    best_name, best_cost = name, cost
-            return best_name
+        if (self.fixed_matcher is None or not self._history
+                or self._prev_dir is None):
+            return super()._choose_assignment(snapshot, timer)
+        return PlanAssignment({self.units[0].uid: self.fixed_matcher})

@@ -27,7 +27,6 @@ and :meth:`_choose_assignment`.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -56,8 +55,13 @@ from ..timing import OPT, Timer, Timings
 
 #: Absolute change in either :class:`PageMix` fraction, against the run
 #: the plan was chosen on, that makes the next snapshot re-plan.
-#: On small drifting series a stationary one moves by at most ~0.16
-#: and a regime shift moves one fraction by 0.33 or more where it lands.
+#: A regime shift moves one fraction by 0.33 or more where it lands.
+#: A stationary series moves by binomial noise, which shrinks with the
+#: page count: at 24 pages it stays within ~0.16, but at 16 pages a
+#: calm series (``p_unchanged`` 0.3) reads a recycled fraction anywhere
+#: in 0.125-0.5625, so the trigger re-samples about twice in 11
+#: snapshots. It keeps the plan each time; the extra samples cost
+#: 0.1-0.3 s over such a series.
 REPLAN_DRIFT = 0.2
 
 
@@ -123,9 +127,8 @@ class DelexSystem:
         self.last_assignment: Optional[PlanAssignment] = None
         #: Statistics behind ``last_search`` and the snapshot index they
         #: were sampled on. On snapshots where the plan is kept without
-        #: re-sampling (no page-mix drift, fixed assignment, adaptive
-        #: keep) these stay at the values that justified the current
-        #: plan.
+        #: re-sampling (no page-mix drift, fixed assignment) these stay
+        #: at the values that justified the current plan.
         self.last_stats: Optional[Statistics] = None
         self.last_stats_index: Optional[int] = None
         #: Whether the snapshot last processed ran the collector and
@@ -136,9 +139,6 @@ class DelexSystem:
         #: What the trigger read for the last snapshot: the previous
         #: run's page mix and the baseline it was compared with.
         self.last_trigger: Optional[Dict[str, object]] = None
-        #: ``f`` estimator passed to the collector: "flat" reproduces
-        #: the paper; the adaptive controller samples with "recency".
-        self.f_mode = "flat"
         self._last_result: Optional[SnapshotRunResult] = None
         self._extract_rates: Dict[str, float] = {}
         self._match_rates: Dict[str, float] = {}
@@ -252,8 +252,6 @@ class DelexSystem:
         :class:`PageMix` differs from the one of the run the plan was
         chosen on by more than :data:`REPLAN_DRIFT`; then this snapshot
         samples and searches again and adopts the new winner.
-        :class:`~repro.adapt.replan.AdaptiveDelexSystem` overrides this
-        with its drift detector and hysteresis guard.
         """
         if not self._history or self._prev_dir is None:
             return self.fixed_assignment or PlanAssignment.all_dn(self.units)
@@ -272,12 +270,9 @@ class DelexSystem:
             self._sample_and_search(snapshot, timer)
         return self.last_search.assignment
 
-    def _sample_and_search(self, snapshot: Snapshot, timer: Timer
-                           ) -> Tuple[SearchResult, Statistics, float]:
-        """Run the §6.3 collector plus Algorithm-1 search; returns the
-        search result, the sampled statistics, and the wall seconds
-        spent (also attributed to the Opt timing category)."""
-        start = time.perf_counter()
+    def _sample_and_search(self, snapshot: Snapshot, timer: Timer) -> None:
+        """Run the §6.3 collector plus Algorithm-1 search and adopt the
+        winner; the seconds count as Opt."""
         with timer.measure_total():
             with timer.measure(OPT):
                 prev_stats = (self._last_result.unit_stats
@@ -290,7 +285,6 @@ class DelexSystem:
                     prev_capture_dir=self._prev_dir,
                     prev_unit_stats=prev_stats,
                     known_extract_rates=self._extract_rates,
-                    f_mode=self.f_mode,
                     known_match_rates=self._match_rates,
                     fastpath=self.fastpath)
                 search = search_plan(self.units, stats, self.chains)
@@ -298,7 +292,6 @@ class DelexSystem:
         self.last_stats = stats
         self.last_stats_index = snapshot.index
         self.replanned = True
-        return search, stats, time.perf_counter() - start
 
     def _gc_old_capture(self, out_dir: str,
                         capture: Optional[CaptureSummary]) -> None:

@@ -62,8 +62,7 @@ def resolve_executor(task: IETask, executor: Optional[Executor] = None,
 def make_system(name: str, task: IETask, workdir: str,
                 executor: Optional[Executor] = None, jobs: int = 1,
                 backend: str = "auto",
-                fastpath: FastPathFlag = None,
-                adapt: object = None, **kwargs):
+                fastpath: FastPathFlag = None, **kwargs):
     """Instantiate one of the four systems for a task.
 
     ``executor`` (or ``jobs``/``backend``) selects the execution
@@ -72,12 +71,6 @@ def make_system(name: str, task: IETask, workdir: str,
     systems (shortcut/cyclex/delex) on or off; it accepts a bool or the
     CLI strings ``"on"``/``"off"`` and defaults to on. No-reuse ignores
     it (it never pairs pages).
-
-    ``adapt`` enables the drift-aware controller for delex: an
-    :class:`~repro.adapt.replan.AdaptConfig` or one of the CLI strings
-    ``"on"``/``"shadow"``/``"static"`` (``"off"``/``None`` keep the
-    base planner, which re-plans when the page mix drifts). Only delex
-    understands it; the other systems have no plan to adapt.
     """
     plan = compile_program(task.program, task.registry)
     executor = resolve_executor(task, executor, jobs, backend)
@@ -89,12 +82,6 @@ def make_system(name: str, task: IETask, workdir: str,
                    task.program_beta, executor=executor, fastpath=fastpath,
                    **kwargs)
     if name == "delex":
-        from ..adapt.replan import AdaptConfig, AdaptiveDelexSystem
-        config = AdaptConfig.from_flag(adapt)
-        if config is not None:
-            return AdaptiveDelexSystem(task, os.path.join(workdir, "delex"),
-                                       adapt=config, executor=executor,
-                                       fastpath=fastpath, **kwargs)
         return DelexSystem(task, os.path.join(workdir, "delex"),
                            executor=executor, fastpath=fastpath, **kwargs)
     raise ValueError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}")
@@ -115,17 +102,15 @@ class SnapshotReport:
     mentions: int
     results: Dict[str, frozenset] = field(repr=False, default_factory=dict)
     optimizer: Optional[Dict[str, object]] = field(repr=False, default=None)
-    """Optimizer audit trail for plan-choosing systems (delex): the
-    chosen assignment, the sampled statistics behind it, what the
-    re-plan trigger read, and — when the adaptive controller is active —
-    its decision for this snapshot."""
+    """Optimizer audit trail for the systems that run a plan (shortcut,
+    cyclex, delex): the chosen assignment, the sampled statistics
+    behind it and what the re-plan trigger read."""
     capture: Optional[Dict[str, int]] = field(repr=False, default=None)
     """Byte counts of the capture the run wrote, for reusing systems
     (:meth:`~repro.reuse.files.CaptureSummary.to_dict`)."""
 
 
-def optimizer_snapshot_doc(instance, snapshot_index: int
-                           ) -> Optional[Dict[str, object]]:
+def optimizer_snapshot_doc(instance) -> Optional[Dict[str, object]]:
     """Assemble the per-snapshot optimizer audit record, if the system
     exposes one (duck-typed on the delex attributes)."""
     assignment = getattr(instance, "last_assignment", None)
@@ -147,11 +132,6 @@ def optimizer_snapshot_doc(instance, snapshot_index: int
         # mix against the one of the run the plan was chosen on.
         doc["replanned"] = instance.replanned
         doc["trigger"] = dict(trigger)
-    decisions = getattr(instance, "decisions", None)
-    if decisions:
-        last = decisions[-1]
-        if last.snapshot_index == snapshot_index:
-            doc["adapt"] = last.to_dict()
     return doc
 
 
@@ -194,7 +174,6 @@ def run_series(task: IETask, snapshots: Sequence[Snapshot],
                executor: Optional[Executor] = None,
                jobs: int = 1, backend: str = "auto",
                fastpath: FastPathFlag = None,
-               adapt: object = None,
                ) -> Dict[str, SeriesReport]:
     """Run the requested systems over consecutive snapshots.
 
@@ -204,9 +183,7 @@ def run_series(task: IETask, snapshots: Sequence[Snapshot],
     results are backend-independent by construction. ``fastpath``
     configures the snapshot-delta fast paths of the reusing systems
     (default on); results are fast-path-independent by construction
-    too. ``adapt`` switches delex to the drift-aware controller (see
-    :func:`make_system`); by Theorem 1 it cannot change results either.
-    Returns one :class:`SeriesReport` per system.
+    too. Returns one :class:`SeriesReport` per system.
     """
     own_dir = workdir is None
     workdir = workdir or tempfile.mkdtemp(prefix="repro_run_")
@@ -218,7 +195,6 @@ def run_series(task: IETask, snapshots: Sequence[Snapshot],
             instance = make_system(system_name, task,
                                    os.path.join(workdir, system_name),
                                    executor=executor, fastpath=fastpath,
-                                   adapt=adapt,
                                    **system_kwargs.get(system_name, {}))
             report = SeriesReport(system=system_name, task=task.name)
             prev: Optional[Snapshot] = None
@@ -233,8 +209,7 @@ def run_series(task: IETask, snapshots: Sequence[Snapshot],
                     mentions=result.total_mentions(),
                     results=(canonical_results(result)
                              if keep_results else {}),
-                    optimizer=optimizer_snapshot_doc(instance,
-                                                     snapshot.index),
+                    optimizer=optimizer_snapshot_doc(instance),
                     capture=(result.capture.to_dict()
                              if result.capture is not None else None)))
                 prev = snapshot

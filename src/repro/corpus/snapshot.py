@@ -72,9 +72,9 @@ def write_snapshot(snapshot: Snapshot, path: str) -> None:
     Each record is a JSON header line ``{"did", "url", "nbytes", "fp"}``
     followed by exactly ``nbytes`` of UTF-8 page text and a newline.
     ``fp`` is the page's blake2 content fingerprint
-    (:func:`repro.text.document.content_fingerprint`); persisting it
-    lets the fast-path layer detect unchanged pages without hashing
-    page bodies at load time.
+    (:func:`repro.text.document.content_fingerprint`), persisted so a
+    reader that names pages by content need not hash page bodies at
+    load time. Page identity never reads it: it compares text.
     """
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:

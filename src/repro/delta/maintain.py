@@ -192,7 +192,7 @@ class DeltaMaintainer:
             upserts[did] = self.plan_delta.page_rows(self.states[did])
         for did in diff.unchanged:
             decisions[did] = PageDecision(
-                did=did, decision="unchanged", reason="fingerprint match")
+                did=did, decision="unchanged", reason="identical text")
 
         delta_weight = 0
         relations: Dict[str, Tuple[tuple, ...]] = {}

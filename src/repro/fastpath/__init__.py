@@ -8,9 +8,8 @@ through matchers, reuse engine, runtime, and timing, all behind one
 switch (:func:`.config.fastpath_enabled`):
 
 * **Page identity** (:mod:`.fingerprint`) — :func:`pages_identical`
-  is the one page-identity test: a blake2 content fingerprint
-  (persisted in snapshot metadata) as a filter, then a text
-  comparison. The reuse engine recycles an identical page whole
+  is the one page-identity test: an exact text comparison, which
+  rejects a length change in O(1). The reuse engine recycles an identical page whole
   (:func:`repro.reuse.engine._recycle_page`), as Shortcut does in the
   paper, under any matcher plan.
 * **One match store** (:class:`.memo.MatchMemo` over

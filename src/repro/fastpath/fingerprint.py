@@ -2,11 +2,12 @@
 
 The fingerprint is a blake2b-128 over the page's UTF-8 text (see
 :func:`repro.text.document.content_fingerprint`), persisted in
-snapshot page headers (``"fp"``) so a later crawl's loader gets it for
-free. Fingerprint equality is a *filter*: :func:`pages_identical`
-confirms it with an exact text comparison, so a (vanishingly unlikely)
-hash collision or a stale ``fp`` field can never change results — it
-only costs one string compare. Every system that asks "is this page
+snapshot page headers (``"fp"``) and read where a page must be named
+by its content without its text at hand: serve tombstones and the
+match memo's region keys. :func:`pages_identical` does not read it: an
+exact text comparison rejects a length change in O(1) and is cheaper
+than hashing a freshly generated page, and a stale ``fp`` header can
+then never cost a recycle. Every system that asks "is this page
 unchanged?" asks it here.
 """
 
@@ -20,14 +21,5 @@ __all__ = ["content_fingerprint", "pages_identical"]
 
 
 def pages_identical(page: Page, q_page: Optional[Page]) -> bool:
-    """True iff the two versions of a page are byte-identical.
-
-    Fingerprints reject changed pages in O(1); equal fingerprints are
-    confirmed by full text equality (O(n) memcmp, still far cheaper
-    than any matcher).
-    """
-    if q_page is None:
-        return False
-    if page.fingerprint != q_page.fingerprint:
-        return False
-    return page.text == q_page.text
+    """True iff the two versions of a page are byte-identical."""
+    return q_page is not None and page.text == q_page.text

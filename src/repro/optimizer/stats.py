@@ -42,32 +42,13 @@ from ..xlog.registry import EvalContext
 from .params import CostWeights, Statistics, UnitEstimates
 
 
-def estimate_f(deltas: Sequence[object], mode: str = "flat",
-               half_life: float = 1.0) -> float:
-    """Estimate ``f`` from consecutive snapshot deltas, oldest first.
-
-    ``mode="flat"`` is the paper's estimator — the unweighted mean of
-    ``fraction_with_previous`` over the window — and the pinned
-    default. ``mode="recency"`` weights delta ``i`` by ``0.5 ** (age /
-    half_life)`` (age in steps, newest delta has age 0), so after a
-    regime shift the estimate converges to the new change rate within
-    about one half-life instead of dragging the stale regime along for
-    the whole window; the adaptive re-planner samples with this
-    variant so post-drift plans price reuse at the new rate.
-    """
+def estimate_f(deltas: Sequence[object]) -> float:
+    """Estimate ``f`` from consecutive snapshot deltas, oldest first:
+    the paper's unweighted mean of ``fraction_with_previous`` over the
+    window."""
     if not deltas:
         return 0.0
-    if mode == "flat":
-        return (sum(d.fraction_with_previous for d in deltas)
-                / len(deltas))
-    if mode != "recency":
-        raise ValueError(f"unknown f estimator mode: {mode!r}")
-    span = max(half_life, 1e-9)
-    weights = [0.5 ** ((len(deltas) - 1 - i) / span)
-               for i in range(len(deltas))]
-    total = sum(weights)
-    return sum(w * d.fraction_with_previous
-               for w, d in zip(weights, deltas)) / total
+    return sum(d.fraction_with_previous for d in deltas) / len(deltas)
 
 
 @dataclass
@@ -212,8 +193,6 @@ def collect_statistics(plan: CompiledPlan, units: Sequence[IEUnit],
                        prev_capture_dir: Optional[str] = None,
                        prev_unit_stats: Optional[Dict[str, object]] = None,
                        known_extract_rates: Optional[Dict[str, float]] = None,
-                       f_mode: str = "flat",
-                       f_half_life: float = 1.0,
                        known_match_rates: Optional[Dict[str, float]] = None,
                        fastpath: bool = True) -> Statistics:
     """Estimate all cost-model parameters for processing ``snapshot``.
@@ -242,7 +221,7 @@ def collect_statistics(plan: CompiledPlan, units: Sequence[IEUnit],
     prev = history[-1]
     window = list(history[-k_snapshots:]) + [snapshot]
     deltas = [snapshot_delta(a, b) for a, b in zip(window, window[1:])]
-    f = estimate_f(deltas, mode=f_mode, half_life=f_half_life)
+    f = estimate_f(deltas)
 
     pairs = _sample_pairs(snapshot, prev, sample_size, fastpath)
     weights = weights if weights is not None else CostWeights()

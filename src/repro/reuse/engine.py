@@ -507,8 +507,8 @@ def _recycle_page(evaluator: PageEvaluator, page: Page,
         fp_stats.pages_recycled += 1
         fp_stats.tuples_recycled += prev_capture.output_count()
         if _inv.ENABLED:
-            # --check layer: a fingerprint match must really be a
-            # byte-identical pair.
+            # --check layer: a pair recycled whole must really be
+            # byte-identical.
             _inv.check_identity_pair(page, q_page)
     return prev_rows
 

@@ -276,9 +276,6 @@ class ServeApp:
                 "last_apply": last.to_dict() if last is not None else None,
                 "applies": [record.to_dict() for record in view.history],
             }
-            adapt = view.adapt_summary()
-            if adapt is not None:
-                views[view.config.name]["adapt"] = adapt
         doc: Dict[str, object] = {
             "uptime_seconds": self.uptime_seconds,
             "started_at": self.started_at,

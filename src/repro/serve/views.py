@@ -16,7 +16,7 @@ Three maintenance modes, selected per view:
   per-page rows: the engine recycles against the view's reuse files exactly as in
   batch mode, and its ``last_page_rows`` *is* the per-page attribution
   of the recycled run (no second extraction pass). The store delta
-  replaces only the pages whose fingerprints changed.
+  replaces only the pages whose text changed.
 * ``system="noreuse"`` — differential maintenance without capture
   files: only changed/new pages are extracted, from scratch, via the
   shared attribution helper
@@ -90,20 +90,12 @@ class ViewConfig:
     jobs: int = 1
     backend: str = "auto"
     work_scale: float = 1.0
-    adapt: str = "off"
-    """Drift-aware re-planning for ``system="delex"`` views: ``off``
-    re-plans when the page mix drifts (the batch default), ``shadow`` plans once
-    and logs drift without switching, ``on`` re-plans in flight behind
-    the hysteresis guard. Published rows are identical in every mode
-    (Theorem 1); only maintenance cost changes."""
 
     def __post_init__(self) -> None:
         if self.system not in MAINTENANCE_SYSTEMS:
             raise ValueError(
                 f"unknown maintenance system {self.system!r}; choose "
                 f"from {MAINTENANCE_SYSTEMS}")
-        if self.adapt not in ("off", "shadow", "on", "static"):
-            raise ValueError(f"unknown adapt mode {self.adapt!r}")
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -114,7 +106,6 @@ class ViewConfig:
             "jobs": self.jobs,
             "backend": self.backend,
             "work_scale": self.work_scale,
-            "adapt": self.adapt,
         }
 
 
@@ -209,11 +200,7 @@ class MaterializedView:
             self._system = make_system(
                 "delex", self.task, os.path.join(workdir, "delex"),
                 jobs=config.jobs, backend=config.backend,
-                fastpath=config.fastpath, adapt=config.adapt)
-            # Adaptive metrics are labelled per view, matching the
-            # "view:{name}" convention of publish_timings.
-            if hasattr(self._system, "metrics_label"):
-                self._system.metrics_label = f"view:{config.name}"
+                fastpath=config.fastpath)
         elif config.system == "delta":
             self._delta = DeltaMaintainer(self.plan)
         #: did -> content fingerprint at deletion time; membership is
@@ -239,15 +226,9 @@ class MaterializedView:
     def generation(self) -> Optional[Generation]:
         return self.store.current()
 
-    def adapt_summary(self) -> Optional[Dict[str, object]]:
-        """The adaptive controller's counters, when one is maintaining
-        this view (``system="delex"`` with ``adapt != "off"``)."""
-        summary = getattr(self._system, "summary", None)
-        return summary() if callable(summary) else None
-
     def describe(self) -> Dict[str, object]:
         generation = self.generation
-        doc = {
+        return {
             "config": self.config.to_dict(),
             "relations": list(self.store.schema),
             "healthy": self.healthy,
@@ -257,10 +238,6 @@ class MaterializedView:
             "last_error": self.last_error,
             "applies": len(self.history),
         }
-        adapt = self.adapt_summary()
-        if adapt is not None:
-            doc["adapt"] = adapt
-        return doc
 
     # -- queries (any thread) ---------------------------------------------
 
@@ -270,7 +247,7 @@ class MaterializedView:
     # -- maintenance (ingest thread only) ---------------------------------
 
     def diff_snapshot(self, snapshot: Snapshot) -> SnapshotDiff:
-        """Fingerprint-partition the snapshot against the applied state."""
+        """Split the snapshot against the applied state by page identity."""
         prev = self._prev_snapshot
         prev_pages: Dict[str, Page] = (
             {p.did: p for p in prev.pages} if prev is not None else {})

@@ -16,12 +16,9 @@ from .span import Interval, Span
 def content_fingerprint(text: str) -> str:
     """Page content fingerprint: blake2b-128 over the UTF-8 text.
 
-    Persisted in snapshot page headers (``"fp"``) so identical page
-    pairs can be found and recycled whole without re-hashing (see
-    :mod:`repro.fastpath`). Fingerprint
-    equality is only ever a filter: every identity test confirms it
-    with a text comparison
-    (:func:`repro.fastpath.fingerprint.pages_identical`).
+    Persisted in snapshot page headers (``"fp"``) and kept by serve
+    tombstones. The page-identity test does not read it: it compares
+    text (:func:`repro.fastpath.fingerprint.pages_identical`).
     """
     return hashlib.blake2b(text.encode("utf-8"),
                            digest_size=16).hexdigest()

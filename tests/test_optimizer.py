@@ -1,5 +1,7 @@
 """Cost model, statistics collection, Algorithm 1, enumeration."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.corpus import wikipedia_corpus
@@ -19,7 +21,7 @@ from repro.optimizer.enumerate import (
 )
 from repro.optimizer.params import CostWeights, Statistics, UnitEstimates
 from repro.optimizer.search import search_plan
-from repro.optimizer.stats import collect_statistics
+from repro.optimizer.stats import collect_statistics, estimate_f
 from repro.plan import compile_program, find_units, partition_chains
 from repro.reuse.engine import PlanAssignment, ReuseEngine
 
@@ -196,6 +198,18 @@ class TestEnumeration:
         _, units, _ = play_setup
         with pytest.raises(ValueError):
             canonical_plans(units * 3)
+
+
+class TestEstimateF:
+    def _deltas(self, *fractions):
+        return [SimpleNamespace(fraction_with_previous=f)
+                for f in fractions]
+
+    def test_averages_the_window(self):
+        assert estimate_f(self._deltas(0.2, 0.4, 0.9)) == pytest.approx(0.5)
+
+    def test_empty_window(self):
+        assert estimate_f([]) == 0.0
 
 
 class TestStatisticsCollection:

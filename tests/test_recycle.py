@@ -24,9 +24,14 @@ from repro.core.noreuse import NoReuseSystem
 from repro.core.runner import canonical_results, make_system
 from repro.corpus.evolve import ChangeModel, EvolvingCorpus
 from repro.corpus.generators import DBLifeGenerator
-from repro.corpus.snapshot import snapshot_from_texts
+from repro.corpus.snapshot import (
+    Snapshot,
+    read_snapshot,
+    snapshot_from_texts,
+    write_snapshot,
+)
 from repro.extractors import make_task
-from repro.fastpath import FastPathStats
+from repro.fastpath import FastPathStats, content_fingerprint
 from repro.matchers.base import DN_NAME, RU_NAME, ST_NAME, UD_NAME
 from repro.obs import trace as otrace
 from repro.plan import compile_program, find_units
@@ -39,6 +44,7 @@ from repro.reuse.files import (
     parse_inputs,
     parse_outputs,
 )
+from repro.text.document import Page
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +106,28 @@ class TestIdenticalSnapshotRecycles:
             assert fp.pages_paired == len(snap)
             assert fp.pages_recycled == fp.pages_paired
             assert fp.pages_short_circuited == fp.pages_paired
+
+    def test_stale_fp_header_still_recycles(self, chair, frozen_snaps,
+                                            tmp_path):
+        # Page identity compares text, never the persisted fingerprint:
+        # a snapshot file whose "fp" headers are stale still recycles
+        # every unchanged page.
+        task, plan, _units = chair
+        path = str(tmp_path / "snap1.dat")
+        write_snapshot(Snapshot(1, [
+            Page(p.did, p.url, p.text,
+                 fp=content_fingerprint("stale " + p.text))
+            for p in frozen_snaps[1].pages]), path)
+        loaded = read_snapshot(path)
+        assert all(p.fingerprint != q.fingerprint and p.text == q.text
+                   for p, q in zip(loaded.pages, frozen_snaps[0].pages))
+        system = make_system("delex", task, str(tmp_path / "run"))
+        system.process(frozen_snaps[0])
+        result = system.process(loaded, frozen_snaps[0])
+        fp = result.timings.fastpath
+        assert fp.pages_recycled == fp.pages_paired == len(loaded)
+        assert canonical_results(result) == canonical_results(
+            NoReuseSystem(plan).process(loaded))
 
     @pytest.mark.parametrize("jobs,backend", [(1, "serial"),
                                               (2, "process")])

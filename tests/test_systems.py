@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-from repro.adapt import drift_profile
 from repro.corpus import dblife_corpus, wikipedia_corpus
+from repro.corpus.drift import drift_profile
 from repro.corpus.evolve import ChangeModel, EvolvingCorpus
 from repro.corpus.generators import DBLifeGenerator
 from repro.corpus.snapshot import snapshot_from_texts
@@ -109,33 +109,30 @@ class TestCyclex:
         expected = NoReuseSystem(plan).process(snaps[1])
         assert canonical_results(result) == canonical_results(expected)
 
-    def test_probe_prices_changed_pairs_only(self, chair_fast, tmp_path,
-                                             monkeypatch):
+    @pytest.mark.parametrize("fastpath,changed_only",
+                             [("on", True), ("off", False)])
+    def test_plan_samples_changed_pairs_only(self, chair_fast, tmp_path,
+                                             fastpath, changed_only):
         """With the fast paths on, the engine recycles an identical page
-        under any matcher, DN included, so the matcher probe samples
-        changed pairs only: a repeated snapshot leaves it nothing to
-        time, and it runs no from-scratch extraction probe."""
-        import repro.core.cyclex as cyclex_mod
-        calls = []
-        real = cyclex_mod.run_page_plain
+        under any matcher, DN too, so the one unit's plan is priced on
+        changed pairs only; with them off identical pages run the
+        matcher and are sampled as well."""
+        from repro.fastpath.fingerprint import pages_identical
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cyclex_mod, "run_page_plain", counting)
-        frozen = ChangeModel(p_unchanged=1.0, p_removed=0.0, p_added=0.0)
-        snaps = list(EvolvingCorpus(DBLifeGenerator(), 10, frozen,
-                                    seed=5).snapshots(2))
-        assert all(a.text == b.text
-                   for a, b in zip(snaps[0].pages, snaps[1].pages))
+        snaps = list(dblife_corpus(n_pages=50, seed=5,
+                                   p_unchanged=0.9).snapshots(2))
+        changed = [p for p in snaps[1].pages
+                   if snaps[0].get(p.url) is not None
+                   and not pages_identical(p, snaps[0].get(p.url))]
         plan = compile_program(chair_fast.program, chair_fast.registry)
         system = CyclexSystem(plan, str(tmp_path), chair_fast.program_alpha,
-                              chair_fast.program_beta, fastpath="on")
+                              chair_fast.program_beta, fastpath=fastpath)
         system.process(snaps[0])
-        del calls[:]  # the program unit itself extracts through it
         result = system.process(snaps[1], snaps[0])
-        assert calls == []
+        assert system.replanned and system.last_stats_index == 1
+        assert 0 < len(changed) < system.sample_size
+        assert system.last_stats.sample_pages == (
+            len(changed) if changed_only else system.sample_size)
         expected = NoReuseSystem(plan).process(snaps[1])
         assert canonical_results(result) == canonical_results(expected)
 
@@ -184,12 +181,19 @@ class TestDelex:
             system.process(snaps[2], snaps[2])
 
     @staticmethod
-    def _plan_series(task, snaps, workdir):
-        """Run Delex over ``snaps``; per snapshot, the index the plan's
+    def _plan_series(task, snaps, workdir, system_name="delex"):
+        """Run Delex (or unpinned Cyclex, which Delex's optimizer plans
+        too) over ``snaps``; per snapshot, the index the plan's
         statistics were sampled on and whether it re-planned, checking
         every result against from-scratch No-reuse."""
-        system = DelexSystem(task, workdir, sample_size=4)
-        reference = NoReuseSystem(system.plan)
+        if system_name == "cyclex":
+            system = CyclexSystem(
+                compile_program(task.program, task.registry), workdir,
+                task.program_alpha, task.program_beta)
+        else:
+            system = DelexSystem(task, workdir, sample_size=4)
+        reference = NoReuseSystem(
+            compile_program(task.program, task.registry))
         sampled, replanned = [], []
         for snap in snaps:
             result = system.process(snap)
@@ -199,27 +203,46 @@ class TestDelex:
             replanned.append(system.replanned)
         return system, sampled, replanned
 
-    def test_stationary_series_plans_once(self, chair_fast, tmp_path):
+    def _assert_plans_once(self, task, workdir, system_name="delex"):
         snaps = list(drift_profile("stationary", n_pages=24,
                                    seed=0).snapshots(10))
-        _, sampled, replanned = self._plan_series(chair_fast, snaps,
-                                                  str(tmp_path))
+        _, sampled, replanned = self._plan_series(task, snaps, workdir,
+                                                  system_name)
         assert sampled == [None] + [1] * 9
         assert replanned == [False, True] + [False] * 8
+
+    def _assert_replans_after_shift(self, task, workdir, profile,
+                                    system_name="delex"):
+        """The shift lands on snapshot 5; its run's page mix is what the
+        trigger reads when it plans snapshot 6."""
+        snaps = list(drift_profile(profile, n_pages=24, seed=0,
+                                   shift_at=5).snapshots(8))
+        _, sampled, replanned = self._plan_series(task, snaps, workdir,
+                                                  system_name)
+        assert sampled[:7] == [None, 1, 1, 1, 1, 1, 6]
+        assert replanned[:7] == [False, True, False, False, False, False,
+                                 True]
+
+    def test_stationary_series_plans_once(self, chair_fast, tmp_path):
+        self._assert_plans_once(chair_fast, str(tmp_path))
+
+    def test_cyclex_stationary_series_plans_once(self, chair_fast,
+                                                 tmp_path):
+        self._assert_plans_once(chair_fast, str(tmp_path), "cyclex")
 
     @pytest.mark.parametrize("profile",
                              ["churn_burst", "redesign", "vocab_drift"])
     def test_regime_shift_replans_on_the_next_snapshot(self, chair_fast,
                                                        tmp_path, profile):
-        """The shift lands on snapshot 5; its run's page mix is what the
-        trigger reads when it plans snapshot 6."""
-        snaps = list(drift_profile(profile, n_pages=24, seed=0,
-                                   shift_at=5).snapshots(8))
-        _, sampled, replanned = self._plan_series(chair_fast, snaps,
-                                                  str(tmp_path))
-        assert sampled[:7] == [None, 1, 1, 1, 1, 1, 6]
-        assert replanned[:7] == [False, True, False, False, False, False,
-                                 True]
+        self._assert_replans_after_shift(chair_fast, str(tmp_path),
+                                         profile)
+
+    @pytest.mark.parametrize("profile",
+                             ["churn_burst", "redesign", "vocab_drift"])
+    def test_cyclex_regime_shift_replans_on_the_next_snapshot(
+            self, chair_fast, tmp_path, profile):
+        self._assert_replans_after_shift(chair_fast, str(tmp_path),
+                                         profile, "cyclex")
 
     def test_first_reuse_snapshot_after_resume_plans_afresh(
             self, chair_fast, tmp_path):
