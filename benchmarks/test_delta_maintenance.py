@@ -10,8 +10,8 @@ evolves, measured across churn rates on the ``chair`` task (the
   tuple-granular at the store, page-granular at the extractor;
 * ``delta``   — true differential maintenance (``system="delta"``):
   the snapshot flows as an (adds, dels) delta through the relational
-  plan, unchanged sub-page regions replay the IE memo, and the
-  classifier falls back per page when propagation is uneconomical.
+  plan, and sub-page regions whose text survived (shifted or not)
+  replay the IE memo.
 
 Every delta generation is compared byte-for-byte against a lockstep
 ``perpage`` view (all modes publish canonical stores — Theorem 1), and

@@ -19,15 +19,16 @@ Four layers, composed bottom-up:
   correctly through duplicate-producing operators: a tuple two pages
   both produce survives one page's retraction at count 1.
 * :mod:`.rules` — per-operator delta rules over the plan DAG.
-  Scan/σ/π/∪ are linear; IE nodes memoize outputs per input region so
-  unchanged sub-page regions never re-extract; ⋈ maintains per-side
+  Scan/σ/π/∪ are linear; IE nodes memoize outputs per input region
+  *text* (region-relative offsets), so unchanged and merely shifted
+  sub-page regions never re-extract; ⋈ maintains per-side
   hash-indexed state and emits ``ΔL⋈R + L⋈ΔR + ΔL⋈ΔR``.
 * :mod:`.classify` — the safe/unsafe update classifier: per arriving
   page, decide from the :class:`~repro.serve.views.SnapshotDiff`
-  category, the edit geometry (common prefix/suffix window, offset
-  shift), and the plan's selection properties whether in-place delta
+  category and the plan's selection properties whether in-place delta
   propagation is provably sufficient or the page must fall back to
-  re-extraction (still applied tuple-granularly).
+  re-derivation (still applied tuple-granularly, and still replaying
+  the IE memo).
 * :mod:`.maintain` — :class:`DeltaMaintainer`: owns all per-page
   operator state plus the incrementally maintained relation index,
   and turns one snapshot diff into the store delta + new sorted index

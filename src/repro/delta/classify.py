@@ -2,27 +2,21 @@
 
 Kassaie & Tompa's question, asked per arriving page: is in-place
 differential maintenance *provably sufficient* for this update, or
-must the page fall back to re-extraction? Two inputs decide it here:
+must the page fall back to re-derivation? Only the plan's selection
+properties decide it, and they are static (computed once):
 
-* **The plan's selection properties** — static, computed once. Delta
-  propagation keeps every row the edit's retract/add cancellation did
-  not touch, *including its recorded σ verdicts*. That is sound only
-  if every selection in the plan is row-determined
-  (:class:`~repro.xlog.registry.PFunctionEntry.row_determined`): its
-  verdict reads nothing but the argument values. ``immBefore`` reads
-  the page text *between* its spans — a gap an edit can rewrite
-  without touching either span — so any plan using it makes every
-  changed page unsafe for delta propagation.
-* **The edit geometry** — dynamic, per page. The common prefix/suffix
-  window between the old and new text bounds where extractor regions
-  can differ (the (α, β) locality the paper's extractors declare: an
-  extraction depends only on its region's content). The IE-node
-  region memo already makes delta propagation *correct* regardless of
-  where the edit falls, so geometry decides *economy*: when the edit
-  window covers most of the page nearly every region re-extracts
-  anyway, and the fallback — one clean re-extraction, state rebuilt —
-  is cheaper than threading thousands of retract/add pairs through
-  the operator states.
+Delta propagation keeps every row the edit's retract/add cancellation
+did not touch, *including its recorded σ verdicts*. That is sound only
+if every selection in the plan is row-determined
+(:class:`~repro.xlog.registry.PFunctionEntry.row_determined`): its
+verdict reads nothing but the argument values. ``immBefore`` reads the
+page text *between* its spans — a gap an edit can rewrite without
+touching either span — so any plan using it makes every changed page
+unsafe for delta propagation.
+
+The edit's size never decides: the IE memo is keyed on region text, so
+delta propagation and the fallback call the extractor on exactly the
+same (new) region texts, however much of the page the edit rewrote.
 
 Deleted and new (including resurrected) pages are always safe: a pure
 retraction is served entirely from recorded state (no extractor, no σ
@@ -37,7 +31,7 @@ decisions and :mod:`repro.obs` gets the per-decision counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..plan.compile import CompiledPlan
 from ..plan.operators import SelectNode
@@ -49,12 +43,6 @@ from ..plan.operators import SelectNode
 DECISIONS = ("unchanged", "new", "resurrected", "deleted", "delta",
              "fallback")
 
-#: Changed pages whose edit window covers more than this fraction of
-#: the new text fall back to re-extraction: beyond it, most extractor
-#: regions intersect the edit and delta propagation degenerates into
-#: re-extraction with bookkeeping on top.
-DEFAULT_MAX_EDIT_FRACTION = 0.6
-
 
 @dataclass(frozen=True)
 class PageDecision:
@@ -63,8 +51,6 @@ class PageDecision:
     did: str
     decision: str
     reason: str
-    #: Edit-window share of the new text (changed pages only).
-    edit_fraction: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.decision not in DECISIONS:
@@ -84,54 +70,18 @@ def plan_delta_blockers(plan: CompiledPlan) -> Tuple[str, ...]:
     return tuple(sorted(blockers))
 
 
-def edit_window(old_text: str, new_text: str) -> Tuple[int, int]:
-    """The (prefix, suffix) lengths shared by the two versions.
-
-    The window between them is the only place extractor regions can
-    differ. Prefix is matched first and the suffix never overlaps it,
-    so ``prefix + suffix <= min(len(old), len(new))``.
-    """
-    limit = min(len(old_text), len(new_text))
-    prefix = 0
-    while prefix < limit and old_text[prefix] == new_text[prefix]:
-        prefix += 1
-    suffix = 0
-    while (suffix < limit - prefix
-           and old_text[len(old_text) - 1 - suffix]
-           == new_text[len(new_text) - 1 - suffix]):
-        suffix += 1
-    return prefix, suffix
-
-
 class UpdateClassifier:
     """Per-page delta-vs-fallback decisions for one compiled plan."""
 
-    def __init__(self, plan: CompiledPlan,
-                 max_edit_fraction: float = DEFAULT_MAX_EDIT_FRACTION
-                 ) -> None:
+    def __init__(self, plan: CompiledPlan) -> None:
         self.blockers = plan_delta_blockers(plan)
-        self.max_edit_fraction = max_edit_fraction
 
-    def classify_changed(self, did: str, old_text: str,
-                         new_text: str) -> PageDecision:
+    def classify_changed(self, did: str) -> PageDecision:
         """Decide one changed page: propagate the delta, or fall back."""
-        prefix, suffix = edit_window(old_text, new_text)
-        window = max(len(new_text) - prefix - suffix, 0)
-        fraction = window / max(len(new_text), 1)
         if self.blockers:
             return PageDecision(
                 did=did, decision="fallback",
                 reason=("non-row-determined selection(s): "
-                        + ", ".join(self.blockers)),
-                edit_fraction=fraction)
-        if fraction > self.max_edit_fraction:
-            return PageDecision(
-                did=did, decision="fallback",
-                reason=(f"edit window covers {fraction:.0%} of the page "
-                        f"(> {self.max_edit_fraction:.0%})"),
-                edit_fraction=fraction)
-        return PageDecision(
-            did=did, decision="delta",
-            reason=f"edit window {fraction:.0%}, all selections "
-                   "row-determined",
-            edit_fraction=fraction)
+                        + ", ".join(self.blockers)))
+        return PageDecision(did=did, decision="delta",
+                            reason="all selections row-determined")

@@ -20,15 +20,19 @@ relation, the *cross-page* layer the per-page rules cannot see:
 ``apply`` executes the :class:`~repro.delta.classify.UpdateClassifier`
 decisions: deletions drain through the rules (pure retractions, zero
 extractor calls), new/resurrected pages flow as pure additions,
-changed-safe pages propagate their edit in place, and changed-unsafe
-pages take the fallback — old state discarded, page re-derived fresh
-through the same rules, the two root supports differenced. The
+changed pages propagate their edit in place, and changed pages of a
+plan with a non-row-determined selection take the fallback — the old
+state's recorded rows and verdicts discarded, the page re-derived
+through a fresh state that keeps only the old IE memos (keyed on
+region text, so a region whose text survived the edit replays its
+extractions there too), the two root supports differenced. The
 fallback is page-*granular* but still tuple-*granular* at the store:
 only the rows that actually changed reach the relation index.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -93,24 +97,42 @@ class DeltaApplyResult:
 
 
 def merge_sorted_index(old: Tuple[tuple, ...], appeared: Sequence[tuple],
-                       vanished: Sequence[tuple]) -> Tuple[tuple, ...]:
-    """Fold support transitions into a sorted index in one pass."""
+                       vanished: Sequence[tuple],
+                       keys: Optional[List[str]] = None
+                       ) -> Tuple[tuple, ...]:
+    """Fold support transitions into a sorted index in one pass.
+
+    ``keys`` are the sort keys of ``old``, position for position. When
+    given they are brought up to date in place, so a maintained index
+    never recomputes the key of a row it already holds: the changed
+    rows are placed by bisection and the rest are copied in slices.
+    """
     if not appeared and not vanished:
         return old
-    adds = sorted(appeared, key=_sort_key)
-    gone = set(vanished)
-    out: List[tuple] = []
-    i = 0
-    for tup in old:
-        if tup in gone:
-            continue
-        key = _sort_key(tup)
-        while i < len(adds) and _sort_key(adds[i]) < key:
-            out.append(adds[i])
-            i += 1
-        out.append(tup)
-    out.extend(adds[i:])
-    return tuple(out)
+    if keys is None:
+        keys = [_sort_key(tup) for tup in old]
+    # (position in old, 0 = insert before it / 1 = drop it, key, row);
+    # keys are unique, so sorting never compares two rows.
+    cuts = [(bisect_left(keys, key), 0, key, tup)
+            for key, tup in ((_sort_key(tup), tup) for tup in appeared)]
+    cuts += [(bisect_left(keys, key), 1, key, tup)
+             for key, tup in ((_sort_key(tup), tup) for tup in vanished)]
+    rows: List[tuple] = []
+    new_keys: List[str] = []
+    start = 0
+    for at, drop, key, tup in sorted(cuts):
+        rows += old[start:at]
+        new_keys += keys[start:at]
+        if not drop:
+            rows.append(tup)
+            new_keys.append(key)
+            start = at
+        elif at < len(keys) and keys[at] == key:
+            start = at + 1
+        else:
+            raise DeltaStateError(f"vanished row {tup!r} is not indexed")
+    keys[:] = new_keys + keys[start:]
+    return tuple(rows + list(old[start:]))
 
 
 class DeltaMaintainer:
@@ -125,6 +147,9 @@ class DeltaMaintainer:
             rel: Multiset() for rel in self.plan_delta.root_index}
         self.index: Dict[str, Tuple[tuple, ...]] = {
             rel: () for rel in self.plan_delta.root_index}
+        #: Each index's sort keys, position for position.
+        self.keys: Dict[str, List[str]] = {
+            rel: [] for rel in self.plan_delta.root_index}
 
     def apply(self, snapshot, diff, check: bool = False
               ) -> DeltaApplyResult:
@@ -173,16 +198,14 @@ class DeltaMaintainer:
                         "resurrected" else "pure addition"))
         for did in diff.changed:
             state = self.states[did]
-            old_text = state.current_text() or ""
-            decision = self.classifier.classify_changed(
-                did, old_text, new_texts[did])
+            decision = self.classifier.classify_changed(did)
             decisions[did] = decision
             if decision.decision == "delta":
                 collect(self.plan_delta.apply_page_text(
                     state, new_texts[did], counters))
             else:
                 old_rows = self.plan_delta.page_rows(state)
-                fresh = self.plan_delta.new_page_state(did)
+                fresh = state.fresh()
                 page_delta = self.plan_delta.apply_page_text(
                     fresh, new_texts[did], counters)
                 for rel, rows in old_rows.items():
@@ -201,7 +224,7 @@ class DeltaMaintainer:
             appeared, vanished = self.relations[rel].apply(
                 delta, where=f"relation:{rel}")
             self.index[rel] = merge_sorted_index(
-                self.index[rel], appeared, vanished)
+                self.index[rel], appeared, vanished, self.keys[rel])
             relations[rel] = self.index[rel]
         return DeltaApplyResult(
             upserts=upserts, deletes=tuple(diff.deleted),

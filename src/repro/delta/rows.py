@@ -13,8 +13,8 @@ therefore freezes rows into exactly the store's canonical tuple shape
 sorted by variable name. Freezing embeds each span's text, so
 
 * frozen equality means *semantic* equality across page versions —
-  same offsets **and** same content — which is what makes IE-output
-  memoization and σ-outcome retention sound;
+  same offsets **and** same content — which is what makes the
+  cancellation of unchanged IE outputs and σ-outcome retention sound;
 * the root node's frozen support is literally the page's stored rows:
   no second materialization pass between plan and store.
 

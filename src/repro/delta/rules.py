@@ -9,13 +9,18 @@ state held in a :class:`PageState`:
 * **Scan** — the page event itself: retract the old whole-page row,
   add the new one. For an unedited page the two cancel and nothing
   flows at all.
-* **IE** — memoized on the input *region content* ``(start, end,
-  text)``: added rows whose region the extractor has already seen
-  reuse the memoized extractions (zero extractor calls — this is what
-  makes a small edit's delta small even though the page-level scan row
-  changed); retractions replay the memo with negative multiplicity and
-  never touch the extractor. Region reference counts evict memo
-  entries when their last derivation retracts.
+* **IE** — memoized on the input region's *text* alone: an
+  extraction depends on nothing else, so the memo stores it with
+  region-relative offsets and places it at the input region's start
+  when merging it onto the input row. Added rows whose region text the
+  extractor has already seen — unedited, or shifted by an edit before
+  it — reuse the memoized extractions (zero extractor calls: this is
+  what makes a small edit's delta small even though the page-level
+  scan row changed); retractions replay the memo with negative
+  multiplicity and never touch the extractor. Region reference counts
+  are keyed on the same text, and at the end of every page event the
+  memo drops each entry no live region references, so it holds
+  exactly the page's live region texts.
 * **σ (Select)** — linear. Added rows are evaluated against the *new*
   page context; retracted rows consult the node's output state — the
   recorded old verdict — so retraction never needs the old page text.
@@ -55,10 +60,14 @@ from ..xlog.registry import EvalContext
 from .deltaset import DeltaSet, Multiset
 from .rows import FrozenRow, is_span_value, merge_frozen, thaw_row
 
-#: Region-content memo entry: the extractor's output for one region,
-#: as extension-field maps (var -> frozen value) to merge onto any
-#: input row carrying that region.
-MemoFields = Tuple[Tuple[Tuple[str, object], ...], ...]
+#: One memoized extraction: its span fields as region-relative
+#: ``(var, start, end, text)`` and its scalar fields as ``(var, value)``.
+MemoExtraction = Tuple[Tuple[Tuple[str, int, int, str], ...],
+                       Tuple[Tuple[str, object], ...]]
+
+#: Region-text memo entry: the extractor's output on one region text,
+#: valid wherever (and on whichever page version) that text sits.
+MemoFields = Tuple[MemoExtraction, ...]
 
 
 @dataclass
@@ -87,10 +96,10 @@ class DeltaCounters:
 
 @dataclass
 class _IEState:
-    """Memo + region reference counts of one IE node on one page."""
+    """Memo + region reference counts of one IE node on one page,
+    both keyed on region text."""
 
-    memo: Dict[Tuple[int, int, str], MemoFields] = field(
-        default_factory=dict)
+    memo: Dict[str, MemoFields] = field(default_factory=dict)
     region_refs: Multiset = field(default_factory=Multiset)
 
 
@@ -136,13 +145,22 @@ class PageState:
             state = self.joins[index] = _JoinState()
         return state
 
-    def current_text(self) -> Optional[str]:
-        """The page text this state was last moved to (from the scan
-        row — the delta layer needs no separate snapshot retention)."""
-        for row in self.scan_rows.values():
-            value = row[0][1]
-            return value[2]  # (start, end, text)
-        return None
+    def fresh(self) -> "PageState":
+        """An empty state for the same page that keeps this one's IE
+        memos: they are keyed on region text, so they hold for any
+        version of the page (the fallback re-derives through it)."""
+        state = PageState(self.did, len(self.out))
+        state.ie = {index: _IEState(memo=dict(ie_state.memo))
+                    for index, ie_state in self.ie.items()}
+        return state
+
+    def drop_unreferenced(self) -> None:
+        """Drop every memo entry no live region references."""
+        for ie_state in self.ie.values():
+            if len(ie_state.memo) != len(ie_state.region_refs):
+                refs = ie_state.region_refs
+                ie_state.memo = {text: fields for text, fields
+                                 in ie_state.memo.items() if text in refs}
 
     def is_drained(self) -> bool:
         """True iff every maintained multiset is empty (a fully
@@ -153,7 +171,7 @@ class PageState:
             if state is not None and not state.is_empty():
                 return False
         for ie_state in self.ie.values():
-            if not ie_state.region_refs.is_empty():
+            if ie_state.memo or not ie_state.region_refs.is_empty():
                 return False
         for join_state in self.joins.values():
             for side in (join_state.left, join_state.right):
@@ -237,6 +255,7 @@ class PagePlanDelta:
             else:
                 raise TypeError(
                     f"delta rules do not cover {type(node).__name__}")
+        state.drop_unreferenced()
         out: Dict[str, DeltaSet] = {}
         for rel, root_idx in self.root_index.items():
             delta = deltas[root_idx]
@@ -278,6 +297,7 @@ class PagePlanDelta:
         if child is None or child.is_empty():
             return delta
         ie_state = state.ie_state(index)
+        memo = ie_state.memo
         region_delta = DeltaSet()
         for in_row, count in child.items():
             values = dict(in_row)
@@ -286,47 +306,47 @@ class PagePlanDelta:
                 raise TypeError(
                     f"{node.extractor.name}: input {node.in_var!r} is "
                     "not a span")
-            key = region  # (start, end, text) — content-identifying
-            fields = ie_state.memo.get(key)
+            start, _end, text = region
+            fields = memo.get(text)
             if fields is None:
                 if count < 0:
                     raise RuntimeError(
                         f"{node.extractor.name}: retraction of a region "
                         "never extracted (delta state out of sync)")
-                fields = self._run_extractor(node, state.did, key)
-                ie_state.memo[key] = fields
+                fields = memo[text] = self._run_extractor(
+                    node, state.did, text)
                 counters.extractor_calls += 1
             else:
                 counters.memo_hits += 1
-            region_delta.add(key, count)
-            for field_map in fields:
-                out_row = merge_frozen(in_row, field_map)
-                delta.add(out_row, count)
-        _appeared, vanished = ie_state.region_refs.apply(
+            region_delta.add(text, count)
+            for spans, scalars in fields:
+                out_row = values.copy()
+                for var, rel_start, rel_end, span_text in spans:
+                    out_row[var] = (start + rel_start, start + rel_end,
+                                    span_text)
+                out_row.update(scalars)
+                delta.add(tuple(sorted(out_row.items())), count)
+        ie_state.region_refs.apply(
             region_delta, where=f"ie:{node.extractor.name}")
-        for key in vanished:
-            ie_state.memo.pop(key, None)
         return delta
 
     @staticmethod
-    def _run_extractor(node: IENode, did: str,
-                       region: Tuple[int, int, str]) -> MemoFields:
-        start, _end, text = region
-        region_span = Span(did, start, start + len(text))
-        out: List[Tuple[Tuple[str, object], ...]] = []
+    def _run_extractor(node: IENode, did: str, text: str) -> MemoFields:
+        # Extracting against a region at offset 0 leaves every span
+        # region-relative.
+        region_span = Span(did, 0, len(text))
+        out: List[MemoExtraction] = []
         for extraction in node.extractor.extract(text):
-            frozen_fields: List[Tuple[str, object]] = []
+            spans: List[Tuple[str, int, int, str]] = []
+            scalars: List[Tuple[str, object]] = []
             for var, value in node.extension_fields(
                     extraction, region_span).items():
                 if isinstance(value, Span):
-                    rel_start = value.start - start
-                    rel_end = value.end - start
-                    frozen_fields.append(
-                        (var, (value.start, value.end,
-                               text[rel_start:rel_end])))
+                    spans.append((var, value.start, value.end,
+                                  text[value.start:value.end]))
                 else:
-                    frozen_fields.append((var, value))
-            out.append(tuple(sorted(frozen_fields)))
+                    scalars.append((var, value))
+            out.append((tuple(spans), tuple(scalars)))
         return tuple(out)
 
     def _select_delta(self, state: PageState, index: int,

@@ -50,6 +50,7 @@ import sys
 import zlib
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import (
     Any,
     Dict,
@@ -247,8 +248,11 @@ def safe_filename(uid: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "._-" else "_" for ch in uid)
 
 
+@lru_cache(maxsize=1024)
 def segment_name(uid: str, side: str) -> str:
-    """File name of unit ``uid``'s ``side`` ("I" or "O") segment."""
+    """File name of unit ``uid``'s ``side`` ("I" or "O") segment (a
+    table names every segment it references once per snapshot, over a
+    handful of units)."""
     return f"{safe_filename(uid)}.{side}.reuse"
 
 
@@ -351,9 +355,8 @@ class PageTable:
         """``(serial, uid, side) -> path`` of every non-empty segment
         the table references; ``directory`` is the table's own."""
         dirs = {serial: os.path.normpath(os.path.join(directory, d))
-                for serial, d in self.dirs.items()}
-        return {(serial, uid, side): os.path.join(
-                    dirs[serial], segment_name(uid, side))
+                + os.sep for serial, d in self.dirs.items()}
+        return {(serial, uid, side): dirs[serial] + segment_name(uid, side)
                 for (serial, uid), sizes in self.segments.items()
                 for side, size in zip("IO", sizes) if size}
 

@@ -27,11 +27,11 @@ Three maintenance modes, selected per view:
 * ``system="delta"`` — true differential maintenance
   (:mod:`repro.delta`): the snapshot applies as an ``(adds, dels)``
   delta flowing through the compiled relational plan. Sub-page
-  regions an edit did not touch reuse memoized extractor output, the
-  relation index is merged incrementally instead of rebuilt, and a
-  per-page classifier falls back to re-extraction when delta
-  propagation is unsafe (non-row-determined selections) or
-  uneconomical (page mostly rewritten). The view's tombstone map
+  regions whose text an edit did not touch (wherever it now sits)
+  reuse memoized extractor output, the relation index is merged
+  incrementally instead of rebuilt, and a per-page classifier falls
+  back to re-derivation when delta propagation is unsafe
+  (non-row-determined selections). The view's tombstone map
   feeds :attr:`SnapshotDiff.resurrected` so a page that leaves and
   returns is an explicit retract-then-add, never a silent no-op.
 

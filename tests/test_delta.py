@@ -8,7 +8,6 @@ import pytest
 from repro.delta.classify import (
     PageDecision,
     UpdateClassifier,
-    edit_window,
     plan_delta_blockers,
 )
 from repro.delta.deltaset import (
@@ -251,37 +250,45 @@ class TestRules:
         state = pd.new_page_state("d0")
         pd.apply_page_text(state, PAGE)
         counters = DeltaCounters()
-        pd.apply_page_text(state, "prefix edit\n" + PAGE, counters)
-        # Prefix edit shifts the body region's offsets: both the body
-        # and the chained name extractor must actually re-run.
-        assert counters.extractor_calls == 2
-        state2 = pd.new_page_state("d1")
-        pd.apply_page_text(state2, PAGE)
-        counters2 = DeltaCounters()
+        edited = "prefix edit\n" + PAGE
+        pd.apply_page_text(state, edited, counters)
+        # The prefix edit changes the page, so extractBody re-runs once;
+        # it only shifts the body region, whose text extractName has
+        # already seen: its extractions replay at the new offsets.
+        assert counters.extractor_calls == 1
+        assert counters.memo_hits >= 1
+        want = plain_page_rows(plan, edited, "d0")
+        assert set(pd.page_rows(state)["names"]) == want["names"]
         # Same-length edit before the section: the body region keeps
-        # its offsets and text, so only the whole-page extractor
-        # re-runs; its old/new body outputs cancel and extractName
-        # does no work at all.
-        pd.apply_page_text(state2, PAGE.replace("intro", "intrA"),
-                           counters2)
-        assert counters2.extractor_calls == 1
-        assert counters2.memo_hits >= 1
-        assert counters2.rows_added == 0
-        assert counters2.rows_retracted == 0
+        # its offsets and text, so its old/new rows cancel and
+        # extractName sees no delta at all.
+        counters = DeltaCounters()
+        pd.apply_page_text(state, edited.replace("intro", "intrA"),
+                           counters)
+        assert counters.extractor_calls == 1
+        assert counters.rows_added == counters.rows_retracted == 0
+
+    def test_ie_memo_holds_exactly_the_live_region_texts(self):
+        plan = compile_src(
+            "names(v) :- docs(d), extractBody(d, b), extractName(b, v).")
+        pd = PagePlanDelta(plan)
+        state = pd.new_page_state("d0")
+        pd.apply_page_text(state, PAGE)
+        pd.apply_page_text(state, PAGE.replace("Karen", "Maria"))
+        for ie_state in state.ie.values():
+            assert set(ie_state.memo) == set(ie_state.region_refs.support())
+        assert not any("Karen" in text for ie_state in state.ie.values()
+                       for text in ie_state.memo)
+        pd.apply_page_text(state, None)
+        assert state.is_drained()
 
 
 class TestClassifier:
-    def test_edit_window(self):
-        assert edit_window("abcdef", "abXdef") == (2, 3)
-        prefix, suffix = edit_window("same", "same")
-        assert prefix + suffix <= 4
-
     def test_row_determined_plan_small_edit_is_delta(self):
         plan = compile_src(RICH_SRC)
         assert plan_delta_blockers(plan) == ()
         classifier = UpdateClassifier(plan)
-        decision = classifier.classify_changed(
-            "d0", PAGE, PAGE.replace("2001", "2007"))
+        decision = classifier.classify_changed("d0")
         assert decision.decision == "delta"
 
     def test_imm_before_blocks_delta(self):
@@ -289,17 +296,30 @@ class TestClassifier:
             "pairs(n, y) :- docs(d), extractName(d, n), "
             "extractYear(d, y), immBefore(n, y).")
         assert plan_delta_blockers(plan) == ("immBefore",)
-        decision = UpdateClassifier(plan).classify_changed(
-            "d0", PAGE, PAGE.replace("2001", "2007"))
+        decision = UpdateClassifier(plan).classify_changed("d0")
         assert decision.decision == "fallback"
         assert "immBefore" in decision.reason
 
-    def test_rewrite_falls_back(self):
-        plan = compile_src(RICH_SRC)
-        decision = UpdateClassifier(plan).classify_changed(
-            "d0", PAGE, "completely different text with no overlap Q")
-        assert decision.decision == "fallback"
-        assert decision.edit_fraction > 0.6
+    def test_rewrite_goes_delta(self):
+        # However much of the page an edit rewrites, delta propagation
+        # calls the extractors on the same region texts a re-derivation
+        # would: a row-determined plan never falls back.
+        m = DeltaMaintainer(compile_src(RICH_SRC))
+        series = [{"u": PAGE},
+                  {"u": "completely different text, Nora Lane 1988 Q"}]
+        for snap, result in run_series(m, series):
+            assert_matches_batch(m, snap)
+        assert result.decision_counts() == {"delta": 1}
+
+    def test_rewrite_with_imm_before_falls_back(self):
+        m = DeltaMaintainer(compile_src(
+            "pairs(n, y) :- docs(d), extractName(d, n), "
+            "extractYear(d, y), immBefore(n, y)."))
+        series = [{"u": PAGE},
+                  {"u": "completely different text, Nora Lane 1988 Q"}]
+        for snap, result in run_series(m, series):
+            assert_matches_batch(m, snap)
+        assert result.decision_counts() == {"fallback": 1}
 
     def test_unknown_decision_rejected(self):
         with pytest.raises(ValueError):

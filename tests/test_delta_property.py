@@ -2,7 +2,8 @@
 evolutions, the delta-maintained state equals from-scratch plain
 evaluation of the updated corpus — every generation, including
 multiplicity-zero cancellation (duplicate pages, deletions,
-resurrections)."""
+resurrections) — and every IE memo holds exactly its page's live
+region texts."""
 
 from collections import namedtuple
 
@@ -65,6 +66,14 @@ PROGRAM_POOL = (
 PLANS = tuple(compile_program(parse_program(src), REGISTRY)
               for src in PROGRAM_POOL)
 
+#: A plan with a non-row-determined selection: every changed page of
+#: it takes the fallback.
+BLOCKED_PLAN = compile_program(parse_program("""
+    pairs(n, y) :- docs(d), extractName(d, n), extractYear(d, y),
+                   immBefore(n, y).
+    names(v) :- docs(d), extractBody(d, b), extractName(b, v).
+"""), REGISTRY)
+
 #: Vocabulary chosen so random lines hit (and miss) every extractor.
 TOKENS = ("Alice Chen", "Karen Xu", "Bob", "1999", "2001", "$120M",
           "$7M", "== Body ==", "intro", "review of")
@@ -76,6 +85,42 @@ texts = lines.map(lambda ls: " ".join(ls) + "\n")
 corpora = st.dictionaries(st.sampled_from(URLS), texts,
                           min_size=0, max_size=len(URLS))
 series_strategy = st.lists(corpora, min_size=1, max_size=5)
+
+#: Multi-line pages, so ``== Body ==`` can open a section whose region
+#: an edit before it shifts.
+LINE_TOKENS = TOKENS + ("\n== Body ==\n", "\n")
+long_texts = st.lists(st.sampled_from(LINE_TOKENS), min_size=0,
+                      max_size=12).map(lambda ls: " ".join(ls) + "\n")
+
+#: One page edit: insert a token or delete a run of characters at a
+#: relative position (so before, inside or after any region), rewrite
+#: the whole page, or delete the page.
+edits = st.one_of(
+    st.tuples(st.just("insert"), st.sampled_from(URLS),
+              st.integers(0, 1000), st.sampled_from(LINE_TOKENS)),
+    st.tuples(st.just("delete"), st.sampled_from(URLS),
+              st.integers(0, 1000), st.integers(1, 12)),
+    st.tuples(st.just("rewrite"), st.sampled_from(URLS), long_texts),
+    st.tuples(st.just("drop"), st.sampled_from(URLS)),
+)
+
+
+def apply_edit(corpus, edit):
+    """``corpus`` after one page edit (a new dict)."""
+    out = dict(corpus)
+    kind, url = edit[0], edit[1]
+    if kind == "drop":
+        out.pop(url, None)
+    elif kind == "rewrite":
+        out[url] = edit[2]
+    elif url in out:
+        text = out[url]
+        at = edit[2] * len(text) // 1000
+        if kind == "insert":
+            out[url] = text[:at] + edit[3] + " " + text[at:]
+        else:
+            out[url] = text[:at] + text[at + edit[3]:]
+    return out
 
 
 Diff = namedtuple("Diff", "changed new deleted unchanged resurrected")
@@ -118,7 +163,14 @@ def drive(plan, series):
         snap = snapshot_from_texts(i, corpus)
         cur = {p.did: p.text for p in snap.canonical_pages()}
         diff = diff_texts(prev, cur, tombstones)
+        deleted = [maintainer.states[did] for did in diff.deleted]
         maintainer.apply(snap, diff, check=True)
+        assert all(state.is_drained() for state in deleted), i
+        for state in maintainer.states.values():
+            for ie_state in state.ie.values():
+                assert (set(ie_state.memo)
+                        == set(ie_state.region_refs.support())), (
+                    i, state.did)
         tombstones |= set(diff.deleted)
         tombstones -= set(diff.resurrected)
         prev = cur
@@ -153,3 +205,24 @@ class TestDeltaEqualsBatch:
             {"a": text, "b": text},        # both resurrect, c deleted
         ]
         drive(PLANS[plan_i], series)
+
+    @settings(max_examples=30, deadline=None)
+    @given(base=st.dictionaries(st.sampled_from(URLS), long_texts,
+                                min_size=1, max_size=len(URLS)),
+           steps=st.lists(st.lists(edits, min_size=1, max_size=3),
+                          min_size=1, max_size=5),
+           plan_i=st.integers(0, len(PLANS)))
+    def test_local_edits_and_rewrites_match_plain_evaluation(
+            self, base, steps, plan_i):
+        """Edits before, inside and after regions shift or rewrite
+        them; rewrites and (for the blocked plan) fallbacks re-derive
+        whole pages. No generation may differ from plain evaluation or
+        leave a memo entry behind."""
+        plan = PLANS[plan_i] if plan_i < len(PLANS) else BLOCKED_PLAN
+        series = [base]
+        for step in steps:
+            corpus = series[-1]
+            for edit in step:
+                corpus = apply_edit(corpus, edit)
+            series.append(corpus)
+        drive(plan, series)
