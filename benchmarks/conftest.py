@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 import pytest
 
@@ -44,6 +44,9 @@ PAGES_WIKI = int(os.environ.get("REPRO_BENCH_PAGES_WIKI", "40"))
 N_SNAPSHOTS = int(os.environ.get("REPRO_BENCH_SNAPSHOTS", "5"))
 WORK_SCALE = float(os.environ.get("REPRO_BENCH_WORK_SCALE", "1.0"))
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
+#: Repetitions pooled for the Figure 10 comparison of two nearly tied
+#: systems (Shortcut vs No-reuse).
+FIG10_REPS = 3
 
 TASK_SEEDS = {"talk": 101, "chair": 102, "advise": 103,
               "blockbuster": 104, "play": 105, "award": 106,
@@ -103,6 +106,27 @@ class Fig10Cache:
             assert not problems, problems[:3]
             self._cache[task_name] = reports
         return self._cache[task_name]
+
+    def totals(self, task_name: str,
+               systems: Sequence[str]) -> Dict[str, List[float]]:
+        """Each system's reuse-snapshot total over ``FIG10_REPS``
+        repetitions.
+
+        The first is the cached series; the others re-run the systems
+        one after another, in turn, so that drift on the host falls on
+        both sides alike. One 4-snapshot total swings by about 30 % between
+        runs, too much to decide between two nearly tied systems.
+        """
+        reports = self.reports(task_name)
+        out = {name: [reports[name].total_seconds()] for name in systems}
+        task = make_task(task_name, work_scale=WORK_SCALE)
+        snaps = corpus_snapshots(task_name, task.corpus)
+        for _ in range(FIG10_REPS - 1):
+            for name in systems:
+                rerun = run_series(task, snaps, systems=(name,),
+                                   jobs=BENCH_JOBS)
+                out[name].append(rerun[name].total_seconds())
+        return out
 
 
 @pytest.fixture(scope="session")

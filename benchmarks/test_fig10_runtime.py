@@ -11,6 +11,8 @@ snapshots of the task's corpus. Paper-reported shape:
   substantially (paper: 50–71 %) on every multi-blackbox task.
 """
 
+from statistics import median
+
 import pytest
 
 from conftest import delex_vs, format_runtime_table, save_table
@@ -31,10 +33,19 @@ def test_fig10_panel(benchmark, fig10_cache, task_name):
     cut_noreuse = delex_vs(reports, "noreuse", skip=2)
     table += (f"Delex steady-state cut vs Cyclex: {cut_cyclex:.0%}   "
               f"vs No-reuse: {cut_noreuse:.0%}\n")
+    # Shortcut and No-reuse are nearly tied on the fast-changing
+    # corpus, so they are compared on the median of pooled repetitions.
+    totals = fig10_cache.totals(task_name, ("noreuse", "shortcut"))
+    noreuse_med = median(totals["noreuse"])
+    shortcut_med = median(totals["shortcut"])
+    table += "".join(
+        f"{name} totals over {len(runs)} repetitions: "
+        + " ".join(f"{t:.3f}" for t in runs)
+        + f" (median {median(runs):.3f})\n"
+        for name, runs in totals.items())
     save_table(f"fig10_{task_name}.txt", table)
 
     noreuse = reports["noreuse"].total_seconds()
-    shortcut = reports["shortcut"].total_seconds()
     cyclex = reports["cyclex"].total_seconds()
     delex = reports["delex"].total_seconds()
 
@@ -42,7 +53,7 @@ def test_fig10_panel(benchmark, fig10_cache, task_name):
     # noise of it (on the fast-changing corpus the two are nearly tied
     # — the paper's "only marginally better").
     assert delex < noreuse
-    assert shortcut < 1.15 * noreuse
+    assert shortcut_med < 1.15 * noreuse_med, totals
     if task_name == "talk":
         # Single blackbox: Delex ~ Cyclex (within noise).
         assert delex < cyclex * 1.3
@@ -53,7 +64,7 @@ def test_fig10_panel(benchmark, fig10_cache, task_name):
     if task_name in WIKI_TASKS:
         # Fast-changing corpus: Shortcut only marginally beats
         # No-reuse, while Delex wins big.
-        assert shortcut > 0.5 * noreuse
+        assert shortcut_med > 0.5 * noreuse_med, totals
         assert cut_noreuse > 0.4
 
 

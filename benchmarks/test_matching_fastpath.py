@@ -1,9 +1,10 @@
 """Snapshot-delta fast-path benchmark (extension).
 
 Low-churn corpora are the fast paths' home turf: with ~95% of pages
-unchanged between snapshots, identity short circuits skip the matcher
-on most page pairs and the content-keyed match store and the
-automaton cache absorb most of the rest. This benchmark runs Delex with a pinned matcher assignment
+unchanged between snapshots, the recycle skips the matcher on every
+identical page pair and the equal-region shortcut answers most of the
+rest's unchanged regions. This benchmark runs Delex with a pinned
+matcher assignment
 over a low-churn DBLife series twice — fast paths on and off — and
 compares the *matcher* wall time (the ``match`` category of the
 Figure 11 decomposition) plus the fast-path hit counters. Each series
@@ -12,8 +13,9 @@ kept, the standard defence against scheduler noise at millisecond
 scale. It emits a machine-readable ``BENCH_fastpath.json`` at the
 repo root and asserts the headline claims: per-matcher match-time
 speedup floors (``MIN_MATCH_SPEEDUP``) and a combined hit rate of the
-content-keyed layers (match store + equal-region short circuit) of at
-least ``MIN_COMBINED_HIT_RATE`` — at identical results.
+equal-region shortcut of at least ``MIN_COMBINED_HIT_RATE`` — at
+identical results. (``memo_hits`` is always 0: there is no match
+store.)
 
 Intentionally free of the pytest-benchmark fixture so it runs under a
 plain ``pytest``/``hypothesis`` install (the CI smoke job).
@@ -41,12 +43,13 @@ N_SNAPSHOTS = int(os.environ.get("REPRO_BENCH_FASTPATH_SNAPSHOTS", "8"))
 P_UNCHANGED = 0.95       # low churn: ~95% of pages identical (DBLife-like)
 WORK_SCALE = float(os.environ.get("REPRO_BENCH_FASTPATH_WORK", "0.2"))
 REPS = int(os.environ.get("REPRO_BENCH_FASTPATH_REPS", "3"))
-#: On-vs-off matcher wall-time floor per matcher. ST rides the store
-#: and the automaton cache; UD's diff is already near-linear on
-#: low-churn pages, so its floor is lower.
+#: On-vs-off matcher wall-time floor per matcher, from recycle +
+#: equal-region shortcut. ST's automaton build is what the shortcut
+#: skips; UD's diff is already near-linear on low-churn pages, so its
+#: floor is lower.
 MIN_MATCH_SPEEDUP = {ST_NAME: 10.0, UD_NAME: 4.0}
-#: Content-keyed layers (match store + equal-region short circuit)
-#: must absorb at least this share of match_many work.
+#: The equal-region shortcut must answer at least this share of the
+#: ST/UD candidate regions that reach the matcher stage.
 MIN_COMBINED_HIT_RATE = 0.30
 
 
@@ -191,8 +194,8 @@ def test_matching_fastpath(tmp_path):
         # Headline: matcher wall time cut by the per-matcher floor.
         assert row["match_speedup"] >= floor, \
             (f"{name} match speedup {row['match_speedup']:.2f} < {floor}")
-        # The content-keyed layers, not just the identity short
-        # circuit, carry the speedup.
+        # The equal-region shortcut, not just the recycle, carries
+        # the speedup.
         assert fp["combined_hit_rate"] >= MIN_COMBINED_HIT_RATE, \
             (f"{name} combined hit rate {fp['combined_hit_rate']:.2f} "
              f"< {MIN_COMBINED_HIT_RATE}")

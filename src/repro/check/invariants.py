@@ -24,8 +24,9 @@ correctness argument):
   increasing did order (the precondition for sequential segment
   appends and for the parallel runtime's deterministic batch merge);
   :func:`check_page_table_monotonic` re-checks a page table on disk.
-* **memo-hit retag soundness** — segments replayed from the match
-  store still witness literal text equality inside both regions.
+* **memo-hit retag soundness** — segments the memo's equal-region
+  shortcut answers without a matcher witness literal text equality
+  inside both regions.
 * **identity-pair soundness** — a page pair that is recycled whole
   really is byte-identical.
 
@@ -254,8 +255,8 @@ def check_page_table_monotonic(directory: str) -> int:
 
 def check_memo_replay(segments: Iterable[Any], p_text: str, q_text: str,
                       p_region: Interval, q_region: Interval) -> None:
-    """Segments replayed from the match memo must still witness literal
-    text equality and lie inside the regions they were replayed for."""
+    """Segments the match memo answers without running the matcher must
+    witness literal text equality and lie inside their regions."""
     _count()
     for seg in segments:
         p_lo, p_hi = seg.p_start, seg.p_start + seg.length
@@ -274,7 +275,7 @@ def check_memo_replay(segments: Iterable[Any], p_text: str, q_text: str,
             raise InvariantViolation(
                 "memo-retag-soundness",
                 f"replayed segment p[{p_lo}, {p_hi}) != q[{q_lo}, "
-                f"{q_hi}): memoized match no longer witnesses equality")
+                f"{q_hi}): shortcut match does not witness equality")
 
 
 # -- identity-pair soundness ------------------------------------------------

@@ -504,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "cost when disabled")
     run.add_argument("--fastpath", default="on", choices=("on", "off"),
                      help="snapshot-delta fast paths (identical-page "
-                          "recycle, content-keyed match store, "
-                          "automaton cache) for the matching systems; "
+                          "recycle, equal-region match shortcut) for "
+                          "the matching systems; "
                           "results are identical either way (default "
                           "on)")
     run.add_argument("--metrics-json", default=None, metavar="PATH",

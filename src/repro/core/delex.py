@@ -33,8 +33,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..corpus.snapshot import Snapshot
 from ..extractors.library import IETask
 from ..fastpath.config import FastPathFlag, fastpath_enabled
-from ..fastpath.matchcache import CrossSnapshotMatchCache
-from ..obs import registry as _oreg
 from ..optimizer.params import Statistics
 from ..optimizer.search import SearchResult, search_plan
 from ..optimizer.stats import collect_statistics
@@ -149,11 +147,6 @@ class DelexSystem:
         #: both, and the serving layer applies them as a delta. The
         #: lists are shared between runs and never mutated.
         self.last_page_rows: Optional[Dict[str, PageRows]] = None
-        #: The match store: owned here (not by the engine, which is
-        #: rebuilt per ``process`` call) so content-keyed match results
-        #: survive across the whole snapshot series.
-        self.match_cache: Optional[CrossSnapshotMatchCache] = (
-            CrossSnapshotMatchCache() if self.fastpath else None)
         #: Capture directory -> the segment files its page table
         #: references, for the retained captures the GC has seen.
         self._capture_refs: Dict[str, Set[str]] = {}
@@ -220,8 +213,7 @@ class DelexSystem:
         engine = ReuseEngine(self.plan, self.units, assignment,
                              scope=self.scope, executor=self.executor,
                              scheduler=self.scheduler,
-                             fastpath=self.fastpath,
-                             match_cache=self.match_cache)
+                             fastpath=self.fastpath)
         out_dir = self._out_dir()
         page_rows: Dict[str, PageRows] = {}
         result = engine.run_snapshot(
@@ -233,8 +225,6 @@ class DelexSystem:
         self._last_result = result
         if self.replanned:
             self.plan_mix = PageMix.of(result)
-        if self.match_cache is not None and _oreg.ENABLED:
-            _oreg.publish_matchcache(self.name, self.match_cache)
         self._gc_old_capture(out_dir, result.capture)
         self._prev_dir = out_dir
         self._snapshot_serial += 1

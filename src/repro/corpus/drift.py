@@ -157,7 +157,7 @@ class FactDilutionGenerator(CorpusGenerator):
     drawn from the corpus rng, so no two diluted lines are ever
     byte-identical. That defeats *both* reuse channels at once — line
     matching (the rewritten line never matches its predecessor) and the
-    content-keyed shortcut store (no duplicate content to hit) — which
+    equal-text shortcuts (no duplicate content to hit) — which
     is the regime where deferring to from-scratch extraction is the
     honest optimum.
     """

@@ -38,8 +38,9 @@ from ..plan.operators import SelectNode
 
 #: Every decision the classifier can make about one page of one
 #: arriving snapshot. ``delta`` and ``fallback`` apply to changed
-#: pages only; the rest restate the diff category (recorded uniformly
-#: so the obs counters cover the whole snapshot).
+#: pages only; the rest restate the diff category, so the obs counters
+#: cover the whole snapshot (an unchanged page is counted, not given a
+#: per-page record).
 DECISIONS = ("unchanged", "new", "resurrected", "deleted", "delta",
              "fallback")
 

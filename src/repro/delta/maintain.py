@@ -33,7 +33,7 @@ only the rows that actually changed reach the relation index.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..plan.compile import CompiledPlan
@@ -60,7 +60,9 @@ class DeltaApplyResult:
 
     ``upserts``/``deletes`` feed :meth:`TupleStore.apply_delta`
     unchanged; ``relations`` is the pre-sorted index the store can
-    adopt verbatim instead of rebuilding.
+    adopt verbatim instead of rebuilding. ``decisions`` holds one
+    record per deleted, new and changed page; unchanged pages are only
+    counted, in ``unchanged``.
     """
 
     upserts: Dict[str, Dict[str, List[FrozenRow]]]
@@ -71,17 +73,26 @@ class DeltaApplyResult:
     #: Total absolute tuple multiplicity that crossed the relation
     #: layer — the true "size" of this generation's change.
     delta_weight: int = 0
+    #: Pages whose text did not change.
+    unchanged: int = 0
+    _counts: Dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        counts: Dict[str, int] = {}
+        for decision in self.decisions.values():
+            counts[decision.decision] = counts.get(decision.decision, 0) + 1
+        if self.unchanged:
+            counts["unchanged"] = self.unchanged
+        self._counts = counts
 
     def decision_counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for decision in self.decisions.values():
-            out[decision.decision] = out.get(decision.decision, 0) + 1
-        return out
+        """Pages per decision, in the order the apply decided them."""
+        return dict(self._counts)
 
     @property
     def fallback_ratio(self) -> float:
         """Share of *changed* pages that fell back to re-extraction."""
-        counts = self.decision_counts()
+        counts = self._counts
         changed = counts.get("delta", 0) + counts.get("fallback", 0)
         if changed == 0:
             return 0.0
@@ -213,9 +224,6 @@ class DeltaMaintainer:
                 collect(page_delta)
                 self.states[did] = fresh
             upserts[did] = self.plan_delta.page_rows(self.states[did])
-        for did in diff.unchanged:
-            decisions[did] = PageDecision(
-                did=did, decision="unchanged", reason="identical text")
 
         delta_weight = 0
         relations: Dict[str, Tuple[tuple, ...]] = {}
@@ -229,4 +237,5 @@ class DeltaMaintainer:
         return DeltaApplyResult(
             upserts=upserts, deletes=tuple(diff.deleted),
             relations=relations, decisions=decisions,
-            counters=counters, delta_weight=delta_weight)
+            counters=counters, delta_weight=delta_weight,
+            unchanged=len(diff.unchanged))

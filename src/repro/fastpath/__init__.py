@@ -12,19 +12,16 @@ switch (:func:`.config.fastpath_enabled`):
   rejects a length change in O(1). The reuse engine recycles an identical page whole
   (:func:`repro.reuse.engine._recycle_page`), as Shortcut does in the
   paper, under any matcher plan.
-* **One match store** (:class:`.memo.MatchMemo` over
-  :class:`.matchcache.CrossSnapshotMatchCache`) — matcher results
-  keyed by (matcher config, p-region fingerprint, q-region
-  fingerprint), so every IE unit matching the same region *content*
-  pays the diff exactly once, on any page and in any later snapshot.
-  Content-equal regions are answered in O(1) without a store entry.
-  Distinct from the RU :class:`~repro.matchers.base.MatchCache`, which
-  stores *found segments* for recycling by a different matcher; the
-  store holds the full match result for a content-equal repeat of the
-  same call.
-* **Suffix-automaton cache** (:class:`.memo.AutomatonCache`) — the ST
-  matcher's automaton per q-region content is built once per page pair
-  and reused across input rows and units.
+* **Equal-region shortcut** (:class:`.memo.MatchMemo`) — an ST or UD
+  matcher call on two regions with equal text is answered in O(1),
+  after an exact slice compare, with the one full-region segment the
+  matcher provably returns; every other call runs the matcher.
+
+There is no match store: no object carries match results across page
+pairs or snapshots, and the ST matcher builds its suffix automaton per
+call. The RU :class:`~repro.matchers.base.MatchCache` is a different
+thing: it holds the segments one page pair's ST/UD units found, for RU
+units of the same pair to recycle.
 
 With the switch off the engine takes none of them; it produces
 byte-identical reuse files and identical extraction results either way
@@ -35,16 +32,12 @@ counters are reported through :class:`.stats.FastPathStats` on
 
 from .config import fastpath_enabled
 from .fingerprint import content_fingerprint, pages_identical
-from .matchcache import CrossSnapshotMatchCache
-from .memo import AutomatonCache, MatchMemo, RegionFingerprints
+from .memo import MatchMemo
 from .stats import FastPathStats
 
 __all__ = [
-    "AutomatonCache",
-    "CrossSnapshotMatchCache",
     "FastPathStats",
     "MatchMemo",
-    "RegionFingerprints",
     "content_fingerprint",
     "fastpath_enabled",
     "pages_identical",

@@ -3,8 +3,8 @@
 The fingerprint is a blake2b-128 over the page's UTF-8 text (see
 :func:`repro.text.document.content_fingerprint`), persisted in
 snapshot page headers (``"fp"``) and read where a page must be named
-by its content without its text at hand: serve tombstones and the
-match memo's region keys. :func:`pages_identical` does not read it: an
+by its content without its text at hand, such as serve tombstones.
+:func:`pages_identical` does not read it: an
 exact text comparison rejects a length change in O(1) and is cheaper
 than hashing a freshly generated page, and a stale ``fp`` header can
 then never cost a recycle. Every system that asks "is this page

@@ -33,24 +33,20 @@ class Matcher(ABC):
 
     name: str = "?"
 
-    #: Constructor attributes that change what :meth:`match` returns.
-    #: Every such attribute MUST be listed here: the match store keys
-    #: results by :meth:`config_key`, so
-    #: an unlisted attribute would let two differently-configured
-    #: matchers share cached results. ``tests/test_matchcore.py`` fails
-    #: if an instance grows an attribute in neither tuple.
+    #: Constructor attributes that change what :meth:`match` returns;
+    #: :meth:`config_key` is built from them. ``tests/test_matchcore.py``
+    #: fails if an instance grows an attribute in neither tuple.
     CONFIG_ATTRS: Tuple[str, ...] = ()
 
-    #: Attributes that only affect *how* results are computed (caches)
-    #: — excluded from the key because a cache never changes output.
+    #: Attributes that only affect *how* results are computed (RU's
+    #: page-pair cache) — excluded from the key.
     STATE_ATTRS: Tuple[str, ...] = ()
 
     def config_key(self) -> tuple:
         """A hashable key identifying this matcher's result behaviour.
 
         Two matcher instances with equal keys must return identical
-        segments for identical inputs — that is the contract the match
-        store relies on.
+        segments for identical inputs.
         """
         return (self.name,) + tuple(
             getattr(self, attr) for attr in self.CONFIG_ATTRS)

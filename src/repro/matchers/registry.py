@@ -13,22 +13,20 @@ from .ws import WS_NAME, WinnowingMatcher
 
 
 def make_matcher(name: str, cache: Optional[MatchCache] = None,
-                 min_length: int = 12, max_d: int = 0,
-                 automatons: Optional[object] = None) -> Matcher:
+                 min_length: int = 12, max_d: int = 0) -> Matcher:
     """Instantiate a matcher by name.
 
     RU requires the page pair's :class:`MatchCache`; the others ignore
     it. ``min_length`` tunes ST's emission threshold, ``max_d`` caps
-    UD's explored edit distance (0 = unlimited). ``automatons`` is an
-    optional per-page-pair suffix-automaton cache handed to ST (see
-    :class:`repro.fastpath.memo.AutomatonCache`).
+    UD's explored edit distance (0 = unlimited). No matcher keeps
+    results or automata between calls: there is no match store.
     """
     if name == DN_NAME:
         return DNMatcher()
     if name == UD_NAME:
         return UDMatcher(max_d=max_d)
     if name == ST_NAME:
-        return STMatcher(min_length=min_length, automatons=automatons)
+        return STMatcher(min_length=min_length)
     if name == RU_NAME:
         if cache is None:
             raise ValueError("RU matcher needs a MatchCache")

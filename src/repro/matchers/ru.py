@@ -27,10 +27,10 @@ class RUMatcher(Matcher):
     """Intersects previously recorded match segments with new regions."""
 
     name = RU_NAME
-    # ``cache`` is mutable shared state — the very reason RU is absent
-    # from ``repro.fastpath.memo.MEMOIZABLE`` and its config_key is
-    # never used to key cached results. Classified so the attribute
-    # sweep in tests/test_matchcore.py stays exhaustive.
+    # ``cache`` is mutable page-pair state — the reason the memo's
+    # equal-region shortcut (``repro.fastpath.memo.SHORTCUT``) never
+    # answers for RU. Classified so the attribute sweep in
+    # tests/test_matchcore.py stays exhaustive.
     STATE_ATTRS = ("cache",)
 
     def __init__(self, cache: MatchCache) -> None:

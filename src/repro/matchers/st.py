@@ -14,7 +14,7 @@ weighs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..text.regions import MatchSegment
 from ..text.span import Interval
@@ -69,15 +69,11 @@ class SuffixAutomaton:
 
 def probe_peaks(sam: SuffixAutomaton, p_body: str,
                 min_length: int) -> Iterator[Tuple[int, int, int]]:
-    """Reusable probe path: stream ``p_body`` through a (possibly
-    prebuilt) automaton and yield the match-profile peaks.
+    """Stream ``p_body`` through ``sam`` and yield the match-profile
+    peaks.
 
     Yields ``(p_end_rel, length, state)`` for every local maximum of
-    the longest-match profile with ``length >= min_length``. Both
-    :meth:`STMatcher.match` and statistics probes (e.g. the optimizer
-    sampling match coverage) share this loop, so a cached automaton
-    can be probed repeatedly without rebuilding or materializing
-    segments.
+    the longest-match profile with ``length >= min_length``.
     """
     state = 0
     length = 0
@@ -113,25 +109,19 @@ class STMatcher(Matcher):
     (a match shorter than ``2β + 1`` has an empty copy zone for every
     unit); the engine picks it per unit from the unit's β.
 
-    ``automatons``, when given, is a per-page-pair cache with a
-    ``get(q_text, q_region) -> SuffixAutomaton`` method (see
-    :class:`repro.fastpath.memo.AutomatonCache`): building the
-    automaton dominates ST's cost, and within one page pair the same
-    q-region recurs across input rows and units, so a cached automaton
-    is reused instead of rebuilt. The automaton is read-only after
-    construction, so reuse is behaviour-preserving by construction.
+    Each call builds the automaton of its q-region; no automaton is
+    kept between calls. With the fast paths on, the engine answers two
+    text-equal regions without calling this matcher
+    (:class:`repro.fastpath.memo.MatchMemo`).
     """
 
     name = ST_NAME
     CONFIG_ATTRS = ("min_length",)
-    STATE_ATTRS = ("automatons",)
 
-    def __init__(self, min_length: int = 12,
-                 automatons: Optional[object] = None) -> None:
+    def __init__(self, min_length: int = 12) -> None:
         if min_length < 1:
             raise ValueError("min_length must be >= 1")
         self.min_length = min_length
-        self.automatons = automatons
 
     def match(self, p_text: str, p_region: Interval,
               q_text: str, q_region: Interval) -> List[MatchSegment]:
@@ -139,12 +129,8 @@ class STMatcher(Matcher):
         q_len = q_region.end - q_region.start
         if p_len <= 0 or q_len <= 0:
             return []
-        q_body = q_text[q_region.start:q_region.end]
+        sam = SuffixAutomaton(q_text[q_region.start:q_region.end])
         p_body = p_text[p_region.start:p_region.end]
-        if self.automatons is not None:
-            sam = self.automatons.get(q_text, q_region)
-        else:
-            sam = SuffixAutomaton(q_body)
         first_end = sam.first_end
         segments: List[MatchSegment] = []
         for p_end_rel, length, state in probe_peaks(sam, p_body,

@@ -417,41 +417,17 @@ def publish_fastpath(system: str, stats) -> None:
         "snapshot-delta fast-path events by kind",
         labels=("system", "kind"))
     for kind in ("pages_paired", "pages_short_circuited",
-                 "tuples_recycled", "memo_hits",
-                 "memo_misses", "region_short_circuits", "cache_evictions",
-                 "automata_built", "automata_reused",
-                 "automata_bytes_copied"):
+                 "tuples_recycled", "memo_misses",
+                 "region_short_circuits"):
         fp.labels(system=system, kind=kind).inc(
             float(getattr(stats, kind, 0) or 0))
     REGISTRY.inc("repro_fastpath_pages_recycled_total",
                  float(getattr(stats, "pages_recycled", 0) or 0),
                  help="identical pages recycled whole: page-table row "
                       "copied, previous rows reused", system=system)
-    REGISTRY.set("repro_fastpath_memo_hit_rate", stats.memo_hit_rate,
-                 help="match-store hits / lookups of the latest run",
-                 system=system)
     REGISTRY.set("repro_fastpath_combined_hit_rate",
                  getattr(stats, "combined_hit_rate", 0.0),
-                 help="(match-store + equal-region) hits over all "
-                      "matcher-level lookups, latest run",
+                 help="equal-region shortcuts over all ST/UD "
+                      "candidate regions, latest run",
                  system=system)
 
-
-def publish_matchcache(owner: str, cache) -> None:
-    """Fold the match store's occupancy and evictions in.
-
-    ``owner`` labels who carries the store across snapshots (a system
-    name, or ``view:<name>`` for serve views). The eviction total is
-    exported as a gauge set from the store's own monotone counter, so
-    re-publishing after every snapshot/apply is idempotent. Hits and
-    misses are not the store's to report: they land in each run's
-    ``FastPathStats``.
-    """
-    counters = cache.counters()
-    labels = {"owner": owner}
-    REGISTRY.set("repro_matchcache_entries", counters["entries"],
-                 help="entries currently held", **labels)
-    REGISTRY.set("repro_matchcache_bytes", counters["bytes"],
-                 help="estimated bytes currently retained", **labels)
-    REGISTRY.set("repro_matchcache_evictions_total", counters["evictions"],
-                 help="lifetime evictions of the match store", **labels)

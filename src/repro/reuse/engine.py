@@ -50,8 +50,7 @@ from ..check import invariants as _inv
 from ..corpus.snapshot import Snapshot
 from ..fastpath.config import FastPathFlag, fastpath_enabled
 from ..fastpath.fingerprint import pages_identical
-from ..fastpath.matchcache import CrossSnapshotMatchCache
-from ..fastpath.memo import AutomatonCache, MatchMemo
+from ..fastpath.memo import MatchMemo
 from ..fastpath.stats import FastPathStats
 from ..matchers.base import DN_NAME, RU_NAME, MatchCache
 from ..matchers.registry import make_matcher
@@ -220,10 +219,6 @@ class PageEvaluator:
         self.units = units
         self.assignment = assignment
         self.fastpath = fastpath_enabled(fastpath)
-        # The match store, attached by the owning engine (or per
-        # worker); deliberately not pickled — process workers get a
-        # fresh per-worker store, thread workers share the engine's.
-        self.match_cache: Optional[CrossSnapshotMatchCache] = None
         self._unit_of_top = units_by_top(units)
         self._unit_by_uid = {u.uid: u for u in units}
 
@@ -236,7 +231,6 @@ class PageEvaluator:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
-        self.match_cache = None
         self._unit_of_top = units_by_top(self.units)  # type: ignore[arg-type]
         self._unit_by_uid = {u.uid: u for u in self.units}
 
@@ -259,18 +253,12 @@ class PageEvaluator:
         cache = cache if cache is not None else MatchCache()
         fp_stats = fp_stats if fp_stats is not None else FastPathStats()
 
-        # Per-page-pair fast-path context. The memo's fingerprints and
-        # the automaton cache live exactly as long as one (page,
-        # q_page) pair — the same lifetime as the MatchCache — so keys
-        # never need a page component; the match store they consult is
-        # content-keyed and outlives the pair.
+        # The equal-region shortcut, counting into this page's stats.
         match_memo: Optional[MatchMemo] = None
-        automatons: Optional[AutomatonCache] = None
         if q_page is not None:
             fp_stats.pages_paired += 1
             if self.fastpath:
-                match_memo = MatchMemo(fp_stats, self.match_cache)
-                automatons = AutomatonCache(fp_stats)
+                match_memo = MatchMemo(fp_stats)
 
         def step(node: Node, evaluate) -> Optional[List[TupleRow]]:
             unit = self._unit_of_top.get(id(node))
@@ -280,7 +268,7 @@ class PageEvaluator:
                 unit, evaluate(unit.ie_node.child), page, q_page,
                 prev_capture.get(unit.uid, _NO_CAPTURE), recorder,
                 cache, stats[unit.uid],
-                timer, match_memo=match_memo, automatons=automatons)
+                timer, match_memo=match_memo)
 
         evaluate = plan_walker(page.text, page.did, {}, step)
         return {rel: evaluate(self.plan.roots[rel])
@@ -293,8 +281,7 @@ class PageEvaluator:
                   prev: UnitGroups, recorder: PageRecorder,
                   cache: MatchCache, unit_stats: UnitRunStats,
                   timer: Timer,
-                  match_memo: Optional[MatchMemo] = None,
-                  automatons: Optional[AutomatonCache] = None
+                  match_memo: Optional[MatchMemo] = None
                   ) -> List[TupleRow]:
         """Run one IE unit over its input rows on one page."""
         matcher_name = self.assignment.of(unit)
@@ -326,8 +313,7 @@ class PageEvaluator:
             _copied0 = unit_stats.copied_tuples
 
         min_length = min_match_length(unit.beta)
-        matcher = make_matcher(matcher_name, cache, min_length=min_length,
-                               automatons=automatons)
+        matcher = make_matcher(matcher_name, cache, min_length=min_length)
         # Distinct paths the input rows took, for the unit trace event.
         paths: Optional[List[str]] = [] if _otrace.ENABLED else None
 
@@ -359,8 +345,7 @@ class PageEvaluator:
                     unit_stats.matcher_calls += len(candidates)
                     cand_regions = {tid: pi.interval
                                     for tid, pi in candidates.items()}
-                    if (match_memo is not None
-                            and matcher_name not in (DN_NAME, RU_NAME)):
+                    if match_memo is not None:
                         segments: List[MatchSegment] = \
                             match_memo.match_many(
                                 matcher, page.text, region.interval,
@@ -528,13 +513,6 @@ def _engine_batch(state, lookup: PageLookup, items, timer: Timer):
     plus the batch's per-unit stats and fast-path counters.
     """
     evaluator, writer = state
-    # Process workers arrive with match_cache dropped by the pickle
-    # whitelist: give each worker its own match store (hits accumulate
-    # across the items a worker processes; counters merge through
-    # fp_stats). Thread workers share the engine's evaluator, whose
-    # store is already attached and thread-safe.
-    if evaluator.fastpath and evaluator.match_cache is None:
-        evaluator.match_cache = CrossSnapshotMatchCache()
     stats = {uid: UnitRunStats() for uid in evaluator.uids()}
     fp_stats = FastPathStats()
     out = []
@@ -611,9 +589,7 @@ class ReuseEngine:
                  scope: Optional[PageMatchScope] = None,
                  executor: Optional[Executor] = None,
                  scheduler: Optional[PageScheduler] = None,
-                 fastpath: FastPathFlag = None,
-                 match_cache: Optional[CrossSnapshotMatchCache] = None
-                 ) -> None:
+                 fastpath: FastPathFlag = None) -> None:
         self.plan = plan
         self.units = units
         self.assignment = assignment
@@ -621,18 +597,11 @@ class ReuseEngine:
         self.executor = executor
         self.scheduler = scheduler if scheduler is not None else PageScheduler()
         self.fastpath = fastpath_enabled(fastpath)
-        # The match store outlives this engine: callers that rebuild an
-        # engine per snapshot (DelexSystem, serve views) pass their own
-        # so content-keyed match results carry across the whole series.
-        self.match_cache = match_cache
-        if self.match_cache is None and self.fastpath:
-            self.match_cache = CrossSnapshotMatchCache()
         missing = [u.uid for u in units if u.uid not in assignment.matchers]
         if missing:
             raise ValueError(f"assignment missing units {missing}")
         self.evaluator = PageEvaluator(plan, units, assignment,
                                        fastpath=self.fastpath)
-        self.evaluator.match_cache = self.match_cache
         for uid, name in assignment.matchers.items():
             # Fail fast on unknown matcher names instead of mid-run.
             make_matcher(name, MatchCache())
@@ -704,7 +673,8 @@ class ReuseEngine:
                     fp_stats, page_rows_out, prev_page_rows or {})
                 _snap.set("pages_with_prev", pages_with_prev)
                 _snap.set("recycled", fp_stats.pages_recycled)
-                _snap.set("memo_hits", fp_stats.memo_hits)
+                _snap.set("region_short_circuits",
+                          fp_stats.region_short_circuits)
                 with timer.measure(IO):
                     summary = writer.close()
         finally:

@@ -362,11 +362,6 @@ class MaterializedView:
             "repro_view_generation", float(record.gen_id),
             help="current generation id per view", view=name)
         _oreg.publish_timings(f"view:{name}", timings)
-        # The view's persistent system carries the match store across
-        # applies; export its occupancy and evictions per view.
-        match_cache = getattr(self._system, "match_cache", None)
-        if match_cache is not None:
-            _oreg.publish_matchcache(f"view:{name}", match_cache)
 
     def _apply_delex(self, snapshot: Snapshot, replaced: set,
                      diff: SnapshotDiff, check: bool

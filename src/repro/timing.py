@@ -41,7 +41,7 @@ class Timings:
 
     ``fastpath`` optionally carries the snapshot-delta fast-path
     counters (:class:`~repro.fastpath.stats.FastPathStats`): pages
-    recycled, match-store hits, automata reused. Attached by the
+    recycled, equal regions answered without a matcher. Attached by the
     engines.
     """
 

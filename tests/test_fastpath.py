@@ -3,8 +3,8 @@
 The headline property is behaviour preservation: with the fast paths
 on, every system produces byte-identical reuse files and identical
 extraction results to the fast paths off. The tests here check the
-individual mechanisms (the switch, page identity, the match store,
-automaton cache, reuse-file readers) and then the end-to-end parity
+individual mechanisms (the switch, page identity, the equal-region
+match shortcut, reuse-file readers) and then the end-to-end parity
 over evolved multi-snapshot series for all four systems.
 """
 
@@ -27,8 +27,6 @@ from repro.core.runner import (
 )
 from repro.extractors import make_task
 from repro.fastpath import (
-    AutomatonCache,
-    CrossSnapshotMatchCache,
     FastPathStats,
     MatchMemo,
     content_fingerprint,
@@ -51,6 +49,7 @@ from repro.reuse.files import (
     parse_outputs,
 )
 from repro.text.document import Page
+from repro.text.regions import MatchSegment
 from repro.text.span import Interval
 
 
@@ -170,6 +169,18 @@ P_TEXT = "alpha beta gamma\ndelta epsilon\nzeta eta theta iota kappa\n"
 Q_TEXT = "alpha beta gamma\nDELTA epsilon\nzeta eta theta iota kappa\n"
 
 
+class CountingUD(UDMatcher):
+    """UD that counts its ``match`` calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def match(self, *args, **kwargs):
+        self.calls += 1
+        return super().match(*args, **kwargs)
+
+
 class TestMatchMemo:
     @pytest.mark.parametrize("matcher", [
         STMatcher(min_length=8), UDMatcher(), WinnowingMatcher()])
@@ -182,16 +193,17 @@ class TestMatchMemo:
         routed = memo.match_many(matcher, P_TEXT, region, Q_TEXT,
                                  candidates)
         assert routed == direct
-        # Second pass: all hits, still identical.
+        # Second pass: nothing was kept, still identical.
         again = memo.match_many(matcher, P_TEXT, region, Q_TEXT,
                                 candidates)
         assert again == direct
-        assert memo.stats.memo_hits == len(candidates)
-        assert memo.stats.memo_misses == len(candidates)
+        ran = 0 if matcher.name == WS_NAME else 2 * len(candidates)
+        assert memo.stats.memo_misses == ran
+        assert memo.stats.region_short_circuits == 0
 
     def test_retag_per_candidate(self):
-        # Two candidates with the same interval share one memo entry
-        # but keep their own itids.
+        # Two candidates with the same interval each run the matcher
+        # and keep their own itids.
         matcher = UDMatcher()
         region = Interval(0, len(P_TEXT))
         candidates = {5: Interval(0, len(Q_TEXT)),
@@ -201,8 +213,7 @@ class TestMatchMemo:
                                  candidates)
         assert routed == matcher.match_many(P_TEXT, region, Q_TEXT,
                                             candidates)
-        assert memo.stats.memo_misses == 1
-        assert memo.stats.memo_hits == 1
+        assert memo.stats.memo_misses == 2
         assert {seg.q_itid for seg in routed} == {5, 8}
 
     def test_distinct_configs_do_not_collide(self):
@@ -219,71 +230,25 @@ class TestMatchMemo:
             P_TEXT, region, Q_TEXT, candidates)
         assert memo.stats.memo_misses == 2
 
-    def test_second_memo_answers_from_the_shared_store(self):
-        # A later page pair (or snapshot) gets a fresh memo over the
-        # same store: every candidate is answered from the store, the
-        # matcher never runs, and each counts one memo hit.
-        class CountingUD(UDMatcher):
-            calls = 0
-
-            def match(self, *args, **kwargs):
-                CountingUD.calls += 1
-                return super().match(*args, **kwargs)
-
+    def test_equal_regions_answered_without_the_matcher(self):
+        # The p-region's text recurs at another offset of q and as a
+        # same-length but different region: only the equal one is
+        # answered by the shortcut, and the answer is the matcher's.
         matcher = CountingUD()
-        region = Interval(0, len(P_TEXT))
-        candidates = {7: Interval(0, len(Q_TEXT)), 3: Interval(17, 45)}
-        store = CrossSnapshotMatchCache()
-        first = MatchMemo(shared=store).match_many(
-            matcher, P_TEXT, region, Q_TEXT, candidates)
-        assert CountingUD.calls == len(candidates)
-        assert len(store) == len(candidates)
-        second = MatchMemo(shared=store)
-        again = second.match_many(matcher, P_TEXT, region, Q_TEXT,
-                                  candidates)
-        assert again == first
-        assert CountingUD.calls == len(candidates)
-        assert second.stats.memo_hits == len(candidates)
-        assert second.stats.memo_misses == 0
-
-
-class TestAutomatonCache:
-    def test_reuse_same_region(self):
-        cache = AutomatonCache()
-        a = cache.get(Q_TEXT, Interval(0, 30))
-        b = cache.get(Q_TEXT, Interval(0, 30))
-        assert a is b
-        assert cache.stats.automata_built == 1
-        assert cache.stats.automata_reused == 1
-
-    def test_distinct_regions_build_separately(self):
-        cache = AutomatonCache()
-        a = cache.get(Q_TEXT, Interval(0, 30))
-        b = cache.get(Q_TEXT, Interval(5, 30))
-        assert a is not b
-        assert cache.stats.automata_built == 2
-
-    def test_body_mismatch_rebuilds(self):
-        # Same bounds, different text (misuse across page pairs) must
-        # not return a stale automaton.
-        cache = AutomatonCache()
-        a = cache.get(Q_TEXT, Interval(0, 30))
-        b = cache.get(P_TEXT, Interval(0, 30))
-        assert a is not b
-
-    def test_st_matcher_uses_cache(self):
-        stats = FastPathStats()
-        cache = AutomatonCache(stats)
-        matcher = STMatcher(min_length=8, automatons=cache)
-        region = Interval(0, len(P_TEXT))
-        q_region = Interval(0, len(Q_TEXT))
-        plain = STMatcher(min_length=8).match(P_TEXT, region, Q_TEXT,
-                                              q_region)
-        first = matcher.match(P_TEXT, region, Q_TEXT, q_region)
-        second = matcher.match(P_TEXT, region, Q_TEXT, q_region)
-        assert first == plain and second == plain
-        assert stats.automata_built == 1
-        assert stats.automata_reused == 1
+        p_text = "head\n" + P_TEXT
+        region = Interval(5, len(p_text))
+        q_text = "x" * 9 + P_TEXT + Q_TEXT
+        candidates = {4: Interval(9, 9 + len(P_TEXT)),
+                      6: Interval(9 + len(P_TEXT), len(q_text))}
+        memo = MatchMemo()
+        routed = memo.match_many(matcher, p_text, region, q_text,
+                                 candidates)
+        assert matcher.calls == 1
+        assert routed == UDMatcher().match_many(p_text, region, q_text,
+                                                candidates)
+        assert routed[0] == MatchSegment(5, 9, len(P_TEXT), 4)
+        assert memo.stats.region_short_circuits == 1
+        assert memo.stats.memo_misses == 1
 
 
 # -- capture byte accounting and the page-table reader ------------------
@@ -636,20 +601,19 @@ class TestFastPathParity:
 
 class TestStatsPlumbing:
     def test_merge_accumulates(self):
-        a = FastPathStats(pages_paired=2, memo_hits=3, cache_evictions=1)
-        b = FastPathStats(pages_paired=1, memo_hits=1, automata_built=4)
+        a = FastPathStats(pages_paired=2, memo_misses=3,
+                          region_short_circuits=1)
+        b = FastPathStats(pages_paired=1, memo_misses=1, pages_recycled=4)
         a.merge(b)
         assert a.pages_paired == 3
-        assert a.memo_hits == 4
-        assert a.automata_built == 4
-        assert a.cache_evictions == 1
+        assert a.memo_misses == 4
+        assert a.pages_recycled == 4
+        assert a.region_short_circuits == 1
 
     def test_as_dict_and_describe(self):
         stats = FastPathStats(pages_paired=4, pages_recycled=2,
-                              memo_hits=1, memo_misses=1,
-                              region_short_circuits=2)
+                              memo_misses=1, region_short_circuits=3)
         row = stats.to_dict()
-        assert row["memo_hit_rate"] == 0.5
         assert row["combined_hit_rate"] == 0.75
         assert row["pages_short_circuited"] == 2
         assert stats.unchanged_fraction == 0.5

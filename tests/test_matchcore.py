@@ -1,17 +1,13 @@
-"""Matcher core: config keys, the cross-snapshot match cache, memo
-replay and self-match.
-
-Contracts from the content-keyed caching design:
+"""Matcher core: config keys, the memo's equal-region shortcut and
+self-match.
 
 * **Config keys** — every matcher attribute is classified as either
   result-relevant (``CONFIG_ATTRS``, part of :meth:`Matcher.config_key`)
   or execution-only (``STATE_ATTRS``); an unclassified attribute fails
-  the sweep here, because it could silently let differently-configured
-  matchers share cached results.
+  the sweep here.
 
-* **Cross-snapshot cache** — :class:`CrossSnapshotMatchCache` is a
-  plain bounded LRU: recency order, entry and byte caps, occupancy and
-  eviction counters, and safety under concurrent use.
+* **Memo** — routing a call through :class:`MatchMemo` returns exactly
+  what the bare matcher returns, at any offsets.
 
 * **Self-match** — UD and ST return exactly one full-region segment
   for a region matched against itself (the segment the engine's
@@ -22,10 +18,8 @@ Contracts from the content-keyed caching design:
 from __future__ import annotations
 
 import os
-import random
 import subprocess
 import sys
-import threading
 
 import pytest
 
@@ -33,7 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.fastpath.matchcache import CrossSnapshotMatchCache
 from repro.fastpath.memo import MatchMemo
 from repro.matchers.base import MatchCache
 from repro.matchers.dn import DNMatcher, EQMatcher
@@ -50,7 +43,7 @@ def _all_matchers():
         DNMatcher(),
         EQMatcher(),
         UDMatcher(max_d=3),
-        STMatcher(min_length=9, automatons=object()),
+        STMatcher(min_length=9),
         RUMatcher(MatchCache()),
         WinnowingMatcher(k=6, window=4),
     ]
@@ -87,108 +80,15 @@ class TestConfigKeys:
         assert len(set(keys)) == len(keys)
 
     def test_state_does_not_change_key(self):
-        """A cache never changes output — two instances differing only
-        in one MUST share cached results."""
-        plain = STMatcher(min_length=12)
-        loaded = STMatcher(min_length=12, automatons=object())
-        assert plain.config_key() == loaded.config_key()
+        """State never changes output: two instances differing only in
+        it have one key."""
+        cache = MatchCache()
+        cache.record([MatchSegment(0, 0, 5)])
+        assert (RUMatcher(MatchCache()).config_key()
+                == RUMatcher(cache).config_key())
 
 
-class TestCrossSnapshotMatchCache:
-    KEY_A = (("ST", 12), b"pa", b"qa")
-    KEY_B = (("ST", 12), b"pb", b"qb")
-    KEY_C = (("ST", 12), b"pc", b"qc")
-
-    def test_roundtrip_and_counters(self):
-        cache = CrossSnapshotMatchCache()
-        assert cache.get(self.KEY_A) is None
-        cache.put(self.KEY_A, ((0, 0, 5),))
-        assert cache.get(self.KEY_A) == ((0, 0, 5),)
-        c = cache.counters()
-        # Hits and misses are the caller's to count (FastPathStats);
-        # the store reports occupancy and evictions only.
-        assert set(c) == {"entries", "bytes", "max_entries", "max_bytes",
-                          "evictions"}
-        assert c["entries"] == len(cache) == 1
-        assert c["evictions"] == 0
-        assert "entries=1" in cache.describe()
-
-    def test_lru_refresh_on_get(self):
-        cache = CrossSnapshotMatchCache(max_entries=2)
-        cache.put(self.KEY_A, ())
-        cache.put(self.KEY_B, ())
-        cache.get(self.KEY_A)  # A is now most recent
-        evicted = cache.put(self.KEY_C, ())
-        assert evicted == 1
-        assert cache.get(self.KEY_B) is None  # B was the LRU entry
-        assert cache.get(self.KEY_A) is not None
-        assert cache.evictions == 1
-
-    def test_byte_bound_evicts(self):
-        from repro.fastpath.matchcache import _entry_bytes
-        one_entry = _entry_bytes(((0, 0, 1),))
-        cache = CrossSnapshotMatchCache(max_entries=100,
-                                        max_bytes=2 * one_entry)
-        cache.put(self.KEY_A, ((0, 0, 1),))
-        cache.put(self.KEY_B, ((0, 0, 1),))
-        assert len(cache) == 2 and cache.bytes == 2 * one_entry
-        cache.put(self.KEY_C, ((0, 0, 1),))
-        assert len(cache) == 2 and cache.bytes == 2 * one_entry
-        assert cache.get(self.KEY_A) is None
-
-    def test_refresh_same_key_does_not_double_count_bytes(self):
-        cache = CrossSnapshotMatchCache()
-        cache.put(self.KEY_A, ((0, 0, 1), (2, 2, 3)))
-        before = cache.bytes
-        cache.put(self.KEY_A, ((0, 0, 1), (2, 2, 3)))
-        assert cache.bytes == before
-        assert len(cache) == 1
-
-    def test_clear(self):
-        cache = CrossSnapshotMatchCache()
-        cache.put(self.KEY_A, ((0, 0, 5),))
-        cache.clear()
-        assert len(cache) == 0 and cache.bytes == 0
-        assert cache.get(self.KEY_A) is None
-
-    def test_bounds_validated(self):
-        with pytest.raises(ValueError):
-            CrossSnapshotMatchCache(max_entries=0)
-        with pytest.raises(ValueError):
-            CrossSnapshotMatchCache(max_bytes=0)
-
-    def test_thread_safety_under_contention(self):
-        cache = CrossSnapshotMatchCache(max_entries=16)
-        errors = []
-
-        def worker(seed: int) -> None:
-            rng = random.Random(seed)
-            try:
-                for i in range(400):
-                    key = (("ST", 12), b"p%d" % rng.randrange(32), b"q")
-                    if rng.random() < 0.5:
-                        cache.put(key, ((0, 0, i),))
-                    else:
-                        cache.get(key)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(s,))
-                   for s in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(cache) <= 16
-        c = cache.counters()
-        # every retained value is a single-segment entry, so the byte
-        # ledger must agree exactly with the occupancy
-        from repro.fastpath.matchcache import _entry_bytes
-        assert c["bytes"] == c["entries"] * _entry_bytes(((0, 0, 1),))
-
-
-# -- memo + match store: byte-identity under replay ------------------------
+# -- memo: byte-identity with the bare matcher ------------------------------
 
 
 def _direct_match_many(matcher, p_text, p_region, q_text, candidates):
@@ -211,36 +111,55 @@ def _evolved_pair(draw):
 @settings(max_examples=60, deadline=None)
 @given(pair=_evolved_pair(),
        matcher_kind=st.sampled_from(["ST", "UD"]),
-       max_entries=st.sampled_from([1, 2, 64]),
        shift=st.integers(min_value=0, max_value=7))
-def test_memo_and_cache_replay_byte_identical(pair, matcher_kind,
-                                              max_entries, shift):
-    """Routing match_many through the memo + a (possibly tiny, i.e.
-    constantly evicting) match store returns exactly the segments the
-    bare matcher returns — including when the same content replays at
-    shifted offsets, where rebasing must retag positions and itids."""
+def test_memo_and_cache_replay_byte_identical(pair, matcher_kind, shift):
+    """Routing match_many through the memo returns exactly the segments
+    the bare matcher returns — including when the same content recurs
+    at shifted offsets under another itid."""
     q_text, p_text = pair
     matcher = (STMatcher(min_length=4) if matcher_kind == "ST"
                else UDMatcher())
-    store = CrossSnapshotMatchCache(max_entries=max_entries)
-    memo = MatchMemo(shared=store)
+    memo = MatchMemo()
     p_region = Interval(0, len(p_text))
     candidates = {7: Interval(0, len(q_text))}
     expect = _direct_match_many(matcher, p_text, p_region, q_text,
                                 candidates)
     got = memo.match_many(matcher, p_text, p_region, q_text, candidates)
     assert got == expect
-    # Same content at shifted offsets, replayed through a *fresh* memo
-    # over the same store (the cross-snapshot path), different
+    # Same content at shifted offsets through a fresh memo, different
     # itid: results must equal a bare matcher run on the shifted texts.
     pad = "\t" * shift
     p2, q2 = pad + p_text, pad + q_text
     p2_region = Interval(shift, len(p2))
     candidates2 = {13: Interval(shift, len(q2))}
     expect2 = _direct_match_many(matcher, p2, p2_region, q2, candidates2)
-    memo2 = MatchMemo(shared=store)
+    memo2 = MatchMemo()
     got2 = memo2.match_many(matcher, p2, p2_region, q2, candidates2)
     assert got2 == expect2
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.text("ab \n#", max_size=80), data=st.data(),
+       matcher_kind=st.sampled_from(["ST", "UD"]),
+       min_length=st.integers(min_value=1, max_value=16))
+def test_equal_region_shortcut_equals_matcher(text, data, matcher_kind,
+                                              min_length):
+    """A q-region whose text equals the p-region's, at any offset and
+    beside a same-length region of other text, gets from the memo
+    exactly what the bare matcher returns."""
+    pad = data.draw(st.text("ab#", max_size=6))
+    other = data.draw(st.text("ab \n", min_size=len(text),
+                              max_size=len(text)))
+    q_text = pad + text + other
+    p_region = Interval(0, len(text))
+    candidates = {3: Interval(len(pad), len(pad) + len(text)),
+                  5: Interval(len(pad) + len(text), len(q_text))}
+    matcher = (STMatcher(min_length=min_length) if matcher_kind == "ST"
+               else UDMatcher())
+    memo = MatchMemo()
+    assert (memo.match_many(matcher, text, p_region, q_text, candidates)
+            == matcher.match_many(text, p_region, q_text, candidates))
+    assert memo.stats.region_short_circuits >= 1
 
 
 # -- self-match: the identity short circuit's precondition -----------------

@@ -27,7 +27,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.fastpath.memo import AutomatonCache  # noqa: E402
 from repro.matchers.st import STMatcher, SuffixAutomaton  # noqa: E402
 from repro.matchers.ws import WinnowingMatcher  # noqa: E402
 from repro.text.span import Interval  # noqa: E402
@@ -126,25 +125,6 @@ def test_st_length_floor(p, q, floor):
     assert {(s.p_start, s.length) for s in floored} \
         == {(s.p_start, s.length) for s in base if s.length >= floor}
     assert all(s.length >= floor for s in floored)
-
-
-@COMMON
-@given(p=SMALL, q=SMALL)
-def test_st_automaton_cache_is_behaviour_preserving(p, q):
-    """The probe-peak reuse path: a cached automaton (AutomatonCache)
-    yields byte-identical segments to a freshly built one, and the
-    second probe reuses instead of rebuilding."""
-    p_region, q_region = Interval(0, len(p)), Interval(0, len(q))
-    plain = STMatcher(min_length=2).match(p, p_region, q, q_region)
-    cache = AutomatonCache()
-    cached_matcher = STMatcher(min_length=2, automatons=cache)
-    first = cached_matcher.match(p, p_region, q, q_region)
-    second = cached_matcher.match(p, p_region, q, q_region)
-    assert first == plain
-    assert second == plain
-    if p and q:
-        assert cache.stats.automata_built == 1
-        assert cache.stats.automata_reused == 1
 
 
 @COMMON

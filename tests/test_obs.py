@@ -250,7 +250,7 @@ class TestPublish:
         from repro.runtime.metrics import BatchMetric, RuntimeMetrics
 
         t = _fabricated_timings()
-        t.fastpath = FastPathStats(memo_hits=3, memo_misses=1)
+        t.fastpath = FastPathStats(region_short_circuits=3, memo_misses=1)
         t.runtime = RuntimeMetrics(
             backend="thread", jobs=2, wall_seconds=2.0,
             batches=[BatchMetric(index=0, pages=10, chars=100,
@@ -259,7 +259,7 @@ class TestPublish:
         doc = oreg.REGISTRY.to_dict()
         assert "repro_fastpath_events_total" in doc
         assert "repro_runtime_pages_per_second" in doc
-        hit_rate = doc["repro_fastpath_memo_hit_rate"]["samples"][0]
+        hit_rate = doc["repro_fastpath_combined_hit_rate"]["samples"][0]
         assert hit_rate["value"] == pytest.approx(0.75)
 
 

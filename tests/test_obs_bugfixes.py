@@ -328,7 +328,7 @@ class TestRateGuards:
         from repro.fastpath.stats import FastPathStats
 
         stats = FastPathStats()
-        assert stats.memo_hit_rate == 0.0
+        assert stats.combined_hit_rate == 0.0
         assert stats.unchanged_fraction == 0.0
 
     def test_serve_qps_at_zero_uptime(self, tmp_path, monkeypatch):
