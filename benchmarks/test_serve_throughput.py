@@ -10,11 +10,13 @@ reference and never block on the writer. Two campaigns:
   observed response against the batch NoReuse reference.
 * **shard scaling** — the same churn series through the sharded tier
   at shards ∈ {1, 2, 4} (1 = the classic single-loop path), same
-  reader load; record per-arm qps and max/mean ingest lag
-  (enqueue → consistent-vector publish), audit every observed
-  response byte-identically (content *and* pagination order) against
-  the batch reference, and assert the structural claim: max lag at 4
-  shards strictly below the 1-shard baseline. The win is
+  reader load; record per-arm qps, max/mean ingest lag (enqueue →
+  consistent-vector publish) and max/mean read lag (push of snapshot
+  k → the first audited response at an index ≥ k, the freshness a
+  reader sees), audit every observed response byte-identically
+  (content *and* pagination order) against the batch reference, and
+  assert the structural claim: max ingest lag at 4 shards strictly
+  below the 1-shard baseline. The win is
   architectural, not parallelism (one CPU, one GIL): shard stores run
   lazy, so the relation-index dedupe+sort leaves the apply path and
   amortizes on the read side, per vector. A saturation run pins the
@@ -264,12 +266,15 @@ def _run_readers(relations, query, ordered, n_readers, run):
     ``query(rel, offset, limit)`` is the serving path under test;
     every observed page must be byte-identical — content and order —
     to the reference slice for the response's own snapshot index.
-    Returns (stop_event, threads, counts, errors, audited).
+    Returns (stop_event, threads, counts, errors, audited, seen);
+    ``seen`` maps each snapshot index to the ``perf_counter`` time of
+    its first audited response.
     """
     stop = threading.Event()
     counts = [0] * n_readers
     errors = []
     audited = [0] * n_readers
+    seen = {}
 
     def reader(slot: int) -> None:
         i = 0
@@ -294,6 +299,9 @@ def _run_readers(relations, query, ordered, n_readers, run):
                     "the batch reference slice")
                 stop.set()
                 return
+            if result.snapshot_index not in seen:
+                seen.setdefault(result.snapshot_index,
+                                time.perf_counter())
             audited[slot] += 1
             counts[slot] += 1
 
@@ -302,13 +310,36 @@ def _run_readers(relations, query, ordered, n_readers, run):
                for slot in range(n_readers)]
     for t in threads:
         t.start()
-    return stop, threads, counts, errors, audited
+    return stop, threads, counts, errors, audited, seen
 
 
 def _finish_readers(stop, threads):
     stop.set()
     for t in threads:
         t.join(timeout=10)
+
+
+def _await_index(seen, index, errors, timeout=30.0):
+    """Keep the readers running until one audits a response at ``index``."""
+    deadline = time.perf_counter() + timeout
+    while (index not in seen and not errors
+           and time.perf_counter() < deadline):
+        time.sleep(0.001)
+
+
+def _read_lag_fields(pushed, seen):
+    """Per pushed snapshot k: push of k to the first audited response
+    at an index >= k (a newer vector answers for k as well)."""
+    lags = []
+    for index, at in sorted(pushed.items()):
+        firsts = [t for i, t in seen.items() if i >= index]
+        assert firsts, f"no reader ever saw snapshot {index} or later"
+        lags.append(max(0.0, min(firsts) - at))
+    return {
+        "max_read_lag_seconds": max(lags),
+        "mean_read_lag_seconds": sum(lags) / len(lags),
+        "read_lag_series": lags,
+    }
 
 
 def _arm_classic(snapshots, ordered, workdir):
@@ -320,16 +351,20 @@ def _arm_classic(snapshots, ordered, workdir):
     loop = IngestLoop(registry, queue)
     assert loop.apply_one(snapshots[0])
 
-    stop, threads, counts, errors, audited = _run_readers(
+    stop, threads, counts, errors, audited, seen = _run_readers(
         relations, lambda rel, off, lim: view.query(
             rel, offset=off, limit=lim),
         ordered, SHARD_READERS, "classic")
     loop.start()
     started = time.perf_counter()
+    pushed = {}
     for snapshot in snapshots[1:]:
+        pushed[snapshot.index] = time.perf_counter()
         assert queue.push(snapshot, block=True, timeout=30)
     assert loop.drain(timeout=600)
     window = time.perf_counter() - started
+    queries = sum(counts)
+    _await_index(seen, snapshots[-1].index, errors)
     _finish_readers(stop, threads)
     assert loop.stop()
     assert not errors, errors[0]
@@ -343,12 +378,13 @@ def _arm_classic(snapshots, ordered, workdir):
     return {
         "shards": 1,
         "window_seconds": window,
-        "queries": sum(counts),
-        "qps": sum(counts) / window if window else 0.0,
+        "queries": queries,
+        "qps": queries / window if window else 0.0,
         "responses_audited": sum(audited),
         "max_lag_seconds": max(lags),
         "mean_lag_seconds": sum(lags) / len(lags),
         "lag_series": lags,
+        **_read_lag_fields(pushed, seen),
     }
 
 
@@ -360,16 +396,20 @@ def _arm_sharded(snapshots, ordered, workdir, n_shards):
     relations = list(dep.workers[0].registry.get(TASK).store.schema)
     dep.apply_inline(snapshots[0])
 
-    stop, threads, counts, errors, audited = _run_readers(
+    stop, threads, counts, errors, audited, seen = _run_readers(
         relations, lambda rel, off, lim: dep.router.query(
             TASK, rel, offset=off, limit=lim),
         ordered, SHARD_READERS, f"shards{n_shards}")
     dep.start()
     started = time.perf_counter()
+    pushed = {}
     for snapshot in snapshots[1:]:
+        pushed[snapshot.index] = time.perf_counter()
         assert dep.push(snapshot, block=True, timeout=30)
     assert dep.drain(timeout=600)
     window = time.perf_counter() - started
+    queries = sum(counts)
+    _await_index(seen, snapshots[-1].index, errors)
     _finish_readers(stop, threads)
     healthy = dep.healthz()["ok"]
     assert dep.stop()
@@ -382,12 +422,13 @@ def _arm_sharded(snapshots, ordered, workdir, n_shards):
     return {
         "shards": n_shards,
         "window_seconds": window,
-        "queries": sum(counts),
-        "qps": sum(counts) / window if window else 0.0,
+        "queries": queries,
+        "qps": queries / window if window else 0.0,
         "responses_audited": sum(audited),
         "max_lag_seconds": max(lags),
         "mean_lag_seconds": sum(lags) / len(lags),
         "lag_series": lags,
+        **_read_lag_fields(pushed, seen),
     }
 
 
@@ -443,13 +484,16 @@ def test_shard_count_scaling():
         f"Shard scaling — task={TASK} pages={SHARD_PAGES} "
         f"snapshots={SHARD_SNAPSHOTS} p_unchanged={SHARD_UNCHANGED} "
         f"readers={SHARD_READERS}",
-        "  shards        qps   max lag(s)  mean lag(s)    audited",
+        "  shards        qps   max lag(s)  mean lag(s)  max read lag(s)"
+        "  mean read lag(s)    audited",
     ]
     for arm in arms:
         lines.append(
             f"  {arm['shards']:>6}  {arm['qps']:>9.1f}  "
             f"{arm['max_lag_seconds']:>11.4f}  "
             f"{arm['mean_lag_seconds']:>11.4f}  "
+            f"{arm['max_read_lag_seconds']:>15.4f}  "
+            f"{arm['mean_read_lag_seconds']:>16.4f}  "
             f"{arm['responses_audited']:>9}")
     lines.append(
         f"  max-lag speedup 4 vs 1: {baseline / four:.2f}x "

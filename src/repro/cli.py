@@ -294,8 +294,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         deployment = ShardedDeployment(
             os.path.join(workdir, "shards"), configs,
-            n_shards=args.shards, n_replicas=args.replicas,
-            max_staleness=args.max_staleness,
+            n_shards=args.shards,
             check=args.check == "on", capacity=args.queue_size,
             snapshot_store=snapshot_store)
         registry = deployment.workers[0].registry
@@ -340,9 +339,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     server = build_server(app, host=args.host, port=args.port)
     host, port = server.server_address[:2]
-    tier = (f" across {args.shards} shard(s)"
-            + (f" x {args.replicas} replica(s)" if args.replicas else "")
-            if args.shards > 1 else "")
+    tier = f" across {args.shards} shard(s)" if args.shards > 1 else ""
     print(f"serving {len(task_names)} view(s) "
           f"({', '.join(task_names)}){tier} on http://{host}:{port}")
     print("  try:")
@@ -633,14 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "router with consistent generation "
                             "vectors (default 1 = classic single "
                             "apply loop)")
-    serve.add_argument("--replicas", type=int, default=0, metavar="R",
-                       help="read replicas per shard (sharded mode "
-                            "only; default 0)")
-    serve.add_argument("--max-staleness", type=int, default=0,
-                       metavar="K",
-                       help="route reads to a replica only if it is "
-                            "at most K snapshots behind its shard "
-                            "primary (default 0)")
     serve.add_argument("--persist", action="store_true",
                        help="persist applied snapshots to "
                             "<workdir>/corpus")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import replace
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..obs import trace as _otrace
 from ..text.regions import MatchSegment
@@ -32,24 +32,6 @@ class Matcher(ABC):
     """Finds overlapping regions between two page regions."""
 
     name: str = "?"
-
-    #: Constructor attributes that change what :meth:`match` returns;
-    #: :meth:`config_key` is built from them. ``tests/test_matchcore.py``
-    #: fails if an instance grows an attribute in neither tuple.
-    CONFIG_ATTRS: Tuple[str, ...] = ()
-
-    #: Attributes that only affect *how* results are computed (RU's
-    #: page-pair cache) — excluded from the key.
-    STATE_ATTRS: Tuple[str, ...] = ()
-
-    def config_key(self) -> tuple:
-        """A hashable key identifying this matcher's result behaviour.
-
-        Two matcher instances with equal keys must return identical
-        segments for identical inputs.
-        """
-        return (self.name,) + tuple(
-            getattr(self, attr) for attr in self.CONFIG_ATTRS)
 
     @abstractmethod
     def match(self, p_text: str, p_region: Interval,

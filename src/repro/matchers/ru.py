@@ -29,9 +29,7 @@ class RUMatcher(Matcher):
     name = RU_NAME
     # ``cache`` is mutable page-pair state — the reason the memo's
     # equal-region shortcut (``repro.fastpath.memo.SHORTCUT``) never
-    # answers for RU. Classified so the attribute sweep in
-    # tests/test_matchcore.py stays exhaustive.
-    STATE_ATTRS = ("cache",)
+    # answers for RU.
 
     def __init__(self, cache: MatchCache) -> None:
         self.cache = cache

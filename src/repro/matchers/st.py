@@ -116,7 +116,6 @@ class STMatcher(Matcher):
     """
 
     name = ST_NAME
-    CONFIG_ATTRS = ("min_length",)
 
     def __init__(self, min_length: int = 12) -> None:
         if min_length < 1:

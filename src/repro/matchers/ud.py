@@ -166,7 +166,6 @@ class UDMatcher(Matcher):
     """Line-level Myers diff converted to character match segments."""
 
     name = UD_NAME
-    CONFIG_ATTRS = ("max_d",)
 
     def __init__(self, max_d: int = 0) -> None:
         self.max_d = max_d

@@ -61,7 +61,6 @@ class WinnowingMatcher(Matcher):
     """Fingerprint-anchored maximal-segment matcher."""
 
     name = WS_NAME
-    CONFIG_ATTRS = ("k", "window", "max_anchors")
 
     def __init__(self, k: int = 12, window: int = 8,
                  max_anchors_per_hash: int = 4) -> None:

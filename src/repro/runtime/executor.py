@@ -225,14 +225,10 @@ class ProcessPoolExecutor(Executor):
 
     name = "process"
 
-    def __init__(self, jobs: int, start_method: Optional[str] = None) -> None:
+    def __init__(self, jobs: int) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = start_method
 
     def run_work(self, fn: Callable[[Any, Any], Any], state: Any,
                  items: Sequence[Any],
@@ -242,7 +238,9 @@ class ProcessPoolExecutor(Executor):
         if costs is None:
             costs = [1.0] * len(items)
         workers = min(self.jobs, len(items))
-        ctx = multiprocessing.get_context(self.start_method)
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else methods[0])
         with _futures.ProcessPoolExecutor(
                 max_workers=workers, mp_context=ctx,
                 initializer=_install_worker,

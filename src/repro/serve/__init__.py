@@ -30,7 +30,8 @@ Four layers, composed bottom-up:
 Scaling past one apply loop lives in :mod:`repro.shard`: the same
 store/view/ingest machinery partitioned across N in-process shard
 workers behind a scatter-gather router with consistent generation
-vectors (``repro serve --shards N``).
+vectors (``repro serve --shards N``). :mod:`repro.shard` builds on
+this package; nothing here imports it.
 
 Everything is stdlib-only, like the rest of the repo.
 """

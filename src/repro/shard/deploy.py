@@ -82,16 +82,14 @@ class ShardedDeployment:
     """N shard workers, one admission-bounded front door, one router."""
 
     def __init__(self, workdir: str, configs: Sequence[ViewConfig],
-                 n_shards: int, n_replicas: int = 0,
-                 max_staleness: int = 0, check: bool = False,
+                 n_shards: int, check: bool = False,
                  capacity: int = 8,
                  snapshot_store: Optional[CorpusStore] = None) -> None:
         if n_shards < 1:
             raise ValueError(f"need at least one shard, got {n_shards}")
         self.workdir = workdir
         self.partitioner = Partitioner(n_shards)
-        self.router = ShardRouter(n_shards, n_replicas=n_replicas,
-                                  max_staleness=max_staleness)
+        self.router = ShardRouter(n_shards)
         self.capacity = max(1, capacity)
         self.snapshot_store = snapshot_store
         self.workers: List[ShardWorker] = [
@@ -322,13 +320,3 @@ class ShardedDeployment:
                 reg.set("repro_shard_vector_id",
                         float(vector.vector_id),
                         help="current vector id per view", view=name)
-        for replica_set in self.router.replica_sets:
-            shard = str(replica_set.shard_id)
-            reg.set("repro_shard_replica_hits",
-                    float(replica_set.hits),
-                    help="reads served by a replica per shard",
-                    shard=shard)
-            reg.set("repro_shard_replica_fallbacks",
-                    float(replica_set.fallbacks),
-                    help="reads that fell back to the shard primary",
-                    shard=shard)

@@ -30,11 +30,10 @@ Failure modes, by construction:
 Query answering is scatter-gather with the scatter done at publish
 time: the vector pins one generation per shard, the cross-shard
 merged relation index materializes lazily on the vector
-(:meth:`ShardVector.relation`), and per-shard replica routing
-(:mod:`repro.shard.replica`) only ever serves the exact pinned
-generation. Results are byte-identical to a single
-:class:`~repro.serve.store.TupleStore` over the whole corpus — pinned
-by ``tests/test_shard.py``.
+(:meth:`ShardVector.relation`), and every row of a response comes from
+the generations that one vector pins. Results are byte-identical to a
+single :class:`~repro.serve.store.TupleStore` over the whole corpus —
+pinned by ``tests/test_shard.py``.
 """
 
 from __future__ import annotations
@@ -42,14 +41,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Sequence
 
 from ..corpus.snapshot import Snapshot
 from ..obs import registry as _oreg
 from ..serve.store import (EmptyViewError, Generation, QueryResult,
                            UnknownRelationError, filter_rows)
 from .genvec import ShardVector
-from .replica import ReplicaSet
 
 #: Per (view, shard) bound on retained ``snapshot -> generation``
 #: entries awaiting the barrier. 32 spans far more in-flight skew
@@ -87,15 +85,10 @@ class _ViewVectorState:
 class ShardRouter:
     """Assembles consistent cross-shard reads for every view."""
 
-    def __init__(self, n_shards: int, n_replicas: int = 0,
-                 max_staleness: int = 0) -> None:
+    def __init__(self, n_shards: int) -> None:
         self.n_shards = n_shards
         self._lock = threading.Lock()
         self._views: Dict[str, _ViewVectorState] = {}
-        #: One replica set per shard, shared across views.
-        self.replica_sets: List[ReplicaSet] = [
-            ReplicaSet(s, n_replicas, max_staleness=max_staleness)
-            for s in range(n_shards)]
         self.queries_served = 0
         self.vectors_published = 0
         self.records_seen = 0
@@ -208,8 +201,6 @@ class ShardRouter:
         for stale in [k for k in state.enqueued_mono if k <= index]:
             del state.enqueued_mono[stale]
         self.vectors_published += 1
-        for shard_id, generation in enumerate(generations):
-            self.replica_sets[shard_id].offer(state.name, generation)
         if _oreg.ENABLED:
             _oreg.REGISTRY.inc(
                 "repro_shard_vectors_published_total",
@@ -247,15 +238,6 @@ class ShardRouter:
             raise UnknownRelationError(
                 f"view {view!r} has no relation {relation!r}; "
                 f"schema is {state.schema}")
-        # Replica routing: bookkeeping + the consistency assertion
-        # that a picked replica serves the exact pinned generation.
-        sources = [
-            self.replica_sets[s].pick(
-                view, vector.generations[s],
-                head_index=state.last_ok[s])[0]
-            for s in range(self.n_shards)]
-        source = ("replica" if all(src == "replica" for src in sources)
-                  else "primary")
         rows: Sequence[tuple] = vector.relation(relation)
         rows = filter_rows(rows, contains, field_filters)
         offset = max(0, offset)
@@ -265,8 +247,8 @@ class ShardRouter:
         if _oreg.ENABLED:
             _oreg.REGISTRY.inc(
                 "repro_shard_queries_total",
-                help="scatter-gather queries answered, by serving tier",
-                view=view, source=source)
+                help="scatter-gather queries answered per view",
+                view=view)
         return QueryResult(
             view=view, generation=vector.vector_id,
             snapshot_index=vector.snapshot_index, relation=relation,
@@ -318,7 +300,6 @@ class ShardRouter:
                 "vectors_published": self.vectors_published,
                 "records_seen": self.records_seen,
             }
-        summary["replicas"] = [rs.describe() for rs in self.replica_sets]
         summary["views"] = {
             state.name: {
                 "schema": list(state.schema),

@@ -1,10 +1,4 @@
-"""Matcher core: config keys, the memo's equal-region shortcut and
-self-match.
-
-* **Config keys** — every matcher attribute is classified as either
-  result-relevant (``CONFIG_ATTRS``, part of :meth:`Matcher.config_key`)
-  or execution-only (``STATE_ATTRS``); an unclassified attribute fails
-  the sweep here.
+"""Matcher core: the memo's equal-region shortcut and self-match.
 
 * **Memo** — routing a call through :class:`MatchMemo` returns exactly
   what the bare matcher returns, at any offsets.
@@ -13,6 +7,9 @@ self-match.
   for a region matched against itself (the segment the engine's
   identity path records for RU units); WS does not, and a pinned
   counterexample says why.
+
+* **One implementation** — a Delex series and a serve apply run
+  without importing numpy.
 """
 
 from __future__ import annotations
@@ -28,64 +25,12 @@ from hypothesis import strategies as st
 
 import repro
 from repro.fastpath.memo import MatchMemo
-from repro.matchers.base import MatchCache
-from repro.matchers.dn import DNMatcher, EQMatcher
-from repro.matchers.ru import RUMatcher
+from repro.matchers.dn import EQMatcher
 from repro.matchers.st import STMatcher
 from repro.matchers.ud import UDMatcher
 from repro.matchers.ws import WinnowingMatcher
 from repro.text.regions import MatchSegment
 from repro.text.span import Interval
-
-
-def _all_matchers():
-    return [
-        DNMatcher(),
-        EQMatcher(),
-        UDMatcher(max_d=3),
-        STMatcher(min_length=9),
-        RUMatcher(MatchCache()),
-        WinnowingMatcher(k=6, window=4),
-    ]
-
-
-class TestConfigKeys:
-    def test_every_attribute_is_classified(self):
-        """No matcher instance may grow an attribute that is neither
-        config (keyed) nor state (excluded by design)."""
-        for matcher in _all_matchers():
-            declared = set(matcher.CONFIG_ATTRS) | set(matcher.STATE_ATTRS)
-            undeclared = set(vars(matcher)) - declared
-            assert not undeclared, \
-                f"{type(matcher).__name__}: unclassified {undeclared}"
-
-    def test_config_attrs_all_exist(self):
-        for matcher in _all_matchers():
-            for attr in matcher.CONFIG_ATTRS + matcher.STATE_ATTRS:
-                assert hasattr(matcher, attr)
-
-    def test_distinct_configs_distinct_keys(self):
-        assert (STMatcher(min_length=8).config_key()
-                != STMatcher(min_length=12).config_key())
-        assert (UDMatcher(max_d=0).config_key()
-                != UDMatcher(max_d=5).config_key())
-        base = WinnowingMatcher(k=12, window=8).config_key()
-        assert WinnowingMatcher(k=10, window=8).config_key() != base
-        assert WinnowingMatcher(k=12, window=6).config_key() != base
-        assert WinnowingMatcher(
-            k=12, window=8, max_anchors_per_hash=9).config_key() != base
-
-    def test_keys_distinct_across_matchers(self):
-        keys = [m.config_key() for m in _all_matchers()]
-        assert len(set(keys)) == len(keys)
-
-    def test_state_does_not_change_key(self):
-        """State never changes output: two instances differing only in
-        it have one key."""
-        cache = MatchCache()
-        cache.record([MatchSegment(0, 0, 5)])
-        assert (RUMatcher(MatchCache()).config_key()
-                == RUMatcher(cache).config_key())
 
 
 # -- memo: byte-identity with the bare matcher ------------------------------

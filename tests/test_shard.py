@@ -480,41 +480,6 @@ class TestChaos:
 
 
 # ---------------------------------------------------------------------------
-# Replica routing
-
-
-class TestReplicas:
-    def test_replica_hits_and_stale_fallback(self, snapshots, tmp_path):
-        dep = _deployment(tmp_path, n_shards=2, n_replicas=2,
-                          max_staleness=0)
-        relations = list(dep.workers[0].registry.get("talk").store.schema)
-        dep.start()
-        try:
-            assert dep.push(snapshots[0], block=True, timeout=10.0)
-            assert dep.drain(timeout=60.0)
-            served = dep.router.query("talk", relations[0], limit=10)
-            assert sum(rs.hits for rs in dep.router.replica_sets) > 0
-
-            # Drop all future replication on shard 0: replicas go
-            # stale, the router falls back to the primary, and the
-            # answer is still the vector's — byte-identical.
-            for replica in dep.router.replica_sets[0].replicas:
-                replica.offer_delay = lambda view, gen: (_ for _ in ()
-                                                         ).throw(
-                    RuntimeError("dropped replication"))
-            assert dep.push(snapshots[1], block=True, timeout=10.0)
-            assert dep.drain(timeout=60.0)
-            before = sum(rs.fallbacks for rs in dep.router.replica_sets)
-            fresh = dep.router.query("talk", relations[0], limit=100000)
-            assert fresh.snapshot_index == snapshots[1].index
-            after = sum(rs.fallbacks for rs in dep.router.replica_sets)
-            assert after > before
-            assert served.view == fresh.view
-        finally:
-            dep.stop()
-
-
-# ---------------------------------------------------------------------------
 # Lag reporting (the BENCH_serve bootstrap fix)
 
 
