@@ -8,15 +8,17 @@ serial backend vs an auto-chosen 4-worker run (the heavy emulated
 blackboxes select the process pool) for No-reuse and Delex on a
 synthetic DBLife corpus, and emits a machine-readable
 ``BENCH_runtime.json`` at the repo root — including the runtime's own
-steal/shared-memory telemetry for the parallel run.
+worker-utilization telemetry for the parallel run.
 
-On machines with fewer than 4 CPUs there is no parallel speedup to
-have; the auto chooser detects that and falls back to the serial
-backend, so the "parallel" configuration must stay within noise of
-the serial one (verdict ``serial_fallback_ok``, floor 0.9x). That
-floor is the regression guard for the old behavior, where the chooser
-picked the process pool on a 1-CPU box and paid ~6% fork+pickle
-overhead for nothing.
+On a 1-CPU machine there is no parallel speedup to have; the auto
+chooser detects that and falls back to the serial backend, so the
+"parallel" configuration must stay within noise of the serial one
+(verdict ``serial_fallback_ok``, floor 0.9x). That floor is the
+regression guard for the old behavior, where the chooser picked the
+process pool on a 1-CPU box and paid ~6% fork+pickle overhead for
+nothing. With more than one CPU but fewer than 4, the chooser still
+picks the process pool; its 4 workers share the cores, so No-reuse
+must beat serial (> 1.0x) rather than meet the 1.5x floor.
 """
 
 import hashlib
@@ -74,12 +76,8 @@ def _measure(task, snapshots, system_name, jobs, workdir):
         pages += result.pages
         outputs.append(canonical_results(result))
         runtime = result.timings.runtime
-        if runtime is not None:
-            doc = runtime.to_dict()
-            if runtime_doc is None:
-                runtime_doc = doc
-            else:
-                runtime_doc["steals"] += doc["steals"]
+        if runtime is not None and runtime_doc is None:
+            runtime_doc = runtime.to_dict()
         prev = snapshot
     backend = executor.name if executor is not None else "serial"
     row = {
@@ -91,9 +89,7 @@ def _measure(task, snapshots, system_name, jobs, workdir):
     }
     if runtime_doc is not None:
         row["runtime"] = {key: runtime_doc.get(key) for key in
-                          ("backend", "jobs", "steals", "shared_text",
-                           "worker_utilization",
-                           "worker_busy_fractions")}
+                          ("backend", "jobs", "worker_utilization")}
     return row, outputs, _tree_digest(workdir)
 
 
@@ -138,38 +134,42 @@ def _render(data):
              f"{data['snapshots']} snapshots, jobs={data['jobs']}, "
              f"cpus={data['cpu_count']})",
              f"{'system':<9}{'serial p/s':>12}{'jobs4 p/s':>12}"
-             f"{'speedup':>9}{'backend':>9}{'steals':>8}"]
+             f"{'speedup':>9}{'backend':>9}{'util':>7}"]
     for name, row in data["systems"].items():
         runtime = row["parallel"].get("runtime") or {}
         lines.append(
             f"{name:<9}{row['serial']['pages_per_second']:>12.1f}"
             f"{row['parallel']['pages_per_second']:>12.1f}"
             f"{row['speedup']:>9.2f}{row['parallel']['backend']:>9}"
-            f"{runtime.get('steals', 0):>8}")
+            f"{runtime.get('worker_utilization', 0):>7.0%}")
     return "\n".join(lines) + "\n"
 
 
 def _verdicts(data):
     """Per-system speedup verdicts, honest about the hardware.
 
-    ``ok``: the machine has at least ``jobs`` CPUs and the system met
-    its speedup floor. ``serial_fallback_ok``: fewer CPUs than
-    workers, so the auto chooser resolved to the serial backend and
-    the run stayed within noise of serial (>= 0.9x — the regression
-    guard for the chooser picking a losing process pool on one CPU).
-    ``fail``: either floor missed.
+    ``ok``: the parallel run used the process backend and the system
+    met its speedup floor — No-reuse at least 1.5x with one CPU per
+    worker, more than 1.0x with fewer CPUs than workers.
+    ``serial_fallback_ok``: one CPU, so the auto chooser resolved to
+    the serial backend and the run stayed within noise of serial
+    (>= 0.9x — the regression guard for the chooser picking a losing
+    process pool on one CPU). ``fail``: either floor missed.
     """
     cpus = data["cpu_count"] or 1
     verdicts = {}
     for name, row in data["systems"].items():
-        if cpus < data["jobs"]:
+        if cpus == 1:
             fell_back = row["parallel"]["backend"] == "serial"
             within_noise = row["speedup"] >= SERIAL_FALLBACK_MIN_SPEEDUP
             verdicts[name] = ("serial_fallback_ok"
                               if fell_back and within_noise else "fail")
             continue
-        if name == "noreuse":
-            passed = row["speedup"] >= NOREUSE_MIN_SPEEDUP
+        if row["parallel"]["backend"] != "process":
+            passed = False
+        elif name == "noreuse":
+            passed = row["speedup"] >= (NOREUSE_MIN_SPEEDUP
+                                        if cpus >= data["jobs"] else 1.0)
         else:
             passed = row["speedup"] > 0.0
         verdicts[name] = "ok" if passed else "fail"
@@ -185,10 +185,14 @@ def test_runtime_scaling(benchmark):
     save_table("runtime_scaling.txt", _render(data))
 
     assert "fail" not in data["verdicts"].values(), data["verdicts"]
-    if (os.cpu_count() or 1) < JOBS:
-        # Too few CPUs for a speedup to exist; the auto chooser must
-        # have fallen back to serial and stayed within noise of it.
+    if (os.cpu_count() or 1) == 1:
+        # No speedup can exist; the auto chooser must have fallen back
+        # to serial and stayed within noise of it.
         assert set(data["verdicts"].values()) == {"serial_fallback_ok"}
+        return
+    if (os.cpu_count() or 1) < JOBS:
+        # Fewer cores than workers: the verdicts above hold the only
+        # floor (No-reuse beats serial on the process backend).
         return
     noreuse = data["systems"]["noreuse"]
     assert noreuse["parallel"]["backend"] == "process"

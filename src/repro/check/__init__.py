@@ -7,7 +7,7 @@ no-reuse run produces (Theorem 1), and must write byte-identical reuse
 files whichever backend or fast-path setting produced them. After the
 parallel runtime (PR 1) and the snapshot-delta fast paths (PR 2) the
 equivalence surface is ``4 systems x {fastpath on,off} x {serial,
-thread, process}`` per matcher policy — far too wide for spot checks.
+process}`` per matcher policy — far too wide for spot checks.
 This package is the standing correctness tooling that sweeps it:
 
 * :mod:`.grid` — the sweep grid: one :class:`~repro.check.grid.CheckConfig`

@@ -2,9 +2,9 @@
 
 One :class:`CheckConfig` per point of the equivalence surface the
 oracle must cover: (system, matcher policy, fastpath, backend). The
-``small`` grid is the CI smoke set (serial + threads); the ``full``
-grid adds the process backend, the ST policy, and the live optimizer
-(``auto``); both sweep the mixed ST/UD→RU assignment.
+``small`` grid is the CI smoke set; the ``full`` grid adds the ST
+policy and the live optimizer (``auto``); both sweep the serial and
+process backends and the mixed ST/UD→RU assignment.
 
 Every reusing system is the reuse engine over some plan — Shortcut
 and Cyclex over the one-unit program plan — so each has the fastpath
@@ -43,6 +43,9 @@ from ..reuse.engine import PlanAssignment
 
 GRID_NAMES = ("small", "full")
 
+#: Both grids run every engine config serially and on the process pool.
+BACKENDS = ("serial", "process")
+
 #: Policies that fix the matcher choice (deterministic captures).
 FIXED_POLICIES = ("UD", "ST", "WS", "mixed")
 
@@ -63,7 +66,7 @@ class CheckConfig:
     system: str            # noreuse | shortcut | cyclex | delex
     policy: str = "-"      # - | UD | ST | WS | mixed | auto
     fastpath: str = "on"   # on | off
-    backend: str = "serial"  # serial | thread | process
+    backend: str = "serial"  # serial | process
     jobs: int = 1
     view: str = "-"        # - | delex | noreuse | delta
 
@@ -180,19 +183,17 @@ def build_grid(name: str = "full", jobs: int = 2) -> List[CheckConfig]:
         raise ValueError(f"unknown grid {name!r}; choose from {GRID_NAMES}")
     fastpaths = ("off", "on")
     if name == "small":
-        backends: Tuple[str, ...] = ("serial", "thread")
         cyclex_policies: Tuple[str, ...] = ("UD",)
         delex_policies: Tuple[str, ...] = ("UD", "mixed")
         view_modes: Tuple[str, ...] = ("delta",)
     else:
-        backends = ("serial", "thread", "process")
         cyclex_policies = ("UD", "ST")
         delex_policies = ("UD", "ST", "mixed", "auto")
         view_modes = ("delta", "noreuse", "delex")
     grid: List[CheckConfig] = []
-    grid += _expand("noreuse", ("-",), ("on",), backends, jobs)
-    grid += _expand("shortcut", ("-",), fastpaths, backends, jobs)
-    grid += _expand("cyclex", cyclex_policies, fastpaths, backends, jobs)
-    grid += _expand("delex", delex_policies, fastpaths, backends, jobs)
+    grid += _expand("noreuse", ("-",), ("on",), BACKENDS, jobs)
+    grid += _expand("shortcut", ("-",), fastpaths, BACKENDS, jobs)
+    grid += _expand("cyclex", cyclex_policies, fastpaths, BACKENDS, jobs)
+    grid += _expand("delex", delex_policies, fastpaths, BACKENDS, jobs)
     grid += [CheckConfig(system=mode, view=mode) for mode in view_modes]
     return grid

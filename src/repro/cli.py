@@ -34,6 +34,7 @@ from .corpus import CorpusStore, dblife_corpus, profile_corpus, wikipedia_corpus
 from .core.runner import SYSTEM_NAMES, run_series, verify_agreement
 from .extractors import ALL_TASKS, make_task
 from .plan import compile_program, find_units, partition_chains
+from .runtime import BACKEND_NAMES
 
 
 def _cmd_tasks(args: argparse.Namespace) -> int:
@@ -491,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker count for the execution runtime "
                           "(default 1 = serial)")
     run.add_argument("--backend", default="auto",
-                     choices=("auto", "serial", "thread", "process"),
+                     choices=BACKEND_NAMES,
                      help="executor backend; auto picks by blackbox "
                           "cost (default auto)")
     run.add_argument("--check", default="off", choices=("on", "off"),
@@ -615,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("on", "off"))
     serve.add_argument("--jobs", type=int, default=1)
     serve.add_argument("--backend", default="auto",
-                       choices=("auto", "serial", "thread", "process"))
+                       choices=BACKEND_NAMES)
     serve.add_argument("--work-scale", type=float, default=1.0)
     serve.add_argument("--check", default="off", choices=("on", "off"),
                        help="guard every apply with the invariant "

@@ -30,7 +30,6 @@ from ..plan.operators import IENode, ProjectNode, ScanNode, SelectNode
 from ..plan.units import IEUnit, find_units
 from ..reuse.engine import PlanAssignment
 from ..runtime.executor import Executor
-from ..runtime.scheduler import PageScheduler
 from ..text.document import Page
 from ..text.span import Span
 from ..timing import Timer, Timings
@@ -136,7 +135,6 @@ class CyclexSystem(DelexSystem):
     def __init__(self, plan: CompiledPlan, workdir: str,
                  program_alpha: int, program_beta: int,
                  executor: Optional[Executor] = None,
-                 scheduler: Optional[PageScheduler] = None,
                  fastpath: FastPathFlag = None,
                  fixed_matcher: Optional[str] = None) -> None:
         self._program = program_plan(plan, program_alpha, program_beta)
@@ -144,8 +142,7 @@ class CyclexSystem(DelexSystem):
         # the per-matcher cases of the check grid and parity tests).
         self.fixed_matcher = fixed_matcher
         # No xlog task of its own: the engine runs the program plan.
-        super().__init__(None, workdir, executor=executor,
-                         scheduler=scheduler, fastpath=fastpath)
+        super().__init__(None, workdir, executor=executor, fastpath=fastpath)
 
     def _compile(self, task: None) -> Tuple[CompiledPlan, List[IEUnit]]:
         program, unit = self._program

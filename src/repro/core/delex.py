@@ -47,7 +47,6 @@ from ..reuse.engine import (
 from ..reuse.files import TABLE_NAME, CaptureSummary, PageTable
 from ..reuse.scope import PageMatchScope
 from ..runtime.executor import Executor
-from ..runtime.scheduler import PageScheduler
 from ..timing import OPT, Timer, Timings
 
 
@@ -103,12 +102,10 @@ class DelexSystem:
                  capture_history: int = 2,
                  scope: Optional["PageMatchScope"] = None,
                  executor: Optional[Executor] = None,
-                 scheduler: Optional[PageScheduler] = None,
                  fastpath: FastPathFlag = None) -> None:
         self.task = task
         self.workdir = workdir
         self.executor = executor
-        self.scheduler = scheduler
         self.fastpath = fastpath_enabled(fastpath)
         os.makedirs(workdir, exist_ok=True)
         self.plan, self.units = self._compile(task)
@@ -212,7 +209,6 @@ class DelexSystem:
         self.last_assignment = assignment
         engine = ReuseEngine(self.plan, self.units, assignment,
                              scope=self.scope, executor=self.executor,
-                             scheduler=self.scheduler,
                              fastpath=self.fastpath)
         out_dir = self._out_dir()
         page_rows: Dict[str, PageRows] = {}

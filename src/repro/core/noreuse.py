@@ -26,7 +26,6 @@ from ..plan.operators import TupleRow, plain_ie_step, plan_walker
 from ..reuse.engine import SnapshotRunResult, materialize_rows
 from ..runtime.driver import PageLookup, PageWork, run_pages
 from ..runtime.executor import Executor
-from ..runtime.scheduler import PageScheduler
 from ..text.document import Page
 from ..timing import EXTRACT, Timer, Timings
 
@@ -57,7 +56,7 @@ def _scratch_batch(plan: CompiledPlan, lookup: PageLookup,
     parent does no per-row work."""
     out = []
     for did in dids:
-        page = lookup.current(did)
+        page = lookup.current[did]
         out.append((did, _materialized(run_page_plain(plan, page, timer),
                                        page)))
     return out, None
@@ -69,11 +68,9 @@ class NoReuseSystem:
     name = "noreuse"
 
     def __init__(self, plan: CompiledPlan,
-                 executor: Optional[Executor] = None,
-                 scheduler: Optional[PageScheduler] = None) -> None:
+                 executor: Optional[Executor] = None) -> None:
         self.plan = plan
         self.executor = executor
-        self.scheduler = scheduler if scheduler is not None else PageScheduler()
 
     def process(self, snapshot: Snapshot,
                 prev_snapshot: Optional[Snapshot] = None
@@ -87,8 +84,7 @@ class NoReuseSystem:
             batch_fn=_scratch_batch, state=self.plan,
             payload=lambda batch: tuple(p.did for p in batch))
         with timer.measure_total():
-            run = run_pages(work, pages, self.executor, self.scheduler,
-                            timer)
+            run = run_pages(work, pages, self.executor, timer)
             for page in pages:
                 for rel, rows in run.by_did[page.did].items():
                     results[rel].extend(rows)

@@ -17,11 +17,10 @@ zero-cost pattern as :mod:`repro.check.invariants` — and the recorded
 numbers never feed back into execution, so extraction output is
 byte-identical with profiling on or off.
 
-Thread-safe: the engine's thread backend calls these hooks from worker
-threads; a single lock guards the dicts and the heap (only paid when
-profiling is enabled). Process-pool workers profile into their own
-(discarded) module globals — process-backend runs profile the
-parent-side work only, matching the tracer's caveat.
+A single lock guards the dicts and the heap (only paid when profiling
+is enabled). A forked process worker profiles each work item into a
+fresh profiler and hands it back with the item's value; the parent
+folds it in with :meth:`Profiler.merge`.
 """
 
 from __future__ import annotations
@@ -55,6 +54,11 @@ class _Acc:
         self.calls += 1
         self.wall += max(0.0, wall)
         self.cpu += max(0.0, cpu)
+
+    def absorb(self, other: "_Acc") -> None:
+        self.calls += other.calls
+        self.wall += other.wall
+        self.cpu += other.cpu
 
     def to_dict(self) -> Dict[str, float]:
         return {"calls": self.calls, "wall_seconds": self.wall,
@@ -97,12 +101,37 @@ class Profiler:
     def record_page(self, did: str, seconds: float) -> None:
         with self._lock:
             self.pages_seen += 1
-            self._seq += 1
-            entry = (max(0.0, seconds), self._seq, did)
-            if len(self._pages) < self.top_k:
-                heapq.heappush(self._pages, entry)
-            elif entry > self._pages[0]:
-                heapq.heapreplace(self._pages, entry)
+            self._keep_page(did, seconds)
+
+    def _keep_page(self, did: str, seconds: float) -> None:
+        self._seq += 1
+        entry = (max(0.0, seconds), self._seq, did)
+        if len(self._pages) < self.top_k:
+            heapq.heappush(self._pages, entry)
+        elif entry > self._pages[0]:
+            heapq.heapreplace(self._pages, entry)
+
+    def merge(self, other: "Profiler") -> None:
+        """Fold ``other``'s accounting (a process worker's) into this
+        profiler."""
+        with self._lock:
+            for mine, theirs in ((self._units, other._units),
+                                 (self._matchers, other._matchers)):
+                for key, acc in theirs.items():
+                    mine.setdefault(key, _Acc()).absorb(acc)
+            for seconds, _, did in sorted(other._pages):
+                self._keep_page(did, seconds)
+            self.pages_seen += other.pages_seen
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A worker's profiler travels back to the parent without its lock.
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     # -- export ------------------------------------------------------------
 

@@ -397,17 +397,6 @@ def publish_runtime(system: str, metrics) -> None:
     REGISTRY.inc("repro_runtime_busy_seconds_total",
                  max(0.0, metrics.busy_seconds),
                  help="summed worker-side batch seconds", **labels)
-    REGISTRY.inc("repro_runtime_steals_total",
-                 float(getattr(metrics, "steals", 0)),
-                 help="work items stolen by idle workers", **labels)
-    REGISTRY.set("repro_runtime_shared_text",
-                 1.0 if getattr(metrics, "shared_text", False) else 0.0,
-                 help="1 when page text rode in shared memory", **labels)
-    for index, fraction in enumerate(
-            getattr(metrics, "worker_busy_fractions", ())):
-        REGISTRY.set("repro_runtime_worker_busy_fraction", fraction,
-                     help="per-worker busy fraction of the latest run",
-                     system=system, worker=str(index))
 
 
 def publish_fastpath(system: str, stats) -> None:

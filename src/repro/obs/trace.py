@@ -30,11 +30,10 @@ fall off, the trace stays a fixed-size tail). ``sample`` keeps every
 ``trace_event`` JSON format — load the file at ``chrome://tracing``
 or https://ui.perfetto.dev.
 
-Process-pool caveat: a tracer installed in the parent is not
-installed in pool workers (module globals do not travel), so
-``backend=process`` runs trace the parent-side orchestration (batch
-dispatch, merge, I/O) only. Thread and serial backends trace
-everything.
+A forked process worker records each work item into a fresh tracer
+and hands its spans back with the item's value; the parent merges
+them (:meth:`Tracer.merge`) under the worker's pid as thread id, so
+each worker is its own track in the exported trace.
 """
 
 from __future__ import annotations
@@ -181,6 +180,28 @@ class Tracer:
             self.records.append(SpanRecord(
                 name=name, cat=cat, start=start, dur=dur,
                 tid=threading.get_ident(), args=args))
+
+    def merge(self, other: "Tracer", tid: int) -> None:
+        """Append the spans ``other`` kept (a process worker's tracer,
+        its sampling already applied), re-tagged with thread id
+        ``tid``."""
+        with self._lock:
+            for record in other.records:
+                record.tid = tid
+                self.records.append(record)
+            self.dropped += other.dropped
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A worker's tracer travels back to the parent: no lock, no
+        # thread-local span stack.
+        state = self.__dict__.copy()
+        del state["_lock"], state["_local"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+        self._local = threading.local()
 
     def __len__(self) -> int:
         return len(self.records)

@@ -61,7 +61,6 @@ from ..plan.operators import Node, TupleRow, plan_walker
 from ..plan.units import IEUnit, units_by_top
 from ..runtime.driver import PageLookup, PageWork, run_pages
 from ..runtime.executor import Executor
-from ..runtime.scheduler import PageScheduler
 from ..text.document import Page
 from ..text.regions import MatchSegment
 from ..text.span import Span
@@ -517,8 +516,8 @@ def _engine_batch(state, lookup: PageLookup, items, timer: Timer):
     fp_stats = FastPathStats()
     out = []
     for did, q_did, prev_capture, prev_rows in items:
-        page = lookup.current(did)
-        q_page = lookup.previous(q_did) if q_did is not None else None
+        page = lookup.current[did]
+        q_page = lookup.previous[q_did] if q_did is not None else None
         with timer.measure(IO):
             rel_rows = _recycle_page(evaluator, page, q_page, prev_capture,
                                      prev_rows, fp_stats)
@@ -588,14 +587,12 @@ class ReuseEngine:
                  assignment: PlanAssignment,
                  scope: Optional[PageMatchScope] = None,
                  executor: Optional[Executor] = None,
-                 scheduler: Optional[PageScheduler] = None,
                  fastpath: FastPathFlag = None) -> None:
         self.plan = plan
         self.units = units
         self.assignment = assignment
         self.scope = scope if scope is not None else SameUrlScope()
         self.executor = executor
-        self.scheduler = scheduler if scheduler is not None else PageScheduler()
         self.fastpath = fastpath_enabled(fastpath)
         missing = [u.uid for u in units if u.uid not in assignment.matchers]
         if missing:
@@ -762,7 +759,7 @@ class ReuseEngine:
             payload=payload,
             prev_pages=[pair_of[p.did] for p in to_run
                         if pair_of[p.did] is not None])
-        run = run_pages(work, to_run, self.executor, self.scheduler, timer)
+        run = run_pages(work, to_run, self.executor, timer)
         for batch_stats, batch_fp in run.extras:
             for uid, unit_stats in batch_stats.items():
                 stats[uid].merge(unit_stats)

@@ -6,22 +6,22 @@ unit of parallel work (the paper's engine handles one page at a time,
 §5.2). This package is the "walk the pages" loop of all four systems:
 
 * :mod:`~repro.runtime.driver` — :func:`run_pages`, the one work-item
-  driver every system calls: page transport, LPT batches of whole
-  pages, merge-by-page-id and the run's metrics. The modules below
-  are its parts;
+  driver every system calls: pages by id, LPT batches of whole pages,
+  merge-by-page-id and the run's metrics. The modules below are its
+  parts;
 * :mod:`~repro.runtime.executor` — the :class:`Executor` interface
-  with serial, thread-pool, and process-pool backends behind one
-  work-stealing :meth:`~Executor.run_work` entry point, and an
-  auto-chooser keyed on blackbox cost *and* the machine's CPU count;
-* :mod:`~repro.runtime.scheduler` — :class:`PageScheduler`, which
-  packs pages into size-balanced batches largest-first (LPT), so the
+  with serial and process-pool backends behind one
+  :meth:`~Executor.run_work` entry point, and an auto-chooser keyed
+  on blackbox cost *and* the machine's CPU count. ``--jobs N`` means
+  N forked workers: they inherit the snapshot's pages and take
+  batches, costliest first, from the pool's one queue; a worker that
+  dies leaves its batches to the parent, which runs them inline;
+* :mod:`~repro.runtime.scheduler` — :func:`plan_batches`, which packs
+  pages into size-balanced batches largest-first (LPT), so the
   heaviest page can never strand alone at the schedule's tail;
-* :mod:`~repro.runtime.shm` — the shared-memory text arena: process
-  workers attach one :mod:`multiprocessing.shared_memory` segment and
-  work items carry page ids, not pickled text;
 * :mod:`~repro.runtime.metrics` — per-batch wall time, worker
-  utilization, steal counts, and pages/sec accounting surfaced
-  through :mod:`repro.timing`.
+  utilization and pages/sec accounting surfaced through
+  :mod:`repro.timing`.
 
 Determinism contract: for any executor backend and job count, a
 system must produce (1) identical canonical results and (2)
@@ -41,45 +41,29 @@ from .executor import (
     Executor,
     ProcessPoolExecutor,
     SerialExecutor,
-    ThreadPoolExecutor,
-    WorkResult,
     choose_backend,
     make_executor,
 )
 from .driver import PageLookup, PageRun, PageWork, run_pages
 from .metrics import BatchMetric, RuntimeMetrics, build_metrics
-from .scheduler import PageBatch, PageScheduler, pack_lpt
-from .shm import (
-    DictArenaHandle,
-    SharedArenaHandle,
-    TextArena,
-    build_arena,
-    shm_available,
-)
+from .scheduler import PageBatch, pack_lpt, plan_batches
 
 __all__ = [
     "AUTO_PROCESS_WORK_FACTOR",
     "BACKEND_NAMES",
     "BatchMetric",
-    "DictArenaHandle",
     "Executor",
     "PageBatch",
     "PageLookup",
     "PageRun",
-    "PageScheduler",
     "PageWork",
     "ProcessPoolExecutor",
     "RuntimeMetrics",
     "SerialExecutor",
-    "SharedArenaHandle",
-    "TextArena",
-    "ThreadPoolExecutor",
-    "WorkResult",
-    "build_arena",
     "build_metrics",
     "choose_backend",
     "make_executor",
     "pack_lpt",
+    "plan_batches",
     "run_pages",
-    "shm_available",
 ]

@@ -1,7 +1,7 @@
 """Runtime metrics: what did the parallel run actually do?
 
-Per-batch wall time, worker utilization, pages/sec and steal counts
-for one snapshot run. The systems attach a
+Per-batch wall time, worker utilization and pages/sec for one
+snapshot run. The systems attach a
 :class:`RuntimeMetrics` to their :class:`~repro.timing.Timings`
 (``timings.runtime``) so callers that already consume timing
 decompositions get runtime telemetry through the same object.
@@ -9,7 +9,7 @@ decompositions get runtime telemetry through the same object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..obs.util import safe_rate
@@ -34,12 +34,6 @@ class RuntimeMetrics:
     jobs: int
     wall_seconds: float
     batches: List[BatchMetric]
-    #: Work items an idle worker stole from another worker's queue.
-    steals: int = 0
-    #: Whether page text traveled via a shared-memory segment.
-    shared_text: bool = False
-    #: Per-worker-slot busy seconds (empty when unknown).
-    slot_busy: List[float] = field(default_factory=list)
 
     @property
     def pages(self) -> int:
@@ -51,6 +45,13 @@ class RuntimeMetrics:
         """Always 0: a page is the unit of parallel work and is never
         split. Kept read-only because the benchmark harness reads it
         (``runtime.split_parts``) and its directory is frozen."""
+        return 0
+
+    @property
+    def steals(self) -> int:
+        """Always 0: workers take items from one pool queue, nothing
+        is stolen. Kept read-only because the benchmark harness reads
+        it (``runtime.steals``) and its directory is frozen."""
         return 0
 
     @property
@@ -73,12 +74,6 @@ class RuntimeMetrics:
         return min(1.0, safe_rate(self.busy_seconds,
                                   self.jobs * self.wall_seconds))
 
-    @property
-    def worker_busy_fractions(self) -> List[float]:
-        """Per-slot busy fraction of wall time, each capped at 1.0."""
-        return [min(1.0, safe_rate(busy, self.wall_seconds))
-                for busy in self.slot_busy]
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form (the shared ``to_dict`` contract)."""
         return {
@@ -90,35 +85,23 @@ class RuntimeMetrics:
             "busy_seconds": self.busy_seconds,
             "pages_per_second": self.pages_per_second,
             "worker_utilization": self.worker_utilization,
-            "steals": self.steals,
-            "shared_text": self.shared_text,
-            "worker_busy_fractions": self.worker_busy_fractions,
         }
 
     def describe(self) -> str:
-        extra = ""
-        if self.steals:
-            extra += f" steals={self.steals}"
-        if self.shared_text:
-            extra += " shm"
         return (f"{self.backend} jobs={self.jobs} "
                 f"batches={len(self.batches)} "
                 f"pages/s={self.pages_per_second:.1f} "
-                f"util={self.worker_utilization:.0%}" + extra)
+                f"util={self.worker_utilization:.0%}")
 
 
 def build_metrics(backend: str, jobs: int, wall_seconds: float,
                   batches: Sequence[PageBatch],
-                  batch_seconds: Sequence[float], steals: int = 0,
-                  shared_text: bool = False,
-                  slot_busy: Sequence[float] = ()) -> RuntimeMetrics:
-    """Assemble metrics from scheduler batches and measured times."""
+                  batch_seconds: Sequence[float]) -> RuntimeMetrics:
+    """Assemble metrics from page batches and measured times."""
     if len(batches) != len(batch_seconds):
         raise ValueError("one measured time per batch required")
     records = [BatchMetric(index=b.index, pages=len(b), chars=b.chars,
                            seconds=s)
                for b, s in zip(batches, batch_seconds)]
     return RuntimeMetrics(backend=backend, jobs=jobs,
-                          wall_seconds=wall_seconds, batches=records,
-                          steals=steals, shared_text=shared_text,
-                          slot_busy=list(slot_busy))
+                          wall_seconds=wall_seconds, batches=records)

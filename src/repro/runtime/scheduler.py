@@ -1,27 +1,24 @@
-"""Page scheduling: pack the canonical page order into balanced batches.
+"""Page batches: pack the canonical page order into balanced batches.
 
-The scheduler partitions a page sequence into size-balanced batches.
-Historically these were **contiguous** slices closed greedily at a
-fair-share target — which could place the single largest page *last*
-in a batch and make wall-clock equal the tail page. Batches are now
-packed **largest-first** (LPT greedy): pages sorted by descending
-weight are dealt onto the currently-lightest batch, which bounds the
-heaviest batch at (4/3 − 1/(3m)) × optimal and, more importantly,
-guarantees the largest page lands in a batch alone whenever that is
-the balanced choice.
+:func:`plan_batches` partitions a page sequence into size-balanced
+batches packed **largest-first** (LPT greedy): pages sorted by
+descending weight are dealt onto the currently-lightest batch, which
+bounds the heaviest batch at (4/3 − 1/(3m)) × optimal and guarantees
+the largest page lands in a batch alone whenever that is the balanced
+choice.
 
-The price of LPT is that batches are no longer contiguous slices of
-the canonical order, so per-batch outputs can no longer be merged by
-plain concatenation — the driver merges by canonical page id instead
-(see :mod:`repro.runtime.driver`). Pages *within* one batch stay in
+The price of LPT is that batches are not contiguous slices of the
+canonical order, so per-batch outputs cannot be merged by plain
+concatenation — the driver merges by canonical page id instead (see
+:mod:`repro.runtime.driver`). Pages *within* one batch stay in
 canonical order, so per-batch processing and capture buffers remain
 deterministic.
 
 Weights are total page length in characters — the best cheap proxy
 for per-page IE cost: extraction, matching, and copy work all scale
-with region characters. A mild oversubscription factor
-(``batches_per_job``) creates more batches than workers so the
-work-stealing executor has spare items to steal.
+with region characters. A mild oversubscription
+(:data:`DEFAULT_BATCHES_PER_JOB` batches per worker) leaves the pool
+queue small items to hand an idle worker at the run's tail.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 from ..text.document import Page
 
-#: Default batches per worker: enough slack to smooth page-length skew
+#: Batches per worker: enough slack to smooth page-length skew
 #: without drowning the run in per-batch overhead.
 DEFAULT_BATCHES_PER_JOB = 4
 
@@ -77,33 +74,21 @@ def pack_lpt(weights: Sequence[float], n_bins: int
     return packed
 
 
-class PageScheduler:
-    """Builds size-balanced page batches via largest-first packing."""
+def plan_batches(pages: Sequence[Page], jobs: int) -> List[PageBatch]:
+    """Partition ``pages`` into at most ``jobs * DEFAULT_BATCHES_PER_JOB``
+    batches with near-equal character totals.
 
-    def __init__(self, batches_per_job: int = DEFAULT_BATCHES_PER_JOB) -> None:
-        if batches_per_job < 1:
-            raise ValueError("batches_per_job must be >= 1")
-        self.batches_per_job = batches_per_job
-
-    def plan(self, pages: Sequence[Page], jobs: int) -> List[PageBatch]:
-        """Partition ``pages`` into at most ``jobs * batches_per_job``
-        batches with near-equal character totals.
-
-        Every page appears in exactly one batch; pages within a batch
-        are in canonical order; batches are ordered by the canonical
-        position of their first page; no batch is empty.
-        """
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if not pages:
-            return []
-        n_batches = min(len(pages), jobs * self.batches_per_job)
-        # Weight 1 + len(text): even empty pages carry bookkeeping cost,
-        # and it keeps the packing defined for all-empty snapshots.
-        weights = [1 + len(p.text) for p in pages]
-        packed = pack_lpt(weights, n_batches)
-        batches = [PageBatch(index=k,
-                             pages=tuple(pages[i] for i in group))
-                   for k, group in enumerate(packed)]
-        assert sum(len(b) for b in batches) == len(pages)
-        return batches
+    Every page appears in exactly one batch; pages within a batch are
+    in canonical order; batches are ordered by the canonical position
+    of their first page; no batch is empty.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if not pages:
+        return []
+    n_batches = min(len(pages), jobs * DEFAULT_BATCHES_PER_JOB)
+    # Weight 1 + len(text): even empty pages carry bookkeeping cost,
+    # and it keeps the packing defined for all-empty snapshots.
+    weights = [1 + len(p.text) for p in pages]
+    return [PageBatch(index=k, pages=tuple(pages[i] for i in group))
+            for k, group in enumerate(pack_lpt(weights, n_batches))]

@@ -137,7 +137,7 @@ class TestAgainstRecycledRun:
 
     def test_page_rows_backend_independent(self, task, snapshots):
         collected = {}
-        for jobs, backend in ((1, "serial"), (2, "thread")):
+        for jobs, backend in ((1, "serial"), (2, "process")):
             with tempfile.TemporaryDirectory() as workdir:
                 system = make_system("delex", task, workdir, jobs=jobs,
                                      backend=backend)
@@ -146,7 +146,7 @@ class TestAgainstRecycledRun:
                     system.process(snapshot, prev)
                     prev = snapshot
                 collected[(jobs, backend)] = system.last_page_rows
-        assert collected[(1, "serial")] == collected[(2, "thread")]
+        assert collected[(1, "serial")] == collected[(2, "process")]
 
 
 class TestHelpers:

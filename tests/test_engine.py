@@ -21,7 +21,7 @@ from repro.matchers.base import MATCHER_NAMES
 from repro.plan import compile_program, find_units
 from repro.reuse.engine import PlanAssignment, ReuseEngine
 from repro.reuse.scope import FingerprintScope
-from repro.runtime import ThreadPoolExecutor
+from repro.runtime import ProcessPoolExecutor
 from repro.text.document import Page
 from repro.xlog.parser import parse_program
 from repro.xlog.registry import Registry
@@ -243,10 +243,10 @@ class TestAssignmentHelpers:
 class TestCorruptCapture:
     @pytest.mark.parametrize("engine_kwargs", [
         {},
-        {"executor": ThreadPoolExecutor(2)},
+        {"executor": ProcessPoolExecutor(2)},
         {"scope": FingerprintScope()},
         {"scope": FingerprintScope(), "fastpath": "off"},
-    ], ids=["serial", "thread2", "fingerprint",
+    ], ids=["serial", "process2", "fingerprint",
             "fingerprint-fastpath-off"])
     def test_corrupt_reuse_file_degrades_to_from_scratch(
             self, tmp_path, engine_kwargs):

@@ -495,7 +495,7 @@ class TestFastPathParity:
         for rel_path in trees["on"]:
             assert trees["on"][rel_path] == trees["off"][rel_path], rel_path
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("plan_id", sorted(RU_PLANS))
     def test_delex_mixed_ru_assignment_parity(self, parity_snaps,
                                               play_snaps, tmp_path,
@@ -593,7 +593,7 @@ class TestFastPathParity:
         serial = run_series(chair_task, parity_snaps, systems=("delex",),
                             jobs=1, fastpath="on")
         parallel = run_series(chair_task, parity_snaps, systems=("delex",),
-                              jobs=2, backend="thread", fastpath="on")
+                              jobs=2, backend="process", fastpath="on")
         for s_snap, p_snap in zip(serial["delex"].snapshots,
                                   parallel["delex"].snapshots):
             assert s_snap.results == p_snap.results

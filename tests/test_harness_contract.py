@@ -2,7 +2,8 @@
 
 ``benchmarks/harness/trace.py`` wraps program entry points by name for
 its traced runs, ``benchmarks/harness/batch.py::_accounting`` reads
-``FastPathStats`` counters by name, every harness module imports names
+``FastPathStats`` counters and ``RuntimeMetrics`` attributes by name
+and passes backend names to ``make_system``, every harness module imports names
 from ``repro``, and ``serve_proc.py``/``serve_load.py`` call the
 serving API with keyword arguments. A refactor that deletes or renames
 one of them would otherwise only fail the harness's runs; here it
@@ -22,10 +23,12 @@ from repro.core.runner import make_system
 from repro.delta.maintain import DeltaMaintainer
 from repro.fastpath.memo import MatchMemo
 from repro.fastpath.stats import FastPathStats
+from repro.runtime import BACKEND_NAMES, PageBatch, build_metrics
 from repro.serve import (IngestLoop, IngestQueue, ServeApp, SpoolWatcher,
                          ViewConfig, ViewRegistry, build_server)
 from repro.serve.store import TupleStore
 from repro.serve.views import MAINTENANCE_SYSTEMS
+from repro.text.document import Page
 
 HARNESS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "benchmarks", "harness")
@@ -166,3 +169,50 @@ def test_serving_calls_bind_to_their_signatures():
 
 def test_the_maintenance_modes_the_harness_runs_exist():
     assert {"delta", "delex", "noreuse"} <= set(MAINTENANCE_SYSTEMS)
+
+
+def _runtime_reads():
+    """The attributes ``batch.py`` reads off ``r for r in runtimes``."""
+    names = set()
+    for comp in ast.walk(_parse("batch.py")):
+        if not isinstance(comp, ast.ListComp):
+            continue
+        for gen in comp.generators:
+            if isinstance(gen.iter, ast.Name) and gen.iter.id == "runtimes":
+                names |= {node.attr for node in ast.walk(comp.elt)
+                          if isinstance(node, ast.Attribute)
+                          and isinstance(node.value, ast.Name)
+                          and node.value.id == gen.target.id}
+    return names
+
+
+def test_every_runtime_metric_the_harness_reads_resolves():
+    names = _runtime_reads()
+    # The parse found the reads (a reshaped harness must not make this
+    # test vacuous).
+    assert {"worker_utilization", "steals", "split_parts", "wall_seconds",
+            "busy_seconds", "jobs"} <= names
+    page = Page.from_url("http://site/a", "text")
+    metrics = build_metrics("process", 2, 1.0, [PageBatch(0, (page,))],
+                            [0.5])
+    for name in sorted(names):
+        assert isinstance(getattr(metrics, name), (int, float)), name
+
+
+def test_the_backends_the_harness_passes_exist():
+    values = set()
+    for name in ("batch.py", "workloads.py"):
+        for node in ast.walk(_parse(name)):
+            if isinstance(node, ast.keyword) and node.arg == "backend":
+                value = node.value
+            elif (isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)
+                  and node.target.id == "backend"):
+                value = node.value
+            else:
+                continue
+            values |= {c.value for c in ast.walk(value)
+                       if isinstance(c, ast.Constant)
+                       and isinstance(c.value, str)}
+    assert {"serial", "process"} <= values
+    assert values <= set(BACKEND_NAMES)

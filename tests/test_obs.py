@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import re
 import tempfile
 
@@ -252,7 +253,7 @@ class TestPublish:
         t = _fabricated_timings()
         t.fastpath = FastPathStats(region_short_circuits=3, memo_misses=1)
         t.runtime = RuntimeMetrics(
-            backend="thread", jobs=2, wall_seconds=2.0,
+            backend="process", jobs=2, wall_seconds=2.0,
             batches=[BatchMetric(index=0, pages=10, chars=100,
                                  seconds=3.0)])
         oreg.publish_timings("delex", t)
@@ -339,6 +340,21 @@ class TestTracer:
         assert [e["ts"] for e in events] == sorted(
             e["ts"] for e in events)
 
+    def test_merge_a_pickled_worker_tracer(self):
+        # What a process worker hands back: its kept spans cross a
+        # pickle and land in the parent's ring under the worker's id.
+        parent = otrace.Tracer()
+        parent.event("snapshot", "snapshot", start=0.0, dur=1.0)
+        worker = otrace.Tracer(sample=0.5)
+        for i in range(4):
+            worker.event("unit", "unit", start=0.1 * i, dur=0.05, uid="u")
+        parent.merge(pickle.loads(pickle.dumps(worker)), tid=4242)
+        units = [r for r in parent.records if r.cat == "unit"]
+        assert len(units) == 2 and {r.tid for r in units} == {4242}
+        assert parent.dropped == 2
+        with otrace.Tracer().span("x"):  # the lock and stack came back
+            pass
+
     def test_install_validation(self):
         with pytest.raises(ValueError):
             otrace.Tracer(capacity=0)
@@ -373,6 +389,25 @@ class TestProfiler:
         assert [p["did"] for p in slow] == ["p2", "p4", "p0"]
         assert [p["seconds"] for p in slow] == [0.9, 0.7, 0.5]
         assert profiler.pages_seen == 6
+
+    def test_merge_a_pickled_worker_profiler(self):
+        parent = oprof.Profiler(top_k=2)
+        parent.record_unit("u1", 0.2, 0.1)
+        parent.record_page("p0", 0.5)
+        worker = oprof.Profiler(top_k=2)
+        worker.record_unit("u1", 0.3, 0.2)
+        worker.record_unit("u2", 0.1, 0.1)
+        worker.record_matcher("UD", 0.05, 0.05)
+        for did, seconds in (("p1", 0.9), ("p2", 0.1)):
+            worker.record_page(did, seconds)
+        parent.merge(pickle.loads(pickle.dumps(worker)))
+        doc = parent.to_dict()
+        assert doc["units"]["u1"]["calls"] == 2
+        assert doc["units"]["u1"]["wall_seconds"] == pytest.approx(0.5)
+        assert doc["units"]["u2"]["calls"] == 1
+        assert doc["matchers"]["UD"]["calls"] == 1
+        assert [p["did"] for p in doc["slow_pages"]] == ["p1", "p0"]
+        assert doc["pages_seen"] == 3
 
     def test_negative_samples_clamped(self):
         profiler = oprof.install()

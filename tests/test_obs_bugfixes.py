@@ -307,7 +307,7 @@ class TestRateGuards:
     def test_runtime_metrics_degenerate(self, wall, jobs, expect_pps):
         from repro.runtime.metrics import BatchMetric, RuntimeMetrics
 
-        m = RuntimeMetrics(backend="thread", jobs=jobs,
+        m = RuntimeMetrics(backend="process", jobs=jobs,
                            wall_seconds=wall,
                            batches=[BatchMetric(0, 3, 30, 0.5)])
         assert m.pages_per_second == expect_pps
@@ -320,7 +320,7 @@ class TestRateGuards:
     def test_runtime_metrics_utilization_capped(self):
         from repro.runtime.metrics import BatchMetric, RuntimeMetrics
 
-        m = RuntimeMetrics(backend="thread", jobs=1, wall_seconds=1.0,
+        m = RuntimeMetrics(backend="process", jobs=1, wall_seconds=1.0,
                            batches=[BatchMetric(0, 3, 30, 5.0)])
         assert m.worker_utilization == 1.0
 

@@ -1,4 +1,4 @@
-"""The execution runtime: scheduler, executors, capture merge, parity.
+"""The execution runtime: batches, executors, capture merge, parity.
 
 The runtime's contract is that backend and worker count are pure
 performance knobs: for any executor, every system must produce the
@@ -8,14 +8,16 @@ same canonical results AND byte-identical reuse files as a serial run.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import pickle
 import signal
+import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.core import noreuse as noreuse_module
 from repro.corpus import dblife_corpus, wikipedia_corpus
 from repro.core.runner import (
     canonical_results,
@@ -25,33 +27,30 @@ from repro.core.runner import (
     verify_serial_parallel,
 )
 from repro.extractors import make_task
+from repro.obs import profile as oprof
+from repro.obs import trace as otrace
+from repro.reuse import engine as engine_module
 from repro.reuse.files import (
     CaptureWriter,
     PageCapture,
     PageRecorder,
     encode_fields,
 )
-from repro.runtime import driver as driver_module
 from repro.runtime import (
     AUTO_PROCESS_WORK_FACTOR,
     PageBatch,
-    PageScheduler,
-    PageWork,
     ProcessPoolExecutor,
     RuntimeMetrics,
     SerialExecutor,
-    ThreadPoolExecutor,
-    build_arena,
     build_metrics,
     choose_backend,
     make_executor,
     pack_lpt,
-    run_pages,
-    shm_available,
+    plan_batches,
 )
+from repro.runtime.scheduler import DEFAULT_BATCHES_PER_JOB
 from repro.text.document import Page
 from repro.text.span import Span
-from repro.timing import Timer, Timings
 
 
 def _pages(sizes):
@@ -60,16 +59,16 @@ def _pages(sizes):
 
 
 # ---------------------------------------------------------------------------
-# PageScheduler
+# Page batches
 
 
 class TestPageScheduler:
     def test_empty_input(self):
-        assert PageScheduler().plan([], 4) == []
+        assert plan_batches([], 4) == []
 
     def test_every_page_exactly_once(self):
         pages = _pages([10, 0, 500, 30, 30, 900, 1, 1, 1, 250])
-        batches = PageScheduler().plan(pages, 3)
+        batches = plan_batches(pages, 3)
         flat = [p for b in batches for p in b]
         assert sorted(p.did for p in flat) == sorted(p.did for p in pages)
         assert [b.index for b in batches] == list(range(len(batches)))
@@ -77,16 +76,16 @@ class TestPageScheduler:
 
     def test_largest_page_never_lands_last(self):
         # LPT places the heaviest page first, so it can never end up
-        # alone at the tail of an otherwise-full schedule (the old
-        # contiguous splitter could, serializing the whole run on it).
+        # alone at the tail of an otherwise-full schedule (a contiguous
+        # splitter could, serializing the whole run on it). Here the
+        # balanced choice is the 5000-char page alone, and LPT finds it.
         pages = _pages([5000, 4000, 3000, 2000, 1000, 1000])
-        batches = PageScheduler(batches_per_job=1).plan(pages, 2)
-        total = sum(len(p.text) for p in pages)
-        assert len(batches) == 2
-        # The 5000-char page is in the first batch...
-        assert any(len(p.text) == 5000 for p in batches[0])
-        # ...and the makespan beats the contiguous split's 9000.
-        assert max(b.chars for b in batches) <= total // 2
+        batches = plan_batches(pages, 1)
+        assert len(batches) == DEFAULT_BATCHES_PER_JOB
+        (giant,) = [b for b in batches if any(len(p.text) == 5000
+                                              for p in b)]
+        assert len(giant) == 1 and giant.index == 0
+        assert max(b.chars for b in batches) == 5000
 
     def test_pack_lpt_covers_and_balances(self):
         bins = pack_lpt([5000, 4000, 3000, 2000, 1000, 1000], 2)
@@ -97,25 +96,25 @@ class TestPageScheduler:
 
     def test_batch_count_capped_by_pages(self):
         pages = _pages([5, 5, 5])
-        batches = PageScheduler().plan(pages, 8)
+        batches = plan_batches(pages, 8)
         assert len(batches) == 3  # never more batches than pages
 
     def test_single_job_oversubscribes_mildly(self):
         pages = _pages([10] * 40)
-        batches = PageScheduler(batches_per_job=4).plan(pages, 1)
-        assert len(batches) == 4
+        batches = plan_batches(pages, 1)
+        assert len(batches) == DEFAULT_BATCHES_PER_JOB
 
     def test_size_balance_on_uniform_pages(self):
         pages = _pages([100] * 64)
-        batches = PageScheduler(batches_per_job=1).plan(pages, 4)
+        batches = plan_batches(pages, 1)
         sizes = [b.chars for b in batches]
-        assert len(batches) == 4
+        assert len(batches) == DEFAULT_BATCHES_PER_JOB
         assert max(sizes) <= 2 * min(sizes)
 
     def test_size_balance_with_skew(self):
         # One giant page must not drag its neighbours into one batch.
         pages = _pages([10, 10, 10_000, 10, 10, 10, 10, 10])
-        batches = PageScheduler(batches_per_job=1).plan(pages, 4)
+        batches = plan_batches(pages, 1)
         giant = [b for b in batches if any(len(p.text) == 10_000
                                            for p in b)]
         assert len(giant) == 1
@@ -123,16 +122,16 @@ class TestPageScheduler:
 
     def test_all_empty_pages_still_partition(self):
         pages = _pages([0] * 9)
-        batches = PageScheduler(batches_per_job=1).plan(pages, 3)
+        batches = plan_batches(pages, 1)
         flat = [p for b in batches for p in b]
         assert sorted(p.did for p in flat) == sorted(p.did for p in pages)
-        assert len(batches) == 3
+        assert len(batches) == DEFAULT_BATCHES_PER_JOB
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            PageScheduler(batches_per_job=0)
+            pack_lpt([1.0], 0)
         with pytest.raises(ValueError):
-            PageScheduler().plan(_pages([1]), 0)
+            plan_batches(_pages([1]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,29 +145,25 @@ def _square_worker(state, item):
 class TestExecutors:
     @pytest.mark.parametrize("executor", [
         SerialExecutor(),
-        ThreadPoolExecutor(jobs=3),
         ProcessPoolExecutor(jobs=3),
-    ], ids=["serial", "thread", "process"])
+    ], ids=["serial", "process"])
     def test_run_work_order_and_values(self, executor):
-        timed = executor.run_work(_square_worker, 2, list(range(10))).timed
+        timed = executor.run_work(_square_worker, 2, list(range(10)))
         assert [v for _, v in timed] == [2 * i * i for i in range(10)]
         assert all(s >= 0.0 for s, _ in timed)
 
     @pytest.mark.parametrize("executor", [
         SerialExecutor(),
-        ThreadPoolExecutor(jobs=2),
         ProcessPoolExecutor(jobs=2),
-    ], ids=["serial", "thread", "process"])
+    ], ids=["serial", "process"])
     def test_empty_items(self, executor):
-        assert executor.run_work(_square_worker, 1, []).timed == []
+        assert executor.run_work(_square_worker, 1, []) == []
 
     def test_describe(self):
         assert SerialExecutor().describe() == "serial(jobs=1)"
-        assert ThreadPoolExecutor(jobs=4).describe() == "thread(jobs=4)"
+        assert ProcessPoolExecutor(jobs=4).describe() == "process(jobs=4)"
 
     def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError):
-            ThreadPoolExecutor(jobs=0)
         with pytest.raises(ValueError):
             ProcessPoolExecutor(jobs=0)
 
@@ -178,10 +173,11 @@ class TestAutoChooser:
         assert choose_backend(1, cost_hint=1000) == "serial"
         assert isinstance(make_executor("auto", jobs=1), SerialExecutor)
 
-    def test_threads_for_cheap_blackboxes(self):
-        assert choose_backend(4, cost_hint=0, cpu_count=4) == "thread"
+    def test_serial_for_cheap_blackboxes(self):
+        # Forking workers costs more than cheap blackboxes win back.
+        assert choose_backend(4, cost_hint=0, cpu_count=4) == "serial"
         ex = make_executor("auto", jobs=4, cost_hint=0, cpu_count=4)
-        assert isinstance(ex, ThreadPoolExecutor)
+        assert isinstance(ex, SerialExecutor)
 
     def test_processes_for_expensive_blackboxes(self):
         hint = AUTO_PROCESS_WORK_FACTOR
@@ -191,8 +187,8 @@ class TestAutoChooser:
 
     def test_serial_on_single_core_machine(self):
         # Regression: the chooser used to pick the process backend on
-        # a 1-CPU machine, where fork + pickle overhead made "parallel"
-        # runs strictly slower than serial.
+        # a 1-CPU machine, where forking workers made "parallel" runs
+        # strictly slower than serial.
         hint = AUTO_PROCESS_WORK_FACTOR
         assert choose_backend(4, cost_hint=hint, cpu_count=1) == "serial"
         assert choose_backend(4, cost_hint=0, cpu_count=1) == "serial"
@@ -214,6 +210,8 @@ class TestAutoChooser:
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             make_executor("gpu", jobs=2)
+        with pytest.raises(ValueError):
+            make_executor("thread", jobs=2)
 
     def test_task_cost_hint_feeds_chooser(self):
         heavy = make_task("chair", work_scale=1.0)
@@ -221,11 +219,13 @@ class TestAutoChooser:
         assert task_cost_hint(heavy) > task_cost_hint(light) == 0.0
         assert resolve_executor(light, jobs=1) is None
         assert isinstance(resolve_executor(light, jobs=2, cpu_count=4),
-                          ThreadPoolExecutor)
+                          SerialExecutor)
+        assert isinstance(resolve_executor(heavy, jobs=2, cpu_count=4),
+                          ProcessPoolExecutor)
 
 
 # ---------------------------------------------------------------------------
-# Work-stealing run_work
+# run_work: one pool queue, costliest first
 
 
 def _sleepy_worker(state, item):
@@ -235,79 +235,34 @@ def _sleepy_worker(state, item):
     return state * value
 
 
+def _clock_worker(state, item):
+    return time.perf_counter()
+
+
 class TestRunWork:
     @pytest.mark.parametrize("executor", [
         SerialExecutor(),
-        ThreadPoolExecutor(jobs=3),
         ProcessPoolExecutor(jobs=3),
-    ], ids=["serial", "thread", "process"])
+    ], ids=["serial", "process"])
     def test_values_in_submission_order(self, executor):
         items = [("fast", i) for i in range(10)]
-        result = executor.run_work(_sleepy_worker, 3, items,
-                                   costs=[float(i + 1) for i in range(10)])
-        assert [v for _, v in result.timed] == [3 * i for i in range(10)]
-        assert all(s >= 0.0 for s, _ in result.timed)
-        assert result.steals >= 0
-        assert all(b >= 0.0 for b in result.slot_busy)
+        timed = executor.run_work(_sleepy_worker, 3, items,
+                                  costs=[float(i + 1) for i in range(10)])
+        assert [v for _, v in timed] == [3 * i for i in range(10)]
+        assert all(s >= 0.0 for s, _ in timed)
 
-    def test_idle_worker_steals_from_stuck_one(self):
-        # Declared costs put a slow item and two fast ones on slot 0;
-        # slot 1 drains its own queue in microseconds and must steal
-        # slot 0's remaining items while the slow one blocks it.
-        items = [("slow", 0), ("fast", 1), ("fast", 2), ("fast", 3),
-                 ("fast", 4), ("fast", 5)]
-        costs = [5.0, 5.0, 1.0, 1.0, 1.0, 1.0]
-        executor = ThreadPoolExecutor(jobs=2)
-        result = executor.run_work(_sleepy_worker, 1, items, costs=costs)
-        assert [v for _, v in result.timed] == [0, 1, 2, 3, 4, 5]
-        assert result.steals >= 1
-        assert len(result.slot_busy) == 2
+    def test_one_worker_runs_costliest_first(self):
+        # The pool queue is filled in descending-cost order, so a lone
+        # worker takes the items from the costliest to the cheapest.
+        costs = [2.0, 9.0, 1.0, 5.0, 7.0]
+        started = ProcessPoolExecutor(jobs=1).run_work(
+            _clock_worker, None, list(range(5)), costs=costs)
+        by_start = sorted(range(5), key=lambda i: started[i][1])
+        assert by_start == sorted(range(5), key=lambda i: -costs[i])
 
     def test_empty_items(self):
-        result = ThreadPoolExecutor(jobs=2).run_work(
-            _sleepy_worker, 1, [], costs=[])
-        assert result.timed == []
-        assert result.steals == 0
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory text arena
-
-
-class TestTextArena:
-    TEXTS = {"c:d01": "alpha beta", "c:d02": "", "q:d01": "καλημέρα κόσμε"}
-
-    def test_local_arena_for_threads(self):
-        arena = build_arena(dict(self.TEXTS), "thread")
-        try:
-            assert not arena.shared and arena.handle.kind == "local"
-            for key, text in self.TEXTS.items():
-                assert arena.handle.text(key) == text
-        finally:
-            arena.close()
-
-    def test_shared_arena_roundtrips_through_pickle(self):
-        from repro.runtime import shm_available
-
-        if not shm_available():
-            pytest.skip("no shared memory on this platform")
-        arena = build_arena(dict(self.TEXTS), "process")
-        try:
-            assert arena.shared
-            handle = pickle.loads(pickle.dumps(arena.handle))
-            for key, text in self.TEXTS.items():
-                assert handle.text(key) == text
-                assert arena.handle.text(key) == text  # parent side too
-        finally:
-            arena.close()
-
-    def test_empty_arena(self):
-        arena = build_arena({}, "process")
-        try:
-            with pytest.raises(KeyError):
-                arena.handle.text("missing")
-        finally:
-            arena.close()
+        assert ProcessPoolExecutor(jobs=2).run_work(
+            _sleepy_worker, 1, [], costs=[]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +345,27 @@ class TestCaptureMerge:
 # Runtime metrics
 
 
+def _two_batches(pages):
+    return [PageBatch(k, tuple(pages[i] for i in group))
+            for k, group in enumerate(
+                pack_lpt([len(p.text) for p in pages], 2))]
+
+
 class TestMetrics:
     def test_build_and_aggregate(self):
-        pages = _pages([100, 100, 100, 100])
-        batches = PageScheduler(batches_per_job=1).plan(pages, 2)
-        metrics = build_metrics("thread", 2, wall_seconds=1.0,
+        batches = _two_batches(_pages([100, 100, 100, 100]))
+        metrics = build_metrics("process", 2, wall_seconds=1.0,
                                 batches=batches, batch_seconds=[0.6, 0.8])
         assert isinstance(metrics, RuntimeMetrics)
         assert metrics.pages == 4
         assert metrics.busy_seconds == pytest.approx(1.4)
         assert metrics.pages_per_second == pytest.approx(4.0)
         assert 0.0 < metrics.worker_utilization <= 1.0
-        assert "thread" in metrics.describe()
+        assert metrics.steals == metrics.split_parts == 0
+        assert "process" in metrics.describe()
 
     def test_length_mismatch_rejected(self):
-        pages = _pages([10, 10])
-        batches = PageScheduler(batches_per_job=1).plan(pages, 2)
+        batches = _two_batches(_pages([10, 10]))
         with pytest.raises(ValueError):
             build_metrics("serial", 1, 0.5, batches, [0.1])
 
@@ -413,11 +373,11 @@ class TestMetrics:
         task = make_task("play", work_scale=0)
         snaps = list(wikipedia_corpus(n_pages=8, seed=3).snapshots(2))
         system = make_system("noreuse", task, str(tmp_path), jobs=2,
-                             backend="thread")
+                             backend="process")
         result = system.process(snaps[0])
         runtime = result.timings.runtime
         assert runtime is not None
-        assert runtime.backend == "thread" and runtime.jobs == 2
+        assert runtime.backend == "process" and runtime.jobs == 2
         assert runtime.pages == len(snaps[0])
 
 
@@ -446,33 +406,45 @@ def _run_system(name, task, snaps, workdir, executor=None):
     return outputs
 
 
-def _assert_thread_jobs2_parity(system_name, task, snaps, tmp_path):
+def _assert_process_parity(system_name, task, snaps, tmp_path, jobs=2):
     serial_dir = str(tmp_path / "serial")
     parallel_dir = str(tmp_path / "parallel")
     serial = _run_system(system_name, task, snaps, serial_dir)
     parallel = _run_system(system_name, task, snaps, parallel_dir,
-                           executor=ThreadPoolExecutor(jobs=2))
+                           executor=ProcessPoolExecutor(jobs=jobs))
     assert serial == parallel
     assert _tree_digests(serial_dir) == _tree_digests(parallel_dir)
 
 
-class TestSerialParallelParity:
-    @pytest.mark.parametrize("system_name",
-                             ["noreuse", "shortcut", "cyclex", "delex"])
-    def test_thread_jobs2_results_and_files(self, system_name, tmp_path,
-                                            dblife_snapshots):
-        _assert_thread_jobs2_parity(system_name,
-                                    make_task("chair", work_scale=0),
-                                    dblife_snapshots, tmp_path)
+SYSTEMS = ["noreuse", "shortcut", "cyclex", "delex"]
 
-    @pytest.mark.parametrize("system_name",
-                             ["noreuse", "shortcut", "cyclex", "delex"])
-    def test_talk_thread_jobs2_results_and_files(self, system_name,
-                                                 tmp_path):
+
+class TestSerialParallelParity:
+    @pytest.mark.parametrize("system_name", SYSTEMS)
+    def test_process_jobs2_results_and_files(self, system_name, tmp_path,
+                                             dblife_snapshots):
+        _assert_process_parity(system_name,
+                               make_task("chair", work_scale=0),
+                               dblife_snapshots, tmp_path)
+
+    @pytest.mark.parametrize("system_name", SYSTEMS)
+    def test_talk_process_jobs2_results_and_files(self, system_name,
+                                                  tmp_path):
         snaps = list(dblife_corpus(n_pages=8, seed=3).snapshots(2))
-        _assert_thread_jobs2_parity(system_name,
-                                    make_task("talk", work_scale=0),
-                                    snaps, tmp_path)
+        _assert_process_parity(system_name,
+                               make_task("talk", work_scale=0),
+                               snaps, tmp_path)
+
+    @pytest.mark.parametrize("task_name", ["chair", "play"])
+    @pytest.mark.parametrize("system_name", SYSTEMS)
+    def test_process_jobs4_results_and_files(self, system_name, task_name,
+                                             tmp_path, dblife_snapshots,
+                                             wikipedia_snapshots):
+        snaps = (dblife_snapshots if task_name == "chair"
+                 else wikipedia_snapshots)
+        _assert_process_parity(system_name,
+                               make_task(task_name, work_scale=0),
+                               snaps[:3], tmp_path, jobs=4)
 
     def test_delex_process_jobs4_property(self, tmp_path):
         """Serial and 4-process Delex agree snapshot by snapshot on a
@@ -496,66 +468,102 @@ class TestSerialParallelParity:
         assert problems == []
 
     def test_scheduler_batch_shapes_do_not_change_results(self, tmp_path):
-        """Pathological batching (1 page per batch) is still exact."""
+        """Batch shapes follow the worker count; down to one page per
+        batch (6 pages, 8 and 16 batches wanted) every shape is exact."""
         task = make_task("play", work_scale=0)
         snaps = list(wikipedia_corpus(n_pages=6, seed=5).snapshots(2))
-        a = _run_system("delex", task, snaps, str(tmp_path / "a"))
-        b_sys = make_system("delex", task, str(tmp_path / "b"),
-                            executor=ThreadPoolExecutor(jobs=2))
-        b_sys.scheduler = PageScheduler(batches_per_job=64)
-        outputs = []
-        prev = None
-        for snap in snaps:
-            outputs.append(canonical_results(b_sys.process(snap, prev)))
-            prev = snap
-        assert a == outputs
+        serial = _run_system("delex", task, snaps, str(tmp_path / "s"))
+        for jobs in (2, 4):
+            assert serial == _run_system(
+                "delex", task, snaps, str(tmp_path / f"p{jobs}"),
+                executor=ProcessPoolExecutor(jobs=jobs)), jobs
 
 
 # ---------------------------------------------------------------------------
-# Faults: a process worker that dies mid-batch
+# Process workers: death and observability
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="worker-side patches reach workers only through fork")
 
 
-def _dies_on_page(victim, lookup, dids, timer):
-    for did in dids:
-        if did == victim:
-            os._exit(3)
-    return [(did, len(lookup.current(did).text)) for did in dids], None
+def _dies_in_a_worker(batch_fn, victim, marker):
+    """``batch_fn``, except that a forked worker handed ``victim``'s
+    batch leaves ``marker`` behind and exits at once; the parent runs
+    it as usual."""
+    parent = os.getpid()
+
+    def batch(state, lookup, items, timer):
+        items = tuple(items)
+        dids = {item if isinstance(item, str) else item[0]
+                for item in items}
+        if victim in dids and os.getpid() != parent:
+            open(marker, "w").close()
+            os._exit(1)
+        return batch_fn(state, lookup, items, timer)
+    return batch
 
 
-@pytest.mark.skipif(not shm_available() or not hasattr(signal, "SIGALRM"),
-                    reason="no shared memory or no SIGALRM")
-def test_dead_process_worker_breaks_the_run_and_frees_the_arena(
-        monkeypatch):
-    """The current contract, pinned: a worker that dies mid-batch makes
-    ``run_pages`` raise promptly, and the parent still unlinks the
-    shared-memory text arena. Falling back to a correct answer is not
-    done yet."""
-    arenas = []
+@needs_fork
+@pytest.mark.parametrize("system_name", ["noreuse", "delex"])
+def test_dead_process_worker_falls_back_to_the_serial_answer(
+        system_name, tmp_path, monkeypatch, dblife_snapshots):
+    """A worker that dies mid-batch costs time, never the answer: the
+    parent runs every batch left without a result inline, so results
+    and capture trees equal a serial run's, and no worker is left."""
+    task = make_task("chair", work_scale=0)
+    snaps = dblife_snapshots[:3]
+    serial_dir = str(tmp_path / "serial")
+    serial = _run_system(system_name, task, snaps, serial_dir)
 
-    def recording_build_arena(texts, backend_name):
-        arenas.append(build_arena(texts, backend_name))
-        return arenas[-1]
-
-    monkeypatch.setattr(driver_module, "build_arena", recording_build_arena)
-    pages = _pages([40, 50, 60, 70])
-    work = PageWork(batch_fn=_dies_on_page, state=pages[2].did,
-                    payload=lambda batch: tuple(p.did for p in batch))
+    marker = str(tmp_path / "worker-died")
+    victim = snaps[0].canonical_pages()[0].did
+    monkeypatch.setattr(noreuse_module, "_scratch_batch", _dies_in_a_worker(
+        noreuse_module._scratch_batch, victim, marker))
+    monkeypatch.setattr(engine_module, "_engine_batch", _dies_in_a_worker(
+        engine_module._engine_batch, victim, marker))
 
     def hung(signum, frame):
-        raise TimeoutError("run_pages hung after a worker died")
+        raise TimeoutError("the run hung after a worker died")
 
     previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
+    signal.alarm(120)
     try:
-        with pytest.raises(BrokenProcessPool):
-            run_pages(work, pages, ProcessPoolExecutor(jobs=2),
-                      PageScheduler(), Timer(Timings()))
+        parallel_dir = str(tmp_path / "parallel")
+        parallel = _run_system(system_name, task, snaps, parallel_dir,
+                               executor=ProcessPoolExecutor(jobs=2))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert len(arenas) == 1 and arenas[0].shared
-    assert not os.path.exists(
-        os.path.join("/dev/shm", arenas[0].handle.name))
+    assert os.path.exists(marker), "no worker was killed"
+    assert serial == parallel
+    assert _tree_digests(serial_dir) == _tree_digests(parallel_dir)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_process_run_traces_and_profiles_worker_units(tmp_path):
+    """Units run in the workers of a process run; their spans and
+    per-unit accounting come back to the parent's tracer and
+    profiler."""
+    task = make_task("play", work_scale=0)
+    snaps = list(wikipedia_corpus(n_pages=8, seed=3).snapshots(2))
+    tracer = otrace.install()
+    profiler = oprof.install()
+    try:
+        _run_system("delex", task, snaps, str(tmp_path),
+                    executor=ProcessPoolExecutor(jobs=2))
+    finally:
+        otrace.uninstall()
+        oprof.uninstall()
+    units = [r for r in tracer.records if r.cat == "unit"]
+    assert units
+    assert {"batch", "page", "snapshot"} <= {r.cat for r in tracer.records}
+    # Worker spans sit on their worker's track, not the parent's.
+    assert threading.get_ident() not in {r.tid for r in units}
+    doc = profiler.to_dict()
+    assert doc["units"]
+    assert doc["pages_seen"] > 0
 
 
 def test_page_batch_helpers():
