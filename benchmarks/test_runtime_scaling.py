@@ -8,7 +8,8 @@ serial backend vs an auto-chosen 4-worker run (the heavy emulated
 blackboxes select the process pool) for No-reuse and Delex on a
 synthetic DBLife corpus, and emits a machine-readable
 ``BENCH_runtime.json`` at the repo root — including the runtime's own
-worker-utilization telemetry for the parallel run.
+worker-utilization telemetry for the parallel run. Each configuration
+runs ``ROUNDS`` times and every speedup is read on the median round.
 
 On a 1-CPU machine there is no parallel speedup to have; the auto
 chooser detects that and falls back to the serial backend, so the
@@ -44,6 +45,9 @@ PAGES = int(os.environ.get("REPRO_BENCH_RUNTIME_PAGES", "24"))
 N_SNAPSHOTS = 3
 WORK_SCALE = float(os.environ.get("REPRO_BENCH_RUNTIME_WORK", "1.0"))
 JOBS = 4
+#: Rounds per configuration; each floor is decided on the median round,
+#: since one round's wall time swings with whatever else the host runs.
+ROUNDS = 3
 
 NOREUSE_MIN_SPEEDUP = 1.5
 SERIAL_FALLBACK_MIN_SPEEDUP = 0.9
@@ -108,25 +112,38 @@ def run_runtime_scaling():
     }
     with tempfile.TemporaryDirectory() as tmp_root:
         for name in ("noreuse", "delex"):
-            serial, serial_out, serial_digest = _measure(
-                task, snapshots, name, 1,
-                os.path.join(tmp_root, f"{name}_serial"))
-            parallel, parallel_out, parallel_digest = _measure(
-                task, snapshots, name, JOBS,
-                os.path.join(tmp_root, f"{name}_par"))
-            for i, (s, p) in enumerate(zip(serial_out, parallel_out)):
-                assert s == p, \
-                    f"{name}: parallel run changed snapshot {i} results"
-            assert serial_digest == parallel_digest, \
-                f"{name}: parallel run changed the reuse-file bytes"
+            rounds = {"serial": [], "parallel": []}
+            for r in range(ROUNDS):
+                serial, serial_out, serial_digest = _measure(
+                    task, snapshots, name, 1,
+                    os.path.join(tmp_root, f"{name}_serial{r}"))
+                parallel, parallel_out, parallel_digest = _measure(
+                    task, snapshots, name, JOBS,
+                    os.path.join(tmp_root, f"{name}_par{r}"))
+                for i, (s, p) in enumerate(zip(serial_out, parallel_out)):
+                    assert s == p, \
+                        f"{name}: parallel run changed snapshot {i} results"
+                assert serial_digest == parallel_digest, \
+                    f"{name}: parallel run changed the reuse-file bytes"
+                rounds["serial"].append(serial)
+                rounds["parallel"].append(parallel)
+            serial, parallel = (_median_round(rounds["serial"]),
+                                _median_round(rounds["parallel"]))
             data["systems"][name] = {
                 "serial": serial,
                 "parallel": parallel,
                 "byte_identical": True,
+                "rounds": {side: [row["seconds"] for row in rows]
+                           for side, rows in rounds.items()},
                 "speedup": (serial["seconds"] / parallel["seconds"]
                             if parallel["seconds"] > 0 else 0.0),
             }
     return data
+
+
+def _median_round(rows):
+    """The round with the median seconds (``ROUNDS`` is odd)."""
+    return sorted(rows, key=lambda row: row["seconds"])[len(rows) // 2]
 
 
 def _render(data):

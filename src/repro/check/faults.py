@@ -6,13 +6,16 @@ anything. This module lets tests (and ``python -m repro check
 the kind of bug the differential oracle exists to catch — and verify
 the oracle reports it and the shrinker minimizes it.
 
-The hook lives in :mod:`repro.reuse.regions` as a module-level
-callable (``_fault_hook``), ``None`` in production; ``derive_reuse``
-invokes it *after* the invariant checks, so an injected fault models a
-bug the cheap invariants cannot see (e.g. a dropped copy) and only the
-cross-system diff exposes. Faults are deliberately deterministic —
-they corrupt every derivation that meets their trigger condition — so
-a failing series stays failing under shrinking.
+A derivation fault lives in :mod:`repro.reuse.regions` as a
+module-level callable (``_fault_hook``), ``None`` in production;
+``derive_reuse`` invokes it *after* the invariant checks, so an
+injected fault models a bug the cheap invariants cannot see (e.g. a
+dropped copy) and only the cross-system diff exposes. A splitter fault
+replaces a splitter in :mod:`repro.extractors.splitters`
+(``_fault_splitters``, empty in production). Faults are deliberately
+deterministic — they corrupt every derivation (or split) that meets
+their trigger condition — so a failing series stays failing under
+shrinking.
 
 Available faults:
 
@@ -28,6 +31,14 @@ Available faults:
   gaps into one region, so this fault's trigger needs long pages; a
   post-hoc ``check_derivation`` on the corrupted derivation raises
   ``extraction-coverage`` (see tests/test_check.py).
+* ``wrong_splitter`` — the ``"line"`` splitter every
+  :class:`~repro.extractors.rules.LineExtractor` declares also cuts
+  inside lines, every :data:`WRAP_WIDTH` characters, like a line
+  reader with a fixed buffer. The extractor is not split-correct for
+  it: a new long line is extracted in pieces. A line whose recorded
+  output crosses a cut sends its region down the matcher path, so the
+  fault shows only where a line grows past the width after the unit
+  recorded it shorter.
 
 Because the hook runs after the in-line invariant checks, *none* of
 these faults trip the derivation-time assertions — re-checking the
@@ -38,7 +49,7 @@ them, which is the point.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..text.span import Interval, Span
 
@@ -64,11 +75,34 @@ def _drop_extraction_region(derivation: Any, p_region: Interval) -> None:
         derivation.extraction_regions.pop()
 
 
+#: Where ``wrong_splitter`` cuts inside a line.
+WRAP_WIDTH = 64
+
+
+def _wrapped_line_starts(text: str) -> List[int]:
+    from ..extractors.splitters import SPLITTERS
+
+    starts: List[int] = []
+    line_starts = SPLITTERS["line"](text)
+    for start, end in zip(line_starts, line_starts[1:] + [len(text)]):
+        starts.extend(range(start, end, WRAP_WIDTH))
+    return starts or [0]
+
+
 FAULTS: Dict[str, FaultHook] = {
     "drop_copied": _drop_copied,
     "shift_copied": _shift_copied,
     "drop_extraction_region": _drop_extraction_region,
 }
+
+#: Faults planted in a splitter instead: name -> (splitter kind, the
+#: wrong split function that replaces it).
+SPLITTER_FAULTS: Dict[str, Tuple[str, Callable[[str], List[int]]]] = {
+    "wrong_splitter": ("line", _wrapped_line_starts),
+}
+
+#: Every fault ``install_fault`` knows.
+FAULT_NAMES = tuple(sorted((*FAULTS, *SPLITTER_FAULTS)))
 
 _active: Optional[str] = None
 
@@ -79,35 +113,32 @@ def active_fault() -> Optional[str]:
 
 
 def install_fault(name: Optional[str]) -> None:
-    """Install (or, with None, remove) a fault hook by name."""
-    from ..reuse import regions  # local: regions must not import us
+    """Install (or, with None, remove) a fault by name."""
+    from ..extractors import splitters  # local: no import cycles
+    from ..reuse import regions
 
     global _active
-    if name is None:
-        regions._fault_hook = None
-        _active = None
-        return
-    if name not in FAULTS:
+    if name is not None and name not in FAULT_NAMES:
         raise ValueError(f"unknown fault {name!r}; choose from "
-                         f"{tuple(sorted(FAULTS))}")
-    regions._fault_hook = FAULTS[name]
+                         f"{FAULT_NAMES}")
+    regions._fault_hook = FAULTS.get(name) if name is not None else None
+    splitters._fault_splitters.clear()
+    if name in SPLITTER_FAULTS:
+        kind, wrong = SPLITTER_FAULTS[name]
+        splitters._fault_splitters[kind] = wrong
     _active = name
 
 
 @contextmanager
 def injected_fault(name: Optional[str]) -> Iterator[None]:
-    """Context manager: install a fault, restore the previous hook.
+    """Context manager: install a fault, restore the previous one.
 
     ``name=None`` is a no-op pass-through so callers can thread an
     optional ``--fault`` argument straight in.
     """
-    from ..reuse import regions
-
-    previous_hook = regions._fault_hook
-    previous_name = _active
+    previous = _active
     install_fault(name)
     try:
         yield
     finally:
-        regions._fault_hook = previous_hook
-        globals()["_active"] = previous_name
+        install_fault(previous)

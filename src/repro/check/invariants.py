@@ -1,9 +1,8 @@
 """Runtime invariant assertions (the ``--check`` layer).
 
 Cheap executable statements of the properties Theorem 1 leans on,
-wired into the hot paths of :mod:`repro.reuse.regions`,
-:mod:`repro.reuse.engine`, and :mod:`repro.fastpath.memo` behind the
-module-level :data:`ENABLED` flag. The flag is **off by default** and
+wired into the hot paths of :mod:`repro.reuse.regions` and
+:mod:`repro.reuse.engine` behind the module-level :data:`ENABLED` flag. The flag is **off by default** and
 every call site guards with a single ``if invariants.ENABLED:`` — one
 module-attribute load per call, which is below measurement noise, so
 production runs pay nothing.
@@ -24,9 +23,9 @@ correctness argument):
   increasing did order (the precondition for sequential segment
   appends and for the parallel runtime's deterministic batch merge);
   :func:`check_page_table_monotonic` re-checks a page table on disk.
-* **memo-hit retag soundness** — segments the memo's equal-region
-  shortcut answers without a matcher witness literal text equality
-  inside both regions.
+* **replay soundness** — the outputs a unit replays on a region or
+  split whose text it recorded on the previous page equal what
+  extracting that region or split gives.
 * **identity-pair soundness** — a page pair that is recycled whole
   really is byte-identical.
 
@@ -251,31 +250,24 @@ def check_page_table_monotonic(directory: str) -> int:
     return pages
 
 
-# -- memo-hit retag soundness ----------------------------------------------
+# -- replay soundness -----------------------------------------------------
 
-def check_memo_replay(segments: Iterable[Any], p_text: str, q_text: str,
-                      p_region: Interval, q_region: Interval) -> None:
-    """Segments the match memo answers without running the matcher must
-    witness literal text equality and lie inside their regions."""
+def check_replay(replayed: Sequence[Dict[str, Any]],
+                 extracted: Sequence[Dict[str, Any]], unit: str,
+                 region: Interval) -> None:
+    """Outputs a unit replayed on a region (or split) from recorded
+    text must be what extracting that region gives: the same rows, as
+    a multiset."""
     _count()
-    for seg in segments:
-        p_lo, p_hi = seg.p_start, seg.p_start + seg.length
-        q_lo, q_hi = seg.q_start, seg.q_start + seg.length
-        if p_lo < p_region.start or p_hi > p_region.end:
-            raise InvariantViolation(
-                "memo-segment-p-bounds",
-                f"replayed segment p[{p_lo}, {p_hi}) outside p-region "
-                f"{p_region}")
-        if q_lo < q_region.start or q_hi > q_region.end:
-            raise InvariantViolation(
-                "memo-segment-q-bounds",
-                f"replayed segment q[{q_lo}, {q_hi}) outside q-region "
-                f"{q_region}")
-        if p_text[p_lo:p_hi] != q_text[q_lo:q_hi]:
-            raise InvariantViolation(
-                "memo-retag-soundness",
-                f"replayed segment p[{p_lo}, {p_hi}) != q[{q_lo}, "
-                f"{q_hi}): shortcut match does not witness equality")
+    if sorted(map(_row_key, replayed)) != sorted(map(_row_key, extracted)):
+        raise InvariantViolation(
+            "replay-equals-extraction",
+            f"unit {unit}: {len(replayed)} outputs replayed on {region} "
+            f"differ from the {len(extracted)} extracting it gives")
+
+
+def _row_key(row: Dict[str, Any]) -> str:
+    return repr(sorted(row.items()))
 
 
 # -- identity-pair soundness ------------------------------------------------

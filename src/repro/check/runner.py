@@ -13,7 +13,7 @@ wall-clock budget sweeping fuzz cases through the differential oracle:
    bundle when ``bundle_dir`` is given;
 4. the exit code is 0 iff every case agreed.
 
-``fault`` plants one of :data:`repro.check.faults.FAULTS` for the
+``fault`` plants one of :data:`repro.check.faults.FAULT_NAMES` for the
 whole campaign — the harness's self-test mode: a healthy tree must
 *fail* a ``--fault`` run (the oracle caught the planted bug) and pass
 a clean one.

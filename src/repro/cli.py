@@ -208,7 +208,8 @@ def _dump_metrics_json(path: str, task, snapshots, systems,
     ``RuntimeMetrics``/``FastPathStats`` when attached) plus mention
     counts — the same shapes the serving layer's ``/metrics`` endpoint
     exports — and, for the systems that write a capture, its byte
-    counts under ``capture`` (appended, live, kept alive). ``obs_doc`` (the metrics registry dump and, when
+    counts under ``capture`` (appended, live, kept alive) and each
+    unit's reuse funnel under ``units``. ``obs_doc`` (the metrics registry dump and, when
     profiling, the profiler dump) lands under the ``obs`` key — the
     JSON superset of the Prometheus exposition.
     """
@@ -237,6 +238,8 @@ def _dump_metrics_json(path: str, task, snapshots, systems,
                        if snap.optimizer is not None else {}),
                     **({"capture": snap.capture}
                        if snap.capture is not None else {}),
+                    **({"units": snap.units}
+                       if snap.units is not None else {}),
                 }
                 for snap in report.snapshots
             ],
@@ -248,12 +251,12 @@ def _dump_metrics_json(path: str, task, snapshots, systems,
 
 def _cmd_check(args: argparse.Namespace) -> int:
     """Differential-oracle sweep (implementation in repro.check)."""
-    from .check.faults import FAULTS
+    from .check.faults import FAULT_NAMES
     from .check.runner import main_check
 
-    if args.fault is not None and args.fault not in FAULTS:
+    if args.fault is not None and args.fault not in FAULT_NAMES:
         print(f"error: unknown fault {args.fault!r}; choose from "
-              f"{tuple(sorted(FAULTS))}", file=sys.stderr)
+              f"{FAULT_NAMES}", file=sys.stderr)
         return 2
     return main_check(args)
 
@@ -497,13 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
                           "cost (default auto)")
     run.add_argument("--check", default="off", choices=("on", "off"),
                      help="runtime invariant assertions (derivation "
-                          "geometry, span bounds, page order, memo "
+                          "geometry, span bounds, page order, "
                           "replay); off by default — zero hot-path "
                           "cost when disabled")
     run.add_argument("--fastpath", default="on", choices=("on", "off"),
                      help="snapshot-delta fast paths (identical-page "
-                          "recycle, equal-region match shortcut) for "
-                          "the matching systems; "
+                          "recycle, content-addressed replay of regions "
+                          "and declared splits) for the matching "
+                          "systems; "
                           "results are identical either way (default "
                           "on)")
     run.add_argument("--metrics-json", default=None, metavar="PATH",

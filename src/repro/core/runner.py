@@ -108,6 +108,12 @@ class SnapshotReport:
     capture: Optional[Dict[str, int]] = field(repr=False, default=None)
     """Byte counts of the capture the run wrote, for reusing systems
     (:meth:`~repro.reuse.files.CaptureSummary.to_dict`)."""
+    units: Optional[Dict[str, Dict[str, int]]] = field(repr=False,
+                                                       default=None)
+    """Per IE unit, the reuse funnel of the run (input chars, then
+    replayed, copy-zone and extracted chars), for the systems that run
+    the reuse engine (:meth:`~repro.reuse.engine.UnitRunStats.to_dict`).
+    """
 
 
 def optimizer_snapshot_doc(instance) -> Optional[Dict[str, object]]:
@@ -211,7 +217,11 @@ def run_series(task: IETask, snapshots: Sequence[Snapshot],
                              if keep_results else {}),
                     optimizer=optimizer_snapshot_doc(instance),
                     capture=(result.capture.to_dict()
-                             if result.capture is not None else None)))
+                             if result.capture is not None else None),
+                    units=({uid: stats.to_dict() for uid, stats
+                            in sorted(result.unit_stats.items())}
+                           if getattr(result, "unit_stats", None)
+                           else None)))
                 prev = snapshot
             reports[system_name] = report
     finally:

@@ -12,15 +12,19 @@ state held in a :class:`PageState`:
 * **IE** — memoized on the input region's *text* alone: an
   extraction depends on nothing else, so the memo stores it with
   region-relative offsets and places it at the input region's start
-  when merging it onto the input row. Added rows whose region text the
-  extractor has already seen — unedited, or shifted by an edit before
-  it — reuse the memoized extractions (zero extractor calls: this is
-  what makes a small edit's delta small even though the page-level
-  scan row changed); retractions replay the memo with negative
-  multiplicity and never touch the extractor. Region reference counts
-  are keyed on the same text, and at the end of every page event the
-  memo drops each entry no live region references, so it holds
-  exactly the page's live region texts.
+  when merging it onto the input row. An extractor that declares a
+  splitter (:mod:`repro.extractors.splitters`) is memoized per split
+  instead, each split's extractions placed at the split's start: its
+  output on a region is the union over the region's splits, so only
+  the splits whose text is new are extracted. Added rows whose region
+  (or split) text the extractor has already seen — unedited, or
+  shifted by an edit before it — reuse the memoized extractions (zero
+  extractor calls: this is what makes a small edit's delta small even
+  though the page-level scan row changed); retractions replay the memo
+  with negative multiplicity and never touch the extractor. Reference
+  counts are keyed on the same texts, and at the end of every page
+  event the memo drops each entry no live region or split references,
+  so it holds exactly the page's live region and split texts.
 * **σ (Select)** — linear. Added rows are evaluated against the *new*
   page context; retracted rows consult the node's output state — the
   recorded old verdict — so retraction never needs the old page text.
@@ -45,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..extractors.splitters import split_bounds
 from ..plan.compile import CompiledPlan
 from ..plan.operators import (
     IENode,
@@ -65,8 +70,9 @@ from .rows import FrozenRow, is_span_value, merge_frozen, thaw_row
 MemoExtraction = Tuple[Tuple[Tuple[str, int, int, str], ...],
                        Tuple[Tuple[str, object], ...]]
 
-#: Region-text memo entry: the extractor's output on one region text,
-#: valid wherever (and on whichever page version) that text sits.
+#: Region-text memo entry: the extractor's output on one region (or
+#: split) text, valid wherever (and on whichever page version) that
+#: text sits.
 MemoFields = Tuple[MemoExtraction, ...]
 
 
@@ -97,7 +103,8 @@ class DeltaCounters:
 @dataclass
 class _IEState:
     """Memo + region reference counts of one IE node on one page,
-    both keyed on region text."""
+    both keyed on region text (split text for a split-declared
+    extractor)."""
 
     memo: Dict[str, MemoFields] = field(default_factory=dict)
     region_refs: Multiset = field(default_factory=Multiset)
@@ -298,6 +305,7 @@ class PagePlanDelta:
             return delta
         ie_state = state.ie_state(index)
         memo = ie_state.memo
+        splitter = node.extractor.splitter
         region_delta = DeltaSet()
         for in_row, count in child.items():
             values = dict(in_row)
@@ -307,25 +315,30 @@ class PagePlanDelta:
                     f"{node.extractor.name}: input {node.in_var!r} is "
                     "not a span")
             start, _end, text = region
-            fields = memo.get(text)
-            if fields is None:
-                if count < 0:
-                    raise RuntimeError(
-                        f"{node.extractor.name}: retraction of a region "
-                        "never extracted (delta state out of sync)")
-                fields = memo[text] = self._run_extractor(
-                    node, state.did, text)
-                counters.extractor_calls += 1
-            else:
-                counters.memo_hits += 1
-            region_delta.add(text, count)
-            for spans, scalars in fields:
-                out_row = values.copy()
-                for var, rel_start, rel_end, span_text in spans:
-                    out_row[var] = (start + rel_start, start + rel_end,
-                                    span_text)
-                out_row.update(scalars)
-                delta.add(tuple(sorted(out_row.items())), count)
+            for lo, hi in (split_bounds(splitter, text) if splitter
+                           else ((0, len(text)),)):
+                piece = text[lo:hi] if splitter else text
+                fields = memo.get(piece)
+                if fields is None:
+                    if count < 0:
+                        raise RuntimeError(
+                            f"{node.extractor.name}: retraction of a "
+                            "region never extracted (delta state out of "
+                            "sync)")
+                    fields = memo[piece] = self._run_extractor(
+                        node, state.did, piece)
+                    counters.extractor_calls += 1
+                else:
+                    counters.memo_hits += 1
+                region_delta.add(piece, count)
+                at = start + lo
+                for spans, scalars in fields:
+                    out_row = values.copy()
+                    for var, rel_start, rel_end, span_text in spans:
+                        out_row[var] = (at + rel_start, at + rel_end,
+                                        span_text)
+                    out_row.update(scalars)
+                    delta.add(tuple(sorted(out_row.items())), count)
         ie_state.region_refs.apply(
             region_delta, where=f"ie:{node.extractor.name}")
         return delta

@@ -12,10 +12,11 @@ switch (:func:`.config.fastpath_enabled`):
   rejects a length change in O(1). The reuse engine recycles an identical page whole
   (:func:`repro.reuse.engine._recycle_page`), as Shortcut does in the
   paper, under any matcher plan.
-* **Equal-region shortcut** (:class:`.memo.MatchMemo`) — an ST or UD
-  matcher call on two regions with equal text is answered in O(1),
-  after an exact slice compare, with the one full-region segment the
-  matcher provably returns; every other call runs the matcher.
+* **Content-addressed replay** (:mod:`repro.reuse.replay`) — an input
+  region, or a declared split of one, whose text the unit recorded on
+  the previous page replays the recorded outputs, shifted, before any
+  matcher runs; every other region takes the unit's matcher
+  (:class:`.memo.MatchMemo` is that call's entry point).
 
 There is no match store: no object carries match results across page
 pairs or snapshots, and the ST matcher builds its suffix automaton per

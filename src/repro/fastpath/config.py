@@ -3,8 +3,9 @@
 One bool selects whether a run takes every snapshot-delta fast path
 (on, the default everywhere) or none of them (off: the reference
 engine that ``verify_fastpath``, ``repro check`` and the parity tests
-compare against): the identical-page recycle and the equal-region
-match shortcut. There is no match store. Every fast path is
+compare against): the identical-page recycle and content-addressed
+replay of regions and declared splits (:mod:`repro.reuse.replay`).
+There is no match store. Every fast path is
 behaviour-preserving, so both settings yield byte-identical reuse files
 and results.
 """

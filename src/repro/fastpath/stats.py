@@ -27,10 +27,11 @@ class FastPathStats:
     pages_recycled: int = 0
     #: output tuples of the recycled pages' capture.
     tuples_recycled: int = 0
-    #: ST/UD candidate regions the memo had to run the matcher on.
+    #: ST/UD candidate regions a matcher ran on.
     memo_misses: int = 0
-    #: text-equal region pairs answered in O(1) by the memo's
-    #: equal-region shortcut (no matcher ran).
+    #: regions and declared splits answered by content-addressed
+    #: replay: text the unit recorded on the previous page, so no
+    #: matcher ran and nothing was extracted.
     region_short_circuits: int = 0
 
     # Kept only because the benchmark harness reads them by name. An
@@ -76,9 +77,8 @@ class FastPathStats:
 
     @property
     def combined_hit_rate(self) -> float:
-        """Fraction of ST/UD candidate regions answered without running
-        a matcher: equal-region shortcuts over all candidates; 0.0 when
-        there were none."""
+        """Replayed regions and splits over those plus the ST/UD
+        candidates a matcher ran on; 0.0 when there were none."""
         return safe_rate(self.region_short_circuits,
                          self.region_short_circuits + self.memo_misses)
 
@@ -102,6 +102,6 @@ class FastPathStats:
     def describe(self) -> str:
         return (f"recycled {self.pages_recycled}/{self.pages_paired} "
                 f"pages whole ({self.tuples_recycled} tuples); "
-                f"{self.region_short_circuits} equal regions answered "
+                f"{self.region_short_circuits} regions/splits replayed "
                 f"without a matcher, {self.memo_misses} matched "
                 f"(combined {self.combined_hit_rate:.0%})")

@@ -27,9 +27,6 @@ class RUMatcher(Matcher):
     """Intersects previously recorded match segments with new regions."""
 
     name = RU_NAME
-    # ``cache`` is mutable page-pair state — the reason the memo's
-    # equal-region shortcut (``repro.fastpath.memo.SHORTCUT``) never
-    # answers for RU.
 
     def __init__(self, cache: MatchCache) -> None:
         self.cache = cache

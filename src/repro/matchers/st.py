@@ -110,9 +110,9 @@ class STMatcher(Matcher):
     unit); the engine picks it per unit from the unit's β.
 
     Each call builds the automaton of its q-region; no automaton is
-    kept between calls. With the fast paths on, the engine answers two
-    text-equal regions without calling this matcher
-    (:class:`repro.fastpath.memo.MatchMemo`).
+    kept between calls. With the fast paths on, the engine replays a
+    region whose text the unit recorded without calling any matcher
+    (:mod:`repro.reuse.replay`).
     """
 
     name = ST_NAME

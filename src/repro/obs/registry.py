@@ -416,7 +416,7 @@ def publish_fastpath(system: str, stats) -> None:
                       "copied, previous rows reused", system=system)
     REGISTRY.set("repro_fastpath_combined_hit_rate",
                  getattr(stats, "combined_hit_rate", 0.0),
-                 help="equal-region shortcuts over all ST/UD "
-                      "candidate regions, latest run",
+                 help="replayed regions and splits over those plus "
+                      "the ST/UD candidates matched, latest run",
                  system=system)
 

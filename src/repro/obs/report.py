@@ -5,7 +5,11 @@ Takes either a ``repro run --metrics-json`` document or a
 
 * the Figure 11 runtime decomposition table (Match / Extraction /
   Copy / Opt / IO / Others per system, plus the explicit parallel
-  overlap column), and
+  overlap column),
+* per reusing system and IE unit, the reuse funnel over the reuse
+  snapshots: input chars, then the shares replayed (text the unit
+  recorded on the previous page), inside matcher copy zones and
+  re-extracted (metrics-json only), and
 * the slowest pages and costliest IE units / matchers, from the
   embedded profile section (metrics-json) or by aggregating spans
   (trace file).
@@ -78,11 +82,46 @@ def render_metrics_report(doc: Dict[str, Any], top: int = 10) -> str:
                                 for c in FIG11_COLUMNS]
                     + [_secs(overlap)])
     out.append(_table(["system", *FIG11_COLUMNS, "overlap"], rows))
+    for system in sorted(doc.get("systems", {})):
+        funnel = _render_funnel(doc["systems"][system])
+        if funnel:
+            out.append("")
+            out.append(f"## reuse funnel — {system} (chars over reuse "
+                       "snapshots)")
+            out.append(funnel)
     profile = (doc.get("obs") or {}).get("profile")
     if profile:
         out.append("")
         out.extend(_render_profile(profile, top))
     return "\n".join(out) + "\n"
+
+
+#: The funnel's columns: (header, ``UnitRunStats`` counter).
+FUNNEL_COLUMNS = (("replayed", "replayed_chars"),
+                  ("copy_zone", "copy_zone_chars"),
+                  ("extracted", "extracted_chars"))
+
+
+def _render_funnel(system_doc: Dict[str, Any]) -> str:
+    """Per unit: input chars and, as shares of them, the chars
+    replayed, copied by matcher zones and re-extracted, summed over
+    the reuse snapshots; "" when the system runs no reuse engine."""
+    sums: Dict[str, Dict[str, int]] = {}
+    for snap in system_doc.get("snapshots", [])[1:]:
+        for uid, counts in (snap.get("units") or {}).items():
+            acc = sums.setdefault(uid, {})
+            for key, value in counts.items():
+                acc[key] = acc.get(key, 0) + int(value)
+    if not sums:
+        return ""
+    rows = []
+    for uid, acc in sorted(sums.items()):
+        chars = acc.get("input_chars", 0)
+        rows.append([uid, str(chars)] + [
+            f"{acc.get(key, 0) / chars:.3f}" if chars else "-"
+            for _, key in FUNNEL_COLUMNS])
+    return _table(["unit", "input_chars",
+                   *(name for name, _ in FUNNEL_COLUMNS)], rows)
 
 
 def _system_overlap(system_doc: Dict[str, Any]) -> float:

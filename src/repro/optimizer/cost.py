@@ -8,6 +8,11 @@ cost has four components:
 3. re-extracting the derived extraction regions;
 4. reusing output tuples for copy regions (read ``O_U^n`` + probes).
 
+Paired input whose text the unit already recorded replays before any
+matcher runs (:mod:`repro.reuse.replay`), so steps 2–4 price only the
+rest (``UnitEstimates.r``); a split-declared unit extracts that rest
+without a matcher, whatever matcher the plan assigns it.
+
 RU units need a *donor*: an earlier-executed unit assigned ST or UD
 whose recorded segments RU recycles. Without a donor RU degenerates to
 DN (g = 1, nothing copied), which the model prices accordingly.
@@ -52,26 +57,33 @@ def unit_cost(unit: IEUnit, matcher: str, stats: Statistics,
     a_n, a_n1 = est.a_prev, est.a
     length = est.l
 
+    # Paired chars: those that replay cost nothing under any matcher;
+    # a split-declared unit extracts the rest split by split and runs
+    # no matcher, every other unit matches it.
+    paired = a_n1 * m * f * length * (1.0 - est.r)
+    matched = matcher != DN_NAME and not est.split
+
     # (1) identify matching input tuples.
     cost = w.io_per_block * est.b_blocks
     if matcher != DN_NAME:
         cost += w.find_per_comparison * a_n * a_n1 * m * f
 
     # (2) match the regions.
-    s = est.s_of(matcher)
-    if matcher not in (DN_NAME,):
+    if matcher != DN_NAME:
         cost += w.io_per_block * stats.d_blocks * f
-        cost += w.rate_of(matcher) * a_n1 * m * f * s * length
+    if matched:
+        cost += w.rate_of(matcher) * paired * est.s_of(matcher)
 
     # (3) extract over extraction regions.
-    g = est.g_of(matcher, donor_matcher)
+    g = est.g_of(matcher, donor_matcher) if matched else 1.0
     cost += est.extract_rate * (a_n1 * m * (1.0 - f) * length
-                                + a_n1 * m * f * length * g)
+                                + paired * g)
 
     # (4) reuse output tuples for copy regions.
     if matcher != DN_NAME:
-        h = est.h_of(matcher, donor_matcher)
         cost += w.io_per_block * est.c_blocks
+    if matched:
+        h = est.h_of(matcher, donor_matcher)
         cost += (w.copy_per_probe * a_n * m
                  * (a_n1 * m * f * h) / stats.v)
     return cost

@@ -117,6 +117,16 @@ class UnitEstimates:
     h_ru: Dict[str, float] = field(default_factory=dict)
     """RU copy regions when recycling a donor of each kind."""
 
+    r: float = 0.0
+    """Fraction of the input chars on paired pages that replay (their
+    region, or declared split, has text the unit recorded on the
+    previous page): no matcher and no extraction under any matcher.
+    ``s``, ``g`` and ``h`` describe the rest."""
+
+    split: bool = False
+    """The unit declares a splitter, so what does not replay is
+    extracted split by split, without a matcher."""
+
     def g_of(self, matcher: str,
              donor_matcher: Optional[str] = None) -> float:
         if matcher == DN_NAME:
@@ -152,6 +162,7 @@ class UnitEstimates:
             "h": dict(sorted(self.h.items())),
             "g_ru": dict(sorted(self.g_ru.items())),
             "h_ru": dict(sorted(self.h_ru.items())),
+            "r": self.r, "split": self.split,
         }
 
 

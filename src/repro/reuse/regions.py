@@ -34,6 +34,32 @@ Correctness argument (Theorem 1 hinges on this module):
    window crosses an extraction-region edge that is not an R edge are
    discarded: if genuine, they are guaranteed found as copies or in a
    neighboring region.
+
+Two cases never reach this module: the engine answers them first, by
+text (:mod:`repro.reuse.replay`), with the fast paths on.
+
+* **Equal region (both edges aligned).** R's text equals that of a
+  recorded q region S. A matcher would return the one segment spanning
+  both, flush with R and S on the left and on the right, so the
+  alignment allowance above makes the copy zone all of R: every
+  recorded output of S, span-less ones included (zone = R, equal
+  lengths), is copied shifted by ``R.start - S.start``, and the
+  complement is empty, so nothing is extracted. The argument is
+  shorter than that: the extractor sees the same string on R as it saw
+  on S, so it returns the same extractions relative to the region, and
+  the absorbed σ/π see the same span texts and scalars. Replaying S's
+  recorded outputs, shifted, *is* the from-scratch output on R.
+* **Splits.** The extractor declares a splitter T and is split-correct
+  for it: P(d) = ⋃ᵢ shift(P(tᵢ), oᵢ) over the splits tᵢ of d at
+  offsets oᵢ. Each recorded output of S lies in exactly one split of S
+  (the index refuses S otherwise), so S's recorded outputs partition
+  into per-split sets, and by split-correctness the set of split t is
+  P(t) shifted to t's place in S. A split of R whose text equals a
+  recorded split t therefore has output P(t), the recorded set
+  shifted, by the equal-region argument applied to the split; every
+  other split of R is extracted on its own text. The union over R's
+  splits is P(R) by split-correctness, with no α/β margin: a split
+  edge is an edge the extractor never reads across.
 """
 
 from __future__ import annotations
@@ -145,12 +171,12 @@ def derive_reuse(p_region: Interval, p_did: str,
                 if (info.zone.start == p_region.start
                         and info.zone.end == p_region.end
                         and len(p_region) == len(q_input.interval)):
-                    copied.append(_shift_fields(out, info.shift, p_did))
+                    copied.append(shift_fields(out, info.shift, p_did))
                 continue
             es, ee = extent
             if (es + info.shift >= info.zone.start
                     and ee + info.shift <= info.zone.end):
-                copied.append(_shift_fields(out, info.shift, p_did))
+                copied.append(shift_fields(out, info.shift, p_did))
 
     # 5. Extraction regions: complement gaps grown by α + β.
     gaps = complement_intervals([z.zone for z in zones], p_region)
@@ -171,7 +197,7 @@ def derive_reuse(p_region: Interval, p_did: str,
     return derivation
 
 
-def _shift_fields(out: OutputTuple, shift: int, p_did: str) -> Dict[str, Any]:
+def shift_fields(out: OutputTuple, shift: int, p_did: str) -> Dict[str, Any]:
     fields: Dict[str, Any] = {}
     for name, kind, a, b in out.fields:
         if kind == "s":

@@ -25,6 +25,7 @@ from repro.corpus.snapshot import snapshot_from_texts
 from repro.extractors import make_task
 from repro.extractors.base import Extraction, RelSpan
 from repro.extractors.library import ALL_TASKS
+from repro.extractors.splitters import split_bounds
 from repro.matchers.base import ST_NAME, UD_NAME
 from repro.plan import compile_program, find_units
 from repro.reuse.engine import PlanAssignment
@@ -128,3 +129,76 @@ def test_edited_gross_beyond_the_movie_span(tmp_path, matcher):
     want = canonical_results(NoReuseSystem(plan).process(s1))
     assert sum(len(rows) for rows in want.values()) == 5
     assert canonical_results(system.process(s1, s0)) == want
+
+
+# -- split-correctness (declared splitters) ---------------------------------
+
+#: ``(task, unit)`` for every unit whose extractor declares a splitter.
+SPLIT_UNITS = [(name, uid) for name, uid in UNITS
+               if make_task(name, work_scale=0).registry.extractor(
+                   uid).splitter is not None]
+
+
+def _split_union(extractor, text):
+    """The extractions on each split of ``text``, placed in ``text``."""
+    out = []
+    for lo, hi in split_bounds(extractor.splitter, text):
+        out.extend(_placed(e, lo) for e in extractor.extract(text[lo:hi]))
+    return sorted(out, key=repr)
+
+
+def _whole(extractor, text):
+    return sorted((_placed(e, 0) for e in extractor.extract(text)),
+                  key=repr)
+
+
+def _mutations(text, rng, count):
+    """Texts made from ``text`` by inserting and deleting whole lines,
+    header lines among them, and by dropping the trailing newline or
+    every header."""
+    lines = text.split("\n")
+    out = [text.rstrip("\n"), text + "\n",
+           "\n".join(l for l in lines if not l.startswith("== "))]
+    inserts = ["== Filmography ==", "== Service ==", "== Awards ==",
+               "== Other ==", "", "x", lines[rng.randrange(len(lines))]]
+    for _ in range(count):
+        edited = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            if edited and rng.random() < 0.5:
+                del edited[rng.randrange(len(edited))]
+            else:
+                edited.insert(rng.randrange(len(edited) + 1),
+                              rng.choice(inserts + edited))
+        out.append("\n".join(edited))
+    return out
+
+
+def test_split_units_are_listed():
+    assert {uid for _, uid in SPLIT_UNITS} == {
+        "extractServiceSec", "extractChairSent", "extractAdvisingSec",
+        "extractAdviseSent", "extractBoxOfficeSec", "extractFilmSec",
+        "extractPlaySent", "extractAwardSec", "extractAwardSent"}
+
+
+@pytest.mark.parametrize("task_name,uid", SPLIT_UNITS,
+                         ids=[uid for _, uid in SPLIT_UNITS])
+def test_whole_text_equals_the_union_over_splits(page_texts, task_name,
+                                                 uid):
+    """Doleschal et al.'s split-correctness for the declared splitter:
+    on corpus pages, on their sections, and on line and header
+    insertions and deletions, the extractions on the whole text are
+    those on its splits, each shifted to where its split sits."""
+    task = make_task(task_name, work_scale=0)
+    extractor = task.registry.extractor(uid)
+    rng = random.Random(uid)
+    checked = 0
+    for text in page_texts[task.corpus]:
+        texts = [text, "", "\n", "no header, no newline"]
+        texts += _mutations(text, rng, 8)
+        # The unit's own inputs: for a line unit, section bodies.
+        texts += [text[lo:hi] for lo, hi in split_bounds("header", text)]
+        for sample in texts:
+            want = _whole(extractor, sample)
+            assert _split_union(extractor, sample) == want, (uid, sample)
+            checked += len(want)
+    assert checked > 0

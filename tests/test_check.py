@@ -15,7 +15,13 @@ import pytest
 
 from repro.check import InvariantViolation, invariants
 from repro.check.bundle import load_bundle, replay_bundle, write_bundle
-from repro.check.faults import FAULTS, active_fault, injected_fault
+from repro.check.faults import (
+    FAULT_NAMES,
+    FAULTS,
+    WRAP_WIDTH,
+    active_fault,
+    injected_fault,
+)
 from repro.check.fuzz import (
     FuzzSpec,
     build_series,
@@ -133,17 +139,16 @@ class TestInvariants:
         with pytest.raises(InvariantViolation, match="monotonic"):
             invariants.check_page_order(["a", "c", "b"])
 
-    def test_memo_replay(self):
-        class Seg:
-            def __init__(self, p, q, n):
-                self.p_start, self.q_start, self.length = p, q, n
-
-        invariants.check_memo_replay([Seg(0, 2, 3)], "abcx", "xxabc",
-                                     Interval(0, 4), Interval(0, 5))
-        with pytest.raises(InvariantViolation, match="retag"):
-            invariants.check_memo_replay([Seg(0, 0, 3)], "abcx",
-                                         "xxabc", Interval(0, 4),
-                                         Interval(0, 5))
+    def test_replay_matches_extraction(self):
+        row = {"v": Span("p", 0, 3)}
+        invariants.check_replay([row], [dict(row)], unit="u",
+                                region=Interval(0, 4))
+        with pytest.raises(InvariantViolation, match="replay"):
+            invariants.check_replay([row], [{"v": Span("p", 1, 3)}],
+                                    unit="u", region=Interval(0, 4))
+        with pytest.raises(InvariantViolation, match="replay"):
+            invariants.check_replay([row, row], [row], unit="u",
+                                    region=Interval(0, 4))
 
     def test_counter_counts(self):
         invariants.reset_counter()
@@ -343,6 +348,36 @@ class TestFaultsAreCaught:
         # exactly what the coverage invariant exists to catch.
         with pytest.raises(InvariantViolation, match="coverage"):
             invariants.check_derivation(bad, Interval(0, 400), 5, 2)
+
+    def test_wrong_splitter_is_caught_shrunk_and_bundled(self, tmp_path):
+        """A line splitter that also cuts inside lines (every
+        ``WRAP_WIDTH`` chars) is not one ``LineExtractor`` is
+        split-correct for: a line that grows past the width is
+        extracted in pieces. The oracle catches it, the shrinker keeps
+        the one page and transition that show it, and the bundle
+        replays it."""
+        assert "wrong_splitter" in FAULT_NAMES and WRAP_WIDTH == 64
+        spec = FuzzSpec(seed=8, task="award", corpus="wikipedia")
+        assert run_case(spec).ok
+        with injected_fault("wrong_splitter"):
+            report = run_case(spec)
+            assert not report.ok
+            # The engine diverges from the reference; the delta view,
+            # which memoizes per split, fails its own batch check.
+            kinds = {d.kind for d in report.discrepancies()}
+            assert "results" in kinds and kinds <= {"results", "error"}
+            result = shrink_series(build_series(spec),
+                                   oracle_predicate(spec), report)
+        assert active_fault() is None
+        assert result.n_snapshots == 2 and result.n_pages == 1
+        assert not result.report.ok
+        path = write_bundle(str(tmp_path / "bundle"), result.series,
+                            task=spec.task, grid=spec.grid,
+                            report=result.report, spec=spec,
+                            fault="wrong_splitter")
+        assert load_bundle(path).fault == "wrong_splitter"
+        assert not replay_bundle(path).ok
+        assert active_fault() is None
 
     def test_shift_copied_caught_with_checking_enabled(self, play_task,
                                                        series):

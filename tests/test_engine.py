@@ -150,23 +150,34 @@ class TestEngineMechanics:
         copied = sum(s.copied_tuples for s in r1.unit_stats.values())
         assert copied > 0
 
-    def test_dn_everywhere_copies_nothing(self, tmp_path):
+    def _second_run(self, tmp_path, names, fastpath):
         s0, s1 = self.setup_snapshots()
-        plan, units, assignment = build_engine(["DN"] * 3)
-        engine = ReuseEngine(plan, units, assignment)
+        plan, units, assignment = build_engine(names)
+        engine = ReuseEngine(plan, units, assignment, fastpath=fastpath)
         engine.run_snapshot(s0, None, None, str(tmp_path / "0"))
-        r1 = engine.run_snapshot(s1, s0, str(tmp_path / "0"),
-                                 str(tmp_path / "1"))
+        return engine.run_snapshot(s1, s0, str(tmp_path / "0"),
+                                   str(tmp_path / "1"))
+
+    def test_dn_everywhere_copies_nothing(self, tmp_path):
+        # The paper's DN (the reference engine, fast paths off) never
+        # copies. With them on, DN copies only what it replays: regions
+        # whose text it recorded on the previous page, no matcher run.
+        r1 = self._second_run(tmp_path / "off", ["DN"] * 3, "off")
         assert all(s.copied_tuples == 0 for s in r1.unit_stats.values())
+        r1 = self._second_run(tmp_path / "on", ["DN"] * 3, "on")
+        for stats in r1.unit_stats.values():
+            assert stats.matcher_calls == stats.copy_zone_chars == 0
+            assert (stats.copied_tuples > 0) <= (stats.replayed_chars > 0)
+        assert sum(s.replayed_chars for s in r1.unit_stats.values()) > 0
 
     def test_ru_without_donor_behaves_like_dn(self, tmp_path):
-        s0, s1 = self.setup_snapshots()
-        plan, units, assignment = build_engine(["RU", "RU", "RU"])
-        engine = ReuseEngine(plan, units, assignment)
-        engine.run_snapshot(s0, None, None, str(tmp_path / "0"))
-        r1 = engine.run_snapshot(s1, s0, str(tmp_path / "0"),
-                                 str(tmp_path / "1"))
+        r1 = self._second_run(tmp_path / "off", ["RU", "RU", "RU"], "off")
         assert all(s.copied_tuples == 0 for s in r1.unit_stats.values())
+        on = self._second_run(tmp_path / "on", ["RU", "RU", "RU"], "on")
+        dn = self._second_run(tmp_path / "dn", ["DN"] * 3, "on")
+        assert ({uid: s.copied_tuples for uid, s in on.unit_stats.items()}
+                == {uid: s.copied_tuples
+                    for uid, s in dn.unit_stats.items()})
 
     def test_ru_with_donor_copies(self, tmp_path):
         s0, s1 = self.setup_snapshots()

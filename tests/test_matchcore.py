@@ -1,11 +1,11 @@
-"""Matcher core: the memo's equal-region shortcut and self-match.
+"""Matcher core: the matcher entry point and self-match.
 
 * **Memo** — routing a call through :class:`MatchMemo` returns exactly
   what the bare matcher returns, at any offsets.
 
 * **Self-match** — UD and ST return exactly one full-region segment
   for a region matched against itself (the segment the engine's
-  identity path records for RU units); WS does not, and a pinned
+  replay records for RU units); WS does not, and a pinned
   counterexample says why.
 
 * **One implementation** — a Delex series and a serve apply run
@@ -83,30 +83,6 @@ def test_memo_and_cache_replay_byte_identical(pair, matcher_kind, shift):
     assert got2 == expect2
 
 
-@settings(max_examples=150, deadline=None)
-@given(text=st.text("ab \n#", max_size=80), data=st.data(),
-       matcher_kind=st.sampled_from(["ST", "UD"]),
-       min_length=st.integers(min_value=1, max_value=16))
-def test_equal_region_shortcut_equals_matcher(text, data, matcher_kind,
-                                              min_length):
-    """A q-region whose text equals the p-region's, at any offset and
-    beside a same-length region of other text, gets from the memo
-    exactly what the bare matcher returns."""
-    pad = data.draw(st.text("ab#", max_size=6))
-    other = data.draw(st.text("ab \n", min_size=len(text),
-                              max_size=len(text)))
-    q_text = pad + text + other
-    p_region = Interval(0, len(text))
-    candidates = {3: Interval(len(pad), len(pad) + len(text)),
-                  5: Interval(len(pad) + len(text), len(q_text))}
-    matcher = (STMatcher(min_length=min_length) if matcher_kind == "ST"
-               else UDMatcher())
-    memo = MatchMemo()
-    assert (memo.match_many(matcher, text, p_region, q_text, candidates)
-            == matcher.match_many(text, p_region, q_text, candidates))
-    assert memo.stats.region_short_circuits >= 1
-
-
 # -- self-match: the identity short circuit's precondition -----------------
 
 
@@ -133,8 +109,8 @@ def test_self_match_is_one_full_region_segment(text, data, min_length):
 def _self_match(matcher, text, region, memo):
     """``matcher`` on (region, region) of one text. ``memo="off"``
     calls the matcher directly; ``memo="force"`` routes the call
-    through a fresh :class:`MatchMemo`, whose equal-region shortcut
-    answers ST and UD without running them and must agree."""
+    through a fresh :class:`MatchMemo`, the engine's matcher entry
+    point, which must agree."""
     if memo == "off":
         return matcher.match(text, region, text, region)
     return MatchMemo().match_many(matcher, text, region, text, {-1: region})
@@ -153,10 +129,9 @@ def test_self_match_long_regions(memo):
 
 @pytest.mark.parametrize("memo", ["off", "force"])
 def test_ws_self_match_reports_internal_repeats(memo):
-    """Why WS producers keep the slow path in plans with RU units: on
-    an identical region WS also pairs repeated k-grams, so what it
-    records is not the single full-region segment — and the memo's
-    equal-region shortcut must not claim otherwise."""
+    """On an identical region WS also pairs repeated k-grams, so what
+    it returns is not the single full-region segment; routed through
+    the memo it returns the same."""
     text = "abcdefghijklmnop" * 3
     region = Interval(0, len(text))
     assert (_self_match(WinnowingMatcher(), text, region, memo)

@@ -36,16 +36,28 @@ class TestCyclexMatcherChoice:
         corpus = EvolvingCorpus(DBLifeGenerator(), 12, model, seed=2)
         return list(corpus.snapshots(2))
 
-    def test_identical_corpus_prefers_matching(self, tmp_path):
+    def _plan_on_identical_corpus(self, tmp_path, fastpath):
         task = make_task("talk", work_scale=0.3)
         plan = compile_program(task.program, task.registry)
         system = CyclexSystem(plan, str(tmp_path), task.program_alpha,
-                              task.program_beta)
+                              task.program_beta, fastpath=fastpath)
         snaps = self._snaps(p_unchanged=1.0)
         system.process(snaps[0])
         system.process(snaps[1], snaps[0])
+        return system
+
+    def test_identical_corpus_prefers_matching(self, tmp_path):
+        # The paper's cost model (fast paths off): only a matcher
+        # reuses, so an identical corpus is priced cheapest under one.
+        system = self._plan_on_identical_corpus(tmp_path / "off", "off")
         assert system.describe_plan() in ({"program": "UD"},
                                           {"program": "ST"})
+        # With them on, every region of an identical page replays under
+        # any matcher (the model's ``r`` is 1), so no matcher is worth
+        # its overhead.
+        system = self._plan_on_identical_corpus(tmp_path / "on", "on")
+        assert system.last_stats.units["program"].r == 1.0
+        assert system.describe_plan() == {"program": "DN"}
 
     def test_results_correct_either_way(self, tmp_path):
         task = make_task("talk", work_scale=0)

@@ -459,6 +459,20 @@ class TestReport:
         assert "slowest pages" in text
         assert "u1" in text and "UD" in text
 
+    def test_metrics_report_shows_the_reuse_funnel(self):
+        doc = _metrics_doc()
+        funnel = {"input_chars": 200, "replayed_chars": 150,
+                  "copy_zone_chars": 20, "extracted_chars": 30}
+        doc["systems"]["delex"]["snapshots"][0]["units"] = {
+            "u1": {**funnel, "input_chars": 999}}      # bootstrap: skipped
+        doc["systems"]["delex"]["snapshots"][1]["units"] = {"u1": funnel}
+        text = oreport.render_report(doc)
+        assert "reuse funnel — delex" in text
+        row = next(line for line in text.splitlines()
+                   if line.startswith("u1 ") and "200" in line)
+        assert row.split()[1:] == ["200", "0.750", "0.100", "0.150"]
+        assert "reuse funnel" not in oreport.render_report(_metrics_doc())
+
     def test_trace_report(self):
         doc = {"traceEvents": [
             {"ph": "X", "cat": "page", "name": "pg", "dur": 2e6,
@@ -544,25 +558,40 @@ def test_instrumented_trace_carries_hierarchy():
                                                   ("WS", "match")])
 def test_unit_events_say_which_path_ran(tmp_path, front, producer_path):
     """On an unchanged snapshot whose pages are not recycled each unit
-    event names the path its rows took: the producer matches, and so
-    do the RU units above it, against what the producer recorded."""
-    from repro.core.runner import make_system
-    from repro.corpus.evolve import ChangeModel, EvolvingCorpus
-    from repro.corpus.generators import DBLifeGenerator
+    event names the path its rows took. In the reference engine (fast
+    paths off) the producer matches, and so do the RU units above it,
+    against what the producer recorded; with them on every unit
+    replays (see the next test)."""
     from repro.extractors import make_task
     from repro.plan import compile_program, find_units
     from repro.reuse.engine import PlanAssignment
 
-    frozen = ChangeModel(p_unchanged=1.0, p_removed=0.0, p_added=0.0)
-    snaps = list(EvolvingCorpus(DBLifeGenerator(), 6, frozen,
-                                seed=2).snapshots(2))
     task = make_task("chair", work_scale=0)
     units = find_units(compile_program(task.program, task.registry))
     assignment = PlanAssignment(
         {u.uid: (front if u.uid == "extractServiceSec" else "RU")
          for u in units})
+    paths = _unit_paths(tmp_path, assignment, "off")
+    assert paths["extractServiceSec"] == {producer_path}
+    assert paths["extractChairSent"] == {"match"}
+    assert paths["extractChairFact"] == {"match"}
+    assert "scratch" not in set().union(*paths.values())
+
+
+def _unit_paths(tmp_path, assignment, fastpath):
+    """The paths each chair unit's rows took on an unchanged snapshot
+    whose pages are not recycled, per the unit trace events."""
+    from repro.core.runner import make_system
+    from repro.corpus.evolve import ChangeModel, EvolvingCorpus
+    from repro.corpus.generators import DBLifeGenerator
+    from repro.extractors import make_task
+
+    frozen = ChangeModel(p_unchanged=1.0, p_removed=0.0, p_added=0.0)
+    snaps = list(EvolvingCorpus(DBLifeGenerator(), 6, frozen,
+                                seed=2).snapshots(2))
+    task = make_task("chair", work_scale=0)
     system = make_system("delex", task, str(tmp_path),
-                         fixed_assignment=assignment)
+                         fixed_assignment=assignment, fastpath=fastpath)
     system.process(snaps[0])
     # Without the previous rows no page is recycled whole, so every
     # unit runs and reports its path.
@@ -577,10 +606,23 @@ def test_unit_events_say_which_path_ran(tmp_path, front, producer_path):
         if r.cat == "unit" and r.args["rows_in"]:
             paths.setdefault(r.args["uid"], set()).update(
                 r.args["path"].split("+"))
-    assert paths["extractServiceSec"] == {producer_path}
-    assert paths["extractChairSent"] == {"match"}
-    assert paths["extractChairFact"] == {"match"}
-    assert "scratch" not in set().union(*paths.values())
+    return paths
+
+
+@pytest.mark.parametrize("front", ["DN", "UD", "RU"])
+def test_unit_events_name_the_replay_path(tmp_path, front):
+    """With the fast paths on, every region of an unchanged page has
+    text its unit recorded, so every unit replays under any matcher."""
+    from repro.extractors import make_task
+    from repro.plan import compile_program, find_units
+    from repro.reuse.engine import PlanAssignment
+
+    task = make_task("chair", work_scale=0)
+    units = find_units(compile_program(task.program, task.registry))
+    assignment = PlanAssignment.uniform(units, front)
+    paths = _unit_paths(tmp_path, assignment, "on")
+    assert set(paths) == {u.uid for u in units}
+    assert all(p == {"replay"} for p in paths.values()), paths
 
 
 def test_profiler_sees_units_and_matchers():
