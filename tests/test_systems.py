@@ -244,6 +244,22 @@ class TestDelex:
         self._assert_replans_after_shift(chair_fast, str(tmp_path),
                                          profile, "cyclex")
 
+    def test_drift_bound_widens_only_for_few_pages(self):
+        """The re-plan bound is max(REPLAN_DRIFT, z·SE): from 160 pages
+        up it is REPLAN_DRIFT whatever the fraction; at 16 pages a
+        fraction near 0.3 may move by more before it counts as drift."""
+        from repro.core.delex import REPLAN_DRIFT, PageMix, drift_bound
+
+        for fraction in (0.0, 0.1, 0.3, 0.5, 1.0):
+            assert drift_bound(fraction, 160) == REPLAN_DRIFT
+            assert drift_bound(fraction, 600) == REPLAN_DRIFT
+        assert drift_bound(0.3, 16) > REPLAN_DRIFT
+        assert drift_bound(0.0, 16) == drift_bound(1.0, 16) == REPLAN_DRIFT
+        calm = PageMix(1.0, 0.3, 16)
+        assert not PageMix(1.0, 0.5625, 16).drifted_from(calm)
+        assert PageMix(1.0, 0.7, 16).drifted_from(calm)
+        assert PageMix(0.75, 0.3, 16).drifted_from(calm)
+
     def test_first_reuse_snapshot_after_resume_plans_afresh(
             self, chair_fast, tmp_path):
         snaps = list(drift_profile("stationary", n_pages=24,
