@@ -11,8 +11,9 @@ module-level callable (``_fault_hook``), ``None`` in production;
 ``derive_reuse`` invokes it *after* the invariant checks, so an
 injected fault models a bug the cheap invariants cannot see (e.g. a
 dropped copy) and only the cross-system diff exposes. A splitter fault
-replaces a splitter in :mod:`repro.extractors.splitters`
-(``_fault_splitters``, empty in production). Faults are deliberately
+replaces a splitter, or a split key test, in
+:mod:`repro.extractors.splitters` (``_fault_splitters`` and
+``_fault_selectors``, empty in production). Faults are deliberately
 deterministic — they corrupt every derivation (or split) that meets
 their trigger condition — so a failing series stays failing under
 shrinking.
@@ -39,6 +40,11 @@ Available faults:
   output crosses a cut sends its region down the matcher path, so the
   fault shows only where a line grows past the width after the unit
   recorded it shorter.
+* ``wrong_split_key`` — the ``"header"`` key test compares a header's
+  name without stripping it, so a section headed ``== Filmography  ==``
+  (which :class:`~repro.extractors.rules.SectionExtractor` extracts) is
+  not selected and extracts nothing. Corpus headers are spelled
+  canonically; the fuzzer's ``split_edit`` respellings expose it.
 
 Because the hook runs after the in-line invariant checks, *none* of
 these faults trip the derivation-time assertions — re-checking the
@@ -89,6 +95,13 @@ def _wrapped_line_starts(text: str) -> List[int]:
     return starts or [0]
 
 
+def _unstripped_header_selects(key: str, split: str) -> bool:
+    from ..extractors.splitters import HEADER
+
+    match = HEADER.match(split)
+    return match is not None and match.group(1) == key
+
+
 FAULTS: Dict[str, FaultHook] = {
     "drop_copied": _drop_copied,
     "shift_copied": _shift_copied,
@@ -101,8 +114,14 @@ SPLITTER_FAULTS: Dict[str, Tuple[str, Callable[[str], List[int]]]] = {
     "wrong_splitter": ("line", _wrapped_line_starts),
 }
 
+#: Faults planted in a split key test: name -> (splitter kind, the
+#: wrong key test that replaces it).
+KEY_FAULTS: Dict[str, Tuple[str, Callable[[str, str], bool]]] = {
+    "wrong_split_key": ("header", _unstripped_header_selects),
+}
+
 #: Every fault ``install_fault`` knows.
-FAULT_NAMES = tuple(sorted((*FAULTS, *SPLITTER_FAULTS)))
+FAULT_NAMES = tuple(sorted((*FAULTS, *SPLITTER_FAULTS, *KEY_FAULTS)))
 
 _active: Optional[str] = None
 
@@ -123,9 +142,13 @@ def install_fault(name: Optional[str]) -> None:
                          f"{FAULT_NAMES}")
     regions._fault_hook = FAULTS.get(name) if name is not None else None
     splitters._fault_splitters.clear()
+    splitters._fault_selectors.clear()
     if name in SPLITTER_FAULTS:
         kind, wrong = SPLITTER_FAULTS[name]
         splitters._fault_splitters[kind] = wrong
+    if name in KEY_FAULTS:
+        kind, wrong_key = KEY_FAULTS[name]
+        splitters._fault_selectors[kind] = wrong_key
     _active = name
 
 

@@ -15,7 +15,13 @@ likely to get wrong:
   the copy-safety argument depends on;
 * ``unicode``       — multi-byte, combining-mark, and astral-plane
   insertions (offset arithmetic must stay in characters);
-* ``blank``         — a page's text collapses to empty or whitespace.
+* ``blank``         — a page's text collapses to empty or whitespace;
+* ``split_edit``    — one edit a split key must see through: every
+  ``== … ==`` header of a page respelled (``== X  ==`` and ``==  X ==``
+  still name X once stripped, ``==X==`` is no header and ``== x ==``
+  another one), a header line moved into or out of a section, or a
+  line that gains or loses a key of one of the task's line extractors.
+  It runs once per transition, after the cycled kinds above.
 
 A case is fully determined by its :class:`FuzzSpec` — same seed, same
 series, same verdict — so every failure replays from a dict. The
@@ -34,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..corpus.evolve import dblife_corpus, wikipedia_corpus
 from ..corpus.snapshot import Snapshot
 from ..extractors.library import make_task
+from ..extractors.splitters import HEADER, header_name
 from ..text.document import Page
 from .grid import build_grid
 from .oracle import OracleReport, run_oracle
@@ -47,6 +54,10 @@ _UNICODE_SNIPPETS = ("αβγ δèlta", "naïve café", "étude",
                      "雪が降る", "🙂🙃", "​⁠zero​width")
 
 _BLANKS = ("", " ", "\n\n", " \t \n ")
+
+#: How ``split_edit`` respells a header named ``n``.
+_RESPELLINGS = ("== {n}  ==", "==  {n} ==", "=={n}==", "== {lower} ==")
+
 
 def _drift_factory(profile: str, kind: str):
     from ..corpus.drift import drift_profile
@@ -105,10 +116,12 @@ class FuzzSpec:
 class _SeriesMutator:
     """Applies the adversarial schedule to one snapshot's page map."""
 
-    def __init__(self, rng: random.Random, alpha: int, beta: int) -> None:
+    def __init__(self, rng: random.Random, alpha: int, beta: int,
+                 keys: Sequence[str] = ()) -> None:
         self.rng = rng
         self.alpha = max(1, alpha)
         self.beta = max(1, beta)
+        self.keys = tuple(keys)
         self.graveyard: Dict[str, str] = {}  # url -> last text
         self._fresh = 0
 
@@ -148,6 +161,32 @@ class _SeriesMutator:
             url = rng.choice(urls)
             self.graveyard.setdefault(url, pages[url])
             pages[url] = rng.choice(_BLANKS)
+        elif kind == "split_edit" and urls:
+            url = rng.choice(urls)
+            pages[url] = self._split_edit(pages[url])
+
+    def _split_edit(self, text: str) -> str:
+        """Respell the headers, move one, or make a line gain or lose
+        a line key."""
+        rng = self.rng
+        lines = text.split("\n")
+        headers = [i for i, line in enumerate(lines)
+                   if HEADER.fullmatch(line)]
+        op = rng.choice(("respell", "respell", "move", "key"))
+        if op == "respell" and headers:
+            for i in headers:
+                name = header_name(HEADER.fullmatch(lines[i]))
+                lines[i] = rng.choice(_RESPELLINGS).format(
+                    n=name, lower=name.lower())
+        elif op == "move" and headers:
+            line = lines.pop(rng.choice(headers))
+            lines.insert(rng.randint(0, len(lines)), line)
+        elif self.keys:
+            i = rng.randrange(len(lines))
+            key = rng.choice(self.keys)
+            lines[i] = (lines[i].replace(key, "", 1) if key in lines[i]
+                        else f"{lines[i]} {key}")
+        return "\n".join(lines)
 
     def _splice(self, text: str) -> str:
         """A small edit whose width straddles the α/β context scales."""
@@ -176,7 +215,11 @@ def build_series(spec: FuzzSpec) -> List[Snapshot]:
     base = list(factory(n_pages=spec.n_pages,
                         seed=spec.seed).snapshots(spec.n_snapshots))
     task = make_task(spec.task, work_scale=0)
-    mutator = _SeriesMutator(rng, task.program_alpha, task.program_beta)
+    extractors = [task.registry.extractor(name) for name in task.blackboxes]
+    keys = [x.split_key for x in extractors
+            if x.splitter == "line" and x.split_key is not None]
+    mutator = _SeriesMutator(rng, task.program_alpha, task.program_beta,
+                             keys)
     series: List[Snapshot] = []
     for i, snapshot in enumerate(base):
         pages: Dict[str, str] = {p.url: p.text
@@ -186,6 +229,7 @@ def build_series(spec: FuzzSpec) -> List[Snapshot]:
             for j in range(spec.mutations_per_step):
                 kind = MUTATIONS[(i + j) % len(MUTATIONS)]
                 mutator.apply(pages, kind)
+            mutator.apply(pages, "split_edit")
         series.append(snapshot_from_pages(i, pages))
     return series
 

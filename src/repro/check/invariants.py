@@ -25,7 +25,8 @@ correctness argument):
   :func:`check_page_table_monotonic` re-checks a page table on disk.
 * **replay soundness** — the outputs a unit replays on a region or
   split whose text it recorded on the previous page equal what
-  extracting that region or split gives.
+  extracting that region or split gives, and a split a unit skips
+  because its key does not select it extracts nothing.
 * **identity-pair soundness** — a page pair that is recycled whole
   really is byte-identical.
 
@@ -264,6 +265,18 @@ def check_replay(replayed: Sequence[Dict[str, Any]],
             "replay-equals-extraction",
             f"unit {unit}: {len(replayed)} outputs replayed on {region} "
             f"differ from the {len(extracted)} extracting it gives")
+
+
+def check_unselected(extracted: Sequence[Any], unit: str,
+                     region: Interval) -> None:
+    """A split a unit skipped because its key does not select it
+    must be one the unit extracts nothing from."""
+    _count()
+    if extracted:
+        raise InvariantViolation(
+            "unselected-split-yields-nothing",
+            f"unit {unit}: the split {region} its key does not select "
+            f"gives {len(extracted)} extractions")
 
 
 def _row_key(row: Dict[str, Any]) -> str:

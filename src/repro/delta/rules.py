@@ -16,7 +16,9 @@ state held in a :class:`PageState`:
   splitter (:mod:`repro.extractors.splitters`) is memoized per split
   instead, each split's extractions placed at the split's start: its
   output on a region is the union over the region's splits, so only
-  the splits whose text is new are extracted. Added rows whose region
+  the splits whose text is new are extracted. A split the extractor's
+  key does not select yields nothing and is skipped: no memo entry, no
+  extractor call, no reference. Added rows whose region
   (or split) text the extractor has already seen — unedited, or
   shifted by an edit before it — reuse the memoized extractions (zero
   extractor calls: this is what makes a small edit's delta small even
@@ -24,7 +26,8 @@ state held in a :class:`PageState`:
   with negative multiplicity and never touch the extractor. Reference
   counts are keyed on the same texts, and at the end of every page
   event the memo drops each entry no live region or split references,
-  so it holds exactly the page's live region and split texts.
+  so it holds exactly the page's live region and selected split
+  texts.
 * **σ (Select)** — linear. Added rows are evaluated against the *new*
   page context; retracted rows consult the node's output state — the
   recorded old verdict — so retraction never needs the old page text.
@@ -49,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..extractors.splitters import split_bounds
+from ..extractors.splitters import split_bounds, split_selected
 from ..plan.compile import CompiledPlan
 from ..plan.operators import (
     IENode,
@@ -306,6 +309,7 @@ class PagePlanDelta:
         ie_state = state.ie_state(index)
         memo = ie_state.memo
         splitter = node.extractor.splitter
+        key = node.extractor.split_key
         region_delta = DeltaSet()
         for in_row, count in child.items():
             values = dict(in_row)
@@ -318,6 +322,8 @@ class PagePlanDelta:
             for lo, hi in (split_bounds(splitter, text) if splitter
                            else ((0, len(text)),)):
                 piece = text[lo:hi] if splitter else text
+                if splitter and not split_selected(splitter, key, piece):
+                    continue
                 fields = memo.get(piece)
                 if fields is None:
                     if count < 0:

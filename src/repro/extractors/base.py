@@ -16,6 +16,10 @@ Declared semantics an extractor must honor:
 * **splitter** (optional) — the extractor is split-correct for the
   named splitter (:mod:`repro.extractors.splitters`): its output on a
   text is the union of its outputs on the text's splits.
+* **split key** (optional, with a splitter) — a literal from the
+  extractor's own rule that selects the splits it can extract from;
+  every other split yields nothing
+  (:func:`~repro.extractors.splitters.split_selected`).
 
 The paper's blackboxes are heavyweight Perl/Java programs; pure-Python
 regex scans are comparatively too cheap for extraction cost to dominate
@@ -121,6 +125,8 @@ class Extractor(ABC):
 
     #: The splitter the extractor is split-correct for, if any.
     splitter: Optional[str] = None
+    #: The key selecting the splits it can extract from (None: all).
+    split_key: Optional[str] = None
 
     def __init__(self, name: str, output_vars: Sequence[str],
                  scope: int, context: int, work_factor: int = 0) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Pattern, Sequence, Tuple, Union
 
 from .base import Extraction, Extractor, RelSpan
-from .splitters import HEADER
+from .splitters import HEADER, header_name
 
 
 def scan_overlapping(pattern: Pattern[str], text: str) -> Iterator[re.Match]:
@@ -119,7 +119,8 @@ class LineExtractor(Extractor):
     boundaries depend only on the adjacent newline characters, so
     β = 2 suffices (we default a little higher for safety). Whether a
     line is extracted depends on that line alone, so the extractor
-    declares the ``"line"`` splitter.
+    declares the ``"line"`` splitter, keyed on ``must_contain``: a line
+    without it is never extracted.
     """
 
     splitter = "line"
@@ -131,6 +132,7 @@ class LineExtractor(Extractor):
         super().__init__(name, [var], scope, context, work_factor)
         self.var = var
         self.must_contain = must_contain
+        self.split_key = must_contain
         self.pattern = re.compile(must_match) if must_match else None
 
     def _line_ok(self, line: str) -> bool:
@@ -162,7 +164,8 @@ class SectionExtractor(Extractor):
 
     A body ends at the next header of any name, so it never leaves the
     text between two headers: the extractor declares the ``"header"``
-    splitter.
+    splitter, keyed on its header: a split under any other header yields
+    nothing.
     """
 
     _HEADER = HEADER
@@ -173,11 +176,12 @@ class SectionExtractor(Extractor):
         super().__init__(name, [var], scope, context, work_factor)
         self.var = var
         self.header = header
+        self.split_key = header
 
     def _extract(self, text: str) -> Iterable[Extraction]:
         headers = list(self._HEADER.finditer(text))
         for i, m in enumerate(headers):
-            if m.group(1).strip() != self.header:
+            if header_name(m) != self.header:
                 continue
             start = m.end()
             if start < len(text) and text[start] == "\n":

@@ -19,7 +19,7 @@ class MentionMultiplier(Extractor):
     """Emits each underlying extraction ``factor`` times.
 
     Replicas differ only in the appended ``copy_id`` field. Scope,
-    context and splitter are inherited from the wrapped extractor;
+    context, splitter and split key are inherited from the wrapped extractor;
     correctness of reuse is therefore unaffected.
     """
 
@@ -30,6 +30,7 @@ class MentionMultiplier(Extractor):
         super().__init__(inner.name, list(inner.output_vars) + [copy_var],
                          inner.scope, inner.context, work_factor=0)
         self.splitter = inner.splitter
+        self.split_key = inner.split_key
         self.inner = inner
         self.factor = factor
         self.copy_var = copy_var

@@ -98,14 +98,16 @@ def render_metrics_report(doc: Dict[str, Any], top: int = 10) -> str:
 
 #: The funnel's columns: (header, ``UnitRunStats`` counter).
 FUNNEL_COLUMNS = (("replayed", "replayed_chars"),
+                  ("skipped", "skipped_chars"),
                   ("copy_zone", "copy_zone_chars"),
                   ("extracted", "extracted_chars"))
 
 
 def _render_funnel(system_doc: Dict[str, Any]) -> str:
     """Per unit: input chars and, as shares of them, the chars
-    replayed, copied by matcher zones and re-extracted, summed over
-    the reuse snapshots; "" when the system runs no reuse engine."""
+    replayed, skipped (splits the unit's key does not select), copied
+    by matcher zones and re-extracted, summed over the reuse snapshots;
+    "" when the system runs no reuse engine."""
     sums: Dict[str, Dict[str, int]] = {}
     for snap in system_doc.get("snapshots", [])[1:]:
         for uid, counts in (snap.get("units") or {}).items():

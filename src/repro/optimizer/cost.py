@@ -9,8 +9,9 @@ cost has four components:
 4. reusing output tuples for copy regions (read ``O_U^n`` + probes).
 
 Paired input whose text the unit already recorded replays before any
-matcher runs (:mod:`repro.reuse.replay`), so steps 2–4 price only the
-rest (``UnitEstimates.r``); a split-declared unit extracts that rest
+matcher runs (:mod:`repro.reuse.replay`), and a split the unit's key
+does not select is skipped, so steps 2–4 price only the rest
+(``UnitEstimates.r``); a split-declared unit extracts that rest
 without a matcher, whatever matcher the plan assigns it.
 
 RU units need a *donor*: an earlier-executed unit assigned ST or UD
@@ -57,9 +58,9 @@ def unit_cost(unit: IEUnit, matcher: str, stats: Statistics,
     a_n, a_n1 = est.a_prev, est.a
     length = est.l
 
-    # Paired chars: those that replay cost nothing under any matcher;
-    # a split-declared unit extracts the rest split by split and runs
-    # no matcher, every other unit matches it.
+    # Paired chars: those that replay or are skipped cost nothing under
+    # any matcher; a split-declared unit extracts the rest split by
+    # split and runs no matcher, every other unit matches it.
     paired = a_n1 * m * f * length * (1.0 - est.r)
     matched = matcher != DN_NAME and not est.split
 

@@ -118,10 +118,11 @@ class UnitEstimates:
     """RU copy regions when recycling a donor of each kind."""
 
     r: float = 0.0
-    """Fraction of the input chars on paired pages that replay (their
+    """Fraction of the input chars on paired pages that cost nothing
+    under any matcher, no matcher and no extraction: they replay (their
     region, or declared split, has text the unit recorded on the
-    previous page): no matcher and no extraction under any matcher.
-    ``s``, ``g`` and ``h`` describe the rest."""
+    previous page), or they sit in a split the unit's key does not
+    select. ``s``, ``g`` and ``h`` describe the rest."""
 
     split: bool = False
     """The unit declares a splitter, so what does not replay is

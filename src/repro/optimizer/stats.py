@@ -7,8 +7,9 @@ with their previous versions, and:
   per-unit input-region counts/lengths (``a``, ``l``) and extractor
   speed (seconds/char);
 * with the fast paths on, measures, per unit, the share ``r`` of input
-  chars that replay: a region, or a declared split of one, whose text
-  the unit recorded on the previous page (:mod:`repro.reuse.replay`);
+  chars that cost nothing: a region, or a declared split of one, whose
+  text the unit recorded on the previous page, or a split its key does
+  not select (:mod:`repro.reuse.replay`);
 * runs each ST/UD matcher over the regions that do not replay, per
   unit without a splitter, on the first sampled pairs that have such
   regions (with the fast paths off: over every region, on the first
@@ -129,14 +130,15 @@ def _probe_extract_rate(unit: IEUnit,
     return 0.0
 
 
-def _replayed_chars(splitter: Optional[str], p_text: str,
-                    p_regions: Sequence[Interval], q_text: str,
-                    q_regions: Sequence[Interval]
+def _replayed_chars(splitter: Optional[str], key: Optional[str],
+                    p_text: str, p_regions: Sequence[Interval],
+                    q_text: str, q_regions: Sequence[Interval]
                     ) -> Tuple[int, List[Interval]]:
-    """The chars of ``p_regions`` that the engine's replay answers from
-    ``q_regions``, by the engine's own rule
-    (:meth:`~repro.reuse.replay.ReplayIndex.answer`), and the regions
-    that do not replay whole.
+    """The chars of ``p_regions`` that the engine answers from
+    ``q_regions`` without extracting them, by the engine's own rule
+    (:meth:`~repro.reuse.replay.ReplayIndex.answer`): those it replays
+    and the splits ``key`` does not select. Also the regions that do
+    not replay whole.
 
     Only the recorded regions are read, not their outputs, so the model
     never sees the engine refuse a split attribution (a recorded output
@@ -145,7 +147,7 @@ def _replayed_chars(splitter: Optional[str], p_text: str,
     when the splitter is right."""
     index = ReplayIndex(q_text, [InputTuple(i, "", r.start, r.end)
                                  for i, r in enumerate(q_regions)],
-                        {}, splitter)
+                        {}, splitter, key)
     replayed = 0
     rest: List[Interval] = []
     for region in p_regions:
@@ -153,6 +155,7 @@ def _replayed_chars(splitter: Optional[str], p_text: str,
         if answer is None or answer[0] != "replay":
             rest.append(region)
         if answer is not None:
+            # Every stretch but one to extract: replayed or skipped.
             replayed += sum(hi - lo for lo, hi, got in answer[1]
                             if got is not None)
     return replayed, rest
@@ -321,13 +324,15 @@ def collect_statistics(plan: CompiledPlan, units: Sequence[IEUnit],
                                est.a_prev * len(prev) * 80 / BLOCK_SIZE)
 
     # 2. Replay: with the fast paths on, a region (or split) whose text
-    #    the unit recorded on q costs nothing under any matcher; the
+    #    the unit recorded on q, or a split the unit's key does not
+    #    select, costs nothing under any matcher; the
     #    matcher probes below see only the regions that do not replay
     #    whole, and a split-declared unit runs no matcher at all.
     probe_regions: Dict[str, List[List[Interval]]] = {}
     for u in units:
         est = estimates[u.uid]
         splitter = u.extractor.splitter if fastpath else None
+        key = u.extractor.split_key
         est.split = splitter is not None
         replayed = total = 0
         rest_by_page: List[List[Interval]] = []
@@ -337,8 +342,8 @@ def collect_statistics(plan: CompiledPlan, units: Sequence[IEUnit],
             if not fastpath:
                 rest_by_page.append(p_regions)
                 continue
-            got, rest = _replayed_chars(splitter, p_page.text, p_regions,
-                                       q_page.text,
+            got, rest = _replayed_chars(splitter, key, p_page.text,
+                                       p_regions, q_page.text,
                                        q_regions_by_page[u.uid][idx])
             replayed += got
             rest_by_page.append(rest)

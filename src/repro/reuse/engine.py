@@ -11,7 +11,10 @@ order. Per IE unit and input region it:
    takes the recorded outputs, shifted, and a unit that declares a
    splitter does the same per split and extracts only the new splits;
    no matcher runs, and each replayed stretch is recorded in the page
-   pair's match cache as the segment a matcher would return;
+   pair's match cache as the segment a matcher would return. A split
+   the unit's key does not select is skipped outright, here and when a
+   region without a recorded previous version is extracted from
+   scratch (:mod:`repro.extractors.splitters`);
 3. otherwise matches the region against the unit's recorded input
    regions with the unit's assigned matcher (ST/UD results are
    recorded in the match cache so RU units can recycle them), derives
@@ -53,6 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..check import invariants as _inv
 from ..corpus.snapshot import Snapshot
+from ..extractors.splitters import split_bounds, split_selected
 from ..fastpath.config import FastPathFlag, fastpath_enabled
 from ..fastpath.fingerprint import pages_identical
 from ..fastpath.memo import MatchMemo
@@ -87,7 +91,7 @@ from .files import (
 )
 from .regions import (dedupe_extensions, derive_reuse, extraction_keep,
                       shift_fields)
-from .replay import ReplayIndex
+from .replay import SKIP, ReplayIndex
 from .scope import PageMatchScope, SameUrlScope
 
 #: Per-unit previous capture handed to the evaluator for one page: the
@@ -143,6 +147,8 @@ class UnitRunStats:
     #: Chars of regions and splits answered by content-addressed replay
     #: (text the unit recorded on the previous page; no matcher ran).
     replayed_chars: int = 0
+    #: Chars of splits the unit's key does not select (nothing to do).
+    skipped_chars: int = 0
     i_blocks: int = 0
     o_blocks: int = 0
 
@@ -163,15 +169,18 @@ class UnitRunStats:
         self.extracted_chars += other.extracted_chars
         self.copy_zone_chars += other.copy_zone_chars
         self.replayed_chars += other.replayed_chars
+        self.skipped_chars += other.skipped_chars
         self.i_blocks += other.i_blocks
         self.o_blocks += other.o_blocks
 
     def to_dict(self) -> Dict[str, int]:
         """The reuse funnel of one unit: input chars, then the chars
-        replayed, inside matcher copy zones and re-extracted."""
+        replayed, skipped as unselected splits, inside matcher copy
+        zones and re-extracted."""
         return {"input_tuples": self.input_tuples,
                 "input_chars": self.input_chars,
                 "replayed_chars": self.replayed_chars,
+                "skipped_chars": self.skipped_chars,
                 "copy_zone_chars": self.copy_zone_chars,
                 "extracted_chars": self.extracted_chars,
                 "matcher_calls": self.matcher_calls,
@@ -325,10 +334,14 @@ class PageEvaluator:
                         recorded_outputs = prev.outputs()
             except ValueError:
                 prev_inputs = []
+        splitter = unit.extractor.splitter
         index: Optional[ReplayIndex] = None
         if self.fastpath and prev_inputs:
             index = ReplayIndex(q_page.text, prev_inputs, recorded_outputs,
-                                unit.extractor.splitter)
+                                splitter, unit.extractor.split_key)
+        # A keyed unit extracts only its selected splits from scratch.
+        select = (self.fastpath and splitter is not None
+                  and unit.extractor.split_key is not None)
         can_match = matcher_name != DN_NAME and bool(prev_inputs)
         ctx = EvalContext(page.text, page.did)
 
@@ -370,6 +383,8 @@ class PageEvaluator:
                                             ctx)
                 if replayed is not None:
                     path, pieces = replayed
+            elif select:
+                pieces = _selected_pieces(unit, page, region, unit_stats)
             if path == "scratch" and can_match:
                 path = "match"
                 extensions = self._match(
@@ -473,7 +488,7 @@ class PageEvaluator:
         page: ``(path, pieces)``, the pieces in text order being lists
         of replayed outputs and intervals still to extract; or None
         when neither the region nor (for a split-declared unit) its
-        splits can be looked up."""
+        splits can be looked up. An unselected split is no piece."""
 
         def replayed(outputs, start: int, q_start: int, length: int,
                      q_tid: int) -> List[Dict[str, object]]:
@@ -501,11 +516,43 @@ class PageEvaluator:
         for lo, hi, got in stretches:
             if got is None:
                 pieces.append(Interval(start + lo, start + hi))
+            elif got is SKIP:
+                _skip(unit, page, Interval(start + lo, start + hi),
+                      unit_stats)
             else:
                 q_input, q_start, outputs = got
                 pieces.append(replayed(outputs, start + lo, q_start,
                                        hi - lo, q_input.tid))
         return path, pieces
+
+
+def _skip(unit: IEUnit, page: Page, split: Interval,
+          unit_stats: UnitRunStats) -> None:
+    """Book a split the unit's key does not select; under ``--check``,
+    re-extract it to confirm it yields nothing."""
+    unit_stats.skipped_chars += len(split)
+    if _inv.ENABLED:
+        _inv.check_unselected(
+            unit.extractor.extract(page.text[split.start:split.end]),
+            unit=unit.uid, region=split)
+
+
+def _selected_pieces(unit: IEUnit, page: Page, region: Span,
+                     unit_stats: UnitRunStats) -> List[object]:
+    """The splits of ``region`` the unit's key selects, as intervals
+    to extract; the others are skipped."""
+    extractor = unit.extractor
+    start = region.start
+    text = page.text[start:region.end]
+    pieces: List[object] = []
+    for lo, hi in split_bounds(extractor.splitter, text):
+        split = Interval(start + lo, start + hi)
+        if split_selected(extractor.splitter, extractor.split_key,
+                          text[lo:hi]):
+            pieces.append(split)
+        else:
+            _skip(unit, page, split, unit_stats)
+    return pieces
 
 
 def _extent_key(fields: Dict[str, object]) -> Tuple[int, int]:

@@ -14,10 +14,13 @@ A unit whose extractor declares a splitter
 recorded outputs of each q region are attributed to q's splits by
 extent containment; a split of p whose text equals a q split replays
 that split's outputs, and only the splits whose text is new are
-extracted. If a recorded output cannot be attributed to exactly one
-split (no span field, or an extent that crosses a split edge, which a
-split-correct extractor never records), the index has no splits and the
-unit's regions on this page take the matcher path instead.
+extracted. A split the extractor's key does not select
+(:func:`~repro.extractors.splitters.split_selected`) is skipped: it
+yields nothing, so it is neither looked up nor extracted. If a recorded
+output cannot be attributed to exactly one split (no span field, or an
+extent that crosses a split edge, which a split-correct extractor never
+records), the index has no splits and the unit's regions on this page
+take the matcher path instead.
 
 Why the answers are exact is written out in :mod:`repro.reuse.regions`
 (Theorem 1, the equal-region and split cases).
@@ -26,18 +29,22 @@ Why the answers are exact is written out in :mod:`repro.reuse.regions`
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..extractors.splitters import split_bounds, split_starts
+from ..extractors.splitters import split_bounds, split_selected, split_starts
 from .files import InputTuple, OutputTuple
 
 #: One recorded split: the q input it lies in, its start on q, and the
 #: outputs recorded inside it.
 RecordedSplit = Tuple[InputTuple, int, List[OutputTuple]]
 
+#: The answer for an unselected split: it yields nothing.
+SKIP: Tuple[()] = ()
+
 #: One stretch of a p region: its offsets in the region, and the
-#: recorded text it replays (None: extract it).
-Stretch = Tuple[int, int, Optional[RecordedSplit]]
+#: recorded text it replays (None: extract it; :data:`SKIP`: an
+#: unselected split, nothing to do).
+Stretch = Tuple[int, int, Union[None, Tuple[()], RecordedSplit]]
 
 
 class ReplayIndex:
@@ -46,16 +53,18 @@ class ReplayIndex:
     splitter, its recorded splits keyed the same way. Both maps are
     built on first use."""
 
-    __slots__ = ("q_text", "inputs", "outputs", "splitter", "_regions",
-                 "_splits")
+    __slots__ = ("q_text", "inputs", "outputs", "splitter", "key",
+                 "_regions", "_splits")
 
     def __init__(self, q_text: str, inputs: Sequence[InputTuple],
                  outputs: Dict[int, List[OutputTuple]],
-                 splitter: Optional[str]) -> None:
+                 splitter: Optional[str], key: Optional[str] = None
+                 ) -> None:
         self.q_text = q_text
         self.inputs = inputs
         self.outputs = outputs
         self.splitter = splitter
+        self.key = key
         self._regions: Optional[Dict[str, InputTuple]] = None
         self._splits: Optional[Dict[str, RecordedSplit]] = None
 
@@ -73,9 +82,10 @@ class ReplayIndex:
         """How an input region of p with text ``text`` is answered:
         ``("replay", [one stretch])`` when a recorded region has its
         text, ``("split", stretches)`` with one stretch per split for a
-        split-declared unit, or None (the region takes the matcher
-        path). The engine and the optimizer's cost statistics both
-        read this, so they apply one rule."""
+        split-declared unit (:data:`SKIP` for a split its key does not
+        select), or None (the region takes the matcher path). The
+        engine and the optimizer's cost statistics both read this, so
+        they apply one rule."""
         hit = self.region(text)
         if hit is not None:
             return "replay", [(0, len(text),
@@ -83,8 +93,13 @@ class ReplayIndex:
         recorded = self.splits()
         if recorded is None:
             return None
-        return "split", [(lo, hi, recorded.get(text[lo:hi]))
-                         for lo, hi in split_bounds(self.splitter, text)]
+        kind, key = self.splitter, self.key
+        stretches: List[Stretch] = []
+        for lo, hi in split_bounds(kind, text):
+            piece = text[lo:hi]
+            stretches.append((lo, hi, recorded.get(piece)
+                              if split_selected(kind, key, piece) else SKIP))
+        return "split", stretches
 
     def splits(self) -> Optional[Dict[str, RecordedSplit]]:
         """The recorded splits by text; None without a splitter or when

@@ -25,7 +25,7 @@ from repro.corpus.snapshot import snapshot_from_texts
 from repro.extractors import make_task
 from repro.extractors.base import Extraction, RelSpan
 from repro.extractors.library import ALL_TASKS
-from repro.extractors.splitters import split_bounds
+from repro.extractors.splitters import split_bounds, split_selected
 from repro.matchers.base import ST_NAME, UD_NAME
 from repro.plan import compile_program, find_units
 from repro.reuse.engine import PlanAssignment
@@ -139,11 +139,18 @@ SPLIT_UNITS = [(name, uid) for name, uid in UNITS
                    uid).splitter is not None]
 
 
+def _selected(extractor, split):
+    return split_selected(extractor.splitter, extractor.split_key, split)
+
+
 def _split_union(extractor, text):
-    """The extractions on each split of ``text``, placed in ``text``."""
+    """The extractions on each split of ``text`` the extractor's key
+    selects, placed in ``text``."""
     out = []
     for lo, hi in split_bounds(extractor.splitter, text):
-        out.extend(_placed(e, lo) for e in extractor.extract(text[lo:hi]))
+        if _selected(extractor, text[lo:hi]):
+            out.extend(_placed(e, lo)
+                       for e in extractor.extract(text[lo:hi]))
     return sorted(out, key=repr)
 
 
@@ -152,23 +159,57 @@ def _whole(extractor, text):
                   key=repr)
 
 
+#: Header respellings: the first two name the section once stripped,
+#: the others do not (no header at all, another name).
+RESPELLINGS = ("== {}  ==", "==  {} ==", "=={}==", "== {} ==X")
+
+#: The keys of the tasks' line extractors.
+LINE_KEYS = sorted({
+    x.split_key for x in (make_task(name, work_scale=0).registry.extractor(
+        uid) for name, uid in SPLIT_UNITS) if x.splitter == "line"})
+
+
 def _mutations(text, rng, count):
     """Texts made from ``text`` by inserting and deleting whole lines,
-    header lines among them, and by dropping the trailing newline or
-    every header."""
+    header lines among them, by dropping the trailing newline or every
+    header, and by the edits a split key must see through: headers
+    respelled or renamed, a header line moved into or out of a
+    section, and lines that gain or lose a line key."""
     lines = text.split("\n")
+    headers = [i for i, l in enumerate(lines) if l.startswith("== ")]
     out = [text.rstrip("\n"), text + "\n",
-           "\n".join(l for l in lines if not l.startswith("== "))]
+           "\n".join(l for l in lines if not l.startswith("== ")),
+           text.replace("== Filmography ==", "== Filmography  =="),
+           text.replace("== Filmography ==", "==Filmography=="),
+           text.replace("== Filmography ==", "== filmography ==")]
     inserts = ["== Filmography ==", "== Service ==", "== Awards ==",
-               "== Other ==", "", "x", lines[rng.randrange(len(lines))]]
+               "== Advising ==", "== Box office ==", "== Other ==",
+               "==  Awards ==", "== Service  ==", "", "x",
+               lines[rng.randrange(len(lines))]]
     for _ in range(count):
         edited = list(lines)
         for _ in range(rng.randint(1, 3)):
-            if edited and rng.random() < 0.5:
+            op = rng.random()
+            if edited and op < 0.3:
                 del edited[rng.randrange(len(edited))]
-            else:
+            elif op < 0.6:
                 edited.insert(rng.randrange(len(edited) + 1),
                               rng.choice(inserts + edited))
+            elif op < 0.7 and headers:
+                i = rng.choice(headers)
+                name = lines[i][3:-3].strip()
+                edited = [rng.choice(RESPELLINGS).format(name)
+                          if l == lines[i] else l for l in edited]
+            elif op < 0.8 and headers:
+                moved = lines[rng.choice(headers)]
+                if moved in edited:
+                    edited.remove(moved)
+                edited.insert(rng.randrange(len(edited) + 1), moved)
+            elif edited:
+                i = rng.randrange(len(edited))
+                key = rng.choice(LINE_KEYS)
+                edited[i] = (edited[i].replace(key, "", 1)
+                             if key in edited[i] else f"{edited[i]} {key}")
         out.append("\n".join(edited))
     return out
 
@@ -184,14 +225,17 @@ def test_split_units_are_listed():
                          ids=[uid for _, uid in SPLIT_UNITS])
 def test_whole_text_equals_the_union_over_splits(page_texts, task_name,
                                                  uid):
-    """Doleschal et al.'s split-correctness for the declared splitter:
-    on corpus pages, on their sections, and on line and header
-    insertions and deletions, the extractions on the whole text are
-    those on its splits, each shifted to where its split sits."""
+    """Doleschal et al.'s split-correctness for the declared splitter
+    and key: on corpus pages, on their sections, on line and header
+    insertions and deletions, and on header respellings, header moves
+    and key edits, the extractions on the whole text are those on its
+    selected splits, each shifted to where its split sits, and every
+    unselected split extracts nothing."""
     task = make_task(task_name, work_scale=0)
     extractor = task.registry.extractor(uid)
+    assert extractor.split_key is not None
     rng = random.Random(uid)
-    checked = 0
+    checked = skipped = 0
     for text in page_texts[task.corpus]:
         texts = [text, "", "\n", "no header, no newline"]
         texts += _mutations(text, rng, 8)
@@ -201,4 +245,10 @@ def test_whole_text_equals_the_union_over_splits(page_texts, task_name,
             want = _whole(extractor, sample)
             assert _split_union(extractor, sample) == want, (uid, sample)
             checked += len(want)
-    assert checked > 0
+            for lo, hi in split_bounds(extractor.splitter, sample):
+                if not _selected(extractor, sample[lo:hi]):
+                    assert extractor.extract(sample[lo:hi]) == [], (
+                        uid, sample[lo:hi])
+                    skipped += 1
+    # The key selects some splits and not others.
+    assert checked > 0 and skipped > 0

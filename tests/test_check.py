@@ -379,6 +379,36 @@ class TestFaultsAreCaught:
         assert not replay_bundle(path).ok
         assert active_fault() is None
 
+    def test_wrong_split_key_is_caught_shrunk_and_bundled(self, tmp_path):
+        """A header key test that compares names unstripped skips a
+        section headed ``== Filmography  ==``, which the extractor
+        extracts from. Only the fuzzer's header respellings make such a
+        header; the oracle catches the missing rows, and under
+        ``--check`` the re-extracted unselected split trips its
+        invariant."""
+        assert "wrong_split_key" in FAULT_NAMES
+        spec = FuzzSpec(seed=3, task="play", corpus="wikipedia")
+        assert run_case(spec).ok
+        with injected_fault("wrong_split_key"):
+            report = run_case(spec)
+            assert not report.ok
+            kinds = {d.kind for d in report.discrepancies()}
+            assert "results" in kinds and kinds <= {"results", "error"}
+            checked = run_case(spec, check=True)
+            assert any(d.location == "unselected-split-yields-nothing"
+                       for d in checked.discrepancies())
+            result = shrink_series(build_series(spec),
+                                   oracle_predicate(spec), report)
+        assert active_fault() is None
+        assert result.n_snapshots == 2 and result.n_pages == 1
+        path = write_bundle(str(tmp_path / "bundle"), result.series,
+                            task=spec.task, grid=spec.grid,
+                            report=result.report, spec=spec,
+                            fault="wrong_split_key")
+        assert load_bundle(path).fault == "wrong_split_key"
+        assert not replay_bundle(path).ok
+        assert active_fault() is None
+
     def test_shift_copied_caught_with_checking_enabled(self, play_task,
                                                        series):
         # The invariant layer must not mask the oracle: a sweep run
@@ -476,7 +506,7 @@ class TestFuzzer:
         """Across a handful of seeds the schedule must produce its
         adversarial shapes: fresh fuzz urls (rename/duplicate), blank
         pages, and non-ASCII text."""
-        fresh = blank = unicode_ = False
+        fresh = blank = unicode_ = respelled = False
         for seed in range(8):
             for snapshot in build_series(FuzzSpec(seed=seed,
                                                   n_snapshots=4)):
@@ -487,7 +517,9 @@ class TestFuzzer:
                         blank = True
                     if any(ord(ch) > 127 for ch in page.text):
                         unicode_ = True
-        assert fresh and blank and unicode_
+                    if "  ==\n" in page.text or "\n==  " in page.text:
+                        respelled = True
+        assert fresh and blank and unicode_ and respelled
 
     def test_spec_round_trip(self):
         assert FuzzSpec.from_dict(SPEC.as_dict()) == SPEC

@@ -252,11 +252,13 @@ class TestRules:
         counters = DeltaCounters()
         edited = "prefix edit\n" + PAGE
         pd.apply_page_text(state, edited, counters)
-        # The prefix edit changes the page, so extractBody re-runs once;
-        # it only shifts the body region, whose text extractName has
-        # already seen: its extractions replay at the new offsets.
-        assert counters.extractor_calls == 1
-        assert counters.memo_hits >= 1
+        # The prefix edit changes the page, but only in the text before
+        # the Body header, a split extractBody's key does not select:
+        # no extractor runs. The Body split and the body region it
+        # yields only shift, and their memoized extractions replay at
+        # the new offsets.
+        assert counters.extractor_calls == 0
+        assert counters.memo_hits >= 2
         want = plain_page_rows(plan, edited, "d0")
         assert set(pd.page_rows(state)["names"]) == want["names"]
         # Same-length edit before the section: the body region keeps
@@ -265,7 +267,7 @@ class TestRules:
         counters = DeltaCounters()
         pd.apply_page_text(state, edited.replace("intro", "intrA"),
                            counters)
-        assert counters.extractor_calls == 1
+        assert counters.extractor_calls == 0
         assert counters.rows_added == counters.rows_retracted == 0
 
     def test_ie_memo_holds_exactly_the_live_region_texts(self):

@@ -3,7 +3,8 @@ evolutions, the delta-maintained state equals from-scratch plain
 evaluation of the updated corpus — every generation, including
 multiplicity-zero cancellation (duplicate pages, deletions,
 resurrections) — and every IE memo holds exactly its page's live
-region texts."""
+region texts, or, for a split-declared extractor, its live selected
+split texts."""
 
 from collections import namedtuple
 
@@ -14,6 +15,7 @@ from repro.corpus.snapshot import snapshot_from_texts
 from repro.delta.maintain import DeltaMaintainer
 from repro.delta.rows import freeze_rows
 from repro.extractors.rules import RegexExtractor, SectionExtractor
+from repro.extractors.splitters import split_selected
 from repro.plan.compile import compile_program
 from repro.plan.operators import evaluate_plain
 from repro.xlog.parser import parse_program
@@ -87,8 +89,9 @@ corpora = st.dictionaries(st.sampled_from(URLS), texts,
 series_strategy = st.lists(corpora, min_size=1, max_size=5)
 
 #: Multi-line pages, so ``== Body ==`` can open a section whose region
-#: an edit before it shifts.
-LINE_TOKENS = TOKENS + ("\n== Body ==\n", "\n")
+#: an edit before it shifts, and ``== Other ==`` a split that
+#: ``extractBody``'s key does not select.
+LINE_TOKENS = TOKENS + ("\n== Body ==\n", "\n== Other ==\n", "\n")
 long_texts = st.lists(st.sampled_from(LINE_TOKENS), min_size=0,
                       max_size=12).map(lambda ls: " ".join(ls) + "\n")
 
@@ -167,10 +170,16 @@ def drive(plan, series):
         maintainer.apply(snap, diff, check=True)
         assert all(state.is_drained() for state in deleted), i
         for state in maintainer.states.values():
-            for ie_state in state.ie.values():
+            for index, ie_state in state.ie.items():
                 assert (set(ie_state.memo)
                         == set(ie_state.region_refs.support())), (
                     i, state.did)
+                # Unselected splits get no memo entry and no reference.
+                extractor = maintainer.plan_delta.nodes[index].extractor
+                if extractor.splitter is not None:
+                    assert all(split_selected(extractor.splitter,
+                                              extractor.split_key, text)
+                               for text in ie_state.memo), (i, state.did)
         tombstones |= set(diff.deleted)
         tombstones -= set(diff.resurrected)
         prev = cur

@@ -461,8 +461,9 @@ class TestReport:
 
     def test_metrics_report_shows_the_reuse_funnel(self):
         doc = _metrics_doc()
-        funnel = {"input_chars": 200, "replayed_chars": 150,
-                  "copy_zone_chars": 20, "extracted_chars": 30}
+        funnel = {"input_chars": 200, "replayed_chars": 120,
+                  "skipped_chars": 30, "copy_zone_chars": 20,
+                  "extracted_chars": 30}
         doc["systems"]["delex"]["snapshots"][0]["units"] = {
             "u1": {**funnel, "input_chars": 999}}      # bootstrap: skipped
         doc["systems"]["delex"]["snapshots"][1]["units"] = {"u1": funnel}
@@ -470,7 +471,8 @@ class TestReport:
         assert "reuse funnel — delex" in text
         row = next(line for line in text.splitlines()
                    if line.startswith("u1 ") and "200" in line)
-        assert row.split()[1:] == ["200", "0.750", "0.100", "0.150"]
+        assert row.split()[1:] == ["200", "0.600", "0.150", "0.100",
+                                   "0.150"]
         assert "reuse funnel" not in oreport.render_report(_metrics_doc())
 
     def test_trace_report(self):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.corpus import wikipedia_corpus
+from repro.corpus.snapshot import snapshot_from_texts
 from repro.extractors import make_task
 from repro.matchers.base import DN_NAME, RU_NAME, ST_NAME, UD_NAME
 from repro.optimizer.cost import (
@@ -297,6 +298,36 @@ class TestStatisticsCollection:
             assert off.units[u.uid].r == 0.0
             assert not off.units[u.uid].split
             assert set(off.units[u.uid].g) == {ST_NAME, UD_NAME}
+
+
+    def test_unselected_splits_are_priced_as_nothing(self, tmp_path):
+        """A page whose only edit is in its Biography section: the
+        changed split is one ``extractFilmSec``'s key does not select,
+        so the engine extracts none of that unit's input, and the
+        statistics price all of it at 0 (``r`` is 1)."""
+        task = make_task("play", work_scale=0)
+        plan = compile_program(task.program, task.registry)
+        units = find_units(plan)
+        text = ("Intro line.\n== Biography ==\nBorn in 1970.\n"
+                "== Filmography ==\nAna Lee starred as Kim in Red Sky "
+                "(1999).\n== Awards ==\nNone yet.\n")
+        edited = text.replace("Born in 1970.", "Born in 1971 in Rome.")
+        url = "http://wikipedia.example.org/page/00001"
+        snaps = [snapshot_from_texts(0, {url: text}),
+                 snapshot_from_texts(1, {url: edited})]
+        engine = ReuseEngine(plan, units, PlanAssignment.all_dn(units))
+        engine.run_snapshot(snaps[0], None, None, str(tmp_path / "0"))
+        run = engine.run_snapshot(snaps[1], snaps[0], str(tmp_path / "0"),
+                                  str(tmp_path / "1"))
+        film = run.unit_stats["extractFilmSec"]
+        assert film.extracted_chars == 0
+        assert film.skipped_chars == len(edited) - len(
+            edited[edited.index("== Filmography"):edited.index("== Aw")])
+        stats = collect_statistics(plan, units, snaps[1], snaps[:1],
+                                   sample_size=5, k_snapshots=1,
+                                   prev_capture_dir=str(tmp_path / "0"))
+        est = stats.units["extractFilmSec"]
+        assert est.split and est.r == 1.0
 
     def test_fast_paths_off_choose_the_papers_plan(self, tmp_path,
                                                    monkeypatch):

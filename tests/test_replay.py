@@ -140,10 +140,12 @@ def test_only_the_changed_split_is_extracted(tmp_path, names):
     r1 = _two_runs(tmp_path, names, {"u": BODY}, {"u": edited})
     stats = r1.unit_stats
     body = edited[edited.index("Ana"):edited.index("== Tail")]
-    # getBody (header splits): the Body section is new, the rest replays.
+    # getBody (header splits keyed on "Body"): the Body section is new;
+    # the rest is under no Body header, so it is skipped, not replayed.
     assert stats["getBody"].extracted_chars == len(
         "== Body ==\n") + len(body)
-    assert stats["getBody"].replayed_chars == len(edited) - len(
+    assert stats["getBody"].replayed_chars == 0
+    assert stats["getBody"].skipped_chars == len(edited) - len(
         "== Body ==\n") - len(body)
     # getFacts (line splits): one new line; the section was not matched.
     assert stats["getFacts"].extracted_chars == len("Bob likes chess!\n")
@@ -152,7 +154,32 @@ def test_only_the_changed_split_is_extracted(tmp_path, names):
     # extracted, never both replayed and extracted.
     assert stats["getWho"].replayed_chars == len("Ana likes tea.") + len(
         "Cat likes rain.")
-    assert r1.timings.fastpath.region_short_circuits >= 2 + 2 + 2
+    assert r1.timings.fastpath.region_short_circuits == 2 + 2
+
+
+def test_scratch_runs_extract_only_selected_splits(tmp_path):
+    """Without a recorded previous page (snapshot 0, a new page) a keyed
+    unit extracts only the splits its key selects; with the fast paths
+    off it extracts the whole region, with the same results."""
+    text = BODY + "Dan likes maps.\n"
+    body = text.index("== Body")
+    for fastpath in ("on", "off"):
+        plan, units, assignment = build_engine(["DN"] * 3)
+        engine = ReuseEngine(plan, units, assignment, fastpath=fastpath)
+        s0 = Snapshot(0, _pages({"u": text}))
+        r0 = engine.run_snapshot(s0, None, None, str(tmp_path / fastpath))
+        assert canonical_results(r0) == canonical_results(
+            NoReuseSystem(plan).process(s0))
+        stats = r0.unit_stats
+        if fastpath == "on":
+            body_split = text.index("== Tail") - body
+            assert stats["getBody"].extracted_chars == body_split
+            assert stats["getBody"].skipped_chars == len(text) - body_split
+        else:
+            assert stats["getBody"].extracted_chars == len(text)
+            assert stats["getBody"].skipped_chars == 0
+        # Every line of the Body section holds the key "likes".
+        assert stats["getFacts"].skipped_chars == 0
 
 
 def test_replay_is_a_fast_path(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from repro.corpus import wikipedia_corpus
 from repro.core.runner import run_series, verify_agreement
 from repro.extractors import MentionMultiplier, make_task, multiply_task_mentions
-from repro.extractors.rules import RegexExtractor
+from repro.extractors.rules import RegexExtractor, SectionExtractor
 
 
 def name_extractor():
@@ -35,6 +35,11 @@ class TestMentionMultiplier:
         wrapped = MentionMultiplier(inner, 2)
         assert wrapped.scope == inner.scope
         assert wrapped.context == inner.context
+
+    def test_inherits_splitter_and_split_key(self):
+        inner = SectionExtractor("sec", "v", "Body", scope=400)
+        wrapped = MentionMultiplier(inner, 2)
+        assert (wrapped.splitter, wrapped.split_key) == ("header", "Body")
 
     def test_copy_id_classified_as_scalar(self):
         wrapped = MentionMultiplier(name_extractor(), 2)
