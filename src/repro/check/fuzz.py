@@ -23,6 +23,11 @@ likely to get wrong:
   line that gains or loses a key of one of the task's line extractors.
   It runs once per transition, after the cycled kinds above.
 
+Each transition applies ``mutations_per_step`` consecutive kinds of
+the list above (wrapping), from an offset the case's rng draws, so
+every kind fires across a handful of seeds even when the series is
+shorter than the list.
+
 A case is fully determined by its :class:`FuzzSpec` — same seed, same
 series, same verdict — so every failure replays from a dict. The
 greedy shrinker minimizes a failing series along two axes (drop
@@ -225,9 +230,12 @@ def build_series(spec: FuzzSpec) -> List[Snapshot]:
         pages: Dict[str, str] = {p.url: p.text
                                  for p in snapshot.canonical_pages()}
         if i > 0:
-            # Snapshot 0 is the bootstrap; mutate every transition.
+            # Snapshot 0 is the bootstrap; mutate every transition,
+            # cycling the kinds from an offset the case's rng draws, so
+            # a short series still reaches every kind across seeds.
+            offset = rng.randrange(len(MUTATIONS))
             for j in range(spec.mutations_per_step):
-                kind = MUTATIONS[(i + j) % len(MUTATIONS)]
+                kind = MUTATIONS[(offset + j) % len(MUTATIONS)]
                 mutator.apply(pages, kind)
             mutator.apply(pages, "split_edit")
         series.append(snapshot_from_pages(i, pages))

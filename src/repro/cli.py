@@ -125,11 +125,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     # Observability setup (all off by default; zero hot-path cost).
     tracer = None
-    profiler = None
     if getattr(args, "trace_out", None):
         tracer = obs.trace.install(sample=args.trace_sample)
-    if getattr(args, "profile", "off") == "on":
-        profiler = obs.profile.install(top_k=args.top_pages)
     if getattr(args, "metrics_json", None):
         obs.registry.enable()
     try:
@@ -176,20 +173,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(line)
     if getattr(args, "metrics_json", None):
         obs_doc = {"registry": obs.REGISTRY.to_dict()}
-        if profiler is not None:
-            obs_doc["profile"] = profiler.to_dict()
         _dump_metrics_json(args.metrics_json, task, snapshots, systems,
                            reports, obs_doc=obs_doc)
         print(f"\nmetrics written to {args.metrics_json}")
     if tracer is not None:
+        from .obs.report import slowest_pages
+
         spans = tracer.export_chrome(args.trace_out)
         print(f"trace written to {args.trace_out} ({spans} spans; "
               "open at chrome://tracing or ui.perfetto.dev)")
-    if profiler is not None and not getattr(args, "metrics_json", None):
-        slow = profiler.slow_pages()[:3]
+        slow = slowest_pages(tracer.to_events(), 3)
         if slow:
             print("\nslowest pages: " + ", ".join(
-                f"{p['did']} ({p['seconds']:.3f}s)" for p in slow))
+                f"{did} ({seconds:.3f}s)" for did, seconds, _ in slow))
     obs.disable_all()
     if "noreuse" in systems:
         print("\nresult agreement:",
@@ -209,9 +205,9 @@ def _dump_metrics_json(path: str, task, snapshots, systems,
     counts — the same shapes the serving layer's ``/metrics`` endpoint
     exports — and, for the systems that write a capture, its byte
     counts under ``capture`` (appended, live, kept alive) and each
-    unit's reuse funnel under ``units``. ``obs_doc`` (the metrics registry dump and, when
-    profiling, the profiler dump) lands under the ``obs`` key — the
-    JSON superset of the Prometheus exposition.
+    unit's reuse funnel under ``units``. ``obs_doc`` (the metrics
+    registry dump) lands under the ``obs`` key — the JSON superset of
+    the Prometheus exposition.
     """
     import json
 
@@ -516,21 +512,14 @@ def build_parser() -> argparse.ArgumentParser:
                           "counters, and the obs metrics registry as "
                           "JSON to PATH")
     run.add_argument("--trace-out", default=None, metavar="PATH",
-                     help="record hierarchical spans (snapshot > page "
-                          "> unit > batch) and write a Chrome "
-                          "trace_event JSON file to PATH")
+                     help="record hierarchical spans (snapshot > "
+                          "batch > page > unit > matcher, each unit and "
+                          "matcher with wall/CPU seconds) and write a "
+                          "Chrome trace_event JSON file to PATH")
     run.add_argument("--trace-sample", type=float, default=1.0,
                      help="keep every 1/SAMPLE-th high-volume span "
                           "(pages, units, batches); snapshot spans are "
                           "always kept (default 1.0 = keep all)")
-    run.add_argument("--profile", default="off", choices=("on", "off"),
-                     help="per-IE-unit and per-matcher wall/CPU "
-                          "accounting plus a slowest-pages log; "
-                          "results are identical either way "
-                          "(default off)")
-    run.add_argument("--top-pages", type=int, default=10,
-                     help="slow-page log size for --profile "
-                          "(default 10)")
 
     check = sub.add_parser(
         "check", help="differential correctness sweep (fuzz + oracle)",
@@ -656,13 +645,13 @@ def build_parser() -> argparse.ArgumentParser:
         "obs", help="observability utilities",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="examples:\n"
-               "  repro run --task play --metrics-json m.json "
-               "--profile on\n"
+               "  repro run --task play --metrics-json m.json\n"
                "  repro obs report --metrics-json m.json\n"
-               "      (figure-11 decomposition table + slowest pages "
-               "/ costliest units)\n"
+               "      (figure-11 decomposition table + reuse funnel)\n"
                "  repro run --task play --trace-out t.json\n"
-               "  repro obs report --trace t.json")
+               "  repro obs report --trace t.json\n"
+               "      (slowest pages + per-unit and per-matcher "
+               "cost)")
     obs.add_argument("action", choices=("report",),
                      help="report: render a metrics-json or trace file")
     obs.add_argument("--metrics-json", default=None, metavar="PATH",

@@ -16,7 +16,6 @@ from abc import ABC, abstractmethod
 from dataclasses import replace
 from typing import Dict, List
 
-from ..obs import trace as _otrace
 from ..text.regions import MatchSegment
 from ..text.span import Interval
 
@@ -54,8 +53,6 @@ class Matcher(ABC):
         for itid, q_region in candidates.items():
             for seg in self.match(p_text, p_region, q_text, q_region):
                 out.append(replace(seg, q_itid=itid))
-        if _otrace.ENABLED:  # one module-attribute check when tracing off
-            _otrace.annotate(f"segments_{self.name}", len(out))
         return out
 
     def __repr__(self) -> str:

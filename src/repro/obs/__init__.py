@@ -1,4 +1,4 @@
-"""repro.obs — unified observability: metrics, tracing, profiling.
+"""repro.obs — unified observability: metrics and tracing.
 
 The measurement substrate for everything the paper's evaluation (and
 the ROADMAP's production north star) needs to *see*:
@@ -10,13 +10,15 @@ the ROADMAP's production north star) needs to *see*:
   (``repro serve`` → ``/metrics?format=prometheus``) and as a JSON
   superset (``repro run --metrics-json``).
 * :mod:`.trace` — hierarchical span tracing (snapshot → batch → page
-  → IE unit) with sampling, a bounded ring buffer, per-span attribute
-  bags, and Chrome ``trace_event`` export (``repro run --trace-out``).
-* :mod:`.profile` — opt-in per-IE-unit and per-matcher wall/CPU
-  accounting plus a top-K slowest-pages log (``repro run --profile``).
+  → IE unit → matcher call) with sampling, a bounded ring buffer that
+  counts its evictions, per-span attribute bags (each unit and matcher
+  event carries its wall and CPU seconds), and Chrome ``trace_event``
+  export (``repro run --trace-out``). It is the one per-page,
+  per-unit and per-matcher cost recorder.
 * :mod:`.report` — ``repro obs report``: render the Figure 11
-  decomposition table and the slowest pages/units from a metrics-json
-  or trace file.
+  decomposition table and the reuse funnel from a metrics-json file,
+  or the slowest pages and the per-unit and per-matcher cost tables
+  from a trace file.
 * :mod:`.util` — :func:`~repro.obs.util.safe_rate`, the shared guard
   every derived rate (pages/sec, qps, hit rates, utilization) routes
   through so zero/empty denominators yield 0.0 instead of raising or
@@ -24,21 +26,19 @@ the ROADMAP's production north star) needs to *see*:
 
 Zero-cost contract (the :mod:`repro.check.invariants` pattern): every
 instrumentation site guards on one module attribute
-(``registry.ENABLED`` / ``trace.ENABLED`` / ``profile.ENABLED``), all
-off by default; none of the recorded numbers feed back into
-execution, so extraction output is byte-identical with observability
-on or off (pinned by the obs test suite via the same canonical-result
+(``registry.ENABLED`` / ``trace.ENABLED``), both off by default;
+none of the recorded numbers feed back into execution, so extraction
+output is byte-identical with observability on or off (pinned by the obs test suite via the same canonical-result
 comparison the ``repro.check`` oracle uses).
 """
 
-from . import profile, registry, trace
+from . import registry, trace
 from .registry import REGISTRY, MetricsRegistry
 from .util import safe_rate
 
 __all__ = [
     "registry",
     "trace",
-    "profile",
     "REGISTRY",
     "MetricsRegistry",
     "safe_rate",
@@ -49,4 +49,3 @@ def disable_all() -> None:
     """Switch every obs layer off (test/CLI cleanup)."""
     registry.disable()
     trace.uninstall()
-    profile.uninstall()

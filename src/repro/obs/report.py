@@ -9,10 +9,10 @@ Takes either a ``repro run --metrics-json`` document or a
 * per reusing system and IE unit, the reuse funnel over the reuse
   snapshots: input chars, then the shares replayed (text the unit
   recorded on the previous page), inside matcher copy zones and
-  re-extracted (metrics-json only), and
-* the slowest pages and costliest IE units / matchers, from the
-  embedded profile section (metrics-json) or by aggregating spans
-  (trace file).
+  re-extracted (metrics-json), and
+* the slowest pages and the per-unit and per-matcher cost tables
+  (calls, wall and CPU seconds), aggregated from the trace's ``page``
+  spans and ``unit`` and ``matcher`` events (trace file).
 
 Pure functions over plain dicts — the CLI wires files in, the tests
 feed dicts directly.
@@ -21,7 +21,7 @@ feed dicts directly.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 FIG11_COLUMNS = ("match", "extraction", "copy", "opt", "io", "others",
                  "total")
@@ -64,7 +64,7 @@ def _secs(value: float) -> str:
 
 # -- metrics-json rendering -------------------------------------------------
 
-def render_metrics_report(doc: Dict[str, Any], top: int = 10) -> str:
+def render_metrics_report(doc: Dict[str, Any]) -> str:
     """Human report from a ``--metrics-json`` document."""
     out: List[str] = []
     task = doc.get("task", "?")
@@ -89,10 +89,6 @@ def render_metrics_report(doc: Dict[str, Any], top: int = 10) -> str:
             out.append(f"## reuse funnel — {system} (chars over reuse "
                        "snapshots)")
             out.append(funnel)
-    profile = (doc.get("obs") or {}).get("profile")
-    if profile:
-        out.append("")
-        out.extend(_render_profile(profile, top))
     return "\n".join(out) + "\n"
 
 
@@ -134,46 +130,6 @@ def _system_overlap(system_doc: Dict[str, Any]) -> float:
     return total
 
 
-def _render_profile(profile: Dict[str, Any], top: int) -> List[str]:
-    out: List[str] = []
-    slow = profile.get("slow_pages", [])[:top]
-    if slow:
-        out.append(f"## slowest pages (top {len(slow)} of "
-                   f"{profile.get('pages_seen', '?')} seen)")
-        out.append(_table(
-            ["page", "seconds"],
-            [[str(p.get("did", "?")), _secs(p.get("seconds", 0.0))]
-             for p in slow]))
-        out.append("")
-    units = profile.get("units", {})
-    if units:
-        ranked = sorted(units.items(),
-                        key=lambda kv: -kv[1].get("wall_seconds", 0.0))
-        out.append(f"## costliest IE units (top {min(top, len(ranked))})")
-        out.append(_table(
-            ["unit", "calls", "wall_s", "cpu_s", "mean_ms"],
-            [[uid, str(acc.get("calls", 0)),
-              _secs(acc.get("wall_seconds", 0.0)),
-              _secs(acc.get("cpu_seconds", 0.0)),
-              f"{1000 * acc.get('mean_wall_seconds', 0.0):.2f}"]
-             for uid, acc in ranked[:top]]))
-        out.append("")
-    matchers = profile.get("matchers", {})
-    if matchers:
-        ranked = sorted(matchers.items(),
-                        key=lambda kv: -kv[1].get("wall_seconds", 0.0))
-        out.append("## matcher cost")
-        out.append(_table(
-            ["matcher", "calls", "wall_s", "cpu_s"],
-            [[name, str(acc.get("calls", 0)),
-              _secs(acc.get("wall_seconds", 0.0)),
-              _secs(acc.get("cpu_seconds", 0.0))]
-             for name, acc in ranked[:top]]))
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 # -- trace rendering --------------------------------------------------------
 
 def render_trace_report(doc: Dict[str, Any], top: int = 10) -> str:
@@ -186,11 +142,15 @@ def render_trace_report(doc: Dict[str, Any], top: int = 10) -> str:
         out.append(f"(sampling dropped "
                    f"{other['spans_dropped_by_sampling']} spans; "
                    f"sample={other.get('sample')})")
+    if other.get("spans_evicted"):
+        out.append(f"WARNING: the ring buffer (capacity "
+                   f"{other.get('capacity')}) evicted the "
+                   f"{other['spans_evicted']} oldest spans; the tables "
+                   "below cover only the tail of the run")
     out.append("")
     by_cat: Dict[str, List[float]] = {}
     for e in events:
-        by_cat.setdefault(e.get("cat", "?"), []).append(
-            float(e.get("dur", 0.0)) / 1e6)
+        by_cat.setdefault(e.get("cat", "?"), []).append(_dur(e))
     out.append("## span categories")
     rows = []
     for cat in sorted(by_cat, key=lambda c: -sum(by_cat[c])):
@@ -198,32 +158,69 @@ def render_trace_report(doc: Dict[str, Any], top: int = 10) -> str:
         rows.append([cat, str(len(durs)), _secs(sum(durs)),
                      f"{1000 * sum(durs) / len(durs):.2f}"])
     out.append(_table(["category", "spans", "total_s", "mean_ms"], rows))
-    pages = sorted((e for e in events if e.get("cat") == "page"),
-                   key=lambda e: -float(e.get("dur", 0.0)))[:top]
+    pages = slowest_pages(events, top)
     if pages:
         out.append("")
         out.append(f"## slowest pages (top {len(pages)})")
         out.append(_table(
             ["page", "seconds", "attrs"],
-            [[str(e.get("args", {}).get("did", e.get("name", "?"))),
-              _secs(float(e.get("dur", 0.0)) / 1e6),
-              _brief_args(e.get("args", {}))]
-             for e in pages]))
-    units: Dict[str, List[float]] = {}
-    for e in events:
-        if e.get("cat") == "unit":
-            uid = str(e.get("args", {}).get("uid", e.get("name", "?")))
-            units.setdefault(uid, []).append(
-                float(e.get("dur", 0.0)) / 1e6)
+            [[did, _secs(seconds), _brief_args(e.get("args", {}))]
+             for did, seconds, e in pages]))
+    units = _costs(events, "unit", "uid")
     if units:
         out.append("")
-        ranked = sorted(units.items(), key=lambda kv: -sum(kv[1]))
-        out.append(f"## costliest IE units (top {min(top, len(ranked))})")
+        out.append(f"## costliest IE units (top {min(top, len(units))})")
         out.append(_table(
-            ["unit", "spans", "total_s"],
-            [[uid, str(len(durs)), _secs(sum(durs))]
-             for uid, durs in ranked[:top]]))
+            ["unit", "calls", "wall_s", "cpu_s", "mean_ms"],
+            [[uid, str(acc["calls"]), _secs(acc["wall"]),
+              _secs(acc["cpu"]),
+              f"{1000 * acc['wall'] / acc['calls']:.2f}"]
+             for uid, acc in units[:top]]))
+    matchers = _costs(events, "matcher", "matcher")
+    if matchers:
+        out.append("")
+        out.append("## matcher cost (calls: one per candidate region)")
+        out.append(_table(
+            ["matcher", "calls", "wall_s", "cpu_s", "segments"],
+            [[name, str(acc["candidates"]), _secs(acc["wall"]),
+              _secs(acc["cpu"]), str(acc["segments"])]
+             for name, acc in matchers[:top]]))
     return "\n".join(out) + "\n"
+
+
+def _dur(event: Dict[str, Any]) -> float:
+    """An event's duration in seconds."""
+    return float(event.get("dur", 0.0)) / 1e6
+
+
+def slowest_pages(events: Sequence[Dict[str, Any]], top: int
+                  ) -> List[Tuple[str, float, Dict[str, Any]]]:
+    """``(did, seconds, event)`` of the ``top`` longest ``page``
+    spans, slowest first."""
+    pages = sorted((e for e in events if e.get("cat") == "page"),
+                   key=lambda e: -_dur(e))[:top]
+    return [(str(e.get("args", {}).get("did", e.get("name", "?"))),
+             _dur(e), e) for e in pages]
+
+
+def _costs(events: Sequence[Dict[str, Any]], cat: str, key: str
+           ) -> List[Tuple[str, Dict[str, float]]]:
+    """Per ``args[key]`` over the ``cat`` events: event count, summed
+    wall seconds and summed ``cpu``, ``candidates`` and ``segments``
+    args; costliest (wall) first."""
+    sums: Dict[str, Dict[str, float]] = {}
+    for e in events:
+        if e.get("cat") != cat:
+            continue
+        args = e.get("args", {})
+        acc = sums.setdefault(str(args.get(key, e.get("name", "?"))), {
+            "calls": 0, "wall": 0.0, "cpu": 0.0, "candidates": 0,
+            "segments": 0})
+        acc["calls"] += 1
+        acc["wall"] += _dur(e)
+        for arg in ("cpu", "candidates", "segments"):
+            acc[arg] += args.get(arg, 0)
+    return sorted(sums.items(), key=lambda kv: -kv[1]["wall"])
 
 
 def _brief_args(args: Dict[str, Any]) -> str:
@@ -239,7 +236,7 @@ def render_report(doc: Dict[str, Any], top: int = 10) -> str:
     if kind == "trace":
         return render_trace_report(doc, top=top)
     if kind == "metrics":
-        return render_metrics_report(doc, top=top)
+        return render_metrics_report(doc)
     raise ValueError(
         "unrecognized document: expected a `repro run --metrics-json` "
         "file (has 'systems') or a `--trace-out` Chrome trace "

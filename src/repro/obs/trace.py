@@ -2,28 +2,27 @@
 
 One :class:`Tracer` per process (installed with :func:`install`,
 removed with :func:`uninstall`). The span hierarchy mirrors the
-execution hierarchy — snapshot → page batch → page → IE unit — and
-every span carries an attribute bag (matcher chosen, rows copied,
-memo hits) so a single trace explains *why* a snapshot was slow.
+execution hierarchy — snapshot → page batch → page → IE unit →
+matcher call — and every span carries an attribute bag (matcher
+chosen, rows copied, CPU seconds, segments found) so a single trace
+explains *why* a snapshot was slow, and ``repro obs report`` reads
+its per-page, per-unit and per-matcher cost tables from it.
 
 Zero-cost contract: every instrumentation site guards with the
 module-level :data:`ENABLED` flag — one attribute load per site when
 tracing is off, exactly the :mod:`repro.check.invariants` pattern —
 and the hot per-candidate/per-segment loops are never touched at all.
-Three site shapes:
+Two site shapes:
 
 * ``with trace.span(...)`` — context-manager spans for the coarse
-  levels (snapshot, page); these maintain the per-thread active-span
-  stack that :func:`annotate` targets.
+  levels (snapshot, page).
 * ``trace.event(name, start=, dur=)`` — a completed span recorded
   after the fact, for sites that already measure their own duration
-  (unit runs, executor batches). No stack bookkeeping.
-* ``trace.annotate(key, amount)`` — accumulate a numeric attribute on
-  the innermost active span of the calling thread (memo hit/miss,
-  regions copied).
+  (unit runs, matcher calls, executor batches).
 
 The ring buffer is bounded (default 65536 spans — the oldest spans
-fall off, the trace stays a fixed-size tail). ``sample`` keeps every
+fall off, the trace stays a fixed-size tail, and the export counts
+them as ``spans_evicted``). ``sample`` keeps every
 ``1/sample``-th span of the high-volume categories (``page``,
 ``unit``, ``batch``, ``matcher``); structural categories
 (``snapshot``, ``serve``) are always kept. Export is the Chrome
@@ -110,16 +109,11 @@ class _ActiveSpan:
 
     def __enter__(self) -> "_ActiveSpan":
         self.start = time.perf_counter()
-        self.tracer._stack().append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        end = time.perf_counter()
-        stack = self.tracer._stack()
-        if stack and stack[-1] is self:
-            stack.pop()
         self.tracer._record(self.name, self.cat, self.start,
-                            end - self.start, self.args)
+                            time.perf_counter() - self.start, self.args)
 
 
 class Tracer:
@@ -137,20 +131,14 @@ class Tracer:
         self.keep_every = max(1, round(1.0 / sample))
         self.records: Deque[SpanRecord] = deque(maxlen=capacity)
         self.dropped = 0
+        #: Kept spans the full ring pushed out (oldest first).
+        self.evicted = 0
         self._seen = 0
         self._lock = threading.Lock()
-        self._local = threading.local()
         self._epoch = time.perf_counter()
         self._epoch_wall = time.time()
 
     # -- span lifecycle ----------------------------------------------------
-
-    def _stack(self) -> List[_ActiveSpan]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
 
     def span(self, name: str, cat: str = "repro",
              **attrs: Any) -> _ActiveSpan:
@@ -161,14 +149,6 @@ class Tracer:
         """Record an already-measured span (``perf_counter`` seconds)."""
         self._record(name, cat, start, dur, dict(attrs))
 
-    def annotate(self, key: str, amount: float = 1) -> None:
-        """Accumulate a numeric attribute on the innermost active span."""
-        stack = self._stack()
-        if not stack:
-            return
-        args = stack[-1].args
-        args[key] = args.get(key, 0) + amount
-
     def _record(self, name: str, cat: str, start: float, dur: float,
                 args: Dict[str, Any]) -> None:
         with self._lock:
@@ -177,9 +157,15 @@ class Tracer:
                     and self._seen % self.keep_every != 0):
                 self.dropped += 1
                 return
-            self.records.append(SpanRecord(
+            self._append(SpanRecord(
                 name=name, cat=cat, start=start, dur=dur,
                 tid=threading.get_ident(), args=args))
+
+    def _append(self, record: SpanRecord) -> None:
+        # Caller holds the lock.
+        if len(self.records) == self.capacity:
+            self.evicted += 1
+        self.records.append(record)
 
     def merge(self, other: "Tracer", tid: int) -> None:
         """Append the spans ``other`` kept (a process worker's tracer,
@@ -188,20 +174,19 @@ class Tracer:
         with self._lock:
             for record in other.records:
                 record.tid = tid
-                self.records.append(record)
+                self._append(record)
             self.dropped += other.dropped
+            self.evicted += other.evicted
 
     def __getstate__(self) -> Dict[str, Any]:
-        # A worker's tracer travels back to the parent: no lock, no
-        # thread-local span stack.
+        # A worker's tracer travels back to the parent without its lock.
         state = self.__dict__.copy()
-        del state["_lock"], state["_local"]
+        del state["_lock"]
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
-        self._local = threading.local()
 
     def __len__(self) -> int:
         return len(self.records)
@@ -238,6 +223,7 @@ class Tracer:
                 "sample": self.sample,
                 "capacity": self.capacity,
                 "spans_dropped_by_sampling": self.dropped,
+                "spans_evicted": self.evicted,
                 "epoch_unix_seconds": self._epoch_wall,
             },
         }
@@ -280,8 +266,3 @@ def event(name: str, cat: str, start: float, dur: float,
     if tracer is not None:
         tracer.event(name, cat, start, dur, **attrs)
 
-
-def annotate(key: str, amount: float = 1) -> None:
-    tracer = TRACER
-    if tracer is not None:
-        tracer.annotate(key, amount)

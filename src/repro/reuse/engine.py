@@ -63,7 +63,6 @@ from ..fastpath.memo import MatchMemo
 from ..fastpath.stats import FastPathStats
 from ..matchers.base import DN_NAME, RU_NAME, MatchCache, Matcher
 from ..matchers.registry import make_matcher
-from ..obs import profile as _oprof
 from ..obs import trace as _otrace
 from ..plan.compile import CompiledPlan
 from ..plan.operators import Node, TupleRow, plan_walker
@@ -345,12 +344,12 @@ class PageEvaluator:
         can_match = matcher_name != DN_NAME and bool(prev_inputs)
         ctx = EvalContext(page.text, page.did)
 
-        # Opt-in observability (off by default: one module-attribute
-        # check per unit run). Wall/CPU per unit feeds `repro obs
-        # report`; the unit span carries the matcher chosen and the
-        # copy/fresh split so a trace explains where the time went.
-        _obs = _oprof.ENABLED or _otrace.ENABLED
-        if _obs:
+        # Opt-in tracing (off by default: one module-attribute check
+        # per unit run). The unit event carries wall/CPU, the matcher
+        # chosen and the copy/fresh split, so a trace explains where
+        # the time went and `repro obs report` tabulates it per unit.
+        _traced = _otrace.ENABLED
+        if _traced:
             _w0 = time.perf_counter()
             _c0 = time.process_time()
             _copied0 = unit_stats.copied_tuples
@@ -359,7 +358,7 @@ class PageEvaluator:
                                 min_length=min_match_length(unit.beta))
                    if can_match else None)
         # Distinct paths the input rows took, for the unit trace event.
-        paths: Optional[List[str]] = [] if _otrace.ENABLED else None
+        paths: Optional[List[str]] = [] if _traced else None
 
         out_rows: List[TupleRow] = []
         for row in input_rows:
@@ -412,18 +411,15 @@ class PageEvaluator:
                     out_rows.append(dict(ext))
                 else:
                     out_rows.append({**row, **ext})
-        if _obs:
-            _wall = time.perf_counter() - _w0
-            if _oprof.ENABLED:
-                _oprof.record_unit(unit.uid, _wall,
-                                   time.process_time() - _c0)
-            if _otrace.ENABLED:
-                _otrace.event("unit", cat="unit", start=_w0, dur=_wall,
-                              uid=unit.uid, matcher=matcher_name,
-                              path="+".join(paths or ()),
-                              rows_in=len(input_rows),
-                              rows_out=len(out_rows),
-                              copied=unit_stats.copied_tuples - _copied0)
+        if _traced:
+            _otrace.event("unit", cat="unit", start=_w0,
+                          dur=time.perf_counter() - _w0, uid=unit.uid,
+                          cpu=time.process_time() - _c0,
+                          matcher=matcher_name,
+                          path="+".join(paths or ()),
+                          rows_in=len(input_rows),
+                          rows_out=len(out_rows),
+                          copied=unit_stats.copied_tuples - _copied0)
         if _inv.ENABLED:
             # --check layer: every span the unit emits stays inside
             # the page it was emitted for.
@@ -441,7 +437,8 @@ class PageEvaluator:
         recorded regions on ``q_page``, copy what (α, β) makes safe and
         re-extract the rest."""
         candidates = {pi.tid: pi for pi in prev_inputs}
-        if _oprof.ENABLED:
+        _traced = _otrace.ENABLED
+        if _traced:
             _m0 = time.perf_counter()
             _mc0 = time.process_time()
         with timer.measure(MATCH):
@@ -453,9 +450,15 @@ class PageEvaluator:
                 # Fresh matching work (ST/UD/plug-ins like WS) is
                 # recorded for RU units to recycle.
                 cache.record(segments)
-        if _oprof.ENABLED:
-            _oprof.record_matcher(matcher.name, time.perf_counter() - _m0,
-                                  time.process_time() - _mc0)
+        if _traced:
+            # One event per region matched; each candidate is one
+            # matcher call, as in `UnitRunStats.matcher_calls`.
+            _otrace.event("matcher", cat="matcher", start=_m0,
+                          dur=time.perf_counter() - _m0,
+                          matcher=matcher.name,
+                          cpu=time.process_time() - _mc0,
+                          candidates=len(candidates),
+                          segments=len(segments))
         with timer.measure(COPY):
             derivation = derive_reuse(
                 region.interval, page.did, segments, candidates,
@@ -593,8 +596,6 @@ def _evaluate_page(evaluator: PageEvaluator, page: Page,
     """The one per-page body: run the plan with reuse, return the
     materialized rows per relation and the page's recorded capture."""
     recorder = PageRecorder()
-    if _oprof.ENABLED:
-        _p0 = time.perf_counter()
     with (_otrace.span("page", cat="page", did=page.did,
                        paired=q_page is not None, recycled=False)
           if _otrace.ENABLED else _otrace.NULL):
@@ -602,8 +603,6 @@ def _evaluate_page(evaluator: PageEvaluator, page: Page,
                                        recorder, stats, timer,
                                        cache=MatchCache(),
                                        fp_stats=fp_stats)
-    if _oprof.ENABLED:
-        _oprof.record_page(page.did, time.perf_counter() - _p0)
     return ({rel: materialize_rows(rows, page.text)
              for rel, rows in page_rows.items()}, recorder.groups())
 

@@ -24,11 +24,10 @@ breaks the pool. The run does not fail: every item without a result
 is run inline in the parent, which under fork already holds ``fn``
 and ``state``, so the answer is the serial one, only slower.
 
-When :mod:`repro.obs.trace` or :mod:`repro.obs.profile` is enabled in
-the parent, a forked worker inherits the switch. Each item then
-records into a fresh worker-side tracer and profiler, returns them
-with its value, and the parent merges them into its own, so a process
-run traces and profiles its units like a serial one.
+When :mod:`repro.obs.trace` is enabled in the parent, a forked worker
+inherits the switch. Each item then records into a fresh worker-side
+tracer, returns it with its value, and the parent merges its spans
+into its own, so a process run traces its units like a serial one.
 
 The auto-chooser (:func:`choose_backend`) picks between them using a
 blackbox *cost hint* — the task's maximum emulated ``work_factor`` —
@@ -46,7 +45,6 @@ from abc import ABC, abstractmethod
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..obs import profile as _oprof
 from ..obs import trace as _otrace
 
 BACKEND_NAMES = ("auto", "serial", "process")
@@ -84,30 +82,24 @@ def _timed_call(fn: Callable[[Any, Any], Any], state: Any,
 def _run_installed(item: Any) -> Tuple[float, Any, Any]:
     """One item in a pool worker: ``(seconds, value, observed)``.
 
-    ``observed`` is None unless tracing or profiling was on when the
-    worker was forked; then it is ``(pid, tracer, profiler)``, fresh
-    recorders that saw this item only.
+    ``observed`` is None unless tracing was on when the worker was
+    forked; then it is ``(pid, tracer)``, a fresh tracer that saw this
+    item only.
     """
     assert _WORKER_FN is not None, "worker pool not initialized"
-    if not (_otrace.ENABLED or _oprof.ENABLED):
-        return _timed_call(_WORKER_FN, _WORKER_STATE, item) + (None,)
     tracer = _otrace.TRACER
-    if tracer is not None:
-        tracer = _otrace.install(tracer.capacity, tracer.sample)
-    profiler = _oprof.PROFILER
-    if profiler is not None:
-        profiler = _oprof.install(profiler.top_k)
+    if tracer is None:
+        return _timed_call(_WORKER_FN, _WORKER_STATE, item) + (None,)
+    tracer = _otrace.install(tracer.capacity, tracer.sample)
     seconds, value = _timed_call(_WORKER_FN, _WORKER_STATE, item)
-    return seconds, value, (os.getpid(), tracer, profiler)
+    return seconds, value, (os.getpid(), tracer)
 
 
 def _merge_observed(observed: Any) -> None:
-    """Fold one worker item's spans and accounting into the parent's."""
-    pid, tracer, profiler = observed
-    if tracer is not None and _otrace.TRACER is not None:
+    """Fold one worker item's spans into the parent's tracer."""
+    pid, tracer = observed
+    if _otrace.TRACER is not None:
         _otrace.TRACER.merge(tracer, tid=pid)
-    if profiler is not None and _oprof.PROFILER is not None:
-        _oprof.PROFILER.merge(profiler)
 
 
 class Executor(ABC):

@@ -178,8 +178,7 @@ class MaterializedView:
     """One registered task, maintained incrementally and served."""
 
     def __init__(self, config: ViewConfig, workdir: str,
-                 task: Optional[IETask] = None,
-                 lazy_index: bool = False) -> None:
+                 task: Optional[IETask] = None) -> None:
         self.config = config
         self.workdir = workdir
         os.makedirs(workdir, exist_ok=True)
@@ -188,12 +187,8 @@ class MaterializedView:
         self.task: IETask = task if task is not None else make_task(
             config.task, work_scale=config.work_scale)
         self.plan = compile_program(self.task.program, self.task.registry)
-        #: ``lazy_index`` (the sharded tier) defers the relation-index
-        #: rebuild from the apply path to the first reader; the
-        #: published rows are byte-identical either way.
-        self.store = TupleStore(
-            config.name, self.plan.program.head_relations(),
-            lazy_index=lazy_index)
+        self.store = TupleStore(config.name,
+                                self.plan.program.head_relations())
         self._system = None
         self._delta: Optional[DeltaMaintainer] = None
         if config.system == "delex":
@@ -527,15 +522,13 @@ class ViewRegistry:
         self._lock = threading.Lock()
         self._views: Dict[str, MaterializedView] = {}
 
-    def register(self, config: ViewConfig,
-                 lazy_index: bool = False) -> MaterializedView:
+    def register(self, config: ViewConfig) -> MaterializedView:
         with self._lock:
             if config.name in self._views:
                 raise ValueError(f"view {config.name!r} already "
                                  "registered")
             view = MaterializedView(
-                config, os.path.join(self.workdir, config.name),
-                lazy_index=lazy_index)
+                config, os.path.join(self.workdir, config.name))
             self._views[config.name] = view
             return view
 

@@ -23,6 +23,7 @@ from repro.check.faults import (
     injected_fault,
 )
 from repro.check.fuzz import (
+    MUTATIONS,
     FuzzSpec,
     build_series,
     oracle_predicate,
@@ -387,7 +388,7 @@ class TestFaultsAreCaught:
         ``--check`` the re-extracted unselected split trips its
         invariant."""
         assert "wrong_split_key" in FAULT_NAMES
-        spec = FuzzSpec(seed=3, task="play", corpus="wikipedia")
+        spec = FuzzSpec(seed=0, task="play", corpus="wikipedia")
         assert run_case(spec).ok
         with injected_fault("wrong_split_key"):
             report = run_case(spec)
@@ -438,7 +439,9 @@ class TestShrinking:
     def test_shrinker_on_synthetic_predicate(self, series):
         """Pure-shrinker test: failure iff a specific page survives in
         at least 2 snapshots — the minimum must be exactly that page."""
-        target = series[0].pages[0].url
+        # A url every snapshot keeps, so the full series fails.
+        target = min(set.intersection(*({p.url for p in s.pages}
+                                         for s in series)))
 
         def failing(candidate):
             hits = sum(1 for s in candidate
@@ -520,6 +523,24 @@ class TestFuzzer:
                     if "  ==\n" in page.text or "\n==  " in page.text:
                         respelled = True
         assert fresh and blank and unicode_ and respelled
+
+    def test_every_mutation_kind_fires_under_the_default_spec(
+            self, monkeypatch):
+        """`repro check` runs 3-snapshot, 4-mutation cases: over
+        seeds 0-4 each of the cycled kinds must still be applied."""
+        from repro.check import fuzz
+
+        applied = set()
+        apply = fuzz._SeriesMutator.apply
+
+        def counting(self, pages, kind):
+            applied.add(kind)
+            return apply(self, pages, kind)
+
+        monkeypatch.setattr(fuzz._SeriesMutator, "apply", counting)
+        for seed in range(5):
+            build_series(FuzzSpec(seed=seed))
+        assert set(MUTATIONS) <= applied
 
     def test_spec_round_trip(self):
         assert FuzzSpec.from_dict(SPEC.as_dict()) == SPEC

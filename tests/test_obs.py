@@ -1,10 +1,10 @@
-"""repro.obs — registry, tracer, profiler, report, and the zero-cost
-contract.
+"""repro.obs — registry, tracer, report, and the zero-cost contract.
 
-Pins the PR's acceptance properties: the Prometheus exposition is
+Pins the layer's acceptance properties: the Prometheus exposition is
 well-formed (no duplicate samples, no nan, counters non-negative),
-the trace export is a loadable Chrome ``trace_event`` document, the
-profiler's slow-page heap keeps exactly the K slowest, and — the big
+the trace export is a loadable Chrome ``trace_event`` document that
+counts what its ring evicted, the trace report's per-unit and
+per-matcher tables add up to what the engine counted, and — the big
 one — extraction output is byte-identical with every obs layer on or
 off.
 """
@@ -21,7 +21,6 @@ import tempfile
 import pytest
 
 from repro import obs
-from repro.obs import profile as oprof
 from repro.obs import registry as oreg
 from repro.obs import report as oreport
 from repro.obs import trace as otrace
@@ -269,36 +268,17 @@ class TestPublish:
 
 
 class TestTracer:
-    def test_span_nesting_and_annotate(self):
-        tracer = otrace.install()
-        with otrace.span("snap", cat="snapshot", index=3):
-            with otrace.span("pg", cat="page", did="p1"):
-                otrace.annotate("memo_hits")
-                otrace.annotate("memo_hits")
-                otrace.annotate("copied", 5)
-        otrace.uninstall()
-        records = {r.name: r for r in tracer.records}
-        assert records["pg"].args == {"did": "p1", "memo_hits": 2,
-                                      "copied": 5}
-        assert records["snap"].args["index"] == 3
-        assert records["pg"].dur >= 0
-
     def test_event_records_given_duration(self):
         tracer = otrace.install()
         otrace.event("unit", cat="unit", start=10.0, dur=0.25, uid="u1")
         assert tracer.records[0].dur == 0.25
         assert tracer.records[0].args["uid"] == "u1"
 
-    def test_annotate_without_active_span_is_noop(self):
-        otrace.install()
-        otrace.annotate("orphan")  # must not raise
-
     def test_disabled_facade_is_noop(self):
         assert otrace.span("x") is otrace.NULL
         with otrace.NULL as sp:
             sp.set("k", 1)
         otrace.event("x", cat="c", start=0, dur=0)
-        otrace.annotate("k")
 
     def test_sampling_keeps_structural_categories(self):
         tracer = otrace.install(sample=0.25)
@@ -319,6 +299,21 @@ class TestTracer:
         assert len(tracer) == 16
         # The tail survives, the head fell off.
         assert tracer.records[-1].name == "e99"
+        assert tracer.evicted == 84
+
+    def test_evictions_are_exported_and_reported(self, tmp_path):
+        tracer = otrace.install(capacity=4)
+        for i in range(10):
+            tracer.event("unit", cat="unit", start=i, dur=0.1, uid="u")
+        path = str(tmp_path / "trace.json")
+        tracer.export_chrome(path)
+        doc = oreport.load_document(path)
+        assert doc["otherData"]["spans_evicted"] == 6
+        text = oreport.render_report(doc)
+        assert "WARNING: the ring buffer (capacity 4) evicted the 6 " \
+            "oldest spans" in text
+        doc["otherData"]["spans_evicted"] = 0
+        assert "WARNING" not in oreport.render_report(doc)
 
     def test_export_chrome_document(self, tmp_path):
         tracer = otrace.install()
@@ -352,8 +347,21 @@ class TestTracer:
         units = [r for r in parent.records if r.cat == "unit"]
         assert len(units) == 2 and {r.tid for r in units} == {4242}
         assert parent.dropped == 2
-        with otrace.Tracer().span("x"):  # the lock and stack came back
+        with otrace.Tracer().span("x"):  # the lock came back
             pass
+
+    def test_merge_counts_evictions(self):
+        parent = otrace.Tracer(capacity=3)
+        for i in range(2):
+            parent.event("snapshot", "snapshot", start=i, dur=1.0)
+        worker = otrace.Tracer(capacity=2)
+        for i in range(3):
+            worker.event("unit", "unit", start=0.1 * i, dur=0.05)
+        assert worker.evicted == 1
+        # The worker's 2 kept spans push 1 out of the parent's ring;
+        # the parent also takes over the worker's own eviction.
+        parent.merge(worker, tid=1)
+        assert len(parent) == 3 and parent.evicted == 1 + 1
 
     def test_install_validation(self):
         with pytest.raises(ValueError):
@@ -362,62 +370,6 @@ class TestTracer:
             otrace.Tracer(sample=0.0)
         with pytest.raises(ValueError):
             otrace.Tracer(sample=1.5)
-
-
-# ---------------------------------------------------------------------------
-# profiler
-
-
-class TestProfiler:
-    def test_accounting(self):
-        profiler = oprof.install()
-        oprof.record_unit("u1", 0.2, 0.1)
-        oprof.record_unit("u1", 0.3, 0.2)
-        oprof.record_matcher("UD", 0.05, 0.05)
-        doc = profiler.to_dict()
-        assert doc["units"]["u1"]["calls"] == 2
-        assert doc["units"]["u1"]["wall_seconds"] == pytest.approx(0.5)
-        assert doc["units"]["u1"]["mean_wall_seconds"] == (
-            pytest.approx(0.25))
-        assert doc["matchers"]["UD"]["calls"] == 1
-
-    def test_slow_page_heap_keeps_k_slowest(self):
-        profiler = oprof.Profiler(top_k=3)
-        for i, seconds in enumerate([0.5, 0.1, 0.9, 0.2, 0.7, 0.05]):
-            profiler.record_page(f"p{i}", seconds)
-        slow = profiler.slow_pages()
-        assert [p["did"] for p in slow] == ["p2", "p4", "p0"]
-        assert [p["seconds"] for p in slow] == [0.9, 0.7, 0.5]
-        assert profiler.pages_seen == 6
-
-    def test_merge_a_pickled_worker_profiler(self):
-        parent = oprof.Profiler(top_k=2)
-        parent.record_unit("u1", 0.2, 0.1)
-        parent.record_page("p0", 0.5)
-        worker = oprof.Profiler(top_k=2)
-        worker.record_unit("u1", 0.3, 0.2)
-        worker.record_unit("u2", 0.1, 0.1)
-        worker.record_matcher("UD", 0.05, 0.05)
-        for did, seconds in (("p1", 0.9), ("p2", 0.1)):
-            worker.record_page(did, seconds)
-        parent.merge(pickle.loads(pickle.dumps(worker)))
-        doc = parent.to_dict()
-        assert doc["units"]["u1"]["calls"] == 2
-        assert doc["units"]["u1"]["wall_seconds"] == pytest.approx(0.5)
-        assert doc["units"]["u2"]["calls"] == 1
-        assert doc["matchers"]["UD"]["calls"] == 1
-        assert [p["did"] for p in doc["slow_pages"]] == ["p1", "p0"]
-        assert doc["pages_seen"] == 3
-
-    def test_negative_samples_clamped(self):
-        profiler = oprof.install()
-        oprof.record_unit("u", -1.0, -1.0)
-        assert profiler.to_dict()["units"]["u"]["wall_seconds"] == 0.0
-
-    def test_disabled_facade_is_noop(self):
-        oprof.record_unit("u", 1.0, 1.0)
-        oprof.record_page("p", 1.0)
-        oprof.record_matcher("UD", 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +391,39 @@ def _metrics_doc():
                 ],
             },
         },
-        "obs": {"profile": {
-            "pages_seen": 4,
-            "slow_pages": [{"did": "p9", "seconds": 0.4}],
-            "units": {"u1": {"calls": 2, "wall_seconds": 0.3,
-                             "cpu_seconds": 0.2,
-                             "mean_wall_seconds": 0.15}},
-            "matchers": {"UD": {"calls": 1, "wall_seconds": 0.1,
-                                "cpu_seconds": 0.1}},
-        }},
     }
+
+
+def _trace_doc():
+    def event(cat, dur_s, **args):
+        return {"ph": "X", "cat": cat, "name": cat, "dur": dur_s * 1e6,
+                "args": args}
+
+    return {"traceEvents": [
+        *(event("page", seconds, did=f"p{i}", paired=True)
+          for i, seconds in enumerate([0.5, 0.1, 0.9, 0.2, 0.7, 0.05])),
+        event("unit", 0.2, uid="u1", cpu=0.1),
+        event("unit", 0.3, uid="u1", cpu=0.2),
+        event("unit", 0.1, uid="u2", cpu=0.05),
+        event("matcher", 0.05, matcher="UD", cpu=0.04, candidates=3,
+              segments=7),
+        event("matcher", 0.01, matcher="UD", cpu=0.01, candidates=2,
+              segments=1),
+    ]}
+
+
+def _table_rows(text, heading):
+    """The data rows of the table under the ``## heading`` line, split
+    on whitespace."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith(f"## {heading}"))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.strip() or line.startswith("#"):
+            break
+        rows.append(line.split())
+    return rows
 
 
 class TestReport:
@@ -456,8 +431,6 @@ class TestReport:
         text = oreport.render_report(_metrics_doc())
         assert "delex" in text
         assert "0.050" in text          # overlap column sums snapshots
-        assert "slowest pages" in text
-        assert "u1" in text and "UD" in text
 
     def test_metrics_report_shows_the_reuse_funnel(self):
         doc = _metrics_doc()
@@ -485,6 +458,25 @@ class TestReport:
         text = oreport.render_report(doc)
         assert "p1" in text and "2.000" in text
         assert "u1" in text
+
+    def test_trace_report_unit_table_from_unit_events(self):
+        rows = _table_rows(oreport.render_report(_trace_doc()),
+                           "costliest IE units")
+        # unit, calls, wall_s, cpu_s, mean_ms; costliest first.
+        assert rows == [["u1", "2", "0.500", "0.300", "250.00"],
+                        ["u2", "1", "0.100", "0.050", "100.00"]]
+
+    def test_trace_report_matcher_table_from_matcher_events(self):
+        rows = _table_rows(oreport.render_report(_trace_doc()),
+                           "matcher cost")
+        # matcher, calls (candidates), wall_s, cpu_s, segments.
+        assert rows == [["UD", "5", "0.060", "0.050", "8"]]
+
+    def test_trace_report_slowest_pages_keeps_the_top_k(self):
+        text = oreport.render_report(_trace_doc(), top=3)
+        rows = _table_rows(text, "slowest pages")
+        assert [(r[0], r[1]) for r in rows] == [
+            ("p2", "0.900"), ("p4", "0.700"), ("p0", "0.500")]
 
     def test_unknown_shape_raises(self):
         with pytest.raises(ValueError, match="unrecognized"):
@@ -523,7 +515,6 @@ def test_results_identical_with_obs_on():
             tempfile.TemporaryDirectory() as w2:
         baseline = _run_once(task, snapshots, w1)
         otrace.install(sample=0.5)
-        oprof.install(top_k=3)
         oreg.enable()
         try:
             observed = _run_once(task, snapshots, w2)
@@ -627,25 +618,79 @@ def test_unit_events_name_the_replay_path(tmp_path, front):
     assert all(p == {"replay"} for p in paths.values()), paths
 
 
-def test_profiler_sees_units_and_matchers():
-    from repro.core.runner import run_series
+def _traced_ud_run(tmp_path):
+    """A fast-paths-off talk run under an all-UD plan: the engine's
+    per-unit counts and the trace it recorded."""
+    from repro.core.runner import make_system
     from repro.corpus import dblife_corpus
     from repro.extractors import make_task
+    from repro.plan import compile_program, find_units
+    from repro.reuse.engine import PlanAssignment
 
     snapshots = list(dblife_corpus(n_pages=6, seed=1,
-                                   p_unchanged=0.5).snapshots(2))
+                                   p_unchanged=0.5).snapshots(3))
     task = make_task("talk", work_scale=0)
-    profiler = oprof.install(top_k=5)
+    units = find_units(compile_program(task.program, task.registry))
+    system = make_system("delex", task, str(tmp_path),
+                         fixed_assignment=PlanAssignment.uniform(
+                             units, "UD"),
+                         fastpath="off")
+    stats = {}
+    tracer = otrace.install()
     try:
-        with tempfile.TemporaryDirectory() as workdir:
-            run_series(task, snapshots, systems=("delex",),
-                       workdir=workdir)
+        prev = None
+        for snapshot in snapshots:
+            result = system.process(snapshot, prev)
+            prev = snapshot
+            for uid, unit_stats in result.unit_stats.items():
+                stats.setdefault(uid, []).append(unit_stats)
     finally:
         obs.disable_all()
-    doc = profiler.to_dict()
-    assert doc["units"]                 # every unit accounted
-    assert doc["pages_seen"] > 0
-    assert doc["slow_pages"]
+    path = str(tmp_path / "trace.json")
+    tracer.export_chrome(path)
+    return stats, oreport.load_document(path)
+
+
+def test_trace_report_tables_add_up_to_the_engine_counts(tmp_path):
+    stats, doc = _traced_ud_run(tmp_path)
+    text = oreport.render_report(doc, top=100)
+    units = [e for e in doc["traceEvents"] if e["cat"] == "unit"]
+    assert units and all(e["args"]["cpu"] >= 0 for e in units)
+    unit_rows = {row[0]: row for row in
+                 _table_rows(text, "costliest IE units")}
+    for uid in stats:
+        mine = [e for e in units if e["args"]["uid"] == uid]
+        assert unit_rows[uid][1] == str(len(mine))
+        assert unit_rows[uid][3] == (
+            f"{sum(e['args']['cpu'] for e in mine):.3f}")
+    matcher_rows = _table_rows(text, "matcher cost")
+    assert [row[0] for row in matcher_rows] == ["UD"]
+    matcher_calls = sum(s.matcher_calls for runs in stats.values()
+                        for s in runs)
+    assert matcher_calls > 0
+    assert matcher_rows[0][1] == str(matcher_calls)
+
+
+def test_matcher_events_nest_in_their_page_and_unit(tmp_path):
+    _, doc = _traced_ud_run(tmp_path)
+    events = doc["traceEvents"]
+    matchers = [e for e in events if e["cat"] == "matcher"]
+    assert matchers
+
+    def inside(inner, outer):
+        return (outer["tid"] == inner["tid"]
+                and outer["ts"] <= inner["ts"]
+                and inner["ts"] + inner["dur"]
+                <= outer["ts"] + outer["dur"] + 1e-3)
+
+    for e in matchers:
+        assert set(e["args"]) == {"matcher", "cpu", "candidates",
+                                  "segments"}
+        assert e["args"]["matcher"] == "UD"
+        assert e["args"]["candidates"] >= 1
+        assert e["args"]["segments"] >= 0
+        assert any(inside(e, p) for p in events if p["cat"] == "page")
+        assert any(inside(e, u) for u in events if u["cat"] == "unit")
 
 
 # ---------------------------------------------------------------------------
@@ -660,15 +705,15 @@ class TestCli:
         trace = str(tmp_path / "t.json")
         rc = main(["run", "--task", "talk", "--work-scale", "0",
                    "--systems", "noreuse,delex",
-                   "--metrics-json", metrics, "--trace-out", trace,
-                   "--profile", "on"])
+                   "--metrics-json", metrics, "--trace-out", trace])
         assert rc == 0
         # Obs layers were torn down after the run.
         assert not oreg.ENABLED and not otrace.ENABLED
-        assert not oprof.ENABLED
+        # The end-of-run slow-page line reads the tracer.
+        assert "\nslowest pages: " in capsys.readouterr().out
         with open(metrics, encoding="utf-8") as f:
             doc = json.load(f)
-        assert "registry" in doc["obs"] and "profile" in doc["obs"]
+        assert list(doc["obs"]) == ["registry"]
         assert "repro_timing_seconds_total" in doc["obs"]["registry"]
         with open(trace, encoding="utf-8") as f:
             tdoc = json.load(f)

@@ -27,7 +27,6 @@ from repro.core.runner import (
     verify_serial_parallel,
 )
 from repro.extractors import make_task
-from repro.obs import profile as oprof
 from repro.obs import trace as otrace
 from repro.reuse import engine as engine_module
 from repro.reuse.files import (
@@ -542,28 +541,25 @@ def test_dead_process_worker_falls_back_to_the_serial_answer(
 
 
 @needs_fork
-def test_process_run_traces_and_profiles_worker_units(tmp_path):
-    """Units run in the workers of a process run; their spans and
-    per-unit accounting come back to the parent's tracer and
-    profiler."""
+def test_process_run_traces_worker_units_with_cpu(tmp_path):
+    """Units run in the workers of a process run; their spans, each
+    unit event with its CPU seconds, come back to the parent's
+    tracer."""
     task = make_task("play", work_scale=0)
     snaps = list(wikipedia_corpus(n_pages=8, seed=3).snapshots(2))
     tracer = otrace.install()
-    profiler = oprof.install()
     try:
         _run_system("delex", task, snaps, str(tmp_path),
                     executor=ProcessPoolExecutor(jobs=2))
     finally:
         otrace.uninstall()
-        oprof.uninstall()
     units = [r for r in tracer.records if r.cat == "unit"]
     assert units
     assert {"batch", "page", "snapshot"} <= {r.cat for r in tracer.records}
     # Worker spans sit on their worker's track, not the parent's.
     assert threading.get_ident() not in {r.tid for r in units}
-    doc = profiler.to_dict()
-    assert doc["units"]
-    assert doc["pages_seen"] > 0
+    assert all(r.args["cpu"] >= 0 for r in units)
+    assert tracer.evicted == 0
 
 
 def test_page_batch_helpers():
