@@ -23,16 +23,18 @@ Two site shapes:
 The ring buffer is bounded (default 65536 spans — the oldest spans
 fall off, the trace stays a fixed-size tail, and the export counts
 them as ``spans_evicted``). ``sample`` keeps every
-``1/sample``-th span of the high-volume categories (``page``,
-``unit``, ``batch``, ``matcher``); structural categories
-(``snapshot``, ``serve``) are always kept. Export is the Chrome
+``1/sample``-th span of each high-volume category (``page``,
+``unit``, ``batch``, ``matcher``), counted per category, so each
+keeps the same share however their events interleave; structural
+categories (``snapshot``, ``serve``) are always kept. Export is the Chrome
 ``trace_event`` JSON format — load the file at ``chrome://tracing``
 or https://ui.perfetto.dev.
 
-A forked process worker records each work item into a fresh tracer
-and hands its spans back with the item's value; the parent merges
-them (:meth:`Tracer.merge`) under the worker's pid as thread id, so
-each worker is its own track in the exported trace.
+A forked process worker records each work item into a fresh,
+unsampled tracer and hands its spans back with the item's value; the
+parent merges them (:meth:`Tracer.merge`), sampling them on its own
+per-category counts, under the worker's pid as thread id, so each
+worker is its own track in the exported trace.
 """
 
 from __future__ import annotations
@@ -127,13 +129,14 @@ class Tracer:
             raise ValueError("sample must be in (0, 1]")
         self.capacity = capacity
         self.sample = sample
-        #: Keep every ``keep_every``-th sampled-category span.
+        #: Keep every ``keep_every``-th span of each sampled category.
         self.keep_every = max(1, round(1.0 / sample))
         self.records: Deque[SpanRecord] = deque(maxlen=capacity)
         self.dropped = 0
         #: Kept spans the full ring pushed out (oldest first).
         self.evicted = 0
-        self._seen = 0
+        #: Spans offered so far, per sampled category.
+        self._seen: Dict[str, int] = {}
         self._lock = threading.Lock()
         self._epoch = time.perf_counter()
         self._epoch_wall = time.time()
@@ -152,29 +155,30 @@ class Tracer:
     def _record(self, name: str, cat: str, start: float, dur: float,
                 args: Dict[str, Any]) -> None:
         with self._lock:
-            self._seen += 1
-            if (cat not in ALWAYS_KEPT
-                    and self._seen % self.keep_every != 0):
-                self.dropped += 1
-                return
-            self._append(SpanRecord(
+            self._offer(SpanRecord(
                 name=name, cat=cat, start=start, dur=dur,
                 tid=threading.get_ident(), args=args))
 
-    def _append(self, record: SpanRecord) -> None:
+    def _offer(self, record: SpanRecord) -> None:
         # Caller holds the lock.
+        if record.cat not in ALWAYS_KEPT:
+            seen = self._seen.get(record.cat, 0) + 1
+            self._seen[record.cat] = seen
+            if seen % self.keep_every:
+                self.dropped += 1
+                return
         if len(self.records) == self.capacity:
             self.evicted += 1
         self.records.append(record)
 
     def merge(self, other: "Tracer", tid: int) -> None:
-        """Append the spans ``other`` kept (a process worker's tracer,
-        its sampling already applied), re-tagged with thread id
-        ``tid``."""
+        """Offer the spans ``other`` kept (a process worker's tracer)
+        to this one, re-tagged with thread id ``tid``: they are sampled
+        on this tracer's counts, as if recorded here."""
         with self._lock:
             for record in other.records:
                 record.tid = tid
-                self._append(record)
+                self._offer(record)
             self.dropped += other.dropped
             self.evicted += other.evicted
 

@@ -25,9 +25,10 @@ is run inline in the parent, which under fork already holds ``fn``
 and ``state``, so the answer is the serial one, only slower.
 
 When :mod:`repro.obs.trace` is enabled in the parent, a forked worker
-inherits the switch. Each item then records into a fresh worker-side
-tracer, returns it with its value, and the parent merges its spans
-into its own, so a process run traces its units like a serial one.
+inherits the switch. Each item then records into a fresh, unsampled
+worker-side tracer, returns it with its value, and the parent merges
+its spans into its own, sampling them there, so a process run traces
+its units like a serial one.
 
 The auto-chooser (:func:`choose_backend`) picks between them using a
 blackbox *cost hint* — the task's maximum emulated ``work_factor`` —
@@ -84,13 +85,14 @@ def _run_installed(item: Any) -> Tuple[float, Any, Any]:
 
     ``observed`` is None unless tracing was on when the worker was
     forked; then it is ``(pid, tracer)``, a fresh tracer that saw this
-    item only.
+    item only. It keeps every span: the parent samples on merge, so
+    a category keeps the same share as in a serial run.
     """
     assert _WORKER_FN is not None, "worker pool not initialized"
     tracer = _otrace.TRACER
     if tracer is None:
         return _timed_call(_WORKER_FN, _WORKER_STATE, item) + (None,)
-    tracer = _otrace.install(tracer.capacity, tracer.sample)
+    tracer = _otrace.install(tracer.capacity)
     seconds, value = _timed_call(_WORKER_FN, _WORKER_STATE, item)
     return seconds, value, (os.getpid(), tracer)
 

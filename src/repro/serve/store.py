@@ -110,7 +110,8 @@ def build_relation_index(page_rows: Mapping[str, Mapping[str, Sequence[tuple]]],
     """The canonical relation index: cross-page dedupe + total sort.
 
     This is the single definition of pagination order for one
-    relation; the store builds it on first read (:class:`LazyRelationIndex`).
+    relation; the eager store builds it at apply time, the lazy store
+    (sharded serving) on first read.
     """
     seen = set()
     merged: List[tuple] = []
@@ -147,13 +148,13 @@ def merge_relation_indexes(indexes: Sequence[Sequence[tuple]]
 class LazyRelationIndex(Mapping):
     """A relation index built per relation on first read.
 
-    It moves index assembly off the writer path: an apply only
-    replaces per-page row maps, and the sorted, deduplicated index
-    materializes lazily — on a *reader* thread, at most once per
-    (generation, relation), behind a double-checked lock. The mapping
-    is immutable from the outside: same keys, same values, forever —
-    readers can treat it exactly like the prebuilt ``dict`` index the
-    delta view publishes.
+    The sharded serving tier moves index assembly off the writer path:
+    a shard's apply only replaces per-page row maps, and the sorted,
+    deduplicated index materializes lazily — on a *reader* thread, at
+    most once per (generation, relation), behind a double-checked
+    lock. The mapping is immutable from the outside: same keys, same
+    values, forever — readers can treat it exactly like the eager
+    ``dict`` index.
     """
 
     def __init__(self, page_rows: Mapping[str, Mapping[str, Sequence[tuple]]],
@@ -221,11 +222,11 @@ class Generation:
     def tuples_estimate(self) -> int:
         """Deduplicated tuple count when cheap, raw row count otherwise.
 
-        A lazy-index generation must not pay the cross-page dedupe on
-        the writer path just to report a metric; until a reader
-        materializes the index this returns the raw per-page row count
-        (an upper bound). Prebuilt indexes (the delta view) — and lazy
-        ones once built — report the exact deduplicated total.
+        A lazy-index generation (sharded serving) must not pay the
+        cross-page dedupe on the writer path just to report a metric;
+        until a reader materializes the index this returns the raw
+        per-page row count (an upper bound). Eager generations — and
+        lazy ones once built — report the exact deduplicated total.
         """
         relations = self.relations
         if isinstance(relations, LazyRelationIndex) and not relations.built:
@@ -299,12 +300,19 @@ class TupleStore:
     off-line and publishes it with a single swap.
     """
 
-    def __init__(self, view: str, relations: Sequence[str]) -> None:
+    def __init__(self, view: str, relations: Sequence[str],
+                 lazy_index: bool = False) -> None:
         self.view = view
         #: The program's head relations — the query schema, fixed at
         #: registration so an empty view still rejects bad relation
         #: names precisely.
         self.schema = tuple(relations)
+        #: Lazy mode (the sharded serving tier): ``apply_delta`` skips
+        #: the relation-index rebuild entirely and publishes a
+        #: :class:`LazyRelationIndex` instead, moving the dedupe+sort
+        #: from the writer path to the first reader that needs it.
+        #: Results are byte-identical either way.
+        self.lazy_index = lazy_index
         self._lock = threading.Lock()
         self._current: Optional[Generation] = None
         self._gen_counter = 0
@@ -369,8 +377,8 @@ class TupleStore:
         adopted verbatim — the differential maintenance mode
         (:mod:`repro.delta`) merges each generation's support
         transitions into the previous index incrementally, replacing
-        the O(total relation size) dedupe-and-sort a reader of the
-        lazy index pays with work proportional to the delta. The caller owns the
+        this method's O(total relation size) dedupe-and-sort rebuild
+        with work proportional to the delta. The caller owns the
         equivalence (the ``--check on`` guard cross-checks it).
         """
         previous = self.current()
@@ -389,15 +397,17 @@ class TupleStore:
         if relations is not None:
             index = {rel: tuple(relations.get(rel, ()))
                      for rel in self.schema}
-        elif previous is not None and not replaced and not deleted:
-            # No-op delta: the page map is content-identical, so the
-            # previous generation's index (and any relation a reader
-            # already materialized in it) carries forward.
-            index = previous.relations
+        elif self.lazy_index:
+            if previous is not None and not replaced and not deleted:
+                # No-op delta: the page map is content-identical, so
+                # the previous generation's index (and any relation a
+                # reader already materialized in it) carries forward.
+                index = previous.relations
+            else:
+                index = LazyRelationIndex(page_rows, self.schema)
         else:
-            # The dedupe+sort leaves the writer path: the first reader
-            # of each relation builds it.
-            index = LazyRelationIndex(page_rows, self.schema)
+            index = {rel: build_relation_index(page_rows, rel)
+                     for rel in self.schema}
         generation = Generation(
             gen_id=self._gen_counter + 1,
             snapshot_index=snapshot_index,

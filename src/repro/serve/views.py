@@ -178,7 +178,8 @@ class MaterializedView:
     """One registered task, maintained incrementally and served."""
 
     def __init__(self, config: ViewConfig, workdir: str,
-                 task: Optional[IETask] = None) -> None:
+                 task: Optional[IETask] = None,
+                 lazy_index: bool = False) -> None:
         self.config = config
         self.workdir = workdir
         os.makedirs(workdir, exist_ok=True)
@@ -187,8 +188,12 @@ class MaterializedView:
         self.task: IETask = task if task is not None else make_task(
             config.task, work_scale=config.work_scale)
         self.plan = compile_program(self.task.program, self.task.registry)
-        self.store = TupleStore(config.name,
-                                self.plan.program.head_relations())
+        #: ``lazy_index`` (the sharded tier) defers the relation-index
+        #: rebuild from the apply path to the first reader; the
+        #: published rows are byte-identical either way.
+        self.store = TupleStore(
+            config.name, self.plan.program.head_relations(),
+            lazy_index=lazy_index)
         self._system = None
         self._delta: Optional[DeltaMaintainer] = None
         if config.system == "delex":
@@ -522,13 +527,15 @@ class ViewRegistry:
         self._lock = threading.Lock()
         self._views: Dict[str, MaterializedView] = {}
 
-    def register(self, config: ViewConfig) -> MaterializedView:
+    def register(self, config: ViewConfig,
+                 lazy_index: bool = False) -> MaterializedView:
         with self._lock:
             if config.name in self._views:
                 raise ValueError(f"view {config.name!r} already "
                                  "registered")
             view = MaterializedView(
-                config, os.path.join(self.workdir, config.name))
+                config, os.path.join(self.workdir, config.name),
+                lazy_index=lazy_index)
             self._views[config.name] = view
             return view
 

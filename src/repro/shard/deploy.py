@@ -1,7 +1,8 @@
 """The in-process sharded deployment: N shard workers + one front door.
 
 A :class:`ShardWorker` is a complete single-writer serving stack —
-its own :class:`~repro.serve.views.ViewRegistry`, its own bounded :class:`~repro.serve.ingest.IngestQueue`, its
+its own :class:`~repro.serve.views.ViewRegistry` (stores in lazy-index
+mode), its own bounded :class:`~repro.serve.ingest.IngestQueue`, its
 own :class:`~repro.serve.ingest.IngestLoop` thread — maintaining only
 the pages the partitioner assigns it. All of PR 5-7's single-shard
 machinery (retry, quarantine, per-view isolation, monotonic-clock
@@ -58,7 +59,9 @@ class ShardWorker:
         self.shard_id = shard_id
         self.registry = ViewRegistry(workdir)
         for config in configs:
-            self.registry.register(config)
+            # Lazy indexes: a shard's apply replaces page row maps
+            # only; dedupe+sort happens on the read side, per vector.
+            self.registry.register(config, lazy_index=True)
         self.queue = IngestQueue(maxsize=capacity)
         self.loop = IngestLoop(
             self.registry, self.queue, check=check,

@@ -17,9 +17,9 @@ that snapshot. Readers take the current vector reference once and run
 the whole query off it — the same epoch discipline as
 ``TupleStore.current()``, lifted from one generation to N.
 
-The vector also owns the read-side index cache: per-shard stores, like
-every store, publish a :class:`~repro.serve.store.LazyRelationIndex`
-(apply does not sort), and the cross-shard merged relation index materializes here on
+The vector also owns the read-side index cache: per-shard stores run
+lazy (:class:`~repro.serve.store.LazyRelationIndex` — apply does not
+sort), and the cross-shard merged relation index materializes here on
 first read, at most once per (vector, relation). That is the sharded
 tier's structural lag win: dedupe+sort leaves the writer path
 entirely, and the merge cost is amortized across every query served
@@ -64,7 +64,7 @@ class ShardVector:
     def relation(self, relation: str) -> Tuple[tuple, ...]:
         """The merged cross-shard relation index, built on first read.
 
-        Byte-identical to the single store's index: each shard's
+        Byte-identical to the single store's eager index: each shard's
         index is already in canonical order, and
         :func:`~repro.serve.store.merge_relation_indexes` is exactly
         the global dedupe-then-sort over the union of the shards'

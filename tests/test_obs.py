@@ -289,8 +289,8 @@ class TestTracer:
                 pass
         cats = [r.cat for r in tracer.records]
         assert cats.count("snapshot") == 3      # always kept
-        assert 0 < cats.count("page") < 40      # sampled
-        assert tracer.dropped > 0
+        assert cats.count("page") == 10         # every 4th
+        assert tracer.dropped == 30
 
     def test_ring_buffer_bounds_memory(self):
         tracer = otrace.install(capacity=16)
@@ -336,11 +336,12 @@ class TestTracer:
             e["ts"] for e in events)
 
     def test_merge_a_pickled_worker_tracer(self):
-        # What a process worker hands back: its kept spans cross a
-        # pickle and land in the parent's ring under the worker's id.
-        parent = otrace.Tracer()
+        # What a process worker hands back: its spans cross a pickle
+        # and land in the parent's ring under the worker's id, sampled
+        # on the parent's counts.
+        parent = otrace.Tracer(sample=0.5)
         parent.event("snapshot", "snapshot", start=0.0, dur=1.0)
-        worker = otrace.Tracer(sample=0.5)
+        worker = otrace.Tracer()
         for i in range(4):
             worker.event("unit", "unit", start=0.1 * i, dur=0.05, uid="u")
         parent.merge(pickle.loads(pickle.dumps(worker)), tid=4242)
@@ -618,7 +619,7 @@ def test_unit_events_name_the_replay_path(tmp_path, front):
     assert all(p == {"replay"} for p in paths.values()), paths
 
 
-def _traced_ud_run(tmp_path):
+def _traced_ud_run(tmp_path, sample=1.0):
     """A fast-paths-off talk run under an all-UD plan: the engine's
     per-unit counts and the trace it recorded."""
     from repro.core.runner import make_system
@@ -636,7 +637,7 @@ def _traced_ud_run(tmp_path):
                              units, "UD"),
                          fastpath="off")
     stats = {}
-    tracer = otrace.install()
+    tracer = otrace.install(sample=sample)
     try:
         prev = None
         for snapshot in snapshots:
@@ -669,6 +670,19 @@ def test_trace_report_tables_add_up_to_the_engine_counts(tmp_path):
                         for s in runs)
     assert matcher_calls > 0
     assert matcher_rows[0][1] == str(matcher_calls)
+
+
+def test_sampling_keeps_the_same_share_of_every_category(tmp_path):
+    def counts(doc):
+        cats = [e["cat"] for e in doc["traceEvents"]]
+        return {cat: cats.count(cat) for cat in ("page", "unit",
+                                                 "matcher")}
+
+    _, full = _traced_ud_run(tmp_path / "full")
+    _, half = _traced_ud_run(tmp_path / "half", sample=0.5)
+    assert all(counts(full).values())
+    assert counts(half) == {cat: n // 2
+                            for cat, n in counts(full).items()}
 
 
 def test_matcher_events_nest_in_their_page_and_unit(tmp_path):

@@ -562,6 +562,26 @@ def test_process_run_traces_worker_units_with_cpu(tmp_path):
     assert tracer.evicted == 0
 
 
+def test_process_run_samples_worker_spans_like_a_serial_run(tmp_path):
+    """Workers record every span and the parent samples them on merge,
+    so each category keeps every second span of the whole run."""
+    task = make_task("play", work_scale=0)
+    snaps = list(wikipedia_corpus(n_pages=8, seed=3).snapshots(2))
+    counts = {}
+    for sample in (1.0, 0.5):
+        tracer = otrace.install(sample=sample)
+        try:
+            _run_system("delex", task, snaps, str(tmp_path / str(sample)),
+                        executor=ProcessPoolExecutor(jobs=2))
+        finally:
+            otrace.uninstall()
+        cats = [r.cat for r in tracer.records]
+        counts[sample] = {cat: cats.count(cat)
+                          for cat in ("batch", "page", "unit")}
+    assert all(counts[1.0].values())
+    assert counts[0.5] == {cat: n // 2 for cat, n in counts[1.0].items()}
+
+
 def test_page_batch_helpers():
     pages = _pages([3, 4])
     batch = PageBatch(index=0, pages=tuple(pages))

@@ -173,10 +173,11 @@ class TestScatterGatherParity:
     def test_merged_vector_matches_single_store(self, n_shards, series):
         """Random delta series (upserts + deletes), random shard
         counts: the vector's merged relation index is byte-identical
-        to the single store's — content *and* order."""
+        to the single eager store — content *and* order."""
         p = Partitioner(n_shards)
         single = TupleStore("v", ("rel",))
-        shards = [TupleStore("v", ("rel",)) for _ in range(n_shards)]
+        shards = [TupleStore("v", ("rel",), lazy_index=True)
+                  for _ in range(n_shards)]
         prev_dids = set()
         for index, state in enumerate(series):
             upserts = {did: {"rel": rows}
