@@ -60,7 +60,7 @@ REPLAN_DRIFT = 0.2
 #: Standard errors a fraction may move by on noise alone before the
 #: next snapshot re-plans. A stationary series moves by binomial noise,
 #: which grows as the page count shrinks: at 16 pages a calm series
-#: (``p_unchanged`` 0.3) reads a recycled fraction anywhere in
+#: (``p_unchanged`` 0.3) reads an identical fraction anywhere in
 #: 0.125-0.5625, which a fixed 0.2 took for drift twice in 11
 #: snapshots.
 REPLAN_Z = 3.0
@@ -81,37 +81,39 @@ class PageMix:
 
     Both fractions are counts the engine keeps anyway, so the trigger
     reads no clock: the share of pages with a previous version, and the
-    share recycled whole because they are identical to it.
+    share byte-identical to it. The second is counted whether or not
+    the page is then recycled, so the trigger sees churn with the fast
+    paths off too.
     """
 
     with_previous: float
-    recycled: float
+    identical: float
     pages: int
 
     @classmethod
     def of(cls, result: SnapshotRunResult) -> "PageMix":
         pages = max(1, result.pages)
         fastpath = result.timings.fastpath
-        recycled = fastpath.pages_recycled if fastpath is not None else 0
-        return cls(result.pages_with_previous / pages, recycled / pages,
+        identical = fastpath.pages_identical if fastpath is not None else 0
+        return cls(result.pages_with_previous / pages, identical / pages,
                    pages)
 
     def bounds(self) -> Tuple[float, float]:
         """:func:`drift_bound` of each fraction of this run."""
         return (drift_bound(self.with_previous, self.pages),
-                drift_bound(self.recycled, self.pages))
+                drift_bound(self.identical, self.pages))
 
     def drifted_from(self, baseline: "PageMix") -> bool:
         """Whether either fraction moved past its bound at
         ``baseline``."""
-        with_previous, recycled = baseline.bounds()
+        with_previous, identical = baseline.bounds()
         return (abs(self.with_previous - baseline.with_previous)
                 > with_previous
-                or abs(self.recycled - baseline.recycled) > recycled)
+                or abs(self.identical - baseline.identical) > identical)
 
     def to_dict(self) -> Dict[str, float]:
         return {"pages_with_previous_frac": round(self.with_previous, 4),
-                "pages_recycled_frac": round(self.recycled, 4),
+                "pages_identical_frac": round(self.identical, 4),
                 "pages": self.pages}
 
 

@@ -25,6 +25,9 @@ class FastPathStats:
     #: (groups kept by reference) and the previous run's rows returned,
     #: no plan walk.
     pages_recycled: int = 0
+    #: byte-identical pairs, recycled or not, counted whatever the
+    #: fast-path setting: the churn the re-plan trigger reads.
+    pages_identical: int = 0
     #: output tuples of the recycled pages' capture.
     tuples_recycled: int = 0
     #: ST/UD candidate regions a matcher ran on.
@@ -71,6 +74,7 @@ class FastPathStats:
         """Accumulate a worker's counters into this one."""
         self.pages_paired += other.pages_paired
         self.pages_recycled += other.pages_recycled
+        self.pages_identical += other.pages_identical
         self.tuples_recycled += other.tuples_recycled
         self.memo_misses += other.memo_misses
         self.region_short_circuits += other.region_short_circuits
@@ -93,6 +97,7 @@ class FastPathStats:
             "pages_paired": self.pages_paired,
             "pages_short_circuited": self.pages_short_circuited,
             "pages_recycled": self.pages_recycled,
+            "pages_identical": self.pages_identical,
             "tuples_recycled": self.tuples_recycled,
             "memo_misses": self.memo_misses,
             "region_short_circuits": self.region_short_circuits,

@@ -860,6 +860,8 @@ class ReuseEngine:
         # Pair pages in canonical order in the parent so stateful
         # scopes (fingerprint claims) behave the same on every backend.
         pair_of = {page.did: self.scope.pair_for(page) for page in pages}
+        fp_stats.pages_identical += sum(
+            1 for page in pages if pages_identical(page, pair_of[page.did]))
 
         def prev_rows_of(did: str) -> Optional[PageRows]:
             q_page = pair_of[did]

@@ -27,11 +27,14 @@ from __future__ import annotations
 
 import os
 import queue
+import select
+import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence
+from typing import (Callable, Deque, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..corpus.snapshot import Snapshot, read_snapshot, write_snapshot
 from ..corpus.store import CorpusStore, _SNAPSHOT_RE
@@ -41,6 +44,11 @@ from .views import ViewRegistry
 #: How many recent per-snapshot lag records the loop keeps for
 #: ``/metrics``.
 LAG_HISTORY = 64
+
+#: inotify(7) events that land a file in a spool: a rename onto its
+#: name (``IN_MOVED_TO``, the :func:`drop_snapshot` protocol) and a
+#: direct write closed (``IN_CLOSE_WRITE``).
+_IN_LANDED = 0x00000080 | 0x00000008
 
 #: ``on_applied`` callback: ``(snapshot, view_generations,
 #: enqueued_mono, skipped)`` where ``view_generations`` maps each
@@ -367,6 +375,33 @@ class IngestLoop:
         }
 
 
+def _open_inotify(path: str) -> Optional[int]:
+    """A non-blocking inotify fd watching ``path`` for landed files.
+
+    None where there is no inotify (not Linux, no libc symbol, or the
+    kernel refuses an instance or a watch); the caller then polls.
+    """
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        import ctypes
+
+        libc = ctypes.CDLL(None, use_errno=True)
+        init, add_watch = libc.inotify_init1, libc.inotify_add_watch
+    except (OSError, AttributeError):
+        return None
+    init.argtypes, init.restype = (ctypes.c_int,), ctypes.c_int
+    add_watch.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_uint32)
+    add_watch.restype = ctypes.c_int
+    fd = init(os.O_NONBLOCK | os.O_CLOEXEC)
+    if fd < 0:
+        return None
+    if add_watch(fd, os.fsencode(path), _IN_LANDED) < 0:
+        os.close(fd)
+        return None
+    return fd
+
+
 def drop_snapshot(spool_dir: str, snapshot: Snapshot) -> str:
     """Atomically drop a snapshot into a spool directory.
 
@@ -405,6 +440,13 @@ class SpoolWatcher:
     A candidate that fails to parse ends the sweep, so every later
     index waits for it.
 
+    On Linux the watcher sleeps on an inotify watch of the spool and
+    sweeps as soon as a file is renamed (or written) into it, so a drop
+    reaches the queue without waiting on a timer. ``poll_seconds`` is
+    only how long it sleeps without an event, which also covers any
+    event the kernel drops; a self-pipe wakes it for :meth:`stop`.
+    Where inotify is unavailable it sweeps every ``poll_seconds``.
+
     The watcher only needs ``push(snapshot, block=, timeout=)`` from
     its queue, so it feeds a plain :class:`IngestQueue` or the sharded
     front door (:class:`repro.shard.ShardedDeployment`) unchanged —
@@ -435,6 +477,9 @@ class SpoolWatcher:
         self.last_index: Optional[int] = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
+        #: While running on inotify: ``(inotify fd, pipe read end, pipe
+        #: write end)``; None when polling or stopped.
+        self._wake: Optional[Tuple[int, int, int]] = None
 
     @property
     def running(self) -> bool:
@@ -444,6 +489,13 @@ class SpoolWatcher:
         if self.running:
             return
         self._stop.clear()
+        inotify_fd = _open_inotify(self.spool_dir)
+        if inotify_fd is not None:
+            try:
+                self._wake = (inotify_fd, *os.pipe())
+            except OSError:
+                os.close(inotify_fd)
+                raise
         self._thread = threading.Thread(target=self._run,
                                         name="repro-serve-spool",
                                         daemon=True)
@@ -453,11 +505,14 @@ class SpoolWatcher:
         """Stop the watcher; ``True`` when the thread actually exited.
 
         Mirrors :meth:`IngestLoop.stop`: a join that times out no
-        longer masquerades as a clean shutdown.
+        longer masquerades as a clean shutdown. The inotify fd and the
+        self-pipe are closed once the thread has exited.
         """
         self._stop.set()
         if self._thread is None:
             return True
+        if self._wake is not None:
+            os.write(self._wake[2], b"\0")
         self._thread.join(timeout=timeout)
         if self._thread.is_alive():
             self.stop_failures += 1
@@ -468,6 +523,10 @@ class SpoolWatcher:
                          "exit within the timeout", component="spool")
             return False
         self._thread = None
+        if self._wake is not None:
+            for fd in self._wake:
+                os.close(fd)
+            self._wake = None
         return True
 
     def scan_once(self) -> int:
@@ -504,9 +563,22 @@ class SpoolWatcher:
         return pushed
 
     def _run(self) -> None:
+        # The watch exists before the first sweep, so a file landing
+        # during any sweep leaves an event that ends the next wait.
         while not self._stop.is_set():
             self.scan_once()
-            self._stop.wait(self.poll_seconds)
+            if self._wake is None:
+                self._stop.wait(self.poll_seconds)
+                continue
+            inotify_fd, wake_fd, _ = self._wake
+            ready = select.select([inotify_fd, wake_fd], [], [],
+                                  self.poll_seconds)[0]
+            if inotify_fd in ready:
+                try:
+                    while os.read(inotify_fd, 65536):
+                        pass
+                except BlockingIOError:
+                    pass  # drained: the sweep reads the directory
 
     def describe(self) -> Dict[str, object]:
         return {

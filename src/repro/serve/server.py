@@ -41,7 +41,7 @@ from ..obs import registry as _oreg
 from ..obs.util import safe_rate
 from ..text.document import Page
 from .ingest import IngestLoop, IngestQueue, SpoolWatcher
-from .store import EmptyViewError, UnknownRelationError
+from .store import EmptyViewError, EncodedRows, UnknownRelationError
 from .views import ViewRegistry
 
 #: Content type of the Prometheus text exposition format.
@@ -51,6 +51,23 @@ PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 MAX_LIMIT = 1000
 
 Payload = Tuple[int, Dict[str, object]]
+
+
+def render_json(payload: Dict[str, object]) -> str:
+    """``json.dumps(payload)``, byte for byte, without re-encoding rows.
+
+    A ``/query`` payload ends with its rows as
+    :class:`~repro.serve.store.EncodedRows`, which carry each row's
+    JSON text; those are spliced after the encoded head instead of
+    encoding every field map again.
+    """
+    keys = list(payload)
+    rows = payload.get("tuples")
+    if (len(keys) < 2 or keys[-1] != "tuples"
+            or not isinstance(rows, EncodedRows)):
+        return json.dumps(payload)
+    head = json.dumps({key: payload[key] for key in keys[:-1]})
+    return f'{head[:-1]}, "tuples": [{", ".join(rows.fragments)}]}}'
 
 
 class ServeApp:
@@ -398,7 +415,7 @@ class _Handler(BaseHTTPRequestHandler):
             status, payload = self.app.handle_metrics()
         else:
             status, payload = 404, {"error": f"no route {parsed.path!r}"}
-        self._send(status, json.dumps(payload))
+        self._send(status, render_json(payload))
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib contract
         parsed = urlparse(self.path)

@@ -27,6 +27,7 @@ coordination.
 from __future__ import annotations
 
 import heapq
+import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -86,19 +87,95 @@ def _field_value(tup: tuple, var: str) -> Optional[str]:
     return None
 
 
-def filter_rows(rows: Sequence[tuple],
+class EncodedRows(list):
+    """A response's rows as JSON field maps, with each row's JSON text.
+
+    To ``json.dumps`` this is the plain list of field maps;
+    ``repro.serve.server.render_json`` splices ``fragments`` instead,
+    which spell the same bytes, already encoded. The field maps are the
+    :class:`RowCodec`'s own: read-only.
+    """
+
+    __slots__ = ("fragments",)
+
+
+class RowCodec:
+    """One relation's live rows, each encoded once while it is live.
+
+    A row is an immutable tuple, so its JSON field map
+    (:func:`tuple_to_json`), its JSON text and its lower-cased search
+    text never change; readers fill the memo on first touch, and the
+    writer never sees it, so an apply costs nothing extra. The memo is
+    bounded by the live rows: :func:`filter_rows` names them
+    (:meth:`track`), and a miss that finds the memo holding twice as
+    many rows keeps only theirs, at most once per that many misses.
+    The search texts of the last live sequence are kept in its order,
+    so a scan of one generation reads them without a lookup per row.
+    Dict reads and writes and attribute stores are atomic, so readers
+    share all of it without a lock; two readers that encode the same
+    row store equal values, and an entry added to a memo being
+    replaced is only lost.
+    """
+
+    def __init__(self) -> None:
+        self._memo: Dict[tuple, Tuple[Dict[str, object], str, str]] = {}
+        self._live: Sequence[tuple] = ()
+        self._texts: Tuple[Sequence[tuple], List[str]] = ((), [])
+
+    def __len__(self) -> int:
+        return len(self._memo)
+
+    def track(self, live: Sequence[tuple]) -> None:
+        """Name the relation's current rows: they bound the memo."""
+        self._live = live
+
+    def entry(self, row: tuple) -> Tuple[Dict[str, object], str, str]:
+        """``(field map, JSON text, lower-cased search text)``."""
+        memo = self._memo
+        got = memo.get(row)
+        if got is None:
+            live = self._live
+            if len(memo) >= 2 * len(live):
+                memo = self._memo = {r: memo[r] for r in live if r in memo}
+            fields = tuple_to_json(row)
+            got = memo[row] = (fields, json.dumps(fields),
+                               _tuple_text(row).lower())
+        return got
+
+    def search_texts(self, rows: Sequence[tuple]) -> List[str]:
+        """Each row's search text, in ``rows``' order."""
+        seen, texts = self._texts
+        if seen is not rows:
+            texts = [self.entry(row)[2] for row in rows]
+            self._texts = (rows, texts)
+        return texts
+
+    def encode(self, rows: Sequence[tuple]) -> EncodedRows:
+        """``rows`` as a response's :class:`EncodedRows`."""
+        entries = [self.entry(row) for row in rows]
+        out = EncodedRows(fields for fields, _text, _search in entries)
+        out.fragments = [text for _fields, text, _search in entries]
+        return out
+
+
+def filter_rows(rows: Sequence[tuple], codec: RowCodec,
                 contains: Optional[str] = None,
                 field_filters: Optional[Mapping[str, str]] = None
                 ) -> Sequence[tuple]:
-    """Apply the ``/query`` filter semantics to a row sequence.
+    """Apply the ``/query`` filter semantics to one relation's rows.
 
-    Shared between :meth:`TupleStore.query` and the scatter-gather
-    router (:mod:`repro.shard.router`) so a sharded deployment answers
-    filtered queries byte-identically to the single store.
+    ``rows`` is the whole relation as the reader's generation holds
+    it, so it is also what bounds ``codec``; ``contains`` reads each
+    row's search text from it. Shared between :meth:`TupleStore.query`
+    and the scatter-gather router (:mod:`repro.shard.router`) so a
+    sharded deployment answers filtered queries byte-identically to
+    the single store.
     """
+    codec.track(rows)
     if contains:
         needle = contains.lower()
-        rows = [t for t in rows if needle in _tuple_text(t).lower()]
+        rows = [t for t, text in zip(rows, codec.search_texts(rows))
+                if needle in text]
     if field_filters:
         for var, want in field_filters.items():
             rows = [t for t in rows if _field_value(t, var) == want]
@@ -267,6 +344,10 @@ class QueryResult:
     offset: int
     limit: int
     tuples: List[tuple] = field(default_factory=list)
+    #: The memo the rows are encoded through (the relation's own, when
+    #: the reader has one).
+    codec: RowCodec = field(default_factory=RowCodec, repr=False,
+                            compare=False)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -278,7 +359,7 @@ class QueryResult:
             "offset": self.offset,
             "limit": self.limit,
             "count": len(self.tuples),
-            "tuples": [tuple_to_json(t) for t in self.tuples],
+            "tuples": self.codec.encode(self.tuples),
         }
 
 
@@ -316,6 +397,8 @@ class TupleStore:
         self._lock = threading.Lock()
         self._current: Optional[Generation] = None
         self._gen_counter = 0
+        #: Per relation, its rows' encodings; readers fill them.
+        self._codecs = {rel: RowCodec() for rel in self.schema}
 
     # -- reader side ------------------------------------------------------
 
@@ -345,15 +428,16 @@ class TupleStore:
             raise UnknownRelationError(
                 f"view {self.view!r} has no relation {relation!r}; "
                 f"schema is {self.schema}")
+        codec = self._codecs[relation]
         rows: Sequence[tuple] = generation.relations.get(relation, ())
-        rows = filter_rows(rows, contains, field_filters)
+        rows = filter_rows(rows, codec, contains, field_filters)
         offset = max(0, offset)
         limit = max(0, limit)
         return QueryResult(
             view=self.view, generation=generation.gen_id,
             snapshot_index=generation.snapshot_index, relation=relation,
             total=len(rows), offset=offset, limit=limit,
-            tuples=list(rows[offset:offset + limit]))
+            tuples=list(rows[offset:offset + limit]), codec=codec)
 
     # -- writer side (single writer: the ingest loop) --------------------
 

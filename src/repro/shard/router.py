@@ -46,7 +46,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Sequence
 from ..corpus.snapshot import Snapshot
 from ..obs import registry as _oreg
 from ..serve.store import (EmptyViewError, Generation, QueryResult,
-                           UnknownRelationError, filter_rows)
+                           RowCodec, UnknownRelationError, filter_rows)
 from .genvec import ShardVector
 
 #: Per (view, shard) bound on retained ``snapshot -> generation``
@@ -78,6 +78,8 @@ class _ViewVectorState:
         self.enqueued_mono: Dict[int, float] = {}
         self.current: Optional[ShardVector] = None
         self.vector_counter = 0
+        #: Per relation, the merged rows' encodings; readers fill them.
+        self.codecs = {rel: RowCodec() for rel in self.schema}
         self.publishes: Deque[Dict[str, object]] = deque(
             maxlen=PUBLISH_HISTORY)
 
@@ -238,8 +240,9 @@ class ShardRouter:
             raise UnknownRelationError(
                 f"view {view!r} has no relation {relation!r}; "
                 f"schema is {state.schema}")
+        codec = state.codecs[relation]
         rows: Sequence[tuple] = vector.relation(relation)
-        rows = filter_rows(rows, contains, field_filters)
+        rows = filter_rows(rows, codec, contains, field_filters)
         offset = max(0, offset)
         limit = max(0, limit)
         with self._lock:
@@ -253,7 +256,7 @@ class ShardRouter:
             view=view, generation=vector.vector_id,
             snapshot_index=vector.snapshot_index, relation=relation,
             total=len(rows), offset=offset, limit=limit,
-            tuples=list(rows[offset:offset + limit]))
+            tuples=list(rows[offset:offset + limit]), codec=codec)
 
     # -- status ------------------------------------------------------------
 

@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import threading
 import time
+import urllib.parse
 import urllib.request
 
 import pytest
 
 from repro.core.runner import canonical_results, make_system
 from repro.corpus import dblife_corpus
-from repro.corpus.snapshot import write_snapshot
+from repro.corpus.snapshot import Snapshot, write_snapshot
 from repro.serve import (
     IngestLoop,
     IngestQueue,
@@ -30,9 +32,15 @@ from repro.serve import (
     TupleStore,
     ViewConfig,
     ViewRegistry,
+    drop_snapshot,
     serve_in_thread,
+    tuple_to_json,
 )
-from repro.serve.store import EmptyViewError, UnknownRelationError
+from repro.serve import ingest as ingest_mod
+from repro.serve.server import render_json
+from repro.serve.store import (EmptyViewError, UnknownRelationError,
+                               _tuple_text)
+from repro.text.document import Page
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +149,30 @@ class TestTupleStore:
         assert gen.pages_deleted == 1
         assert set(gen.page_rows) == {"p1"}
         assert gen.relations["rel"] == ((("x", "a"),), (("x", "b"),))
+
+    def test_row_memo_stays_within_twice_the_live_rows(self):
+        """Readers encode each row once; over 30 generations that each
+        replace half the pages, the memo never holds more than twice
+        the relation's live rows."""
+        store = TupleStore("v", ("rel",))
+        pages = 20
+        for gen in range(30):
+            fresh = range(pages) if gen == 0 else range(gen % 2, pages, 2)
+            store.apply_delta(gen, {
+                f"p{p}": {"rel": [(("x", f"g{gen} p{p} r{r}"),
+                                   ("y", (r, r + 3, f"é{gen}")))
+                                  for r in range(5)]}
+                for p in fresh})
+            live = store.current().relations["rel"]
+            for offset in range(0, len(live), 7):
+                result = store.query("rel", offset=offset, limit=7)
+                result.to_dict()
+                assert len(result.codec) <= 2 * len(live)
+            result = store.query("rel", contains=f"G{gen} ", limit=1000)
+            assert result.total == len(fresh) * 5
+            result.to_dict()
+            assert len(result.codec) <= 2 * len(live)
+        assert len(result.codec) >= len(live) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +304,24 @@ class TestConcurrency:
         errors = []
         generations_seen = set()
 
-        def reader():
+        app = ServeApp(registry, IngestQueue(), IngestLoop(registry,
+                                                           IngestQueue()))
+
+        def encoded(rows):
+            return sorted(json.dumps(tuple_to_json(t)) for t in rows)
+
+        def reader(contains):
+            # Readers fill the shared row memo while the writer
+            # publishes: every body must still be one generation's.
+            params = {"limit": "1000"}
+            if contains:
+                params["contains"] = contains
             while not stop.is_set():
                 for rel in relations:
                     try:
                         result = view.query(rel, limit=1000)
+                        status, payload = app.handle_query(
+                            dict(params, relation=rel))
                     except EmptyViewError:
                         continue
                     except Exception as exc:  # noqa: BLE001
@@ -284,8 +329,19 @@ class TestConcurrency:
                         stop.set()
                         return
                     expected = reference[result.snapshot_index][rel]
-                    if frozenset(result.tuples) != expected or \
-                            result.total != len(result.tuples):
+                    ok = (frozenset(result.tuples) == expected
+                          and result.total == len(result.tuples))
+                    if status == 200:
+                        doc = json.loads(render_json(payload))
+                        rows = reference[doc["snapshot_index"]][rel]
+                        if contains:
+                            rows = [t for t in rows
+                                    if contains in _tuple_text(t).lower()]
+                        ok = (ok and doc["total"] == doc["count"]
+                              and sorted(json.dumps(t)
+                                         for t in doc["tuples"])
+                              == encoded(rows))
+                    if not ok:
                         errors.append(
                             f"generation {result.generation} "
                             f"(snapshot {result.snapshot_index}) "
@@ -295,7 +351,11 @@ class TestConcurrency:
                         return
                     generations_seen.add(result.generation)
 
-        threads = [threading.Thread(target=reader) for _ in range(3)]
+        threads = [threading.Thread(target=reader, args=(contains,))
+                   for contains in ("", "", "a")]
+        # Switch threads often so readers interleave inside the memo.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
         for t in threads:
             t.start()
         try:
@@ -306,6 +366,8 @@ class TestConcurrency:
             stop.set()
             for t in threads:
                 t.join(timeout=5)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors, errors[0]
         assert generations_seen, "readers never observed a generation"
 
@@ -346,6 +408,19 @@ def _post(base, path, doc):
         headers={"Content-Type": "application/json"}, method="POST")
     with urllib.request.urlopen(req) as resp:
         return resp.status, json.loads(resp.read().decode("utf-8"))
+
+
+def _rows(app, params):
+    """The raw rows ``handle_query`` serves for ``params``."""
+    kwargs = dict(offset=int(params.get("offset", 0)),
+                  limit=int(params.get("limit", 50)),
+                  contains=params.get("contains"),
+                  field_filters={k[2:]: v for k, v in params.items()
+                                 if k.startswith("f.")} or None)
+    relation = app.registry.get("talk").store.schema[0]
+    if app.sharded is not None:
+        return app.sharded.router.query("talk", relation, **kwargs).tuples
+    return app.registry.get("talk").query(relation, **kwargs).tuples
 
 
 class TestHTTP:
@@ -403,6 +478,69 @@ class TestHTTP:
             server.shutdown()
             server.server_close()
             app.shutdown()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_bodies_equal_the_payload_dumped(self, snapshots, tmp_path,
+                                             shards):
+        """A ``/query`` body splices each row's memoized JSON text; it
+        must equal ``json.dumps`` of the payload ``handle_query``
+        returns, and the rendering of the rows encoded afresh, byte
+        for byte, over every request shape, from one store or through
+        the 2-shard router."""
+        extra = [Page.from_url(f"intl{i}", f"Seminar by Ada Lovelace. "
+                                           f"Topics: Schrödinger {word}.\n")
+                 for i, word in enumerate(("ÉQUATIONS", "数据库", "naïve"))]
+        snapshot = Snapshot(0, list(snapshots[0].pages) + extra)
+        if shards == 1:
+            app = _build_app(str(tmp_path))
+            app.loop.apply_one(snapshot)
+        else:
+            from repro.shard import ShardedDeployment
+
+            deployment = ShardedDeployment(
+                str(tmp_path / "shards"), [_talk_config()], n_shards=2)
+            app = ServeApp(deployment.workers[0].registry, deployment,
+                           deployment, sharded=deployment)
+        server, _thread = serve_in_thread(app)
+        host, port = server.server_address[:2]
+        try:
+            if shards == 2:
+                assert app.queue.push(snapshot, block=True, timeout=10)
+                assert app.loop.drain(timeout=60)
+            total = app.handle_query({})[1]["total"]
+            assert total > 10
+            grid = [{}, {"offset": "3", "limit": "4"},
+                    {"offset": str(total - 2), "limit": "50"},
+                    {"offset": str(total + 5), "limit": "5"},
+                    {"limit": "0"}, {"contains": "ada"},
+                    {"contains": "équations", "limit": "1000"},
+                    {"contains": "数据", "limit": "1000"},
+                    {"contains": "no such text"},
+                    {"f.speaker": "Ada Lovelace", "limit": "1000"},
+                    {"f.speaker": "Ada Lovelace", "contains": "naÏve"},
+                    {"f.topics": "nothing"}]
+            for params in grid:
+                query = urllib.parse.urlencode(params)
+                with urllib.request.urlopen(
+                        f"http://{host}:{port}/query?{query}") as resp:
+                    body = resp.read()
+                status, payload = app.handle_query(params)
+                assert status == 200
+                assert body == json.dumps(payload).encode("ascii"), params
+                fresh = dict(payload)
+                fresh["tuples"] = [tuple_to_json(t) for t in _rows(
+                    app, params)]
+                assert body == json.dumps(fresh).encode("ascii"), params
+            doc = json.loads(body)
+            hits = {"équations": 1, "数据": 1, "no such text": 0}
+            for needle, count in hits.items():
+                assert app.handle_query(
+                    {"contains": needle})[1]["total"] == count
+        finally:
+            server.shutdown()
+            server.server_close()
+            app.shutdown()
+        assert doc["count"] == 0
 
     def test_one_write_per_response(self, tmp_path, monkeypatch):
         # Headers and body leave in one write, with Nagle off: a body
@@ -531,6 +669,78 @@ class TestSpoolWatcher:
             f.write("not a snapshot")
         assert watcher.scan_once() == 0
         assert ingest_queue.depth == 0
+
+
+    def test_wakes_on_the_drop_not_the_poll(self, snapshots, tmp_path):
+        spool = str(tmp_path / "spool")
+        os.makedirs(spool)
+        probe = ingest_mod._open_inotify(spool)
+        if probe is None:
+            pytest.skip("no inotify on this platform")
+        os.close(probe)
+        ingest_queue = IngestQueue(maxsize=8)
+        watcher = SpoolWatcher(spool, ingest_queue, poll_seconds=5)
+        watcher.start()
+        try:
+            time.sleep(0.05)        # the first sweep has found nothing
+            for snapshot in snapshots[:2]:
+                drop_snapshot(spool, snapshot)
+                dropped = time.monotonic()
+                item = ingest_queue.pop(timeout=2)
+                assert item is not None
+                assert item.snapshot.index == snapshot.index
+                assert item.enqueued_mono - dropped < 0.2
+        finally:
+            assert watcher.stop()
+
+    def test_polls_where_inotify_is_unavailable(self, snapshots, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(ingest_mod, "_open_inotify", lambda path: None)
+        spool = str(tmp_path / "spool")
+        ingest_queue = IngestQueue(maxsize=8)
+        watcher = SpoolWatcher(spool, ingest_queue, poll_seconds=0.05)
+        watcher.start()
+        try:
+            assert watcher._wake is None
+            drop_snapshot(spool, snapshots[0])
+            item = ingest_queue.pop(timeout=5)
+            assert item is not None
+            assert item.snapshot.index == snapshots[0].index
+        finally:
+            assert watcher.stop()
+        assert watcher.files_ingested == 1
+
+    def test_stop_is_prompt_and_releases_everything(self, tmp_path):
+        """``stop()`` wakes the watcher through its self-pipe, not the
+        30 s poll, and closes the pipe and the inotify fd; after
+        ``ServeApp.shutdown()`` no thread or fd of the app is left."""
+
+        def fds():
+            return set(os.listdir("/proc/self/fd"))
+
+        linux = os.path.isdir("/proc/self/fd")
+        threads_before = set(threading.enumerate())
+        fds_before = fds() if linux else set()
+        registry = ViewRegistry(str(tmp_path / "views"))
+        registry.register(_talk_config())
+        ingest_queue = IngestQueue()
+        watcher = SpoolWatcher(str(tmp_path / "spool"), ingest_queue,
+                               poll_seconds=30)
+        app = ServeApp(registry, ingest_queue,
+                       IngestLoop(registry, ingest_queue), watcher=watcher)
+        app.start()
+        time.sleep(0.1)             # the watcher is in its wait
+        held = watcher._wake
+        start = time.monotonic()
+        assert app.shutdown()
+        assert time.monotonic() - start < 1.0
+        assert watcher._wake is None and not watcher.running
+        for fd in held or ():
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert set(threading.enumerate()) == threads_before
+        if linux:
+            assert fds() == fds_before
 
 
 # ---------------------------------------------------------------------------

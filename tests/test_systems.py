@@ -181,7 +181,8 @@ class TestDelex:
             system.process(snaps[2], snaps[2])
 
     @staticmethod
-    def _plan_series(task, snaps, workdir, system_name="delex"):
+    def _plan_series(task, snaps, workdir, system_name="delex",
+                     fastpath=None):
         """Run Delex (or unpinned Cyclex, which Delex's optimizer plans
         too) over ``snaps``; per snapshot, the index the plan's
         statistics were sampled on and whether it re-planned, checking
@@ -191,7 +192,8 @@ class TestDelex:
                 compile_program(task.program, task.registry), workdir,
                 task.program_alpha, task.program_beta)
         else:
-            system = DelexSystem(task, workdir, sample_size=4)
+            system = DelexSystem(task, workdir, sample_size=4,
+                                 fastpath=fastpath)
         reference = NoReuseSystem(
             compile_program(task.program, task.registry))
         sampled, replanned = [], []
@@ -243,6 +245,39 @@ class TestDelex:
             self, chair_fast, tmp_path, profile):
         self._assert_replans_after_shift(chair_fast, str(tmp_path),
                                          profile, "cyclex")
+
+    def test_paper_engine_replans_after_shift(self, chair_fast, tmp_path):
+        """With the fast paths off no page is recycled, so the trigger
+        reads byte-identical pairs, which the page loop counts whatever
+        the setting; counting recycled pages it never re-planned."""
+        snaps = list(drift_profile("churn_burst", n_pages=24, seed=0,
+                                   shift_at=5).snapshots(8))
+        _, sampled, replanned = self._plan_series(
+            chair_fast, snaps, str(tmp_path), fastpath="off")
+        assert [i for i, r in enumerate(replanned) if r] == [1, 6]
+        assert sampled == [None, 1, 1, 1, 1, 1, 6, 6]
+
+    def test_default_engine_trigger_reads_what_it_recycles(self,
+                                                           chair_fast,
+                                                           tmp_path):
+        """On the default engine every identical pair is recycled, so
+        the trigger reads the counts it read before identical pairs were
+        counted apart, and a seeded series plans as it did."""
+        snaps = list(drift_profile("churn_burst", n_pages=24, seed=0,
+                                   shift_at=5).snapshots(8))
+        system = DelexSystem(chair_fast, str(tmp_path), sample_size=4)
+        sequence = []
+        for snap in snaps:
+            fastpath = system.process(snap).timings.fastpath
+            assert fastpath.pages_identical == fastpath.pages_recycled
+            sequence.append((system.last_stats_index, system.replanned,
+                             system.describe_plan()))
+        all_dn = {"extractChairFact": "DN", "extractChairSent": "DN",
+                  "extractServiceSec": "DN"}
+        assert sequence == [(None, False, all_dn), (1, True, all_dn),
+                            (1, False, all_dn), (1, False, all_dn),
+                            (1, False, all_dn), (1, False, all_dn),
+                            (6, True, all_dn), (6, False, all_dn)]
 
     def test_drift_bound_widens_only_for_few_pages(self):
         """The re-plan bound is max(REPLAN_DRIFT, z·SE): from 160 pages
